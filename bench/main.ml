@@ -25,6 +25,13 @@ let workload_seed = 1995
 
 let random_ints n = Runtime.Xoshiro.int_array (Runtime.Xoshiro.of_seed workload_seed) ~len:n ~bound:1_000_000
 
+let sim = Machine.Backend.sim ()
+let mc = Machine.Backend.multicore ()
+
+(* Run a program that produces no value: only the engine's stats. *)
+let run_stats backend ?chaos ~procs body =
+  snd (Scl_sim.Spmd.run backend ?chaos ~procs (fun comm -> body comm; Some ()))
+
 (* ------------------------------------------------- Table 1 and Figure 3 *)
 
 let table1_procs = [ 1; 2; 4; 8; 16; 32 ]
@@ -34,7 +41,7 @@ let table1_times = lazy (
   let data = random_ints table1_n in
   List.map
     (fun p ->
-      let sorted, stats = Algorithms.Hyperquicksort.sort_sim ~procs:p data in
+      let sorted, stats = Algorithms.Hyperquicksort.sort sim ~procs:p data in
       assert (Algorithms.Seq_kernels.is_sorted sorted);
       (p, stats.Machine.Sim.makespan))
     table1_procs)
@@ -74,7 +81,7 @@ let print_baselines () =
   Printf.printf "  -----   --------------   -----------   -------\n";
   List.iter
     (fun p ->
-      let _, h = Algorithms.Hyperquicksort.sort_sim ~procs:p data in
+      let _, h = Algorithms.Hyperquicksort.sort sim ~procs:p data in
       let _, s = Algorithms.Sample_sort.sort_sim ~procs:p data in
       let _, b = Algorithms.Bitonic.sort_sim ~procs:p data in
       Printf.printf "  %5d   %14.3f   %11.3f   %7.3f\n" p h.Machine.Sim.makespan
@@ -179,7 +186,7 @@ let print_hqs_renderings () =
   in
   let t_rec, r_rec = time (fun () -> Algorithms.Hyperquicksort.sort_recursive ~dims:4 data) in
   let t_flat, r_flat = time (fun () -> Algorithms.Hyperquicksort.sort_flat ~dims:4 data) in
-  let t_sim, (r_sim, _) = time (fun () -> Algorithms.Hyperquicksort.sort_sim ~procs:16 data) in
+  let t_sim, (r_sim, _) = time (fun () -> Algorithms.Hyperquicksort.sort sim ~procs:16 data) in
   assert (r_rec = expect && r_flat = expect && r_sim = expect);
   Printf.printf "  recursive (Section 3)       : correct, host wall %.4f s\n" t_rec;
   Printf.printf "  flattened (Section 5)       : correct, host wall %.4f s\n" t_flat;
@@ -269,8 +276,8 @@ let print_summa_vs_cannon () =
   Printf.printf "   grid   procs   cannon (s)   summa (s)\n";
   List.iter
     (fun q ->
-      let c1, s1 = Algorithms.Cannon.multiply_sim ~grid:q a b in
-      let c2, s2 = Algorithms.Summa.multiply_sim ~grid:q a b in
+      let c1, s1 = Algorithms.Cannon.multiply sim ~grid:q a b in
+      let c2, s2 = Algorithms.Summa.multiply sim ~grid:q a b in
       let close =
         Array.for_all2
           (fun r1 r2 -> Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-8) r1 r2)
@@ -321,7 +328,7 @@ let print_farm_strategies () =
     (fun skew ->
       let spec = Algorithms.Farm_sim.skewed_spec ~njobs:64 ~skew in
       let r1, s1 = Algorithms.Farm_sim.static ~procs:8 spec in
-      let r2, s2 = Algorithms.Farm_sim.dynamic ~procs:8 spec in
+      let r2, s2 = Algorithms.Farm_sim.dynamic sim ~procs:8 spec in
       assert (r1 = r2);
       Printf.printf "    %4d   %10.5f   %8.2f   %11.5f   %8.2f   %s\n" skew
         s1.Machine.Sim.makespan (Machine.Sim.imbalance s1) s2.Machine.Sim.makespan
@@ -362,7 +369,7 @@ let print_heat2d () =
   Printf.printf "  procs (grid)   time (s)   iterations\n";
   List.iter
     (fun q ->
-      let r, s = Algorithms.Heat2d.solve_sim ~procs:(q * q) ~tol:1e-4 ~max_iter:20_000 f in
+      let r, s = Algorithms.Heat2d.solve sim ~procs:(q * q) ~tol:1e-4 ~max_iter:20_000 f in
       Printf.printf "  %5d (%dx%d)   %8.3f   %d\n" (q * q) q q s.Machine.Sim.makespan r.iterations)
     [ 1; 2; 4 ];
   Printf.printf "  (halo surface shrinks as 1/q while block area shrinks as 1/q^2 —\n";
@@ -379,9 +386,9 @@ let print_cg_vs_jacobi () =
   Printf.printf "  procs   CG time (s)  CG iters   Jacobi time (s)  Jacobi iters\n";
   List.iter
     (fun p ->
-      let rc, sc = Algorithms.Cg.solve_sim ~procs:p ~tol:1e-6 b in
+      let rc, sc = Algorithms.Cg.solve sim ~procs:p ~tol:1e-6 b in
       let rj, sj =
-        Algorithms.Jacobi.solve_sim ~procs:p ~tol:1e-8 ~max_iter:400_000 b ~left:0.0 ~right:0.0
+        Algorithms.Jacobi.solve sim ~procs:p ~tol:1e-8 ~max_iter:400_000 b ~left:0.0 ~right:0.0
       in
       Printf.printf "  %5d   %11.3f  %8d   %15.3f  %12d\n" p sc.Machine.Sim.makespan
         rc.Algorithms.Cg.iterations sj.Machine.Sim.makespan rj.Algorithms.Jacobi.iterations)
@@ -403,7 +410,7 @@ let print_jacobi_regime () =
   Printf.printf "    procs   time (s)   iterations\n";
   List.iter
     (fun p ->
-      let r, s = Algorithms.Jacobi.solve_sim ~procs:p ~tol:1e-4 f ~left:0.0 ~right:0.0 in
+      let r, s = Algorithms.Jacobi.solve sim ~procs:p ~tol:1e-4 f ~left:0.0 ~right:0.0 in
       Printf.printf "    %5d   %8.3f   %d\n" p s.Machine.Sim.makespan r.Algorithms.Jacobi.iterations)
     [ 1; 2; 4; 8; 16 ];
   Printf.printf
@@ -431,8 +438,10 @@ let print_portability () =
     (fun ((cm : Machine.Cost_model.t), topo) ->
       (* the exchange pattern stays a hypercube; the machine's native
          topology reprices each hop *)
-      let _, s1 = Algorithms.Hyperquicksort.sort_sim ~cost:cm ~procs:1 data in
-      let _, s32 = Algorithms.Hyperquicksort.sort_sim ~cost:cm ~topology:topo ~procs:32 data in
+      let _, s1 = Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost:cm ()) ~procs:1 data in
+      let _, s32 =
+        Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost:cm ()) ~topology:topo ~procs:32 data
+      in
       Printf.printf "  %-10s %-12s %10.3f %10.3f %8.1fx\n" cm.name (Machine.Topology.to_string topo)
         s1.Machine.Sim.makespan s32.Machine.Sim.makespan
         (s1.Machine.Sim.makespan /. s32.Machine.Sim.makespan))
@@ -487,7 +496,7 @@ let bechamel_tests () =
   let float_pa = Scl.Par_array.init 10_000 float_of_int in
   let t1_small () =
     let d = random_ints 4_000 in
-    fun () -> ignore (Algorithms.Hyperquicksort.sort_sim ~procs:8 d)
+    fun () -> ignore (Algorithms.Hyperquicksort.sort sim ~procs:8 d)
   in
   let gauss_small () =
     let a, b = Algorithms.Gauss.random_system ~seed:5 48 in
@@ -672,7 +681,7 @@ let bench_procs ~smoke () =
     (fun () ->
       last_ar :=
         Some
-          (Scl_sim.Spmd.run_procs ~procs:4 (fun comm ->
+          (run_stats Machine.Backend.procs ~procs:4 (fun comm ->
                for i = 0 to ar_rounds - 1 do
                  let s = Machine.Comm.allreduce comm ( + ) (Machine.Comm.rank comm + i) in
                  assert (s >= 0)
@@ -699,7 +708,7 @@ let bench_multicore ~smoke () =
         ~n ~procs:p ~backend:"multicore" ~runs:3
         ~counters:(fun () -> match !last with None -> [] | Some s -> mc_counters s)
         (fun () ->
-          let sorted, s = Algorithms.Hyperquicksort.sort_multicore ~procs:p data in
+          let sorted, s = Algorithms.Hyperquicksort.sort mc ~procs:p data in
           last := Some s;
           assert (sorted = expect)))
     [ 1; 2; 4; 8 ];
@@ -724,7 +733,7 @@ let bench_multicore ~smoke () =
   host_bench ~name:"fabric/allreduce-p4" ~n:ar_rounds ~procs:4 ~backend:"multicore" ~runs:3
     (fun () ->
       ignore
-        (Scl_sim.Spmd.run_multicore ~procs:4 (fun comm ->
+        (run_stats mc ~procs:4 (fun comm ->
              for i = 0 to ar_rounds - 1 do
                let s = Machine.Comm.allreduce comm ( + ) (Machine.Comm.rank comm + i) in
                assert (s >= 0)
@@ -743,13 +752,13 @@ let bench_chaos ~smoke () =
     done
   in
   host_bench ~name:"chaos/sim-allreduce-bare" ~n:rounds ~procs:4 ~backend:"host-sim" ~runs:3
-    (fun () -> ignore (Scl_sim.Spmd.run ~procs:4 battery));
+    (fun () -> ignore (run_stats sim ~procs:4 battery));
   host_bench ~name:"chaos/sim-allreduce-wrapped" ~n:rounds ~procs:4 ~backend:"host-sim" ~runs:3
-    (fun () -> ignore (Scl_sim.Spmd.run ~procs:4 ~chaos:Machine.Chaos.none battery));
+    (fun () -> ignore (run_stats sim ~procs:4 ~chaos:Machine.Chaos.none battery));
   host_bench ~name:"chaos/mc-allreduce-bare" ~n:rounds ~procs:4 ~backend:"multicore" ~runs:3
-    (fun () -> ignore (Scl_sim.Spmd.run_multicore ~procs:4 battery));
+    (fun () -> ignore (run_stats mc ~procs:4 battery));
   host_bench ~name:"chaos/mc-allreduce-wrapped" ~n:rounds ~procs:4 ~backend:"multicore" ~runs:3
-    (fun () -> ignore (Scl_sim.Spmd.run_multicore ~procs:4 ~chaos:Machine.Chaos.none battery))
+    (fun () -> ignore (run_stats mc ~procs:4 ~chaos:Machine.Chaos.none battery))
 
 (* The unboxed slice tier.  Three families:
 
@@ -821,23 +830,23 @@ let bench_slice ~smoke () =
     done
   in
   sim_bench ~name:"fabric/halo-exchange/sim" ~n:(rows * n) ~procs:p (fun () ->
-      let s = Scl_sim.Spmd.run ~procs:p halo in
+      let s = run_stats sim ~procs:p halo in
       assert (s.Machine.Sim.total_msgs = sweeps * 2 * (p - 1));
       assert (s.Machine.Sim.total_bytes = sweeps * 2 * (p - 1) * 8 * n);
       s);
   host_bench ~name:"fabric/halo-exchange" ~n:(rows * n) ~procs:p ~backend:"multicore" ~runs:3
-    (fun () -> ignore (Scl_sim.Spmd.run_multicore ~procs:p halo));
+    (fun () -> ignore (run_stats mc ~procs:p halo));
   (* flat vs boxed Jacobi on real domains, bitwise-identical by construction *)
   let jn = if smoke then 96 else 384 in
   let f = Array.init jn (fun j -> float_of_int ((j * 3 mod 11) - 5)) in
   let tol = 1e-4 and max_iter = 40_000 in
   let boxed = ref None in
   host_bench ~name:"spmd/jacobi-boxed" ~n:jn ~procs:4 ~backend:"multicore" ~runs:3 (fun () ->
-      let r, _ = Algorithms.Jacobi.solve_multicore ~procs:4 ~tol ~max_iter f ~left:0.0 ~right:0.0 in
+      let r, _ = Algorithms.Jacobi.solve mc ~procs:4 ~tol ~max_iter f ~left:0.0 ~right:0.0 in
       boxed := Some r);
   host_bench ~name:"spmd/jacobi-flat" ~n:jn ~procs:4 ~backend:"multicore" ~runs:3 (fun () ->
       let r, _ =
-        Algorithms.Jacobi.solve_multicore_flat ~procs:4 ~tol ~max_iter f ~left:0.0 ~right:0.0
+        Algorithms.Jacobi.solve_flat mc ~procs:4 ~tol ~max_iter f ~left:0.0 ~right:0.0
       in
       match !boxed with
       | Some rb ->
@@ -1060,7 +1069,7 @@ let bench_service ~smoke () =
         leaves = [];
       }
     in
-    let r, _ = Service.run_sim ~procs:service_procs cfg wl in
+    let r, _ = Service.run sim ~procs:service_procs cfg wl in
     push
       {
         Obs.Artifact.name;
@@ -1134,8 +1143,8 @@ let service_curve ~engine ~seed ~chaos_on ~smoke ~json_path () =
         in
         let r =
           match engine with
-          | "sim" -> fst (Service.run_sim ?chaos ~procs:service_procs cfg wl)
-          | "multicore" -> fst (Service.run_multicore ?chaos ~procs:service_procs cfg wl)
+          | "sim" -> fst (Service.run sim ?chaos ~procs:service_procs cfg wl)
+          | "multicore" -> fst (Service.run mc ?chaos ~procs:service_procs cfg wl)
           | e -> raise (Arg.Bad (Printf.sprintf "unknown engine %S (sim|multicore)" e))
         in
         Printf.printf "  %10.0f %9.1f %9.3f %9.3f %9.3f %9.3f %6d %7d\n" offered
@@ -1189,7 +1198,7 @@ let run_measured ~smoke =
   List.iter
     (fun p ->
       sim_bench ~name:(Printf.sprintf "hyperquicksort/sim/p%d" p) ~n:n_sort ~procs:p (fun () ->
-          let sorted, s = Algorithms.Hyperquicksort.sort_sim ~procs:p sort_data in
+          let sorted, s = Algorithms.Hyperquicksort.sort sim ~procs:p sort_data in
           assert (Algorithms.Seq_kernels.is_sorted sorted);
           s))
     sort_procs;

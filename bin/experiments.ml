@@ -67,7 +67,7 @@ let run_sort_series name sorter ~seed ~size procs =
 
 let table1 cost size seed procs =
   run_sort_series "Table 1 / Figure 3: hyperquicksort (simulated)"
-    (fun ~procs data -> Algorithms.Hyperquicksort.sort_sim ~cost ~procs data)
+    (fun ~procs data -> Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost ()) ~procs data)
     ~seed ~size procs
 
 let table1_cmd =
@@ -86,7 +86,8 @@ let sorts cost size seed procs =
   List.iter
     (fun (name, sorter) -> run_sort_series name sorter ~seed ~size procs)
     [
-      ("hyperquicksort", fun ~procs data -> Algorithms.Hyperquicksort.sort_sim ~cost ~procs data);
+      ( "hyperquicksort",
+        fun ~procs data -> Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost ()) ~procs data );
       ("sample sort (PSRS)", fun ~procs data -> Algorithms.Sample_sort.sort_sim ~cost ~procs data);
       ("bitonic", fun ~procs data -> Algorithms.Bitonic.sort_sim ~cost ~procs data);
     ]
@@ -125,7 +126,9 @@ let jacobi cost size procs =
   Printf.printf "  procs    time (s)   iterations\n";
   List.iter
     (fun p ->
-      let r, stats = Algorithms.Jacobi.solve_sim ~cost ~procs:p ~tol:1e-6 f ~left:0.0 ~right:0.0 in
+      let r, stats =
+        Algorithms.Jacobi.solve (Machine.Backend.sim ~cost ()) ~procs:p ~tol:1e-6 f ~left:0.0 ~right:0.0
+      in
       Printf.printf "  %5d  %10.3f   %d\n" p stats.makespan r.iterations)
     procs
 
@@ -147,7 +150,7 @@ let cannon cost size seed grids =
     (fun q ->
       if size mod q <> 0 then Printf.printf "  %2dx%-2d  (skipped: %d does not divide %d)\n" q q q size
       else begin
-        let c, stats = Algorithms.Cannon.multiply_sim ~cost ~grid:q a b in
+        let c, stats = Algorithms.Cannon.multiply (Machine.Backend.sim ~cost ()) ~grid:q a b in
         let ok =
           Array.for_all2
             (fun r1 r2 -> Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-8) r1 r2)
@@ -171,9 +174,14 @@ let cannon_cmd =
 
 let trace cost size seed =
   let data = random_ints ~seed size in
-  let sorted, stats, notes = Algorithms.Hyperquicksort.sort_sim_traced ~cost ~procs:4 data in
+  let trace = Machine.Trace.create () in
+  let sorted, stats =
+    Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost ~trace ()) ~procs:4 data
+  in
   Printf.printf "Figure 2: hyperquicksort of %d values on a 2-cube\n\n" size;
-  List.iter (fun (t, p, msg) -> Printf.printf "[t=%9.6f] p%d  %s\n" t p msg) notes;
+  List.iter
+    (fun (t, p, msg) -> Printf.printf "[t=%9.6f] p%d  %s\n" t p msg)
+    (Machine.Trace.notes trace);
   Printf.printf "\nsorted: [%s]\n"
     (String.concat " " (Array.to_list (Array.map string_of_int sorted)));
   Printf.printf "makespan %.6f s, %d messages\n" stats.makespan stats.total_msgs
@@ -284,8 +292,8 @@ let portability size seed procs =
   Printf.printf "  %-10s %10s %10s %9s\n" "machine" "t(1) s" (Printf.sprintf "t(%d) s" procs) "speedup";
   List.iter
     (fun (cm : Machine.Cost_model.t) ->
-      let _, s1 = Algorithms.Hyperquicksort.sort_sim ~cost:cm ~procs:1 data in
-      let _, sp = Algorithms.Hyperquicksort.sort_sim ~cost:cm ~procs data in
+      let _, s1 = Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost:cm ()) ~procs:1 data in
+      let _, sp = Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost:cm ()) ~procs data in
       Printf.printf "  %-10s %10.4f %10.4f %8.1fx\n" cm.name s1.Machine.Sim.makespan
         sp.Machine.Sim.makespan
         (s1.Machine.Sim.makespan /. sp.Machine.Sim.makespan))

@@ -30,7 +30,7 @@ let () =
   let t1 = ref 0.0 in
   List.iter
     (fun q ->
-      let c, stats = Algorithms.Cannon.multiply_sim ~grid:q a b in
+      let c, stats = Algorithms.Cannon.multiply (Machine.Backend.sim ()) ~grid:q a b in
       assert (max_err c < 1e-9);
       let t = stats.Machine.Sim.makespan in
       if q = 1 then t1 := t;

@@ -28,34 +28,18 @@ let engine =
   in
   find (Array.to_list Sys.argv)
 
-let run_multicore () =
-  let rng = Runtime.Xoshiro.of_seed 1995 in
-  let data = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
-  Format.printf "=== Hyperquicksort on 4 real OCaml domains (multicore engine) ===@.@.";
-  Format.printf "unsorted input on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int data)));
-  let sorted, stats = Algorithms.Hyperquicksort.sort_multicore ~procs:4 data in
-  Format.printf "sorted result gathered on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int sorted)));
-  Format.printf "wall clock: %.6f s on %d domain(s); %d messages, %d sleeps@."
-    stats.Machine.Multicore.wall stats.Machine.Multicore.domains_used
-    stats.Machine.Multicore.total_msgs stats.Machine.Multicore.sleeps;
-  let check = Array.copy data in
-  Array.sort compare check;
-  assert (sorted = check);
-  Format.printf "verified against sequential sort. ok.@."
+let show a = String.concat " " (Array.to_list (Array.map string_of_int a))
 
-let run_procs () =
+(* The same program on a real engine: one runner, the backend picks the
+   engine and the stats record. *)
+let run_real backend ~title ~describe =
   let rng = Runtime.Xoshiro.of_seed 1995 in
   let data = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
-  Format.printf "=== Hyperquicksort on 4 forked OS processes (procs engine) ===@.@.";
-  Format.printf "unsorted input on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int data)));
-  let sorted, stats = Algorithms.Hyperquicksort.sort_procs ~procs:4 data in
-  Format.printf "sorted result gathered on rank 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int sorted)));
-  Format.printf "wall clock: %.6f s on %d process(es); %d messages over the sockets@."
-    stats.Machine.Procs.wall stats.Machine.Procs.procs_used stats.Machine.Procs.total_msgs;
+  Format.printf "=== Hyperquicksort on %s ===@.@." title;
+  Format.printf "unsorted input on rank 0:@.  [%s]@.@." (show data);
+  let sorted, stats = Algorithms.Hyperquicksort.sort backend ~procs:4 data in
+  Format.printf "sorted result gathered on rank 0:@.  [%s]@.@." (show sorted);
+  Format.printf "%s@." (describe stats);
   let check = Array.copy data in
   Array.sort compare check;
   assert (sorted = check);
@@ -64,10 +48,16 @@ let run_procs () =
 let () =
   (match engine with
   | "multicore" ->
-      run_multicore ();
+      run_real (Machine.Backend.multicore ()) ~title:"4 real OCaml domains (multicore engine)"
+        ~describe:(fun (s : Machine.Multicore.stats) ->
+          Printf.sprintf "wall clock: %.6f s on %d domain(s); %d messages, %d sleeps" s.wall
+            s.domains_used s.total_msgs s.sleeps);
       exit 0
   | "procs" ->
-      run_procs ();
+      run_real Machine.Backend.procs ~title:"4 forked OS processes (procs engine)"
+        ~describe:(fun (s : Machine.Procs.stats) ->
+          Printf.sprintf "wall clock: %.6f s on %d process(es); %d messages over the sockets"
+            s.wall s.procs_used s.total_msgs);
       exit 0
   | "sim" -> ()
   | other ->
@@ -76,21 +66,20 @@ let () =
   let rng = Runtime.Xoshiro.of_seed 1995 in
   let data = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
   Format.printf "=== Hyperquicksort on a 2-dimensional hypercube (Figure 2) ===@.@.";
-  Format.printf "unsorted input on processor 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int data)));
-  (* A second, instrumented run for the timeline picture. *)
+  Format.printf "unsorted input on processor 0:@.  [%s]@.@." (show data);
+  (* One traced run: its notes are the stages, its events the timeline. *)
   let trace = Machine.Trace.create () in
-  let _ = Algorithms.Hyperquicksort.sort_sim ~trace ~procs:4 data in
-  let sorted, stats, notes = Algorithms.Hyperquicksort.sort_sim_traced ~procs:4 data in
+  let sorted, stats =
+    Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~trace ()) ~procs:4 data
+  in
   let last_proc = ref (-1) in
   List.iter
     (fun (time, proc, msg) ->
       if proc <> !last_proc then Format.printf "@.";
       last_proc := proc;
       Format.printf "[t=%8.6fs] p%d  %s@." time proc msg)
-    notes;
-  Format.printf "@.sorted result gathered on processor 0:@.  [%s]@.@."
-    (String.concat " " (Array.to_list (Array.map string_of_int sorted)));
+    (Machine.Trace.notes trace);
+  Format.printf "@.sorted result gathered on processor 0:@.  [%s]@.@." (show sorted);
   Format.printf "simulated makespan: %.6f s on the AP1000 cost model@." stats.Machine.Sim.makespan;
   Format.printf "messages: %d (%d bytes), barrier-free (pairwise exchanges only)@."
     stats.Machine.Sim.total_msgs stats.Machine.Sim.total_bytes;

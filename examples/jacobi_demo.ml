@@ -32,7 +32,7 @@ let () =
   List.iter
     (fun p ->
       let r, stats =
-        Algorithms.Jacobi.solve_sim ~procs:p ~tol:1e-6 f ~left:0.0 ~right:0.0
+        Algorithms.Jacobi.solve (Machine.Backend.sim ()) ~procs:p ~tol:1e-6 f ~left:0.0 ~right:0.0
       in
       Format.printf "  %2d   %8.3f   %d@." p stats.Machine.Sim.makespan r.iterations)
     [ 1; 2; 4; 8 ];

@@ -47,11 +47,11 @@ let bitonic_program (data : int array option) (comm : Comm.t) : int array option
       Some (Array.sub all 0 total)
   | None -> None
 
-let sort_sim ?(cost = Cost_model.ap1000) ?trace ~procs (data : int array) :
+let sort_sim ?cost ?trace ~procs (data : int array) :
     int array * Sim.stats =
   if not (Topology.is_power_of_two procs) then
     invalid_arg "Bitonic.sort_sim: processor count must be a power of two";
   if Array.exists (fun x -> x = sentinel) data then
     invalid_arg "Bitonic.sort_sim: max_int keys are reserved as padding sentinels";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~topology:Topology.Hypercube ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~topology:Topology.Hypercube ~procs (fun comm ->
       bitonic_program (if Comm.rank comm = 0 then Some data else None) comm)

@@ -23,6 +23,11 @@ let check_square_divisible name a grid =
   if n mod grid <> 0 then invalid_arg (name ^ ": grid must divide the matrix dimension");
   n
 
+let check_operands name ~grid a b =
+  let n = check_square_divisible name a grid in
+  if check_square_divisible name b grid <> n then invalid_arg (name ^ ": dimension mismatch");
+  n
+
 (* Cut an n x n matrix into a q x q Par_array2 of dense blocks. *)
 let to_blocks q (m : float array array) : block Par_array2.t =
   let n = Array.length m in
@@ -43,9 +48,7 @@ let of_blocks (blocks : block Par_array2.t) : float array array =
 
 let multiply_scl ?(exec = Exec.sequential) ~grid (a : float array array) (b : float array array)
     : float array array =
-  let n = check_square_divisible "Cannon.multiply_scl" a grid in
-  let n' = check_square_divisible "Cannon.multiply_scl" b grid in
-  if n <> n' then invalid_arg "Cannon.multiply_scl: dimension mismatch";
+  let n = check_operands "Cannon.multiply_scl" ~grid a b in
   if n = 0 then [||]
   else begin
     let q = grid in
@@ -66,7 +69,7 @@ let multiply_scl ?(exec = Exec.sequential) ~grid (a : float array array) (b : fl
     of_blocks cb
   end
 
-(* --- simulator version ------------------------------------------------------ *)
+(* --- SPMD version ------------------------------------------------------------- *)
 
 open Machine
 
@@ -113,36 +116,13 @@ let cannon_program ~n ~q (ab : block option) (bb : block option) (comm : Comm.t)
       Some (of_blocks pa)
   | None -> None
 
-let multiply_sim ?(cost = Cost_model.ap1000) ?trace ~grid (a : float array array)
-    (b : float array array) : float array array * Sim.stats =
-  let n = check_square_divisible "Cannon.multiply_sim" a grid in
-  let n' = check_square_divisible "Cannon.multiply_sim" b grid in
-  if n <> n' then invalid_arg "Cannon.multiply_sim: dimension mismatch";
+(* On a q x q torus, so on the simulator each shift is one hop. *)
+let multiply backend ~grid (a : float array array) (b : float array array) =
+  let n = check_operands "Cannon.multiply" ~grid a b in
   let q = grid in
-  Sim.run_collect ?trace
-    { Sim.procs = q * q; topology = Topology.Torus2d (q, q); cost }
-    (fun ctx ->
-      let comm = Comm.world (Engine.of_sim ctx) in
+  Scl_sim.Spmd.run backend ~topology:(Topology.Torus2d (q, q)) ~procs:(q * q) (fun comm ->
       let root = Comm.rank comm = 0 in
-      cannon_program ~n ~q
-        (if root then Some a else None)
-        (if root then Some b else None)
-        comm)
-
-let multiply_multicore ?domains ~grid (a : float array array) (b : float array array) :
-    float array array * Multicore.stats =
-  let n = check_square_divisible "Cannon.multiply_multicore" a grid in
-  let n' = check_square_divisible "Cannon.multiply_multicore" b grid in
-  if n <> n' then invalid_arg "Cannon.multiply_multicore: dimension mismatch";
-  let q = grid in
-  Multicore.run_collect ?domains ~topology:(Topology.Torus2d (q, q)) ~procs:(q * q)
-    (fun eng ->
-      let comm = Comm.world eng in
-      let root = Comm.rank comm = 0 in
-      cannon_program ~n ~q
-        (if root then Some a else None)
-        (if root then Some b else None)
-        comm)
+      cannon_program ~n ~q (if root then Some a else None) (if root then Some b else None) comm)
 
 let random_matrix ~seed n =
   let rng = Runtime.Xoshiro.of_seed seed in

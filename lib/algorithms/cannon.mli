@@ -13,23 +13,11 @@ val multiply_scl :
     @raise Invalid_argument unless both matrices are n×n with [grid]
     dividing n. *)
 
-val multiply_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  grid:int ->
-  float array array ->
-  float array array ->
-  float array array * Sim.stats
-(** Simulator rendering on a grid×grid torus (single-hop neighbour
-    shifts). *)
-
-val multiply_multicore :
-  ?domains:int ->
-  grid:int ->
-  float array array ->
-  float array array ->
-  float array array * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; identical product. *)
+val multiply :
+  's Backend.t -> grid:int -> float array array -> float array array -> float array array * 's
+(** The SPMD program on a grid×grid torus (single-hop neighbour shifts on
+    the simulator); identical product on every engine.
+    @raise Invalid_argument as {!multiply_scl}. *)
 
 val random_matrix : seed:int -> int -> float array array
 
@@ -39,3 +27,8 @@ val to_blocks : int -> float array array -> block Scl.Par_array2.t
 val of_blocks : block Scl.Par_array2.t -> float array array
 val block_add : block -> block -> block
 val zero_block : int -> block
+
+val check_operands : string -> grid:int -> float array array -> float array array -> int
+(** [check_operands name ~grid a b] is the common dimension [n] of two n×n
+    matrices. @raise Invalid_argument (prefixed by [name]) unless both are
+    square with the same [n] and [grid > 0] divides [n]. *)

@@ -155,15 +155,11 @@ let cg_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option) (com
     (fun solution -> { solution; iterations = !it; residual_norm = sqrt !rr })
     gathered
 
-let solve_sim ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-10) ?(max_iter = 10_000) ~procs
-    (b : float array) : result * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      cg_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
+let run_cg program backend ?tol ?max_iter ~procs (b : float array) =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
+      program ?tol ?max_iter (if Comm.rank comm = 0 then Some b else None) comm)
 
-let solve_multicore ?domains ?(tol = 1e-10) ?(max_iter = 10_000) ~procs (b : float array) :
-    result * Multicore.stats =
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      cg_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
+let solve backend = run_cg cg_program backend
 
 (* --- flat-tier version ----------------------------------------------------------
    The same distributed CG over unboxed [Scl.Flat] chunks, with the halo
@@ -243,15 +239,11 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
       })
     gathered
 
-let solve_sim_flat ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-10) ?(max_iter = 10_000) ~procs
-    (b : float array) : result * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      cg_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
+let solve_flat backend = run_cg cg_flat_program backend
 
-let solve_multicore_flat ?domains ?(tol = 1e-10) ?(max_iter = 10_000) ~procs (b : float array) :
-    result * Multicore.stats =
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      cg_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some b else None) comm)
+(* Pinned by the steady benchmark, which calls these exact names. *)
+let solve_sim_flat ?cost ?trace = solve_flat (Backend.sim ?cost ?trace ())
+let solve_multicore_flat ?domains = solve_flat (Backend.multicore ?domains ())
 
 (* The residual check used by tests. *)
 let residual_inf (x : float array) (b : float array) : float =

@@ -13,19 +13,10 @@ val solve_scl : ?exec:Scl.Exec.t -> ?tol:float -> ?max_iter:int -> float array -
 (** Host-SCL rendering (dot = zip_with + fold, matvec = imap); iteration
     counts match {!solve_seq}. *)
 
-val solve_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  result * Sim.stats
-
-val solve_multicore :
-  ?domains:int -> ?tol:float -> ?max_iter:int -> procs:int -> float array -> result * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; identical solution and
-    iteration count to {!solve_sim}. *)
+val solve :
+  's Backend.t -> ?tol:float -> ?max_iter:int -> procs:int -> float array -> result * 's
+(** The distributed SPMD program on the chosen engine; identical solution
+    and iteration count on every engine. *)
 
 val laplacian_matvec : float array -> float array
 val residual_inf : float array -> float array -> float
@@ -37,6 +28,14 @@ val residual_inf : float array -> float array -> float
     halos. Identical block geometry and reduction shape to the boxed
     variants, so iterates are bitwise-identical at the same [procs]. *)
 
+val solve_flat :
+  's Backend.t -> ?tol:float -> ?max_iter:int -> procs:int -> float array -> result * 's
+
+(** {2 Benchmark-pinned names}
+
+    The steady benchmark calls these by name; each is {!solve_flat} on
+    one backend. *)
+
 val solve_sim_flat :
   ?cost:Cost_model.t ->
   ?trace:Trace.t ->
@@ -45,6 +44,7 @@ val solve_sim_flat :
   procs:int ->
   float array ->
   result * Sim.stats
+(** [solve_flat (Backend.sim ?cost ?trace ())]. *)
 
 val solve_multicore_flat :
   ?domains:int ->
@@ -53,3 +53,4 @@ val solve_multicore_flat :
   procs:int ->
   float array ->
   result * Multicore.stats
+(** [solve_flat (Backend.multicore ?domains ())]. *)

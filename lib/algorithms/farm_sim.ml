@@ -1,12 +1,11 @@
-(* The farm skeleton's two implementation strategies on the simulated
-   distributed-memory machine:
+(* The farm skeleton's two distributed implementation strategies:
 
    - [static]: jobs are block-scattered up front (the paper's
      "farm f env = map (f env)" reading — zero scheduling traffic, but
      irregular job sizes leave processors idle);
    - [dynamic]: a master deals jobs on demand (the task-queue reading the
      farm skeleton historically carries — every job costs a round trip,
-     but load balances).
+     but load balances; it runs on any engine).
 
    The crossover between the two under varying job-size skew is the
    classic farm-implementation trade-off; the bench harness reports it.
@@ -24,8 +23,8 @@ type 'r job_spec = {
 
 (* --- static farm: block distribution ------------------------------------- *)
 
-let static ?(cost = Cost_model.ap1000) ~procs (spec : 'r job_spec) : 'r array * Sim.stats =
-  Scl_sim.Spmd.run_collect ~cost ~procs (fun comm ->
+let static ?cost ~procs (spec : 'r job_spec) : 'r array * Sim.stats =
+  Scl_sim.Spmd.run (Backend.sim ?cost ()) ~procs (fun comm ->
       let me = Comm.rank comm in
       let p = Comm.size comm in
       let bounds = Scl_sim.Dvec.block_bounds ~total:spec.njobs ~parts:p in
@@ -182,25 +181,13 @@ let dynamic_program ?grace (spec : 'r job_spec) (comm : Comm.t) : 'r array optio
         None
       end
 
-let dynamic ?(cost = Cost_model.ap1000) ?grace ?chaos ~procs (spec : 'r job_spec) :
-    'r array * Sim.stats =
-  if procs < 2 then invalid_arg "Farm_sim.dynamic: needs a master and at least one worker";
-  Scl_sim.Spmd.run_collect ~cost ?chaos ~procs (dynamic_program ?grace spec)
-
-let dynamic_multicore ?domains ?grace ?chaos ~procs (spec : 'r job_spec) :
-    'r array * Multicore.stats =
-  if procs < 2 then
-    invalid_arg "Farm_sim.dynamic_multicore: needs a master and at least one worker";
-  Scl_sim.Spmd.run_multicore_collect ?domains ?chaos ~procs (dynamic_program ?grace spec)
-
 (* On real processes the failure detector finally earns its keep: a
-   worker that dies here is a dead PID, not a simulated raise, and the
+   worker that dies there is a dead PID, not a simulated raise, and the
    master's grace timeouts plus re-dealing are the only thing standing
    between that and a hung run. *)
-let dynamic_procs ?grace ?chaos ~procs (spec : 'r job_spec) : 'r array * Procs.stats =
-  if procs < 2 then
-    invalid_arg "Farm_sim.dynamic_procs: needs a master and at least one worker";
-  Scl_sim.Spmd.run_procs_collect ?chaos ~procs (dynamic_program ?grace spec)
+let dynamic backend ?grace ?chaos ~procs (spec : 'r job_spec) =
+  if procs < 2 then invalid_arg "Farm_sim.dynamic: needs a master and at least one worker";
+  Scl_sim.Spmd.run backend ?chaos ~procs (dynamic_program ?grace spec)
 
 (* Skewed job mix used by tests and benches: the heavy jobs are clustered
    at the front of the index range, so static block dealing dumps them all

@@ -15,12 +15,12 @@ val static : ?cost:Cost_model.t -> procs:int -> 'r job_spec -> 'r array * Sim.st
 (** Jobs block-scattered up front; no scheduling traffic. *)
 
 val dynamic :
-  ?cost:Cost_model.t ->
+  's Backend.t ->
   ?grace:float ->
   ?chaos:Chaos.spec ->
   procs:int ->
   'r job_spec ->
-  'r array * Sim.stats
+  'r array * 's
 (** Master (rank 0) deals jobs on request; [procs - 1] workers.
 
     The protocol is at-least-once with job-id dedup: when fresh jobs run
@@ -29,47 +29,26 @@ val dynamic :
     duplicate results are dropped (counters ["farm.retries"] /
     ["farm.reassignments"]).
 
-    [~grace] (engine-clock seconds) arms the master's failure detector: it
-    must exceed the longest single job's duration plus a round trip. Any
-    worker silent that long is presumed dead; if ALL un-released workers go
-    silent while jobs remain, the farm fails loudly. Without [~grace], a
-    worker crash leaves the master blocked (ending in the engine's
-    [Deadlock]). [~chaos] wraps every rank's engine in the fault injector.
-    @raise Invalid_argument if [procs < 2]. *)
+    [~grace] (engine-clock seconds: simulated on [sim], wall-clock on the
+    real engines) arms the master's failure detector: it must exceed the
+    longest single job's duration plus a round trip. Any worker silent
+    that long is presumed dead; if ALL un-released workers go silent while
+    jobs remain, the farm fails loudly. Without [~grace], a worker crash
+    leaves the master blocked (ending in the engine's [Deadlock]).
+    [~chaos] wraps every rank's engine in the fault injector.
 
-val dynamic_multicore :
-  ?domains:int ->
-  ?grace:float ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  'r job_spec ->
-  'r array * Multicore.stats
-(** The dynamic farm on real OCaml 5 domains: genuinely concurrent
-    workers, nondeterministic request interleaving at the master, same
-    indexed results. [~grace] is wall-clock seconds here.
-    @raise Invalid_argument if [procs < 2]. *)
-
-val dynamic_procs :
-  ?grace:float ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  'r job_spec ->
-  'r array * Procs.stats
-(** The dynamic farm on real OS processes ([Machine.Procs]): a worker
-    crash is a dead PID, detected by the master's [~grace] timeouts and
-    healed by re-dealing, end-to-end for real. Job bodies and results
-    must be marshalable. [~grace] is wall-clock seconds. Fork safety:
-    only callable in a process that has never created another domain
-    (see {!Machine.Procs}).
+    On [multicore] the workers are genuinely concurrent and the request
+    interleaving at the master is nondeterministic, with the same indexed
+    results. On [procs] a worker crash is a dead PID, healed by re-dealing
+    end to end; job bodies and results must be marshalable.
     @raise Invalid_argument if [procs < 2]. *)
 
 val dynamic_program : ?grace:float -> 'r job_spec -> Comm.t -> 'r array option
 (** The dynamic farm's SPMD body itself (rank 0 = master, others =
-    workers), for embedding in a larger program via [Spmd.run_*] — e.g.
+    workers), for embedding in a larger program via [Spmd.run] — e.g.
     running the farm alongside ranks that deliberately misbehave in
     fault-injection tests. Rank 0 returns [Some results]; workers return
-    [None]. The [dynamic*] wrappers above are [Spmd.run_*_collect] over
-    this body. *)
+    [None]. {!dynamic} is [Spmd.run] over this body. *)
 
 val skewed_spec : njobs:int -> skew:int -> int job_spec
 (** A job mix with a few [skew]-times-heavier jobs among light ones — the

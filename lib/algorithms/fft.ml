@@ -118,10 +118,10 @@ let fft_program ?(inverse = false) (a : Complex.t array option) (comm : Comm.t) 
     Scl_sim.Dvec.gather ~root:0 scale
   end
 
-let fft_sim ?(cost = Cost_model.ap1000) ?trace ?(inverse = false) ~procs
+let fft_sim ?cost ?trace ?(inverse = false) ~procs
     (a : Complex.t array) : Complex.t array * Sim.stats =
   check_length "Fft.fft_sim" (max 1 (Array.length a));
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
       fft_program ~inverse (if Comm.rank comm = 0 then Some a else None) comm)
 
 (* --- helpers for tests and demos ----------------------------------------------- *)

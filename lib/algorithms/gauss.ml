@@ -95,11 +95,11 @@ let gauss_program (cols : float array array option) (comm : Comm.t) : float arra
   else if me = 0 then Some (Comm.recv comm ~src:last_owner ())
   else None
 
-let solve_sim ?(cost = Cost_model.ap1000) ?trace ~procs (a : float array array)
+let solve_sim ?cost ?trace ~procs (a : float array array)
     (b : float array) : float array * Sim.stats =
   if Array.length a = 0 then invalid_arg "Gauss.solve_sim: empty system";
   let cols = augment a b in
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
       gauss_program (if Comm.rank comm = 0 then Some cols else None) comm)
 
 (* Well-conditioned random test systems: diagonally dominant matrices. *)

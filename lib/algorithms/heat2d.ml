@@ -171,21 +171,13 @@ let heat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array optio
       Some { solution; iterations = conv.iterations; final_diff = conv.final_residual }
   | None -> None
 
-let solve_sim ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-7) ?(max_iter = 50_000) ~procs
-    (f : float array array) : result * Sim.stats =
+let run_heat program backend ?tol ?max_iter ~procs (f : float array array) =
   let n = Array.length f in
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Heat2d.solve_sim: non-square grid") f;
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      heat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
+  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Heat2d: non-square grid") f;
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
+      program ?tol ?max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
 
-let solve_multicore ?domains ?(tol = 1e-7) ?(max_iter = 50_000) ~procs (f : float array array)
-    : result * Multicore.stats =
-  let n = Array.length f in
-  Array.iter
-    (fun r -> if Array.length r <> n then invalid_arg "Heat2d.solve_multicore: non-square grid")
-    f;
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      heat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
+let solve backend = run_heat heat_program backend
 
 (* --- flat-tier version: row bands over an unboxed grid -------------------------
    The n x n grid flattened row-major into one [Scl.Flat] array, block-
@@ -280,24 +272,7 @@ let heat_flat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array 
         }
   | None -> None
 
-let solve_sim_flat ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-7) ?(max_iter = 50_000) ~procs
-    (f : float array array) : result * Sim.stats =
-  let n = Array.length f in
-  Array.iter
-    (fun r -> if Array.length r <> n then invalid_arg "Heat2d.solve_sim_flat: non-square grid")
-    f;
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      heat_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
-
-let solve_multicore_flat ?domains ?(tol = 1e-7) ?(max_iter = 50_000) ~procs
-    (f : float array array) : result * Multicore.stats =
-  let n = Array.length f in
-  Array.iter
-    (fun r ->
-      if Array.length r <> n then invalid_arg "Heat2d.solve_multicore_flat: non-square grid")
-    f;
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      heat_flat_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~n comm)
+let solve_flat backend = run_heat heat_flat_program backend
 
 (* Manufactured solution used by the tests: f = 2 pi^2 sin(pi x) sin(pi y)
    gives u = sin(pi x) sin(pi y). *)

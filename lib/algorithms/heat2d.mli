@@ -16,22 +16,13 @@ val solve_scl :
     counts match {!solve_seq} exactly.
     @raise Invalid_argument unless [grid] divides the dimension. *)
 
-val solve_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array array ->
-  result * Sim.stats
-(** Simulator rendering ([procs] must be a perfect square whose side
-    divides the dimension): halo exchange + stencil sweep + allreduce per
-    iteration. *)
-
-val solve_multicore :
-  ?domains:int -> ?tol:float -> ?max_iter:int -> procs:int -> float array array -> result * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; identical solution and
-    iteration count to {!solve_sim}. *)
+val solve :
+  's Backend.t -> ?tol:float -> ?max_iter:int -> procs:int -> float array array -> result * 's
+(** The distributed SPMD program on the chosen engine ([procs] must be a
+    perfect square whose side divides the dimension): halo exchange +
+    stencil sweep + allreduce per iteration. Identical solution and
+    iteration count on every engine.
+    @raise Invalid_argument on a non-square grid. *)
 
 val manufactured_f : int -> float array array
 (** f = 2π² sin(πx) sin(πy), whose exact solution is
@@ -48,19 +39,5 @@ val manufactured_u : int -> int -> int -> float
     path). Solutions and iteration counts are bitwise-identical to the
     boxed variants. Works for any [procs] (not just perfect squares). *)
 
-val solve_sim_flat :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array array ->
-  result * Sim.stats
-
-val solve_multicore_flat :
-  ?domains:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array array ->
-  result * Multicore.stats
+val solve_flat :
+  's Backend.t -> ?tol:float -> ?max_iter:int -> procs:int -> float array array -> result * 's

@@ -81,8 +81,8 @@ let histogram_program ~buckets ~lo ~hi (xs : float array option) (comm : Comm.t)
   Comm.work_flops comm (Array.length mine);
   Scl_sim.Dvec.gather ~root:0 (Scl_sim.Dvec.of_local comm mine)
 
-let histogram_sim ?(cost = Cost_model.ap1000) ?trace ~procs ~buckets ~lo ~hi
+let histogram_sim ?cost ?trace ~procs ~buckets ~lo ~hi
     (xs : float array) : int array * Sim.stats =
   check_args ~buckets ~lo ~hi;
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
       histogram_program ~buckets ~lo ~hi (if Comm.rank comm = 0 then Some xs else None) comm)

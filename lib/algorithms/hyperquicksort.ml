@@ -6,9 +6,9 @@
       exchange via fetch.
    2. [sort_flat]      — the Section 5 flattened iterative SPMD program
       (the output of the flattening transformation), using iterFor.
-   3. [sort_sim]       — the skeleton implementation templates instantiated
-      on the simulated distributed-memory machine; regenerates the paper's
-      Table 1 / Figure 3 experiment.
+   3. [sort]           — the skeleton implementation templates instantiated
+      as an SPMD program on any engine; on the simulated distributed-memory
+      machine it regenerates the paper's Table 1 / Figure 3 experiment.
 
    Robustness extension beyond the paper: when a group leader holds no data
    (possible for skewed inputs), the pivot is taken from the first
@@ -108,12 +108,13 @@ let sort_flat ?(exec = Exec.sequential) ~dims (a : int array) : int array =
 
 open Machine
 
-(* One processor's SPMD program.  [verbose] adds trace notes used to
-   regenerate the paper's Figure 2. *)
-let hqs_program ~verbose (data : int array option) (comm : Comm.t) : int array option =
+(* One processor's SPMD program.  Its trace notes regenerate the paper's
+   Figure 2 when the run records a trace; they cost no simulated time and
+   are no-ops on the real engines. *)
+let hqs_program (data : int array option) (comm : Comm.t) : int array option =
   let p = Comm.size comm in
   let d = log2_exact p in
-  let say fmt = Printf.ksprintf (fun s -> if verbose then Comm.note comm s) fmt in
+  let say fmt = Printf.ksprintf (Comm.note comm) fmt in
   let show a =
     if Array.length a <= 40 then
       "[" ^ String.concat " " (Array.to_list (Array.map string_of_int a)) ^ "]"
@@ -159,32 +160,6 @@ let hqs_program ~verbose (data : int array option) (comm : Comm.t) : int array o
   let result = Comm.gather comm ~root:0 !local in
   Option.map (fun chunks -> Array.concat (Array.to_list chunks)) result
 
-let sort_sim ?(cost = Cost_model.ap1000) ?trace ?(topology = Topology.Hypercube) ~procs
-    (data : int array) : int array * Sim.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_sim: processor count must be a power of two";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~topology ~procs (fun comm ->
-      hqs_program ~verbose:false (if Comm.rank comm = 0 then Some data else None) comm)
-
-(* The same program body on real domains: the engine-parametric payoff.
-   [Comm.work_flops] becomes a no-op, the local quicksort/merge kernels are
-   the actual work, and messages move zero-copy between domains. *)
-let sort_multicore ?domains ~procs (data : int array) : int array * Multicore.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_multicore: processor count must be a power of two";
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      hqs_program ~verbose:false (if Comm.rank comm = 0 then Some data else None) comm)
-
-(* And on real OS processes: the input array reaches every child by fork
-   (each rank's closure ignores it except at rank 0), the portions cross
-   the sockets by [Marshal], and the sorted result returns in rank 0's
-   verdict. Same values as both other engines. *)
-let sort_procs ~procs (data : int array) : int array * Procs.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_procs: processor count must be a power of two";
-  Scl_sim.Spmd.run_procs_collect ~procs (fun comm ->
-      hqs_program ~verbose:false (if Comm.rank comm = 0 then Some data else None) comm)
-
 (* The same SPMD program with the local phases on the unboxed int flat
    tier ([Scl.Flat.Int]): in-place local sort, O(log n) zero-copy
    [split_at] (the boxed kernel copies both halves), and merge into fresh
@@ -225,26 +200,22 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : int array op
   let result = Comm.gather comm ~root:0 (FI.to_int_array !local) in
   Option.map (fun chunks -> Array.concat (Array.to_list chunks)) result
 
-let sort_sim_flatint ?(cost = Cost_model.ap1000) ?trace ?(topology = Topology.Hypercube)
-    ~procs (data : int array) : int array * Sim.stats =
+(* Both tiers run on any backend: [Comm.work_flops] charges simulated
+   time on [sim] and is a no-op on the real engines, where the local
+   kernels are the actual work and the portions move zero-copy between
+   domains ([multicore]) or by [Marshal] over sockets ([procs]; the input
+   reaches every child by fork, and the result returns in rank 0's
+   verdict). Same values on every engine. *)
+let run_hqs program backend ?topology ~procs (data : int array) =
   if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_sim_flatint: processor count must be a power of two";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~topology ~procs (fun comm ->
-      hqs_program_flatint (if Comm.rank comm = 0 then Some data else None) comm)
+    invalid_arg "Hyperquicksort: processor count must be a power of two";
+  Scl_sim.Spmd.run backend ?topology ~procs (fun comm ->
+      program (if Comm.rank comm = 0 then Some data else None) comm)
 
-let sort_multicore_flatint ?domains ~procs (data : int array) : int array * Multicore.stats =
-  if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort.sort_multicore_flatint: processor count must be a power of two";
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      hqs_program_flatint (if Comm.rank comm = 0 then Some data else None) comm)
+let sort backend = run_hqs hqs_program backend
+let sort_flatint backend = run_hqs hqs_program_flatint backend
 
-(* Figure-2 style annotated run: returns the sorted array, the stats and
-   the trace notes describing each stage. *)
-let sort_sim_traced ?(cost = Cost_model.ap1000) ~procs (data : int array) :
-    int array * Sim.stats * (float * int * string) list =
-  let trace = Trace.create () in
-  let result, stats =
-    Scl_sim.Spmd.run_collect ~trace ~cost ~topology:Topology.Hypercube ~procs (fun comm ->
-        hqs_program ~verbose:true (if Comm.rank comm = 0 then Some data else None) comm)
-  in
-  (result, stats, Trace.notes trace)
+(* Pinned by the steady benchmark, which calls these exact names. *)
+let sort_procs ~procs data = sort Backend.procs ~procs data
+let sort_multicore_flatint ?domains ~procs data =
+  sort_flatint (Backend.multicore ?domains ()) ~procs data

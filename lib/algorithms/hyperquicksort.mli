@@ -6,8 +6,9 @@
       fetch exchange);
     - {!sort_flat}: the Section 5 flattened iterative SPMD program — the
       output of the flattening transformation;
-    - {!sort_sim}: the simulator rendering that regenerates Table 1 and
-      Figure 3 on the AP1000 cost model.
+    - {!sort}: the SPMD rendering on any engine; on [Backend.sim] it
+      regenerates Table 1 and Figure 3 on the AP1000 cost model, and with
+      a trace its per-stage notes regenerate Figure 2.
 
     Robustness beyond the paper: when a group leader is empty the pivot
     comes from the first non-empty member; an entirely empty group skips
@@ -23,49 +24,32 @@ val sort_flat : ?exec:Scl.Exec.t -> dims:int -> int array -> int array
 (** The flattened iterative form; extensionally equal to
     {!sort_recursive}. *)
 
-val sort_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  int array ->
-  int array * Sim.stats
-(** Simulated distributed-memory run; [procs] must be a power of two (the
-    algorithm's exchange pattern is a hypercube; [topology] — default
-    [Hypercube] — only reprices the hops, e.g. when embedding the cube in a
-    physical mesh or torus). Default cost model: AP1000. *)
+val sort :
+  's Backend.t -> ?topology:Topology.t -> procs:int -> int array -> int array * 's
+(** The distributed SPMD program on the chosen engine; identical output on
+    every engine. [procs] must be a power of two (the exchange pattern is
+    a hypercube; [topology] — default [Hypercube] — only reprices the hops
+    on the simulator, e.g. when embedding the cube in a physical mesh or
+    torus). On a traced [Backend.sim] run, [Trace.notes] holds the
+    per-stage notes of the paper's Figure 2.
+    @raise Invalid_argument unless [procs] is a power of two. *)
 
-val sort_multicore :
-  ?domains:int -> procs:int -> int array -> int array * Multicore.stats
-(** The same SPMD program body as {!sort_sim}, executed for real on OCaml 5
-    domains ([Machine.Multicore]): identical output, wall-clock stats.
-    [procs] must be a power of two. *)
-
-val sort_procs : procs:int -> int array -> int array * Procs.stats
-(** The same SPMD program body on real OS processes ([Machine.Procs]):
-    forked ranks, marshalled exchanges over Unix-domain sockets,
-    identical output to both other engines. [procs] must be a power of
-    two. *)
-
-val sort_sim_flatint :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  int array ->
-  int array * Sim.stats
-(** {!sort_sim} with the local phases (sort, split, merge) on the unboxed
+val sort_flatint :
+  's Backend.t -> ?topology:Topology.t -> procs:int -> int array -> int array * 's
+(** {!sort} with the local phases (sort, split, merge) on the unboxed
     int flat tier ([Scl.Flat.Int]): in-place local sort and zero-copy
-    split views. Output and flops charges are identical to {!sort_sim};
+    split views. Output and flops charges are identical to {!sort};
     messages stay boxed at the exchange boundary (the slice tier is
     float64-only). *)
 
+(** {2 Benchmark-pinned names}
+
+    The steady benchmark calls these by name; each is {!sort} or
+    {!sort_flatint} on one backend. *)
+
+val sort_procs : procs:int -> int array -> int array * Procs.stats
+(** [sort Backend.procs]. *)
+
 val sort_multicore_flatint :
   ?domains:int -> procs:int -> int array -> int array * Multicore.stats
-(** The flat-int program body on real domains; identical output to
-    {!sort_multicore}. *)
-
-val sort_sim_traced :
-  ?cost:Cost_model.t -> procs:int -> int array -> int array * Sim.stats * (float * int * string) list
-(** Like {!sort_sim} with per-stage trace notes — regenerates the paper's
-    Figure 2. *)
+(** [sort_flatint (Backend.multicore ?domains ())]. *)

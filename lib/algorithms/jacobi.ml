@@ -148,15 +148,11 @@ let jacobi_program ?(tol = 1e-8) ?(max_iter = 100_000) (f : float array option) 
       { solution; iterations = conv.iterations; final_diff = conv.final_residual })
     gathered
 
-let solve_sim ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-8) ?(max_iter = 100_000) ~procs
-    (f : float array) ~left ~right : result * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      jacobi_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~left ~right comm)
+let run_jacobi program backend ?tol ?max_iter ~procs (f : float array) ~left ~right =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
+      program ?tol ?max_iter (if Comm.rank comm = 0 then Some f else None) ~left ~right comm)
 
-let solve_multicore ?domains ?(tol = 1e-8) ?(max_iter = 100_000) ~procs (f : float array)
-    ~left ~right : result * Multicore.stats =
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      jacobi_program ~tol ~max_iter (if Comm.rank comm = 0 then Some f else None) ~left ~right comm)
+let solve backend = run_jacobi jacobi_program backend
 
 (* --- flat-tier version ---------------------------------------------------------
    The same SPMD program over unboxed [Scl.Flat] chunks: halos travel as
@@ -216,16 +212,4 @@ let jacobi_flat_program ?(tol = 1e-8) ?(max_iter = 100_000) (f : float array opt
       })
     gathered
 
-let solve_sim_flat ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-8) ?(max_iter = 100_000)
-    ~procs (f : float array) ~left ~right : result * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
-      jacobi_flat_program ~tol ~max_iter
-        (if Comm.rank comm = 0 then Some f else None)
-        ~left ~right comm)
-
-let solve_multicore_flat ?domains ?(tol = 1e-8) ?(max_iter = 100_000) ~procs (f : float array)
-    ~left ~right : result * Multicore.stats =
-  Scl_sim.Spmd.run_multicore_collect ?domains ~procs (fun comm ->
-      jacobi_flat_program ~tol ~max_iter
-        (if Comm.rank comm = 0 then Some f else None)
-        ~left ~right comm)
+let solve_flat backend = run_jacobi jacobi_flat_program backend

@@ -23,30 +23,19 @@ val solve_scl :
     convergence via [fold max], control via [iter_until]. Iteration counts
     match {!solve_seq} exactly. *)
 
-val solve_multicore :
-  ?domains:int ->
+val solve :
+  's Backend.t ->
   ?tol:float ->
   ?max_iter:int ->
   procs:int ->
   float array ->
   left:float ->
   right:float ->
-  result * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; the solution and
-    iteration count are identical to {!solve_sim}. *)
-
-val solve_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  left:float ->
-  right:float ->
-  result * Sim.stats
-(** Simulator rendering: neighbour halo messages per sweep plus an
-    allreduce of the residual — the latency-bound regime. *)
+  result * 's
+(** The distributed SPMD program on the chosen engine: neighbour halo
+    messages per sweep plus an allreduce of the residual — the
+    latency-bound regime on the simulator. The solution and iteration
+    count are identical on every engine. *)
 
 (** {1 Flat tier}
 
@@ -55,23 +44,12 @@ val solve_sim :
     simulator). Solutions and iteration counts are bitwise-identical to
     the boxed variants — the boxed path is the differential oracle. *)
 
-val solve_sim_flat :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
+val solve_flat :
+  's Backend.t ->
   ?tol:float ->
   ?max_iter:int ->
   procs:int ->
   float array ->
   left:float ->
   right:float ->
-  result * Sim.stats
-
-val solve_multicore_flat :
-  ?domains:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  left:float ->
-  right:float ->
-  result * Multicore.stats
+  result * 's

@@ -152,11 +152,11 @@ let kmeans_program ?(tol = 1e-9) ?(max_iter = 200) ~k (points : point array opti
         }
   | None -> None
 
-let run_sim ?(cost = Cost_model.ap1000) ?trace ?(tol = 1e-9) ?(max_iter = 200) ~procs ~k
+let run_sim ?cost ?trace ?(tol = 1e-9) ?(max_iter = 200) ~procs ~k
     (points : point array) ~(init : point array) : result * Sim.stats =
   check_k k;
   if Array.length init <> k then invalid_arg "Kmeans: init must supply k centroids";
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
       kmeans_program ~tol ~max_iter ~k
         (if Comm.rank comm = 0 then Some points else None)
         ~init comm)

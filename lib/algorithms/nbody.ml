@@ -59,9 +59,9 @@ let nbody_program (bodies : body array option) (comm : Comm.t) : accel array opt
   let acc = Array.map (accumulate all) local in
   Scl_sim.Dvec.gather ~root:0 (Scl_sim.Dvec.of_local comm acc)
 
-let accelerations_sim ?(cost = Cost_model.ap1000) ?trace ~procs (bodies : body array) :
+let accelerations_sim ?cost ?trace ~procs (bodies : body array) :
     accel array * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
       nbody_program (if Comm.rank comm = 0 then Some bodies else None) comm)
 
 let random_bodies ~seed n : body array =

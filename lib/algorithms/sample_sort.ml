@@ -87,7 +87,7 @@ let psrs_program (data : int array option) (comm : Comm.t) : int array option =
   let mine = Seq_kernels.quicksort mine in
   Comm.gather comm ~root:0 mine |> Option.map (fun chunks -> Array.concat (Array.to_list chunks))
 
-let sort_sim ?(cost = Cost_model.ap1000) ?trace ~procs (data : int array) :
+let sort_sim ?cost ?trace ~procs (data : int array) :
     int array * Sim.stats =
-  Scl_sim.Spmd.run_collect ?trace ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
       psrs_program (if Comm.rank comm = 0 then Some data else None) comm)

@@ -17,25 +17,7 @@ let summa_program ~n (comm : Comm.t) (a : float array array) (b : float array ar
   let dc = Scl_sim.Dmat.summa da db in
   Scl_sim.Dmat.gather ~root:0 dc
 
-let multiply_sim ?(cost = Cost_model.ap1000) ?trace ~grid (a : float array array)
-    (b : float array array) : float array array * Sim.stats =
-  let n = Array.length a in
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") a;
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") b;
-  if Array.length b <> n then invalid_arg "Summa: dimension mismatch";
-  if grid <= 0 || n mod grid <> 0 then invalid_arg "Summa: grid must divide the dimension";
-  let q = grid in
-  Sim.run_collect ?trace
-    { Sim.procs = q * q; topology = Topology.Torus2d (q, q); cost }
-    (fun ctx -> summa_program ~n (Comm.world (Engine.of_sim ctx)) a b)
-
-let multiply_multicore ?domains ~grid (a : float array array) (b : float array array) :
-    float array array * Multicore.stats =
-  let n = Array.length a in
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") a;
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Summa: non-square matrix") b;
-  if Array.length b <> n then invalid_arg "Summa: dimension mismatch";
-  if grid <= 0 || n mod grid <> 0 then invalid_arg "Summa: grid must divide the dimension";
-  let q = grid in
-  Multicore.run_collect ?domains ~topology:(Topology.Torus2d (q, q)) ~procs:(q * q)
-    (fun eng -> summa_program ~n (Comm.world eng) a b)
+let multiply backend ~grid (a : float array array) (b : float array array) =
+  let n = Cannon.check_operands "Summa.multiply" ~grid a b in
+  Scl_sim.Spmd.run backend ~topology:(Topology.Torus2d (grid, grid)) ~procs:(grid * grid)
+    (fun comm -> summa_program ~n comm a b)

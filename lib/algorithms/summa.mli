@@ -1,25 +1,12 @@
-(** SUMMA matrix multiplication on the simulated machine: q rounds of
+(** SUMMA matrix multiplication as an SPMD program: q rounds of
     row/column block broadcasts in grid sub-communicators — the
     processor-group (nested ParArray) counterpart to Cannon's neighbour
     shifts. *)
 
 open Machine
 
-val multiply_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  grid:int ->
-  float array array ->
-  float array array ->
-  float array array * Sim.stats
-(** C = A·B on a grid×grid torus.
+val multiply :
+  's Backend.t -> grid:int -> float array array -> float array array -> float array array * 's
+(** C = A·B on a grid×grid torus; identical product on every engine.
     @raise Invalid_argument unless both matrices are n×n with [grid]
     dividing n. *)
-
-val multiply_multicore :
-  ?domains:int ->
-  grid:int ->
-  float array array ->
-  float array array ->
-  float array array * Multicore.stats
-(** The same SPMD program on real OCaml 5 domains; identical product. *)

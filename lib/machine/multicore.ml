@@ -597,7 +597,6 @@ let domain_main fab d (my : rstate array) =
 (* ------------------------------------------------------------------- runners *)
 
 let default_domains procs = max 1 (min procs (Domain.recommended_domain_count ()))
-let default_topology procs = if Topology.is_power_of_two procs then Topology.Hypercube else Topology.Complete
 
 let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
     (program : int -> Engine.t -> unit) : stats =
@@ -609,7 +608,7 @@ let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
         if d <= 0 then invalid_arg "Multicore.run_each: domains must be positive";
         min d procs
   in
-  let topology = match topology with Some t -> t | None -> default_topology procs in
+  let topology = match topology with Some t -> t | None -> Topology.default procs in
   Topology.validate topology ~procs;
   Obs.Span.timed obs_run_span (fun () ->
       let fab =
@@ -702,11 +701,12 @@ let run ?domains ?cost ?topology ~procs program =
 
 let run_collect (type a) ?domains ?cost ?topology ~procs (program : Engine.t -> a option) :
     a * stats =
-  let result : a option Atomic.t = Atomic.make None in
+  (* One slot per rank, read after every domain has joined: the lowest
+     rank's value wins, as on the other engines. *)
+  let results : a option array = Array.make (max 0 procs) None in
   let stats =
-    run_each ?domains ?cost ?topology ~procs (fun _rank eng ->
-        match program eng with Some v -> Atomic.set result (Some v) | None -> ())
+    run_each ?domains ?cost ?topology ~procs (fun rank eng -> results.(rank) <- program eng)
   in
-  match Atomic.get result with
+  match Array.find_map Fun.id results with
   | Some v -> (v, stats)
   | None -> invalid_arg "Multicore.run_collect: no processor produced a result"

@@ -26,10 +26,6 @@ type stats = {
 val default_domains : int -> int
 (** [min procs (Domain.recommended_domain_count ())], at least 1. *)
 
-val default_topology : int -> Topology.t
-(** Hypercube when [procs] is a power of two, else complete — only used to
-    populate the engine's [topology] field; it does not affect routing. *)
-
 val run_each :
   ?domains:int ->
   ?cost:Cost_model.t ->
@@ -59,4 +55,4 @@ val run_collect :
   (Engine.t -> 'a option) ->
   'a * stats
 (** Like {!run} for programs that produce a value at (at least) one rank;
-    mirrors [Sim.run_collect]. *)
+    mirrors [Sim.run_collect]: the lowest rank's value wins. *)

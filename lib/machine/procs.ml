@@ -59,9 +59,6 @@ type stats = {
   crashed : int list;
 }
 
-let default_topology procs =
-  if Topology.is_power_of_two procs then Topology.Hypercube else Topology.Complete
-
 (* ------------------------------------------------------------------ frames *)
 
 let header_len = 17
@@ -628,7 +625,7 @@ let rec reap pid =
 let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
     (program : int -> Engine.t -> bytes option) : bytes option array * stats =
   if procs <= 0 then invalid_arg "Procs.run_each: procs must be positive";
-  let topology = match topology with Some t -> t | None -> default_topology procs in
+  let topology = match topology with Some t -> t | None -> Topology.default procs in
   Topology.validate topology ~procs;
   (* children inherit the stdio buffers; flush now so nothing replays *)
   flush stdout;
@@ -722,10 +719,6 @@ let run_collect (type a) ?cost ?topology ~procs (program : Engine.t -> a option)
                                     boundary (%s)"
                       msg))))
   in
-  let rec first i =
-    if i >= Array.length results then None
-    else match results.(i) with Some b -> Some b | None -> first (i + 1)
-  in
-  match first 0 with
+  match Array.find_map Fun.id results with
   | Some b -> ((Marshal.from_bytes b 0 : a), stats)
   | None -> invalid_arg "Procs.run_collect: no processor produced a result"

@@ -58,11 +58,6 @@ type stats = {
           order *)
 }
 
-val default_topology : int -> Topology.t
-(** Hypercube when [procs] is a power of two, else complete — only used
-    to populate the engine's [topology] field; it does not affect
-    routing (every rank pair has a direct socket). *)
-
 val run_each :
   ?cost:Cost_model.t ->
   ?topology:Topology.t ->

@@ -457,18 +457,13 @@ let run_each ?trace cfg program =
 
 let run ?trace cfg program = run_each ?trace cfg (fun _rank -> program)
 
-(* Convenience: run and also return a value computed by processor 0.  SPMD
-   programs usually gather their result at the root; this saves threading a
-   ref through every call site. *)
-let run_collect ?trace cfg (program : ctx -> 'a option) : 'a * stats =
-  let result = ref None in
-  let stats =
-    run_each ?trace cfg (fun _rank ctx ->
-        match program ctx with
-        | Some v -> result := Some v
-        | None -> ())
-  in
-  match !result with
+(* Convenience: run and also return a value computed by a processor —
+   usually the root after a gather. When several produce one, the lowest
+   rank's wins, whatever order the scheduler finished them in. *)
+let run_collect ?trace (cfg : config) (program : ctx -> 'a option) : 'a * stats =
+  let results = Array.make (max 0 cfg.procs) None in
+  let stats = run_each ?trace cfg (fun rank ctx -> results.(rank) <- program ctx) in
+  match Array.find_map Fun.id results with
   | Some v -> (v, stats)
   | None -> invalid_arg "Sim.run_collect: no processor produced a result"
 

@@ -93,7 +93,8 @@ val run_each : ?trace:Trace.t -> config -> (int -> ctx -> unit) -> stats
 
 val run_collect : ?trace:Trace.t -> config -> (ctx -> 'a option) -> 'a * stats
 (** Like {!run}, for programs where (at least) one processor returns the
-    final value — conventionally the root after a gather. *)
+    final value — conventionally the root after a gather. When several
+    do, the lowest rank's value is returned. *)
 
 (** {1 Diagnostics} *)
 

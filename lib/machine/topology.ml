@@ -22,6 +22,8 @@ let to_string = function
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
+let default procs = if is_power_of_two procs then Hypercube else Complete
+
 let log2_exact n =
   if not (is_power_of_two n) then invalid_arg "Topology.log2_exact: not a power of two";
   let rec go acc n = if n = 1 then acc else go (acc + 1) (n lsr 1) in

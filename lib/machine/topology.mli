@@ -26,6 +26,10 @@ val diameter : t -> procs:int -> int
 
 val is_power_of_two : int -> bool
 
+val default : int -> t
+(** Hypercube when the processor count is a power of two, else complete —
+    the topology every runner uses when none is given. *)
+
 val log2_exact : int -> int
 (** @raise Invalid_argument if the argument is not a power of two. *)
 

@@ -1,13 +1,11 @@
-(* Convenience runners for SPMD skeleton programs: the same
-   [Comm.t -> 'a option] program body runs on the simulated machine
-   ([run] / [run_collect]), on real OCaml 5 domains
-   ([run_multicore] / [run_multicore_collect]), or on real forked OS
-   processes ([run_procs] / [run_procs_collect]). *)
+(* The one runner for SPMD skeleton programs: the same
+   [Comm.t -> 'a option] program body runs on whichever engine the
+   [Backend.t] value names, and the engine's own stats record comes
+   back. *)
 
 open Machine
 
-let default_topology procs =
-  if Topology.is_power_of_two procs then Topology.Hypercube else Topology.Complete
+let default_topology = Topology.default
 
 (* Observability: the simulator itself records messages/bytes/barriers and
    the simulated makespan (see Machine.Sim), and the multicore fabric its
@@ -20,13 +18,6 @@ let obs_procs_runs = Obs.Counter.make "spmd.procs_runs"
 let obs_wall = Obs.Span.make "spmd.run_wall"
 let obs_sim_us = Obs.Histogram.make ~unit_:"us" "spmd.sim_makespan_us"
 
-let observe stats =
-  if Obs.enabled () then begin
-    Obs.Counter.incr obs_runs;
-    Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))
-  end;
-  stats
-
 (* With [?chaos], each rank's engine is wrapped in the fault injector
    before the communicator is built — the program body is untouched, which
    is the whole point (coordination-layer faults, not user-code faults). *)
@@ -35,54 +26,25 @@ let with_chaos chaos program eng =
   | None -> program (Comm.world eng)
   | Some spec -> Chaos.run spec (fun e -> program (Comm.world e)) eng
 
-let run ?trace ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> unit) : Sim.stats =
-  Obs.Span.timed obs_wall (fun () ->
+let run (type s a) (backend : s Backend.t) ?topology ?chaos ~procs
+    (program : Comm.t -> a option) : a * s =
+  Obs.Span.timed obs_wall (fun () : (a * s) ->
       let topology = match topology with Some t -> t | None -> default_topology procs in
-      observe
-        (Sim.run ?trace { Sim.procs; topology; cost } (fun ctx ->
-             with_chaos chaos program (Engine.of_sim ctx))))
-
-let run_collect ?trace ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> 'a option) : 'a * Sim.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      let v, stats =
-        Sim.run_collect ?trace { Sim.procs; topology; cost } (fun ctx ->
-            with_chaos chaos program (Engine.of_sim ctx))
-      in
-      (v, observe stats))
-
-let run_multicore ?domains ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> unit) : Multicore.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
-      Multicore.run ?domains ~cost ~topology ~procs (fun eng -> with_chaos chaos program eng))
-
-let run_multicore_collect ?domains ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> 'a option) : 'a * Multicore.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
-      Multicore.run_collect ?domains ~cost ~topology ~procs (fun eng ->
-          with_chaos chaos program eng))
-
-(* The process engine forks: the chaos wrapper (like the program body)
-   runs inside each child, so held sends and fail-stops perturb the real
-   socket fabric.  Only callable in a process that has never created
-   another domain — see the fork-safety note on {!Machine.Procs}. *)
-
-let run_procs ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> unit) : Procs.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-      Procs.run ~cost ~topology ~procs (fun eng -> with_chaos chaos program eng))
-
-let run_procs_collect ?(cost = Cost_model.ap1000) ?topology ?chaos ~procs
-    (program : Comm.t -> 'a option) : 'a * Procs.stats =
-  Obs.Span.timed obs_wall (fun () ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
-      if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-      Procs.run_collect ~cost ~topology ~procs (fun eng -> with_chaos chaos program eng))
+      let program = with_chaos chaos program in
+      match backend with
+      | Backend.Sim { cost; trace } ->
+          let ((_, stats) as r) =
+            Sim.run_collect ?trace { Sim.procs; topology; cost } (fun ctx ->
+                program (Engine.of_sim ctx))
+          in
+          if Obs.enabled () then begin
+            Obs.Counter.incr obs_runs;
+            Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))
+          end;
+          r
+      | Backend.Multicore { domains } ->
+          if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
+          Multicore.run_collect ?domains ~topology ~procs program
+      | Backend.Procs ->
+          if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
+          Procs.run_collect ~topology ~procs program)

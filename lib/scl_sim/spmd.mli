@@ -1,80 +1,38 @@
 (** Run SPMD skeleton programs — on the simulated machine, on real
-    OCaml 5 domains, or on real forked OS processes. The same program
-    body works on all three engines. *)
+    OCaml 5 domains, or on real forked OS processes. One runner, one
+    program body; the {!Machine.Backend.t} value picks the engine and
+    fixes the statistics record that comes back. *)
 
 open Machine
 
 val default_topology : int -> Topology.t
-(** Hypercube when the processor count is a power of two, else complete. *)
+(** {!Machine.Topology.default}: hypercube when the processor count is a
+    power of two, else complete. *)
 
 val run :
-  ?trace:Trace.t ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> unit) ->
-  Sim.stats
-(** Run the program on every simulated processor with a world communicator;
-    the cost model defaults to the AP1000 calibration. With [?chaos], each
-    rank's engine is wrapped in the fault injector (see {!Machine.Chaos})
-    before the communicator is built — the program body is untouched. *)
-
-val run_collect :
-  ?trace:Trace.t ->
-  ?cost:Cost_model.t ->
+  's Backend.t ->
   ?topology:Topology.t ->
   ?chaos:Chaos.spec ->
   procs:int ->
   (Comm.t -> 'a option) ->
-  'a * Sim.stats
-(** Like {!run} for programs that produce a value at (at least) one
-    processor. *)
+  'a * 's
+(** [run backend ~procs program] runs [program] on every rank with a
+    world communicator and returns the value produced together with the
+    engine's statistics.
 
-val run_multicore :
-  ?domains:int ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> unit) ->
-  Multicore.stats
-(** Run the same program for real: each rank on an OCaml domain (ranks
-    beyond [?domains] are multiplexed), zero-copy messaging, [Comm.work]
-    a no-op. [?chaos] as in {!run} (stalls become real sleeps). *)
+    Result contract, the same on every engine: at least one rank must
+    return [Some]; when several do, the {b lowest rank's} value is the
+    result. Programs with no value of their own return [Some ()].
+    @raise Invalid_argument if no rank produced a result.
 
-val run_multicore_collect :
-  ?domains:int ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> 'a option) ->
-  'a * Multicore.stats
-(** Like {!run_multicore} for programs that produce a value. *)
+    [?topology] defaults to {!default_topology}; on the real engines it
+    only fills the engine's [topology] field. With [?chaos], each rank's
+    engine is wrapped in the fault injector ({!Machine.Chaos}) before the
+    communicator is built — the program body is untouched; on [procs]
+    the wrapper runs inside each child.
 
-val run_procs :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> unit) ->
-  Procs.stats
-(** Run the same program on real OS processes: each rank is forked and
-    ranks talk over Unix-domain sockets ({!Machine.Procs}), so payloads
-    must be marshalable and a dead process is a real {!Fault.Crashed}.
-    [?chaos] as in {!run}; the wrapper runs inside each child. Fork
-    safety: only valid in a process that has never created another
+    On [Backend.procs], payloads and the result must be marshalable, and
+    the call is only valid in a process that has never created another
     domain — [Unix.fork] refuses permanently after the first
-    [Domain.spawn], so run procs work before any pool or multicore
-    run (see {!Machine.Procs}). *)
-
-val run_procs_collect :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  ?chaos:Chaos.spec ->
-  procs:int ->
-  (Comm.t -> 'a option) ->
-  'a * Procs.stats
-(** Like {!run_procs} for programs that produce a value; the value
-    returns to the parent by [Marshal]. *)
+    [Domain.spawn], so run procs work before any pool or multicore run
+    (see {!Machine.Procs}). *)

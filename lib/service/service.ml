@@ -453,19 +453,12 @@ let validate (cfg : config) (wl : 'r workload) ~procs =
     cfg.leaves;
   if wl.arrivals < 0 then invalid_arg "Service: negative arrivals"
 
-let run_sim ?trace ?(cost = Cost_model.ap1000) ?chaos ~procs (cfg : config) (wl : 'r workload) :
-    report * Sim.stats =
+let run backend ?chaos ~procs (cfg : config) (wl : 'r workload) =
   validate cfg wl ~procs;
-  Scl_sim.Spmd.run_collect ?trace ~cost ?chaos ~procs (program cfg wl)
+  Scl_sim.Spmd.run backend ?chaos ~procs (program cfg wl)
 
-let run_multicore ?domains ?chaos ~procs (cfg : config) (wl : 'r workload) :
-    report * Multicore.stats =
-  validate cfg wl ~procs;
-  Scl_sim.Spmd.run_multicore_collect ?domains ?chaos ~procs (program cfg wl)
-
-let run_procs ?chaos ~procs (cfg : config) (wl : 'r workload) : report * Procs.stats =
-  validate cfg wl ~procs;
-  Scl_sim.Spmd.run_procs_collect ?chaos ~procs (program cfg wl)
+(* Pinned by the steady benchmark, which calls this exact name. *)
+let run_multicore ?domains = run (Backend.multicore ?domains ())
 
 (* ------------------------------------------------------------------ JSON *)
 

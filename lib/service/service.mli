@@ -10,9 +10,9 @@
     fail-stop under {!Machine.Chaos} — outstanding jobs are then re-dealt
     with at-least-once dispatch and per-key result dedup, as in the farm).
 
-    The same program body runs deterministically on the simulator
-    ({!run_sim}: identical seeds give bit-identical reports) and for real
-    on OCaml domains ({!run_multicore}). *)
+    The same program body runs on every engine through {!run}:
+    deterministically on the simulator (identical seeds give bit-identical
+    reports) and for real on OCaml domains or OS processes. *)
 
 type admission =
   | Block  (** at the bound, park the submission; the producer waits for
@@ -82,16 +82,20 @@ type report = {
   max_latency : float;
 }
 
-val run_sim :
-  ?trace:Machine.Trace.t ->
-  ?cost:Machine.Cost_model.t ->
+val run :
+  's Machine.Backend.t ->
   ?chaos:Machine.Chaos.spec ->
   procs:int ->
   config ->
   'r workload ->
-  report * Machine.Sim.stats
-(** Run the service on the simulator (deterministic; cost defaults to the
-    AP1000 calibration). Latencies are simulated seconds.
+  report * 's
+(** Run the service on the chosen engine. Latencies are engine-clock
+    seconds: simulated on [Backend.sim] (cost defaults to the AP1000
+    calibration; deterministic), wall-clock on [multicore] and [procs],
+    where counts (submitted/accepted/completed/...) are reproducible and
+    timings are not. On [procs] every rank is a forked process, a crashed
+    worker is a dead PID, the master's grace timeouts plus re-dealing
+    recover for real, and job results must be marshalable.
     @raise Invalid_argument on malformed configs (needs master + clients +
     at least one worker, positive bound/batch, leave ranks must be
     workers).
@@ -105,22 +109,8 @@ val run_multicore :
   config ->
   'r workload ->
   report * Machine.Multicore.stats
-(** The same service for real on OCaml domains; latencies are wall-clock
-    seconds. Counts (submitted/accepted/completed/...) are reproducible,
-    timings are not. *)
-
-val run_procs :
-  ?chaos:Machine.Chaos.spec ->
-  procs:int ->
-  config ->
-  'r workload ->
-  report * Machine.Procs.stats
-(** The same service on real OS processes ([Machine.Procs]): every rank
-    is a forked process, a crashed worker is a dead PID, and the
-    master's grace timeouts plus re-dealing recover for real. Job
-    results must be marshalable; latencies are wall-clock seconds. Only
-    callable in a process that has never created another domain (fork
-    safety — see {!Machine.Procs}). *)
+(** [run (Backend.multicore ?domains ())]; the steady benchmark calls it
+    by this name. *)
 
 val report_to_json : report -> Obs.Json.t
 (** Flat object, keys suffixed with units ([duration_s], [jobs_per_s],

@@ -230,9 +230,8 @@ let generate ?(name = "run_pipeline") (e : Ast.expr) : string =
         ("int", Printf.sprintf "if Machine.Comm.rank comm = 0 then Some %s else None" s)
   in
   Printf.sprintf
-    "%slet %s ?(cost = Machine.Cost_model.ap1000) ~procs (input : int array) :\n\
-    \    %s * Machine.Sim.stats =\n\
-    \  Scl_sim.Spmd.run_collect ~cost ~procs (fun comm ->\n\
+    "%slet %s ?cost ~procs (input : int array) : %s * Machine.Sim.stats =\n\
+    \  Scl_sim.Spmd.run (Machine.Backend.sim ?cost ()) ~procs (fun comm ->\n\
     \      let dv0 =\n\
     \        Scl_sim.Dvec.scatter comm ~root:0\n\
     \          (if Machine.Comm.rank comm = 0 then Some input else None)\n\

@@ -308,11 +308,11 @@ and seg_fold comm (f : Fn.t2) sizes starts dv : Value.t Scl_sim.Dvec.t =
   let me = Comm.rank comm in
   Scl_sim.Dvec.of_local comm (Array.sub results b.(me) (b.(me + 1) - b.(me)))
 
-let run ?(cost = Cost_model.ap1000) ?topology ~procs (e : Ast.expr) (input : Value.t) :
+let run ?cost ?topology ~procs (e : Ast.expr) (input : Value.t) :
     Value.t * Sim.stats =
   let elems = Value.as_arr input in
   ignore elems;
-  Scl_sim.Spmd.run_collect ?topology ~cost ~procs (fun comm ->
+  Scl_sim.Spmd.run (Backend.sim ?cost ()) ?topology ~procs (fun comm ->
       let dv =
         Scl_sim.Dvec.scatter comm ~root:0
           (if Comm.rank comm = 0 then Some (Value.as_arr input) else None)

@@ -7,6 +7,9 @@ let qtest ?(count = 100) name gen prop =
 
 open Algorithms
 
+let sim = Machine.Backend.sim ()
+let mc = Machine.Backend.multicore ()
+
 (* --- sequential kernels ---------------------------------------------------- *)
 
 let prop_quicksort_sorts =
@@ -121,7 +124,7 @@ let prop_hqs_sim_sorts =
     QCheck.(pair (list int) (int_range 0 3))
     (fun (xs, dims) ->
       let a = Array.of_list xs in
-      let sorted, _ = Hyperquicksort.sort_sim ~procs:(1 lsl dims) a in
+      let sorted, _ = Hyperquicksort.sort sim ~procs:(1 lsl dims) a in
       sorted = sorted_copy a)
 
 let test_hqs_adversarial_inputs () =
@@ -131,7 +134,7 @@ let test_hqs_adversarial_inputs () =
       let expect = sorted_copy a in
       Alcotest.(check (array int)) "recursive" expect (Hyperquicksort.sort_recursive ~dims:3 a);
       Alcotest.(check (array int)) "flat" expect (Hyperquicksort.sort_flat ~dims:3 a);
-      let s, _ = Hyperquicksort.sort_sim ~procs:8 a in
+      let s, _ = Hyperquicksort.sort sim ~procs:8 a in
       Alcotest.(check (array int)) "sim" expect s)
     [
       [||];
@@ -146,7 +149,7 @@ let test_hqs_adversarial_inputs () =
 let test_hqs_sim_rejects_non_power_of_two () =
   Alcotest.(check bool) "procs=6 rejected" true
     (try
-       ignore (Hyperquicksort.sort_sim ~procs:6 [| 1 |]);
+       ignore (Hyperquicksort.sort sim ~procs:6 [| 1 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -169,7 +172,7 @@ let test_hqs_sim_speedup_shape () =
   let rng = Runtime.Xoshiro.of_seed 4 in
   let a = Runtime.Xoshiro.int_array rng ~len:20_000 ~bound:1_000_000 in
   let time p =
-    let _, stats = Hyperquicksort.sort_sim ~procs:p a in
+    let _, stats = Hyperquicksort.sort sim ~procs:p a in
     stats.Machine.Sim.makespan
   in
   let t1 = time 1 and t4 = time 4 and t16 = time 16 in
@@ -180,8 +183,8 @@ let test_hqs_sim_speedup_shape () =
 let test_hqs_sim_deterministic () =
   let rng = Runtime.Xoshiro.of_seed 5 in
   let a = Runtime.Xoshiro.int_array rng ~len:5_000 ~bound:100_000 in
-  let _, s1 = Hyperquicksort.sort_sim ~procs:8 a in
-  let _, s2 = Hyperquicksort.sort_sim ~procs:8 a in
+  let _, s1 = Hyperquicksort.sort sim ~procs:8 a in
+  let _, s2 = Hyperquicksort.sort sim ~procs:8 a in
   Alcotest.(check bool) "same makespan" true (s1.Machine.Sim.makespan = s2.Machine.Sim.makespan);
   Alcotest.(check int) "same messages" s1.Machine.Sim.total_msgs s2.Machine.Sim.total_msgs
 
@@ -191,15 +194,15 @@ let prop_hqs_flatint_equals_boxed_sim =
     (fun (xs, dims) ->
       let a = Array.of_list xs in
       let procs = 1 lsl dims in
-      let boxed, bs = Hyperquicksort.sort_sim ~procs a in
-      let flat, fs = Hyperquicksort.sort_sim_flatint ~procs a in
+      let boxed, bs = Hyperquicksort.sort sim ~procs a in
+      let flat, fs = Hyperquicksort.sort_flatint sim ~procs a in
       flat = boxed && fs.Machine.Sim.total_msgs = bs.Machine.Sim.total_msgs)
 
 let test_hqs_flatint_adversarial () =
   List.iter
     (fun a ->
       let expect = sorted_copy a in
-      let s, _ = Hyperquicksort.sort_sim_flatint ~procs:8 a in
+      let s, _ = Hyperquicksort.sort_flatint sim ~procs:8 a in
       Alcotest.(check (array int)) "flat-int sim" expect s)
     [
       [||];
@@ -212,11 +215,11 @@ let test_hqs_flatint_adversarial () =
 let test_hqs_flatint_multicore () =
   let rng = Runtime.Xoshiro.of_seed 31 in
   let a = Runtime.Xoshiro.int_array rng ~len:10_000 ~bound:1_000_000 in
-  let sorted, _ = Hyperquicksort.sort_multicore_flatint ~procs:4 a in
+  let sorted, _ = Hyperquicksort.sort_flatint mc ~procs:4 a in
   Alcotest.(check (array int)) "flat-int multicore" (sorted_copy a) sorted;
   Alcotest.(check bool) "procs=6 rejected" true
     (try
-       ignore (Hyperquicksort.sort_multicore_flatint ~procs:6 [| 1 |]);
+       ignore (Hyperquicksort.sort_flatint mc ~procs:6 [| 1 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -224,7 +227,9 @@ let test_hqs_traced_figure2 () =
   (* The Figure 2 regeneration: 32 values on a 2-cube, with stage notes. *)
   let rng = Runtime.Xoshiro.of_seed 2 in
   let a = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
-  let sorted, _, notes = Hyperquicksort.sort_sim_traced ~procs:4 a in
+  let trace = Machine.Trace.create () in
+  let sorted, _ = Hyperquicksort.sort (Machine.Backend.sim ~trace ()) ~procs:4 a in
+  let notes = Machine.Trace.notes trace in
   Alcotest.(check (array int)) "sorted" (sorted_copy a) sorted;
   Alcotest.(check bool) "has stage notes" true (List.length notes >= 12);
   Alcotest.(check bool) "mentions pivots" true
@@ -310,7 +315,7 @@ let prop_cannon_sim_matches_seq =
       let n = q * scale in
       let a = Cannon.random_matrix ~seed:(7 * n) n in
       let b = Cannon.random_matrix ~seed:(13 * n) n in
-      let c, _ = Cannon.multiply_sim ~grid:q a b in
+      let c, _ = Cannon.multiply sim ~grid:q a b in
       mat_close c (Seq_kernels.matmul a b))
 
 let test_cannon_rejects_bad_grid () =
@@ -324,7 +329,7 @@ let test_cannon_rejects_bad_grid () =
 let test_cannon_sim_scaling () =
   let a = Cannon.random_matrix ~seed:2 48 and b = Cannon.random_matrix ~seed:3 48 in
   let time q =
-    let _, s = Cannon.multiply_sim ~grid:q a b in
+    let _, s = Cannon.multiply sim ~grid:q a b in
     s.Machine.Sim.makespan
   in
   Alcotest.(check bool) "4x4 beats 1x1" true (time 4 < time 1)
@@ -346,7 +351,7 @@ let prop_jacobi_sim_matches_seq =
     (fun (n, procs) ->
       let f = Array.init n (fun j -> float_of_int ((j * 3 mod 5) - 2)) in
       let r0 = Jacobi.solve_seq ~tol:1e-7 ~max_iter:20_000 f ~left:0.5 ~right:0.25 in
-      let r1, _ = Jacobi.solve_sim ~procs ~tol:1e-7 ~max_iter:20_000 f ~left:0.5 ~right:0.25 in
+      let r1, _ = Jacobi.solve sim ~procs ~tol:1e-7 ~max_iter:20_000 f ~left:0.5 ~right:0.25 in
       vec_close r0.solution r1.solution && r0.iterations = r1.iterations)
 
 let test_jacobi_converges_to_analytic () =
@@ -375,7 +380,7 @@ let test_jacobi_max_iter_respected () =
 let test_jacobi_empty () =
   let r = Jacobi.solve_scl ~parts:4 [||] ~left:0.0 ~right:0.0 in
   Alcotest.(check int) "no iterations" 0 r.iterations;
-  let r2, _ = Jacobi.solve_sim ~procs:3 [||] ~left:0.0 ~right:0.0 in
+  let r2, _ = Jacobi.solve sim ~procs:3 [||] ~left:0.0 ~right:0.0 in
   Alcotest.(check (array (float 0.0))) "empty solution" [||] r2.solution
 
 (* --- baseline sorts ------------------------------------------------------------ *)
@@ -415,7 +420,7 @@ let test_bitonic_balanced_load () =
      sort the skewed input. *)
   let a = Array.append (Array.make 100 1) (Array.make 10 999999) in
   let s1, _ = Bitonic.sort_sim ~procs:4 a in
-  let s2, _ = Hyperquicksort.sort_sim ~procs:4 a in
+  let s2, _ = Hyperquicksort.sort sim ~procs:4 a in
   Alcotest.(check (array int)) "bitonic" (sorted_copy a) s1;
   Alcotest.(check (array int)) "hqs" (sorted_copy a) s2
 
@@ -428,7 +433,7 @@ let test_sort_comparison_shape () =
     let _, (s : Machine.Sim.stats) = f () in
     s.makespan
   in
-  let h = t (fun () -> Hyperquicksort.sort_sim ~procs:16 a) in
+  let h = t (fun () -> Hyperquicksort.sort sim ~procs:16 a) in
   let p = t (fun () -> Sample_sort.sort_sim ~procs:16 a) in
   let b = t (fun () -> Bitonic.sort_sim ~procs:16 a) in
   Alcotest.(check bool) "hqs <= psrs" true (h <= p);
@@ -527,7 +532,7 @@ let prop_heat2d_sim_matches_seq =
       let n = q * scale * 2 in
       let f = Heat2d.manufactured_f n in
       let r0 = Heat2d.solve_seq ~tol:1e-6 ~max_iter:5_000 f in
-      let r1, _ = Heat2d.solve_sim ~procs:(q * q) ~tol:1e-6 ~max_iter:5_000 f in
+      let r1, _ = Heat2d.solve sim ~procs:(q * q) ~tol:1e-6 ~max_iter:5_000 f in
       mat_close r0.solution r1.solution && r0.iterations = r1.iterations)
 
 let test_heat2d_analytic () =
@@ -553,14 +558,14 @@ let test_heat2d_bad_grid () =
 let test_farm_static_dynamic_agree () =
   let spec = Farm_sim.skewed_spec ~njobs:64 ~skew:10 in
   let r1, _ = Farm_sim.static ~procs:8 spec in
-  let r2, _ = Farm_sim.dynamic ~procs:8 spec in
+  let r2, _ = Farm_sim.dynamic sim ~procs:8 spec in
   Alcotest.(check (array int)) "same results" r1 r2;
   Alcotest.(check (array int)) "correct results" (Array.init 64 (fun i -> i * i)) r1
 
 let test_farm_dynamic_balances_skew () =
   let spec = Farm_sim.skewed_spec ~njobs:64 ~skew:20 in
   let _, s_static = Farm_sim.static ~procs:8 spec in
-  let _, s_dynamic = Farm_sim.dynamic ~procs:8 spec in
+  let _, s_dynamic = Farm_sim.dynamic sim ~procs:8 spec in
   Alcotest.(check bool) "dynamic wins under skew" true
     (s_dynamic.Machine.Sim.makespan < s_static.Machine.Sim.makespan)
 
@@ -568,29 +573,29 @@ let test_farm_static_wins_uniform () =
   (* With uniform tiny jobs the demand-driven round trips dominate. *)
   let spec = { Farm_sim.njobs = 64; run = (fun i -> i); flops = (fun _ -> 500) } in
   let _, s_static = Farm_sim.static ~procs:8 spec in
-  let _, s_dynamic = Farm_sim.dynamic ~procs:8 spec in
+  let _, s_dynamic = Farm_sim.dynamic sim ~procs:8 spec in
   Alcotest.(check bool) "static wins when uniform" true
     (s_static.Machine.Sim.makespan < s_dynamic.Machine.Sim.makespan)
 
 let test_farm_dynamic_needs_two_procs () =
   Alcotest.(check bool) "procs=1 rejected" true
     (try
-       ignore (Farm_sim.dynamic ~procs:1 (Farm_sim.skewed_spec ~njobs:4 ~skew:2));
+       ignore (Farm_sim.dynamic sim ~procs:1 (Farm_sim.skewed_spec ~njobs:4 ~skew:2));
        false
      with Invalid_argument _ -> true)
 
 let test_farm_zero_jobs () =
   let spec = { Farm_sim.njobs = 0; run = (fun i -> i); flops = (fun _ -> 1) } in
   let r1, _ = Farm_sim.static ~procs:4 spec in
-  let r2, _ = Farm_sim.dynamic ~procs:4 spec in
+  let r2, _ = Farm_sim.dynamic sim ~procs:4 spec in
   Alcotest.(check (array int)) "static empty" [||] r1;
   Alcotest.(check (array int)) "dynamic empty" [||] r2
 
 let test_farm_grace_is_free_when_fault_free () =
   (* arming the failure detector must not change a healthy run's results *)
   let spec = Farm_sim.skewed_spec ~njobs:48 ~skew:10 in
-  let r0, _ = Farm_sim.dynamic ~procs:6 spec in
-  let r1, _ = Farm_sim.dynamic ~procs:6 ~grace:0.5 spec in
+  let r0, _ = Farm_sim.dynamic sim ~procs:6 spec in
+  let r1, _ = Farm_sim.dynamic sim ~procs:6 ~grace:0.5 spec in
   Alcotest.(check bool) "same results" true (r0 = r1)
 
 let test_farm_survives_worker_crash_sim () =
@@ -603,7 +608,7 @@ let test_farm_survives_worker_crash_sim () =
   Obs.enable ();
   let before = Obs.Counter.value reassign in
   let chaos = { Machine.Chaos.none with Machine.Chaos.crashes = [ (2, 5) ] } in
-  let got, _ = Farm_sim.dynamic ~procs:4 ~grace:0.5 ~chaos spec in
+  let got, _ = Farm_sim.dynamic sim ~procs:4 ~grace:0.5 ~chaos spec in
   let after = Obs.Counter.value reassign in
   Obs.disable ();
   Alcotest.(check bool) "all jobs done exactly once" true (got = expected);
@@ -616,7 +621,7 @@ let test_farm_straggler_redispatch_sim () =
   let spec = Farm_sim.skewed_spec ~njobs ~skew:4 in
   let expected = Array.init njobs (fun i -> i * i) in
   let chaos = { Machine.Chaos.none with Machine.Chaos.stalls = [ (3, 0.002) ] } in
-  let got, _ = Farm_sim.dynamic ~procs:4 ~grace:0.5 ~chaos spec in
+  let got, _ = Farm_sim.dynamic sim ~procs:4 ~grace:0.5 ~chaos spec in
   Alcotest.(check bool) "straggler does not corrupt results" true (got = expected)
 
 let test_farm_all_workers_lost_fails_loudly () =
@@ -626,7 +631,7 @@ let test_farm_all_workers_lost_fails_loudly () =
   let chaos = { Machine.Chaos.none with Machine.Chaos.crashes = [ (1, 3); (2, 3) ] } in
   Alcotest.(check bool) "loud failure" true
     (try
-       ignore (Farm_sim.dynamic ~procs:3 ~grace:0.05 ~chaos spec);
+       ignore (Farm_sim.dynamic sim ~procs:3 ~grace:0.05 ~chaos spec);
        false
      with Failure msg ->
        let n = String.length "Farm_sim.dynamic" in
@@ -712,7 +717,7 @@ let prop_cg_sim_matches_seq =
       let rng = Runtime.Xoshiro.of_seed (n + procs) in
       let b = Array.init n (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
       let r0 = Cg.solve_seq ~tol:1e-10 b in
-      let r1, _ = Cg.solve_sim ~procs ~tol:1e-10 b in
+      let r1, _ = Cg.solve sim ~procs ~tol:1e-10 b in
       Cg.residual_inf r1.solution b < 1e-7 && abs (r0.iterations - r1.iterations) <= 2)
 
 let test_cg_matches_gauss () =
@@ -812,7 +817,10 @@ let test_odd_even_vs_hqs_on_ring () =
   let a = Runtime.Xoshiro.int_array rng ~len:8_000 ~bound:1_000_000 in
   let hoppy = { Machine.Cost_model.ap1000 with per_hop = 1000e-6 } in
   let _, oe = Odd_even.sort_sim ~cost:hoppy ~topology:Machine.Topology.Ring ~procs:16 a in
-  let _, hq = Hyperquicksort.sort_sim ~cost:hoppy ~topology:Machine.Topology.Ring ~procs:16 a in
+  let _, hq =
+    Hyperquicksort.sort (Machine.Backend.sim ~cost:hoppy ()) ~topology:Machine.Topology.Ring
+      ~procs:16 a
+  in
   Alcotest.(check bool) "odd-even wins on a high-latency ring" true
     (oe.Machine.Sim.makespan < hq.Machine.Sim.makespan)
 
@@ -863,8 +871,8 @@ let test_jacobi_flat_bitwise_sim () =
   let f = Array.init 37 (fun j -> float_of_int ((j * 5 mod 11) - 4)) in
   List.iter
     (fun procs ->
-      let r0, _ = Jacobi.solve_sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
-      let r1, _ = Jacobi.solve_sim_flat ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
+      let r0, _ = Jacobi.solve sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
+      let r1, _ = Jacobi.solve_flat sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
       Alcotest.(check int)
         (Printf.sprintf "iterations p=%d" procs)
         r0.Jacobi.iterations r1.Jacobi.iterations;
@@ -879,8 +887,8 @@ let test_heat2d_flat_bitwise_sim () =
   let f = Array.init n (fun i -> Array.init n (fun j -> float_of_int ((i + (2 * j)) mod 5))) in
   List.iter
     (fun procs ->
-      let r0, _ = Heat2d.solve_sim ~procs ~tol:1e-7 f in
-      let r1, _ = Heat2d.solve_sim_flat ~procs ~tol:1e-7 f in
+      let r0, _ = Heat2d.solve sim ~procs ~tol:1e-7 f in
+      let r1, _ = Heat2d.solve_flat sim ~procs ~tol:1e-7 f in
       Alcotest.(check int)
         (Printf.sprintf "iterations p=%d" procs)
         r0.Heat2d.iterations r1.Heat2d.iterations;
@@ -895,8 +903,8 @@ let test_cg_flat_bitwise_sim () =
   let b = Array.init 41 (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
   List.iter
     (fun procs ->
-      let r0, _ = Cg.solve_sim ~procs ~tol:1e-10 b in
-      let r1, _ = Cg.solve_sim_flat ~procs ~tol:1e-10 b in
+      let r0, _ = Cg.solve sim ~procs ~tol:1e-10 b in
+      let r1, _ = Cg.solve_flat sim ~procs ~tol:1e-10 b in
       Alcotest.(check int)
         (Printf.sprintf "iterations p=%d" procs)
         r0.Cg.iterations r1.Cg.iterations;
@@ -908,24 +916,24 @@ let test_cg_flat_bitwise_sim () =
 
 let test_jacobi_flat_multicore_bitwise () =
   let f = Array.init 29 (fun j -> float_of_int ((j * 3 mod 7) - 2)) in
-  let r0, _ = Jacobi.solve_sim_flat ~procs:3 ~tol:1e-8 f ~left:0.25 ~right:0.5 in
-  let r1, _ = Jacobi.solve_multicore_flat ~procs:3 ~tol:1e-8 f ~left:0.25 ~right:0.5 in
+  let r0, _ = Jacobi.solve_flat sim ~procs:3 ~tol:1e-8 f ~left:0.25 ~right:0.5 in
+  let r1, _ = Jacobi.solve_flat mc ~procs:3 ~tol:1e-8 f ~left:0.25 ~right:0.5 in
   Alcotest.(check int) "iterations" r0.Jacobi.iterations r1.Jacobi.iterations;
   Alcotest.(check bool) "bitwise solution" true (vec_bitwise r0.Jacobi.solution r1.Jacobi.solution)
 
 let test_cg_flat_multicore_bitwise () =
   let rng = Runtime.Xoshiro.of_seed 31 in
   let b = Array.init 26 (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
-  let r0, _ = Cg.solve_sim_flat ~procs:3 ~tol:1e-10 b in
-  let r1, _ = Cg.solve_multicore_flat ~procs:3 ~tol:1e-10 b in
+  let r0, _ = Cg.solve_flat sim ~procs:3 ~tol:1e-10 b in
+  let r1, _ = Cg.solve_flat mc ~procs:3 ~tol:1e-10 b in
   Alcotest.(check int) "iterations" r0.Cg.iterations r1.Cg.iterations;
   Alcotest.(check bool) "bitwise solution" true (vec_bitwise r0.Cg.solution r1.Cg.solution)
 
 let test_heat2d_flat_multicore_bitwise () =
   let n = 9 in
   let f = Array.init n (fun i -> Array.init n (fun j -> float_of_int ((i * j) mod 4))) in
-  let r0, _ = Heat2d.solve_sim_flat ~procs:3 ~tol:1e-6 f in
-  let r1, _ = Heat2d.solve_multicore_flat ~procs:3 ~tol:1e-6 f in
+  let r0, _ = Heat2d.solve_flat sim ~procs:3 ~tol:1e-6 f in
+  let r1, _ = Heat2d.solve_flat mc ~procs:3 ~tol:1e-6 f in
   Alcotest.(check int) "iterations" r0.Heat2d.iterations r1.Heat2d.iterations;
   Alcotest.(check bool) "bitwise solution" true
     (Array.for_all2 vec_bitwise r0.Heat2d.solution r1.Heat2d.solution)

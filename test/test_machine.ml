@@ -3,6 +3,8 @@
 
 open Machine
 
+let sim = Backend.sim ()
+
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
@@ -870,8 +872,8 @@ let chaos_battery c =
 let test_chaos_zero_fault_bit_identical () =
   (* wrapping with the zero-fault schedule must not change ANY simulated
      number: same values, same makespan bit-for-bit, same message count *)
-  let v0, s0 = Spmd.run_collect ~procs:4 chaos_battery in
-  let v1, s1 = Spmd.run_collect ~procs:4 ~chaos:Chaos.none chaos_battery in
+  let v0, s0 = Spmd.run sim ~procs:4 chaos_battery in
+  let v1, s1 = Spmd.run sim ~procs:4 ~chaos:Chaos.none chaos_battery in
   Alcotest.(check bool) "values equal" true (v0 = v1);
   Alcotest.(check bool) "makespan bit-identical" true (s0.Sim.makespan = s1.Sim.makespan);
   Alcotest.(check int) "msgs identical" s0.Sim.total_msgs s1.Sim.total_msgs;
@@ -881,11 +883,11 @@ let test_chaos_delays_value_identical () =
   (* delay/reordering within the FIFO relaxation never changes values *)
   List.iter
     (fun procs ->
-      let bare, _ = Spmd.run_collect ~procs chaos_battery in
+      let bare, _ = Spmd.run sim ~procs chaos_battery in
       List.iter
         (fun seed ->
           let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-          let perturbed, _ = Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+          let perturbed, _ = Spmd.run sim ~procs ~chaos:spec chaos_battery in
           Alcotest.(check bool)
             (Printf.sprintf "p=%d seed=%d" procs seed)
             true (perturbed = bare))
@@ -895,8 +897,8 @@ let test_chaos_delays_value_identical () =
 let test_chaos_delays_are_deterministic () =
   (* same seed: bit-identical simulated stats; the perturbation replays *)
   let spec = Chaos.delays ~seed:9 ~prob:0.5 () in
-  let v1, s1 = Spmd.run_collect ~procs:4 ~chaos:spec chaos_battery in
-  let v2, s2 = Spmd.run_collect ~procs:4 ~chaos:spec chaos_battery in
+  let v1, s1 = Spmd.run sim ~procs:4 ~chaos:spec chaos_battery in
+  let v2, s2 = Spmd.run sim ~procs:4 ~chaos:spec chaos_battery in
   Alcotest.(check bool) "values replay" true (v1 = v2);
   Alcotest.(check bool) "makespan replays" true (s1.Sim.makespan = s2.Sim.makespan);
   Alcotest.(check int) "msgs replay" s1.Sim.total_msgs s2.Sim.total_msgs
@@ -904,15 +906,15 @@ let test_chaos_delays_are_deterministic () =
 let test_chaos_straggler_slows_but_preserves () =
   (* a per-rank stall tax changes timing, never values *)
   let spec = { Chaos.none with Chaos.stalls = [ (1, 0.005) ] } in
-  let bare, s0 = Spmd.run_collect ~procs:4 chaos_battery in
-  let slow, s1 = Spmd.run_collect ~procs:4 ~chaos:spec chaos_battery in
+  let bare, s0 = Spmd.run sim ~procs:4 chaos_battery in
+  let slow, s1 = Spmd.run sim ~procs:4 ~chaos:spec chaos_battery in
   Alcotest.(check bool) "values identical" true (bare = slow);
   Alcotest.(check bool) "straggler visible in makespan" true (s1.Sim.makespan > s0.Sim.makespan)
 
 let test_chaos_spec_validated () =
   let bad spec =
     try
-      ignore (Spmd.run ~procs:2 ~chaos:spec (fun c -> Comm.barrier c));
+      ignore (Spmd.run sim ~procs:2 ~chaos:spec (fun c -> Some (Comm.barrier c)));
       false
     with Invalid_argument _ -> true
   in
@@ -929,15 +931,14 @@ let test_chaos_crash_counts_faults () =
   Obs.enable ();
   let before = Obs.Counter.value c in
   let spec = { Chaos.none with Chaos.crashes = [ (1, 1) ] } in
-  let stats =
-    Spmd.run ~procs:2 ~chaos:spec (fun comm ->
+  let (), stats =
+    Spmd.run sim ~procs:2 ~chaos:spec (fun comm ->
         if Comm.rank comm = 1 then begin
           Comm.send comm ~dest:0 ();
           failwith "unreachable: rank 1 crashes on its first operation"
         end
         else
-          try ignore (Comm.recv comm ~src:1 ~timeout:1.0 () : unit)
-          with Fault.Timeout _ -> ())
+          try Some (Comm.recv comm ~src:1 ~timeout:1.0 ()) with Fault.Timeout _ -> Some ())
   in
   let after = Obs.Counter.value c in
   Obs.disable ();
@@ -987,9 +988,9 @@ let test_sim_sleep_paced_sender_keeps_arrival_order () =
 let test_multicore_sleep_completes () =
   (* wall-clock engine: a sleeping rank must not stall its domain (other
      fibers keep running) and the run must terminate promptly *)
-  let stats =
-    Spmd.run_multicore ~domains:2 ~procs:3 (fun comm ->
-        match Comm.rank comm with
+  let (), stats =
+    Spmd.run (Backend.multicore ~domains:2 ()) ~procs:3 (fun comm ->
+        (match Comm.rank comm with
         | 0 ->
             let a = (Comm.recv_any comm () : int * int) in
             let b = (Comm.recv_any comm () : int * int) in
@@ -997,7 +998,8 @@ let test_multicore_sleep_completes () =
         | 1 ->
             Comm.sleep comm 0.02;
             Comm.send comm ~dest:0 1
-        | _ -> Comm.send comm ~dest:0 2)
+        | _ -> Comm.send comm ~dest:0 2);
+        Some ())
   in
   Alcotest.(check bool) "took at least the sleep" true (stats.Multicore.wall >= 0.02)
 
@@ -1036,9 +1038,9 @@ let test_chaos_crashes_at_validation () =
   Alcotest.check_raises "negative time" (Invalid_argument "Chaos.wrap: crash time must be >= 0")
     (fun () ->
       ignore
-        (Spmd.run ~procs:2
+        (Spmd.run sim ~procs:2
            ~chaos:{ Chaos.none with Chaos.crashes_at = [ (0, -1.0) ] }
-           (fun _ -> ())))
+           (fun _ -> Some ())))
 
 (* Seeded, shrinkable property: all collectives under any delay/reorder
    chaos schedule are value-identical to the fault-free run. *)
@@ -1058,8 +1060,8 @@ let test_prop_chaos_value_identity () =
       Prop.Runner.Skip_case
     else begin
       let spec = Chaos.delays ~seed ~prob:(float_of_int prob10 /. 10.0) ~max_hold () in
-      let bare, _ = Spmd.run_collect ~procs chaos_battery in
-      let perturbed, _ = Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+      let bare, _ = Spmd.run sim ~procs chaos_battery in
+      let perturbed, _ = Spmd.run sim ~procs ~chaos:spec chaos_battery in
       if perturbed = bare then Prop.Runner.Pass_case
       else Prop.Runner.Fail_case "chaos changed collective values"
     end
@@ -1253,45 +1255,33 @@ let slice_collective_battery c =
   let all = slice_to_list (Comm.allgather_slice c (slice_of_list [ float_of_int me; 100.0 ])) in
   (bc, Option.map slice_to_list back, all)
 
-let test_slice_collectives () =
-  List.iter
-    (fun procs ->
-      let n = 17 in
-      let whole = List.init n (fun i -> float_of_int ((i * 3) + 1)) in
-      let expected_all =
-        List.concat (List.init procs (fun r -> [ float_of_int r; 100.0 ]))
-      in
-      let _ =
-        run_world ~procs (fun c ->
-            let bc, back, all = slice_collective_battery c in
-            Alcotest.(check (list (float 0.0))) "bcast_slice" whole bc;
-            (if Comm.rank c = 0 then
-               Alcotest.(check (list (float 0.0))) "gather inverts scatter" whole (Option.get back)
-             else Alcotest.(check bool) "non-root gets None" true (back = None));
-            Alcotest.(check (list (float 0.0))) "allgather_slice" expected_all all)
-      in
-      ())
-    [ 1; 2; 4 ]
+let check_slice_collectives : type s. s Backend.t -> unit =
+ fun backend ->
+  (* every rank's values come home through [Spmd.run] and are checked
+     here on the main domain, never inside a rank body *)
+  let whole = List.init 17 (fun i -> float_of_int ((i * 3) + 1)) in
+  let check procs =
+    let per_rank, _ =
+      Spmd.run backend ~procs (fun c -> Comm.gather c ~root:0 (slice_collective_battery c))
+    in
+    let expected_all = List.concat (List.init procs (fun r -> [ float_of_int r; 100.0 ])) in
+    let name what = Printf.sprintf "%s p=%d %s" (Backend.name backend) procs what in
+    Array.iteri
+      (fun r (bc, back, all) ->
+        Alcotest.(check (list (float 0.0))) (name "bcast_slice") whole bc;
+        Alcotest.(check (option (list (float 0.0))))
+          (name "gather inverts scatter at the root only")
+          (if r = 0 then Some whole else None)
+          back;
+        Alcotest.(check (list (float 0.0))) (name "allgather_slice") expected_all all)
+      per_rank
+  in
+  List.iter check [ 1; 2; 4 ]
 
-let test_slice_collectives_multicore () =
-  (* same battery through the multicore engine (zero-copy path) *)
-  List.iter
-    (fun procs ->
-      let n = 17 in
-      let whole = List.init n (fun i -> float_of_int ((i * 3) + 1)) in
-      let expected_all = List.concat (List.init procs (fun r -> [ float_of_int r; 100.0 ])) in
-      let _ =
-        Multicore.run ~procs (fun eng ->
-            let c = Comm.world eng in
-            let bc, back, all = slice_collective_battery c in
-            Alcotest.(check (list (float 0.0))) "bcast_slice" whole bc;
-            (if Comm.rank c = 0 then
-               Alcotest.(check (list (float 0.0))) "gather inverts scatter" whole (Option.get back)
-             else Alcotest.(check bool) "non-root gets None" true (back = None));
-            Alcotest.(check (list (float 0.0))) "allgather_slice" expected_all all)
-      in
-      ())
-    [ 1; 2; 4 ]
+let test_slice_collectives_sim () = check_slice_collectives sim
+
+(* the same battery through the multicore engine's zero-copy path *)
+let test_slice_collectives_multicore () = check_slice_collectives (Backend.multicore ())
 
 let test_slice_chaos_coherent () =
   (* the chaos wrapper holds/releases bulk sends like ordinary sends:
@@ -1301,11 +1291,11 @@ let test_slice_chaos_coherent () =
     let _, back, all = slice_collective_battery c in
     if me = 0 then Some (back, all) else None
   in
-  let bare, _ = Spmd.run_collect ~procs:4 battery in
+  let bare, _ = Spmd.run sim ~procs:4 battery in
   List.iter
     (fun seed ->
       let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-      let perturbed, _ = Spmd.run_collect ~procs:4 ~chaos:spec battery in
+      let perturbed, _ = Spmd.run sim ~procs:4 ~chaos:spec battery in
       Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (perturbed = bare))
     [ 1; 7; 42 ]
 
@@ -1316,7 +1306,7 @@ let suite =
         [
           Alcotest.test_case "p2p roundtrip + pricing" `Quick test_slice_p2p_roundtrip;
           Alcotest.test_case "fifo with boxed traffic" `Quick test_slice_fifo_with_boxed;
-          Alcotest.test_case "collectives (sim)" `Quick test_slice_collectives;
+          Alcotest.test_case "collectives (sim)" `Quick test_slice_collectives_sim;
           Alcotest.test_case "collectives (multicore)" `Quick test_slice_collectives_multicore;
           Alcotest.test_case "chaos coherence" `Quick test_slice_chaos_coherent;
         ] );

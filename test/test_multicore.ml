@@ -197,7 +197,7 @@ let test_barrier_rounds () =
   let rounds = 1000 in
   let counter = Atomic.make 0 in
   let v, _ =
-    Spmd.run_multicore_collect ~procs:p ~domains:4 (fun comm ->
+    Spmd.run (Backend.multicore ~domains:4 ()) ~procs:p (fun comm ->
         let ok = ref true in
         for r = 1 to rounds do
           Atomic.incr counter;
@@ -215,7 +215,7 @@ let test_barrier_rounds () =
 let test_multiplexed_ranks () =
   let p = 8 in
   let v, stats =
-    Spmd.run_multicore_collect ~procs:p ~domains:2 (fun comm ->
+    Spmd.run (Backend.multicore ~domains:2 ()) ~procs:p (fun comm ->
         let me = Comm.rank comm in
         let s = Comm.allreduce comm ( + ) me in
         let next = (me + 1) mod p in
@@ -246,8 +246,8 @@ let collective_program (comm : Comm.t) =
 let test_engine_equivalence_collectives () =
   List.iter
     (fun procs ->
-      let sim, _ = Spmd.run_collect ~procs collective_program in
-      let mc, _ = Spmd.run_multicore_collect ~procs collective_program in
+      let sim, _ = Spmd.run (Backend.sim ()) ~procs collective_program in
+      let mc, _ = Spmd.run (Backend.multicore ()) ~procs collective_program in
       Alcotest.(check bool)
         (Printf.sprintf "collectives agree at p=%d" procs)
         true (sim = mc))
@@ -260,8 +260,8 @@ let test_engine_equivalence_hyperquicksort () =
   Array.sort compare reference;
   List.iter
     (fun procs ->
-      let sim, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-      let mc, _ = Algorithms.Hyperquicksort.sort_multicore ~procs data in
+      let sim, _ = Algorithms.Hyperquicksort.sort (Backend.sim ()) ~procs data in
+      let mc, _ = Algorithms.Hyperquicksort.sort (Backend.multicore ()) ~procs data in
       Alcotest.(check bool)
         (Printf.sprintf "sim output sorted at p=%d" procs)
         true (sim = reference);
@@ -274,11 +274,11 @@ let test_engine_equivalence_cannon_summa () =
   let n = 12 in
   let a = Algorithms.Cannon.random_matrix ~seed:7 n in
   let b = Algorithms.Cannon.random_matrix ~seed:8 n in
-  let sim_c, _ = Algorithms.Cannon.multiply_sim ~grid:2 a b in
-  let mc_c, _ = Algorithms.Cannon.multiply_multicore ~grid:2 a b in
+  let sim_c, _ = Algorithms.Cannon.multiply (Backend.sim ()) ~grid:2 a b in
+  let mc_c, _ = Algorithms.Cannon.multiply (Backend.multicore ()) ~grid:2 a b in
   Alcotest.(check bool) "cannon blocks agree" true (sim_c = mc_c);
-  let sim_s, _ = Algorithms.Summa.multiply_sim ~grid:2 a b in
-  let mc_s, _ = Algorithms.Summa.multiply_multicore ~grid:2 a b in
+  let sim_s, _ = Algorithms.Summa.multiply (Backend.sim ()) ~grid:2 a b in
+  let mc_s, _ = Algorithms.Summa.multiply (Backend.multicore ()) ~grid:2 a b in
   Alcotest.(check bool) "summa blocks agree" true (sim_s = mc_s);
   Alcotest.(check bool) "cannon = summa" true (sim_c = sim_s)
 
@@ -286,20 +286,24 @@ let test_engine_equivalence_solvers () =
   (* jacobi / heat2d / cg: bitwise-identical fixed points on both engines —
      same program body, same collective trees, same float operation order *)
   let f = Array.make 32 1.0 in
-  let j_sim, _ = Algorithms.Jacobi.solve_sim ~procs:4 ~tol:1e-6 ~max_iter:500 f ~left:0.0 ~right:1.0 in
-  let j_mc, _ = Algorithms.Jacobi.solve_multicore ~procs:4 ~tol:1e-6 ~max_iter:500 f ~left:0.0 ~right:1.0 in
+  let jacobi backend =
+    fst (Algorithms.Jacobi.solve backend ~procs:4 ~tol:1e-6 ~max_iter:500 f ~left:0.0 ~right:1.0)
+  in
+  let j_sim = jacobi (Backend.sim ()) and j_mc = jacobi (Backend.multicore ()) in
   Alcotest.(check bool) "jacobi solutions identical" true
     (j_sim.Algorithms.Jacobi.solution = j_mc.Algorithms.Jacobi.solution);
   Alcotest.(check int) "jacobi same iteration count" j_sim.Algorithms.Jacobi.iterations
     j_mc.Algorithms.Jacobi.iterations;
   let hf = Algorithms.Heat2d.manufactured_f 12 in
-  let h_sim, _ = Algorithms.Heat2d.solve_sim ~procs:4 ~tol:1e-4 ~max_iter:300 hf in
-  let h_mc, _ = Algorithms.Heat2d.solve_multicore ~procs:4 ~tol:1e-4 ~max_iter:300 hf in
+  let h_sim, _ = Algorithms.Heat2d.solve (Backend.sim ()) ~procs:4 ~tol:1e-4 ~max_iter:300 hf in
+  let h_mc, _ =
+    Algorithms.Heat2d.solve (Backend.multicore ()) ~procs:4 ~tol:1e-4 ~max_iter:300 hf
+  in
   Alcotest.(check bool) "heat2d fields identical" true
     (h_sim.Algorithms.Heat2d.solution = h_mc.Algorithms.Heat2d.solution);
   let b = Array.init 64 (fun i -> float_of_int (i mod 7) /. 7.0) in
-  let c_sim, _ = Algorithms.Cg.solve_sim ~procs:4 ~tol:1e-8 ~max_iter:200 b in
-  let c_mc, _ = Algorithms.Cg.solve_multicore ~procs:4 ~tol:1e-8 ~max_iter:200 b in
+  let c_sim, _ = Algorithms.Cg.solve (Backend.sim ()) ~procs:4 ~tol:1e-8 ~max_iter:200 b in
+  let c_mc, _ = Algorithms.Cg.solve (Backend.multicore ()) ~procs:4 ~tol:1e-8 ~max_iter:200 b in
   Alcotest.(check bool) "cg solutions identical" true
     (c_sim.Algorithms.Cg.solution = c_mc.Algorithms.Cg.solution);
   Alcotest.(check int) "cg same iteration count" c_sim.Algorithms.Cg.iterations
@@ -310,7 +314,7 @@ let test_farm_on_multicore () =
      indexed, so the nondeterministic interleaving does not show *)
   let spec = Algorithms.Farm_sim.skewed_spec ~njobs:40 ~skew:8 in
   let expected = Array.init 40 (fun i -> i * i) in
-  let got, _ = Algorithms.Farm_sim.dynamic_multicore ~procs:4 ~domains:4 spec in
+  let got, _ = Algorithms.Farm_sim.dynamic (Backend.multicore ~domains:4 ()) ~procs:4 spec in
   Alcotest.(check bool) "all jobs done once" true (got = expected)
 
 (* --- faults: timeouts, crashes, chaos on real domains --------------------- *)
@@ -322,7 +326,7 @@ let test_mc_reduce_root_sweep () =
   let expected = String.concat "" (List.init procs string_of_int) in
   for root = 0 to procs - 1 do
     let v, _ =
-      Spmd.run_multicore_collect ~procs ~domains:4 (fun c ->
+      Spmd.run (Backend.multicore ~domains:4 ()) ~procs (fun c ->
           Comm.reduce c ~root ( ^ ) (string_of_int (Comm.rank c)))
     in
     Alcotest.(check string) (Printf.sprintf "root=%d" root) expected v
@@ -368,12 +372,12 @@ let test_mc_crash_is_fail_stop () =
 
 let test_mc_chaos_delays_value_identical () =
   (* delay/reorder chaos on real domains: collective values unchanged *)
-  let bare, _ = Spmd.run_multicore_collect ~procs:4 ~domains:4 collective_program in
+  let bare, _ = Spmd.run (Backend.multicore ~domains:4 ()) ~procs:4 collective_program in
   List.iter
     (fun seed ->
       let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
       let v, _ =
-        Spmd.run_multicore_collect ~procs:4 ~domains:4 ~chaos:spec collective_program
+        Spmd.run (Backend.multicore ~domains:4 ()) ~procs:4 ~chaos:spec collective_program
       in
       Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (v = bare))
     [ 1; 7; 42 ]
@@ -386,7 +390,7 @@ let test_mc_farm_survives_worker_crash () =
   let expected = Array.init njobs (fun i -> i * i) in
   let chaos = { Chaos.none with Chaos.crashes = [ (2, 5) ] } in
   let got, _ =
-    Algorithms.Farm_sim.dynamic_multicore ~procs:4 ~domains:4 ~grace:0.5 ~chaos spec
+    Algorithms.Farm_sim.dynamic (Backend.multicore ~domains:4 ()) ~procs:4 ~grace:0.5 ~chaos spec
   in
   Alcotest.(check bool) "all jobs done exactly once" true (got = expected)
 
@@ -404,7 +408,7 @@ let test_mc_chaos_stall_parks_fiber_not_domain () =
      measures ~0.1 s. *)
   let chaos = { Chaos.none with Chaos.stalls = [ (1, 0.5) ] } in
   let elapsed, _ =
-    Spmd.run_multicore_collect ~procs:2 ~domains:1 ~chaos (fun comm ->
+    Spmd.run (Backend.multicore ~domains:1 ()) ~procs:2 ~chaos (fun comm ->
         if Comm.rank comm = 0 then begin
           let t0 = Comm.time comm in
           for _ = 1 to 10 do

@@ -209,7 +209,7 @@ let test_sim_counters () =
   with_obs_enabled (fun () ->
       Obs.reset ();
       let data = Array.init 256 (fun i -> (i * 37) mod 101) in
-      let _, stats = Algorithms.Hyperquicksort.sort_sim ~procs:4 data in
+      let _, stats = Algorithms.Hyperquicksort.sort (Machine.Backend.sim ()) ~procs:4 data in
       let counter name = Option.value ~default:0 (Obs.Metrics.counter_value name) in
       Alcotest.(check int) "sim.runs" 1 (counter "sim.runs");
       Alcotest.(check int) "sim.msgs matches stats" stats.Machine.Sim.total_msgs (counter "sim.msgs");
@@ -251,7 +251,7 @@ let test_pool_publish_obs () =
 let test_chrome_trace () =
   let trace = Machine.Trace.create () in
   let data = Array.init 64 (fun i -> (i * 31) mod 97) in
-  let _ = Algorithms.Hyperquicksort.sort_sim ~trace ~procs:4 data in
+  let _ = Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~trace ()) ~procs:4 data in
   let json = Machine.Trace.to_chrome trace in
   (* Serialise and re-parse: the artifact on disk must be valid JSON. *)
   match Obs.Json.of_string (Obs.Json.to_string json) with

@@ -6,9 +6,9 @@
    crash-tolerant farm driven by real process deaths.
 
    This suite lives in its own executable on purpose: [Procs] forks, and
-   forking an OCaml 5 process is only safe while no other domains are
-   live — so nothing here (and nothing linked into this binary's test
-   run) spawns domains or pools. *)
+   forking an OCaml 5 process is only safe while no other domain has
+   ever existed — so nothing here spawns domains or pools, except the
+   run-contract case, which runs last for that reason. *)
 
 open Machine
 module Spmd = Scl_sim.Spmd
@@ -158,7 +158,7 @@ let test_real_kill_mid_protocol_is_crashed () =
      must surface Fault.Crashed when its peer's socket hits EOF without
      a goodbye *)
   match
-    Spmd.run_procs_collect ~procs:4 (fun comm ->
+    Spmd.run Backend.procs ~procs:4 (fun comm ->
         if Comm.rank comm = 2 then kill_self ();
         let s = Comm.allreduce comm ( + ) (Comm.rank comm) in
         if Comm.rank comm = 0 then Some s else None)
@@ -218,8 +218,8 @@ let collective_program (comm : Comm.t) =
 let test_engine_equivalence_collectives () =
   List.iter
     (fun procs ->
-      let sim, _ = Spmd.run_collect ~procs collective_program in
-      let pr, _ = Spmd.run_procs_collect ~procs collective_program in
+      let sim, _ = Spmd.run (Backend.sim ()) ~procs collective_program in
+      let pr, _ = Spmd.run Backend.procs ~procs collective_program in
       Alcotest.(check bool) (Printf.sprintf "collectives agree at p=%d" procs) true (sim = pr))
     [ 1; 2; 4 ]
 
@@ -268,8 +268,8 @@ let bs_program (comm : Comm.t) =
 let test_collective_battery_with_slices () =
   List.iter
     (fun procs ->
-      let sim, _ = Spmd.run_collect ~procs bs_program in
-      let pr, _ = Spmd.run_procs_collect ~procs bs_program in
+      let sim, _ = Spmd.run (Backend.sim ()) ~procs bs_program in
+      let pr, _ = Spmd.run Backend.procs ~procs bs_program in
       Alcotest.(check bool)
         (Printf.sprintf "bcast/scatter/gather/allgather (+slices) agree at p=%d" procs)
         true (sim = pr))
@@ -282,7 +282,7 @@ let test_reduce_root_sweep () =
   let expected = String.concat "" (List.init procs string_of_int) in
   for root = 0 to procs - 1 do
     let v, _ =
-      Spmd.run_procs_collect ~procs (fun c ->
+      Spmd.run Backend.procs ~procs (fun c ->
           match Comm.reduce c ~root ( ^ ) (string_of_int (Comm.rank c)) with
           | Some s -> Some s
           | None -> None)
@@ -297,8 +297,8 @@ let test_engine_equivalence_hyperquicksort () =
   Array.sort compare reference;
   List.iter
     (fun procs ->
-      let sim, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-      let pr, _ = Algorithms.Hyperquicksort.sort_procs ~procs data in
+      let sim, _ = Algorithms.Hyperquicksort.sort (Backend.sim ()) ~procs data in
+      let pr, _ = Algorithms.Hyperquicksort.sort Backend.procs ~procs data in
       Alcotest.(check bool) (Printf.sprintf "sim output sorted at p=%d" procs) true
         (sim = reference);
       Alcotest.(check bool) (Printf.sprintf "procs output identical at p=%d" procs) true
@@ -308,16 +308,16 @@ let test_engine_equivalence_hyperquicksort () =
 (* --- chaos on real processes --------------------------------------------- *)
 
 let test_chaos_zero_fault_value_identical () =
-  let bare, _ = Spmd.run_procs_collect ~procs:4 collective_program in
-  let wrapped, _ = Spmd.run_procs_collect ~procs:4 ~chaos:Chaos.none collective_program in
+  let bare, _ = Spmd.run Backend.procs ~procs:4 collective_program in
+  let wrapped, _ = Spmd.run Backend.procs ~procs:4 ~chaos:Chaos.none collective_program in
   Alcotest.(check bool) "Chaos.none changes nothing" true (bare = wrapped)
 
 let test_chaos_delays_value_identical () =
-  let bare, _ = Spmd.run_procs_collect ~procs:4 collective_program in
+  let bare, _ = Spmd.run Backend.procs ~procs:4 collective_program in
   List.iter
     (fun seed ->
       let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-      let v, _ = Spmd.run_procs_collect ~procs:4 ~chaos:spec collective_program in
+      let v, _ = Spmd.run Backend.procs ~procs:4 ~chaos:spec collective_program in
       Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (v = bare))
     [ 1; 7; 42 ]
 
@@ -330,7 +330,7 @@ let test_farm_on_procs () =
     (fun procs ->
       let njobs = 24 in
       let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
-      let got, stats = Algorithms.Farm_sim.dynamic_procs ~procs spec in
+      let got, stats = Algorithms.Farm_sim.dynamic Backend.procs ~procs spec in
       Alcotest.(check bool)
         (Printf.sprintf "all jobs done once at p=%d" procs)
         true
@@ -344,8 +344,12 @@ let test_farm_survives_chaos_worker_crash () =
      timeouts detect the silence and re-deal its job *)
   let njobs = 24 in
   let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
+  (* [work] is a no-op here, so instant job bodies let the first workers
+     drain the queue before rank 2 has made its 5th op — then it never
+     crashes. A couple of real milliseconds per job keeps it in play. *)
+  let spec = { spec with run = (fun i -> Unix.sleepf 0.002; spec.run i) } in
   let chaos = { Chaos.none with Chaos.crashes = [ (2, 5) ] } in
-  let got, stats = Algorithms.Farm_sim.dynamic_procs ~procs:4 ~grace:0.5 ~chaos spec in
+  let got, stats = Algorithms.Farm_sim.dynamic Backend.procs ~procs:4 ~grace:0.5 ~chaos spec in
   Alcotest.(check bool) "all jobs done exactly once" true (got = farm_expected njobs);
   Alcotest.(check (list int)) "the crash is recorded" [ 2 ] stats.Procs.crashed
 
@@ -359,7 +363,7 @@ let test_farm_survives_real_kill () =
   let njobs = 16 in
   let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:4 in
   let got, stats =
-    Spmd.run_procs_collect ~procs:4 (fun comm ->
+    Spmd.run Backend.procs ~procs:4 (fun comm ->
         if Comm.rank comm = 3 then begin
           Comm.send comm ~dest:0 ~tag:7001 (`Request : [ `Request | `Result of int * int ]);
           let (_job : int) = Comm.recv comm ~src:0 ~tag:7002 () in
@@ -376,7 +380,7 @@ let test_farm_all_workers_lost () =
      rather than hang on dead sockets *)
   let spec = Algorithms.Farm_sim.skewed_spec ~njobs:12 ~skew:4 in
   let chaos = { Chaos.none with Chaos.crashes = [ (1, 3); (2, 3); (3, 3) ] } in
-  match Algorithms.Farm_sim.dynamic_procs ~procs:4 ~grace:0.4 ~chaos spec with
+  match Algorithms.Farm_sim.dynamic Backend.procs ~procs:4 ~grace:0.4 ~chaos spec with
   | _ -> Alcotest.fail "expected loud failure"
   | exception Failure msg ->
       Alcotest.(check bool) "all-lost reported" true (contains msg "all workers lost")
@@ -431,5 +435,27 @@ let suite =
         Alcotest.test_case "all workers lost fails loudly" `Quick test_farm_all_workers_lost;
       ] );
   ]
+
+(* --- the run contract, on all three engines ------------------------------- *)
+
+let test_lowest_rank_wins () =
+  (* every rank offers a value; [Spmd.run] returns the lowest rank's on
+     every engine, checked here on the main domain. The multicore leg
+     spawns domains, after which this process can never fork again. *)
+  let program c = Some (Comm.rank c) in
+  Alcotest.(check int) "sim" 0 (fst (Spmd.run (Backend.sim ()) ~procs:4 program));
+  Alcotest.(check int) "procs" 0 (fst (Spmd.run Backend.procs ~procs:4 program));
+  for _ = 1 to 50 do
+    Alcotest.(check int) "multicore" 0
+      (fst (Spmd.run (Backend.multicore ~domains:2 ()) ~procs:4 program))
+  done
+
+(* Must stay the last group: see the note at the top of the file. *)
+let suite =
+  suite
+  @ [
+      ( "run-contract",
+        [ Alcotest.test_case "lowest rank wins on every engine" `Quick test_lowest_rank_wins ] );
+    ]
 
 let () = Alcotest.run "procs" suite

@@ -7,10 +7,10 @@ open Machine
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-let run ?(procs = 4) ?(cost = Cost_model.ap1000) f = Scl_sim.Spmd.run ~cost ~procs f
+let run_collect ?(procs = 4) ?cost f = Scl_sim.Spmd.run (Backend.sim ?cost ()) ~procs f
 
-let run_collect ?(procs = 4) ?(cost = Cost_model.ap1000) f =
-  Scl_sim.Spmd.run_collect ~cost ~procs f
+let run ?procs ?cost f =
+  snd (run_collect ?procs ?cost (fun comm -> f comm; Some ()))
 
 (* Round-trip a root array through a Dvec operation and collect at root. *)
 let via_dvec ~procs op (a : int array) : int array =
@@ -281,7 +281,7 @@ let prop_summa_matches_seq =
       let rng = Runtime.Xoshiro.of_seed ((q * 17) + scale) in
       let a = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0)) in
       let b = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0)) in
-      let c, _ = Algorithms.Summa.multiply_sim ~grid:q a b in
+      let c, _ = Algorithms.Summa.multiply (Backend.sim ()) ~grid:q a b in
       mat_close c (seq_matmul a b))
 
 let test_summa_vs_cannon_cost () =
@@ -293,8 +293,8 @@ let test_summa_vs_cannon_cost () =
   let a = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 1.0)) in
   let b = Array.init n (fun _ -> Array.init n (fun _ -> Runtime.Xoshiro.float rng 1.0)) in
   let latency_bound = { Cost_model.ap1000 with alpha = 1e-3 } in
-  let c1, s_summa = Algorithms.Summa.multiply_sim ~cost:latency_bound ~grid:4 a b in
-  let c2, s_cannon = Algorithms.Cannon.multiply_sim ~cost:latency_bound ~grid:4 a b in
+  let c1, s_summa = Algorithms.Summa.multiply (Backend.sim ~cost:latency_bound ()) ~grid:4 a b in
+  let c2, s_cannon = Algorithms.Cannon.multiply (Backend.sim ~cost:latency_bound ()) ~grid:4 a b in
   Alcotest.(check bool) "same product" true (mat_close c1 c2);
   Alcotest.(check bool) "cannon faster when latency dominates" true
     (s_cannon.Sim.makespan < s_summa.Sim.makespan)
@@ -421,7 +421,7 @@ let test_fvec_rotate_multicore () =
     (fun k ->
       let sim = via_fvec ~procs:4 (Scl_sim.Fvec.rotate k) a in
       let mc, _ =
-        Scl_sim.Spmd.run_multicore_collect ~procs:4 (fun comm ->
+        Scl_sim.Spmd.run (Backend.multicore ()) ~procs:4 (fun comm ->
             let fv =
               Scl_sim.Fvec.scatter comm ~root:0
                 (if Comm.rank comm = 0 then Some (Scl.Flat.of_float_array a) else None)

@@ -4,6 +4,8 @@
 
 open Machine
 
+let sim = Backend.sim ()
+
 let job_flops = 2_000
 let job_s = Cost_model.flops Cost_model.ap1000 job_flops
 
@@ -27,7 +29,7 @@ let steady_gap frac workers clients =
    exceeds the bound, nothing is shed, and every submission completes. *)
 let test_backpressure_respects_bound () =
   let cfg = Service.default ~clients:1 ~queue_bound:3 ~batch:1 ~admission:Service.Block () in
-  let r, _ = Service.run_sim ~procs:3 cfg (workload ~arrivals:30 ()) in
+  let r, _ = Service.run sim ~procs:3 cfg (workload ~arrivals:30 ()) in
   Alcotest.(check int) "submitted" 30 r.Service.submitted;
   Alcotest.(check int) "completed" 30 r.Service.completed;
   Alcotest.(check int) "rejected" 0 r.Service.rejected;
@@ -37,7 +39,7 @@ let test_backpressure_respects_bound () =
    instead, and everything admitted still completes. *)
 let test_shed_rejects_at_bound () =
   let cfg = Service.default ~clients:1 ~queue_bound:3 ~batch:1 ~admission:Service.Shed () in
-  let r, _ = Service.run_sim ~procs:3 cfg (workload ~arrivals:30 ()) in
+  let r, _ = Service.run sim ~procs:3 cfg (workload ~arrivals:30 ()) in
   Alcotest.(check int) "submitted" 30 r.Service.submitted;
   Alcotest.(check bool) "shed some" true (r.Service.rejected > 0);
   Alcotest.(check bool) "depth bounded" true (r.Service.max_queue_depth <= 3);
@@ -49,7 +51,7 @@ let test_shed_rejects_at_bound () =
 let test_underload_sheds_nothing () =
   let cfg = Service.default ~clients:2 ~queue_bound:8 ~batch:2 ~admission:Service.Shed () in
   let gap = steady_gap 0.4 2 2 in
-  let r, _ = Service.run_sim ~procs:5 cfg (workload ~arrivals:25 ~gap ()) in
+  let r, _ = Service.run sim ~procs:5 cfg (workload ~arrivals:25 ~gap ()) in
   Alcotest.(check int) "completed" 50 r.Service.completed;
   Alcotest.(check int) "rejected" 0 r.Service.rejected;
   Alcotest.(check bool) "p95 ~ service time" true (r.Service.p95 < 5.0 *. job_s)
@@ -62,7 +64,7 @@ let test_underload_sheds_nothing () =
 let test_coalescing_shares_executions () =
   let cfg = Service.default ~clients:1 ~queue_bound:16 ~batch:2 ~admission:Service.Block () in
   let wl = workload ~arrivals:40 ~job_of:(fun g -> g mod 4) () in
-  let r, _ = Service.run_sim ~procs:3 cfg wl in
+  let r, _ = Service.run sim ~procs:3 cfg wl in
   Alcotest.(check int) "all submissions answered" 40 r.Service.completed;
   Alcotest.(check bool) "coalesced some" true (r.Service.coalesced > 0);
   Alcotest.(check int) "accepted + coalesced = submitted" 40
@@ -80,7 +82,7 @@ let test_leave_and_rejoin () =
       ~grace:(200.0 *. job_s) ~leaves ()
   in
   let gap _ _ = job_s /. 2.0 in
-  let r, _ = Service.run_sim ~procs:4 cfg (workload ~arrivals:60 ~gap ()) in
+  let r, _ = Service.run sim ~procs:4 cfg (workload ~arrivals:60 ~gap ()) in
   Alcotest.(check int) "completed" 60 r.Service.completed;
   Alcotest.(check int) "leaves" 1 r.Service.leaves;
   Alcotest.(check int) "joins" 1 r.Service.joins
@@ -93,7 +95,7 @@ let test_permanent_leave_shrinks_pool () =
     Service.default ~clients:1 ~queue_bound:16 ~batch:1 ~admission:Service.Block
       ~grace:(200.0 *. job_s) ~leaves ()
   in
-  let r, _ = Service.run_sim ~procs:5 cfg (workload ~arrivals:40 ()) in
+  let r, _ = Service.run sim ~procs:5 cfg (workload ~arrivals:40 ()) in
   Alcotest.(check int) "completed" 40 r.Service.completed;
   Alcotest.(check int) "leaves" 1 r.Service.leaves;
   Alcotest.(check int) "joins" 0 r.Service.joins
@@ -110,7 +112,7 @@ let test_chaos_crash_recovers_exactly_once () =
       ~grace:(50.0 *. job_s) ()
   in
   let gap _ _ = job_s /. 3.0 in
-  let r, _ = Service.run_sim ~chaos ~procs:5 cfg (workload ~arrivals:50 ~gap ()) in
+  let r, _ = Service.run sim ~chaos ~procs:5 cfg (workload ~arrivals:50 ~gap ()) in
   Alcotest.(check int) "completed exactly once" 50 r.Service.completed;
   Alcotest.(check bool) "re-dealt after silence" true (r.Service.redeals >= 1)
 
@@ -124,7 +126,7 @@ let test_all_workers_lost_fails_loudly () =
   let gap _ _ = job_s in
   Alcotest.check_raises "loud failure"
     (Failure "Service: all workers lost (no traffic within grace)") (fun () ->
-      ignore (Service.run_sim ~chaos ~procs:3 cfg (workload ~arrivals:40 ~gap ())))
+      ignore (Service.run sim ~chaos ~procs:3 cfg (workload ~arrivals:40 ~gap ())))
 
 (* --- drain -------------------------------------------------------------- *)
 
@@ -133,7 +135,7 @@ let test_all_workers_lost_fails_loudly () =
    message or still-blocked processor raises [Sim.Deadlock]. *)
 let test_drain_releases_everyone () =
   let cfg = Service.default ~clients:2 ~queue_bound:8 ~batch:3 ~admission:Service.Block () in
-  let r, _ = Service.run_sim ~procs:7 cfg (workload ~arrivals:20 ()) in
+  let r, _ = Service.run sim ~procs:7 cfg (workload ~arrivals:20 ()) in
   Alcotest.(check int) "completed" 40 r.Service.completed
 
 (* --- determinism -------------------------------------------------------- *)
@@ -149,8 +151,8 @@ let test_sim_is_deterministic () =
   in
   let gap c k = job_s *. (0.3 +. (0.1 *. float_of_int ((c + k) mod 5))) in
   let wl = workload ~arrivals:30 ~gap () in
-  let r1, s1 = Service.run_sim ~chaos ~procs:6 cfg wl in
-  let r2, s2 = Service.run_sim ~chaos ~procs:6 cfg wl in
+  let r1, s1 = Service.run sim ~chaos ~procs:6 cfg wl in
+  let r2, s2 = Service.run sim ~chaos ~procs:6 cfg wl in
   Alcotest.(check bool) "reports identical" true (r1 = r2);
   Alcotest.(check (float 0.0)) "makespans identical" s1.Sim.makespan s2.Sim.makespan
 
@@ -160,14 +162,16 @@ let test_sim_is_deterministic () =
    reproducible, but the counting invariants are. *)
 let test_multicore_smoke () =
   let cfg = Service.default ~clients:1 ~queue_bound:8 ~batch:2 ~admission:Service.Block () in
-  let r, _ = Service.run_multicore ~domains:2 ~procs:4 cfg (workload ~arrivals:20 ()) in
+  let mc = Backend.multicore ~domains:2 () in
+  let r, _ = Service.run mc ~procs:4 cfg (workload ~arrivals:20 ()) in
   Alcotest.(check int) "completed" 20 r.Service.completed;
   Alcotest.(check int) "rejected" 0 r.Service.rejected;
   Alcotest.(check bool) "latencies measured" true (r.Service.max_latency >= 0.0)
 
 let test_multicore_shed_invariant () =
   let cfg = Service.default ~clients:2 ~queue_bound:2 ~batch:1 ~admission:Service.Shed () in
-  let r, _ = Service.run_multicore ~domains:2 ~procs:5 cfg (workload ~arrivals:15 ()) in
+  let mc = Backend.multicore ~domains:2 () in
+  let r, _ = Service.run mc ~procs:5 cfg (workload ~arrivals:15 ()) in
   Alcotest.(check int) "answered = submitted - shed" r.Service.completed
     (r.Service.submitted - r.Service.rejected)
 
@@ -181,23 +185,23 @@ let test_config_validation () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" label
   in
   expect_invalid "too few procs" (fun () ->
-      Service.run_sim ~procs:2 (Service.default ()) wl);
+      Service.run sim ~procs:2 (Service.default ()) wl);
   expect_invalid "zero bound" (fun () ->
-      Service.run_sim ~procs:4 (Service.default ~queue_bound:0 ()) wl);
+      Service.run sim ~procs:4 (Service.default ~queue_bound:0 ()) wl);
   expect_invalid "zero batch" (fun () ->
-      Service.run_sim ~procs:4 (Service.default ~batch:0 ()) wl);
+      Service.run sim ~procs:4 (Service.default ~batch:0 ()) wl);
   expect_invalid "negative grace" (fun () ->
-      Service.run_sim ~procs:4 (Service.default ~grace:(-1.0) ()) wl);
+      Service.run sim ~procs:4 (Service.default ~grace:(-1.0) ()) wl);
   expect_invalid "leave rank is the master" (fun () ->
-      Service.run_sim ~procs:4
+      Service.run sim ~procs:4
         (Service.default ~leaves:[ (0, { Service.after_jobs = 1; away = 0.0; permanent = true }) ] ())
         wl);
   expect_invalid "leave rank is a client" (fun () ->
-      Service.run_sim ~procs:4
+      Service.run sim ~procs:4
         (Service.default ~leaves:[ (1, { Service.after_jobs = 1; away = 0.0; permanent = true }) ] ())
         wl);
   expect_invalid "away negative" (fun () ->
-      Service.run_sim ~procs:4
+      Service.run sim ~procs:4
         (Service.default ~leaves:[ (2, { Service.after_jobs = 1; away = -0.1; permanent = false }) ]
            ())
         wl)
@@ -206,7 +210,7 @@ let test_config_validation () =
 
 let test_report_json_shape () =
   let cfg = Service.default ~clients:1 ~queue_bound:4 ~batch:1 () in
-  let r, _ = Service.run_sim ~procs:3 cfg (workload ~arrivals:10 ()) in
+  let r, _ = Service.run sim ~procs:3 cfg (workload ~arrivals:10 ()) in
   match Service.report_to_json r with
   | Obs.Json.Obj fields ->
       List.iter

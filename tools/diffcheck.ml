@@ -5,10 +5,9 @@
                [--search-cases N] [--tolerance F] [--no-pool] [--out FILE]
 
    Phases:
-     0. procs equivalence — hyperquicksort and the collective battery
-                            must produce identical values on the
-                            simulator and on the forked-process engine
-                            [Machine.Procs] at p ∈ {1, 2, 4}, and the
+     0. procs equivalence — phase 5's programs must produce identical
+                            values on the simulator and on the
+                            forked-process engine [Machine.Procs], and the
                             farm must survive a seeded chaos worker
                             crash on real processes (the crash is a
                             child dying with its sockets) with the dead
@@ -95,6 +94,9 @@
    On failure: prints the shrunk counterexample (Ast.to_string + input +
    seed + case index), optionally writes it to --out, exits 1.
    Exit codes: 0 all pass, 1 divergence found, 2 usage error / gave up. *)
+
+let sim = Machine.Backend.sim ()
+let mc = Machine.Backend.multicore ()
 
 let usage =
   "diffcheck [--budget N] [--seed S] [--rule-cases N] [--cost-cases N] [--fused-cases N] \
@@ -211,6 +213,57 @@ let () =
       (Comm.gather comm ~root:0 (reduced, scanned, gathered, transposed))
   in
 
+  (* Engine equivalence against the simulator, for one real engine: the
+     same seeded hyperquicksort, collective battery and Cannon inputs
+     must give identical values on [Backend.sim] and on [backend].  The
+     workload shape is derived from the seed too: a nightly run with a
+     random seed explores different lengths/bounds/matrix sizes, not
+     merely different data for one fixed shape. *)
+  let equivalence_cases (type s) (backend : s Machine.Backend.t) =
+    let engine = Machine.Backend.name backend in
+    let cases = ref [] in
+    let add label f = cases := (label, f) :: !cases in
+    let differ what = Some (Printf.sprintf "%s differ between sim and %s" what engine) in
+    for k = 0 to !engine_cases - 1 do
+      let case_seed = !seed + (1009 * k) in
+      let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0x5eed) in
+      let len = 64 * (4 + Runtime.Xoshiro.int shape 12) (* 256..1024, all p divide *) in
+      let bound = 1_000 + Runtime.Xoshiro.int shape 99_000 in
+      let blk = 3 + Runtime.Xoshiro.int shape 6 (* cannon block edge 3..8 *) in
+      List.iter
+        (fun procs ->
+          add
+            (Printf.sprintf "hyperquicksort %s p=%d len=%d bound=%d seed=%d" engine procs len
+               bound case_seed)
+            (fun () ->
+              let rng = Runtime.Xoshiro.of_seed case_seed in
+              let data = Runtime.Xoshiro.int_array rng ~len ~bound in
+              let s, _ = Algorithms.Hyperquicksort.sort sim ~procs data in
+              let e, _ = Algorithms.Hyperquicksort.sort backend ~procs data in
+              if s = e then None else differ "sorted outputs");
+          add
+            (Printf.sprintf "collectives %s p=%d seed=%d" engine procs case_seed)
+            (fun () ->
+              let s, _ = Scl_sim.Spmd.run sim ~procs collective_battery in
+              let e, _ = Scl_sim.Spmd.run backend ~procs collective_battery in
+              if s = e then None else differ "collective values"))
+        [ 1; 2; 4 ];
+      List.iter
+        (fun grid ->
+          add
+            (Printf.sprintf "cannon %s grid=%d n=%d seed=%d" engine grid (blk * grid) case_seed)
+            (fun () ->
+              let n = blk * grid in
+              let a = Algorithms.Cannon.random_matrix ~seed:case_seed n in
+              let b = Algorithms.Cannon.random_matrix ~seed:(case_seed + 1) n in
+              let s, _ = Algorithms.Cannon.multiply sim ~grid a b in
+              let e, _ = Algorithms.Cannon.multiply backend ~grid a b in
+              if s = e then None else differ "cannon products"))
+        [ 1; 2 ]
+    done;
+    List.rev !cases
+  in
+
   (* phase 0: forked-process engine equivalence + faults.  This MUST run
      first: OCaml permanently refuses [Unix.fork] once any other domain
      has EVER been created in the process, so every [Machine.Procs] leg
@@ -220,30 +273,6 @@ let () =
     let open Machine in
     let cases = ref [] in
     let add label f = cases := (label, f) :: !cases in
-    for k = 0 to !engine_cases - 1 do
-      let case_seed = !seed + (1009 * k) in
-      let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0x5eed) in
-      let len = 64 * (4 + Runtime.Xoshiro.int shape 12) in
-      let bound = 1_000 + Runtime.Xoshiro.int shape 99_000 in
-      List.iter
-        (fun procs ->
-          add
-            (Printf.sprintf "hyperquicksort procs p=%d len=%d bound=%d seed=%d" procs len bound
-               case_seed)
-            (fun () ->
-              let rng = Runtime.Xoshiro.of_seed case_seed in
-              let data = Runtime.Xoshiro.int_array rng ~len ~bound in
-              let s, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-              let f, _ = Algorithms.Hyperquicksort.sort_procs ~procs data in
-              if s = f then None else Some "sim and forked-process outputs differ");
-          add
-            (Printf.sprintf "collectives procs p=%d seed=%d" procs case_seed)
-            (fun () ->
-              let s, _ = Scl_sim.Spmd.run_collect ~procs collective_battery in
-              let f, _ = Scl_sim.Spmd.run_procs_collect ~procs collective_battery in
-              if s = f then None else Some "forked-process collective values differ"))
-        [ 1; 2; 4 ]
-    done;
     for k = 0 to !fault_cases - 1 do
       let case_seed = !seed + (1013 * k) in
       let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0x9c5) in
@@ -258,7 +287,9 @@ let () =
           let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
           let victim = 1 + Runtime.Xoshiro.int shape 3 in
           let chaos = { Chaos.none with Chaos.crashes = [ (victim, crash_op) ] } in
-          let got, stats = Algorithms.Farm_sim.dynamic_procs ~procs:4 ~grace:0.5 ~chaos spec in
+          let got, stats =
+            Algorithms.Farm_sim.dynamic Backend.procs ~procs:4 ~grace:0.5 ~chaos spec
+          in
           if got <> Array.init njobs (fun i -> i * i) then
             Some "procs farm lost or corrupted results under a worker crash"
           else if stats.Procs.crashed <> [ victim ] then
@@ -267,7 +298,8 @@ let () =
                  (String.concat "; " (List.map string_of_int stats.Procs.crashed)))
           else None)
     done;
-    report_checks ~phase:"procs-equivalence + faults" (List.rev !cases)
+    report_checks ~phase:"procs-equivalence + faults"
+      (equivalence_cases Backend.procs @ List.rev !cases)
   in
 
   (* phase 1: rule oracle *)
@@ -323,48 +355,7 @@ let () =
      the real-domain multicore engine for the same SPMD program.  (The
      forked-process legs are phase 0: fork must precede any domain.) *)
   let ok_engine =
-    let cases = ref [] in
-    let add label f = cases := (label, f) :: !cases in
-    for k = 0 to !engine_cases - 1 do
-      let case_seed = !seed + (1009 * k) in
-      (* workload shape derived from the seed too: a nightly run with a
-         random seed explores different lengths/bounds/matrix sizes, not
-         merely different data for one fixed shape *)
-      let shape = Runtime.Xoshiro.of_seed (case_seed lxor 0x5eed) in
-      let len = 64 * (4 + Runtime.Xoshiro.int shape 12) (* 256..1024, all p divide *) in
-      let bound = 1_000 + Runtime.Xoshiro.int shape 99_000 in
-      let blk = 3 + Runtime.Xoshiro.int shape 6 (* cannon block edge 3..8 *) in
-      List.iter
-        (fun procs ->
-          add
-            (Printf.sprintf "hyperquicksort p=%d len=%d bound=%d seed=%d" procs len bound case_seed)
-            (fun () ->
-              let rng = Runtime.Xoshiro.of_seed case_seed in
-              let data = Runtime.Xoshiro.int_array rng ~len ~bound in
-              let s, _ = Algorithms.Hyperquicksort.sort_sim ~procs data in
-              let m, _ = Algorithms.Hyperquicksort.sort_multicore ~procs data in
-              if s = m then None else Some "sim and multicore outputs differ");
-          add
-            (Printf.sprintf "collectives p=%d seed=%d" procs case_seed)
-            (fun () ->
-              let s, _ = Scl_sim.Spmd.run_collect ~procs collective_battery in
-              let m, _ = Scl_sim.Spmd.run_multicore_collect ~procs collective_battery in
-              if s = m then None else Some "collective values differ"))
-        [ 1; 2; 4 ];
-      List.iter
-        (fun grid ->
-          add
-            (Printf.sprintf "cannon grid=%d n=%d seed=%d" grid (blk * grid) case_seed)
-            (fun () ->
-              let n = blk * grid in
-              let a = Algorithms.Cannon.random_matrix ~seed:case_seed n in
-              let b = Algorithms.Cannon.random_matrix ~seed:(case_seed + 1) n in
-              let s, _ = Algorithms.Cannon.multiply_sim ~grid a b in
-              let m, _ = Algorithms.Cannon.multiply_multicore ~grid a b in
-              if s = m then None else Some "cannon products differ"))
-        [ 1; 2 ]
-    done;
-    report_checks ~phase:"engine-equivalence" (List.rev !cases)
+    report_checks ~phase:"engine-equivalence" (equivalence_cases mc)
   in
 
   (* phase 6: topology cost — hyperquicksort's messages all travel between
@@ -385,10 +376,10 @@ let () =
                   let rng = Runtime.Xoshiro.of_seed case_seed in
                   let data = Runtime.Xoshiro.int_array rng ~len:1024 ~bound:100_000 in
                   let _, cube =
-                    Algorithms.Hyperquicksort.sort_sim ~topology:Topology.Hypercube ~procs data
+                    Algorithms.Hyperquicksort.sort sim ~topology:Topology.Hypercube ~procs data
                   in
                   let _, ring =
-                    Algorithms.Hyperquicksort.sort_sim ~topology:Topology.Ring ~procs data
+                    Algorithms.Hyperquicksort.sort sim ~topology:Topology.Ring ~procs data
                   in
                   if cube.Sim.makespan <= ring.Sim.makespan *. (1.0 +. 1e-9) then None
                   else
@@ -433,25 +424,25 @@ let () =
             (Printf.sprintf "chaos-delay p=%d prob=%.2f hold=%d seed=%d" procs prob max_hold
                case_seed)
             (fun () ->
-              let bare, _ = Scl_sim.Spmd.run_collect ~procs chaos_battery in
+              let bare, _ = Scl_sim.Spmd.run sim ~procs chaos_battery in
               let spec = Chaos.delays ~seed:case_seed ~prob ~max_hold () in
-              let v, _ = Scl_sim.Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+              let v, _ = Scl_sim.Spmd.run sim ~procs ~chaos:spec chaos_battery in
               if v = bare then None else Some "delay chaos changed collective values");
           add
             (Printf.sprintf "chaos-straggler p=%d stall=%.2gs seed=%d" procs stall case_seed)
             (fun () ->
-              let bare, _ = Scl_sim.Spmd.run_collect ~procs chaos_battery in
+              let bare, _ = Scl_sim.Spmd.run sim ~procs chaos_battery in
               let straggler = 1 + Runtime.Xoshiro.int shape (procs - 1) in
               let spec = { Chaos.none with Chaos.stalls = [ (straggler, stall) ] } in
-              let v, _ = Scl_sim.Spmd.run_collect ~procs ~chaos:spec chaos_battery in
+              let v, _ = Scl_sim.Spmd.run sim ~procs ~chaos:spec chaos_battery in
               if v = bare then None else Some "straggler chaos changed collective values"))
         [ 2; 4; 8 ];
       add
         (Printf.sprintf "chaos-delay multicore p=4 seed=%d" case_seed)
         (fun () ->
-          let bare, _ = Scl_sim.Spmd.run_multicore_collect ~procs:4 chaos_battery in
+          let bare, _ = Scl_sim.Spmd.run mc ~procs:4 chaos_battery in
           let spec = Chaos.delays ~seed:case_seed ~prob ~max_hold () in
-          let v, _ = Scl_sim.Spmd.run_multicore_collect ~procs:4 ~chaos:spec chaos_battery in
+          let v, _ = Scl_sim.Spmd.run mc ~procs:4 ~chaos:spec chaos_battery in
           if v = bare then None else Some "delay chaos changed multicore values");
       add
         (Printf.sprintf "farm worker crash op=%d seed=%d" crash_op case_seed)
@@ -460,14 +451,14 @@ let () =
           let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
           let victim = 1 + Runtime.Xoshiro.int shape 3 in
           let chaos = { Chaos.none with Chaos.crashes = [ (victim, crash_op) ] } in
-          let got, _ = Algorithms.Farm_sim.dynamic ~procs:4 ~grace:0.5 ~chaos spec in
+          let got, _ = Algorithms.Farm_sim.dynamic sim ~procs:4 ~grace:0.5 ~chaos spec in
           if got = Array.init njobs (fun i -> i * i) then None
           else Some "farm lost or corrupted results under a worker crash");
       add
         (Printf.sprintf "zero-fault wrap bit-identical seed=%d" case_seed)
         (fun () ->
-          let bare, s0 = Scl_sim.Spmd.run_collect ~procs:4 chaos_battery in
-          let v, s1 = Scl_sim.Spmd.run_collect ~procs:4 ~chaos:Chaos.none chaos_battery in
+          let bare, s0 = Scl_sim.Spmd.run sim ~procs:4 chaos_battery in
+          let v, s1 = Scl_sim.Spmd.run sim ~procs:4 ~chaos:Chaos.none chaos_battery in
           if v = bare && s0.Sim.makespan = s1.Sim.makespan && s0.Sim.total_msgs = s1.Sim.total_msgs
           then None
           else
@@ -638,10 +629,10 @@ let () =
             (Printf.sprintf "jacobi flat=boxed sim p=%d n=%d seed=%d" procs jn case_seed)
             (fun () ->
               let r0, _ =
-                Algorithms.Jacobi.solve_sim ~procs ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
+                Algorithms.Jacobi.solve sim ~procs ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
               in
               let r1, _ =
-                Algorithms.Jacobi.solve_sim_flat ~procs ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
+                Algorithms.Jacobi.solve_flat sim ~procs ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
               in
               diverged "jacobi"
                 (r0.Algorithms.Jacobi.iterations, r0.Algorithms.Jacobi.solution)
@@ -649,8 +640,8 @@ let () =
           add
             (Printf.sprintf "cg flat=boxed sim p=%d n=%d seed=%d" procs cn case_seed)
             (fun () ->
-              let r0, _ = Algorithms.Cg.solve_sim ~procs ~tol:1e-10 cb in
-              let r1, _ = Algorithms.Cg.solve_sim_flat ~procs ~tol:1e-10 cb in
+              let r0, _ = Algorithms.Cg.solve sim ~procs ~tol:1e-10 cb in
+              let r1, _ = Algorithms.Cg.solve_flat sim ~procs ~tol:1e-10 cb in
               diverged "cg"
                 (r0.Algorithms.Cg.iterations, r0.Algorithms.Cg.solution)
                 (r1.Algorithms.Cg.iterations, r1.Algorithms.Cg.solution)))
@@ -660,8 +651,8 @@ let () =
           add
             (Printf.sprintf "heat2d flat=boxed sim p=%d n=%d seed=%d" procs hn case_seed)
             (fun () ->
-              let r0, _ = Algorithms.Heat2d.solve_sim ~procs ~tol:1e-6 hf in
-              let r1, _ = Algorithms.Heat2d.solve_sim_flat ~procs ~tol:1e-6 hf in
+              let r0, _ = Algorithms.Heat2d.solve sim ~procs ~tol:1e-6 hf in
+              let r1, _ = Algorithms.Heat2d.solve_flat sim ~procs ~tol:1e-6 hf in
               if r0.Algorithms.Heat2d.iterations <> r1.Algorithms.Heat2d.iterations then
                 Some
                   (Printf.sprintf "heat2d: iterations %d (boxed) vs %d (flat)"
@@ -677,10 +668,10 @@ let () =
         (Printf.sprintf "jacobi flat multicore=sim p=3 n=%d seed=%d" jn case_seed)
         (fun () ->
           let r0, _ =
-            Algorithms.Jacobi.solve_sim_flat ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
+            Algorithms.Jacobi.solve_flat sim ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
           in
           let r1, _ =
-            Algorithms.Jacobi.solve_multicore_flat ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
+            Algorithms.Jacobi.solve_flat mc ~procs:3 ~tol:1e-7 jf ~left:0.5 ~right:(-0.25)
           in
           diverged "jacobi multicore"
             (r0.Algorithms.Jacobi.iterations, r0.Algorithms.Jacobi.solution)
@@ -688,8 +679,8 @@ let () =
       add
         (Printf.sprintf "cg flat multicore=sim p=3 n=%d seed=%d" cn case_seed)
         (fun () ->
-          let r0, _ = Algorithms.Cg.solve_sim_flat ~procs:3 ~tol:1e-10 cb in
-          let r1, _ = Algorithms.Cg.solve_multicore_flat ~procs:3 ~tol:1e-10 cb in
+          let r0, _ = Algorithms.Cg.solve_flat sim ~procs:3 ~tol:1e-10 cb in
+          let r1, _ = Algorithms.Cg.solve_flat mc ~procs:3 ~tol:1e-10 cb in
           diverged "cg multicore"
             (r0.Algorithms.Cg.iterations, r0.Algorithms.Cg.solution)
             (r1.Algorithms.Cg.iterations, r1.Algorithms.Cg.solution));
@@ -771,8 +762,8 @@ let () =
           let sdata =
             Array.init (64 + Runtime.Xoshiro.int rng 192) (fun _ -> Runtime.Xoshiro.int rng 10_000)
           in
-          let r0, _ = Algorithms.Hyperquicksort.sort_sim ~procs:4 sdata in
-          let r1, _ = Algorithms.Hyperquicksort.sort_sim_flatint ~procs:4 sdata in
+          let r0, _ = Algorithms.Hyperquicksort.sort sim ~procs:4 sdata in
+          let r1, _ = Algorithms.Hyperquicksort.sort_flatint sim ~procs:4 sdata in
           if r0 <> r1 then Some "flat-int sort differs from boxed" else None)
     done;
     report_checks ~phase:"flat-vs-boxed solvers" (List.rev !cases)
