@@ -340,7 +340,9 @@ let recv_any : type a. t -> ?tag:int -> ?timeout:float -> unit -> int * a =
 
 let exchange t ~partner ?tag v =
   (* Symmetric pairwise exchange: both sides send then receive, which is
-     deadlock-free because sends never block on either engine. *)
+     deadlock-free because no engine's send waits for a matching receive
+     (a procs send blocked on a full socket keeps reading its inbound
+     streams, so both partners drain each other). *)
   send t ~dest:partner ?tag v;
   recv t ~src:partner ?tag ()
 

@@ -12,9 +12,13 @@
    single compiled program body can be handed to either engine at runtime.
 
    Semantics every engine must provide:
-   - [send] is asynchronous and never blocks; [recv] blocks until a message
-     with the exact (src, tag) is available, FIFO per (source, tag) —
-     MPI's non-overtaking rule.
+   - [send] never waits for a matching receive; [recv] blocks until a
+     message with the exact (src, tag) is available, FIFO per (source,
+     tag) — MPI's non-overtaking rule.  On the procs engine a frame that
+     does not fit in the socket buffer returns once the kernel holds it,
+     servicing every inbound stream meanwhile, so a send waits at most
+     until its destination next enters any engine call, finishes, or
+     dies.
    - [recv_any] takes the oldest available message (any source) matching
      the optional tag; engines may resolve ties differently (the simulator
      is deterministic, real hardware is not).

@@ -21,7 +21,11 @@ type t = {
           [false] when simulated. Chaos uses this to pick how a straggler
           stall is charged. *)
   send : 'a. dest:int -> tag:int -> 'a -> unit;
-      (** Asynchronous tagged send; never blocks. *)
+      (** Tagged send; never waits for a matching receive. On the procs
+          engine a frame larger than the socket buffer returns once the
+          kernel holds it, servicing every inbound stream meanwhile, so it
+          waits at most until [dest] next enters any engine call, finishes,
+          or dies. *)
   recv : 'a. ?timeout:float -> src:int -> tag:int -> unit -> 'a;
       (** Blocking receive; FIFO per (source, tag). The result type is fixed
           by the caller: sender and receiver must agree (same discipline as

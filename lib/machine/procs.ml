@@ -19,11 +19,14 @@
    marshalling framing — so one bulk send stays one frame, the
    coalescing invariant the flat tier builds on.
 
-   Sends never block: frames queue in user space and drain through
-   non-blocking writes whenever [select] says the peer can take more
-   (every receive, sleep and the final flush pump the queues).  The
-   final flush also keeps *reading* — two ranks flushing large tails at
-   each other would otherwise deadlock on full socket buffers.
+   A send returns once its whole frame is in the kernel; no frame is
+   ever owed after that.  No send waits for a matching receive: a frame
+   that does not fit in the socket buffer is written as the buffer
+   drains, and while it waits the sender keeps reading every peer's
+   inbound stream through the same [select] pump that receives use — so
+   two ranks sending bulk frames to each other both progress.  A send
+   can therefore wait only until its destination next enters any engine
+   call, finishes, or dies.
 
    Crash detection is the point of this engine: a peer that dies (exit,
    signal, [EPIPE]) leaves EOF on its socket *without* the goodbye
@@ -43,6 +46,7 @@
 
 exception Deadlock of string
 exception Child_failure of int * string
+exception Fork_after_domain
 
 let () =
   Printexc.register_printer (function
@@ -99,8 +103,6 @@ type peer = {
   mutable p_eof : bool;  (* read side saw EOF (or a hard reset) *)
   mutable p_fin : bool;  (* goodbye frame parsed: the peer finished cleanly *)
   mutable p_wdead : bool;  (* write side dead; outbound traffic is dropped *)
-  p_out : Bytes.t Queue.t;  (* whole frames awaiting the socket *)
-  mutable p_off : int;  (* bytes of the queue head already written *)
   mutable p_rbuf : Bytes.t;  (* inbound stream tail not yet parsed *)
   mutable p_rlen : int;
 }
@@ -124,31 +126,6 @@ type cstate = {
 let now st = Unix.gettimeofday () -. st.c_t0
 
 (* ------------------------------------------------------- stream maintenance *)
-
-let drop_out peer =
-  peer.p_wdead <- true;
-  Queue.clear peer.p_out;
-  peer.p_off <- 0
-
-(* Drain as much outbound as the socket will take right now. Never
-   blocks (non-blocking fd); a dead peer absorbs its queue — traffic to
-   a crashed rank is lost, the fail-stop contract. *)
-let write_peer peer =
-  let continue = ref true in
-  while !continue && (not peer.p_wdead) && not (Queue.is_empty peer.p_out) do
-    let head = Queue.peek peer.p_out in
-    let len = Bytes.length head - peer.p_off in
-    match Unix.write peer.p_fd head peer.p_off len with
-    | n ->
-        if n = len then begin
-          ignore (Queue.pop peer.p_out);
-          peer.p_off <- 0
-        end
-        else peer.p_off <- peer.p_off + n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
-    | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> drop_out peer
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
 
 (* Parse every complete frame out of the peer's stream tail. *)
 let parse_frames st peer =
@@ -199,28 +176,23 @@ let read_peer st peer =
   parse_frames st peer
 
 (* One fabric pump: wait (up to [timeout] seconds; negative = forever)
-   for any peer to become readable or writable, then service them. *)
-let step st ~timeout =
-  let rds = ref [] and wrs = ref [] in
-  Array.iter
-    (function
-      | Some p ->
-          if not p.p_eof then rds := p.p_fd :: !rds;
-          if (not p.p_wdead) && not (Queue.is_empty p.p_out) then wrs := p.p_fd :: !wrs
-      | None -> ())
-    st.peers;
-  if !rds = [] && !wrs = [] && timeout < 0.0 then
+   for any peer to become readable — or, with [~writing], for that one
+   socket to take more bytes — then read every readable peer. *)
+let step ?writing st ~timeout =
+  let rds =
+    Array.fold_left
+      (fun acc -> function Some p when not p.p_eof -> p.p_fd :: acc | _ -> acc)
+      [] st.peers
+  in
+  let wrs = match writing with Some p -> [ p.p_fd ] | None -> [] in
+  if rds = [] && wrs = [] && timeout < 0.0 then
     (* only reachable from a wait the fail-fast checks proved satisfiable,
        so this is a bug guard, not a semantic path *)
     raise (Deadlock (Printf.sprintf "p%d: nothing left to wait on" st.c_rank));
-  match Unix.select !rds !wrs [] timeout with
-  | r, w, _ ->
+  match Unix.select rds wrs [] timeout with
+  | r, _, _ ->
       Array.iter
-        (function
-          | Some p ->
-              if List.memq p.p_fd w then write_peer p;
-              if List.memq p.p_fd r then read_peer st p
-          | None -> ())
+        (function Some p when List.memq p.p_fd r -> read_peer st p | _ -> ())
         st.peers
   | exception Unix.Unix_error (EINTR, _, _) -> ()
 
@@ -316,11 +288,21 @@ let obj_of_packet pkt : Obj.t =
 
 (* ------------------------------------------------------------------ sending *)
 
-let enqueue peer frame =
-  if not peer.p_wdead then begin
-    Queue.add frame peer.p_out;
-    write_peer peer (* opportunistic drain; common case hits the socket now *)
-  end
+(* Hand the whole frame to the kernel before returning.  While the
+   socket is full, keep reading every inbound stream: the destination
+   may itself be blocked sending to us.  A dead peer (EPIPE) absorbs the
+   frame — traffic to a crashed rank is lost, the fail-stop contract. *)
+let send_frame st peer frame =
+  let len = Bytes.length frame in
+  let off = ref 0 in
+  while (not peer.p_wdead) && !off < len do
+    match Unix.write peer.p_fd frame !off (len - !off) with
+    | n -> off := !off + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        step ~writing:peer st ~timeout:(-1.0)
+    | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> peer.p_wdead <- true
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+  done
 
 let check_dest st name dest =
   if dest < 0 || dest >= st.c_procs then
@@ -341,38 +323,26 @@ let send_obj st ~dest ~tag v =
               st.c_rank dest tag msg))
   in
   match st.peers.(dest) with
-  | Some p -> enqueue p (make_frame k_marshal tag payload)
+  | Some p -> send_frame st p (make_frame k_marshal tag payload)
   | None -> assert false
 
 let send_slice_to st ~dest ~tag s =
   check_dest st "send_slice" dest;
   st.c_sent <- st.c_sent + 1;
   match st.peers.(dest) with
-  | Some p -> enqueue p (make_frame k_slice tag (encode_slice s))
+  | Some p -> send_frame st p (make_frame k_slice tag (encode_slice s))
   | None -> assert false
 
 (* ----------------------------------------------------------------- shutdown *)
 
-let outbound_busy st =
-  Array.exists
-    (function Some p -> (not p.p_wdead) && not (Queue.is_empty p.p_out) | None -> false)
-    st.peers
-
-let flush_outbound st =
-  while outbound_busy st do
-    step st ~timeout:(-1.0)
-  done
-
-(* Clean finish: push every owed byte out, say goodbye on each socket,
-   then apply the undelivered-message check (same contract as the other
-   engines — except for traffic from ranks that crashed, which the
-   fail-stop model allows to go unconsumed). *)
+(* Clean finish: say goodbye on each socket (every earlier frame is
+   already in the kernel), then apply the undelivered-message check
+   (same contract as the other engines — except for traffic from ranks
+   that crashed, which the fail-stop model allows to go unconsumed). *)
 let finish_clean st =
-  flush_outbound st;
   Array.iter
-    (function Some p -> enqueue p (make_frame k_goodbye 0 Bytes.empty) | None -> ())
+    (function Some p -> send_frame st p (make_frame k_goodbye 0 Bytes.empty) | None -> ())
     st.peers;
-  flush_outbound st;
   let crashed_src pkt =
     match st.peers.(pkt.k_src) with Some p -> p.p_eof && not p.p_fin | None -> false
   in
@@ -388,17 +358,10 @@ let finish_clean st =
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Fail-stop: drop owed traffic and slam the sockets shut so peers see
-   EOF without a goodbye — that is what [Fault.Crashed] looks like from
-   the outside. *)
+(* Fail-stop: slam the sockets shut so peers see EOF without a goodbye
+   — that is what [Fault.Crashed] looks like from the outside. *)
 let abrupt_close st =
-  Array.iter
-    (function
-      | Some p ->
-          drop_out p;
-          close_noerr p.p_fd
-      | None -> ())
-    st.peers
+  Array.iter (function Some p -> close_noerr p.p_fd | None -> ()) st.peers
 
 (* ------------------------------------------------------------------- engine *)
 
@@ -447,9 +410,9 @@ let engine st cost topology : Engine.t =
     sleep =
       (fun d ->
         if d < 0.0 then invalid_arg "Procs.sleep: negative duration";
-        (* park on [select], pumping the fabric meanwhile: queued sends
-           keep draining and inbound frames keep accumulating, so a
-           sleeping rank never backpressures its peers *)
+        (* park on [select], pumping the fabric meanwhile: inbound
+           frames keep accumulating, so a sleeping rank never holds up a
+           peer's send *)
         let until = now st +. d in
         let rec park () =
           let remaining = until -. now st in
@@ -579,8 +542,6 @@ let child_main ~rank ~procs ~cost ~topology ~t0 ~mesh ~vfd
               p_eof = false;
               p_fin = false;
               p_wdead = false;
-              p_out = Queue.create ();
-              p_off = 0;
               p_rbuf = Bytes.create 4096;
               p_rlen = 0;
             }
@@ -636,25 +597,46 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
             if i < j then Some (Unix.socketpair PF_UNIX SOCK_STREAM 0) else None))
   in
   let vfd = Array.init procs (fun _ -> Unix.socketpair PF_UNIX SOCK_STREAM 0) in
-  let t0 = Unix.gettimeofday () in
-  let pids =
-    Array.init procs (fun r ->
-        match Unix.fork () with
-        | 0 ->
-            (try child_main ~rank:r ~procs ~cost ~topology ~t0 ~mesh ~vfd program
-             with _ -> ());
-            (* only reached if child_main itself blew up before its verdict *)
-            Unix._exit 127
-        | pid -> pid)
+  let close_mesh () =
+    Array.iter
+      (Array.iter (function
+        | Some (a, b) ->
+            close_noerr a;
+            close_noerr b
+        | None -> ()))
+      mesh
   in
+  let t0 = Unix.gettimeofday () in
+  let pids = Array.make procs 0 in
+  (try
+     for r = 0 to procs - 1 do
+       match Unix.fork () with
+       | 0 ->
+           (try child_main ~rank:r ~procs ~cost ~topology ~t0 ~mesh ~vfd program with _ -> ());
+           (* only reached if child_main itself blew up before its verdict *)
+           Unix._exit 127
+       | pid -> pids.(r) <- pid
+       (* OCaml 5 refuses to fork once a second domain has ever existed *)
+       | exception Failure _ -> raise Fork_after_domain
+     done
+   with e ->
+     (* leave nothing behind: no fd, no half-wired child *)
+     close_mesh ();
+     Array.iter
+       (fun (a, b) ->
+         close_noerr a;
+         close_noerr b)
+       vfd;
+     Array.iter
+       (fun pid ->
+         if pid > 0 then begin
+           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+           reap pid
+         end)
+       pids;
+     raise e);
   (* every socket end now lives in exactly one child *)
-  Array.iter
-    (Array.iter (function
-      | Some (a, b) ->
-          close_noerr a;
-          close_noerr b
-      | None -> ()))
-    mesh;
+  close_mesh ();
   Array.iter (fun (_, child_end) -> close_noerr child_end) vfd;
   let verdicts =
     Array.mapi

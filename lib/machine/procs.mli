@@ -9,12 +9,18 @@
     "parallel library" to "distributed system", where {!Fault.Crashed}
     means a process really died.
 
-    Semantics match the other engines: sends never block (outbound bytes
-    queue in user space and drain opportunistically), receives are FIFO
-    per (source, tag), [recv ?timeout] maps the deadline onto
-    [Unix.select], and the reserved collective tag discipline is
-    untouched — [Comm] runs textually unchanged. Differences inherent to
-    the medium:
+    Semantics match the other engines: no send waits for a matching
+    receive, receives are FIFO per (source, tag), [recv ?timeout] maps
+    the deadline onto [Unix.select], and the reserved collective tag
+    discipline is untouched — [Comm] runs textually unchanged.
+    Differences inherent to the medium:
+
+    - a send returns once its whole frame is in the kernel. A frame
+      larger than the socket buffer is written as the destination drains
+      it, and the sender keeps reading every inbound stream meanwhile (so
+      two ranks sending bulk frames to each other both progress); such a
+      send waits at most until the destination next enters any engine
+      call, finishes, or dies;
 
     - payloads must be marshalable: sending a closure (or a custom block
       without serializers) raises {!Fault.Unserializable} at the send
@@ -34,7 +40,8 @@
     second domain has existed — joining it does not lift the ban — so a
     driver mixing engines must run its [Procs] work before any pool or
     multicore run (as tools/diffcheck and bench/main do), or fork a
-    dedicated process for it. *)
+    dedicated process for it. A run that breaks this rule raises
+    {!Fork_after_domain}. *)
 
 exception Deadlock of string
 (** A receive provably cannot be satisfied: every rank it could match
@@ -46,6 +53,12 @@ exception Child_failure of int * string
 (** [Child_failure (rank, msg)]: a rank's program died with an exception
     that has no cross-process representation; [msg] is its printed form
     from the child. *)
+
+exception Fork_after_domain
+(** [run*] was called in a process that has created another domain, so
+    OCaml refuses to [fork]. Raised before any rank runs: every socket
+    of the half-built run is closed and any child already forked is
+    killed and reaped. *)
 
 type stats = {
   wall : float;  (** wall-clock seconds for the whole run *)

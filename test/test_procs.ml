@@ -8,7 +8,8 @@
    This suite lives in its own executable on purpose: [Procs] forks, and
    forking an OCaml 5 process is only safe while no other domain has
    ever existed — so nothing here spawns domains or pools, except the
-   run-contract case, which runs last for that reason. *)
+   run-contract and fork-after-domain cases, which run last for that
+   reason. *)
 
 open Machine
 module Spmd = Scl_sim.Spmd
@@ -124,6 +125,32 @@ let test_rank_exception_propagates () =
   match Procs.run ~procs:2 (fun eng -> if eng.Engine.rank = 1 then failwith "worker bug") with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg -> Alcotest.(check string) "message survives" "worker bug" msg
+
+(* A frame far larger than the socket buffer must be wholly in the
+   kernel when [send] returns: rank 0 then leaves the engine for good
+   (blocked on a pipe, 10 s guard), and rank 1 must still receive all of
+   it. *)
+let test_bulk_send_completes_outside_engine () =
+  let rd, wr = Unix.pipe () in
+  let n = 1 lsl 19 (* 4 MB marshalled *) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      ignore
+        (Procs.run ~procs:2 (fun eng ->
+             if eng.Engine.rank = 0 then begin
+               eng.Engine.send ~dest:1 ~tag:0 (Array.init n Fun.id);
+               match Unix.select [ rd ] [] [] 10.0 with
+               | [], _, _ -> failwith "bulk frame still undelivered 10 s after send returned"
+               | _ -> ()
+             end
+             else begin
+               let (a : int array) = eng.Engine.recv ~src:0 ~tag:0 () in
+               if a <> Array.init n Fun.id then failwith "bulk frame corrupted";
+               ignore (Unix.write_substring wr "!" 0 1)
+             end)))
 
 (* --- marshalable-payload discipline -------------------------------------- *)
 
@@ -305,6 +332,63 @@ let test_engine_equivalence_hyperquicksort () =
         (pr = sim))
     [ 1; 2; 4 ]
 
+(* Bulk frames in both directions at once, every pair in flight: each
+   frame is megabytes, far above the socket buffer, so both partners sit
+   in [send] together and must keep draining each other. Ranks return
+   small fingerprints; the values are checked against the expected
+   contents and against the simulator. *)
+let bulk_n = 1 lsl 20
+
+let bulk_program (comm : Comm.t) =
+  let p = Comm.size comm and me = Comm.rank comm in
+  let entry ~src ~dst i = (src * 1_000_003) + (dst * 7919) + i in
+  let block ~src ~dst n = Array.init n (entry ~src ~dst) in
+  (* element-wise, without building the expected copy *)
+  let is_block ~src ~dst n a =
+    Array.length a = n
+    &&
+    let ok = ref true in
+    Array.iteri (fun i x -> if x <> entry ~src ~dst i then ok := false) a;
+    !ok
+  in
+  let fp a = Array.fold_left (fun h x -> (h * 31) + x) (Array.length a) a in
+  let exchanged =
+    List.init (p - 1) (fun k ->
+        let partner = me lxor (k + 1) in
+        let got = Comm.exchange comm ~partner (block ~src:me ~dst:partner bulk_n) in
+        (partner, is_block ~src:partner ~dst:me bulk_n got, fp got))
+  in
+  let half = bulk_n / 2 in
+  let blocks = Comm.alltoall comm (Array.init p (fun j -> block ~src:me ~dst:j half)) in
+  let a2a = Array.to_list (Array.mapi (fun j b -> (is_block ~src:j ~dst:me half b, fp b)) blocks) in
+  let value r i = float_of_int ((r * bulk_n) + i) *. 0.5 in
+  let mine = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout bulk_n (value me) in
+  let partner = me lxor 1 in
+  Comm.send_slice comm ~dest:partner mine;
+  let theirs = Comm.recv_slice comm ~src:partner () in
+  let slice_ok =
+    Bigarray.Array1.dim theirs = bulk_n
+    && Seq.for_all (fun i -> theirs.{i} = value partner i) (Seq.init bulk_n Fun.id)
+  in
+  match Comm.gather comm ~root:0 (exchanged, a2a, slice_ok) with
+  | Some all -> Some (Array.to_list all)
+  | None -> None
+
+let test_bulk_frames_both_directions () =
+  List.iter
+    (fun procs ->
+      let sim, _ = Spmd.run (Backend.sim ()) ~procs bulk_program in
+      let pr, _ = Spmd.run Backend.procs ~procs bulk_program in
+      let all_ok =
+        List.for_all
+          (fun (ex, a2a, slice_ok) ->
+            slice_ok && List.for_all (fun (_, ok, _) -> ok) ex && List.for_all fst a2a)
+          pr
+      in
+      Alcotest.(check bool) (Printf.sprintf "payloads intact at p=%d" procs) true all_ok;
+      Alcotest.(check bool) (Printf.sprintf "procs agrees with sim at p=%d" procs) true (pr = sim))
+    [ 2; 4 ]
+
 (* --- chaos on real processes --------------------------------------------- *)
 
 let test_chaos_zero_fault_value_identical () =
@@ -385,6 +469,33 @@ let test_farm_all_workers_lost () =
   | exception Failure msg ->
       Alcotest.(check bool) "all-lost reported" true (contains msg "all workers lost")
 
+(* --- hygiene across repeated runs ------------------------------------------ *)
+
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_repeated_runs_leave_nothing () =
+  (* clean runs, a rank that raises, and a chaos crash, 300 runs in all:
+     every socket closed and every child reaped each time *)
+  let before = fd_count () in
+  let sum c =
+    let s = Comm.allreduce c ( + ) (Comm.rank c) in
+    if Comm.rank c = 0 then Some s else None
+  in
+  let chaos = { Chaos.none with Chaos.crashes = [ (2, 1) ] } in
+  for _ = 1 to 100 do
+    Alcotest.(check int) "clean allreduce" 6 (fst (Spmd.run Backend.procs ~procs:4 sum));
+    (match Procs.run ~procs:4 (fun eng -> if eng.Engine.rank = 3 then failwith "boom") with
+    | _ -> Alcotest.fail "expected Failure"
+    | exception Failure _ -> ());
+    match Spmd.run Backend.procs ~procs:4 ~chaos sum with
+    | _ -> Alcotest.fail "expected Fault.Crashed"
+    | exception Fault.Crashed _ -> ()
+  done;
+  Alcotest.(check int) "no fd leaked" before (fd_count ());
+  match Unix.waitpid [ WNOHANG ] (-1) with
+  | pid, _ -> Alcotest.failf "child %d left behind" pid
+  | exception Unix.Unix_error (ECHILD, _, _) -> ()
+
 let suite =
   [
     ( "fabric",
@@ -398,6 +509,8 @@ let suite =
         Alcotest.test_case "sender finished is deadlock" `Quick test_deadlock_sender_finished;
         Alcotest.test_case "undelivered message" `Quick test_undelivered_message;
         Alcotest.test_case "rank exception propagates" `Quick test_rank_exception_propagates;
+        Alcotest.test_case "bulk send completes outside the engine" `Quick
+          test_bulk_send_completes_outside_engine;
       ] );
     ( "marshal-discipline",
       [
@@ -434,6 +547,18 @@ let suite =
         Alcotest.test_case "survives a real SIGKILL" `Quick test_farm_survives_real_kill;
         Alcotest.test_case "all workers lost fails loudly" `Quick test_farm_all_workers_lost;
       ] );
+    ( "hygiene",
+      [
+        Alcotest.test_case "300 runs leak no fd and no child" `Quick
+          test_repeated_runs_leave_nothing;
+      ] );
+    (* after the fork-heavy groups: the simulator leg grows this process's
+       heap, and every later fork pays for its page tables *)
+    ( "bulk",
+      [
+        Alcotest.test_case "frames both directions p=2/4" `Quick
+          test_bulk_frames_both_directions;
+      ] );
   ]
 
 (* --- the run contract, on all three engines ------------------------------- *)
@@ -450,12 +575,24 @@ let test_lowest_rank_wins () =
       (fst (Spmd.run (Backend.multicore ~domains:2 ()) ~procs:4 program))
   done
 
-(* Must stay the last group: see the note at the top of the file. *)
+let test_fork_after_domain () =
+  (* this process has now created a domain, so fork is refused for good:
+     the run must name the reason and leave no socket behind *)
+  Domain.join (Domain.spawn ignore);
+  let before = fd_count () in
+  (match Procs.run ~procs:4 ignore with
+  | _ -> Alcotest.fail "expected Procs.Fork_after_domain"
+  | exception Procs.Fork_after_domain -> ());
+  Alcotest.(check int) "no fd leaked" before (fd_count ())
+
+(* Must stay the last groups: see the note at the top of the file. *)
 let suite =
   suite
   @ [
       ( "run-contract",
         [ Alcotest.test_case "lowest rank wins on every engine" `Quick test_lowest_rank_wins ] );
+      ( "fork-after-domain",
+        [ Alcotest.test_case "named error, no fd leak" `Quick test_fork_after_domain ] );
     ]
 
 let () = Alcotest.run "procs" suite
