@@ -73,7 +73,7 @@ let static ?cost ~procs (spec : 'r job_spec) : 'r array * Sim.stats =
      requesters until a final grace elapses, then abandons the (presumed
      dead) rest.  Without [~grace] the protocol still re-deals and dedups,
      but a worker crash leaves the master blocked forever (the engines then
-     report Deadlock).
+     report [Fault.Deadlock]).
 
    Fault-free runs with [~grace] behave identically to runs without it on
    the simulator: a timeout event only fires when no in-time delivery

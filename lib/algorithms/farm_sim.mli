@@ -34,7 +34,7 @@ val dynamic :
     longest single job's duration plus a round trip. Any worker silent
     that long is presumed dead; if ALL un-released workers go silent while
     jobs remain, the farm fails loudly. Without [~grace], a worker crash
-    leaves the master blocked (ending in the engine's [Deadlock]).
+    leaves the master blocked (ending in {!Machine.Fault.Deadlock}).
     [~chaos] wraps every rank's engine in the fault injector.
 
     On [multicore] the workers are genuinely concurrent and the request

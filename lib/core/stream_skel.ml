@@ -45,10 +45,12 @@ let rec apply : type a b. (a, b) t -> a -> b =
 exception Stage_failure of exn * Printexc.raw_backtrace
 
 (* Launch the worker domains of one stage reading (seq, 'a) and writing
-   (seq, 'b); close the output when the last worker finishes. *)
+   (seq, 'b), adding them to [spawned]; close the output when the last
+   worker finishes. *)
 let launch_stage (type a b) ({ workers; fn } : (a, b) stage)
     (input : (int * a) Runtime.Mpmc_queue.t) (output : (int * b) Runtime.Mpmc_queue.t)
-    (failure : (exn * Printexc.raw_backtrace) option Atomic.t) : unit Domain.t list =
+    (failure : (exn * Printexc.raw_backtrace) option Atomic.t) (spawned : unit Domain.t list ref)
+    : unit =
   let remaining = Atomic.make workers in
   let worker () =
     (try
@@ -71,24 +73,25 @@ let launch_stage (type a b) ({ workers; fn } : (a, b) stage)
       (* last worker out: propagate end-of-stream *)
       try Runtime.Mpmc_queue.close output with Runtime.Mpmc_queue.Closed -> ()
   in
-  List.init workers (fun _ -> Domain.spawn worker)
+  for _ = 1 to workers do
+    spawned := Domain.spawn worker :: !spawned
+  done
 
 (* Wire a pipe between an input queue and a freshly allocated output queue,
-   spawning all stage domains; returns the output queue and the domains. *)
+   spawning all stage domains into [spawned]; returns the output queue. *)
 let rec wire : type a b.
     (a, b) t ->
     (int * a) Runtime.Mpmc_queue.t ->
     (exn * Printexc.raw_backtrace) option Atomic.t ->
-    (int * b) Runtime.Mpmc_queue.t * unit Domain.t list =
- fun pipe input failure ->
+    unit Domain.t list ref ->
+    (int * b) Runtime.Mpmc_queue.t =
+ fun pipe input failure spawned ->
   match pipe with
   | Single st ->
       let output = Runtime.Mpmc_queue.create () in
-      (output, launch_stage st input output failure)
-  | Compose (f, g) ->
-      let mid, df = wire f input failure in
-      let out, dg = wire g mid failure in
-      (out, df @ dg)
+      launch_stage st input output failure spawned;
+      output
+  | Compose (f, g) -> wire g (wire f input failure spawned) failure spawned
 
 let run (type a b) (pipe : (a, b) t) (inputs : a list) : b list =
   let n = List.length inputs in
@@ -96,7 +99,16 @@ let run (type a b) (pipe : (a, b) t) (inputs : a list) : b list =
   else begin
     let failure = Atomic.make None in
     let source = Runtime.Mpmc_queue.create () in
-    let sink, domains = wire pipe source failure in
+    let spawned = ref [] in
+    let sink =
+      (* A failed spawn: closing the source ends every stage spawned so far
+         (end-of-stream cascades down the pipe), so all can be joined. *)
+      try wire pipe source failure spawned
+      with e ->
+        Runtime.Mpmc_queue.close source;
+        List.iter Domain.join !spawned;
+        raise e
+    in
     (* Feed the source; jobs are tagged with their position. *)
     List.iteri (fun i x -> Runtime.Mpmc_queue.push source (i, x)) inputs;
     Runtime.Mpmc_queue.close source;
@@ -110,7 +122,7 @@ let run (type a b) (pipe : (a, b) t) (inputs : a list) : b list =
          incr collected
        done
      with Runtime.Mpmc_queue.Closed -> ());
-    List.iter Domain.join domains;
+    List.iter Domain.join !spawned;
     (match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace (Stage_failure (e, bt)) bt
     | None -> ());

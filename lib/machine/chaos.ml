@@ -7,10 +7,10 @@
    - delay/reorder : a send is held back for a random number of this
      rank's subsequent communication operations, then released.  Holding
      happens on the SENDER side, before the engine sees the message, so
-     both engines are perturbed identically and the engines' own FIFO
+     every engine is perturbed identically and the engines' own FIFO
      machinery is untouched.  Release preserves arrival order per
-     (dest, tag) — exactly the per-(src,tag) FIFO relaxation both engines
-     document: messages to different destinations or on different tags may
+     (dest, tag) — exactly the per-(src,tag) FIFO relaxation every engine
+     documents: messages to different destinations or on different tags may
      reorder freely, same-channel messages may not.
    - stalls        : a per-rank straggler tax paid before every
      communication operation via [Engine.sleep] — simulated seconds on

@@ -4,12 +4,13 @@
    be retargetable: the same skeleton program must run on different
    execution media without touching the computation code.  [Comm] therefore
    writes its collectives once against this record of primitives, and each
-   engine — the discrete-event simulator ([of_sim]) and the real-domain
-   multicore fabric ([Multicore.engine]) — supplies its own implementation.
+   engine — the discrete-event simulator ([Sim.engine]), the real-domain
+   multicore fabric and the forked-process fabric — supplies its own
+   implementation.
 
    A record of explicitly-polymorphic closures is used instead of a functor
    so that programs keep the plain value type [Comm.t -> 'a option] and a
-   single compiled program body can be handed to either engine at runtime.
+   single compiled program body can be handed to any engine at runtime.
 
    Semantics every engine must provide:
    - [send] never waits for a matching receive; [recv] blocks until a
@@ -24,16 +25,16 @@
      is deterministic, real hardware is not).
    - [recv]/[recv_any] with [?timeout] raise [Fault.Timeout] once the
      deadline (engine-clock seconds from the call) elapses with no matching
-     message — a local, recoverable condition, unlike the engines' global
-     [Deadlock].
+     message — a local, recoverable condition, unlike the global
+     [Fault.Deadlock].
    - [work d] charges [d] seconds of compute: simulated time on the
      simulator, a no-op on engines where computation costs real time.
    - [sleep d] idles for [d] engine-clock seconds: the rank's clock
      advances but no compute is charged (simulated work_times and the
      imbalance diagnostics are untouched); on real engines it is an actual
      sleep.  Long-lived programs (pacing an arrival process, a departed
-     worker waiting to rejoin) need idling that both engines price in
-     their own clock — [work] cannot express it because it is free on
+     worker waiting to rejoin) need idling that every engine prices in
+     its own clock — [work] cannot express it because it is free on
      real engines and counts as compute on the simulator.
    - [time ()] is the engine's own clock: simulated seconds on the
      simulator, wall-clock seconds since the run started on real engines.
@@ -70,29 +71,44 @@ type t = {
 
 let work_flops t n = t.work (Cost_model.flops t.cost n)
 
-let of_sim (ctx : Sim.ctx) : t =
-  {
-    rank = Sim.rank ctx;
-    size = Sim.size ctx;
-    cost = Sim.cost ctx;
-    topology = Sim.topology ctx;
-    real_time = false;
-    send = (fun ~dest ~tag v -> Sim.send ctx ~dest ~tag v);
-    recv = (fun ?timeout ~src ~tag () -> Sim.recv ctx ~src ~tag ?timeout ());
-    recv_any = (fun ?timeout ?tag () -> Sim.recv_any ctx ?tag ?timeout ());
-    send_slice =
-      (fun ~dest ~tag s ->
-        (* One message priced at the payload's true unboxed size.  The copy
-           keeps the simulator's value semantics (a sim sender may reuse its
-           buffer immediately, unlike on real engines) — [~bytes] already
-           skips the marshalling cost model would otherwise charge. *)
-        let n = Bigarray.Array1.dim s in
-        let c = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-        Bigarray.Array1.blit s c;
-        Sim.send ctx ~dest ~tag ~bytes:(8 * n) c);
-    recv_slice = (fun ?timeout ~src ~tag () -> Sim.recv ctx ~src ~tag ?timeout ());
-    work = (fun d -> Sim.work ctx d);
-    sleep = (fun d -> Sim.sleep ctx d);
-    time = (fun () -> Sim.time ctx);
-    note = (fun msg -> Sim.note ctx msg);
-  }
+(* The contract's checks, shared by every engine.  The comparisons inline
+   at the call site and a message is formatted out of line, only when one
+   raises: the multicore receive path runs these per message and must stay
+   as cheap, and as allocation-free, as hand-written checks. *)
+
+let[@inline never] out_of_range op r size =
+  invalid_arg (Printf.sprintf "%s: rank %d out of range [0,%d)" op r size)
+
+let[@inline never] rejected op what = invalid_arg (op ^ ": " ^ what)
+let[@inline] check_src op ~size src = if src < 0 || src >= size then out_of_range op src size
+
+let[@inline] check_dest op ~size ~self dest =
+  if dest < 0 || dest >= size then out_of_range op dest size
+  else if dest = self then rejected op "self-send is not supported (use a local value)"
+
+let[@inline] check_duration op d = if d < 0.0 then rejected op "negative duration"
+
+let[@inline] deadline op now = function
+  | None -> Float.infinity
+  | Some t -> if t < 0.0 then rejected op "negative timeout" else now () +. t
+
+let timeout ~rank ~src ~tag ~deadline =
+  Fault.Timeout
+    (Printf.sprintf "p%d: recv(src=%s, tag=%s) deadline %.6f elapsed" rank
+       (if src < 0 then "any" else string_of_int src)
+       (match tag with None -> "any" | Some t -> string_of_int t)
+       deadline)
+
+(* Undelivered messages after a clean finish are a protocol bug; callers
+   skip crashed ranks, whose lost traffic is what fail-stop means. *)
+let check_undelivered ~rank ~count ~src ~tag =
+  if count > 0 then
+    raise
+      (Fault.Deadlock
+         (Printf.sprintf "processor %d finished with %d undelivered message(s); first from p%d tag %d"
+            rank count src tag))
+
+let lowest_rank op results =
+  match Array.find_map Fun.id results with
+  | Some v -> v
+  | None -> invalid_arg (op ^ ": no processor produced a result")

@@ -1,10 +1,10 @@
 (** Execution-engine vtable: the primitives an SPMD program (and the
     [Comm] collectives) may use, abstracted over the execution medium.
 
-    Two instances exist: {!of_sim} (discrete-event simulator, [work]
-    charges simulated time) and [Multicore.engine] (one OCaml domain per
-    hardware core, zero-copy shared-memory messaging, [work] is a no-op).
-    Programs written against [Comm.t] run unchanged on both. *)
+    Three instances exist: [Sim.engine] (discrete-event simulator, [work]
+    charges simulated time), [Multicore]'s (OCaml domains, zero-copy
+    shared memory) and [Procs]' (forked OS processes over sockets).
+    Programs written against [Comm.t] run unchanged on all three. *)
 
 type slice = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The typed bulk-payload tier: an unboxed float window (C-layout
@@ -61,6 +61,33 @@ val work_flops : t -> int -> unit
 (** [work_flops t n] charges [n] floating-point operations via the engine's
     cost model. *)
 
-val of_sim : Sim.ctx -> t
-(** The simulator engine: primitives delegate to [Sim] and charge
-    simulated time. *)
+(** {1 The contract's checks}
+
+    Shared by every engine. [op] names the operation in the message
+    (["Sim.send"], ["Procs.recv_slice"], …); nothing allocates unless it
+    raises. *)
+
+val check_src : string -> size:int -> int -> unit
+(** @raise Invalid_argument ["<op>: rank <r> out of range \[0,<size>)"]. *)
+
+val check_dest : string -> size:int -> self:int -> int -> unit
+(** {!check_src}, and
+    @raise Invalid_argument ["<op>: self-send is not supported (use a local value)"]. *)
+
+val check_duration : string -> float -> unit
+(** @raise Invalid_argument ["<op>: negative duration"]. *)
+
+val deadline : string -> (unit -> float) -> float option -> float
+(** [deadline op now timeout]: [now () +. t] for [Some t], [infinity] for [None].
+    @raise Invalid_argument ["<op>: negative timeout"]. *)
+
+val timeout : rank:int -> src:int -> tag:int option -> deadline:float -> exn
+(** The {!Fault.Timeout} of [rank]'s receive from [src] ([-1]: any) on [tag]. *)
+
+val check_undelivered : rank:int -> count:int -> src:int -> tag:int -> unit
+(** Finish check of a rank left with [count] unreceived messages, the
+    oldest from [src] on [tag]. @raise Fault.Deadlock if [count > 0]. *)
+
+val lowest_rank : string -> 'a option array -> 'a
+(** The lowest rank's value: every engine's [run_collect] result.
+    @raise Invalid_argument ["<op>: no processor produced a result"]. *)

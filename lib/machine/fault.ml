@@ -1,4 +1,4 @@
-(* Typed fault exceptions shared by both execution engines.
+(* Typed fault exceptions shared by every execution engine.
 
    The taxonomy matters (see DESIGN.md, "Timeout vs Deadlock"):
 
@@ -7,9 +7,10 @@
      program observes it at the [recv] call site and can retry, re-dispatch
      or give up — the rest of the machine keeps running.
 
-   - [Deadlock] (each engine's own exception) is a *global, fatal*
-     condition: the engine has proved no processor can ever make progress.
-     It aborts the whole run.
+   - [Deadlock] is a *global, fatal* condition: the engine has proved no
+     processor can ever make progress.  It aborts the whole run.  One
+     exception for every engine, so a caller of the engine-agnostic
+     runner names it once.
 
    - [Crashed] models a fail-stop processor: raising it inside a rank's
      program (the only sanctioned use is [Chaos]'s scheduled crashes)
@@ -21,6 +22,9 @@
 
 exception Timeout of string
 (* A [recv ~timeout] deadline elapsed with no matching message. *)
+
+exception Deadlock of string
+(* No processor can make progress; the message names who waits on what. *)
 
 exception Crashed of int
 (* Fail-stop: the given rank stops executing at the raise point. *)
@@ -35,6 +39,7 @@ exception Unserializable of string
 let () =
   Printexc.register_printer (function
     | Timeout msg -> Some (Printf.sprintf "Machine.Fault.Timeout(%s)" msg)
+    | Deadlock msg -> Some (Printf.sprintf "Machine.Fault.Deadlock(%s)" msg)
     | Crashed rank -> Some (Printf.sprintf "Machine.Fault.Crashed(rank %d)" rank)
     | Unserializable msg -> Some (Printf.sprintf "Machine.Fault.Unserializable(%s)" msg)
     | _ -> None)

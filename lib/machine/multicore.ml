@@ -34,7 +34,7 @@
    deltas per domain are surfaced as the [mc.minor_words] counter, and a
    test pins the zero-allocation claim on a 10k-message ping-pong.
 
-   Deadlock is detected by quiescence, mirroring [Sim.Deadlock]: when every
+   Deadlock is detected by quiescence, as on the simulator: when every
    live domain is asleep and no message is in flight, no future progress is
    possible.  The counters are maintained so that the test is sound:
    [in_flight] is incremented before a packet is pushed and decremented
@@ -42,8 +42,6 @@
    the mailboxes are empty and nobody will ring a doorbell.  The last
    domain to fall asleep performs the check, as does every domain on exit
    (covering the case where the only potential sender finishes). *)
-
-exception Deadlock of string
 
 (* A FIFO ring of messages in parallel scalar arrays.  [pay] is created
    from an immediate, so it is a pointer array (never a float array) and
@@ -177,13 +175,11 @@ let obs_run_span = Obs.Span.make "mc.run_wall"
 
 (* ------------------------------------------------------------ message fabric *)
 
-(* Remove the oldest pending packet matching (src, tag, any_tag); the
-   result is returned through [st.last_src]/[st.last_pay].  Because the
-   pending ring is in mailbox (arrival) order and each sender's pushes are
-   ordered, the first match is the oldest from its (source, tag).  The
-   usual match is at the head, so the gap-closing shift is almost always
-   empty; either way it blits in place and allocates nothing. *)
-let take_pending st ~src ~tag ~any_tag =
+(* Position (from the head) of the oldest pending packet matching (src,
+   tag, any_tag), or -1.  Because the pending ring is in mailbox (arrival)
+   order and each sender's pushes are ordered, the first match is the
+   oldest from its (source, tag). *)
+let[@inline] find_pending st ~src ~tag ~any_tag =
   let r = st.pending in
   let m = Ring.cap r - 1 in
   let n = r.Ring.count in
@@ -197,12 +193,22 @@ let take_pending st ~src ~tag ~any_tag =
     then found := !j
     else incr j
   done;
-  if !found < 0 then false
+  !found
+
+(* Remove the oldest matching pending packet; the result is returned
+   through [st.last_src]/[st.last_pay].  The usual match is at the head,
+   so the gap-closing shift is almost always empty; either way it blits in
+   place and allocates nothing. *)
+let take_pending st ~src ~tag ~any_tag =
+  let found = find_pending st ~src ~tag ~any_tag in
+  if found < 0 then false
   else begin
-    let p = (r.Ring.head + !found) land m in
+    let r = st.pending in
+    let m = Ring.cap r - 1 in
+    let p = (r.Ring.head + found) land m in
     st.last_src <- r.Ring.src.(p);
     st.last_pay <- r.Ring.pay.(p);
-    let k = ref !found in
+    let k = ref found in
     while !k > 0 do
       let dst = (r.Ring.head + !k) land m and sp = (r.Ring.head + !k - 1) land m in
       r.Ring.src.(dst) <- r.Ring.src.(sp);
@@ -212,25 +218,9 @@ let take_pending st ~src ~tag ~any_tag =
     done;
     r.Ring.pay.(r.Ring.head) <- Ring.nil;
     r.Ring.head <- (r.Ring.head + 1) land m;
-    r.Ring.count <- n - 1;
+    r.Ring.count <- r.Ring.count - 1;
     true
   end
-
-let exists_pending st ~src ~tag ~any_tag =
-  let r = st.pending in
-  let m = Ring.cap r - 1 in
-  let n = r.Ring.count in
-  let found = ref false in
-  let j = ref 0 in
-  while (not !found) && !j < n do
-    let p = (r.Ring.head + !j) land m in
-    if
-      (src = -1 || Array.unsafe_get r.Ring.src p = src)
-      && (any_tag || Array.unsafe_get r.Ring.tag p = tag)
-    then found := true
-    else incr j
-  done;
-  !found
 
 (* Move the whole mailbox into the pending ring under one lock acquisition
    (batched: senders pay one lock per message, the consumer one per
@@ -297,10 +287,8 @@ let describe fab =
 
 let now fab = Obs.Clock.ns_to_s (Obs.Clock.ns_since fab.t0)
 
-let send fab st ~dest ~tag v =
-  if dest < 0 || dest >= fab.procs then
-    invalid_arg (Printf.sprintf "Multicore.send: rank %d out of range [0,%d)" dest fab.procs);
-  if dest = st.rk then invalid_arg "Multicore.send: self-send is not supported (use a local value)";
+let send op fab st ~dest ~tag v =
+  Engine.check_dest op ~size:fab.procs ~self:st.rk dest;
   st.sent <- st.sent + 1;
   Obs.Counter.incr obs_sends;
   if fab.ranks.(dest).crashed then
@@ -320,19 +308,13 @@ let send fab st ~dest ~tag v =
    only end by deadline expiry. *)
 let sleep_tag = min_int
 
-let timeout_exn st ~src ~any_tag ~tag =
-  Fault.Timeout
-    (Printf.sprintf "p%d: recv(src=%s, tag=%s) deadline elapsed" st.rk
-       (if src < 0 then "any" else string_of_int src)
-       (if any_tag then "any" else string_of_int tag))
-
 let recv_packet fab st ~src ~tag ~any_tag ~deadline : Obj.t =
   if take_pending st ~src ~tag ~any_tag then st.last_pay
   else begin
     drain fab st;
     if take_pending st ~src ~tag ~any_tag then st.last_pay
     else if deadline < Float.infinity && now fab >= deadline then
-      raise (timeout_exn st ~src ~any_tag ~tag)
+      raise (Engine.timeout ~rank:st.rk ~src ~tag:(if any_tag then None else Some tag) ~deadline)
     else begin
       Obs.Counter.incr obs_parks;
       st.want_src <- src;
@@ -344,34 +326,29 @@ let recv_packet fab st ~src ~tag ~any_tag ~deadline : Obj.t =
   end
 
 (* No deadline is [infinity] (a static constant, not an option — the
-   common no-timeout receive allocates nothing here). *)
-let deadline_of fab name timeout =
-  match timeout with
-  | None -> Float.infinity
-  | Some timeout ->
-      if timeout < 0.0 then invalid_arg (Printf.sprintf "Multicore.%s: negative timeout" name);
-      now fab +. timeout
+   common no-timeout receive allocates nothing). *)
+let[@inline] recv_from op fab st clock timeout ~src ~tag =
+  Engine.check_src op ~size:fab.procs src;
+  let deadline = Engine.deadline op clock timeout in
+  let pay = recv_packet fab st ~src ~tag ~any_tag:false ~deadline in
+  st.received <- st.received + 1;
+  Obs.Counter.incr obs_recvs;
+  pay
 
 let engine fab st : Engine.t =
+  let clock () = now fab in
   {
     Engine.rank = st.rk;
     size = fab.procs;
     cost = fab.cost;
     topology = fab.topology;
     real_time = true;
-    send = (fun ~dest ~tag v -> send fab st ~dest ~tag v);
+    send = (fun ~dest ~tag v -> send "Multicore.send" fab st ~dest ~tag v);
     recv =
-      (fun ?timeout ~src ~tag () ->
-        if src < 0 || src >= fab.procs then
-          invalid_arg (Printf.sprintf "Multicore.recv: rank %d out of range [0,%d)" src fab.procs);
-        let deadline = deadline_of fab "recv" timeout in
-        let pay = recv_packet fab st ~src ~tag ~any_tag:false ~deadline in
-        st.received <- st.received + 1;
-        Obs.Counter.incr obs_recvs;
-        Obj.obj pay);
+      (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Multicore.recv" fab st clock timeout ~src ~tag));
     recv_any =
       (fun ?timeout ?tag () ->
-        let deadline = deadline_of fab "recv_any" timeout in
+        let deadline = Engine.deadline "Multicore.recv_any" clock timeout in
         let tag', any_tag = match tag with None -> (0, true) | Some t -> (t, false) in
         let pay = recv_packet fab st ~src:(-1) ~tag:tag' ~any_tag ~deadline in
         st.received <- st.received + 1;
@@ -381,21 +358,14 @@ let engine fab st : Engine.t =
       (fun ~dest ~tag s ->
         (* the window travels by reference through shared memory — zero
            copy, no serialisation; one message whatever the length *)
-        send fab st ~dest ~tag s);
+        send "Multicore.send_slice" fab st ~dest ~tag s);
     recv_slice =
       (fun ?timeout ~src ~tag () ->
-        if src < 0 || src >= fab.procs then
-          invalid_arg
-            (Printf.sprintf "Multicore.recv_slice: rank %d out of range [0,%d)" src fab.procs);
-        let deadline = deadline_of fab "recv_slice" timeout in
-        let pay = recv_packet fab st ~src ~tag ~any_tag:false ~deadline in
-        st.received <- st.received + 1;
-        Obs.Counter.incr obs_recvs;
-        (Obj.obj pay : Engine.slice));
-    work = (fun d -> if d < 0.0 then invalid_arg "Multicore.work: negative duration");
+        Obj.obj (recv_from "Multicore.recv_slice" fab st clock timeout ~src ~tag));
+    work = Engine.check_duration "Multicore.work";
     sleep =
       (fun d ->
-        if d < 0.0 then invalid_arg "Multicore.sleep: negative duration";
+        Engine.check_duration "Multicore.sleep" d;
         (* A plain [Unix.sleepf] would stall every rank multiplexed on this
            domain. Park through the deadline machinery instead: wait on a
            tag no message can carry, and swallow the inevitable expiry —
@@ -407,7 +377,7 @@ let engine fab st : Engine.t =
               (recv_packet fab st ~src:(-1) ~tag:sleep_tag ~any_tag:false
                  ~deadline:(now fab +. d))
           with Fault.Timeout _ -> ());
-    time = (fun () -> now fab);
+    time = clock;
     note = (fun _ -> ());
   }
 
@@ -454,7 +424,9 @@ let run_rank fab st =
            elapsed; delivery always wins when both are possible *)
         st.park <- Running;
         Effect.Deep.discontinue k
-          (timeout_exn st ~src:st.want_src ~any_tag:st.want_any ~tag:st.want_tag)
+          (Engine.timeout ~rank:st.rk ~src:st.want_src
+             ~tag:(if st.want_any then None else Some st.want_tag)
+             ~deadline:st.deadline)
       end
       else assert false
   | Running | Finished -> assert false
@@ -477,7 +449,7 @@ let domain_main fab d (my : rstate array) =
       | Ready _ -> found := !i
       | Waiting _ ->
           drain fab st;
-          if exists_pending st ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any then
+          if find_pending st ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any >= 0 then
             found := !i
           else if st.deadline < Float.infinity && now fab >= st.deadline then found := !i
       | Finished ->
@@ -544,7 +516,7 @@ let domain_main fab d (my : rstate array) =
             if s >= Atomic.get fab.active_domains && Atomic.get fab.in_flight = 0 then begin
               ignore (Atomic.fetch_and_add fab.sleepers (-1));
               (* quiescent: every live domain asleep, mailboxes empty *)
-              declare ~except:d fab (Deadlock (describe fab))
+              declare ~except:d fab (Fault.Deadlock (describe fab))
             end
             else begin
               Condition.wait bell.cond bell.mu;
@@ -592,7 +564,7 @@ let domain_main fab d (my : rstate array) =
     && remaining > 0
     && Atomic.get fab.sleepers >= remaining
     && Atomic.get fab.in_flight = 0
-  then declare fab (Deadlock (describe fab))
+  then declare fab (Fault.Deadlock (describe fab))
 
 (* ------------------------------------------------------------------- runners *)
 
@@ -655,30 +627,29 @@ let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
         Array.of_list
           (List.filter (fun st -> st.rk mod ndomains = d) (Array.to_list fab.ranks))
       in
-      let doms =
-        Array.init ndomains (fun d ->
-            let my = my_ranks d in
-            Domain.spawn (fun () -> domain_main fab d my))
-      in
-      Array.iter Domain.join doms;
+      (* Every domain waits at the start barrier until all have arrived.
+         A failed spawn is declared and the barrier released, so the
+         domains already spawned exit at once and are joined — none keeps
+         a slot of the runtime's fixed domain table — and its exception
+         re-raised. *)
+      let doms = ref [] in
+      (try
+         for d = 0 to ndomains - 1 do
+           let my = my_ranks d in
+           doms := Domain.spawn (fun () -> domain_main fab d my) :: !doms
+         done
+       with e ->
+         declare fab e;
+         Runtime.Barrier.release fab.start);
+      List.iter Domain.join !doms;
       (match Atomic.get fab.failure with Some e -> raise e | None -> ());
-      (* Undelivered messages after a clean finish indicate a protocol bug
-         worth surfacing (same check as the simulator) — except at a
-         crashed rank, where lost traffic is the fail-stop contract. *)
       Array.iter
         (fun st ->
           drain fab st;
-          let left = st.pending.Ring.count in
-          if left > 0 && not st.crashed then begin
-            let h = st.pending.Ring.head in
-            raise
-              (Deadlock
-                 (Printf.sprintf
-                    "processor %d finished with %d undelivered message(s); first from p%d tag %d"
-                    st.rk left
-                    st.pending.Ring.src.(h)
-                    st.pending.Ring.tag.(h)))
-          end)
+          let r = st.pending in
+          if not st.crashed then
+            Engine.check_undelivered ~rank:st.rk ~count:r.Ring.count ~src:r.Ring.src.(r.Ring.head)
+              ~tag:r.Ring.tag.(r.Ring.head))
         fab.ranks;
       let wall = Obs.Clock.ns_to_s (Obs.Clock.ns_since fab.t0) in
       let stats =
@@ -707,6 +678,4 @@ let run_collect (type a) ?domains ?cost ?topology ~procs (program : Engine.t -> 
   let stats =
     run_each ?domains ?cost ?topology ~procs (fun rank eng -> results.(rank) <- program eng)
   in
-  match Array.find_map Fun.id results with
-  | Some v -> (v, stats)
-  | None -> invalid_arg "Multicore.run_collect: no processor produced a result"
+  (Engine.lowest_rank "Multicore.run_collect" results, stats)

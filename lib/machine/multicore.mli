@@ -9,11 +9,9 @@
 
     Semantics match the simulator: sends never block, receives are FIFO
     per (source, tag), and a quiescent system (every rank blocked, no
-    message in flight) raises {!Deadlock}.  [recv_any] arrival order is
+    message in flight) raises {!Fault.Deadlock}.  [recv_any] arrival order is
     whatever the hardware produced — unlike the simulator it is not
     deterministic. *)
-
-exception Deadlock of string
 
 type stats = {
   wall : float;  (** wall-clock seconds for the whole run *)
@@ -37,7 +35,9 @@ val run_each :
     domains spawned (default {!default_domains}); [?cost] only populates
     the engine's cost model field ([work] is a no-op on this engine).
     Exceptions raised by rank programs are re-raised here (first one
-    wins); {!Deadlock} is raised on quiescence. *)
+    wins); {!Fault.Deadlock} is raised on quiescence.  If a domain cannot
+    be spawned, the ones already spawned are joined before the spawn's
+    exception is re-raised. *)
 
 val run :
   ?domains:int ->

@@ -33,7 +33,7 @@
    frame, and an untimed receive that provably waits on such a peer
    raises [Fault.Crashed] — a real process death, not a simulated one.
    EOF *with* goodbye means a clean finish; waiting on it is a protocol
-   bug and raises [Deadlock].  Receives carrying a timeout never map
+   bug and raises [Fault.Deadlock].  Receives carrying a timeout never map
    peer death to an exception: they wait out their deadline and raise
    [Fault.Timeout], which is what the farm's failure detector (catching
    only [Timeout]) relies on.
@@ -44,13 +44,11 @@
    cross-process [Obs] aggregation (children count sends/receives and
    ship the totals home in their verdict). *)
 
-exception Deadlock of string
 exception Child_failure of int * string
 exception Fork_after_domain
 
 let () =
   Printexc.register_printer (function
-    | Deadlock msg -> Some (Printf.sprintf "Machine.Procs.Deadlock(%s)" msg)
     | Child_failure (rank, msg) ->
         Some (Printf.sprintf "Machine.Procs.Child_failure(rank %d: %s)" rank msg)
     | _ -> None)
@@ -188,7 +186,7 @@ let step ?writing st ~timeout =
   if rds = [] && wrs = [] && timeout < 0.0 then
     (* only reachable from a wait the fail-fast checks proved satisfiable,
        so this is a bug guard, not a semantic path *)
-    raise (Deadlock (Printf.sprintf "p%d: nothing left to wait on" st.c_rank));
+    raise (Fault.Deadlock (Printf.sprintf "p%d: nothing left to wait on" st.c_rank));
   match Unix.select rds wrs [] timeout with
   | r, _, _ ->
       Array.iter
@@ -212,12 +210,6 @@ let take_pending st ~src ~tag ~any_tag =
   done;
   !found
 
-let timeout_exn st ~src ~any_tag ~tag =
-  Fault.Timeout
-    (Printf.sprintf "p%d: recv(src=%s, tag=%s) deadline elapsed" st.c_rank
-       (if src < 0 then "any" else string_of_int src)
-       (if any_tag then "any" else string_of_int tag))
-
 (* With no matching message pending, decide whether this wait is provably
    hopeless.  Only consulted by untimed receives: timed ones wait out
    their deadline and raise [Timeout] whatever happened to the peer —
@@ -228,13 +220,13 @@ let no_sender_exn st ~src ~tag ~any_tag =
     match st.peers.(src) with
     | None ->
         Some
-          (Deadlock
+          (Fault.Deadlock
              (Printf.sprintf "p%d: recv(src=%d, tag=%s) from self can never be satisfied"
                 st.c_rank src (chan ())))
     | Some p when p.p_eof ->
         if p.p_fin then
           Some
-            (Deadlock
+            (Fault.Deadlock
                (Printf.sprintf
                   "p%d: recv(src=%d, tag=%s) — rank %d finished cleanly without sending a \
                    matching message"
@@ -254,7 +246,7 @@ let no_sender_exn st ~src ~tag ~any_tag =
     else if !first_crashed >= 0 then Some (Fault.Crashed !first_crashed)
     else
       Some
-        (Deadlock
+        (Fault.Deadlock
            (Printf.sprintf
               "p%d: recv_any(tag=%s) — every other rank finished cleanly without sending a \
                matching message"
@@ -273,7 +265,10 @@ let recv_packet st ~src ~tag ~any_tag ~deadline : packet =
         end
         else begin
           let remaining = deadline -. now st in
-          if remaining <= 0.0 then raise (timeout_exn st ~src ~any_tag ~tag)
+          if remaining <= 0.0 then
+            raise
+              (Engine.timeout ~rank:st.c_rank ~src ~tag:(if any_tag then None else Some tag)
+                 ~deadline)
           else begin
             step st ~timeout:remaining;
             loop ()
@@ -304,14 +299,8 @@ let send_frame st peer frame =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
-let check_dest st name dest =
-  if dest < 0 || dest >= st.c_procs then
-    invalid_arg (Printf.sprintf "Procs.%s: rank %d out of range [0,%d)" name dest st.c_procs);
-  if dest = st.c_rank then
-    invalid_arg (Printf.sprintf "Procs.%s: self-send is not supported (use a local value)" name)
-
 let send_obj st ~dest ~tag v =
-  check_dest st "send" dest;
+  Engine.check_dest "Procs.send" ~size:st.c_procs ~self:st.c_rank dest;
   st.c_sent <- st.c_sent + 1;
   let payload =
     try Marshal.to_bytes v []
@@ -327,7 +316,7 @@ let send_obj st ~dest ~tag v =
   | None -> assert false
 
 let send_slice_to st ~dest ~tag s =
-  check_dest st "send_slice" dest;
+  Engine.check_dest "Procs.send_slice" ~size:st.c_procs ~self:st.c_rank dest;
   st.c_sent <- st.c_sent + 1;
   match st.peers.(dest) with
   | Some p -> send_frame st p (make_frame k_slice tag (encode_slice s))
@@ -336,9 +325,9 @@ let send_slice_to st ~dest ~tag s =
 (* ----------------------------------------------------------------- shutdown *)
 
 (* Clean finish: say goodbye on each socket (every earlier frame is
-   already in the kernel), then apply the undelivered-message check
-   (same contract as the other engines — except for traffic from ranks
-   that crashed, which the fail-stop model allows to go unconsumed). *)
+   already in the kernel), then apply the undelivered-message check —
+   not counting traffic from ranks that crashed, which the fail-stop
+   model allows to go unconsumed. *)
 let finish_clean st =
   Array.iter
     (function Some p -> send_frame st p (make_frame k_goodbye 0 Bytes.empty) | None -> ())
@@ -346,15 +335,11 @@ let finish_clean st =
   let crashed_src pkt =
     match st.peers.(pkt.k_src) with Some p -> p.p_eof && not p.p_fin | None -> false
   in
-  let left = Queue.fold (fun acc pkt -> if crashed_src pkt then acc else pkt :: acc) [] st.pending in
-  match List.rev left with
+  match List.filter (fun pkt -> not (crashed_src pkt)) (List.of_seq (Queue.to_seq st.pending)) with
   | [] -> ()
-  | pkt :: _ as l ->
-      raise
-        (Deadlock
-           (Printf.sprintf
-              "processor %d finished with %d undelivered message(s); first from p%d tag %d"
-              st.c_rank (List.length l) pkt.k_src pkt.k_tag))
+  | pkt :: _ as left ->
+      Engine.check_undelivered ~rank:st.c_rank ~count:(List.length left) ~src:pkt.k_src
+        ~tag:pkt.k_tag
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -365,18 +350,15 @@ let abrupt_close st =
 
 (* ------------------------------------------------------------------- engine *)
 
-let deadline_of st name timeout =
-  match timeout with
-  | None -> Float.infinity
-  | Some timeout ->
-      if timeout < 0.0 then invalid_arg (Printf.sprintf "Procs.%s: negative timeout" name);
-      now st +. timeout
-
-let check_src st name src =
-  if src < 0 || src >= st.c_procs then
-    invalid_arg (Printf.sprintf "Procs.%s: rank %d out of range [0,%d)" name src st.c_procs)
-
 let engine st cost topology : Engine.t =
+  let clock () = now st in
+  let recv_from op timeout ~src ~tag =
+    Engine.check_src op ~size:st.c_procs src;
+    let deadline = Engine.deadline op clock timeout in
+    let pkt = recv_packet st ~src ~tag ~any_tag:false ~deadline in
+    st.c_recvd <- st.c_recvd + 1;
+    obj_of_packet pkt
+  in
   {
     Engine.rank = st.c_rank;
     size = st.c_procs;
@@ -384,32 +366,21 @@ let engine st cost topology : Engine.t =
     topology;
     real_time = true;
     send = (fun ~dest ~tag v -> send_obj st ~dest ~tag v);
-    recv =
-      (fun ?timeout ~src ~tag () ->
-        check_src st "recv" src;
-        let deadline = deadline_of st "recv" timeout in
-        let pkt = recv_packet st ~src ~tag ~any_tag:false ~deadline in
-        st.c_recvd <- st.c_recvd + 1;
-        Obj.obj (obj_of_packet pkt));
+    recv = (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Procs.recv" timeout ~src ~tag));
     recv_any =
       (fun ?timeout ?tag () ->
-        let deadline = deadline_of st "recv_any" timeout in
+        let deadline = Engine.deadline "Procs.recv_any" clock timeout in
         let tag', any_tag = match tag with None -> (0, true) | Some t -> (t, false) in
         let pkt = recv_packet st ~src:(-1) ~tag:tag' ~any_tag ~deadline in
         st.c_recvd <- st.c_recvd + 1;
         (pkt.k_src, Obj.obj (obj_of_packet pkt)));
     send_slice = (fun ~dest ~tag s -> send_slice_to st ~dest ~tag s);
     recv_slice =
-      (fun ?timeout ~src ~tag () ->
-        check_src st "recv_slice" src;
-        let deadline = deadline_of st "recv_slice" timeout in
-        let pkt = recv_packet st ~src ~tag ~any_tag:false ~deadline in
-        st.c_recvd <- st.c_recvd + 1;
-        (Obj.obj (obj_of_packet pkt) : Engine.slice));
-    work = (fun d -> if d < 0.0 then invalid_arg "Procs.work: negative duration");
+      (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Procs.recv_slice" timeout ~src ~tag));
+    work = Engine.check_duration "Procs.work";
     sleep =
       (fun d ->
-        if d < 0.0 then invalid_arg "Procs.sleep: negative duration";
+        Engine.check_duration "Procs.sleep" d;
         (* park on [select], pumping the fabric meanwhile: inbound
            frames keep accumulating, so a sleeping rank never holds up a
            peer's send *)
@@ -422,7 +393,7 @@ let engine st cost topology : Engine.t =
           end
         in
         park ());
-    time = (fun () -> now st);
+    time = clock;
     note = (fun _ -> ());
   }
 
@@ -451,7 +422,7 @@ let err_repr = function
   | Fault.Timeout m -> E_timeout m
   | Fault.Crashed r -> E_crashed r
   | Fault.Unserializable m -> E_unserializable m
-  | Deadlock m -> E_deadlock m
+  | Fault.Deadlock m -> E_deadlock m
   | Invalid_argument m -> E_invalid m
   | Failure m -> E_failure m
   | e -> E_other (Printexc.to_string e)
@@ -460,7 +431,7 @@ let reraise_child rank = function
   | E_timeout m -> raise (Fault.Timeout m)
   | E_crashed r -> raise (Fault.Crashed r)
   | E_unserializable m -> raise (Fault.Unserializable m)
-  | E_deadlock m -> raise (Deadlock m)
+  | E_deadlock m -> raise (Fault.Deadlock m)
   | E_invalid m -> invalid_arg m
   | E_failure m -> failwith m
   | E_other m -> raise (Child_failure (rank, m))
@@ -701,6 +672,4 @@ let run_collect (type a) ?cost ?topology ~procs (program : Engine.t -> a option)
                                     boundary (%s)"
                       msg))))
   in
-  match Array.find_map Fun.id results with
-  | Some b -> ((Marshal.from_bytes b 0 : a), stats)
-  | None -> invalid_arg "Procs.run_collect: no processor produced a result"
+  ((Marshal.from_bytes (Engine.lowest_rank "Procs.run_collect" results) 0 : a), stats)

@@ -30,8 +30,8 @@
     - crash detection is local, not global: a receive with no timeout
       raises {!Fault.Crashed} as soon as the awaited peer's socket hits
       EOF without a goodbye frame (child exit, kill, [EPIPE]), and
-      {!Deadlock} when the awaited peer(s) provably finished cleanly
-      with nothing more to say. A cyclic wait among live ranks is not
+      {!Fault.Deadlock} when the awaited peer(s) provably finished
+      cleanly with nothing more to say. A cyclic wait among live ranks is not
       detected (no global quiescence view across processes) — use
       timeouts for protocols that need a failure detector.
 
@@ -42,12 +42,6 @@
     multicore run (as tools/diffcheck and bench/main do), or fork a
     dedicated process for it. A run that breaks this rule raises
     {!Fork_after_domain}. *)
-
-exception Deadlock of string
-(** A receive provably cannot be satisfied: every rank it could match
-    finished cleanly (goodbye frame seen) with no matching message left.
-    Raised only for locally-provable no-progress — see the module
-    comment. *)
 
 exception Child_failure of int * string
 (** [Child_failure (rank, msg)]: a rank's program died with an exception

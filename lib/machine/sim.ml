@@ -28,8 +28,6 @@
 
 type config = { procs : int; topology : Topology.t; cost : Cost_model.t }
 
-exception Deadlock of string
-
 type packet = {
   pkt_src : int;
   pkt_tag : int;
@@ -45,7 +43,7 @@ type blocked =
   | On_recv of {
       want_src : int option;
       want_tag : int option;
-      deadline : float option;  (* absolute simulated time; None = wait forever *)
+      deadline : float;  (* absolute simulated time; infinity = wait forever *)
       k : (packet, unit) Effect.Deep.continuation;
     }
   | On_barrier of (unit, unit) Effect.Deep.continuation
@@ -87,7 +85,7 @@ type _ Effect.t +=
   | E_recv : {
       want_src : int option;
       want_tag : int option;
-      deadline : float option;
+      deadline : float;
     }
       -> packet Effect.t
   | E_barrier : unit Effect.t
@@ -95,41 +93,29 @@ type _ Effect.t +=
 (* --- program-side API ------------------------------------------------- *)
 
 let rank ctx = ctx.me.rank
-let size ctx = ctx.sim.cfg.procs
-let time ctx = ctx.me.clock
-let cost ctx = ctx.sim.cfg.cost
-let topology ctx = ctx.sim.cfg.topology
 
 let work ctx d =
-  if d < 0.0 then invalid_arg "Sim.work: negative duration";
+  Engine.check_duration "Sim.work" d;
   ctx.me.clock <- ctx.me.clock +. d;
   ctx.me.work_time <- ctx.me.work_time +. d;
   Trace.record ctx.sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank (Trace.Work d)
 
-let work_flops ctx n = work ctx (Cost_model.flops ctx.sim.cfg.cost n)
-
 (* Idle time: the clock moves but [work_time] does not, so imbalance
    diagnostics keep meaning "compute skew", not "who slept". *)
 let sleep ctx d =
-  if d < 0.0 then invalid_arg "Sim.sleep: negative duration";
+  Engine.check_duration "Sim.sleep" d;
   ctx.me.clock <- ctx.me.clock +. d
 
 let note ctx msg = Trace.record ctx.sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank (Trace.Note msg)
 
-let check_dest ctx dest name =
-  if dest < 0 || dest >= ctx.sim.cfg.procs then
-    invalid_arg (Printf.sprintf "Sim.%s: rank %d out of range [0,%d)" name dest ctx.sim.cfg.procs)
-
-let send : type a. ctx -> dest:int -> ?tag:int -> ?bytes:int -> a -> unit =
- fun ctx ~dest ?(tag = 0) ?bytes v ->
-  check_dest ctx dest "send";
-  if dest = ctx.me.rank then invalid_arg "Sim.send: self-send is not supported (use a local value)";
+let send_as op ctx ~dest ~tag ?bytes v =
+  Engine.check_dest op ~size:ctx.sim.cfg.procs ~self:ctx.me.rank dest;
   let sim = ctx.sim in
   let c = sim.cfg.cost in
   let payload, marshalled, nbytes =
     match bytes with
     | Some b ->
-        if b < 0 then invalid_arg "Sim.send: negative size";
+        if b < 0 then invalid_arg (op ^ ": negative size");
         (Obj.repr v, false, b)
     | None ->
         let m = Marshal.to_bytes v [] in
@@ -147,6 +133,8 @@ let send : type a. ctx -> dest:int -> ?tag:int -> ?bytes:int -> a -> unit =
   ctx.me.msgs_sent <- ctx.me.msgs_sent + 1;
   ctx.me.bytes_sent <- ctx.me.bytes_sent + nbytes;
   Trace.record sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank (Trace.Send { dest; tag; bytes = nbytes })
+
+let send ctx ~dest ?(tag = 0) ?bytes v = send_as "Sim.send" ctx ~dest ~tag ?bytes v
 
 let matches ~want_src ~want_tag pkt =
   (match want_src with None -> true | Some s -> pkt.pkt_src = s)
@@ -168,7 +156,7 @@ let find_match p ~want_src ~want_tag ~deadline =
         | Some h when h.pkt_seq <= pkt.pkt_seq -> ()
         | Some _ | None -> Hashtbl.replace heads pkt.pkt_src pkt)
     p.inbox;
-  let in_time pkt = match deadline with None -> true | Some d -> pkt.arrival <= d in
+  let in_time pkt = pkt.arrival <= deadline in
   Hashtbl.fold
     (fun _ pkt acc ->
       if not (in_time pkt) then acc
@@ -191,12 +179,6 @@ let decode : type a. packet -> a =
  fun pkt ->
   if pkt.marshalled then Marshal.from_bytes (Obj.obj pkt.payload : bytes) 0 else Obj.obj pkt.payload
 
-let deadline_of ctx name = function
-  | None -> None
-  | Some timeout ->
-      if timeout < 0.0 then invalid_arg (Printf.sprintf "Sim.%s: negative timeout" name);
-      Some (ctx.me.clock +. timeout)
-
 (* Every receive suspends into the scheduler, even when a matching packet
    is already in the inbox.  Delivering eagerly here would be unsound: a
    processor whose clock is still *behind* the packet's arrival may not
@@ -208,16 +190,17 @@ let deadline_of ctx name = function
 let recv_packet _ctx ~want_src ~want_tag ~deadline =
   Effect.perform (E_recv { want_src; want_tag; deadline })
 
+let recv_as op ctx ~src ?tag ?timeout () =
+  Engine.check_src op ~size:ctx.sim.cfg.procs src;
+  let deadline = Engine.deadline op (fun () -> ctx.me.clock) timeout in
+  recv_packet ctx ~want_src:(Some src) ~want_tag:tag ~deadline
+
 let recv : type a. ctx -> src:int -> ?tag:int -> ?timeout:float -> unit -> a =
- fun ctx ~src ?tag ?timeout () ->
-  check_dest ctx src "recv";
-  let deadline = deadline_of ctx "recv" timeout in
-  let pkt = recv_packet ctx ~want_src:(Some src) ~want_tag:tag ~deadline in
-  decode pkt
+ fun ctx ~src ?tag ?timeout () -> decode (recv_as "Sim.recv" ctx ~src ?tag ?timeout ())
 
 let recv_any : type a. ctx -> ?tag:int -> ?timeout:float -> unit -> int * a =
  fun ctx ?tag ?timeout () ->
-  let deadline = deadline_of ctx "recv_any" timeout in
+  let deadline = Engine.deadline "Sim.recv_any" (fun () -> ctx.me.clock) timeout in
   let pkt = recv_packet ctx ~want_src:None ~want_tag:tag ~deadline in
   (pkt.pkt_src, decode pkt)
 
@@ -226,6 +209,36 @@ let barrier ctx =
   ctx.me.barrier_count <- ctx.me.barrier_count + 1;
   if ctx.sim.cfg.procs > 1 then Effect.perform E_barrier;
   Trace.record ctx.sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank Trace.Barrier_leave
+
+(* The simulator as an [Engine.t]: primitives delegate to the functions
+   above and charge simulated time. *)
+let engine ctx : Engine.t =
+  {
+    rank = ctx.me.rank;
+    size = ctx.sim.cfg.procs;
+    cost = ctx.sim.cfg.cost;
+    topology = ctx.sim.cfg.topology;
+    real_time = false;
+    send = (fun ~dest ~tag v -> send ctx ~dest ~tag v);
+    recv = (fun ?timeout ~src ~tag () -> recv ctx ~src ~tag ?timeout ());
+    recv_any = (fun ?timeout ?tag () -> recv_any ctx ?tag ?timeout ());
+    send_slice =
+      (fun ~dest ~tag s ->
+        (* One message priced at the payload's true unboxed size.  The copy
+           keeps the simulator's value semantics (a sim sender may reuse its
+           buffer immediately, unlike on real engines) — [~bytes] already
+           skips the marshalling cost model would otherwise charge. *)
+        let n = Bigarray.Array1.dim s in
+        let c = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+        Bigarray.Array1.blit s c;
+        send_as "Sim.send_slice" ctx ~dest ~tag ~bytes:(8 * n) c);
+    recv_slice =
+      (fun ?timeout ~src ~tag () -> decode (recv_as "Sim.recv_slice" ctx ~src ~tag ?timeout ()));
+    work = work ctx;
+    sleep = sleep ctx;
+    time = (fun () -> ctx.me.clock);
+    note = note ctx;
+  }
 
 (* --- scheduler --------------------------------------------------------- *)
 
@@ -284,10 +297,8 @@ let choose sim =
             | On_recv { want_src; want_tag; deadline; _ } -> (
                 match find_match p ~want_src ~want_tag ~deadline with
                 | Some pkt -> consider p (Float.max p.clock pkt.arrival) (`Deliver pkt)
-                | None -> (
-                    match deadline with
-                    | Some d -> consider p (Float.max p.clock d) `Expire
-                    | None -> ()))
+                | None ->
+                    if deadline < Float.infinity then consider p (Float.max p.clock deadline) `Expire)
             | On_barrier _ | Not_blocked -> ()))
     sim.procs;
   match !best with
@@ -351,11 +362,9 @@ let schedule sim =
         p.clock <- t;
         Trace.record sim.trace ~time:p.clock ~proc:p.rank (Trace.Note "recv timeout");
         Effect.Deep.discontinue k
-          (Fault.Timeout
-             (Printf.sprintf "p%d: recv(src=%s, tag=%s) deadline %.6f elapsed" p.rank
-                (match want_src with None -> "any" | Some s -> string_of_int s)
-                (match want_tag with None -> "any" | Some t -> string_of_int t)
-                t));
+          (Engine.timeout ~rank:p.rank
+             ~src:(Option.value want_src ~default:(-1))
+             ~tag:want_tag ~deadline:t);
         loop ()
     | None ->
         if Array.for_all (fun p -> p.finished) sim.procs then ()
@@ -371,7 +380,7 @@ let schedule sim =
           end
           else
             raise
-              (Deadlock
+              (Fault.Deadlock
                  (Printf.sprintf "no runnable processor%s: %s"
                     (if at_barrier then " (barrier with finished processors)" else "")
                     (describe_blocked sim)))
@@ -436,20 +445,13 @@ let run_each ?trace cfg program =
           p.thunk <- Some (fun () -> Effect.Deep.match_with (program p.rank) ctx (make_handler sim p)))
         sim.procs;
       schedule sim;
-      (* Undelivered messages indicate a protocol bug worth surfacing —
-         except in the inbox of a crashed processor: losing in-flight
-         traffic is exactly what fail-stop means. *)
       Array.iter
         (fun p ->
           match p.inbox with
-          | [] -> ()
-          | _ when p.crashed -> ()
-          | pkt :: _ ->
-              raise
-                (Deadlock
-                   (Printf.sprintf
-                      "processor %d finished with %d undelivered message(s); first from p%d tag %d"
-                      p.rank (List.length p.inbox) pkt.pkt_src pkt.pkt_tag)))
+          | pkt :: _ when not p.crashed ->
+              Engine.check_undelivered ~rank:p.rank ~count:(List.length p.inbox) ~src:pkt.pkt_src
+                ~tag:pkt.pkt_tag
+          | _ -> ())
         sim.procs;
       let stats = collect_stats sim in
       publish_obs stats;
@@ -458,14 +460,11 @@ let run_each ?trace cfg program =
 let run ?trace cfg program = run_each ?trace cfg (fun _rank -> program)
 
 (* Convenience: run and also return a value computed by a processor —
-   usually the root after a gather. When several produce one, the lowest
-   rank's wins, whatever order the scheduler finished them in. *)
+   usually the root after a gather. *)
 let run_collect ?trace (cfg : config) (program : ctx -> 'a option) : 'a * stats =
   let results = Array.make (max 0 cfg.procs) None in
   let stats = run_each ?trace cfg (fun rank ctx -> results.(rank) <- program ctx) in
-  match Array.find_map Fun.id results with
-  | Some v -> (v, stats)
-  | None -> invalid_arg "Sim.run_collect: no processor produced a result"
+  (Engine.lowest_rank "Sim.run_collect" results, stats)
 
 (* Load-balance diagnostics over a run's statistics. *)
 let mean_work stats =

@@ -5,15 +5,13 @@
     barriers. Per-processor clocks advance according to the {!Cost_model};
     the scheduler is deterministic, so simulated times are exactly
     reproducible. Deadlocks (every processor blocked with nothing in
-    flight) are detected and reported. *)
+    flight) are detected and reported as {!Fault.Deadlock}. *)
 
 type config = {
   procs : int;  (** number of virtual processors *)
   topology : Topology.t;
   cost : Cost_model.t;
 }
-
-exception Deadlock of string
 
 type ctx
 (** Handle passed to each processor's program. *)
@@ -30,19 +28,9 @@ type stats = {
 (** {1 Program-side operations} *)
 
 val rank : ctx -> int
-val size : ctx -> int
-
-val time : ctx -> float
-(** This processor's local clock. *)
-
-val cost : ctx -> Cost_model.t
-val topology : ctx -> Topology.t
 
 val work : ctx -> float -> unit
 (** Charge [d] seconds of local compute. @raise Invalid_argument if negative. *)
-
-val work_flops : ctx -> int -> unit
-(** Charge [n] scalar operations at the cost model's flop rate. *)
 
 val sleep : ctx -> float -> unit
 (** Advance the local clock by [d] seconds without charging compute:
@@ -79,10 +67,18 @@ val barrier : ctx -> unit
 val note : ctx -> string -> unit
 (** Record a message in the trace (used for Figure-2 style output). *)
 
+val engine : ctx -> Engine.t
+(** This processor as an {!Engine.t}: the primitives above, charging
+    simulated time, plus its size, clock ([time]), cost model and
+    topology. A [send_slice] is one message priced at its unboxed
+    [8 * length] bytes, and the receiver gets a copy. *)
+
 (** {1 Running} *)
 
 val run : ?trace:Trace.t -> config -> (ctx -> unit) -> stats
-(** Run the same program on every processor. @raise Deadlock.
+(** Run the same program on every processor.
+    @raise Fault.Deadlock when no processor can run, or one finished with
+    undelivered messages.
 
     A processor whose program raises {!Fault.Crashed} fail-stops: it is
     marked finished, its undelivered inbox is discarded, and the rest of

@@ -213,7 +213,17 @@ let create ?num_domains () =
       task_exceptions = Atomic.make 0;
     }
   in
-  t.domains <- Array.map (fun w -> Domain.spawn (worker_loop t w)) workers;
+  (* A spawn can fail (the runtime's domain table is finite): stop and join
+     the workers already spawned before re-raising, or they would loop on
+     a pool nobody can tear down, holding their domain slots for good. *)
+  let spawned = ref [] in
+  (try Array.iter (fun w -> spawned := Domain.spawn (worker_loop t w) :: !spawned) workers
+   with e ->
+     Atomic.set t.alive false;
+     wake_all t;
+     List.iter Domain.join !spawned;
+     raise e);
+  t.domains <- Array.of_list (List.rev !spawned);
   t
 
 (* --- scheduling statistics -------------------------------------------- *)

@@ -35,7 +35,7 @@ let run (type s a) (backend : s Backend.t) ?topology ?chaos ~procs
       | Backend.Sim { cost; trace } ->
           let ((_, stats) as r) =
             Sim.run_collect ?trace { Sim.procs; topology; cost } (fun ctx ->
-                program (Engine.of_sim ctx))
+                program (Sim.engine ctx))
           in
           if Obs.enabled () then begin
             Obs.Counter.incr obs_runs;

@@ -3,6 +3,8 @@
 
 open Machine
 
+module C = Engine_contract
+
 let sim = Backend.sim ()
 
 let qtest ?(count = 200) name gen prop =
@@ -232,33 +234,17 @@ let test_sim_barrier_aligns_clocks () =
   Array.iter (fun t -> check_float "aligned" 7.0 t) stats.Sim.finish_times;
   Alcotest.(check int) "one barrier" 1 stats.Sim.barriers
 
-let test_sim_deadlock_detected () =
-  Alcotest.(check bool) "deadlock raised" true
-    (try
-       ignore (Sim.run (cfg ~procs:2 ()) (fun ctx -> ignore (Sim.recv ctx ~src:(1 - Sim.rank ctx) () : int)));
-       false
-     with Sim.Deadlock _ -> true)
+let test_sim_deadlock_detected () = C.mutual_recv_deadlock sim
 
 let test_sim_barrier_mismatch_detected () =
   Alcotest.(check bool) "barrier with finished proc is deadlock" true
     (try
        ignore (Sim.run (cfg ~procs:2 ()) (fun ctx -> if Sim.rank ctx = 0 then Sim.barrier ctx));
        false
-     with Sim.Deadlock _ -> true)
+     with Fault.Deadlock _ -> true)
 
-let test_sim_undelivered_detected () =
-  Alcotest.(check bool) "leftover message is an error" true
-    (try
-       ignore (Sim.run (cfg ~procs:2 ()) (fun ctx -> if Sim.rank ctx = 0 then Sim.send ctx ~dest:1 42));
-       false
-     with Sim.Deadlock _ -> true)
-
-let test_sim_self_send_rejected () =
-  Alcotest.(check bool) "self send" true
-    (try
-       ignore (Sim.run (cfg ~procs:2 ()) (fun ctx -> Sim.send ctx ~dest:(Sim.rank ctx) 0));
-       false
-     with Invalid_argument _ -> true)
+let test_sim_undelivered_detected () = C.undelivered_message sim
+let test_sim_self_send_rejected () = C.self_send_rejected sim
 
 let test_sim_deterministic () =
   let go () =
@@ -313,7 +299,7 @@ let test_sim_hypercube_transfer_hops_priced () =
 (* --- Collectives ------------------------------------------------------------ *)
 
 let run_world ?procs ?topology ?cost f =
-  Sim.run (cfg ?procs ?topology ?cost ()) (fun ctx -> f (Comm.world (Engine.of_sim ctx)))
+  Sim.run (cfg ?procs ?topology ?cost ()) (fun ctx -> f (Comm.world (Sim.engine ctx)))
 
 let test_comm_bcast () =
   let seen = Array.make 8 (-1) in
@@ -450,7 +436,7 @@ let test_comm_barrier () =
   (* Group barrier must synchronise clocks at least to the slowest member. *)
   let stats =
     Sim.run (cfg ~procs:4 ()) (fun ctx ->
-        let c = Comm.world (Engine.of_sim ctx) in
+        let c = Comm.world (Sim.engine ctx) in
         Sim.work ctx (float_of_int (Sim.rank ctx) *. 10.0);
         Comm.barrier c)
   in
@@ -492,7 +478,7 @@ let prop_collectives_arbitrary_sizes =
       let scans = Array.make procs (-1) in
       let _ =
         Sim.run (cfg ~procs ()) (fun ctx ->
-            let c = Comm.world (Engine.of_sim ctx) in
+            let c = Comm.world (Sim.engine ctx) in
             (match Comm.reduce c ~root:0 ( + ) (Comm.rank c) with
             | Some v -> sum := v
             | None -> ());
@@ -579,7 +565,7 @@ let test_comm_of_ranks_requires_membership () =
     (try
        ignore
          (Sim.run (cfg ~procs:4 ()) (fun ctx ->
-              if Sim.rank ctx = 3 then ignore (Comm.of_ranks (Engine.of_sim ctx) [| 0; 1 |])));
+              if Sim.rank ctx = 3 then ignore (Comm.of_ranks (Sim.engine ctx) [| 0; 1 |])));
        false
      with Invalid_argument _ -> true)
 
@@ -589,7 +575,7 @@ let test_comm_singleton () =
   let _ =
     Sim.run (cfg ~procs:3 ()) (fun ctx ->
         if Sim.rank ctx = 0 then begin
-          let c = Comm.of_ranks (Engine.of_sim ctx) [| 0 |] in
+          let c = Comm.of_ranks (Sim.engine ctx) [| 0 |] in
           Comm.barrier c;
           let v = Comm.bcast c ~root:0 (Some 9) in
           let r = Comm.allreduce c ( + ) 5 in
@@ -605,7 +591,7 @@ let test_comm_nested_split_hierarchy () =
   let results = Array.make 8 0 in
   let _ =
     Sim.run (cfg ~procs:8 ()) (fun ctx ->
-        let w = Comm.world (Engine.of_sim ctx) in
+        let w = Comm.world (Sim.engine ctx) in
         let half = Comm.split w ~color:(Comm.rank w / 4) ~key:(Comm.rank w) in
         let quarter = Comm.split half ~color:(Comm.rank half / 2) ~key:(Comm.rank half) in
         results.(Comm.rank w) <- Comm.allreduce quarter ( + ) (Comm.rank w))
@@ -647,7 +633,7 @@ let prop_bcast_any_root_any_size =
       let seen = Array.make procs (-1) in
       let _ =
         Sim.run (cfg ~procs ()) (fun ctx ->
-            let c = Comm.world (Engine.of_sim ctx) in
+            let c = Comm.world (Sim.engine ctx) in
             seen.(Comm.rank c) <-
               Comm.bcast c ~root (if Comm.rank c = root then Some (root * 31) else None))
       in
@@ -660,7 +646,7 @@ let prop_alltoall_transpose =
       let ok = ref true in
       let _ =
         Sim.run (cfg ~procs ()) (fun ctx ->
-            let c = Comm.world (Engine.of_sim ctx) in
+            let c = Comm.world (Sim.engine ctx) in
             let me = Comm.rank c in
             let out = Comm.alltoall c (Array.init procs (fun j -> (me * 100) + j)) in
             Array.iteri (fun j v -> if v <> (j * 100) + me then ok := false) out)
@@ -696,26 +682,7 @@ let test_imbalance_metric () =
 
 (* --- reduce root sweep (the rotated-root ordering bug) ---------------------- *)
 
-let test_comm_reduce_root_sweep () =
-  (* String concat is associative but NOT commutative: every root must see
-     the members' values folded in true rank order, not rotated by root. *)
-  List.iter
-    (fun procs ->
-      let expected = String.concat "" (List.init procs string_of_int) in
-      for root = 0 to procs - 1 do
-        let got = Array.make procs None in
-        let _ =
-          run_world ~procs (fun c ->
-              got.(Comm.rank c) <- Comm.reduce c ~root ( ^ ) (string_of_int (Comm.rank c)))
-        in
-        Array.iteri
-          (fun i v ->
-            let name = Printf.sprintf "p=%d root=%d rank=%d" procs root i in
-            if i = root then Alcotest.(check (option string)) name (Some expected) v
-            else Alcotest.(check (option string)) name None v)
-          got
-      done)
-    [ 2; 3; 5; 8 ]
+let test_comm_reduce_root_sweep () = C.reduce_root_sweep sim
 
 let test_comm_allreduce_scan_order_sweep () =
   (* allreduce and scan with a non-commutative operator at every size *)
@@ -826,79 +793,30 @@ let test_sim_negative_timeout_rejected () =
 (* --- fail-stop crashes (Fault.Crashed) -------------------------------------- *)
 
 let test_sim_crash_is_fail_stop () =
-  (* a crashed rank takes its undelivered inbox with it; live ranks finish *)
-  let stats =
-    Sim.run (cfg ~procs:3 ()) (fun ctx ->
-        if Sim.rank ctx = 0 then begin
-          Sim.send ctx ~dest:1 42;
-          (* dies with the crash *)
-          Sim.work ctx 1.0
-        end
-        else if Sim.rank ctx = 1 then raise (Fault.Crashed 1)
-        else Sim.work ctx 2.0)
-  in
+  let stats = C.crash_is_fail_stop (Backend.sim ~cost:Cost_model.unit_costs ()) in
   check_float "live ranks finish" 2.0 stats.Sim.makespan
 
-let test_sim_timeout_survives_peer_crash () =
-  (* recv ~timeout from a crashed peer is a Timeout, not a Deadlock *)
-  let caught = ref false in
-  let _ =
-    Sim.run (cfg ~procs:2 ()) (fun ctx ->
-        if Sim.rank ctx = 0 then raise (Fault.Crashed 0)
-        else
-          try ignore (Sim.recv ctx ~src:0 ~timeout:2.0 () : int)
-          with Fault.Timeout _ -> caught := true)
-  in
-  Alcotest.(check bool) "timeout, not deadlock" true !caught
+let test_sim_timeout_survives_peer_crash () = C.timed_recv_from_crashed_peer sim
 
 (* --- chaos: deterministic fault injection ------------------------------------ *)
 
 module Spmd = Scl_sim.Spmd
 
-(* Collective battery used for fault-free equivalence: every collective,
-   with reduce swept over ALL roots using a non-commutative operator. *)
-let chaos_battery c =
-  let p = Comm.size c in
-  let me = Comm.rank c in
-  let reduces = List.init p (fun root -> Comm.reduce c ~root ( ^ ) (string_of_int me)) in
-  let ar = Comm.allreduce c ( ^ ) (string_of_int me) in
-  let sc = Comm.scan c ( ^ ) (string_of_int me) in
-  let ag = Comm.allgather c (me * me) in
-  let at = Comm.alltoall c (Array.init p (fun j -> (me * 100) + j)) in
-  match Comm.gather c ~root:0 (reduces, ar, sc, ag, at) with
-  | Some all -> Some (Array.to_list all)
-  | None -> None
-
 let test_chaos_zero_fault_bit_identical () =
   (* wrapping with the zero-fault schedule must not change ANY simulated
      number: same values, same makespan bit-for-bit, same message count *)
-  let v0, s0 = Spmd.run sim ~procs:4 chaos_battery in
-  let v1, s1 = Spmd.run sim ~procs:4 ~chaos:Chaos.none chaos_battery in
-  Alcotest.(check bool) "values equal" true (v0 = v1);
+  let s0, s1 = C.chaos_none_identity sim in
   Alcotest.(check bool) "makespan bit-identical" true (s0.Sim.makespan = s1.Sim.makespan);
   Alcotest.(check int) "msgs identical" s0.Sim.total_msgs s1.Sim.total_msgs;
   Alcotest.(check int) "bytes identical" s0.Sim.total_bytes s1.Sim.total_bytes
 
-let test_chaos_delays_value_identical () =
-  (* delay/reordering within the FIFO relaxation never changes values *)
-  List.iter
-    (fun procs ->
-      let bare, _ = Spmd.run sim ~procs chaos_battery in
-      List.iter
-        (fun seed ->
-          let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-          let perturbed, _ = Spmd.run sim ~procs ~chaos:spec chaos_battery in
-          Alcotest.(check bool)
-            (Printf.sprintf "p=%d seed=%d" procs seed)
-            true (perturbed = bare))
-        [ 1; 7; 42 ])
-    [ 2; 4; 8 ]
+let test_chaos_delays_value_identical () = C.chaos_delays_preserve_values sim
 
 let test_chaos_delays_are_deterministic () =
   (* same seed: bit-identical simulated stats; the perturbation replays *)
   let spec = Chaos.delays ~seed:9 ~prob:0.5 () in
-  let v1, s1 = Spmd.run sim ~procs:4 ~chaos:spec chaos_battery in
-  let v2, s2 = Spmd.run sim ~procs:4 ~chaos:spec chaos_battery in
+  let v1, s1 = Spmd.run sim ~procs:4 ~chaos:spec C.collectives in
+  let v2, s2 = Spmd.run sim ~procs:4 ~chaos:spec C.collectives in
   Alcotest.(check bool) "values replay" true (v1 = v2);
   Alcotest.(check bool) "makespan replays" true (s1.Sim.makespan = s2.Sim.makespan);
   Alcotest.(check int) "msgs replay" s1.Sim.total_msgs s2.Sim.total_msgs
@@ -906,8 +824,8 @@ let test_chaos_delays_are_deterministic () =
 let test_chaos_straggler_slows_but_preserves () =
   (* a per-rank stall tax changes timing, never values *)
   let spec = { Chaos.none with Chaos.stalls = [ (1, 0.005) ] } in
-  let bare, s0 = Spmd.run sim ~procs:4 chaos_battery in
-  let slow, s1 = Spmd.run sim ~procs:4 ~chaos:spec chaos_battery in
+  let bare, s0 = Spmd.run sim ~procs:4 C.collectives in
+  let slow, s1 = Spmd.run sim ~procs:4 ~chaos:spec C.collectives in
   Alcotest.(check bool) "values identical" true (bare = slow);
   Alcotest.(check bool) "straggler visible in makespan" true (s1.Sim.makespan > s0.Sim.makespan)
 
@@ -1020,7 +938,7 @@ let test_chaos_crashes_at_time () =
               eng.Engine.work 4.0;
               eng.Engine.send ~dest:0 ~tag:0 2;
               failwith "unreachable: rank 1 crashed at t >= 4")
-            (Engine.of_sim ctx)
+            (Sim.engine ctx)
         end
         else begin
           (* unit costs price a marshalled int at ~25 simulated seconds of
@@ -1060,8 +978,8 @@ let test_prop_chaos_value_identity () =
       Prop.Runner.Skip_case
     else begin
       let spec = Chaos.delays ~seed ~prob:(float_of_int prob10 /. 10.0) ~max_hold () in
-      let bare, _ = Spmd.run sim ~procs chaos_battery in
-      let perturbed, _ = Spmd.run sim ~procs ~chaos:spec chaos_battery in
+      let bare, _ = Spmd.run sim ~procs C.collectives in
+      let perturbed, _ = Spmd.run sim ~procs ~chaos:spec C.collectives in
       if perturbed = bare then Prop.Runner.Pass_case
       else Prop.Runner.Fail_case "chaos changed collective values"
     end
@@ -1202,12 +1120,8 @@ let suite =
 
 (* --- bulk slice tier ------------------------------------------------------------ *)
 
-let slice_of_list xs =
-  let a = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout (Array.of_list xs) in
-  (a : Engine.slice)
-
-let slice_to_list (s : Engine.slice) =
-  List.init (Bigarray.Array1.dim s) (Bigarray.Array1.get s)
+let slice_of_list = C.slice_of_list
+let slice_to_list = C.slice_to_list
 
 let test_slice_p2p_roundtrip () =
   List.iter
@@ -1244,53 +1158,15 @@ let test_slice_fifo_with_boxed () =
   in
   Alcotest.(check (list string)) "order" [ "first"; "2."; "third" ] !seen
 
-let slice_collective_battery c =
-  let p = Comm.size c in
-  let me = Comm.rank c in
-  let n = 17 in
-  let whole = List.init n (fun i -> float_of_int ((i * 3) + 1)) in
-  let bc = slice_to_list (Comm.bcast_slice c ~root:0 (if me = 0 then Some (slice_of_list whole) else None)) in
-  let mine = Comm.scatter_slice c ~root:0 (if me = 0 then Some (slice_of_list whole) else None) in
-  let back = Comm.gather_slice c ~root:0 mine in
-  let all = slice_to_list (Comm.allgather_slice c (slice_of_list [ float_of_int me; 100.0 ])) in
-  (bc, Option.map slice_to_list back, all)
-
-let check_slice_collectives : type s. s Backend.t -> unit =
- fun backend ->
-  (* every rank's values come home through [Spmd.run] and are checked
-     here on the main domain, never inside a rank body *)
-  let whole = List.init 17 (fun i -> float_of_int ((i * 3) + 1)) in
-  let check procs =
-    let per_rank, _ =
-      Spmd.run backend ~procs (fun c -> Comm.gather c ~root:0 (slice_collective_battery c))
-    in
-    let expected_all = List.concat (List.init procs (fun r -> [ float_of_int r; 100.0 ])) in
-    let name what = Printf.sprintf "%s p=%d %s" (Backend.name backend) procs what in
-    Array.iteri
-      (fun r (bc, back, all) ->
-        Alcotest.(check (list (float 0.0))) (name "bcast_slice") whole bc;
-        Alcotest.(check (option (list (float 0.0))))
-          (name "gather inverts scatter at the root only")
-          (if r = 0 then Some whole else None)
-          back;
-        Alcotest.(check (list (float 0.0))) (name "allgather_slice") expected_all all)
-      per_rank
-  in
-  List.iter check [ 1; 2; 4 ]
-
-let test_slice_collectives_sim () = check_slice_collectives sim
+let test_slice_collectives_sim () = C.rooted_collectives_equal_sim sim
 
 (* the same battery through the multicore engine's zero-copy path *)
-let test_slice_collectives_multicore () = check_slice_collectives (Backend.multicore ())
+let test_slice_collectives_multicore () = C.rooted_collectives_equal_sim (Backend.multicore ())
 
 let test_slice_chaos_coherent () =
   (* the chaos wrapper holds/releases bulk sends like ordinary sends:
      values survive perturbation, and the zero-fault wrap is identity *)
-  let battery c =
-    let me = Comm.rank c in
-    let _, back, all = slice_collective_battery c in
-    if me = 0 then Some (back, all) else None
-  in
+  let battery = C.rooted_collectives in
   let bare, _ = Spmd.run sim ~procs:4 battery in
   List.iter
     (fun seed ->
@@ -1310,6 +1186,8 @@ let suite =
           Alcotest.test_case "collectives (multicore)" `Quick test_slice_collectives_multicore;
           Alcotest.test_case "chaos coherence" `Quick test_slice_chaos_coherent;
         ] );
+      ("contract", [ Alcotest.test_case "argument checks" `Quick (fun () -> C.argument_checks sim) ]);
     ]
+  @ C.chaos_groups sim
 
 let () = Alcotest.run "machine" suite

@@ -6,58 +6,20 @@
 open Machine
 module Spmd = Scl_sim.Spmd
 
-let contains msg needle =
-  let n = String.length needle and m = String.length msg in
-  let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
-  go 0
+module C = Engine_contract
 
 (* --- fabric basics ------------------------------------------------------ *)
 
 let test_single_rank () =
-  let v, stats = Multicore.run_collect ~procs:1 (fun eng -> Some (eng.Engine.rank + 41)) in
-  Alcotest.(check int) "value" 41 v;
+  let stats = C.single_rank (Backend.multicore ()) in
   Alcotest.(check int) "no messages" 0 stats.Multicore.total_msgs
 
 let test_ping_pong () =
-  let v, stats =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
-        if eng.Engine.rank = 0 then begin
-          eng.Engine.send ~dest:1 ~tag:5 "ping";
-          let (s : string) = eng.Engine.recv ~src:1 ~tag:6 () in
-          Some s
-        end
-        else begin
-          let (s : string) = eng.Engine.recv ~src:0 ~tag:5 () in
-          eng.Engine.send ~dest:0 ~tag:6 (s ^ "-pong");
-          None
-        end)
-  in
-  Alcotest.(check string) "round trip" "ping-pong" v;
+  let stats = C.ping_pong (Backend.multicore ~domains:2 ()) in
   Alcotest.(check int) "two messages" 2 stats.Multicore.total_msgs
 
-(* Receiving tags out of send order must work: the pending stash holds the
-   earlier message until it is asked for. *)
-let test_tag_discipline_out_of_order () =
-  let v, _ =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
-        if eng.Engine.rank = 0 then begin
-          eng.Engine.send ~dest:1 ~tag:1 10;
-          eng.Engine.send ~dest:1 ~tag:2 20;
-          None
-        end
-        else begin
-          let (b : int) = eng.Engine.recv ~src:0 ~tag:2 () in
-          let (a : int) = eng.Engine.recv ~src:0 ~tag:1 () in
-          Some (a, b)
-        end)
-  in
-  Alcotest.(check (pair int int)) "tags matched, not arrival order" (10, 20) v
-
-let test_self_send_rejected () =
-  Alcotest.check_raises "self send" (Invalid_argument "Multicore.send: self-send is not supported (use a local value)")
-    (fun () ->
-      ignore (Multicore.run ~procs:2 (fun eng ->
-          if eng.Engine.rank = 0 then eng.Engine.send ~dest:0 ~tag:0 ())))
+let test_tag_discipline_out_of_order () = C.out_of_order_tags (Backend.multicore ~domains:2 ())
+let test_self_send_rejected () = C.self_send_rejected (Backend.multicore ())
 
 (* Zero-copy: a large array must arrive as the same physical object. *)
 let test_zero_copy_identity () =
@@ -77,17 +39,7 @@ let test_zero_copy_identity () =
 
 (* --- deadlock detection by quiescence ----------------------------------- *)
 
-let test_deadlock_mutual_recv () =
-  match
-    Multicore.run ~procs:2 ~domains:2 (fun eng ->
-        let peer = 1 - eng.Engine.rank in
-        let (_ : unit) = eng.Engine.recv ~src:peer ~tag:0 () in
-        ())
-  with
-  | _ -> Alcotest.fail "expected deadlock"
-  | exception Multicore.Deadlock msg ->
-      Alcotest.(check bool) "describes blocked ranks" true
-        (contains msg "no runnable processor" && contains msg "recv(src=")
+let test_deadlock_mutual_recv () = C.mutual_recv_deadlock (Backend.multicore ~domains:2 ())
 
 (* Deadlock where a message exists but can never match (wrong tag): the
    in-flight counter must not keep the detector from firing. *)
@@ -104,33 +56,17 @@ let test_deadlock_unmatched_tag () =
           ())
   with
   | _ -> Alcotest.fail "expected deadlock"
-  | exception Multicore.Deadlock _ -> ()
+  | exception Fault.Deadlock _ -> ()
 
 (* One rank exits while another still waits for it: quiescence must also be
    detected when the only potential sender is gone. *)
 let test_deadlock_sender_finished () =
-  match
-    Multicore.run ~procs:2 ~domains:2 (fun eng ->
-        if eng.Engine.rank = 1 then
-          let (_ : unit) = eng.Engine.recv ~src:0 ~tag:0 () in
-          ())
-  with
-  | _ -> Alcotest.fail "expected deadlock"
-  | exception Multicore.Deadlock _ -> ()
+  ignore (C.sender_finished_deadlock (Backend.multicore ~domains:2 ()))
 
-let test_undelivered_message () =
-  match
-    Multicore.run ~procs:2 ~domains:2 (fun eng ->
-        if eng.Engine.rank = 0 then eng.Engine.send ~dest:1 ~tag:3 42)
-  with
-  | _ -> Alcotest.fail "expected undelivered-message failure"
-  | exception Multicore.Deadlock msg ->
-      Alcotest.(check bool) "mentions undelivered" true (contains msg "undelivered")
+let test_undelivered_message () = C.undelivered_message (Backend.multicore ~domains:2 ())
 
 let test_rank_exception_propagates () =
-  match Multicore.run ~procs:4 ~domains:2 (fun eng -> if eng.Engine.rank = 2 then failwith "boom") with
-  | _ -> Alcotest.fail "expected exception"
-  | exception Failure msg -> Alcotest.(check string) "original exception" "boom" msg
+  C.rank_exception_propagates (Backend.multicore ~domains:2 ())
 
 (* --- seeded multi-domain stress ------------------------------------------ *)
 
@@ -229,58 +165,9 @@ let test_multiplexed_ranks () =
 
 (* --- engine equivalence: same program, identical values ------------------ *)
 
-let collective_program (comm : Comm.t) =
-  let p = Comm.size comm in
-  let me = Comm.rank comm in
-  let reduced = Comm.allreduce comm ( + ) (me + 1) in
-  let scanned = Comm.scan comm ( + ) (me + 1) in
-  let gathered = Comm.allgather comm (me * me) in
-  let transposed = Comm.alltoall comm (Array.init p (fun j -> (me * 100) + j)) in
-  let sub = Comm.split comm ~color:(me mod 2) ~key:me in
-  let sub_sum = Comm.allreduce sub ( + ) me in
-  let everything = (reduced, scanned, gathered, transposed, sub_sum) in
-  match Comm.gather comm ~root:0 everything with
-  | Some all -> Some (Array.to_list all)
-  | None -> None
-
-let test_engine_equivalence_collectives () =
-  List.iter
-    (fun procs ->
-      let sim, _ = Spmd.run (Backend.sim ()) ~procs collective_program in
-      let mc, _ = Spmd.run (Backend.multicore ()) ~procs collective_program in
-      Alcotest.(check bool)
-        (Printf.sprintf "collectives agree at p=%d" procs)
-        true (sim = mc))
-    [ 1; 2; 4 ]
-
-let test_engine_equivalence_hyperquicksort () =
-  let rng = Runtime.Xoshiro.of_seed 1995 in
-  let data = Array.init 800 (fun _ -> Runtime.Xoshiro.int rng 10_000) in
-  let reference = Array.copy data in
-  Array.sort compare reference;
-  List.iter
-    (fun procs ->
-      let sim, _ = Algorithms.Hyperquicksort.sort (Backend.sim ()) ~procs data in
-      let mc, _ = Algorithms.Hyperquicksort.sort (Backend.multicore ()) ~procs data in
-      Alcotest.(check bool)
-        (Printf.sprintf "sim output sorted at p=%d" procs)
-        true (sim = reference);
-      Alcotest.(check bool)
-        (Printf.sprintf "multicore output identical at p=%d" procs)
-        true (mc = sim))
-    [ 1; 2; 4 ]
-
-let test_engine_equivalence_cannon_summa () =
-  let n = 12 in
-  let a = Algorithms.Cannon.random_matrix ~seed:7 n in
-  let b = Algorithms.Cannon.random_matrix ~seed:8 n in
-  let sim_c, _ = Algorithms.Cannon.multiply (Backend.sim ()) ~grid:2 a b in
-  let mc_c, _ = Algorithms.Cannon.multiply (Backend.multicore ()) ~grid:2 a b in
-  Alcotest.(check bool) "cannon blocks agree" true (sim_c = mc_c);
-  let sim_s, _ = Algorithms.Summa.multiply (Backend.sim ()) ~grid:2 a b in
-  let mc_s, _ = Algorithms.Summa.multiply (Backend.multicore ()) ~grid:2 a b in
-  Alcotest.(check bool) "summa blocks agree" true (sim_s = mc_s);
-  Alcotest.(check bool) "cannon = summa" true (sim_c = sim_s)
+let test_engine_equivalence_collectives () = C.collectives_equal_sim (Backend.multicore ())
+let test_engine_equivalence_hyperquicksort () = C.hyperquicksort_equal_sim (Backend.multicore ())
+let test_engine_equivalence_cannon_summa () = C.cannon_summa_equal_sim (Backend.multicore ())
 
 let test_engine_equivalence_solvers () =
   (* jacobi / heat2d / cg: bitwise-identical fixed points on both engines —
@@ -309,90 +196,16 @@ let test_engine_equivalence_solvers () =
   Alcotest.(check int) "cg same iteration count" c_sim.Algorithms.Cg.iterations
     c_mc.Algorithms.Cg.iterations
 
-let test_farm_on_multicore () =
-  (* dynamic farm exercises recv_any on the multicore fabric; results are
-     indexed, so the nondeterministic interleaving does not show *)
-  let spec = Algorithms.Farm_sim.skewed_spec ~njobs:40 ~skew:8 in
-  let expected = Array.init 40 (fun i -> i * i) in
-  let got, _ = Algorithms.Farm_sim.dynamic (Backend.multicore ~domains:4 ()) ~procs:4 spec in
-  Alcotest.(check bool) "all jobs done once" true (got = expected)
+let test_farm_on_multicore () = ignore (C.dynamic_farm (Backend.multicore ~domains:4 ()))
 
 (* --- faults: timeouts, crashes, chaos on real domains --------------------- *)
 
-let test_mc_reduce_root_sweep () =
-  (* the rotated-root ordering bug, on the real engine: every root must see
-     values folded in true rank order *)
-  let procs = 4 in
-  let expected = String.concat "" (List.init procs string_of_int) in
-  for root = 0 to procs - 1 do
-    let v, _ =
-      Spmd.run (Backend.multicore ~domains:4 ()) ~procs (fun c ->
-          Comm.reduce c ~root ( ^ ) (string_of_int (Comm.rank c)))
-    in
-    Alcotest.(check string) (Printf.sprintf "root=%d" root) expected v
-  done
-
-let test_mc_recv_timeout_fires () =
-  (* nobody sends: the receiver must get Fault.Timeout, not hang or Deadlock *)
-  let v, _ =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
-        if eng.Engine.rank = 1 then
-          match (eng.Engine.recv ~timeout:0.05 ~src:0 ~tag:0 () : int) with
-          | _ -> Some false
-          | exception Fault.Timeout _ -> Some true
-        else None)
-  in
-  Alcotest.(check bool) "Timeout raised" true v
-
-let test_mc_recv_timeout_in_time () =
-  (* a message that arrives promptly beats a generous deadline *)
-  let v, _ =
-    Multicore.run_collect ~procs:2 ~domains:2 (fun eng ->
-        if eng.Engine.rank = 0 then begin
-          eng.Engine.send ~dest:1 ~tag:0 77;
-          None
-        end
-        else Some (eng.Engine.recv ~timeout:10.0 ~src:0 ~tag:0 () : int))
-  in
-  Alcotest.(check int) "delivered" 77 v
-
-let test_mc_crash_is_fail_stop () =
-  (* a crashed rank must not fail the run nor leak its undelivered inbox *)
-  let v, _ =
-    Multicore.run_collect ~procs:3 ~domains:3 (fun eng ->
-        match eng.Engine.rank with
-        | 0 ->
-            eng.Engine.send ~dest:1 ~tag:0 42;
-            (* dies with the crash *)
-            None
-        | 1 -> raise (Fault.Crashed 1)
-        | _ -> Some "alive")
-  in
-  Alcotest.(check string) "live ranks finish" "alive" v
-
-let test_mc_chaos_delays_value_identical () =
-  (* delay/reorder chaos on real domains: collective values unchanged *)
-  let bare, _ = Spmd.run (Backend.multicore ~domains:4 ()) ~procs:4 collective_program in
-  List.iter
-    (fun seed ->
-      let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-      let v, _ =
-        Spmd.run (Backend.multicore ~domains:4 ()) ~procs:4 ~chaos:spec collective_program
-      in
-      Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (v = bare))
-    [ 1; 7; 42 ]
-
-let test_mc_farm_survives_worker_crash () =
-  (* rank 2 fail-stops on its 5th communication op (mid-job); with a grace
-     the master re-deals its job and the result set is still complete *)
-  let njobs = 30 in
-  let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
-  let expected = Array.init njobs (fun i -> i * i) in
-  let chaos = { Chaos.none with Chaos.crashes = [ (2, 5) ] } in
-  let got, _ =
-    Algorithms.Farm_sim.dynamic (Backend.multicore ~domains:4 ()) ~procs:4 ~grace:0.5 ~chaos spec
-  in
-  Alcotest.(check bool) "all jobs done exactly once" true (got = expected)
+let test_mc_reduce_root_sweep () = C.reduce_root_sweep (Backend.multicore ~domains:4 ())
+let test_mc_recv_timeout_fires () = ignore (C.timeout_fires (Backend.multicore ~domains:2 ()))
+let test_mc_recv_timeout_in_time () = ignore (C.in_time_delivery (Backend.multicore ~domains:2 ()))
+let test_mc_crash_is_fail_stop () = ignore (C.crash_is_fail_stop (Backend.multicore ~domains:3 ()))
+let test_mc_chaos_delays_value_identical () = C.chaos_delays_preserve_values (Backend.multicore ~domains:4 ())
+let test_mc_farm_survives_worker_crash () = ignore (C.farm_survives_worker_crash (Backend.multicore ~domains:4 ()))
 
 let test_mc_chaos_stall_parks_fiber_not_domain () =
   (* Regression: chaos straggler stalls used to be [Unix.sleepf], which
@@ -472,7 +285,13 @@ let suite =
         Alcotest.test_case "chaos stall parks fiber not domain" `Quick
           test_mc_chaos_stall_parks_fiber_not_domain;
       ] );
+    ( "contract",
+      [
+        Alcotest.test_case "argument checks" `Quick (fun () ->
+            C.argument_checks (Backend.multicore ()));
+      ] );
   ]
+  @ C.chaos_groups (Backend.multicore ~domains:2 ())
 
 (* --- allocation-free hot path ------------------------------------------------- *)
 
@@ -577,6 +396,29 @@ let suite =
           Alcotest.test_case "10k ping-pong allocates nothing" `Quick
             test_send_recv_allocation_free;
           Alcotest.test_case "mc.minor_words surfaced" `Quick test_minor_words_counter_surfaced;
+        ] );
+    ]
+
+(* --- domain hygiene --------------------------------------------------------- *)
+
+let test_failed_spawn_releases_domains () =
+  (* the runtime's domain table is finite: asking for more domains than it
+     holds must fail, and the domains spawned before the failure must be
+     released, or every later run fails for want of a slot *)
+  (match Multicore.run ~domains:128 ~procs:128 ignore with
+  | _ -> Alcotest.fail "expected a refused spawn"
+  | exception Failure _ -> ());
+  let v, _ = Multicore.run_collect ~domains:2 ~procs:2 (fun eng -> Some eng.Engine.size) in
+  Alcotest.(check int) "a later run still spawns" 2 v
+
+(* Last: it fills the domain table. *)
+let suite =
+  suite
+  @ [
+      ( "domains",
+        [
+          Alcotest.test_case "failed spawn releases spawned domains" `Quick
+            test_failed_spawn_releases_domains;
         ] );
     ]
 

@@ -14,117 +14,36 @@
 open Machine
 module Spmd = Scl_sim.Spmd
 
-let contains msg needle =
-  let n = String.length needle and m = String.length msg in
-  let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
-  go 0
+module C = Engine_contract
+
+let contains = C.contains
 
 (* --- fabric basics ------------------------------------------------------ *)
 
 let test_single_rank () =
-  let v, stats = Procs.run_collect ~procs:1 (fun eng -> Some (eng.Engine.rank + 41)) in
-  Alcotest.(check int) "value" 41 v;
+  let stats = C.single_rank Backend.procs in
   Alcotest.(check int) "no messages" 0 stats.Procs.total_msgs;
   Alcotest.(check int) "one process" 1 stats.Procs.procs_used;
   Alcotest.(check (list int)) "no crashes" [] stats.Procs.crashed
 
 let test_ping_pong () =
-  let v, stats =
-    Procs.run_collect ~procs:2 (fun eng ->
-        if eng.Engine.rank = 0 then begin
-          eng.Engine.send ~dest:1 ~tag:5 "ping";
-          let (s : string) = eng.Engine.recv ~src:1 ~tag:6 () in
-          Some s
-        end
-        else begin
-          let (s : string) = eng.Engine.recv ~src:0 ~tag:5 () in
-          eng.Engine.send ~dest:0 ~tag:6 (s ^ "-pong");
-          None
-        end)
-  in
-  Alcotest.(check string) "round trip crossed two processes" "ping-pong" v;
+  let stats = C.ping_pong Backend.procs in
   Alcotest.(check int) "two messages" 2 stats.Procs.total_msgs;
   Alcotest.(check int) "two receives" 2 stats.Procs.total_recvs
 
-(* Receiving tags out of send order: the pending stash holds the earlier
-   frame until it is asked for, FIFO per (source, tag). *)
-let test_tag_discipline_out_of_order () =
-  let v, _ =
-    Procs.run_collect ~procs:2 (fun eng ->
-        if eng.Engine.rank = 0 then begin
-          eng.Engine.send ~dest:1 ~tag:1 10;
-          eng.Engine.send ~dest:1 ~tag:2 20;
-          None
-        end
-        else begin
-          let (b : int) = eng.Engine.recv ~src:0 ~tag:2 () in
-          let (a : int) = eng.Engine.recv ~src:0 ~tag:1 () in
-          Some (a, b)
-        end)
-  in
-  Alcotest.(check (pair int int)) "tags matched, not arrival order" (10, 20) v
+let test_tag_discipline_out_of_order () = C.out_of_order_tags Backend.procs
+let test_self_send_rejected () = C.self_send_rejected Backend.procs
+let test_recv_timeout_fires () = ignore (C.timeout_fires Backend.procs)
+let test_recv_timeout_in_time () = ignore (C.in_time_delivery Backend.procs)
 
-let test_self_send_rejected () =
-  Alcotest.check_raises "self send"
-    (Invalid_argument "Procs.send: self-send is not supported (use a local value)") (fun () ->
-      ignore
-        (Procs.run ~procs:2 (fun eng ->
-             if eng.Engine.rank = 0 then eng.Engine.send ~dest:0 ~tag:0 ())))
-
-let test_recv_timeout_fires () =
-  (* nobody sends: the receiver must get Fault.Timeout via the select
-     deadline, not hang *)
-  let v, _ =
-    Procs.run_collect ~procs:2 (fun eng ->
-        if eng.Engine.rank = 1 then
-          match (eng.Engine.recv ~timeout:0.05 ~src:0 ~tag:0 () : int) with
-          | _ -> Some false
-          | exception Fault.Timeout _ -> Some true
-        else None)
-  in
-  Alcotest.(check bool) "Timeout raised" true v
-
-let test_recv_timeout_in_time () =
-  let v, _ =
-    Procs.run_collect ~procs:2 (fun eng ->
-        if eng.Engine.rank = 0 then begin
-          eng.Engine.send ~dest:1 ~tag:0 77;
-          None
-        end
-        else Some (eng.Engine.recv ~timeout:10.0 ~src:0 ~tag:0 () : int))
-  in
-  Alcotest.(check int) "delivered" 77 v
-
+(* waiting on a rank that finished cleanly (goodbye then EOF) is a
+   protocol bug, reported as Deadlock — not Crashed *)
 let test_deadlock_sender_finished () =
-  (* waiting on a rank that finished cleanly (goodbye then EOF) is a
-     protocol bug, reported as Deadlock — not Crashed *)
-  (match Procs.run ~procs:2 (fun eng ->
-       if eng.Engine.rank = 0 then ignore (eng.Engine.recv ~src:1 ~tag:0 () : int))
-   with
-  | _ -> Alcotest.fail "expected Procs.Deadlock"
-  | exception Procs.Deadlock msg ->
-      Alcotest.(check bool) "names the finished peer" true (contains msg "finished cleanly"));
-  ()
+  Alcotest.(check bool) "names the finished peer" true
+    (contains (C.sender_finished_deadlock Backend.procs) "finished cleanly")
 
-let test_undelivered_message () =
-  (* a clean finish with unconsumed inbound frames trips the same
-     undelivered-message check as the other engines. The receiver sleeps
-     first so the frame is guaranteed to have crossed the socket. *)
-  match
-    Procs.run ~procs:2 (fun eng ->
-        if eng.Engine.rank = 0 then eng.Engine.send ~dest:1 ~tag:9 "orphan"
-        else eng.Engine.sleep 0.3)
-  with
-  | _ -> Alcotest.fail "expected Procs.Deadlock (undelivered)"
-  | exception Procs.Deadlock msg ->
-      Alcotest.(check bool) "undelivered reported" true (contains msg "undelivered")
-
-let test_rank_exception_propagates () =
-  (* an arbitrary exception in one child crosses back to the parent with
-     its rank attached *)
-  match Procs.run ~procs:2 (fun eng -> if eng.Engine.rank = 1 then failwith "worker bug") with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure msg -> Alcotest.(check string) "message survives" "worker bug" msg
+let test_undelivered_message () = C.undelivered_message ~sync:true Backend.procs
+let test_rank_exception_propagates () = C.rank_exception_propagates Backend.procs
 
 (* A frame far larger than the socket buffer must be wholly in the
    kernel when [send] returns: rank 0 then leaves the engine for good
@@ -213,124 +132,15 @@ let test_real_kill_timed_recv_still_times_out () =
 let test_chaos_crash_is_fail_stop () =
   (* Chaos's Fault.Crashed self-raise fail-stops the real process: no
      goodbye, sockets slammed shut, run completes without it *)
-  let v, stats =
-    Procs.run_collect ~procs:3 (fun eng ->
-        match eng.Engine.rank with
-        | 0 ->
-            eng.Engine.send ~dest:1 ~tag:0 42;
-            (* dies with the crash *)
-            None
-        | 1 -> raise (Fault.Crashed 1)
-        | _ -> Some "alive")
-  in
-  Alcotest.(check string) "live ranks finish" "alive" v;
+  let stats = C.crash_is_fail_stop Backend.procs in
   Alcotest.(check (list int)) "crash recorded" [ 1 ] stats.Procs.crashed
 
 (* --- engine equivalence: same program, identical values ------------------ *)
 
-let collective_program (comm : Comm.t) =
-  let p = Comm.size comm in
-  let me = Comm.rank comm in
-  let reduced = Comm.allreduce comm ( + ) (me + 1) in
-  let scanned = Comm.scan comm ( + ) (me + 1) in
-  let gathered = Comm.allgather comm (me * me) in
-  let transposed = Comm.alltoall comm (Array.init p (fun j -> (me * 100) + j)) in
-  let sub = Comm.split comm ~color:(me mod 2) ~key:me in
-  let sub_sum = Comm.allreduce sub ( + ) me in
-  let everything = (reduced, scanned, gathered, transposed, sub_sum) in
-  match Comm.gather comm ~root:0 everything with
-  | Some all -> Some (Array.to_list all)
-  | None -> None
-
-let test_engine_equivalence_collectives () =
-  List.iter
-    (fun procs ->
-      let sim, _ = Spmd.run (Backend.sim ()) ~procs collective_program in
-      let pr, _ = Spmd.run Backend.procs ~procs collective_program in
-      Alcotest.(check bool) (Printf.sprintf "collectives agree at p=%d" procs) true (sim = pr))
-    [ 1; 2; 4 ]
-
-(* The bcast/scatter/gather/allgather battery, boxed and slice tiers.
-   Slices cross the sockets as raw float64 bit patterns, so the values
-   must come back bitwise-identical to the simulator's. *)
-let bs_program (comm : Comm.t) =
-  let p = Comm.size comm in
-  let me = Comm.rank comm in
-  let mk n f =
-    let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      a.{i} <- f i
-    done;
-    a
-  in
-  let to_list (s : Engine.slice) = List.init (Bigarray.Array1.dim s) (fun i -> s.{i}) in
-  let b = Comm.bcast comm ~root:0 (if me = 0 then Some "root-word" else None) in
-  let sc = Comm.scatter comm ~root:0 (if me = 0 then Some (Array.init p (fun j -> j * 7)) else None) in
-  let g = Comm.gather comm ~root:0 (me * 11) in
-  let ag = Comm.allgather comm (me + 100) in
-  let bsl =
-    Comm.bcast_slice comm ~root:0
-      (if me = 0 then Some (mk 5 (fun i -> 1.0 /. float_of_int (i + 1))) else None)
-  in
-  let scl =
-    Comm.scatter_slice comm ~root:0
-      (if me = 0 then Some (mk (3 * p) (fun i -> float_of_int i *. 0.5)) else None)
-  in
-  let gsl = Comm.gather_slice comm ~root:0 (mk 2 (fun i -> float_of_int ((me * 10) + i))) in
-  let agl = Comm.allgather_slice comm (mk 1 (fun _ -> float_of_int me +. 0.25)) in
-  let everything =
-    ( b,
-      sc,
-      (match g with Some a -> Array.to_list a | None -> []),
-      Array.to_list ag,
-      to_list bsl,
-      to_list scl,
-      (match gsl with Some s -> to_list s | None -> []),
-      to_list agl )
-  in
-  match Comm.gather comm ~root:0 everything with
-  | Some all -> Some (Array.to_list all)
-  | None -> None
-
-let test_collective_battery_with_slices () =
-  List.iter
-    (fun procs ->
-      let sim, _ = Spmd.run (Backend.sim ()) ~procs bs_program in
-      let pr, _ = Spmd.run Backend.procs ~procs bs_program in
-      Alcotest.(check bool)
-        (Printf.sprintf "bcast/scatter/gather/allgather (+slices) agree at p=%d" procs)
-        true (sim = pr))
-    [ 2; 4 ]
-
-let test_reduce_root_sweep () =
-  (* every root must see values folded in true rank order (the PR 5
-     rotated-root bug), now across process boundaries *)
-  let procs = 4 in
-  let expected = String.concat "" (List.init procs string_of_int) in
-  for root = 0 to procs - 1 do
-    let v, _ =
-      Spmd.run Backend.procs ~procs (fun c ->
-          match Comm.reduce c ~root ( ^ ) (string_of_int (Comm.rank c)) with
-          | Some s -> Some s
-          | None -> None)
-    in
-    Alcotest.(check string) (Printf.sprintf "root=%d" root) expected v
-  done
-
-let test_engine_equivalence_hyperquicksort () =
-  let rng = Runtime.Xoshiro.of_seed 1995 in
-  let data = Array.init 600 (fun _ -> Runtime.Xoshiro.int rng 10_000) in
-  let reference = Array.copy data in
-  Array.sort compare reference;
-  List.iter
-    (fun procs ->
-      let sim, _ = Algorithms.Hyperquicksort.sort (Backend.sim ()) ~procs data in
-      let pr, _ = Algorithms.Hyperquicksort.sort Backend.procs ~procs data in
-      Alcotest.(check bool) (Printf.sprintf "sim output sorted at p=%d" procs) true
-        (sim = reference);
-      Alcotest.(check bool) (Printf.sprintf "procs output identical at p=%d" procs) true
-        (pr = sim))
-    [ 1; 2; 4 ]
+let test_engine_equivalence_collectives () = C.collectives_equal_sim Backend.procs
+let test_collective_battery_with_slices () = C.rooted_collectives_equal_sim Backend.procs
+let test_reduce_root_sweep () = C.reduce_root_sweep Backend.procs
+let test_engine_equivalence_hyperquicksort () = C.hyperquicksort_equal_sim Backend.procs
 
 (* Bulk frames in both directions at once, every pair in flight: each
    frame is megabytes, far above the socket buffer, so both partners sit
@@ -391,50 +201,18 @@ let test_bulk_frames_both_directions () =
 
 (* --- chaos on real processes --------------------------------------------- *)
 
-let test_chaos_zero_fault_value_identical () =
-  let bare, _ = Spmd.run Backend.procs ~procs:4 collective_program in
-  let wrapped, _ = Spmd.run Backend.procs ~procs:4 ~chaos:Chaos.none collective_program in
-  Alcotest.(check bool) "Chaos.none changes nothing" true (bare = wrapped)
-
-let test_chaos_delays_value_identical () =
-  let bare, _ = Spmd.run Backend.procs ~procs:4 collective_program in
-  List.iter
-    (fun seed ->
-      let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
-      let v, _ = Spmd.run Backend.procs ~procs:4 ~chaos:spec collective_program in
-      Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (v = bare))
-    [ 1; 7; 42 ]
+let test_chaos_zero_fault_value_identical () = ignore (C.chaos_none_identity Backend.procs)
+let test_chaos_delays_value_identical () = C.chaos_delays_preserve_values Backend.procs
 
 (* --- the crash-tolerant farm, driven by real process deaths --------------- *)
 
-let farm_expected njobs = Array.init njobs (fun i -> i * i)
-
 let test_farm_on_procs () =
   List.iter
-    (fun procs ->
-      let njobs = 24 in
-      let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
-      let got, stats = Algorithms.Farm_sim.dynamic Backend.procs ~procs spec in
-      Alcotest.(check bool)
-        (Printf.sprintf "all jobs done once at p=%d" procs)
-        true
-        (got = farm_expected njobs);
-      Alcotest.(check (list int)) "no crashes" [] stats.Procs.crashed)
-    [ 2; 4 ]
+    (fun stats -> Alcotest.(check (list int)) "no crashes" [] stats.Procs.crashed)
+    (C.dynamic_farm Backend.procs)
 
 let test_farm_survives_chaos_worker_crash () =
-  (* rank 2 fail-stops on its 5th communication op (mid-job) — on this
-     engine that is a process dying with its sockets; the master's grace
-     timeouts detect the silence and re-deal its job *)
-  let njobs = 24 in
-  let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
-  (* [work] is a no-op here, so instant job bodies let the first workers
-     drain the queue before rank 2 has made its 5th op — then it never
-     crashes. A couple of real milliseconds per job keeps it in play. *)
-  let spec = { spec with run = (fun i -> Unix.sleepf 0.002; spec.run i) } in
-  let chaos = { Chaos.none with Chaos.crashes = [ (2, 5) ] } in
-  let got, stats = Algorithms.Farm_sim.dynamic Backend.procs ~procs:4 ~grace:0.5 ~chaos spec in
-  Alcotest.(check bool) "all jobs done exactly once" true (got = farm_expected njobs);
+  let stats = C.farm_survives_worker_crash Backend.procs in
   Alcotest.(check (list int)) "the crash is recorded" [ 2 ] stats.Procs.crashed
 
 let test_farm_survives_real_kill () =
@@ -456,7 +234,7 @@ let test_farm_survives_real_kill () =
         end
         else Algorithms.Farm_sim.dynamic_program ~grace:0.5 spec comm)
   in
-  Alcotest.(check bool) "all jobs done despite the kill" true (got = farm_expected njobs);
+  Alcotest.(check bool) "all jobs done despite the kill" true (got = C.farm_expected njobs);
   Alcotest.(check (list int)) "the dead worker is recorded" [ 3 ] stats.Procs.crashed
 
 let test_farm_all_workers_lost () =
@@ -552,14 +330,20 @@ let suite =
         Alcotest.test_case "300 runs leak no fd and no child" `Quick
           test_repeated_runs_leave_nothing;
       ] );
-    (* after the fork-heavy groups: the simulator leg grows this process's
-       heap, and every later fork pays for its page tables *)
-    ( "bulk",
-      [
-        Alcotest.test_case "frames both directions p=2/4" `Quick
-          test_bulk_frames_both_directions;
-      ] );
+    ( "contract",
+      [ Alcotest.test_case "argument checks" `Quick (fun () -> C.argument_checks Backend.procs) ]
+    );
   ]
+  @ C.chaos_groups Backend.procs
+  @ [
+      (* after the fork-heavy groups: the simulator leg grows this process's
+         heap, and every later fork pays for its page tables *)
+      ( "bulk",
+        [
+          Alcotest.test_case "frames both directions p=2/4" `Quick
+            test_bulk_frames_both_directions;
+        ] );
+    ]
 
 (* --- the run contract, on all three engines ------------------------------- *)
 

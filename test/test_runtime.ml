@@ -380,6 +380,16 @@ let test_barrier_phases () =
   Array.iter Domain.join ds;
   Array.iter (fun v -> Alcotest.(check int) "phases" phases v) log
 
+(* A released barrier lets its blocked parties go, and every later await
+   returns at once, though the party count is never reached. *)
+let test_barrier_release () =
+  let b = Barrier.create 3 in
+  let d = Domain.spawn (fun () -> Barrier.await b) in
+  Barrier.release b;
+  Domain.join d;
+  Barrier.await b;
+  Barrier.await b
+
 let test_barrier_invalid () =
   Alcotest.check_raises "zero parties" (Invalid_argument "Barrier.create: parties must be positive")
     (fun () -> ignore (Barrier.create 0))
@@ -585,6 +595,17 @@ let test_barrier_two_pools_coexist () =
       let a = Pool.async p1 (fun () -> Pool.run p2 (fun () -> 5)) in
       Alcotest.(check int) "nested pools" 5 (Pool.await p1 a))
 
+let test_pool_failed_spawn_releases_workers () =
+  (* more workers than the domain table holds: the pool must refuse, and
+     release the workers it did spawn, or no later pool can spawn any *)
+  (match Pool.create ~num_domains:128 () with
+  | _ -> Alcotest.fail "expected a refused spawn"
+  | exception Failure _ -> ());
+  let p = Pool.create ~num_domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.teardown p)
+    (fun () -> Alcotest.(check int) "a later pool still runs" 5 (Pool.run p (fun () -> 5)))
+
 let suite =
   [
     ( "xoshiro",
@@ -635,6 +656,7 @@ let suite =
     ( "barrier",
       [
         Alcotest.test_case "phases" `Slow test_barrier_phases;
+        Alcotest.test_case "release opens for good" `Quick test_barrier_release;
         Alcotest.test_case "invalid parties" `Quick test_barrier_invalid;
       ] );
     ( "pool_extra",
@@ -648,6 +670,12 @@ let suite =
         Alcotest.test_case "non-commutative reduce order" `Quick test_pool_reduce_non_commutative;
         prop_pool_map_matches_seq;
         Alcotest.test_case "two pools coexist" `Quick test_barrier_two_pools_coexist;
+      ] );
+    (* last: it fills the runtime's domain table *)
+    ( "domains",
+      [
+        Alcotest.test_case "failed spawn releases spawned workers" `Quick
+          test_pool_failed_spawn_releases_workers;
       ] );
   ]
 

@@ -724,6 +724,16 @@ let prop_stream_matches_list_map =
       let pipe = farm ~workers (fun x -> (x * 31) mod 101) in
       run pipe xs = List.map (apply pipe) xs)
 
+let test_stream_failed_spawn_releases_stages () =
+  (* more stage workers than the domain table holds: the run must refuse,
+     and end and join the stages it did spawn, or no later pipe can run *)
+  let open Stream_skel in
+  (match run (farm ~workers:64 succ >>> farm ~workers:64 succ) [ 1 ] with
+  | _ -> Alcotest.fail "expected a refused spawn"
+  | exception Failure _ -> ());
+  Alcotest.(check (list int)) "a later pipe still runs" [ 3; 4 ]
+    (run (farm ~workers:2 succ >>> farm ~workers:2 succ) [ 1; 2 ])
+
 (* --- Fused primitives ------------------------------------------------------------- *)
 
 let test_fused_map_fold =
@@ -1215,6 +1225,12 @@ let () =
         [
           Alcotest.test_case "chunk bounds" `Quick test_chunk_bounds;
           Alcotest.test_case "grain heuristic" `Quick test_grain_for;
+        ] );
+      (* last: it fills the runtime's domain table *)
+      ( "domains",
+        [
+          Alcotest.test_case "failed spawn releases spawned stages" `Quick
+            test_stream_failed_spawn_releases_stages;
         ] );
     ]
   in

@@ -132,7 +132,7 @@ let test_all_workers_lost_fails_loudly () =
 
 (* After the last result the master must release every worker: the
    simulator itself proves the shutdown clean, because any undelivered
-   message or still-blocked processor raises [Sim.Deadlock]. *)
+   message or still-blocked processor raises [Fault.Deadlock]. *)
 let test_drain_releases_everyone () =
   let cfg = Service.default ~clients:2 ~queue_bound:8 ~batch:3 ~admission:Service.Block () in
   let r, _ = Service.run sim ~procs:7 cfg (workload ~arrivals:20 ()) in
