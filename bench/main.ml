@@ -82,8 +82,8 @@ let print_baselines () =
   List.iter
     (fun p ->
       let _, h = Algorithms.Hyperquicksort.sort sim ~procs:p data in
-      let _, s = Algorithms.Sample_sort.sort_sim ~procs:p data in
-      let _, b = Algorithms.Bitonic.sort_sim ~procs:p data in
+      let _, s = Algorithms.Sample_sort.sort sim ~procs:p data in
+      let _, b = Algorithms.Bitonic.sort sim ~procs:p data in
       Printf.printf "  %5d   %14.3f   %11.3f   %7.3f\n" p h.Machine.Sim.makespan
         s.Machine.Sim.makespan b.Machine.Sim.makespan)
     [ 1; 4; 16; 32 ];
@@ -102,8 +102,8 @@ let print_ablation_fusion () =
   in
   let fused, steps = Rewrite.normalize pipeline in
   let input = Value.of_int_array (Array.init 65_536 (fun i -> i mod 911)) in
-  let v1, s1 = Sim_exec.run ~procs:16 pipeline input in
-  let v2, s2 = Sim_exec.run ~procs:16 fused input in
+  let v1, s1 = Spmd_exec.run sim ~procs:16 pipeline input in
+  let v2, s2 = Spmd_exec.run sim ~procs:16 fused input in
   assert (Value.equal v1 v2);
   Printf.printf "  pipeline : %s\n" (Ast.to_string pipeline);
   Printf.printf "  fused    : %s   (%d rewrite steps)\n" (Ast.to_string fused) (List.length steps);
@@ -131,8 +131,8 @@ let print_ablation_communication () =
   in
   let fused, _ = Rewrite.normalize pipeline in
   let input = Value.of_int_array (Array.init n (fun i -> i)) in
-  let v1, s1 = Sim_exec.run ~procs:16 pipeline input in
-  let v2, s2 = Sim_exec.run ~procs:16 fused input in
+  let v1, s1 = Spmd_exec.run sim ~procs:16 pipeline input in
+  let v2, s2 = Spmd_exec.run sim ~procs:16 fused input in
   assert (Value.equal v1 v2);
   Printf.printf "  pipeline : %s\n" (Ast.to_string pipeline);
   Printf.printf "  fused    : %s\n" (Ast.to_string fused);
@@ -203,7 +203,7 @@ let print_gauss_scaling () =
   let t1 = ref 0.0 in
   List.iter
     (fun p ->
-      let x, stats = Algorithms.Gauss.solve_sim ~procs:p a b in
+      let x, stats = Algorithms.Gauss.solve sim ~procs:p a b in
       assert (Algorithms.Seq_kernels.residual a x b < 1e-7);
       let t = stats.Machine.Sim.makespan in
       if p = 1 then t1 := t;
@@ -254,9 +254,9 @@ let print_ablation_commuting () =
   let default, _ = Rewrite.normalize pipeline in
   let aggressive, _ = Rewrite.normalize ~rules:Rules.aggressive pipeline in
   let input = Value.of_int_array (Array.init 65_536 (fun i -> i mod 313)) in
-  let v0, s0 = Sim_exec.run ~procs:16 pipeline input in
-  let v1, s1 = Sim_exec.run ~procs:16 default input in
-  let v2, s2 = Sim_exec.run ~procs:16 aggressive input in
+  let v0, s0 = Spmd_exec.run sim ~procs:16 pipeline input in
+  let v1, s1 = Spmd_exec.run sim ~procs:16 default input in
+  let v2, s2 = Spmd_exec.run sim ~procs:16 aggressive input in
   assert (Value.equal v0 v1 && Value.equal v1 v2);
   Printf.printf "  original   : %s\n" (Ast.to_string pipeline);
   Printf.printf "  default    : %s\n" (Ast.to_string default);
@@ -301,7 +301,7 @@ let print_farm_workloads () =
   let t1 = ref 0.0 in
   List.iter
     (fun p ->
-      let _, s = Algorithms.Nbody.accelerations_sim ~procs:p bodies in
+      let _, s = Algorithms.Nbody.accelerations sim ~procs:p bodies in
       if p = 1 then t1 := s.Machine.Sim.makespan;
       Printf.printf "    %5d   %8.4f   %7.2f\n" p s.Machine.Sim.makespan
         (!t1 /. s.Machine.Sim.makespan))
@@ -313,7 +313,7 @@ let print_farm_workloads () =
   Printf.printf "    procs   time (s)\n";
   List.iter
     (fun p ->
-      let h, s = Algorithms.Histogram.histogram_sim ~procs:p ~buckets:64 ~lo:0.0 ~hi:1.0 xs in
+      let h, s = Algorithms.Histogram.histogram sim ~procs:p ~buckets:64 ~lo:0.0 ~hi:1.0 xs in
       assert (Array.fold_left ( + ) 0 h = 200_000);
       Printf.printf "    %5d   %8.4f\n" p s.Machine.Sim.makespan)
     [ 1; 4; 16 ]
@@ -327,7 +327,7 @@ let print_farm_strategies () =
   List.iter
     (fun skew ->
       let spec = Algorithms.Farm_sim.skewed_spec ~njobs:64 ~skew in
-      let r1, s1 = Algorithms.Farm_sim.static ~procs:8 spec in
+      let r1, s1 = Algorithms.Farm_sim.static sim ~procs:8 spec in
       let r2, s2 = Algorithms.Farm_sim.dynamic sim ~procs:8 spec in
       assert (r1 = r2);
       Printf.printf "    %4d   %10.5f   %8.2f   %11.5f   %8.2f   %s\n" skew
@@ -350,7 +350,7 @@ let print_fft_scaling () =
   let t1 = ref 0.0 in
   List.iter
     (fun p ->
-      let got, s = Algorithms.Fft.fft_sim ~procs:p a in
+      let got, s = Algorithms.Fft.fft sim ~procs:p a in
       assert (Algorithms.Fft.complex_close got reference ~eps:1e-9);
       if p = 1 then t1 := s.Machine.Sim.makespan;
       Printf.printf "  %5d   %8.4f   %7.2f\n" p s.Machine.Sim.makespan
@@ -473,7 +473,7 @@ let print_cost_validation () =
   List.iter
     (fun (name, e) ->
       let est = Cost.estimate_pipeline ~procs ~n e in
-      let _, s = Sim_exec.run ~procs e input in
+      let _, s = Spmd_exec.run sim ~procs e input in
       ordered_est := (name, est) :: !ordered_est;
       ordered_sim := (name, s.Machine.Sim.makespan) :: !ordered_sim;
       Printf.printf "  %-14s %12.6f %12.6f %8.2f\n" name est s.Machine.Sim.makespan
@@ -500,11 +500,11 @@ let bechamel_tests () =
   in
   let gauss_small () =
     let a, b = Algorithms.Gauss.random_system ~seed:5 48 in
-    fun () -> ignore (Algorithms.Gauss.solve_sim ~procs:4 a b)
+    fun () -> ignore (Algorithms.Gauss.solve sim ~procs:4 a b)
   in
   let psrs_small () =
     let d = random_ints 4_000 in
-    fun () -> ignore (Algorithms.Sample_sort.sort_sim ~procs:8 d)
+    fun () -> ignore (Algorithms.Sample_sort.sort sim ~procs:8 d)
   in
   let fusion_workload () =
     let open Transform in
@@ -983,9 +983,9 @@ let bench_optimizer ~smoke () =
   let g = Optimizer.optimize ~procs ~n ~strategy:Optimizer.Greedy workload in
   let b = Optimizer.optimize ~procs ~n ~strategy:Optimizer.default_beam workload in
   sim_bench ~name:"optimizer/search-vs-greedy/greedy-sim" ~n ~procs (fun () ->
-      snd (Sim_exec.run ~procs g.Optimizer.output input));
+      snd (Spmd_exec.run sim ~procs g.Optimizer.output input));
   sim_bench ~name:"optimizer/search-vs-greedy/search-sim" ~n ~procs (fun () ->
-      snd (Sim_exec.run ~procs b.Optimizer.output input));
+      snd (Spmd_exec.run sim ~procs b.Optimizer.output input));
   let last = ref b in
   host_bench ~name:"optimizer/search-vs-greedy/wall" ~n ~procs:1 ~backend:"host" ~runs:5
     ~counters:(fun () ->
@@ -1203,20 +1203,20 @@ let run_measured ~smoke =
           s))
     sort_procs;
   sim_bench ~name:"sample_sort/sim/p16" ~n:n_sort ~procs:16 (fun () ->
-      snd (Algorithms.Sample_sort.sort_sim ~procs:16 sort_data));
+      snd (Algorithms.Sample_sort.sort sim ~procs:16 sort_data));
   sim_bench ~name:"bitonic/sim/p16" ~n:n_sort ~procs:16 (fun () ->
-      snd (Algorithms.Bitonic.sort_sim ~procs:16 sort_data));
+      snd (Algorithms.Bitonic.sort sim ~procs:16 sort_data));
   let n_fft = if smoke then 4_096 else 16_384 in
   let signal = Algorithms.Fft.random_signal ~seed:10 n_fft in
   sim_bench ~name:"fft/sim/p16" ~n:n_fft ~procs:16 (fun () ->
-      snd (Algorithms.Fft.fft_sim ~procs:16 signal));
+      snd (Algorithms.Fft.fft sim ~procs:16 signal));
   let n_gauss = if smoke then 64 else 256 in
   let a, b = Algorithms.Gauss.random_system ~seed:77 n_gauss in
   sim_bench ~name:"gauss/sim/p8" ~n:n_gauss ~procs:8 (fun () ->
-      snd (Algorithms.Gauss.solve_sim ~procs:8 a b));
+      snd (Algorithms.Gauss.solve sim ~procs:8 a b));
   let bodies = Algorithms.Nbody.random_bodies ~seed:6 (if smoke then 128 else 512) in
   sim_bench ~name:"nbody/sim/p8" ~n:(Array.length bodies) ~procs:8 (fun () ->
-      snd (Algorithms.Nbody.accelerations_sim ~procs:8 bodies));
+      snd (Algorithms.Nbody.accelerations sim ~procs:8 bodies));
   (* Host wall-clock benchmarks. *)
   bench_pool_sort ~smoke ();
   bench_multicore ~smoke ();

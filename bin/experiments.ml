@@ -88,8 +88,9 @@ let sorts cost size seed procs =
     [
       ( "hyperquicksort",
         fun ~procs data -> Algorithms.Hyperquicksort.sort (Machine.Backend.sim ~cost ()) ~procs data );
-      ("sample sort (PSRS)", fun ~procs data -> Algorithms.Sample_sort.sort_sim ~cost ~procs data);
-      ("bitonic", fun ~procs data -> Algorithms.Bitonic.sort_sim ~cost ~procs data);
+      ( "sample sort (PSRS)",
+        fun ~procs data -> Algorithms.Sample_sort.sort (Machine.Backend.sim ~cost ()) ~procs data );
+      ("bitonic", fun ~procs data -> Algorithms.Bitonic.sort (Machine.Backend.sim ~cost ()) ~procs data);
     ]
 
 let sorts_cmd =
@@ -106,7 +107,7 @@ let gauss cost size seed procs =
   let t1 = ref nan in
   List.iter
     (fun p ->
-      let x, stats = Algorithms.Gauss.solve_sim ~cost ~procs:p a b in
+      let x, stats = Algorithms.Gauss.solve (Machine.Backend.sim ~cost ()) ~procs:p a b in
       let res = Algorithms.Seq_kernels.residual a x b in
       if res > 1e-7 then failwith "residual too large!";
       if Float.is_nan !t1 then t1 := stats.makespan;
@@ -231,13 +232,14 @@ let optimize pipeline_src file entry procs n aggressive run_sim emit =
             (Runtime.Xoshiro.int_array (Runtime.Xoshiro.of_seed 1) ~len:n ~bound:1_000)
         in
         try
-          let v1, s1 = Transform.Sim_exec.run ~procs e input in
-          let v2, s2 = Transform.Sim_exec.run ~procs r.Transform.Optimizer.output input in
+          let sim = Machine.Backend.sim () in
+          let v1, s1 = Transform.Spmd_exec.run sim ~procs e input in
+          let v2, s2 = Transform.Spmd_exec.run sim ~procs r.Transform.Optimizer.output input in
           if not (Transform.Value.equal v1 v2) then failwith "optimised pipeline changed the result!";
           Printf.printf "simulated: %.6f s -> %.6f s (x%.2f), results identical\n"
             s1.Machine.Sim.makespan s2.Machine.Sim.makespan
             (s1.Machine.Sim.makespan /. s2.Machine.Sim.makespan)
-        with Transform.Sim_exec.Unsupported msg ->
+        with Transform.Spmd_exec.Unsupported msg ->
           Printf.printf "(not simulated: %s)\n" msg
       end;
       if emit then begin

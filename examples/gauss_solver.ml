@@ -31,7 +31,7 @@ let () =
   let t1 = ref 0.0 in
   List.iter
     (fun p ->
-      let xs, stats = Algorithms.Gauss.solve_sim ~procs:p a b in
+      let xs, stats = Algorithms.Gauss.solve (Machine.Backend.sim ()) ~procs:p a b in
       assert (Algorithms.Seq_kernels.residual a xs b < 1e-8);
       let t = stats.Machine.Sim.makespan in
       if p = 1 then t1 := t;

@@ -5,8 +5,8 @@
    Do not edit by hand: the test suite regenerates this file and
    asserts it is unchanged. *)
 
-let run_pipeline ?cost ~procs (input : int array) : int * Machine.Sim.stats =
-  Scl_sim.Spmd.run (Machine.Backend.sim ?cost ()) ~procs (fun comm ->
+let run_pipeline (type s) (backend : s Machine.Backend.t) ~procs (input : int array) : int * s =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       let dv0 =
         Scl_sim.Dvec.scatter comm ~root:0
           (if Machine.Comm.rank comm = 0 then Some input else None)

@@ -10,9 +10,14 @@ let () =
   Format.printf "=== Compiled skeleton pipeline (Transform.Codegen output) ===@.@.";
   Format.printf "pipeline: %s@.@." pipeline_src;
   let input = Array.init 1024 (fun i -> i mod 97) in
-  let result, stats = Generated_pipeline_lib.Generated_pipeline.run_pipeline ~procs:8 input in
+  let run backend = Generated_pipeline_lib.Generated_pipeline.run_pipeline backend ~procs:8 input in
+  let result, stats = run (Machine.Backend.sim ()) in
   Format.printf "generated code on 8 simulated processors: %d (%.6f s, %d msgs)@." result
     stats.Machine.Sim.makespan stats.Machine.Sim.total_msgs;
+  (* the emitted driver takes the engine as a value: the same code on real domains *)
+  let mc_result, _ = run (Machine.Backend.multicore ~domains:2 ()) in
+  Format.printf "generated code on 8 ranks, 2 real domains: %d@." mc_result;
+  assert (mc_result = result);
   (* reference: the interpreter on the same pipeline *)
   let e = Transform.Parser.parse_exn pipeline_src in
   let expected =

@@ -43,8 +43,9 @@ let () =
   in
   let optimized, _ = Rewrite.normalize pipeline in
   let input = Value.of_int_array (Array.init 65536 (fun i -> i mod 97)) in
-  let v1, s1 = Sim_exec.run ~procs:16 pipeline input in
-  let v2, s2 = Sim_exec.run ~procs:16 optimized input in
+  let sim = Machine.Backend.sim () in
+  let v1, s1 = Spmd_exec.run sim ~procs:16 pipeline input in
+  let v2, s2 = Spmd_exec.run sim ~procs:16 optimized input in
   assert (Value.equal v1 v2);
   Format.printf "original  : %a@.            simulated %.6f s@." Ast.pp pipeline
     s1.Machine.Sim.makespan;

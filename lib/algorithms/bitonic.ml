@@ -47,11 +47,10 @@ let bitonic_program (data : int array option) (comm : Comm.t) : int array option
       Some (Array.sub all 0 total)
   | None -> None
 
-let sort_sim ?cost ?trace ~procs (data : int array) :
-    int array * Sim.stats =
+let sort backend ~procs (data : int array) =
   if not (Topology.is_power_of_two procs) then
-    invalid_arg "Bitonic.sort_sim: processor count must be a power of two";
+    invalid_arg "Bitonic.sort: processor count must be a power of two";
   if Array.exists (fun x -> x = sentinel) data then
-    invalid_arg "Bitonic.sort_sim: max_int keys are reserved as padding sentinels";
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~topology:Topology.Hypercube ~procs (fun comm ->
+    invalid_arg "Bitonic.sort: max_int keys are reserved as padding sentinels";
+  Scl_sim.Spmd.run backend ~topology:Topology.Hypercube ~procs (fun comm ->
       bitonic_program (if Comm.rank comm = 0 then Some data else None) comm)

@@ -5,10 +5,10 @@
 
 open Machine
 
-val sort_sim :
-  ?cost:Cost_model.t -> ?trace:Trace.t -> procs:int -> int array -> int array * Sim.stats
-(** [procs] must be a power of two; [max_int] keys are reserved as padding
-    sentinels. @raise Invalid_argument otherwise. *)
+val sort : 's Backend.t -> procs:int -> int array -> int array * 's
+(** The SPMD program on the chosen engine; identical output on every
+    engine. [procs] must be a power of two; [max_int] keys are reserved
+    as padding sentinels. @raise Invalid_argument otherwise. *)
 
 val compare_split : keep_low:bool -> int array -> int array -> int array
 (** Merge my sorted block with the partner's and keep the lower or upper

@@ -4,8 +4,8 @@
    shift-multiply-accumulate rounds.
 
    Host rendering: Par_array2 of blocks + rotate_row/rotate_col.
-   Simulator rendering: q x q processors on a torus (the AP1000's T-net
-   shape), shifting blocks to grid neighbours each round. *)
+   SPMD rendering (any engine): q x q processors on a torus (the AP1000's
+   T-net shape), shifting blocks to grid neighbours each round. *)
 
 open Scl
 

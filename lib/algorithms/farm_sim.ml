@@ -5,7 +5,9 @@
      irregular job sizes leave processors idle);
    - [dynamic]: a master deals jobs on demand (the task-queue reading the
      farm skeleton historically carries — every job costs a round trip,
-     but load balances; it runs on any engine).
+     but load balances).
+
+   Both run on any engine.
 
    The crossover between the two under varying job-size skew is the
    classic farm-implementation trade-off; the bench harness reports it.
@@ -23,8 +25,8 @@ type 'r job_spec = {
 
 (* --- static farm: block distribution ------------------------------------- *)
 
-let static ?cost ~procs (spec : 'r job_spec) : 'r array * Sim.stats =
-  Scl_sim.Spmd.run (Backend.sim ?cost ()) ~procs (fun comm ->
+let static backend ~procs (spec : 'r job_spec) =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       let me = Comm.rank comm in
       let p = Comm.size comm in
       let bounds = Scl_sim.Dvec.block_bounds ~total:spec.njobs ~parts:p in

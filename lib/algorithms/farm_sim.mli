@@ -11,8 +11,9 @@ type 'r job_spec = {
   flops : int -> int;  (** simulated cost of job [i] *)
 }
 
-val static : ?cost:Cost_model.t -> procs:int -> 'r job_spec -> 'r array * Sim.stats
-(** Jobs block-scattered up front; no scheduling traffic. *)
+val static : 's Backend.t -> procs:int -> 'r job_spec -> 'r array * 's
+(** Jobs block-scattered up front; no scheduling traffic. Runs on any
+    engine; on [procs] results must be marshalable. *)
 
 val dynamic :
   's Backend.t ->

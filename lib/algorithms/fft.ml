@@ -5,8 +5,8 @@
    same as hyperquicksort's, which is why the hypercube was the natural
    home for both.
 
-   Host rendering over ParArrays and a simulator rendering over Dvec; both
-   are verified against a naive O(n^2) DFT. *)
+   Host rendering over ParArrays and an SPMD rendering over Dvec (any
+   engine); both are verified against a naive O(n^2) DFT. *)
 
 open Scl
 
@@ -83,7 +83,7 @@ let dft_naive ?(inverse = false) (a : Complex.t array) : Complex.t array =
   if inverse then Array.map (fun c -> Complex.div c { re = float_of_int n; im = 0.0 }) out
   else out
 
-(* --- simulator rendering ------------------------------------------------------ *)
+(* --- SPMD rendering (any engine) ----------------------------------------------- *)
 
 open Machine
 
@@ -118,10 +118,9 @@ let fft_program ?(inverse = false) (a : Complex.t array option) (comm : Comm.t) 
     Scl_sim.Dvec.gather ~root:0 scale
   end
 
-let fft_sim ?cost ?trace ?(inverse = false) ~procs
-    (a : Complex.t array) : Complex.t array * Sim.stats =
-  check_length "Fft.fft_sim" (max 1 (Array.length a));
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
+let fft backend ?(inverse = false) ~procs (a : Complex.t array) =
+  check_length "Fft.fft" (max 1 (Array.length a));
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       fft_program ~inverse (if Comm.rank comm = 0 then Some a else None) comm)
 
 (* --- helpers for tests and demos ----------------------------------------------- *)

@@ -12,14 +12,9 @@ val fft_scl : ?exec:Scl.Exec.t -> ?inverse:bool -> Complex.t array -> Complex.t 
 
 val ifft_scl : ?exec:Scl.Exec.t -> Complex.t array -> Complex.t array
 
-val fft_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?inverse:bool ->
-  procs:int ->
-  Complex.t array ->
-  Complex.t array * Sim.stats
-(** Simulator rendering over Dvec (any processor count; the xor exchanges
+val fft : 's Backend.t -> ?inverse:bool -> procs:int -> Complex.t array -> Complex.t array * 's
+(** SPMD rendering over Dvec on the chosen engine; identical output on
+    every engine. Any processor count (on the simulator the xor exchanges
     are priced by the topology). *)
 
 val dft_naive : ?inverse:bool -> Complex.t array -> Complex.t array

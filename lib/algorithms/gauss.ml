@@ -1,8 +1,8 @@
 (* Parallel linear solver — the paper's first Section 3 example: Gauss–
    Jordan elimination with partial pivoting, columns distributed, the main
    loop written with iterFor, each step a map UPDATE over an
-   applybrdcast PARTIALPIVOT — plus the simulator rendering and checks
-   against the sequential baseline.
+   applybrdcast PARTIALPIVOT — plus the SPMD rendering (any engine) and
+   checks against the sequential baseline.
 
    The system is carried as the augmented matrix (A | b) stored column-wise
    (n + 1 columns of length n); after n elimination steps A becomes the
@@ -47,7 +47,7 @@ let solve_scl ?(exec = Exec.sequential) ?(parts = 4) (a : float array array) (b 
     cols'.(n)
   end
 
-(* --- simulated distributed-memory version -------------------------------- *)
+(* --- SPMD distributed-memory version (any engine) ------------------------ *)
 
 open Machine
 
@@ -95,11 +95,10 @@ let gauss_program (cols : float array array option) (comm : Comm.t) : float arra
   else if me = 0 then Some (Comm.recv comm ~src:last_owner ())
   else None
 
-let solve_sim ?cost ?trace ~procs (a : float array array)
-    (b : float array) : float array * Sim.stats =
-  if Array.length a = 0 then invalid_arg "Gauss.solve_sim: empty system";
+let solve backend ~procs (a : float array array) (b : float array) =
+  if Array.length a = 0 then invalid_arg "Gauss.solve: empty system";
   let cols = augment a b in
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       gauss_program (if Comm.rank comm = 0 then Some cols else None) comm)
 
 (* Well-conditioned random test systems: diagonally dominant matrices. *)

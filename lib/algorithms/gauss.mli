@@ -10,16 +10,10 @@ val solve_scl : ?exec:Scl.Exec.t -> ?parts:int -> float array array -> float arr
     @raise Failure on singular systems,
     @raise Invalid_argument on shape mismatch. *)
 
-val solve_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  procs:int ->
-  float array array ->
-  float array ->
-  float array * Sim.stats
-(** The same algorithm on the simulated machine: the pivot column's owner
-    broadcasts {!Seq_kernels.pivot_info} each step, everyone updates its
-    columns. *)
+val solve : 's Backend.t -> procs:int -> float array array -> float array -> float array * 's
+(** The same algorithm as an SPMD program on the chosen engine: the pivot
+    column's owner broadcasts {!Seq_kernels.pivot_info} each step,
+    everyone updates its columns. Identical output on every engine. *)
 
 val random_system : seed:int -> int -> float array array * float array
 (** Well-conditioned (diagonally dominant) random test system. *)

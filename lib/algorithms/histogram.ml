@@ -4,7 +4,8 @@
    locally.
 
    Host rendering: Communication.send over a ParArray of values.
-   Simulator rendering: Dvec.send with priced all-to-all traffic. *)
+   SPMD rendering (any engine): Dvec.send as one all-to-all of partial
+   counts. *)
 
 open Scl
 
@@ -49,7 +50,7 @@ let histogram_scl ?(exec = Exec.sequential) ~buckets ~lo ~hi (xs : float array) 
     Array.sub (Par_array.to_array counts) 0 buckets
   end
 
-(* --- simulator version ------------------------------------------------------ *)
+(* --- SPMD version (any engine) ---------------------------------------------- *)
 
 open Machine
 
@@ -81,8 +82,7 @@ let histogram_program ~buckets ~lo ~hi (xs : float array option) (comm : Comm.t)
   Comm.work_flops comm (Array.length mine);
   Scl_sim.Dvec.gather ~root:0 (Scl_sim.Dvec.of_local comm mine)
 
-let histogram_sim ?cost ?trace ~procs ~buckets ~lo ~hi
-    (xs : float array) : int array * Sim.stats =
+let histogram backend ~procs ~buckets ~lo ~hi (xs : float array) =
   check_args ~buckets ~lo ~hi;
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       histogram_program ~buckets ~lo ~hi (if Comm.rank comm = 0 then Some xs else None) comm)

@@ -13,16 +13,9 @@ val histogram_scl :
 (** Host-SCL rendering via [Communication.send] (one virtual processor per
     bucket). *)
 
-val histogram_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  procs:int ->
-  buckets:int ->
-  lo:float ->
-  hi:float ->
-  float array ->
-  int array * Sim.stats
-(** Simulator rendering with local pre-combining and one all-to-all of
-    partial counts. *)
+val histogram :
+  's Backend.t -> procs:int -> buckets:int -> lo:float -> hi:float -> float array -> int array * 's
+(** SPMD rendering on the chosen engine, with local pre-combining and one
+    all-to-all of partial counts. Identical output on every engine. *)
 
 val bucket_of : buckets:int -> lo:float -> hi:float -> float -> int

@@ -4,7 +4,7 @@
 
    Host rendering: chunked ParArray, halo exchange via the rotate skeleton,
    convergence via fold max, control flow via iter_until.
-   Simulator rendering: block rows with neighbour messages and an
+   SPMD rendering (any engine): block rows with neighbour messages and an
    allreduce of the residual. *)
 
 open Scl

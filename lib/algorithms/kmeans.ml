@@ -119,7 +119,7 @@ let run_scl ?(exec = Exec.sequential) ?(parts = 4) ?(tol = 1e-9) ?(max_iter = 20
     converged = movement < tol;
   }
 
-(* --- simulator version ----------------------------------------------------------- *)
+(* --- SPMD version (any engine) ----------------------------------------------------- *)
 
 open Machine
 
@@ -152,11 +152,11 @@ let kmeans_program ?(tol = 1e-9) ?(max_iter = 200) ~k (points : point array opti
         }
   | None -> None
 
-let run_sim ?cost ?trace ?(tol = 1e-9) ?(max_iter = 200) ~procs ~k
-    (points : point array) ~(init : point array) : result * Sim.stats =
+let run backend ?(tol = 1e-9) ?(max_iter = 200) ~procs ~k (points : point array)
+    ~(init : point array) =
   check_k k;
   if Array.length init <> k then invalid_arg "Kmeans: init must supply k centroids";
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       kmeans_program ~tol ~max_iter ~k
         (if Comm.rank comm = 0 then Some points else None)
         ~init comm)

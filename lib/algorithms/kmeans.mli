@@ -29,17 +29,17 @@ val run_scl :
   result
 (** Host-SCL rendering: farm over point chunks + fold of accumulators. *)
 
-val run_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
+val run :
+  's Backend.t ->
   ?tol:float ->
   ?max_iter:int ->
   procs:int ->
   k:int ->
   point array ->
   init:point array ->
-  result * Sim.stats
-(** Simulator rendering: local accumulation + allreduce per iteration. *)
+  result * 's
+(** SPMD rendering on the chosen engine: local accumulation + allreduce
+    per iteration. Identical result on every engine. *)
 
 val nearest : point array -> point -> int
 val dist2 : point -> point -> float

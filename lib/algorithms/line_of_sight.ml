@@ -75,7 +75,6 @@ let los_program ?(observer_height = 0.0) (terrain : float array option) (comm : 
   if me + 1 < p then Comm.send comm ~dest:(me + 1) !carry;
   Scl_sim.Dvec.gather ~root:0 (Scl_sim.Dvec.of_local comm out)
 
-let visible_sim ?cost ?trace ?(observer_height = 0.0) ~procs
-    (terrain : float array) : bool array * Sim.stats =
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
+let visible backend ?(observer_height = 0.0) ~procs (terrain : float array) =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       los_program ~observer_height (if Comm.rank comm = 0 then Some terrain else None) comm)

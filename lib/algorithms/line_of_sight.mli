@@ -10,13 +10,9 @@ val visible_seq : ?observer_height:float -> float array -> bool array
 val visible_scl : ?exec:Scl.Exec.t -> ?observer_height:float -> float array -> bool array
 (** Host-SCL rendering: imap angles, exclusive max-scan, zip compare. *)
 
-val visible_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?observer_height:float ->
-  procs:int ->
-  float array ->
-  bool array * Sim.stats
-(** Simulator rendering (carry-chain exclusive scan along block order). *)
+val visible :
+  's Backend.t -> ?observer_height:float -> procs:int -> float array -> bool array * 's
+(** SPMD rendering on the chosen engine (carry-chain exclusive scan along
+    block order). Identical output on every engine. *)
 
 val angle : observer_height:float -> int -> float -> float

@@ -4,7 +4,7 @@
    all_to_all / brdcast configuration skeletons).
 
    Host rendering: farm over bodies with the body array as environment.
-   Simulator rendering: allgather of bodies, local force loops, priced. *)
+   SPMD rendering (any engine): allgather of bodies, local force loops. *)
 
 open Scl
 
@@ -44,7 +44,7 @@ let accelerations_pool pool (bodies : body array) : accel array =
   Par_array.to_array
     (Computational.farm_dynamic pool accumulate bodies (Par_array.of_array bodies))
 
-(* --- simulator ----------------------------------------------------------- *)
+(* --- SPMD version (any engine) --------------------------------------------- *)
 
 open Machine
 
@@ -59,9 +59,8 @@ let nbody_program (bodies : body array option) (comm : Comm.t) : accel array opt
   let acc = Array.map (accumulate all) local in
   Scl_sim.Dvec.gather ~root:0 (Scl_sim.Dvec.of_local comm acc)
 
-let accelerations_sim ?cost ?trace ~procs (bodies : body array) :
-    accel array * Sim.stats =
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
+let accelerations backend ~procs (bodies : body array) =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       nbody_program (if Comm.rank comm = 0 then Some bodies else None) comm)
 
 let random_bodies ~seed n : body array =

@@ -16,10 +16,10 @@ val accelerations_scl : ?exec:Scl.Exec.t -> body array -> accel array
 val accelerations_pool : Runtime.Pool.t -> body array -> accel array
 (** Work-stealing dynamic farm. *)
 
-val accelerations_sim :
-  ?cost:Cost_model.t -> ?trace:Trace.t -> procs:int -> body array -> accel array * Sim.stats
-(** Simulator rendering: allgather of bodies, local force loops priced at
-    ~20 flops per interaction. *)
+val accelerations : 's Backend.t -> procs:int -> body array -> accel array * 's
+(** SPMD rendering on the chosen engine: allgather of bodies, local force
+    loops (priced at ~20 flops per interaction on the simulator).
+    Identical output on every engine. *)
 
 val random_bodies : seed:int -> int -> body array
 val accel_close : accel array -> accel array -> eps:float -> bool

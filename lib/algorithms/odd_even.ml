@@ -43,9 +43,8 @@ let sort_program (data : int array option) (comm : Comm.t) : int array option =
       Some (Array.sub all 0 total)
   | None -> None
 
-let sort_sim ?cost ?trace ?(topology = Topology.Ring) ~procs
-    (data : int array) : int array * Sim.stats =
+let sort backend ?(topology = Topology.Ring) ~procs (data : int array) =
   if Array.exists (fun x -> x = sentinel) data then
-    invalid_arg "Odd_even.sort_sim: max_int keys are reserved as padding sentinels";
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~topology ~procs (fun comm ->
+    invalid_arg "Odd_even.sort: max_int keys are reserved as padding sentinels";
+  Scl_sim.Spmd.run backend ~topology ~procs (fun comm ->
       sort_program (if Comm.rank comm = 0 then Some data else None) comm)

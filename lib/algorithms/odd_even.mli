@@ -4,12 +4,8 @@
 
 open Machine
 
-val sort_sim :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  int array ->
-  int array * Sim.stats
-(** Any processor count; default topology [Ring] (where every exchange is
-    one hop). *)
+val sort : 's Backend.t -> ?topology:Topology.t -> procs:int -> int array -> int array * 's
+(** The SPMD program on the chosen engine; identical output on every
+    engine. Any processor count; [topology] (default [Ring], where every
+    exchange is one hop) only reprices the hops on the simulator.
+    @raise Invalid_argument on a [max_int] key (reserved as padding). *)

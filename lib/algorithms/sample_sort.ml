@@ -3,7 +3,7 @@
    the baseline the paper's "compares well with the best speedup available
    for this problem" remark appeals to.
 
-   Host rendering with SCL skeletons; simulator rendering with one
+   Host rendering with SCL skeletons; SPMD rendering (any engine) with one
    all-to-all bucket exchange. *)
 
 open Scl
@@ -58,7 +58,7 @@ let sort_scl ?(exec = Exec.sequential) ~parts (a : int array) : int array =
   let final = Elementary.map ~exec Seq_kernels.quicksort exchanged in
   Array.concat (Par_array.to_list final)
 
-(* --- simulator version -------------------------------------------------------- *)
+(* --- SPMD version (any engine) ------------------------------------------------ *)
 
 open Machine
 
@@ -87,7 +87,6 @@ let psrs_program (data : int array option) (comm : Comm.t) : int array option =
   let mine = Seq_kernels.quicksort mine in
   Comm.gather comm ~root:0 mine |> Option.map (fun chunks -> Array.concat (Array.to_list chunks))
 
-let sort_sim ?cost ?trace ~procs (data : int array) :
-    int array * Sim.stats =
-  Scl_sim.Spmd.run (Backend.sim ?cost ?trace ()) ~procs (fun comm ->
+let sort backend ~procs (data : int array) =
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       psrs_program (if Comm.rank comm = 0 then Some data else None) comm)

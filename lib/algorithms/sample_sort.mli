@@ -9,10 +9,10 @@ val sort_scl : ?exec:Scl.Exec.t -> parts:int -> int array -> int array
     selection, configuration-level all-to-all bucket exchange, local merge.
     @raise Invalid_argument if [parts <= 0]. *)
 
-val sort_sim :
-  ?cost:Cost_model.t -> ?trace:Trace.t -> procs:int -> int array -> int array * Sim.stats
-(** Simulator rendering: one priced all-to-all bucket exchange. Any
-    processor count (hypercube not required). *)
+val sort : 's Backend.t -> procs:int -> int array -> int array * 's
+(** SPMD rendering on the chosen engine: one all-to-all bucket exchange
+    (priced on the simulator). Any processor count (hypercube not
+    required); identical output on every engine. *)
 
 (** {2 Internals (exposed for tests)} *)
 

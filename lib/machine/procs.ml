@@ -620,7 +620,8 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
   in
   Array.iter reap pids;
   let wall = Unix.gettimeofday () -. t0 in
-  let crashed = ref [] and first_error = ref None in
+  let crashed = ref [] in
+  let errors = Array.make procs None in
   let results = Array.make procs None in
   let sent = ref 0 and recvd = ref 0 in
   Array.iteri
@@ -634,10 +635,24 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
           else begin
             match v.v_out with
             | Ok res -> results.(r) <- res
-            | Error e -> if Option.is_none !first_error then first_error := Some (r, e)
+            | Error e -> errors.(r) <- Some e
           end)
     verdicts;
-  (match !first_error with Some (r, e) -> reraise_child r e | None -> ());
+  (* The lowest rank's error is raised, except that a rank which saw a peer
+     die without a goodbye reports [E_crashed peer]: when that peer left an
+     error verdict of its own, its death was that error, so follow the
+     chain to the root cause.  [procs] hops bound the walk. *)
+  let rec root_cause hops (r, e) =
+    match e with
+    | E_crashed q when hops < procs && q >= 0 && q < procs -> (
+        match errors.(q) with Some e' -> root_cause (hops + 1) (q, e') | None -> (r, e))
+    | _ -> (r, e)
+  in
+  (match Array.find_mapi (fun r e -> Option.map (fun e -> (r, e)) e) errors with
+  | Some first ->
+      let r, e = root_cause 0 first in
+      reraise_child r e
+  | None -> ());
   ( results,
     {
       wall;

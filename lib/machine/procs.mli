@@ -76,8 +76,18 @@ val run_each :
     ([work] is a no-op on this engine). A rank that raises
     {!Fault.Crashed} on itself (the [Chaos] contract) or dies outright
     fail-stops silently and is reported in [stats.crashed]; any other
-    exception from a rank program is re-raised here (lowest rank wins).
-    All children are reaped before return. *)
+    exception from a rank program is re-raised here. All children are
+    reaped before return.
+
+    Precedence when several ranks fail: the lowest failing rank's
+    exception wins, except when it is [Fault.Crashed q] and rank [q]
+    itself failed with an exception: then [q]'s exception is taken
+    instead, and so on along the chain. A rank that dies with an error
+    closes its sockets without a goodbye, so every rank blocked on it
+    sees a crash; following the chain re-raises the root cause, as sim
+    and multicore do. [Fault.Crashed q] stays the result only when [q]
+    really died or fail-stopped. An exception without a cross-process
+    representation arrives as {!Child_failure} [(rank, printed form)]. *)
 
 val run :
   ?cost:Cost_model.t ->

@@ -20,6 +20,7 @@ let apply_rule_somewhere (rule : Rules.rule) chain =
   go 0
 
 let vstr v = Fmt.str "%a" Value.pp v
+let sim = Machine.Backend.sim ()
 
 (* --- rule oracle ------------------------------------------------------------ *)
 
@@ -179,7 +180,7 @@ let check_rule ?config (rule : Rules.rule) =
    an estimate; the simulator is the ground truth.) *)
 
 let cost_prop ~procs ~tolerance (c : Pipe_gen.case) : Runner.result_ =
-  if not (Pipe_gen.sim_executable c) then Runner.Skip_case
+  if not (Pipe_gen.spmd_executable c) then Runner.Skip_case
   else
     let n = match c.Pipe_gen.input with Value.Arr a -> Array.length a | _ -> 0 in
     if n < 1 then Runner.Skip_case
@@ -193,8 +194,8 @@ let cost_prop ~procs ~tolerance (c : Pipe_gen.case) : Runner.result_ =
         if c1 >= c0 then Runner.Pass_case
         else
           try
-            let _, s0 = Sim_exec.run ~procs e c.Pipe_gen.input in
-            let _, s1 = Sim_exec.run ~procs e' c.Pipe_gen.input in
+            let _, s0 = Spmd_exec.run sim ~procs e c.Pipe_gen.input in
+            let _, s1 = Spmd_exec.run sim ~procs e' c.Pipe_gen.input in
             let m0 = s0.Machine.Sim.makespan and m1 = s1.Machine.Sim.makespan in
             if m1 <= (m0 *. tolerance) +. 1e-9 then Runner.Pass_case
             else
@@ -203,7 +204,7 @@ let cost_prop ~procs ~tolerance (c : Pipe_gen.case) : Runner.result_ =
                    "cost model claims improvement (%.3g -> %.3g) but simulated makespan \
                     regressed %.3g -> %.3g (rewritten: %s)"
                    c0 c1 m0 m1 (Ast.to_string e'))
-          with Sim_exec.Unsupported _ | Value.Type_error _ -> Runner.Skip_case
+          with Spmd_exec.Unsupported _ | Value.Type_error _ -> Runner.Skip_case
 
 let check_cost ?config ~procs ~tolerance () =
   Runner.check ?config ~shrink:Pipe_gen.shrink ~gen:(Pipe_gen.gen ())
@@ -227,7 +228,7 @@ let diff_prop ?pool_exec ?stats ~sim_procs (c : Pipe_gen.case) : Runner.result_ 
     match Ast.eval e c.Pipe_gen.input with
     | exception Value.Type_error _ -> Runner.Skip_case
     | expected ->
-        let sim_ok = Pipe_gen.sim_executable c in
+        let sim_ok = Pipe_gen.spmd_executable c in
         (match stats with
         | Some s ->
             s.compared <- s.compared + 1;
@@ -249,7 +250,8 @@ let diff_prop ?pool_exec ?stats ~sim_procs (c : Pipe_gen.case) : Runner.result_ 
           if sim_ok then
             List.map
               (fun p ->
-                (Printf.sprintf "sim-p%d" p, fun () -> fst (Sim_exec.run ~procs:p e c.Pipe_gen.input)))
+                ( Printf.sprintf "sim-p%d" p,
+                  fun () -> fst (Spmd_exec.run sim ~procs:p e c.Pipe_gen.input) ))
               sim_procs
           else []
         in

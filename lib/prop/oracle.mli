@@ -8,7 +8,7 @@
     - the {b differential oracle}: run one generated pipeline through the
       reference interpreter, the host {!Transform.Host_exec} backends
       (sequential and, when given, pool — each also with
-      [~optimize:true]), and {!Transform.Sim_exec} at several processor
+      [~optimize:true]), and {!Transform.Spmd_exec} on the simulator at several processor
       counts, and compare results;
     - the {b fused-primitive oracle}: check that the fused Exec primitives
       ([map_fold] / [map_scan] / [map_compose]) agree with their composed
@@ -49,7 +49,7 @@ val cost_prop : procs:int -> tolerance:float -> Pipe_gen.case -> Runner.result_
     included); if the static cost model claims an improvement, the
     simulated makespan must not regress beyond [tolerance] (a
     multiplicative factor). Nested cases participate whenever they are
-    {!Pipe_gen.sim_executable}. *)
+    {!Pipe_gen.spmd_executable}. *)
 
 val check_cost :
   ?config:Runner.config -> procs:int -> tolerance:float -> unit -> Pipe_gen.case Runner.outcome

@@ -25,12 +25,12 @@ let rec expr_is_flat = function
 
 let is_flat c = List.for_all expr_is_flat c.chain
 
-(* Static mirror of Sim_exec's one-level flattening discipline: [true]
-   guarantees the simulator will not raise [Sim_exec.Unsupported] on this
+(* Static mirror of Spmd_exec's one-level flattening discipline: [true]
+   guarantees Spmd_exec will not raise [Spmd_exec.Unsupported] on this
    case (it may still raise [Value.Type_error], exactly where the
    reference interpreter does). Conservative: a [false] only means the
-   sim legs are skipped. *)
-let sim_executable c =
+   SPMD legs are skipped. *)
+let spmd_executable c =
   (* stages executable inside a mapn body on the segmented payload — any
      flat stage, Fold included (a fold mid-body is a Type_error on every
      backend, not an Unsupported) *)

@@ -37,11 +37,11 @@ val print : case -> string
 val is_flat : case -> bool
 (** No [Split]/[Combine]/[Map_nested] anywhere. *)
 
-val sim_executable : case -> bool
-(** Static mirror of [Sim_exec]'s one-level flattening discipline: [true]
-    guarantees the simulator will not raise [Sim_exec.Unsupported] on
+val spmd_executable : case -> bool
+(** Static mirror of [Spmd_exec]'s one-level flattening discipline: [true]
+    guarantees [Spmd_exec] will not raise [Spmd_exec.Unsupported] on
     this case (it may still raise [Value.Type_error], exactly where the
-    reference interpreter does). Flat cases are always sim-executable;
+    reference interpreter does). Flat cases are always executable;
     one-level [split .. mapn .. combine] regions with flat bodies are
     too. Conservative on shapes the segmented executor rejects. *)
 

@@ -52,7 +52,7 @@ let ifn_source (f : Fn.ifn) : string =
       end
       else not_compilable "index function %S has no source form" name
 
-type target = Sim | Host
+type target = Spmd | Host
 
 (* Emit statements; the value travels in variables dv0, dv1, ...; a
    trailing fold produces a scalar binding instead. *)
@@ -68,13 +68,13 @@ let line ctx fmt = Printf.ksprintf (fun s -> Buffer.add_string ctx.buf (ctx.inde
 (* Per-target spellings of the skeleton operations. *)
 let op ctx name =
   match (ctx.target, name) with
-  | Sim, "map" -> "Scl_sim.Dvec.map"
-  | Sim, "imap" -> "Scl_sim.Dvec.imap"
-  | Sim, "scan" -> "Scl_sim.Dvec.scan"
-  | Sim, "fold" -> "Scl_sim.Dvec.fold"
-  | Sim, "rotate" -> "Scl_sim.Dvec.rotate"
-  | Sim, "fetch" -> "Scl_sim.Dvec.fetch"
-  | Sim, "total" -> "Scl_sim.Dvec.total"
+  | Spmd, "map" -> "Scl_sim.Dvec.map"
+  | Spmd, "imap" -> "Scl_sim.Dvec.imap"
+  | Spmd, "scan" -> "Scl_sim.Dvec.scan"
+  | Spmd, "fold" -> "Scl_sim.Dvec.fold"
+  | Spmd, "rotate" -> "Scl_sim.Dvec.rotate"
+  | Spmd, "fetch" -> "Scl_sim.Dvec.fetch"
+  | Spmd, "total" -> "Scl_sim.Dvec.total"
   | Host, "map" -> "Scl.Elementary.map"
   | Host, "imap" -> "Scl.Elementary.imap"
   | Host, "scan" -> "Scl.Elementary.scan"
@@ -86,9 +86,9 @@ let op ctx name =
 
 (* The Dvec skeletons carry cost annotations; the host skeletons carry the
    execution backend. *)
-let flops_arg ctx k = match ctx.target with Sim -> Printf.sprintf "~flops_per_elem:%d " k | Host -> "~exec "
+let flops_arg ctx k = match ctx.target with Spmd -> Printf.sprintf "~flops_per_elem:%d " k | Host -> "~exec "
 
-let plain_arg ctx = match ctx.target with Sim -> "" | Host -> "~exec "
+let plain_arg ctx = match ctx.target with Spmd -> "" | Host -> "~exec "
 
 (* [seg] is the static segmentation state: inside a [split]..[combine]
    region the value variable still holds the *flat* payload (the segment
@@ -178,7 +178,7 @@ and emit_stage ctx (stage : Ast.expr) (v : string) : [ `Vec of string | `Scalar 
       let v' = fresh ctx in
       line ctx "let __n = %s %s in" (op ctx "total") v;
       match ctx.target with
-      | Sim ->
+      | Spmd ->
           line ctx "let %s =" v';
           line ctx "  Scl_sim.Dvec.map ~flops_per_elem:0 (fun a -> a.(0))";
           line ctx "    (Scl_sim.Dvec.send (fun i -> [ %s i ]) %s)" (ifn_source f) v;
@@ -212,7 +212,7 @@ and emit_stage ctx (stage : Ast.expr) (v : string) : [ `Vec of string | `Scalar 
 let generate ?(name = "run_pipeline") (e : Ast.expr) : string =
   let chain = Ast.to_chain e in
   (* dv0 is the scattered input binding; fresh names start above it *)
-  let ctx = { buf = Buffer.create 1024; next = 1; indent = "      "; target = Sim } in
+  let ctx = { buf = Buffer.create 1024; next = 1; indent = "      "; target = Spmd } in
   let result = emit_chain ctx ~seg:false chain "dv0" in
   let body = Buffer.contents ctx.buf in
   let header =
@@ -230,8 +230,8 @@ let generate ?(name = "run_pipeline") (e : Ast.expr) : string =
         ("int", Printf.sprintf "if Machine.Comm.rank comm = 0 then Some %s else None" s)
   in
   Printf.sprintf
-    "%slet %s ?cost ~procs (input : int array) : %s * Machine.Sim.stats =\n\
-    \  Scl_sim.Spmd.run (Machine.Backend.sim ?cost ()) ~procs (fun comm ->\n\
+    "%slet %s (type s) (backend : s Machine.Backend.t) ~procs (input : int array) : %s * s =\n\
+    \  Scl_sim.Spmd.run backend ~procs (fun comm ->\n\
     \      let dv0 =\n\
     \        Scl_sim.Dvec.scatter comm ~root:0\n\
     \          (if Machine.Comm.rank comm = 0 then Some input else None)\n\

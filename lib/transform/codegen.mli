@@ -1,6 +1,7 @@
 (** Compile skeleton pipelines to OCaml source over the [Scl_sim.Dvec]
     templates — the paper's "skeletons as libraries or macros over the base
-    language" implementation route.
+    language" implementation route. The emitted SPMD driver runs on any
+    engine.
 
     Only parallel forms compile: [Foldr_compose] must first be rewritten
     by map distribution. One level of nesting is a handled case: inside a
@@ -16,7 +17,7 @@ exception Not_compilable of string
 
 val generate : ?name:string -> Ast.expr -> string
 (** OCaml source of a function
-    [val name : ?cost -> procs:int -> int array -> result * Machine.Sim.stats]
+    [val name : 's Machine.Backend.t -> procs:int -> int array -> result * 's]
     where the result is [int array] (or [int] if the pipeline ends in a
     fold). @raise Not_compilable with the reason and the rewrite that
     would fix it. *)

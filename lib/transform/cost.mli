@@ -1,7 +1,7 @@
 (** Static BSP-style cost model over the skeleton AST: estimated seconds
     for one application of a pipeline to an n-element ParArray on p
     processors, in the machine's cost parameters. Used to rank rewrites;
-    the simulator ({!Sim_exec}) is the ground truth. *)
+    {!Spmd_exec} on the simulator is the ground truth. *)
 
 val estimate_pipeline :
   ?cm:Machine.Cost_model.t -> ?flat:bool -> procs:int -> n:int -> Ast.expr -> float

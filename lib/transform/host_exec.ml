@@ -139,7 +139,7 @@ let rec eval_node ~exec ~fx (e : Ast.expr) (v : Value.t) : Value.t =
       else wrap "scan" (fun () -> arr (Scl.Elementary.scan ~exec f.Fn.apply2 a))
   | Ast.Foldr_compose (f, g) ->
       (* Inherently sequential source pattern; computed directly, as on the
-         simulator's root processor. *)
+         root rank in Spmd_exec. *)
       let a = Value.as_arr v in
       if Array.length a = 0 then Value.type_error "foldr: empty array";
       let acc = ref (g.Fn.apply a.(Array.length a - 1)) in

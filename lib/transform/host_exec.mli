@@ -1,6 +1,6 @@
 (** Execute a skeleton pipeline on the host SCL skeletons — the third
-    semantics next to {!Ast.eval} (reference) and {!Sim_exec} (simulated
-    machine). Pass [?exec] to choose the {!Scl.Exec} backend: sequential
+    semantics next to {!Ast.eval} (reference) and {!Spmd_exec} (SPMD on
+    any engine). Pass [?exec] to choose the {!Scl.Exec} backend: sequential
     (default) or a multicore pool.
 
     Execution is fusion-aware: the pipeline is walked in application order
@@ -16,7 +16,7 @@
     Supports the whole AST including nested parallelism ([Split] /
     [Combine] / [Map_nested] run through {!Scl.Partition}).
     [Foldr_compose] is inherently sequential and is computed directly, as
-    on the simulator.
+    in {!Spmd_exec}.
 
     Error taxonomy: host skeletons signal bad movements with
     [Invalid_argument]; this wrapper translates those into

@@ -1,8 +1,10 @@
-(* Execute a skeleton pipeline on the simulated distributed-memory machine,
-   using the Dvec skeleton templates.  This is the ground truth behind the
-   static cost model: the ablation benchmarks run the same pipeline before
-   and after transformation and compare simulated makespans, and the test
-   suite checks the results still agree with the reference interpreter.
+(* Execute a skeleton pipeline as one SPMD program over the Dvec skeleton
+   templates, on whichever engine the backend value names.  On the
+   simulator this is the ground truth behind the static cost model: the
+   ablation benchmarks run the same pipeline before and after
+   transformation and compare simulated makespans.  On every engine the
+   test suite checks the results still agree with the reference
+   interpreter.
 
    Nested pipelines run *flat*: [Split] attaches a replicated segment
    descriptor to the block-distributed payload (no data movement — block
@@ -308,14 +310,15 @@ and seg_fold comm (f : Fn.t2) sizes starts dv : Value.t Scl_sim.Dvec.t =
   let me = Comm.rank comm in
   Scl_sim.Dvec.of_local comm (Array.sub results b.(me) (b.(me + 1) - b.(me)))
 
-let run ?cost ?topology ~procs (e : Ast.expr) (input : Value.t) :
-    Value.t * Sim.stats =
+let run backend ?topology ~procs (e : Ast.expr) (input : Value.t) =
+  (* The input's shape is checked here, in the caller, before any rank
+     runs: on procs an exception raised inside a rank comes home as
+     [Procs.Child_failure], so this check is what keeps a scalar input a
+     [Value.Type_error] on every engine. *)
   let elems = Value.as_arr input in
-  ignore elems;
-  Scl_sim.Spmd.run (Backend.sim ?cost ()) ?topology ~procs (fun comm ->
+  Scl_sim.Spmd.run backend ?topology ~procs (fun comm ->
       let dv =
-        Scl_sim.Dvec.scatter comm ~root:0
-          (if Comm.rank comm = 0 then Some (Value.as_arr input) else None)
+        Scl_sim.Dvec.scatter comm ~root:0 (if Comm.rank comm = 0 then Some elems else None)
       in
       let final = exec comm e (V dv) in
       match final with

@@ -1,8 +1,9 @@
-(** Execute skeleton pipelines on the simulated distributed-memory machine
-    via the Dvec templates — the ground truth behind the static cost
-    model. Each primitive stage ends with a group barrier, realising the
-    paper's synchronous composition semantics (which is exactly what
-    fusion saves).
+(** Execute skeleton pipelines as one SPMD program over the Dvec
+    templates, on any engine: the {!Machine.Backend.t} value picks the
+    simulator, real domains or real processes. On the simulator this is
+    the ground truth behind the static cost model. Each primitive stage
+    ends with a group barrier, realising the paper's synchronous
+    composition semantics (which is exactly what fusion saves).
 
     Nested pipelines execute {e flat}: [split p] attaches a replicated
     segment descriptor to the block-distributed payload without moving
@@ -20,15 +21,23 @@ exception Unsupported of string
     [mapn] body (rewrite with map-distribution first). *)
 
 val run :
-  ?cost:Machine.Cost_model.t ->
+  's Machine.Backend.t ->
   ?topology:Machine.Topology.t ->
   procs:int ->
   Ast.expr ->
   Value.t ->
-  Value.t * Machine.Sim.stats
+  Value.t * 's
 (** Scatter the input array, run the pipeline SPMD, gather the result (or
     return the replicated scalar after a fold; a pipeline ending inside a
-    split region gathers and regroups). Results equal [Ast.eval e input],
-    including the error taxonomy: empty folds, out-of-range movements,
-    negative iteration counts and non-permutation sends raise
-    {!Value.Type_error} exactly where the reference interpreter does. *)
+    split region gathers and regroups). Results equal [Ast.eval e input]
+    on every engine, including the error taxonomy: empty folds,
+    out-of-range movements, negative iteration counts and
+    non-permutation sends raise {!Value.Type_error} exactly where the
+    reference interpreter does.
+
+    On [Backend.procs] those in-rank errors cross a process boundary,
+    where exception identity is lost: they arrive as
+    [Machine.Procs.Child_failure (rank, "Transform.Value.Type_error(...)")]
+    (and {!Unsupported} likewise). A scalar [input] is checked in the
+    caller before any rank runs, so it raises {!Value.Type_error} on
+    every engine. *)

@@ -213,6 +213,27 @@ let rank_exception_propagates backend =
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg -> Alcotest.(check string) "original exception" "boom" msg
 
+(* A chain of waits ending at a failed rank: rank 0 waits on rank 1, rank 1
+   on rank 2, and rank 2 raises.  The run reports the root cause, not the
+   crash a waiting rank sees when its peer dies with the error. *)
+let rank_error_chain backend =
+  match
+    run backend ~procs:3 (fun eng ->
+        if eng.Engine.rank = 2 then failwith "boom";
+        ignore (eng.Engine.recv ~src:(eng.Engine.rank + 1) ~tag:0 () : int);
+        Some ())
+  with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg -> Alcotest.(check string) "root cause" "boom" msg
+
+(* A scalar pipeline input is refused by the caller before any rank runs,
+   so it is a [Value.Type_error] on every engine. *)
+let spmd_exec_scalar_input backend =
+  let open Transform in
+  match Spmd_exec.run backend ~procs:2 (Ast.Map Fn.incr) (Value.Int 3) with
+  | _ -> Alcotest.fail "expected Value.Type_error"
+  | exception Value.Type_error _ -> ()
+
 (* A crashed rank fails neither the run nor the undelivered-message check
    for the traffic it never read.  On the simulator with unit costs the
    makespan is the survivors' 2 s of work. *)
@@ -359,6 +380,72 @@ let cannon_summa_equal_sim backend =
   Alcotest.(check bool) "summa blocks agree" true (sim_s = s);
   Alcotest.(check bool) "cannon = summa" true (sim_c = sim_s)
 
+(* jacobi / heat2d / cg: bitwise-identical fixed points and iteration
+   counts — same program body, same collective trees, same float
+   operation order. *)
+let solvers_equal_sim backend =
+  let f = Array.make 32 1.0 in
+  let jacobi backend =
+    fst (Algorithms.Jacobi.solve backend ~procs:4 ~tol:1e-6 ~max_iter:500 f ~left:0.0 ~right:1.0)
+  in
+  let j_sim = jacobi (Backend.sim ()) and j = jacobi backend in
+  Alcotest.(check bool) "jacobi solutions identical" true
+    (j_sim.Algorithms.Jacobi.solution = j.Algorithms.Jacobi.solution);
+  Alcotest.(check int) "jacobi same iteration count" j_sim.Algorithms.Jacobi.iterations
+    j.Algorithms.Jacobi.iterations;
+  let hf = Algorithms.Heat2d.manufactured_f 12 in
+  let heat2d backend = fst (Algorithms.Heat2d.solve backend ~procs:4 ~tol:1e-4 ~max_iter:300 hf) in
+  let h_sim = heat2d (Backend.sim ()) and h = heat2d backend in
+  Alcotest.(check bool) "heat2d fields identical" true
+    (h_sim.Algorithms.Heat2d.solution = h.Algorithms.Heat2d.solution);
+  Alcotest.(check int) "heat2d same iteration count" h_sim.Algorithms.Heat2d.iterations
+    h.Algorithms.Heat2d.iterations;
+  let b = Array.init 64 (fun i -> float_of_int (i mod 7) /. 7.0) in
+  let cg backend = fst (Algorithms.Cg.solve backend ~procs:4 ~tol:1e-8 ~max_iter:200 b) in
+  let c_sim = cg (Backend.sim ()) and c = cg backend in
+  Alcotest.(check bool) "cg solutions identical" true
+    (c_sim.Algorithms.Cg.solution = c.Algorithms.Cg.solution);
+  Alcotest.(check int) "cg same iteration count" c_sim.Algorithms.Cg.iterations
+    c.Algorithms.Cg.iterations
+
+(* One algorithm module's SPMD program, as a function of the backend; the
+   output comes back marshalled, so every float must match bit for bit. *)
+type program = { run : 's. 's Backend.t -> string }
+
+let algorithm_programs =
+  let module A = Algorithms in
+  let out (v, _) = Marshal.to_string v [] in
+  let rng = Runtime.Xoshiro.of_seed 16 in
+  let ints = Runtime.Xoshiro.int_array rng ~len:1000 ~bound:100_000 in
+  let floats = Runtime.Xoshiro.float_array rng ~len:1000 ~bound:1.0 in
+  let signal = A.Fft.random_signal ~seed:3 256 in
+  let a, b = A.Gauss.random_system ~seed:5 24 in
+  let points, _ = A.Kmeans.blobs ~seed:7 ~k:3 ~per_cluster:50 in
+  let init = Array.init 3 (fun i -> points.(i * 50)) in
+  let bodies = A.Nbody.random_bodies ~seed:9 64 in
+  let jobs = A.Farm_sim.skewed_spec ~njobs:40 ~skew:8 in
+  [
+    ("bitonic", { run = (fun be -> out (A.Bitonic.sort be ~procs:4 ints)) });
+    ("odd-even", { run = (fun be -> out (A.Odd_even.sort be ~procs:4 ints)) });
+    ("sample sort", { run = (fun be -> out (A.Sample_sort.sort be ~procs:4 ints)) });
+    ("fft", { run = (fun be -> out (A.Fft.fft be ~procs:4 signal)) });
+    ("gauss", { run = (fun be -> out (A.Gauss.solve be ~procs:3 a b)) });
+    ( "histogram",
+      { run = (fun be -> out (A.Histogram.histogram be ~procs:4 ~buckets:16 ~lo:0.0 ~hi:1.0 floats)) }
+    );
+    ("kmeans", { run = (fun be -> out (A.Kmeans.run be ~procs:4 ~k:3 points ~init)) });
+    ("line of sight", { run = (fun be -> out (A.Line_of_sight.visible be ~procs:4 floats)) });
+    ("nbody", { run = (fun be -> out (A.Nbody.accelerations be ~procs:4 bodies)) });
+    ("static farm", { run = (fun be -> out (A.Farm_sim.static be ~procs:4 jobs)) });
+  ]
+
+let algorithms_equal_sim backend =
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ " output equal to sim") true
+        (p.run backend = p.run (Backend.sim ())))
+    algorithm_programs
+
 (* --- chaos ------------------------------------------------------------------ *)
 
 (* Delay/reorder within the per-(src,tag) FIFO relaxation never changes a
@@ -419,6 +506,17 @@ let farm_survives_worker_crash backend =
   let got, stats = Algorithms.Farm_sim.dynamic backend ~procs:4 ~grace:0.5 ~chaos spec in
   Alcotest.(check bool) "all jobs done exactly once" true (got = farm_expected 24);
   stats
+
+(* --- the contract group, the same on every engine --------------------------- *)
+
+let contract_group backend =
+  ( "contract",
+    [
+      Alcotest.test_case "argument checks" `Quick (fun () -> argument_checks backend);
+      Alcotest.test_case "error chain raises root cause" `Quick (fun () ->
+          rank_error_chain backend);
+      Alcotest.test_case "scalar pipeline input" `Quick (fun () -> spmd_exec_scalar_input backend);
+    ] )
 
 (* --- every value-level case under a chaos schedule ------------------------ *)
 

@@ -258,13 +258,13 @@ let prop_gauss_sim_residual =
     QCheck.(pair (int_range 1 24) (int_range 1 6))
     (fun (n, procs) ->
       let a, b = Gauss.random_system ~seed:(n * 31 + procs) n in
-      let x, _ = Gauss.solve_sim ~procs a b in
+      let x, _ = Gauss.solve sim ~procs a b in
       Seq_kernels.residual a x b < 1e-8)
 
 let test_gauss_sim_matches_scl () =
   let a, b = Gauss.random_system ~seed:3 20 in
   let x1 = Gauss.solve_scl ~parts:3 a b in
-  let x2, _ = Gauss.solve_sim ~procs:3 a b in
+  let x2, _ = Gauss.solve sim ~procs:3 a b in
   Array.iteri
     (fun i v -> Alcotest.(check bool) (Printf.sprintf "x[%d]" i) true (Float.abs (v -. x2.(i)) < 1e-9))
     x1
@@ -273,7 +273,7 @@ let test_gauss_needs_pivoting_parallel () =
   let a = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
   let x = Gauss.solve_scl ~parts:2 a [| 3.0; 7.0 |] in
   Alcotest.(check bool) "pivoted" true (Float.abs (x.(0) -. 7.0) < 1e-9);
-  let x2, _ = Gauss.solve_sim ~procs:2 a [| 3.0; 7.0 |] in
+  let x2, _ = Gauss.solve sim ~procs:2 a [| 3.0; 7.0 |] in
   Alcotest.(check bool) "pivoted (sim)" true (Float.abs (x2.(0) -. 7.0) < 1e-9)
 
 let test_gauss_singular_parallel () =
@@ -287,7 +287,7 @@ let test_gauss_singular_parallel () =
 let test_gauss_sim_scaling () =
   let a, b = Gauss.random_system ~seed:8 64 in
   let time p =
-    let _, stats = Gauss.solve_sim ~procs:p a b in
+    let _, stats = Gauss.solve sim ~procs:p a b in
     stats.Machine.Sim.makespan
   in
   let t1 = time 1 and t4 = time 4 in
@@ -397,7 +397,7 @@ let prop_psrs_sim_sorts =
     QCheck.(pair (list int) (int_range 1 6))
     (fun (xs, procs) ->
       let a = Array.of_list xs in
-      let sorted, _ = Sample_sort.sort_sim ~procs a in
+      let sorted, _ = Sample_sort.sort sim ~procs a in
       sorted = sorted_copy a)
 
 let prop_bitonic_sim_sorts =
@@ -405,13 +405,13 @@ let prop_bitonic_sim_sorts =
     QCheck.(pair (list (int_bound 1_000_000)) (int_range 0 3))
     (fun (xs, dims) ->
       let a = Array.of_list xs in
-      let sorted, _ = Bitonic.sort_sim ~procs:(1 lsl dims) a in
+      let sorted, _ = Bitonic.sort sim ~procs:(1 lsl dims) a in
       sorted = sorted_copy a)
 
 let test_bitonic_rejects_sentinel () =
   Alcotest.(check bool) "max_int reserved" true
     (try
-       ignore (Bitonic.sort_sim ~procs:2 [| max_int |]);
+       ignore (Bitonic.sort sim ~procs:2 [| max_int |]);
        false
      with Invalid_argument _ -> true)
 
@@ -419,7 +419,7 @@ let test_bitonic_balanced_load () =
   (* Bitonic keeps blocks equal; hyperquicksort does not — both must still
      sort the skewed input. *)
   let a = Array.append (Array.make 100 1) (Array.make 10 999999) in
-  let s1, _ = Bitonic.sort_sim ~procs:4 a in
+  let s1, _ = Bitonic.sort sim ~procs:4 a in
   let s2, _ = Hyperquicksort.sort sim ~procs:4 a in
   Alcotest.(check (array int)) "bitonic" (sorted_copy a) s1;
   Alcotest.(check (array int)) "hqs" (sorted_copy a) s2
@@ -434,8 +434,8 @@ let test_sort_comparison_shape () =
     s.makespan
   in
   let h = t (fun () -> Hyperquicksort.sort sim ~procs:16 a) in
-  let p = t (fun () -> Sample_sort.sort_sim ~procs:16 a) in
-  let b = t (fun () -> Bitonic.sort_sim ~procs:16 a) in
+  let p = t (fun () -> Sample_sort.sort sim ~procs:16 a) in
+  let b = t (fun () -> Bitonic.sort sim ~procs:16 a) in
   Alcotest.(check bool) "hqs <= psrs" true (h <= p);
   Alcotest.(check bool) "hqs <= bitonic" true (h <= b)
 
@@ -458,7 +458,7 @@ let prop_histogram_sim_matches_seq =
     QCheck.(triple (int_range 0 200) (int_range 1 12) (int_range 1 8))
     (fun (n, buckets, procs) ->
       let xs = random_floats ~seed:(n + buckets) n in
-      let got, _ = Histogram.histogram_sim ~procs ~buckets ~lo:(-5.0) ~hi:5.0 xs in
+      let got, _ = Histogram.histogram sim ~procs ~buckets ~lo:(-5.0) ~hi:5.0 xs in
       got = Histogram.histogram_seq ~buckets ~lo:(-5.0) ~hi:5.0 xs)
 
 let test_histogram_counts_everything () =
@@ -495,7 +495,7 @@ let prop_nbody_sim_matches_seq =
     QCheck.(pair (int_range 1 40) (int_range 1 8))
     (fun (n, procs) ->
       let bodies = Nbody.random_bodies ~seed:n n in
-      let got, _ = Nbody.accelerations_sim ~procs bodies in
+      let got, _ = Nbody.accelerations sim ~procs bodies in
       Nbody.accel_close got (Nbody.accelerations_seq bodies) ~eps:1e-9)
 
 let test_nbody_pool_matches_seq () =
@@ -511,7 +511,7 @@ let test_nbody_pool_matches_seq () =
 let test_nbody_sim_scaling () =
   let bodies = Nbody.random_bodies ~seed:5 256 in
   let time p =
-    let _, s = Nbody.accelerations_sim ~procs:p bodies in
+    let _, s = Nbody.accelerations sim ~procs:p bodies in
     s.Machine.Sim.makespan
   in
   Alcotest.(check bool) "compute-bound scaling" true (time 8 < time 2 && time 2 < time 1)
@@ -557,14 +557,14 @@ let test_heat2d_bad_grid () =
 
 let test_farm_static_dynamic_agree () =
   let spec = Farm_sim.skewed_spec ~njobs:64 ~skew:10 in
-  let r1, _ = Farm_sim.static ~procs:8 spec in
+  let r1, _ = Farm_sim.static sim ~procs:8 spec in
   let r2, _ = Farm_sim.dynamic sim ~procs:8 spec in
   Alcotest.(check (array int)) "same results" r1 r2;
   Alcotest.(check (array int)) "correct results" (Array.init 64 (fun i -> i * i)) r1
 
 let test_farm_dynamic_balances_skew () =
   let spec = Farm_sim.skewed_spec ~njobs:64 ~skew:20 in
-  let _, s_static = Farm_sim.static ~procs:8 spec in
+  let _, s_static = Farm_sim.static sim ~procs:8 spec in
   let _, s_dynamic = Farm_sim.dynamic sim ~procs:8 spec in
   Alcotest.(check bool) "dynamic wins under skew" true
     (s_dynamic.Machine.Sim.makespan < s_static.Machine.Sim.makespan)
@@ -572,7 +572,7 @@ let test_farm_dynamic_balances_skew () =
 let test_farm_static_wins_uniform () =
   (* With uniform tiny jobs the demand-driven round trips dominate. *)
   let spec = { Farm_sim.njobs = 64; run = (fun i -> i); flops = (fun _ -> 500) } in
-  let _, s_static = Farm_sim.static ~procs:8 spec in
+  let _, s_static = Farm_sim.static sim ~procs:8 spec in
   let _, s_dynamic = Farm_sim.dynamic sim ~procs:8 spec in
   Alcotest.(check bool) "static wins when uniform" true
     (s_static.Machine.Sim.makespan < s_dynamic.Machine.Sim.makespan)
@@ -586,7 +586,7 @@ let test_farm_dynamic_needs_two_procs () =
 
 let test_farm_zero_jobs () =
   let spec = { Farm_sim.njobs = 0; run = (fun i -> i); flops = (fun _ -> 1) } in
-  let r1, _ = Farm_sim.static ~procs:4 spec in
+  let r1, _ = Farm_sim.static sim ~procs:4 spec in
   let r2, _ = Farm_sim.dynamic sim ~procs:4 spec in
   Alcotest.(check (array int)) "static empty" [||] r1;
   Alcotest.(check (array int)) "dynamic empty" [||] r2
@@ -658,7 +658,7 @@ let prop_fft_sim_matches_host =
     QCheck.(pair (int_range 0 6) (int_range 1 8))
     (fun (bits, procs) ->
       let a = Fft.random_signal ~seed:(bits + procs) (1 lsl bits) in
-      let got, _ = Fft.fft_sim ~procs a in
+      let got, _ = Fft.fft sim ~procs a in
       Fft.complex_close got (Fft.fft_scl a) ~eps:1e-9)
 
 let test_fft_impulse () =
@@ -767,7 +767,7 @@ let prop_kmeans_sim_matches_seq =
     (fun (procs, seed) ->
       let points, _, init = kmeans_setup seed in
       let r0 = Kmeans.run_seq ~k:4 points ~init in
-      let r1, _ = Kmeans.run_sim ~procs ~k:4 points ~init in
+      let r1, _ = Kmeans.run sim ~procs ~k:4 points ~init in
       r1.assignment = r0.assignment)
 
 let test_kmeans_partitions_points () =
@@ -796,7 +796,7 @@ let prop_odd_even_sorts =
     QCheck.(pair (list int) (int_range 1 9))
     (fun (xs, procs) ->
       let a = Array.of_list xs in
-      let sorted, _ = Odd_even.sort_sim ~procs a in
+      let sorted, _ = Odd_even.sort sim ~procs a in
       sorted = sorted_copy a)
 
 let test_odd_even_is_all_nearest_neighbour () =
@@ -804,8 +804,8 @@ let test_odd_even_is_all_nearest_neighbour () =
      topology where leaf-to-leaf traffic costs 2 hops. *)
   let rng = Runtime.Xoshiro.of_seed 31 in
   let a = Runtime.Xoshiro.int_array rng ~len:4_000 ~bound:100_000 in
-  let _, ring = Odd_even.sort_sim ~topology:Machine.Topology.Ring ~procs:8 a in
-  let _, star = Odd_even.sort_sim ~topology:Machine.Topology.Star ~procs:8 a in
+  let _, ring = Odd_even.sort sim ~topology:Machine.Topology.Ring ~procs:8 a in
+  let _, star = Odd_even.sort sim ~topology:Machine.Topology.Star ~procs:8 a in
   Alcotest.(check bool) "ring at least as fast" true
     (ring.Machine.Sim.makespan <= star.Machine.Sim.makespan)
 
@@ -816,7 +816,9 @@ let test_odd_even_vs_hqs_on_ring () =
   let rng = Runtime.Xoshiro.of_seed 32 in
   let a = Runtime.Xoshiro.int_array rng ~len:8_000 ~bound:1_000_000 in
   let hoppy = { Machine.Cost_model.ap1000 with per_hop = 1000e-6 } in
-  let _, oe = Odd_even.sort_sim ~cost:hoppy ~topology:Machine.Topology.Ring ~procs:16 a in
+  let _, oe =
+    Odd_even.sort (Machine.Backend.sim ~cost:hoppy ()) ~topology:Machine.Topology.Ring ~procs:16 a
+  in
   let _, hq =
     Hyperquicksort.sort (Machine.Backend.sim ~cost:hoppy ()) ~topology:Machine.Topology.Ring
       ~procs:16 a
@@ -842,7 +844,7 @@ let prop_los_sim_matches_seq =
     QCheck.(triple (int_range 0 120) (int_range 1 8) (int_range 0 20))
     (fun (n, procs, seed) ->
       let t = random_terrain ~seed n in
-      let got, _ = Line_of_sight.visible_sim ~procs t in
+      let got, _ = Line_of_sight.visible sim ~procs t in
       got = Line_of_sight.visible_seq t)
 
 let test_los_monotone_ridge () =

@@ -1186,7 +1186,7 @@ let suite =
           Alcotest.test_case "collectives (multicore)" `Quick test_slice_collectives_multicore;
           Alcotest.test_case "chaos coherence" `Quick test_slice_chaos_coherent;
         ] );
-      ("contract", [ Alcotest.test_case "argument checks" `Quick (fun () -> C.argument_checks sim) ]);
+      C.contract_group sim;
     ]
   @ C.chaos_groups sim
 

@@ -169,32 +169,8 @@ let test_engine_equivalence_collectives () = C.collectives_equal_sim (Backend.mu
 let test_engine_equivalence_hyperquicksort () = C.hyperquicksort_equal_sim (Backend.multicore ())
 let test_engine_equivalence_cannon_summa () = C.cannon_summa_equal_sim (Backend.multicore ())
 
-let test_engine_equivalence_solvers () =
-  (* jacobi / heat2d / cg: bitwise-identical fixed points on both engines —
-     same program body, same collective trees, same float operation order *)
-  let f = Array.make 32 1.0 in
-  let jacobi backend =
-    fst (Algorithms.Jacobi.solve backend ~procs:4 ~tol:1e-6 ~max_iter:500 f ~left:0.0 ~right:1.0)
-  in
-  let j_sim = jacobi (Backend.sim ()) and j_mc = jacobi (Backend.multicore ()) in
-  Alcotest.(check bool) "jacobi solutions identical" true
-    (j_sim.Algorithms.Jacobi.solution = j_mc.Algorithms.Jacobi.solution);
-  Alcotest.(check int) "jacobi same iteration count" j_sim.Algorithms.Jacobi.iterations
-    j_mc.Algorithms.Jacobi.iterations;
-  let hf = Algorithms.Heat2d.manufactured_f 12 in
-  let h_sim, _ = Algorithms.Heat2d.solve (Backend.sim ()) ~procs:4 ~tol:1e-4 ~max_iter:300 hf in
-  let h_mc, _ =
-    Algorithms.Heat2d.solve (Backend.multicore ()) ~procs:4 ~tol:1e-4 ~max_iter:300 hf
-  in
-  Alcotest.(check bool) "heat2d fields identical" true
-    (h_sim.Algorithms.Heat2d.solution = h_mc.Algorithms.Heat2d.solution);
-  let b = Array.init 64 (fun i -> float_of_int (i mod 7) /. 7.0) in
-  let c_sim, _ = Algorithms.Cg.solve (Backend.sim ()) ~procs:4 ~tol:1e-8 ~max_iter:200 b in
-  let c_mc, _ = Algorithms.Cg.solve (Backend.multicore ()) ~procs:4 ~tol:1e-8 ~max_iter:200 b in
-  Alcotest.(check bool) "cg solutions identical" true
-    (c_sim.Algorithms.Cg.solution = c_mc.Algorithms.Cg.solution);
-  Alcotest.(check int) "cg same iteration count" c_sim.Algorithms.Cg.iterations
-    c_mc.Algorithms.Cg.iterations
+let test_engine_equivalence_solvers () = C.solvers_equal_sim (Backend.multicore ())
+let test_engine_equivalence_algorithms () = C.algorithms_equal_sim (Backend.multicore ())
 
 let test_farm_on_multicore () = ignore (C.dynamic_farm (Backend.multicore ~domains:4 ()))
 
@@ -272,6 +248,7 @@ let suite =
         Alcotest.test_case "cannon and summa" `Quick test_engine_equivalence_cannon_summa;
         Alcotest.test_case "jacobi/heat2d/cg" `Slow test_engine_equivalence_solvers;
         Alcotest.test_case "dynamic farm (recv_any)" `Quick test_farm_on_multicore;
+        Alcotest.test_case "ten algorithms equal sim" `Quick test_engine_equivalence_algorithms;
       ] );
     ( "faults",
       [
@@ -285,11 +262,7 @@ let suite =
         Alcotest.test_case "chaos stall parks fiber not domain" `Quick
           test_mc_chaos_stall_parks_fiber_not_domain;
       ] );
-    ( "contract",
-      [
-        Alcotest.test_case "argument checks" `Quick (fun () ->
-            C.argument_checks (Backend.multicore ()));
-      ] );
+    C.contract_group (Backend.multicore ());
   ]
   @ C.chaos_groups (Backend.multicore ~domains:2 ())
 

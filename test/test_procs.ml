@@ -95,6 +95,23 @@ let test_unserializable_result_rejected () =
   | exception Fault.Unserializable msg ->
       Alcotest.(check bool) "collect site named" true (contains msg "run_collect")
 
+(* A pipeline error raised inside a rank has no cross-process form, so it
+   arrives as [Child_failure] carrying its printed form.  Only the last
+   rank's fetch is out of range; the other ranks, blocked on it, see it
+   die, and the run still names the failing rank and its error. *)
+let test_pipeline_type_error_is_child_failure () =
+  let open Transform in
+  let last_oob = { Fn.iname = "last_oob"; iapply = (fun ~n i -> if i = n - 1 then n else i) } in
+  let procs = 3 in
+  match
+    Spmd_exec.run Backend.procs ~procs (Ast.Fetch last_oob) (Value.of_int_array (Array.init 9 Fun.id))
+  with
+  | _ -> Alcotest.fail "expected Procs.Child_failure"
+  | exception Procs.Child_failure (rank, msg) ->
+      Alcotest.(check int) "failing rank" (procs - 1) rank;
+      Alcotest.(check string) "printed Type_error"
+        "Transform.Value.Type_error(\"fetch last_oob: source out of range\")" msg
+
 (* --- real crashes --------------------------------------------------------- *)
 
 let kill_self () = Unix.kill (Unix.getpid ()) Sys.sigkill
@@ -141,6 +158,8 @@ let test_engine_equivalence_collectives () = C.collectives_equal_sim Backend.pro
 let test_collective_battery_with_slices () = C.rooted_collectives_equal_sim Backend.procs
 let test_reduce_root_sweep () = C.reduce_root_sweep Backend.procs
 let test_engine_equivalence_hyperquicksort () = C.hyperquicksort_equal_sim Backend.procs
+let test_engine_equivalence_solvers () = C.solvers_equal_sim Backend.procs
+let test_engine_equivalence_algorithms () = C.algorithms_equal_sim Backend.procs
 
 (* Bulk frames in both directions at once, every pair in flight: each
    frame is megabytes, far above the socket buffer, so both partners sit
@@ -294,6 +313,8 @@ let suite =
       [
         Alcotest.test_case "closure payload rejected" `Quick test_unserializable_closure_rejected;
         Alcotest.test_case "closure result rejected" `Quick test_unserializable_result_rejected;
+        Alcotest.test_case "in-rank Type_error is Child_failure" `Quick
+          test_pipeline_type_error_is_child_failure;
       ] );
     ( "crashes",
       [
@@ -310,6 +331,8 @@ let suite =
           test_collective_battery_with_slices;
         Alcotest.test_case "reduce root sweep" `Quick test_reduce_root_sweep;
         Alcotest.test_case "hyperquicksort p=1/2/4" `Quick test_engine_equivalence_hyperquicksort;
+        Alcotest.test_case "jacobi/heat2d/cg" `Quick test_engine_equivalence_solvers;
+        Alcotest.test_case "ten algorithms equal sim" `Quick test_engine_equivalence_algorithms;
       ] );
     ( "chaos",
       [
@@ -330,9 +353,7 @@ let suite =
         Alcotest.test_case "300 runs leak no fd and no child" `Quick
           test_repeated_runs_leave_nothing;
       ] );
-    ( "contract",
-      [ Alcotest.test_case "argument checks" `Quick (fun () -> C.argument_checks Backend.procs) ]
-    );
+    C.contract_group Backend.procs;
   ]
   @ C.chaos_groups Backend.procs
   @ [

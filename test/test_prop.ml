@@ -6,6 +6,8 @@
 
 open Transform
 
+let sim = Machine.Backend.sim ()
+
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 
@@ -308,7 +310,7 @@ let test_error_taxonomy_agreement () =
     (fun (name, e, v) ->
       expect_type_error ("ref " ^ name) (fun () -> Ast.eval e v);
       expect_type_error ("host " ^ name) (fun () -> Host_exec.eval e v);
-      expect_type_error ("sim " ^ name) (fun () -> Sim_exec.run ~procs:2 e v))
+      expect_type_error ("sim " ^ name) (fun () -> Spmd_exec.run sim ~procs:2 e v))
     cases
 
 (* --- differential smoke ------------------------------------------------------ *)

@@ -4,6 +4,8 @@
 
 open Transform
 
+let sim = Machine.Backend.sim ()
+
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
@@ -348,8 +350,8 @@ let test_search_makespan_not_worse () =
   let input = Value.of_int_array (Array.init 4096 Fun.id) in
   let g = Optimizer.optimize ~procs:8 ~n:4096 ~strategy:Optimizer.Greedy search_workload in
   let b = Optimizer.optimize ~procs:8 ~n:4096 ~strategy:Optimizer.default_beam search_workload in
-  let vg, sg = Sim_exec.run ~procs:8 g.Optimizer.output input in
-  let vb, sb = Sim_exec.run ~procs:8 b.Optimizer.output input in
+  let vg, sg = Spmd_exec.run sim ~procs:8 g.Optimizer.output input in
+  let vb, sb = Spmd_exec.run sim ~procs:8 b.Optimizer.output input in
   Alcotest.(check bool) "plans agree on the value" true (Value.equal vg vb);
   Alcotest.(check bool) "searched makespan within tolerance of greedy" true
     (sb.Machine.Sim.makespan <= sg.Machine.Sim.makespan *. 1.05)
@@ -391,7 +393,7 @@ let prop_sim_exec_matches_interpreter =
       let procs = max 1 procs in
       let v = value_of_list xs in
       let expected = Ast.eval e v in
-      let got, _ = Sim_exec.run ~procs e v in
+      let got, _ = Spmd_exec.run sim ~procs e v in
       Value.equal expected got)
 
 let test_sim_exec_optimized_is_faster () =
@@ -403,8 +405,8 @@ let test_sim_exec_optimized_is_faster () =
   in
   let e', _ = Rewrite.normalize e in
   let input = Value.of_int_array (Array.init 4096 Fun.id) in
-  let v1, s1 = Sim_exec.run ~procs:8 e input in
-  let v2, s2 = Sim_exec.run ~procs:8 e' input in
+  let v1, s1 = Spmd_exec.run sim ~procs:8 e input in
+  let v2, s2 = Spmd_exec.run sim ~procs:8 e' input in
   Alcotest.(check bool) "same result" true (Value.equal v1 v2);
   Alcotest.(check bool) "optimized pipeline is faster on the simulator" true
     (s2.Machine.Sim.makespan < s1.Machine.Sim.makespan)
@@ -424,7 +426,7 @@ let test_sim_exec_segmented () =
   let v = value_of_list [ 1; 2; 3; 4; 5; 6; 7 ] in
   List.iter
     (fun procs ->
-      let got, _ = Sim_exec.run ~procs e v in
+      let got, _ = Spmd_exec.run sim ~procs e v in
       Alcotest.(check bool)
         (Printf.sprintf "segmented = interpreter at p=%d" procs)
         true
@@ -440,7 +442,7 @@ let test_sim_exec_segmented_fold () =
     Ast.of_chain [ Ast.Split 2; Ast.Map_nested (Ast.Fold Fn.add); Ast.Map Fn.double ]
   in
   let v = value_of_list [ 1; 2; 3; 4; 5 ] in
-  let got, _ = Sim_exec.run ~procs:4 e v in
+  let got, _ = Spmd_exec.run sim ~procs:4 e v in
   Alcotest.(check bool) "per-group folds, then a flat map" true (Value.equal (Ast.eval e v) got)
 
 let test_sim_exec_rejects_deeper_nesting () =
@@ -449,9 +451,9 @@ let test_sim_exec_rejects_deeper_nesting () =
   let e = Ast.of_chain [ Ast.Split 2; Ast.Split 2 ] in
   Alcotest.(check bool) "double split unsupported" true
     (try
-       ignore (Sim_exec.run ~procs:2 e (value_of_list [ 1; 2; 3; 4 ]));
+       ignore (Spmd_exec.run sim ~procs:2 e (value_of_list [ 1; 2; 3; 4 ]));
        false
-     with Sim_exec.Unsupported _ -> true)
+     with Spmd_exec.Unsupported _ -> true)
 
 let test_nested_cross_backend () =
   (* Acceptance gate for the segmented representation: nested pipelines —
@@ -480,7 +482,7 @@ let test_nested_cross_backend () =
                 (Value.equal expected (Host_exec.eval ~exec:(Scl.Exec.on_pool pool) e v));
               List.iter
                 (fun procs ->
-                  let got, _ = Sim_exec.run ~procs e v in
+                  let got, _ = Spmd_exec.run sim ~procs e v in
                   Alcotest.(check bool)
                     (Printf.sprintf "sim p=%d: %s" procs name)
                     true (Value.equal expected got))

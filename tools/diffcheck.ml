@@ -29,15 +29,21 @@
      4. differential      — [--budget] random pipelines (int, float, pair
                             elements; possibly empty) are run through the
                             reference interpreter, Host_exec seq and pool
-                            (each also with ~optimize:true), and Sim_exec
-                            at procs 1/2/4 (flat pipelines only); all must
+                            (each also with ~optimize:true), and Spmd_exec
+                            on the simulator at procs 1/2/4 (flat pipelines only); all must
                             agree.
      5. engine equivalence — [--engine-cases] seeded inputs per program:
                             hyperquicksort, Cannon, and a collective
-                            battery (allreduce/scan/allgather) must
-                            produce identical values on the simulator and
-                            on the real-domain multicore engine at
-                            p ∈ {1, 2, 4} (grids 1 and 2 for Cannon).
+                            battery (allreduce/scan/allgather) at
+                            p ∈ {1, 2, 4} (grids 1 and 2 for Cannon); the
+                            ten other algorithm programs (bitonic,
+                            odd-even, sample sort, FFT, Gauss, histogram,
+                            k-means, line of sight, n-body, static farm);
+                            and one generated pipeline through Spmd_exec
+                            per seed (skipped if it raises on the
+                            simulator).  Each must produce identical
+                            values on the simulator and on the
+                            real-domain multicore engine.
                             The forked-process legs of the same programs
                             live in phase 0.
      6. topology cost     — for a hypercube-exchange program
@@ -63,7 +69,7 @@
                             [--tolerance] of greedy's when both plans run
                             on the simulator), and nested pipelines must
                             be value-identical across the reference
-                            interpreter, the host backend and Sim_exec at
+                            interpreter, the host backend and Spmd_exec at
                             p ∈ {1, 2, 4} — before and after beam
                             optimisation (the segmented-flattening
                             differential).
@@ -97,6 +103,12 @@
 
 let sim = Machine.Backend.sim ()
 let mc = Machine.Backend.multicore ()
+
+(* An SPMD program as a function of the engine.  Its output comes back
+   marshalled, so the simulator's and an engine's compare bit for bit. *)
+type program = { run : 's. 's Machine.Backend.t -> procs:int -> string }
+
+let marshalled (v, _) = Marshal.to_string v []
 
 let usage =
   "diffcheck [--budget N] [--seed S] [--rule-cases N] [--cost-cases N] [--fused-cases N] \
@@ -214,8 +226,9 @@ let () =
   in
 
   (* Engine equivalence against the simulator, for one real engine: the
-     same seeded hyperquicksort, collective battery and Cannon inputs
-     must give identical values on [Backend.sim] and on [backend].  The
+     same seeded hyperquicksort, collective battery, Cannon, the ten other
+     algorithm programs and a generated pipeline through Spmd_exec must
+     give identical values on [Backend.sim] and on [backend].  The
      workload shape is derived from the seed too: a nightly run with a
      random seed explores different lengths/bounds/matrix sizes, not
      merely different data for one fixed shape. *)
@@ -259,7 +272,70 @@ let () =
               let s, _ = Algorithms.Cannon.multiply sim ~grid a b in
               let e, _ = Algorithms.Cannon.multiply backend ~grid a b in
               if s = e then None else differ "cannon products"))
-        [ 1; 2 ]
+        [ 1; 2 ];
+      let module A = Algorithms in
+      let x = Runtime.Xoshiro.of_seed (case_seed lxor 0xa160) in
+      let ints = Runtime.Xoshiro.int_array x ~len ~bound in
+      let floats = Runtime.Xoshiro.float_array x ~len ~bound:1.0 in
+      let signal = A.Fft.random_signal ~seed:case_seed (1 lsl (6 + Runtime.Xoshiro.int x 4)) in
+      let a, b = A.Gauss.random_system ~seed:case_seed (8 + Runtime.Xoshiro.int x 24) in
+      let k = 2 + Runtime.Xoshiro.int x 3 and per = len / 16 in
+      let points, _ = A.Kmeans.blobs ~seed:case_seed ~k ~per_cluster:per in
+      let init = Array.init k (fun i -> points.(i * per)) in
+      let bodies = A.Nbody.random_bodies ~seed:case_seed (len / 8) in
+      let jobs = A.Farm_sim.skewed_spec ~njobs:per ~skew:(2 + Runtime.Xoshiro.int x 8) in
+      let procs = 2 + Runtime.Xoshiro.int x 3 (* 2..4; bitonic takes 4 *) in
+      List.iter
+        (fun (name, procs, p) ->
+          add
+            (Printf.sprintf "%s %s p=%d len=%d seed=%d" name engine procs len case_seed)
+            (fun () -> if p.run sim ~procs = p.run backend ~procs then None else differ name))
+        [
+          ("bitonic", 4, { run = (fun be ~procs -> marshalled (A.Bitonic.sort be ~procs ints)) });
+          ("odd-even", procs, { run = (fun be ~procs -> marshalled (A.Odd_even.sort be ~procs ints)) });
+          ( "sample sort",
+            procs,
+            { run = (fun be ~procs -> marshalled (A.Sample_sort.sort be ~procs ints)) } );
+          ("fft", procs, { run = (fun be ~procs -> marshalled (A.Fft.fft be ~procs signal)) });
+          ("gauss", procs, { run = (fun be ~procs -> marshalled (A.Gauss.solve be ~procs a b)) });
+          ( "histogram",
+            procs,
+            {
+              run =
+                (fun be ~procs ->
+                  marshalled (A.Histogram.histogram be ~procs ~buckets:k ~lo:0.0 ~hi:1.0 floats));
+            } );
+          ( "kmeans",
+            procs,
+            { run = (fun be ~procs -> marshalled (A.Kmeans.run be ~procs ~k points ~init)) } );
+          ( "line of sight",
+            procs,
+            { run = (fun be ~procs -> marshalled (A.Line_of_sight.visible be ~procs floats)) } );
+          ( "nbody",
+            procs,
+            { run = (fun be ~procs -> marshalled (A.Nbody.accelerations be ~procs bodies)) } );
+          ( "static farm",
+            procs,
+            { run = (fun be ~procs -> marshalled (A.Farm_sim.static be ~procs jobs)) } );
+        ];
+      (* a well-typed generated pipeline inside Spmd_exec's discipline
+         (reseeded until it is); a pipeline that raises on the simulator
+         is skipped *)
+      let rec pipeline s =
+        let c = Prop.Gen.generate ~seed:s (Prop.Pipe_gen.gen ()) in
+        if Prop.Pipe_gen.spmd_executable c then (c, s) else pipeline (s + 1)
+      in
+      let c, pseed = pipeline (case_seed lxor 0x919e) in
+      let e = Prop.Pipe_gen.expr c in
+      add
+        (Printf.sprintf "pipeline %s p=%d seed=%d: %s" engine procs pseed
+           (Transform.Ast.to_string e))
+        (fun () ->
+          match Transform.Spmd_exec.run sim ~procs e c.Prop.Pipe_gen.input with
+          | exception _ -> None
+          | s, _ ->
+              let v, _ = Transform.Spmd_exec.run backend ~procs e c.Prop.Pipe_gen.input in
+              if compare s v = 0 then None else differ "pipeline values")
     done;
     List.rev !cases
   in
@@ -282,9 +358,21 @@ let () =
         (fun () ->
           (* a chaos crash on this engine is a forked child dying with
              its sockets; recovery is the master's grace timeouts +
-             re-dealing over the live pipes *)
+             re-dealing over the live pipes.  Jobs take a couple of real
+             milliseconds: instant ones let the first workers drain the
+             queue before the victim reaches its crash point, and then no
+             crash happens at all. *)
           let njobs = 24 + Runtime.Xoshiro.int shape 24 in
           let spec = Algorithms.Farm_sim.skewed_spec ~njobs ~skew:6 in
+          let spec =
+            {
+              spec with
+              run =
+                (fun i ->
+                  Unix.sleepf 0.002;
+                  spec.run i);
+            }
+          in
           let victim = 1 + Runtime.Xoshiro.int shape 3 in
           let chaos = { Chaos.none with Chaos.crashes = [ (victim, crash_op) ] } in
           let got, stats =
@@ -524,13 +612,13 @@ let () =
         (fun () ->
           let g = greedy () and b = beam () in
           let sim_ok plan =
-            Prop.Pipe_gen.sim_executable { c with Prop.Pipe_gen.chain = Ast.to_chain plan }
+            Prop.Pipe_gen.spmd_executable { c with Prop.Pipe_gen.chain = Ast.to_chain plan }
           in
           if not (sim_ok g.Optimizer.output && sim_ok b.Optimizer.output) then None
           else
             match
-              ( Sim_exec.run ~procs:4 g.Optimizer.output c.Prop.Pipe_gen.input,
-                Sim_exec.run ~procs:4 b.Optimizer.output c.Prop.Pipe_gen.input )
+              ( Spmd_exec.run sim ~procs:4 g.Optimizer.output c.Prop.Pipe_gen.input,
+                Spmd_exec.run sim ~procs:4 b.Optimizer.output c.Prop.Pipe_gen.input )
             with
             | exception Value.Type_error _ -> None
             | (_, sg), (_, sb) ->
@@ -568,7 +656,7 @@ let () =
                         match acc with
                         | Some _ -> acc
                         | None -> (
-                            match Sim_exec.run ~procs plan input with
+                            match Spmd_exec.run sim ~procs plan input with
                             | got, _ ->
                                 if Value.equal expected got then None
                                 else
