@@ -182,7 +182,9 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
   let ln = Scl.Flat.length bl in
   let off = Scl_sim.Fvec.offset bv in
   let has_left = off > 0 and has_right = off + ln < n in
-  let ddot a b =
+  (* The annotation is what makes the loads unboxed: left to inference,
+     [ddot] is generalised over the element kind and compiled generic. *)
+  let ddot (a : Scl.Flat.float1) (b : Scl.Flat.float1) =
     Comm.work_flops comm (2 * max 1 ln);
     let s = ref 0.0 in
     for i = 0 to ln - 1 do
@@ -190,7 +192,9 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
     done;
     Comm.allreduce comm ( +. ) !s
   in
-  let matvec (p : Scl.Flat.float1) : Scl.Flat.float1 =
+  (* [ap] is rewritten in place by every [matvec]; it never leaves the rank. *)
+  let ap = Scl.Flat.create Scl.Flat.float64 ln in
+  let matvec (p : Scl.Flat.float1) =
     let hl = ref 0.0 and hr = ref 0.0 in
     if ln > 0 then begin
       if has_left then Comm.send_slice comm ~dest:(me - 1) (Scl.Flat.sub_view p ~pos:0 ~len:1);
@@ -200,12 +204,11 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
       if has_right then hr := Scl.Flat.get (Comm.recv_slice comm ~src:(me + 1) ()) 0
     end;
     Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
-    Scl.Flat.init Scl.Flat.float64 ln (fun i ->
-        let left = if i > 0 then Scl.Flat.get p (i - 1) else if has_left then !hl else 0.0 in
-        let right =
-          if i < ln - 1 then Scl.Flat.get p (i + 1) else if has_right then !hr else 0.0
-        in
-        (2.0 *. Scl.Flat.get p i) -. left -. right)
+    for i = 0 to ln - 1 do
+      let left = if i > 0 then Scl.Flat.get p (i - 1) else if has_left then !hl else 0.0 in
+      let right = if i < ln - 1 then Scl.Flat.get p (i + 1) else if has_right then !hr else 0.0 in
+      Scl.Flat.set ap i ((2.0 *. Scl.Flat.get p i) -. left -. right)
+    done
   in
   let x = Scl.Flat.make Scl.Flat.float64 ln 0.0 in
   let r = Scl.Flat.copy bl in
@@ -213,7 +216,7 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
   let rr = ref (ddot r r) in
   let it = ref 0 in
   while sqrt !rr >= tol && !it < max_iter do
-    let ap = matvec p in
+    matvec p;
     let alpha = !rr /. ddot p ap in
     Comm.work_flops comm (4 * max 1 ln);
     for i = 0 to ln - 1 do

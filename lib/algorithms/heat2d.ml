@@ -202,7 +202,13 @@ let heat_flat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array 
   let fl =
     if me = 0 then begin
       let f = match f with Some f -> f | None -> invalid_arg "Heat2d: root must supply f" in
-      let whole = Scl.Flat.init Scl.Flat.float64 (n * n) (fun g -> f.(g / n).(g mod n)) in
+      let whole = Scl.Flat.create Scl.Flat.float64 (n * n) in
+      for i = 0 to n - 1 do
+        let row = f.(i) in
+        for j = 0 to n - 1 do
+          Scl.Flat.set whole ((i * n) + j) row.(j)
+        done
+      done;
       for dest = 1 to p - 1 do
         Comm.send_slice comm ~dest
           (Scl.Flat.sub_view whole ~pos:(b.(dest) * n) ~len:((b.(dest + 1) - b.(dest)) * n))
@@ -266,7 +272,9 @@ let heat_flat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array 
   | Some whole ->
       Some
         {
-          solution = Array.init n (fun i -> Array.init n (fun j -> Scl.Flat.get whole ((i * n) + j)));
+          solution =
+            Array.init n (fun i ->
+                Scl.Flat.to_float_array (Scl.Flat.sub_view whole ~pos:(i * n) ~len:n));
           iterations = conv.iterations;
           final_diff = conv.final_residual;
         }

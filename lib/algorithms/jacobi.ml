@@ -185,15 +185,16 @@ let jacobi_flat_program ?(tol = 1e-8) ?(max_iter = 100_000) (f : float array opt
       if has_right then hr := Flat.get (Comm.recv_slice comm ~src:(me + 1) ()) 0
     end;
     Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
-    let next =
-      Flat.init Flat.float64 ln (fun j ->
-          let lo = if j > 0 then Flat.get u (j - 1) else !hl in
-          let hi = if j < ln - 1 then Flat.get u (j + 1) else !hr in
-          0.5 *. (lo +. hi +. (hh *. Flat.get floc j)))
-    in
+    (* a fresh buffer per sweep: [next] becomes the [u] whose windows the
+       following sweep sends *)
+    let next = Flat.create Flat.float64 ln in
     let d = ref 0.0 in
     for j = 0 to ln - 1 do
-      d := Float.max !d (Float.abs (Flat.get next j -. Flat.get u j))
+      let lo = if j > 0 then Flat.get u (j - 1) else !hl in
+      let hi = if j < ln - 1 then Flat.get u (j + 1) else !hr in
+      let v = 0.5 *. (lo +. hi +. (hh *. Flat.get floc j)) in
+      Flat.set next j v;
+      d := Float.max !d (Float.abs (v -. Flat.get u j))
     done;
     (next, !d)
   in

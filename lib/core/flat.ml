@@ -31,9 +31,13 @@ let make kind n v =
   Bigarray.Array1.fill a v;
   a
 
-let length (a : ('a, 'b) t) = Bigarray.Array1.dim a
-let get (a : ('a, 'b) t) i = Bigarray.Array1.get a i
-let set (a : ('a, 'b) t) i v = Bigarray.Array1.set a i v
+(* Primitives, not functions: each call site is compiled for the kind its
+   own type names (an unboxed load or store for [float1]/[int1]); a call
+   whose array type is still a variable falls back to the boxing C call. *)
+external length : ('a, 'b) t -> int = "%caml_ba_dim_1"
+external get : ('a, 'b) t -> int -> 'a = "%caml_ba_ref_1"
+external set : ('a, 'b) t -> int -> 'a -> unit = "%caml_ba_set_1"
+
 let fill (a : ('a, 'b) t) v = Bigarray.Array1.fill a v
 let kind (a : ('a, 'b) t) = Bigarray.Array1.kind a
 
@@ -56,22 +60,48 @@ let init kind n f =
   done;
   a
 
-let of_array kind (src : 'a array) : ('a, 'b) t =
+(* The conversions are polymorphic in the element kind, so each matches
+   once on the [Bigarray.kind] GADT: inside the [Float64] and [Int] branches
+   the types are concrete and the copy loop compiles unboxed (the solve and
+   sort workloads convert every job through them); every other kind takes
+   the generic loop.  The branches are textually identical on purpose — the
+   type, not the code, differs. *)
+let of_array (type a b) (kind : (a, b) Bigarray.kind) (src : a array) : (a, b) t =
   let n = Array.length src in
   let a = create kind n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
-  done;
+  (match kind with
+  | Bigarray.Float64 ->
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
+      done
+  | Bigarray.Int ->
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
+      done
+  | _ ->
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
+      done);
   a
 
-let to_array (a : ('a, 'b) t) : 'a array =
+let to_array (type a b) (a : (a, b) t) : a array =
   let n = length a in
   if n = 0 then [||]
   else begin
     let out = Array.make n (Bigarray.Array1.unsafe_get a 0) in
-    for i = 1 to n - 1 do
-      Array.unsafe_set out i (Bigarray.Array1.unsafe_get a i)
-    done;
+    (match kind a with
+    | Bigarray.Float64 ->
+        for i = 1 to n - 1 do
+          Array.unsafe_set out i (Bigarray.Array1.unsafe_get a i)
+        done
+    | Bigarray.Int ->
+        for i = 1 to n - 1 do
+          Array.unsafe_set out i (Bigarray.Array1.unsafe_get a i)
+        done
+    | _ ->
+        for i = 1 to n - 1 do
+          Array.unsafe_set out i (Bigarray.Array1.unsafe_get a i)
+        done);
     out
   end
 

@@ -11,7 +11,19 @@
     discipline is the same as [Par_array]'s [unsafe_*] contract — once a
     view has been handed off (sent, partitioned copy-free), the holder of
     the base must not mutate the overlapping window until a synchronising
-    exchange with the receiver. *)
+    exchange with the receiver.
+
+    {!length}, {!get} and {!set} are primitives: each call site is
+    compiled for the array type it sees, an unboxed load or store when
+    that type is concrete ({!float1}, {!int1}) and a boxing C call when
+    it is a type variable. Every array in a flat loop must therefore
+    carry a concrete kind; a let-bound helper over flat arrays needs a
+    type annotation, or let-generalisation compiles it generic. The
+    conversions {!of_array} and {!to_array} dispatch once on the kind and
+    run unboxed for [float64] and [int]; the other polymorphic helpers
+    ({!init}, {!equal}, the Cyclic and Custom {!apply}/{!unapply}
+    passes) run one generic loop. {!init}'s closure also returns each
+    float boxed: a hot loop fills a {!create}d array in place instead. *)
 
 type ('a, 'b) t = ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -29,9 +41,13 @@ val create : ('a, 'b) Bigarray.kind -> int -> ('a, 'b) t
 
 val make : ('a, 'b) Bigarray.kind -> int -> 'a -> ('a, 'b) t
 val init : ('a, 'b) Bigarray.kind -> int -> (int -> 'a) -> ('a, 'b) t
-val length : ('a, 'b) t -> int
-val get : ('a, 'b) t -> int -> 'a
-val set : ('a, 'b) t -> int -> 'a -> unit
+external length : ('a, 'b) t -> int = "%caml_ba_dim_1"
+external get : ('a, 'b) t -> int -> 'a = "%caml_ba_ref_1"
+(** Bounds-checked. @raise Invalid_argument out of range. *)
+
+external set : ('a, 'b) t -> int -> 'a -> unit = "%caml_ba_set_1"
+(** Bounds-checked. @raise Invalid_argument out of range. *)
+
 val fill : ('a, 'b) t -> 'a -> unit
 val kind : ('a, 'b) t -> ('a, 'b) Bigarray.kind
 

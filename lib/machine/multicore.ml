@@ -5,7 +5,12 @@
    is executed here for real, one virtual processor ("rank") per fiber,
    fibers multiplexed over a fixed set of domains (rank r runs on domain
    r mod D, so a captured continuation is always resumed on the domain
-   that captured it).
+   that captured it).  Domain 0 is the calling domain itself: a run
+   spawns D - 1 domains, so a one-domain run spawns none.  Besides saving
+   a spawn, this keeps memory flat across many short runs: OCaml 5.1
+   keeps about 1 KB of RSS for every domain ever spawned (Linux x86-64: 3000
+   spawn/join pairs running one effect handler each grew VmRSS by 3.8 MB;
+   the same loop on the calling domain by 0.3 MB).
 
    Message fabric:
    - one tagged mailbox per rank: a mutex-protected ring of parallel
@@ -627,20 +632,22 @@ let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
         Array.of_list
           (List.filter (fun st -> st.rk mod ndomains = d) (Array.to_list fab.ranks))
       in
-      (* Every domain waits at the start barrier until all have arrived.
-         A failed spawn is declared and the barrier released, so the
-         domains already spawned exit at once and are joined — none keeps
-         a slot of the runtime's fixed domain table — and its exception
-         re-raised. *)
+      (* Domain 0 is the caller, which would otherwise only block in
+         [join]; D - 1 domains are spawned.  Every domain waits at the
+         start barrier until all have arrived.  A failed spawn is declared
+         and the barrier released, so the domains already spawned (and the
+         caller) exit at once and are joined — none keeps a slot of the
+         runtime's fixed domain table — and its exception re-raised. *)
       let doms = ref [] in
       (try
-         for d = 0 to ndomains - 1 do
+         for d = 1 to ndomains - 1 do
            let my = my_ranks d in
            doms := Domain.spawn (fun () -> domain_main fab d my) :: !doms
          done
        with e ->
          declare fab e;
          Runtime.Barrier.release fab.start);
+      domain_main fab 0 (my_ranks 0);
       List.iter Domain.join !doms;
       (match Atomic.get fab.failure with Some e -> raise e | None -> ());
       Array.iter

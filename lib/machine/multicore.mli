@@ -2,6 +2,9 @@
 
     Each virtual processor is a fiber; rank [r] runs on domain [r mod D]
     (fixed assignment, ranks beyond the core count are multiplexed).
+    Domain 0 is the calling domain: a run spawns [D - 1] domains, so a
+    run with [~domains:1] spawns none and leaves the process free to
+    [fork] (see {!Procs}).
     Messages move zero-copy through per-rank mailboxes — the sender must
     not mutate a value after sending it, the same contract as the
     simulator's [~bytes] fast path.  Blocked domains spin briefly
@@ -32,8 +35,9 @@ val run_each :
   (int -> Engine.t -> unit) ->
   stats
 (** Run [program rank engine] on every rank.  [?domains] caps the real
-    domains spawned (default {!default_domains}); [?cost] only populates
-    the engine's cost model field ([work] is a no-op on this engine).
+    domains used, the caller's included (default {!default_domains});
+    [?cost] only populates the engine's cost model field ([work] is a
+    no-op on this engine).
     Exceptions raised by rank programs are re-raised here (first one
     wins); {!Fault.Deadlock} is raised on quiescence.  If a domain cannot
     be spawned, the ones already spawned are joined before the spawn's

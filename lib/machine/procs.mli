@@ -39,9 +39,10 @@
     created another domain. [Unix.fork] refuses permanently once a
     second domain has existed — joining it does not lift the ban — so a
     driver mixing engines must run its [Procs] work before any pool or
-    multicore run (as tools/diffcheck and bench/main do), or fork a
-    dedicated process for it. A run that breaks this rule raises
-    {!Fork_after_domain}. *)
+    multi-domain multicore run (as tools/diffcheck and bench/main do), or
+    fork a dedicated process for it. A [Multicore] run with [~domains:1]
+    runs on the calling domain and spawns none, so [Procs] runs may
+    follow it. A run that breaks this rule raises {!Fork_after_domain}. *)
 
 exception Child_failure of int * string
 (** [Child_failure (rank, msg)]: a rank's program died with an exception

@@ -69,10 +69,11 @@ let rotate k t =
     let wrap g = ((g mod total) + total) mod total in
     if p = 1 then begin
       charge t (Kernels.copy_flops total);
-      {
-        t with
-        local = Scl.Flat.init Scl.Flat.float64 total (fun i -> Scl.Flat.get t.local (wrap (i + k)));
-      }
+      let out = Scl.Flat.create Scl.Flat.float64 total in
+      for i = 0 to total - 1 do
+        Scl.Flat.set out i (Scl.Flat.get t.local (wrap (i + k)))
+      done;
+      { t with local = out }
     end
     else begin
       let me = Comm.rank t.comm in
@@ -172,7 +173,11 @@ let fetch f t =
   if total = 0 then t
   else if p = 1 then begin
     charge t (Kernels.copy_flops total);
-    { t with local = Scl.Flat.init Scl.Flat.float64 total (fun g -> Scl.Flat.get t.local (check g)) }
+    let out = Scl.Flat.create Scl.Flat.float64 total in
+    for g = 0 to total - 1 do
+      Scl.Flat.set out g (Scl.Flat.get t.local (check g))
+    done;
+    { t with local = out }
   end
   else begin
     let me = Comm.rank t.comm in

@@ -34,5 +34,5 @@ val run :
     On [Backend.procs], payloads and the result must be marshalable, and
     the call is only valid in a process that has never created another
     domain — [Unix.fork] refuses permanently after the first
-    [Domain.spawn], so run procs work before any pool or multicore run
-    (see {!Machine.Procs}). *)
+    [Domain.spawn], so run procs work before any pool or multi-domain
+    multicore run (see {!Machine.Procs}). *)

@@ -360,6 +360,33 @@ let test_minor_words_counter_surfaced () =
   Alcotest.(check bool) "counter present and positive" true
     (match c with Some v -> v > 0 | None -> false)
 
+let test_flat_cg_allocation_per_iteration () =
+  (* The flat tier's claim: CG's loops load and store unboxed floats, so
+     what a solve allocates per iteration is the fabric's and the
+     allreduce's constant, not a box per element.  Two sizes, one bound:
+     a per-element box would read ~34 words per element (34k per
+     iteration at n = 1000). [mc.minor_words] covers the whole run on the
+     one domain, set-up included. *)
+  let per_iteration n =
+    let rng = Random.State.make [| n |] in
+    let b = Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+    Obs.enable ();
+    Obs.reset ();
+    let r, _ = Algorithms.Cg.solve_flat (Backend.multicore ~domains:1 ()) ~tol:1e-8 ~procs:2 b in
+    let words = Obs.Metrics.counter_value "mc.minor_words" in
+    Obs.disable ();
+    match words with
+    | Some w when r.Algorithms.Cg.iterations > 0 -> w / r.Algorithms.Cg.iterations
+    | _ -> Alcotest.fail "no mc.minor_words or no iteration"
+  in
+  List.iter
+    (fun n ->
+      let w = per_iteration n in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: %d minor words per iteration" n w)
+        true (w < 1_000))
+    [ 1_000; 4_000 ]
+
 let suite =
   suite
   @ [
@@ -369,16 +396,19 @@ let suite =
           Alcotest.test_case "10k ping-pong allocates nothing" `Quick
             test_send_recv_allocation_free;
           Alcotest.test_case "mc.minor_words surfaced" `Quick test_minor_words_counter_surfaced;
+          Alcotest.test_case "flat CG allocates O(1) per iteration" `Quick
+            test_flat_cg_allocation_per_iteration;
         ] );
     ]
 
 (* --- domain hygiene --------------------------------------------------------- *)
 
 let test_failed_spawn_releases_domains () =
-  (* the runtime's domain table is finite: asking for more domains than it
-     holds must fail, and the domains spawned before the failure must be
-     released, or every later run fails for want of a slot *)
-  (match Multicore.run ~domains:128 ~procs:128 ignore with
+  (* the runtime's domain table is finite (128 slots, the caller's
+     included): asking for more domains than it holds must fail, and the
+     domains spawned before the failure must be released, or every later
+     run fails for want of a slot *)
+  (match Multicore.run ~domains:129 ~procs:129 ignore with
   | _ -> Alcotest.fail "expected a refused spawn"
   | exception Failure _ -> ());
   let v, _ = Multicore.run_collect ~domains:2 ~procs:2 (fun eng -> Some eng.Engine.size) in

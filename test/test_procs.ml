@@ -9,7 +9,7 @@
    forking an OCaml 5 process is only safe while no other domain has
    ever existed — so nothing here spawns domains or pools, except the
    run-contract and fork-after-domain cases, which run last for that
-   reason. *)
+   reason (the one-domain multicore case just before them spawns none). *)
 
 open Machine
 module Spmd = Scl_sim.Spmd
@@ -366,6 +366,27 @@ let suite =
         ] );
     ]
 
+(* --- a one-domain multicore run ------------------------------------------ *)
+
+let threads () =
+  let ic = open_in "/proc/self/status" in
+  let rec find () =
+    match input_line ic with
+    | line when String.length line > 8 && String.sub line 0 8 = "Threads:" ->
+        String.trim (String.sub line 8 (String.length line - 8))
+    | _ -> find ()
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) find
+
+let test_one_domain_multicore_spawns_none () =
+  (* [~domains:1] runs every rank on the calling domain: no domain is
+     spawned, so the process may still fork afterwards *)
+  let v, _ = Multicore.run_collect ~domains:1 ~procs:2 (fun eng -> Some eng.Engine.size) in
+  Alcotest.(check int) "multicore ran" 2 v;
+  Alcotest.(check string) "still one thread" "1" (threads ());
+  let w, _ = Procs.run_collect ~procs:2 (fun eng -> Some eng.Engine.size) in
+  Alcotest.(check int) "procs still forks" 2 w
+
 (* --- the run contract, on all three engines ------------------------------- *)
 
 let test_lowest_rank_wins () =
@@ -394,6 +415,8 @@ let test_fork_after_domain () =
 let suite =
   suite
   @ [
+      ( "one-domain-multicore",
+        [ Alcotest.test_case "spawns no domain" `Quick test_one_domain_multicore_spawns_none ] );
       ( "run-contract",
         [ Alcotest.test_case "lowest rank wins on every engine" `Quick test_lowest_rank_wins ] );
       ( "fork-after-domain",

@@ -880,6 +880,48 @@ let test_flat_views_alias () =
   Flat.set joined 0 7.0;
   Alcotest.(check (float 0.0)) "unapply is fresh" (-1.0) (Flat.get fa 0)
 
+let test_flat_accessors_checked () =
+  (* [get]/[set] are primitives specialised per call site; both the
+     specialised and the generic (kind unknown at the call) forms keep the
+     bounds check *)
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let generic_get : 'a 'b. ('a, 'b) Flat.t -> int -> 'a = fun a i -> Flat.get a i in
+  let fa = Flat.of_float_array [| 1.0; 2.0; 3.0 |] and ia = Flat.of_array Flat.int [| 1; 2; 3 |] in
+  raises "float get -1" (fun () -> Flat.get fa (-1));
+  raises "float get n" (fun () -> Flat.get fa 3);
+  raises "float set n" (fun () -> Flat.set fa 3 0.0);
+  raises "int get -1" (fun () -> Flat.get ia (-1));
+  raises "int get n" (fun () -> Flat.get ia 3);
+  raises "int set n" (fun () -> Flat.set ia 3 0);
+  raises "generic get n" (fun () -> generic_get fa 3);
+  Alcotest.(check (float 0.0)) "float get" 3.0 (Flat.get fa 2);
+  Alcotest.(check int) "int get" 3 (generic_get ia 2)
+
+let test_flat_fallback_kind () =
+  (* int32 is neither of the kinds [of_array]/[to_array] specialise, so
+     this exercises their generic branch, and the kind-generic helpers,
+     against the boxed specification *)
+  let a = Array.init 11 (fun i -> Int32.of_int ((i * 37) - 100)) in
+  let fa = Flat.of_array Bigarray.int32 a in
+  Alcotest.(check (array int32)) "of_array/to_array" a (Flat.to_array fa);
+  let fi = Flat.init Bigarray.int32 11 (fun i -> a.(i)) in
+  Alcotest.(check bool) "init = of_array" true (Flat.equal fa fi);
+  Flat.set fi 10 0l;
+  Alcotest.(check bool) "equal sees a difference" false (Flat.equal fa fi);
+  let pat = Partition.Cyclic 3 in
+  let parts = Flat.apply pat fa in
+  Array.iteri
+    (fun k b -> Alcotest.(check (array int32)) "cyclic part" b (Flat.to_array parts.(k)))
+    (Par_array.to_array (Partition.apply pat a));
+  Alcotest.(check (array int32)) "cyclic roundtrip" a
+    (Flat.to_array (Flat.unapply pat parts ~kind:Bigarray.int32));
+  Alcotest.(check (array int32)) "generic roundtrip" a
+    (Flat.to_array (Flat.unapply_generic pat (Flat.apply_generic pat fa) ~kind:Bigarray.int32))
+
 (* --- Flat_exec (unboxed host kernels) ---------------------------------------------
 
    The boxed skeletons are the executable specification. Operands are
@@ -1210,6 +1252,8 @@ let () =
           prop_flat_float_roundtrip;
           Alcotest.test_case "edge sizes vs boxed spec" `Quick test_flat_edge_sizes;
           Alcotest.test_case "view aliasing discipline" `Quick test_flat_views_alias;
+          Alcotest.test_case "accessors bounds-checked" `Quick test_flat_accessors_checked;
+          Alcotest.test_case "fallback kind (int32)" `Quick test_flat_fallback_kind;
         ] );
       ( "flat_exec",
         [
