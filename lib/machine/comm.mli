@@ -62,8 +62,8 @@ val note : t -> string -> unit
 (** {1 Collectives} *)
 
 val barrier : t -> unit
-(** Dissemination barrier over the group (distinct from [Sim.barrier],
-    which is machine-global and hardware-priced). *)
+(** Dissemination barrier over the group: ceil(log2 m) rounds of ordinary
+    messages, priced like any other traffic on the simulator. *)
 
 val bcast : t -> root:int -> 'a option -> 'a
 (** Binomial broadcast; the root passes [Some v], others [None]. *)

@@ -4,8 +4,8 @@
    A point-to-point transfer of [b] bytes over [h] hops costs
      alpha + h * per_hop + b * beta
    on the wire; in addition the sender is charged [send_overhead] and the
-   receiver [recv_overhead] of CPU time.  A barrier over P processors costs
-   [barrier_base * ceil(log2 P)] after the last arrival. *)
+   receiver [recv_overhead] of CPU time.  The static estimate prices a
+   barrier over P processors at [barrier_base * ceil(log2 P)]. *)
 
 type t = {
   name : string;

@@ -4,9 +4,9 @@
    be retargetable: the same skeleton program must run on different
    execution media without touching the computation code.  [Comm] therefore
    writes its collectives once against this record of primitives, and each
-   engine — the discrete-event simulator ([Sim.engine]), the real-domain
-   multicore fabric and the forked-process fabric — supplies its own
-   implementation.
+   engine — the discrete-event simulator, the real-domain multicore fabric
+   and the forked-process fabric — supplies its own implementation and
+   exports the same two runners, [run_each] and [run_collect].
 
    A record of explicitly-polymorphic closures is used instead of a functor
    so that programs keep the plain value type [Comm.t -> 'a option] and a
@@ -85,6 +85,8 @@ let[@inline] check_src op ~size src = if src < 0 || src >= size then out_of_rang
 let[@inline] check_dest op ~size ~self dest =
   if dest < 0 || dest >= size then out_of_range op dest size
   else if dest = self then rejected op "self-send is not supported (use a local value)"
+
+let check_procs op procs = if procs <= 0 then rejected op "procs must be positive"
 
 let[@inline] check_duration op d = if d < 0.0 then rejected op "negative duration"
 

@@ -1,10 +1,12 @@
 (** Execution-engine vtable: the primitives an SPMD program (and the
     [Comm] collectives) may use, abstracted over the execution medium.
 
-    Three instances exist: [Sim.engine] (discrete-event simulator, [work]
+    Three instances exist: [Sim]'s (discrete-event simulator, [work]
     charges simulated time), [Multicore]'s (OCaml domains, zero-copy
-    shared memory) and [Procs]' (forked OS processes over sockets).
-    Programs written against [Comm.t] run unchanged on all three. *)
+    shared memory) and [Procs]' (forked OS processes over sockets). Each
+    engine exports the same two runners over these programs, [run_each]
+    and [run_collect]; programs written against [Comm.t] run unchanged on
+    all three. *)
 
 type slice = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The typed bulk-payload tier: an unboxed float window (C-layout
@@ -28,9 +30,10 @@ type t = {
           or dies. *)
   recv : 'a. ?timeout:float -> src:int -> tag:int -> unit -> 'a;
       (** Blocking receive; FIFO per (source, tag). The result type is fixed
-          by the caller: sender and receiver must agree (same discipline as
-          [Sim.recv]). With [?timeout] (engine-clock seconds), raises
-          {!Fault.Timeout} if no matching message is available in time. *)
+          by the caller: sender and receiver must agree (the invariant all
+          skeleton templates maintain). With [?timeout] (engine-clock
+          seconds), raises {!Fault.Timeout} if no matching message is
+          available in time. *)
   recv_any : 'a. ?timeout:float -> ?tag:int -> unit -> int * 'a;
       (** Blocking receive from any source; returns (source rank, value).
           Deterministic only on the simulator. [?timeout] as in [recv]. *)
@@ -64,8 +67,8 @@ val work_flops : t -> int -> unit
 (** {1 The contract's checks}
 
     Shared by every engine. [op] names the operation in the message
-    (["Sim.send"], ["Procs.recv_slice"], …); nothing allocates unless it
-    raises. *)
+    (["Multicore.send"], ["Procs.recv_slice"], …); nothing allocates unless
+    it raises. *)
 
 val check_src : string -> size:int -> int -> unit
 (** @raise Invalid_argument ["<op>: rank <r> out of range \[0,<size>)"]. *)
@@ -73,6 +76,10 @@ val check_src : string -> size:int -> int -> unit
 val check_dest : string -> size:int -> self:int -> int -> unit
 (** {!check_src}, and
     @raise Invalid_argument ["<op>: self-send is not supported (use a local value)"]. *)
+
+val check_procs : string -> int -> unit
+(** A runner's processor count.
+    @raise Invalid_argument ["<op>: procs must be positive"] if it is [<= 0]. *)
 
 val check_duration : string -> float -> unit
 (** @raise Invalid_argument ["<op>: negative duration"]. *)

@@ -19,9 +19,8 @@
    - each rank drains its mailbox into a consumer-local pending ring and
      matches (src, tag) against it in arrival order, which yields exactly
      MPI's non-overtaking rule: FIFO per (source, tag);
-   - payloads move zero-copy by reference ([Obj.repr]/[Obj.obj] — the same
-     contract as the simulator's [~bytes] fast path: the sender must not
-     mutate a value after sending it);
+   - payloads move zero-copy by reference ([Obj.repr]/[Obj.obj]): the
+     sender must not mutate a value after sending it;
    - blocked receives park the fiber with an effect; when every rank on a
      domain is parked the domain spins with [Runtime.Backoff], then sleeps
      on its doorbell (a condvar rung by senders targeting its ranks).
@@ -577,7 +576,7 @@ let default_domains procs = max 1 (min procs (Domain.recommended_domain_count ()
 
 let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
     (program : int -> Engine.t -> unit) : stats =
-  if procs <= 0 then invalid_arg "Multicore.run_each: procs must be positive";
+  Engine.check_procs "Multicore.run_each" procs;
   let ndomains =
     match domains with
     | None -> default_domains procs
@@ -673,9 +672,6 @@ let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
         Obs.Histogram.record obs_wall (int_of_float (wall *. 1e6))
       end;
       stats)
-
-let run ?domains ?cost ?topology ~procs program =
-  run_each ?domains ?cost ?topology ~procs (fun _rank eng -> program eng)
 
 let run_collect (type a) ?domains ?cost ?topology ~procs (program : Engine.t -> a option) :
     a * stats =

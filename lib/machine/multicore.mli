@@ -6,8 +6,7 @@
     run with [~domains:1] spawns none and leaves the process free to
     [fork] (see {!Procs}).
     Messages move zero-copy through per-rank mailboxes — the sender must
-    not mutate a value after sending it, the same contract as the
-    simulator's [~bytes] fast path.  Blocked domains spin briefly
+    not mutate a value after sending it.  Blocked domains spin briefly
     ([Runtime.Backoff]) and then sleep on a per-domain doorbell.
 
     Semantics match the simulator: sends never block, receives are FIFO
@@ -43,14 +42,6 @@ val run_each :
     be spawned, the ones already spawned are joined before the spawn's
     exception is re-raised. *)
 
-val run :
-  ?domains:int ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  (Engine.t -> unit) ->
-  stats
-
 val run_collect :
   ?domains:int ->
   ?cost:Cost_model.t ->
@@ -58,5 +49,6 @@ val run_collect :
   procs:int ->
   (Engine.t -> 'a option) ->
   'a * stats
-(** Like {!run} for programs that produce a value at (at least) one rank;
-    mirrors [Sim.run_collect]: the lowest rank's value wins. *)
+(** Like {!run_each} for programs that produce a value at (at least) one
+    rank; when several do, the lowest rank's value wins, as on every
+    engine. *)

@@ -556,7 +556,7 @@ let rec reap pid =
 
 let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
     (program : int -> Engine.t -> bytes option) : bytes option array * stats =
-  if procs <= 0 then invalid_arg "Procs.run_each: procs must be positive";
+  Engine.check_procs "Procs.run_each" procs;
   let topology = match topology with Some t -> t | None -> Topology.default procs in
   Topology.validate topology ~procs;
   (* children inherit the stdio buffers; flush now so nothing replays *)
@@ -669,9 +669,6 @@ let run_each ?cost ?topology ~procs (program : int -> Engine.t -> unit) : stats 
         None)
   in
   stats
-
-let run ?cost ?topology ~procs program =
-  run_each ?cost ?topology ~procs (fun _rank eng -> program eng)
 
 let run_collect (type a) ?cost ?topology ~procs (program : Engine.t -> a option) : a * stats =
   let results, stats =

@@ -90,21 +90,14 @@ val run_each :
     really died or fail-stopped. An exception without a cross-process
     representation arrives as {!Child_failure} [(rank, printed form)]. *)
 
-val run :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  (Engine.t -> unit) ->
-  stats
-
 val run_collect :
   ?cost:Cost_model.t ->
   ?topology:Topology.t ->
   procs:int ->
   (Engine.t -> 'a option) ->
   'a * stats
-(** Like {!run} for programs that produce a value at (at least) one
-    rank; mirrors [Sim.run_collect]. The value crosses back from the
+(** Like {!run_each} for programs that produce a value at (at least) one
+    rank. The value crosses back from the
     child by [Marshal] — a non-marshalable result raises
     {!Fault.Unserializable}. When several ranks produce one, the lowest
     rank's value is returned. *)

@@ -1,32 +1,30 @@
 (* Deterministic discrete-event simulator of a distributed-memory machine.
 
-   Each virtual processor is a coroutine (an OCaml 5 fiber).  Non-blocking
-   actions (send, work, sleep, time, note) mutate the simulator state
-   directly; the blocking actions (recv — always, even when a matching
-   packet is already buffered — and barrier) are performed as effects so
-   the scheduler can capture the continuation and arbitrate globally over
-   who acts next.
+   Each virtual processor is a coroutine (an OCaml 5 fiber) running its
+   rank's program against an [Engine.t].  Non-blocking actions (send,
+   work, sleep, time, note) mutate the simulator state directly; a
+   receive — always, even when a matching packet is already buffered — is
+   performed as an effect so the scheduler can capture the continuation
+   and arbitrate globally over who acts next.
 
    Timing model (all per-processor clocks, in seconds):
-   - [work d]            : clock += d
+   - [work d]            : clock += d, charged to the processor's work time
+   - [sleep d]           : clock += d, not charged
    - [send]              : clock += send_overhead; the packet's arrival time
                            is clock + alpha + hops*per_hop + bytes*beta
    - [recv]              : clock = max clock arrival + recv_overhead
-   - [barrier]           : all clocks := max over processors + barrier cost
-   Link contention is not modelled (see DESIGN.md).
+   A barrier is [Comm.barrier]'s ordinary messages, priced like any other
+   traffic.  Link contention is not modelled (see DESIGN.md).
 
-   Message payloads are marshalled by default, which (a) gives the cost
-   model the true byte size and (b) deep-copies the value, so processors
-   cannot accidentally share mutable state.  Passing [~bytes] skips the
-   marshalling and shares the value by reference (zero-copy fast path; the
-   caller promises not to mutate it afterwards).
+   A [send] marshals its payload, which (a) gives the cost model the true
+   byte size and (b) deep-copies the value, so processors cannot
+   accidentally share mutable state.  A [send_slice] is copied instead and
+   priced at its unboxed [8 * length] bytes.
 
    The scheduler is deterministic: among runnable processors it always picks
    the one with the smallest (clock, rank), and receive matching is FIFO per
    (source, tag).  [recv_any] — inherently nondeterministic on a real
    machine — is resolved as "earliest arrival, then lowest source rank". *)
-
-type config = { procs : int; topology : Topology.t; cost : Cost_model.t }
 
 type packet = {
   pkt_src : int;
@@ -46,7 +44,6 @@ type blocked =
       deadline : float;  (* absolute simulated time; infinity = wait forever *)
       k : (packet, unit) Effect.Deep.continuation;
     }
-  | On_barrier of (unit, unit) Effect.Deep.continuation
 
 type proc = {
   rank : int;
@@ -60,17 +57,16 @@ type proc = {
   mutable msgs_sent : int;
   mutable bytes_sent : int;
   mutable msgs_recvd : int;
-  mutable barrier_count : int;
 }
 
 type t = {
-  cfg : config;
+  size : int;
+  topology : Topology.t;
+  cost : Cost_model.t;
   procs : proc array;
   trace : Trace.t;
   mutable seq : int;
 }
-
-type ctx = { sim : t; me : proc }
 
 type stats = {
   makespan : float;
@@ -78,7 +74,6 @@ type stats = {
   work_times : float array;
   total_msgs : int;
   total_bytes : int;
-  barriers : int;
 }
 
 type _ Effect.t +=
@@ -88,53 +83,56 @@ type _ Effect.t +=
       deadline : float;
     }
       -> packet Effect.t
-  | E_barrier : unit Effect.t
 
-(* --- program-side API ------------------------------------------------- *)
+(* The operation names the contract's messages carry: "Sim.<op>". *)
+let op name = "Sim." ^ name
 
-let rank ctx = ctx.me.rank
+let op_send = op "send"
+let op_send_slice = op "send_slice"
+let op_recv = op "recv"
+let op_recv_slice = op "recv_slice"
+let op_recv_any = op "recv_any"
+let op_work = op "work"
+let op_sleep = op "sleep"
 
-let work ctx d =
-  Engine.check_duration "Sim.work" d;
-  ctx.me.clock <- ctx.me.clock +. d;
-  ctx.me.work_time <- ctx.me.work_time +. d;
-  Trace.record ctx.sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank (Trace.Work d)
+(* --- the rank's primitives --------------------------------------------- *)
+
+let work sim me d =
+  Engine.check_duration op_work d;
+  me.clock <- me.clock +. d;
+  me.work_time <- me.work_time +. d;
+  Trace.record sim.trace ~time:me.clock ~proc:me.rank (Trace.Work d)
 
 (* Idle time: the clock moves but [work_time] does not, so imbalance
    diagnostics keep meaning "compute skew", not "who slept". *)
-let sleep ctx d =
-  Engine.check_duration "Sim.sleep" d;
-  ctx.me.clock <- ctx.me.clock +. d
+let sleep me d =
+  Engine.check_duration op_sleep d;
+  me.clock <- me.clock +. d
 
-let note ctx msg = Trace.record ctx.sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank (Trace.Note msg)
-
-let send_as op ctx ~dest ~tag ?bytes v =
-  Engine.check_dest op ~size:ctx.sim.cfg.procs ~self:ctx.me.rank dest;
-  let sim = ctx.sim in
-  let c = sim.cfg.cost in
+(* With [~bytes] the value is shared by reference and priced at that size
+   (only [send_slice], whose payload is already a private copy). *)
+let send_as op sim me ~dest ~tag ?bytes v =
+  Engine.check_dest op ~size:sim.size ~self:me.rank dest;
+  let c = sim.cost in
   let payload, marshalled, nbytes =
     match bytes with
-    | Some b ->
-        if b < 0 then invalid_arg (op ^ ": negative size");
-        (Obj.repr v, false, b)
+    | Some b -> (Obj.repr v, false, b)
     | None ->
         let m = Marshal.to_bytes v [] in
         (Obj.repr m, true, Bytes.length m)
   in
-  ctx.me.clock <- ctx.me.clock +. c.Cost_model.send_overhead;
-  let hops = Topology.hops sim.cfg.topology ~procs:sim.cfg.procs ~src:ctx.me.rank ~dest in
-  let arrival = ctx.me.clock +. Cost_model.transfer_time c ~hops ~bytes:nbytes in
+  me.clock <- me.clock +. c.Cost_model.send_overhead;
+  let hops = Topology.hops sim.topology ~procs:sim.size ~src:me.rank ~dest in
+  let arrival = me.clock +. Cost_model.transfer_time c ~hops ~bytes:nbytes in
   let pkt =
-    { pkt_src = ctx.me.rank; pkt_tag = tag; payload; marshalled; bytes = nbytes; arrival; pkt_seq = sim.seq }
+    { pkt_src = me.rank; pkt_tag = tag; payload; marshalled; bytes = nbytes; arrival; pkt_seq = sim.seq }
   in
   sim.seq <- sim.seq + 1;
   let dst = sim.procs.(dest) in
   dst.inbox <- dst.inbox @ [ pkt ];
-  ctx.me.msgs_sent <- ctx.me.msgs_sent + 1;
-  ctx.me.bytes_sent <- ctx.me.bytes_sent + nbytes;
-  Trace.record sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank (Trace.Send { dest; tag; bytes = nbytes })
-
-let send ctx ~dest ?(tag = 0) ?bytes v = send_as "Sim.send" ctx ~dest ~tag ?bytes v
+  me.msgs_sent <- me.msgs_sent + 1;
+  me.bytes_sent <- me.bytes_sent + nbytes;
+  Trace.record sim.trace ~time:me.clock ~proc:me.rank (Trace.Send { dest; tag; bytes = nbytes })
 
 let matches ~want_src ~want_tag pkt =
   (match want_src with None -> true | Some s -> pkt.pkt_src = s)
@@ -170,7 +168,7 @@ let remove_packet p pkt = p.inbox <- List.filter (fun q -> q.pkt_seq <> pkt.pkt_
 
 let deliver sim (p : proc) pkt =
   remove_packet p pkt;
-  p.clock <- Float.max p.clock pkt.arrival +. sim.cfg.cost.Cost_model.recv_overhead;
+  p.clock <- Float.max p.clock pkt.arrival +. sim.cost.Cost_model.recv_overhead;
   p.msgs_recvd <- p.msgs_recvd + 1;
   Trace.record sim.trace ~time:p.clock ~proc:p.rank
     (Trace.Recv { src = pkt.pkt_src; tag = pkt.pkt_tag; bytes = pkt.bytes })
@@ -187,57 +185,42 @@ let decode : type a. packet -> a =
    (see [choose]).  The classic symptom of the eager path was a receiver
    racing through a pre-filled inbox in one scheduling quantum while a
    lower-clock sender sat unstarted. *)
-let recv_packet _ctx ~want_src ~want_tag ~deadline =
-  Effect.perform (E_recv { want_src; want_tag; deadline })
+let recv_packet ~want_src ~want_tag ~deadline = Effect.perform (E_recv { want_src; want_tag; deadline })
 
-let recv_as op ctx ~src ?tag ?timeout () =
-  Engine.check_src op ~size:ctx.sim.cfg.procs src;
-  let deadline = Engine.deadline op (fun () -> ctx.me.clock) timeout in
-  recv_packet ctx ~want_src:(Some src) ~want_tag:tag ~deadline
+let recv_as op sim me ~src ~tag timeout =
+  Engine.check_src op ~size:sim.size src;
+  let deadline = Engine.deadline op (fun () -> me.clock) timeout in
+  recv_packet ~want_src:(Some src) ~want_tag:(Some tag) ~deadline
 
-let recv : type a. ctx -> src:int -> ?tag:int -> ?timeout:float -> unit -> a =
- fun ctx ~src ?tag ?timeout () -> decode (recv_as "Sim.recv" ctx ~src ?tag ?timeout ())
-
-let recv_any : type a. ctx -> ?tag:int -> ?timeout:float -> unit -> int * a =
- fun ctx ?tag ?timeout () ->
-  let deadline = Engine.deadline "Sim.recv_any" (fun () -> ctx.me.clock) timeout in
-  let pkt = recv_packet ctx ~want_src:None ~want_tag:tag ~deadline in
-  (pkt.pkt_src, decode pkt)
-
-let barrier ctx =
-  Trace.record ctx.sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank Trace.Barrier_enter;
-  ctx.me.barrier_count <- ctx.me.barrier_count + 1;
-  if ctx.sim.cfg.procs > 1 then Effect.perform E_barrier;
-  Trace.record ctx.sim.trace ~time:ctx.me.clock ~proc:ctx.me.rank Trace.Barrier_leave
-
-(* The simulator as an [Engine.t]: primitives delegate to the functions
-   above and charge simulated time. *)
-let engine ctx : Engine.t =
+(* Rank [me] as an [Engine.t], charging simulated time. *)
+let engine sim me : Engine.t =
   {
-    rank = ctx.me.rank;
-    size = ctx.sim.cfg.procs;
-    cost = ctx.sim.cfg.cost;
-    topology = ctx.sim.cfg.topology;
+    rank = me.rank;
+    size = sim.size;
+    cost = sim.cost;
+    topology = sim.topology;
     real_time = false;
-    send = (fun ~dest ~tag v -> send ctx ~dest ~tag v);
-    recv = (fun ?timeout ~src ~tag () -> recv ctx ~src ~tag ?timeout ());
-    recv_any = (fun ?timeout ?tag () -> recv_any ctx ?tag ?timeout ());
+    send = (fun ~dest ~tag v -> send_as op_send sim me ~dest ~tag v);
+    recv = (fun ?timeout ~src ~tag () -> decode (recv_as op_recv sim me ~src ~tag timeout));
+    recv_any =
+      (fun ?timeout ?tag () ->
+        let deadline = Engine.deadline op_recv_any (fun () -> me.clock) timeout in
+        let pkt = recv_packet ~want_src:None ~want_tag:tag ~deadline in
+        (pkt.pkt_src, decode pkt));
     send_slice =
       (fun ~dest ~tag s ->
-        (* One message priced at the payload's true unboxed size.  The copy
-           keeps the simulator's value semantics (a sim sender may reuse its
-           buffer immediately, unlike on real engines) — [~bytes] already
-           skips the marshalling cost model would otherwise charge. *)
+        (* The copy keeps the simulator's value semantics: a sim sender
+           may reuse its buffer at once, unlike on the real engines. *)
         let n = Bigarray.Array1.dim s in
         let c = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
         Bigarray.Array1.blit s c;
-        send_as "Sim.send_slice" ctx ~dest ~tag ~bytes:(8 * n) c);
+        send_as op_send_slice sim me ~dest ~tag ~bytes:(8 * n) c);
     recv_slice =
-      (fun ?timeout ~src ~tag () -> decode (recv_as "Sim.recv_slice" ctx ~src ~tag ?timeout ()));
-    work = work ctx;
-    sleep = sleep ctx;
-    time = (fun () -> ctx.me.clock);
-    note = note ctx;
+      (fun ?timeout ~src ~tag () -> decode (recv_as op_recv_slice sim me ~src ~tag timeout));
+    work = work sim me;
+    sleep = sleep me;
+    time = (fun () -> me.clock);
+    note = (fun msg -> Trace.record sim.trace ~time:me.clock ~proc:me.rank (Trace.Note msg));
   }
 
 (* --- scheduler --------------------------------------------------------- *)
@@ -265,7 +248,6 @@ let make_handler sim p : (unit, unit) Effect.Deep.handler =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 p.blocked <- On_recv { want_src; want_tag; deadline; k })
-        | E_barrier -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> p.blocked <- On_barrier k)
         | _ -> None)
   }
 
@@ -299,7 +281,7 @@ let choose sim =
                 | Some pkt -> consider p (Float.max p.clock pkt.arrival) (`Deliver pkt)
                 | None ->
                     if deadline < Float.infinity then consider p (Float.max p.clock deadline) `Expire)
-            | On_barrier _ | Not_blocked -> ()))
+            | Not_blocked -> ()))
     sim.procs;
   match !best with
   | None -> None
@@ -318,25 +300,11 @@ let describe_blocked sim =
               Printf.sprintf "recv(src=%s, tag=%s)"
                 (match want_src with None -> "any" | Some s -> string_of_int s)
                 (match want_tag with None -> "any" | Some t -> string_of_int t)
-          | On_barrier _ -> "barrier"
           | Not_blocked -> ( match p.thunk with Some _ -> "not started" | None -> "running?")
         in
         Buffer.add_string buf (Printf.sprintf "p%d@%.6f: %s; " p.rank p.clock state))
     sim.procs;
   Buffer.contents buf
-
-let release_barrier sim =
-  let t_max = Array.fold_left (fun acc p -> Float.max acc p.clock) 0.0 sim.procs in
-  let t_release = t_max +. Cost_model.barrier_time sim.cfg.cost ~procs:sim.cfg.procs in
-  Array.iter
-    (fun p ->
-      p.clock <- t_release;
-      match p.blocked with
-      | On_barrier k ->
-          p.blocked <- Not_blocked;
-          Effect.Deep.continue k ()
-      | Not_blocked | On_recv _ -> assert false)
-    sim.procs
 
 let schedule sim =
   let rec loop () =
@@ -347,7 +315,7 @@ let schedule sim =
         thunk ();
         loop ()
     | Some (Deliver (p, pkt)) ->
-        let k = match p.blocked with On_recv { k; _ } -> k | _ -> assert false in
+        let k = match p.blocked with On_recv { k; _ } -> k | Not_blocked -> assert false in
         p.blocked <- Not_blocked;
         deliver sim p pkt;
         Effect.Deep.continue k pkt;
@@ -356,7 +324,7 @@ let schedule sim =
         let k, want_src, want_tag =
           match p.blocked with
           | On_recv { k; want_src; want_tag; _ } -> (k, want_src, want_tag)
-          | _ -> assert false
+          | Not_blocked -> assert false
         in
         p.blocked <- Not_blocked;
         p.clock <- t;
@@ -367,24 +335,8 @@ let schedule sim =
              ~tag:want_tag ~deadline:t);
         loop ()
     | None ->
-        if Array.for_all (fun p -> p.finished) sim.procs then ()
-        else begin
-          let at_barrier =
-            Array.for_all (fun p -> p.finished || (match p.blocked with On_barrier _ -> true | _ -> false))
-              sim.procs
-          in
-          let any_finished = Array.exists (fun p -> p.finished) sim.procs in
-          if at_barrier && not any_finished then begin
-            release_barrier sim;
-            loop ()
-          end
-          else
-            raise
-              (Fault.Deadlock
-                 (Printf.sprintf "no runnable processor%s: %s"
-                    (if at_barrier then " (barrier with finished processors)" else "")
-                    (describe_blocked sim)))
-        end
+        if not (Array.for_all (fun p -> p.finished) sim.procs) then
+          raise (Fault.Deadlock ("no runnable processor: " ^ describe_blocked sim))
   in
   loop ()
 
@@ -401,7 +353,6 @@ let fresh_proc rank =
     msgs_sent = 0;
     bytes_sent = 0;
     msgs_recvd = 0;
-    barrier_count = 0;
   }
 
 let collect_stats sim =
@@ -411,7 +362,6 @@ let collect_stats sim =
     work_times = Array.map (fun p -> p.work_time) sim.procs;
     total_msgs = Array.fold_left (fun acc p -> acc + p.msgs_sent) 0 sim.procs;
     total_bytes = Array.fold_left (fun acc p -> acc + p.bytes_sent) 0 sim.procs;
-    barriers = Array.fold_left (fun acc p -> max acc p.barrier_count) 0 sim.procs;
   }
 
 (* Observability: one span around each whole simulation plus counters fed
@@ -421,7 +371,6 @@ let collect_stats sim =
 let obs_runs = Obs.Counter.make "sim.runs"
 let obs_msgs = Obs.Counter.make "sim.msgs"
 let obs_bytes = Obs.Counter.make "sim.bytes"
-let obs_barriers = Obs.Counter.make "sim.barriers"
 let obs_makespan = Obs.Histogram.make ~unit_:"us" "sim.makespan_us"
 let obs_run_span = Obs.Span.make "sim.run_wall"
 
@@ -430,19 +379,20 @@ let publish_obs stats =
     Obs.Counter.incr obs_runs;
     Obs.Counter.add obs_msgs stats.total_msgs;
     Obs.Counter.add obs_bytes stats.total_bytes;
-    Obs.Counter.add obs_barriers stats.barriers;
     Obs.Histogram.record obs_makespan (int_of_float (stats.makespan *. 1e6))
   end
 
-let run_each ?trace cfg program =
+let run_each ?trace ?(cost = Cost_model.ap1000) ?topology ~procs program =
   Obs.Span.timed obs_run_span (fun () ->
-      Topology.validate cfg.topology ~procs:cfg.procs;
+      Engine.check_procs (op "run_each") procs;
+      let topology = match topology with Some t -> t | None -> Topology.default procs in
+      Topology.validate topology ~procs;
       let trace = match trace with Some t -> t | None -> Trace.disabled () in
-      let sim = { cfg; procs = Array.init cfg.procs fresh_proc; trace; seq = 0 } in
+      let sim = { size = procs; topology; cost; procs = Array.init procs fresh_proc; trace; seq = 0 } in
       Array.iter
         (fun p ->
-          let ctx = { sim; me = p } in
-          p.thunk <- Some (fun () -> Effect.Deep.match_with (program p.rank) ctx (make_handler sim p)))
+          p.thunk <-
+            Some (fun () -> Effect.Deep.match_with (program p.rank) (engine sim p) (make_handler sim p)))
         sim.procs;
       schedule sim;
       Array.iter
@@ -457,14 +407,10 @@ let run_each ?trace cfg program =
       publish_obs stats;
       stats)
 
-let run ?trace cfg program = run_each ?trace cfg (fun _rank -> program)
-
-(* Convenience: run and also return a value computed by a processor —
-   usually the root after a gather. *)
-let run_collect ?trace (cfg : config) (program : ctx -> 'a option) : 'a * stats =
-  let results = Array.make (max 0 cfg.procs) None in
-  let stats = run_each ?trace cfg (fun rank ctx -> results.(rank) <- program ctx) in
-  (Engine.lowest_rank "Sim.run_collect" results, stats)
+let run_collect ?trace ?cost ?topology ~procs program =
+  let results = Array.make (max 0 procs) None in
+  let stats = run_each ?trace ?cost ?topology ~procs (fun rank eng -> results.(rank) <- program eng) in
+  (Engine.lowest_rank (op "run_collect") results, stats)
 
 (* Load-balance diagnostics over a run's statistics. *)
 let mean_work stats =
@@ -480,7 +426,6 @@ let imbalance stats =
 
 let pp_stats ppf stats =
   Format.fprintf ppf
-    "@[<v>makespan %.6f s; %d msgs, %d bytes, %d barrier phase(s)@,\
-     work: max %.6f s, mean %.6f s (imbalance %.2f)@]"
-    stats.makespan stats.total_msgs stats.total_bytes stats.barriers (max_work stats)
-    (mean_work stats) (imbalance stats)
+    "@[<v>makespan %.6f s; %d msgs, %d bytes@,work: max %.6f s, mean %.6f s (imbalance %.2f)@]"
+    stats.makespan stats.total_msgs stats.total_bytes (max_work stats) (mean_work stats)
+    (imbalance stats)

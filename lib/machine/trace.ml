@@ -5,8 +5,6 @@ type kind =
   | Send of { dest : int; tag : int; bytes : int }
   | Recv of { src : int; tag : int; bytes : int }
   | Work of float
-  | Barrier_enter
-  | Barrier_leave
   | Note of string
   | Finish
 
@@ -31,8 +29,6 @@ let pp_kind ppf = function
   | Send { dest; tag; bytes } -> Fmt.pf ppf "send -> p%d (tag %d, %d B)" dest tag bytes
   | Recv { src; tag; bytes } -> Fmt.pf ppf "recv <- p%d (tag %d, %d B)" src tag bytes
   | Work d -> Fmt.pf ppf "work %.3g s" d
-  | Barrier_enter -> Fmt.pf ppf "barrier enter"
-  | Barrier_leave -> Fmt.pf ppf "barrier leave"
   | Note s -> Fmt.pf ppf "note: %s" s
   | Finish -> Fmt.pf ppf "finish"
 
@@ -51,7 +47,7 @@ let notes t =
    map to microsecond timestamps; each virtual processor becomes a thread
    of one process.  Work intervals are complete events ("ph":"X", stamped
    at interval start with a duration); sends/receives/notes are thread-
-   scoped instants; barriers are begin/end pairs. *)
+   scoped instants. *)
 let to_chrome ?(pid = 0) t : Obs.Json.t =
   let open Obs.Json in
   let us x = x *. 1e6 in
@@ -89,8 +85,6 @@ let to_chrome ?(pid = 0) t : Obs.Json.t =
             ev ~name:"recv" ~ph:"i" ~ts:e.time ~tid:e.proc
               ~args:[ ("src", Int src); ("tag", Int tag); ("bytes", Int bytes) ]
               ()
-        | Barrier_enter -> ev ~name:"barrier" ~ph:"B" ~ts:e.time ~tid:e.proc ()
-        | Barrier_leave -> ev ~name:"barrier" ~ph:"E" ~ts:e.time ~tid:e.proc ()
         | Note s -> ev ~name:s ~ph:"i" ~ts:e.time ~tid:e.proc ()
         | Finish -> ev ~name:"finish" ~ph:"i" ~ts:e.time ~tid:e.proc ())
       evs
@@ -100,8 +94,8 @@ let to_chrome ?(pid = 0) t : Obs.Json.t =
 let write_chrome ?pid path t = Obs.Json.to_file ~pretty:false path (to_chrome ?pid t)
 
 (* ASCII Gantt chart: one row per processor, time left to right.  Work
-   intervals are drawn as '=', sends as '>', receives as '<', barriers as
-   '|'; '.' is idle.  Intended for small traces (demos, debugging). *)
+   intervals are drawn as '=', sends as '>', receives as '<', finishes as
+   '#'; '.' is idle.  Intended for small traces (demos, debugging). *)
 let pp_gantt ?(width = 72) ppf t =
   let evs = events t in
   if evs = [] then Fmt.pf ppf "(empty trace)@."
@@ -123,11 +117,10 @@ let pp_gantt ?(width = 72) ppf t =
             done
         | Send _ -> Bytes.set row (col e.time) '>'
         | Recv _ -> Bytes.set row (col e.time) '<'
-        | Barrier_enter | Barrier_leave -> Bytes.set row (col e.time) '|'
         | Finish -> Bytes.set row (col e.time) '#'
         | Note _ -> ())
       evs;
     Fmt.pf ppf "@[<v>time 0 %s %.6gs@," (String.make (width - 14) '-') t_end;
     Array.iteri (fun p row -> Fmt.pf ppf "p%-3d %s@," p (Bytes.to_string row)) rows;
-    Fmt.pf ppf "     (= work, > send, < recv, | barrier, # finish)@]"
+    Fmt.pf ppf "     (= work, > send, < recv, # finish)@]"
   end

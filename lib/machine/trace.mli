@@ -4,8 +4,6 @@ type kind =
   | Send of { dest : int; tag : int; bytes : int }
   | Recv of { src : int; tag : int; bytes : int }
   | Work of float
-  | Barrier_enter
-  | Barrier_leave
   | Note of string
   | Finish
 
@@ -35,8 +33,8 @@ val to_chrome : ?pid:int -> t -> Obs.Json.t
 (** Chrome [trace_event] JSON-array export, loadable in [chrome://tracing]
     and Perfetto. One thread per virtual processor; simulated seconds
     become microsecond timestamps. Work intervals are complete events
-    (["ph":"X"] with a [dur]); sends, receives and notes are instants;
-    barriers are B/E pairs. *)
+    (["ph":"X"] with a [dur]); sends, receives, notes and finishes are
+    instants. *)
 
 val write_chrome : ?pid:int -> string -> t -> unit
 (** [write_chrome path t] writes {!to_chrome} to [path] (compact JSON). *)
@@ -46,4 +44,4 @@ val pp_event : Format.formatter -> event -> unit
 
 val pp_gantt : ?width:int -> Format.formatter -> t -> unit
 (** ASCII timeline, one row per processor ([=] work, [>] send, [<] recv,
-    [|] barrier, [#] finish). For small traces. *)
+    [#] finish). For small traces. *)

@@ -7,7 +7,7 @@ open Machine
 
 let default_topology = Topology.default
 
-(* Observability: the simulator itself records messages/bytes/barriers and
+(* Observability: the simulator itself records messages/bytes and
    the simulated makespan (see Machine.Sim), and the multicore fabric its
    own mc.* counters.  Here we add the host side of the "simulated vs wall"
    comparison: a span for the wall-clock cost of running each SPMD program,
@@ -33,10 +33,7 @@ let run (type s a) (backend : s Backend.t) ?topology ?chaos ~procs
       let program = with_chaos chaos program in
       match backend with
       | Backend.Sim { cost; trace } ->
-          let ((_, stats) as r) =
-            Sim.run_collect ?trace { Sim.procs; topology; cost } (fun ctx ->
-                program (Sim.engine ctx))
-          in
+          let ((_, stats) as r) = Sim.run_collect ?trace ~cost ~topology ~procs program in
           if Obs.enabled () then begin
             Obs.Counter.incr obs_runs;
             Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))

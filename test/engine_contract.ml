@@ -116,7 +116,69 @@ let argument_checks backend =
         fun eng -> ignore (eng.Engine.recv_slice ~timeout:(-1.0) ~src:1 ~tag:0 ()) );
       (negative "work" "duration", fun eng -> eng.Engine.work (-1.0));
       (negative "sleep" "duration", fun eng -> eng.Engine.sleep (-1.0));
-    ]
+    ];
+  List.iter
+    (fun procs ->
+      let expected = e ^ ".run_each: procs must be positive" in
+      Alcotest.check_raises (Printf.sprintf "procs:%d" procs) (Invalid_argument expected) (fun () ->
+          ignore (run backend ~procs (fun _ -> Some ()))))
+    [ 0; -1 ]
+
+(* Three senders push [msgs] tagged messages each to rank 0, which drains
+   them grouped by (source, tag) in an order unrelated to arrival.  Checks:
+   per-(source, tag) FIFO, multiset integrity (count and sum), and that the
+   stash never loses a message.  Bare engines only: Chaos relaxes FIFO by
+   design. *)
+let fifo_under_interleaving ?(seed = 42) backend =
+  let msgs = 500 in
+  let ntags = 3 in
+  let tags_for src =
+    let rng = Runtime.Xoshiro.of_seed (seed + src) in
+    Array.init msgs (fun _ -> Runtime.Xoshiro.int rng ntags)
+  in
+  let v, _ =
+    run backend ~procs:4 (fun eng ->
+        let me = eng.Engine.rank in
+        if me > 0 then begin
+          let tags = tags_for me in
+          Array.iteri (fun i tag -> eng.Engine.send ~dest:0 ~tag (me * 1_000_000 + i)) tags;
+          None
+        end
+        else begin
+          let ok = ref true in
+          let received = ref 0 in
+          let sum = ref 0 in
+          (* group order deliberately different from arrival order *)
+          for tag = ntags - 1 downto 0 do
+            for src = 3 downto 1 do
+              let expected = tags_for src in
+              let last = ref (-1) in
+              Array.iteri
+                (fun i t ->
+                  if t = tag then begin
+                    let (v : int) = eng.Engine.recv ~src ~tag () in
+                    incr received;
+                    sum := !sum + v;
+                    let seq = v mod 1_000_000 in
+                    if v / 1_000_000 <> src || seq <> i || seq <= !last then ok := false;
+                    last := seq
+                  end)
+                expected
+            done
+          done;
+          let expected_sum =
+            let s = ref 0 in
+            for src = 1 to 3 do
+              for i = 0 to msgs - 1 do
+                s := !s + (src * 1_000_000) + i
+              done
+            done;
+            !s
+          in
+          Some (!ok && !received = 3 * msgs && !sum = expected_sum)
+        end)
+  in
+  Alcotest.(check bool) "per-(src,tag) FIFO and multiset intact" true v
 
 (* --- deadlines ------------------------------------------------------------ *)
 
@@ -513,6 +575,8 @@ let contract_group backend =
   ( "contract",
     [
       Alcotest.test_case "argument checks" `Quick (fun () -> argument_checks backend);
+      Alcotest.test_case "per-(src,tag) FIFO under interleaving" `Quick (fun () ->
+          fifo_under_interleaving backend);
       Alcotest.test_case "error chain raises root cause" `Quick (fun () ->
           rank_error_chain backend);
       Alcotest.test_case "scalar pipeline input" `Quick (fun () -> spmd_exec_scalar_input backend);

@@ -45,7 +45,7 @@ let test_deadlock_mutual_recv () = C.mutual_recv_deadlock (Backend.multicore ~do
    in-flight counter must not keep the detector from firing. *)
 let test_deadlock_unmatched_tag () =
   match
-    Multicore.run ~procs:2 ~domains:2 (fun eng ->
+    Multicore.run_each ~procs:2 ~domains:2 (fun _ eng ->
         if eng.Engine.rank = 0 then begin
           eng.Engine.send ~dest:1 ~tag:7 ();
           let (_ : unit) = eng.Engine.recv ~src:1 ~tag:8 () in
@@ -70,60 +70,9 @@ let test_rank_exception_propagates () =
 
 (* --- seeded multi-domain stress ------------------------------------------ *)
 
-(* Three senders push [msgs] tagged messages each into rank 0's mailbox from
-   their own domains; rank 0 drains them grouped by (source, tag) in an
-   order unrelated to arrival.  Checks: per-(source, tag) FIFO, multiset
-   integrity (count and sum), and that the stash never loses a message. *)
-let fabric_stress seed () =
-  let msgs = 500 in
-  let ntags = 3 in
-  let tags_for src =
-    let rng = Runtime.Xoshiro.of_seed (seed + src) in
-    Array.init msgs (fun _ -> Runtime.Xoshiro.int rng ntags)
-  in
-  let v, _ =
-    Multicore.run_collect ~procs:4 ~domains:4 (fun eng ->
-        let me = eng.Engine.rank in
-        if me > 0 then begin
-          let tags = tags_for me in
-          Array.iteri (fun i tag -> eng.Engine.send ~dest:0 ~tag (me * 1_000_000 + i)) tags;
-          None
-        end
-        else begin
-          let ok = ref true in
-          let received = ref 0 in
-          let sum = ref 0 in
-          (* group order deliberately different from arrival order *)
-          for tag = ntags - 1 downto 0 do
-            for src = 3 downto 1 do
-              let expected = tags_for src in
-              let last = ref (-1) in
-              Array.iteri
-                (fun i t ->
-                  if t = tag then begin
-                    let (v : int) = eng.Engine.recv ~src ~tag () in
-                    incr received;
-                    sum := !sum + v;
-                    let seq = v mod 1_000_000 in
-                    if v / 1_000_000 <> src || seq <> i || seq <= !last then ok := false;
-                    last := seq
-                  end)
-                expected
-            done
-          done;
-          let expected_sum =
-            let s = ref 0 in
-            for src = 1 to 3 do
-              for i = 0 to msgs - 1 do
-                s := !s + (src * 1_000_000) + i
-              done
-            done;
-            !s
-          in
-          Some (!ok && !received = 3 * msgs && !sum = expected_sum)
-        end)
-  in
-  Alcotest.(check bool) "per-(src,tag) FIFO and multiset intact" true v
+(* The battery's per-(source, tag) FIFO case, each sender on its own
+   domain. *)
+let fabric_stress seed () = C.fifo_under_interleaving ~seed (Backend.multicore ~domains:4 ())
 
 (* 1000 rounds of the dissemination barrier over the fabric with a shared
    counter: after round r every rank must observe all p increments of round
@@ -354,7 +303,7 @@ let test_minor_words_counter_surfaced () =
   (* the [mc.minor_words] obs counter reports per-domain allocation *)
   Obs.enable ();
   Obs.reset ();
-  let _ = Multicore.run ~procs:2 ~domains:1 (fun eng -> ignore (Comm.world eng)) in
+  let _ = Multicore.run_each ~procs:2 ~domains:1 (fun _ eng -> ignore (Comm.world eng)) in
   let c = Obs.Metrics.counter_value "mc.minor_words" in
   Obs.disable ();
   Alcotest.(check bool) "counter present and positive" true
@@ -408,7 +357,7 @@ let test_failed_spawn_releases_domains () =
      included): asking for more domains than it holds must fail, and the
      domains spawned before the failure must be released, or every later
      run fails for want of a slot *)
-  (match Multicore.run ~domains:129 ~procs:129 ignore with
+  (match Multicore.run_each ~domains:129 ~procs:129 (fun _ _ -> ()) with
   | _ -> Alcotest.fail "expected a refused spawn"
   | exception Failure _ -> ());
   let v, _ = Multicore.run_collect ~domains:2 ~procs:2 (fun eng -> Some eng.Engine.size) in

@@ -58,7 +58,7 @@ let test_bulk_send_completes_outside_engine () =
       Unix.close wr)
     (fun () ->
       ignore
-        (Procs.run ~procs:2 (fun eng ->
+        (Procs.run_each ~procs:2 (fun _ eng ->
              if eng.Engine.rank = 0 then begin
                eng.Engine.send ~dest:1 ~tag:0 (Array.init n Fun.id);
                match Unix.select [ rd ] [] [] 10.0 with
@@ -78,7 +78,7 @@ let test_unserializable_closure_rejected () =
      must refuse with the Fault-taxonomy error, not a raw Marshal raise
      somewhere mid-protocol *)
   match
-    Procs.run ~procs:2 (fun eng ->
+    Procs.run_each ~procs:2 (fun _ eng ->
         if eng.Engine.rank = 0 then eng.Engine.send ~dest:1 ~tag:0 (fun x -> x + 1)
         else ignore (eng.Engine.recv ~timeout:2.0 ~src:0 ~tag:0 () : int -> int))
   with
@@ -281,7 +281,7 @@ let test_repeated_runs_leave_nothing () =
   let chaos = { Chaos.none with Chaos.crashes = [ (2, 1) ] } in
   for _ = 1 to 100 do
     Alcotest.(check int) "clean allreduce" 6 (fst (Spmd.run Backend.procs ~procs:4 sum));
-    (match Procs.run ~procs:4 (fun eng -> if eng.Engine.rank = 3 then failwith "boom") with
+    (match Procs.run_each ~procs:4 (fun _ eng -> if eng.Engine.rank = 3 then failwith "boom") with
     | _ -> Alcotest.fail "expected Failure"
     | exception Failure _ -> ());
     match Spmd.run Backend.procs ~procs:4 ~chaos sum with
@@ -406,7 +406,7 @@ let test_fork_after_domain () =
      the run must name the reason and leave no socket behind *)
   Domain.join (Domain.spawn ignore);
   let before = fd_count () in
-  (match Procs.run ~procs:4 ignore with
+  (match Procs.run_each ~procs:4 (fun _ _ -> ()) with
   | _ -> Alcotest.fail "expected Procs.Fork_after_domain"
   | exception Procs.Fork_after_domain -> ());
   Alcotest.(check int) "no fd leaked" before (fd_count ())
