@@ -36,11 +36,13 @@ val sort :
 
 val sort_flatint :
   's Backend.t -> ?topology:Topology.t -> procs:int -> int array -> int array * 's
-(** {!sort} with the local phases (sort, split, merge) on the unboxed
-    int flat tier ([Scl.Flat.Int]): in-place local sort and zero-copy
-    split views. Output and flops charges are identical to {!sort};
-    messages stay boxed at the exchange boundary (the slice tier is
-    float64-only). *)
+(** {!sort} with the keys in the unboxed int flat tier ([Scl.Flat.Int])
+    from scatter to gather: in-place local sort, zero-copy split views,
+    and the flat blocks themselves as the scatter, exchange and gather
+    messages (by reference on [multicore], marshalled elsewhere). The
+    root copies the input once; the caller's array is never modified.
+    Output, message count and flops charges are identical to {!sort}; on
+    [sim] only the priced byte counts differ. *)
 
 (** {2 Benchmark-pinned names}
 
@@ -48,7 +50,7 @@ val sort_flatint :
     {!sort_flatint} on one backend. *)
 
 val sort_procs : procs:int -> int array -> int array * Procs.stats
-(** [sort Backend.procs]. *)
+(** [sort_flatint Backend.procs]. *)
 
 val sort_multicore_flatint :
   ?domains:int -> procs:int -> int array -> int array * Multicore.stats

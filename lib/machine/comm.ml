@@ -369,7 +369,8 @@ let recv_slice_i t ~tag src_index = t.eng.Engine.recv_slice ~src:t.ranks.(src_in
 
 (* Block decomposition geometry shared with the scl_sim distributed
    vectors: member k of m holds [bounds.(k), bounds.(k+1)) of a length-n
-   vector, sizes n/m rounded up for the first n mod m members. *)
+   vector, sizes n/m rounded up for the first n mod m members.  A copy of
+   [Scl.Partition.block_bounds], which this library sits below. *)
 let block_bounds ~total ~parts =
   let q = total / parts and r = total mod parts in
   Array.init (parts + 1) (fun k -> (k * q) + min k r)

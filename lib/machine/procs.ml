@@ -19,6 +19,22 @@
    marshalling framing — so one bulk send stays one frame, the
    coalescing invariant the flat tier builds on.
 
+   Each bulk frame is copied once per hop.  Writing: a payload of up to
+   one chunk (64 KiB) goes out in a single write together with its
+   header; a larger one is written after its header as it stands, never
+   copied into an assembled frame.  Reading: one chunk-sized read drains
+   as many small frames as have arrived into the peer's stream tail, and
+   they are parsed out of it.  Once a header announces a payload the tail
+   does not hold in full, the payload is allocated at its final size,
+   takes the buffered prefix, and the rest is read straight into it; it
+   is queued as it stands.  The stream tail therefore never grows past a
+   header plus one chunk.
+
+   A child reports to the parent over its own socket: two int64 lengths,
+   then its verdict record (counters, fail-stop flag, error) as a
+   [Marshal] image, then its result's marshalled bytes raw, not wrapped
+   in a second [Marshal].
+
    A send returns once its whole frame is in the kernel; no frame is
    ever owed after that.  No send waits for a matching receive: a frame
    that does not fit in the socket buffer is written as the buffer
@@ -68,13 +84,20 @@ let k_marshal = 0
 let k_slice = 1
 let k_goodbye = 2
 
-let make_frame kind tag payload =
+(* One read or write of the byte stream moves at most this much; a frame
+   whose payload is larger skips the per-peer stream buffer both ways. *)
+let chunk = 65536
+
+(* The frame header for [payload], followed by [payload] itself only when
+   it fits in one chunk: a larger payload is written after it as is. *)
+let frame_head kind tag payload =
   let n = Bytes.length payload in
-  let b = Bytes.create (header_len + n) in
+  let inline = if n <= chunk then n else 0 in
+  let b = Bytes.create (header_len + inline) in
   Bytes.set b 0 (Char.chr kind);
   Bytes.set_int64_le b 1 (Int64.of_int tag);
   Bytes.set_int64_le b 9 (Int64.of_int (if kind = k_slice then n / 8 else n));
-  Bytes.blit payload 0 b header_len n;
+  Bytes.blit payload 0 b header_len inline;
   b
 
 let encode_slice (s : Engine.slice) =
@@ -95,6 +118,11 @@ let decode_slice payload : Engine.slice =
 
 (* -------------------------------------------------------------- child state *)
 
+(* A parsed, not-yet-received message.  One queue in arrival order across
+   all peers: [recv_any] takes the globally oldest match, directed [recv]
+   the oldest on its channel — FIFO per (src, tag) either way. *)
+type packet = { k_src : int; k_tag : int; k_kind : int; k_payload : bytes }
+
 type peer = {
   p_rank : int;
   p_fd : Unix.file_descr;
@@ -103,12 +131,11 @@ type peer = {
   mutable p_wdead : bool;  (* write side dead; outbound traffic is dropped *)
   mutable p_rbuf : Bytes.t;  (* inbound stream tail not yet parsed *)
   mutable p_rlen : int;
+  mutable p_body : packet option;
+      (* a frame whose header is parsed but whose payload, allocated at
+         its final size, is still arriving *)
+  mutable p_got : int;  (* payload bytes of [p_body] read so far *)
 }
-
-(* A parsed, not-yet-received message.  One queue in arrival order across
-   all peers: [recv_any] takes the globally oldest match, directed [recv]
-   the oldest on its channel — FIFO per (src, tag) either way. *)
-type packet = { k_src : int; k_tag : int; k_kind : int; k_payload : bytes }
 
 type cstate = {
   c_rank : int;
@@ -125,7 +152,9 @@ let now st = Unix.gettimeofday () -. st.c_t0
 
 (* ------------------------------------------------------- stream maintenance *)
 
-(* Parse every complete frame out of the peer's stream tail. *)
+(* Parse every complete frame out of the peer's stream tail.  A frame
+   whose payload the tail does not hold in full becomes [p_body], taking
+   the whole rest of the tail, so what is left is shorter than a header. *)
 let parse_frames st peer =
   let pos = ref 0 in
   (try
@@ -134,18 +163,17 @@ let parse_frames st peer =
        let tag = Int64.to_int (Bytes.get_int64_le peer.p_rbuf (!pos + 1)) in
        let len = Int64.to_int (Bytes.get_int64_le peer.p_rbuf (!pos + 9)) in
        let body = if kind = k_slice then 8 * len else len in
-       if peer.p_rlen - !pos - header_len < body then raise Exit;
-       if kind = k_goodbye then peer.p_fin <- true
-       else
-         Queue.add
-           {
-             k_src = peer.p_rank;
-             k_tag = tag;
-             k_kind = kind;
-             k_payload = Bytes.sub peer.p_rbuf (!pos + header_len) body;
-           }
-           st.pending;
-       pos := !pos + header_len + body
+       let held = min body (peer.p_rlen - !pos - header_len) in
+       let payload = Bytes.create body in
+       Bytes.blit peer.p_rbuf (!pos + header_len) payload 0 held;
+       pos := !pos + header_len + held;
+       let pkt = { k_src = peer.p_rank; k_tag = tag; k_kind = kind; k_payload = payload } in
+       if held < body then begin
+         peer.p_body <- Some pkt;
+         peer.p_got <- held;
+         raise Exit
+       end;
+       if kind = k_goodbye then peer.p_fin <- true else Queue.add pkt st.pending
      done
    with Exit -> ());
   if !pos > 0 then begin
@@ -153,25 +181,43 @@ let parse_frames st peer =
     peer.p_rlen <- peer.p_rlen - !pos
   end
 
+(* Read until the socket would block: a chunk at a time into the stream
+   tail, or straight into the payload of a frame in progress. *)
 let read_peer st peer =
   let continue = ref true in
   while !continue && not peer.p_eof do
-    match Unix.read peer.p_fd st.scratch 0 (Bytes.length st.scratch) with
+    let into, off, len =
+      match peer.p_body with
+      | Some pkt -> (pkt.k_payload, peer.p_got, Bytes.length pkt.k_payload - peer.p_got)
+      | None -> (st.scratch, 0, chunk)
+    in
+    match Unix.read peer.p_fd into off len with
     | 0 -> peer.p_eof <- true
-    | n ->
-        let need = peer.p_rlen + n in
-        if Bytes.length peer.p_rbuf < need then begin
-          let grown = Bytes.create (max need (2 * Bytes.length peer.p_rbuf)) in
-          Bytes.blit peer.p_rbuf 0 grown 0 peer.p_rlen;
-          peer.p_rbuf <- grown
-        end;
-        Bytes.blit st.scratch 0 peer.p_rbuf peer.p_rlen n;
-        peer.p_rlen <- peer.p_rlen + n
+    | n -> (
+        match peer.p_body with
+        | Some pkt ->
+            peer.p_got <- peer.p_got + n;
+            if peer.p_got = Bytes.length pkt.k_payload then begin
+              Queue.add pkt st.pending;
+              peer.p_body <- None
+            end
+        | None ->
+            let need = peer.p_rlen + n in
+            if Bytes.length peer.p_rbuf < need then begin
+              (* the tail held less than a header before this read *)
+              let grown =
+                Bytes.create (min (header_len + chunk) (max need (2 * Bytes.length peer.p_rbuf)))
+              in
+              Bytes.blit peer.p_rbuf 0 grown 0 peer.p_rlen;
+              peer.p_rbuf <- grown
+            end;
+            Bytes.blit st.scratch 0 peer.p_rbuf peer.p_rlen n;
+            peer.p_rlen <- need;
+            parse_frames st peer)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> peer.p_eof <- true
     | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done;
-  parse_frames st peer
+  done
 
 (* One fabric pump: wait (up to [timeout] seconds; negative = forever)
    for any peer to become readable — or, with [~writing], for that one
@@ -286,18 +332,24 @@ let obj_of_packet pkt : Obj.t =
 (* Hand the whole frame to the kernel before returning.  While the
    socket is full, keep reading every inbound stream: the destination
    may itself be blocked sending to us.  A dead peer (EPIPE) absorbs the
-   frame — traffic to a crashed rank is lost, the fail-stop contract. *)
-let send_frame st peer frame =
-  let len = Bytes.length frame in
-  let off = ref 0 in
-  while (not peer.p_wdead) && !off < len do
-    match Unix.write peer.p_fd frame !off (len - !off) with
-    | n -> off := !off + n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        step ~writing:peer st ~timeout:(-1.0)
-    | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> peer.p_wdead <- true
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
+   frame — traffic to a crashed rank is lost, the fail-stop contract.
+   A payload larger than one chunk follows its header in a second write
+   instead of being copied behind it. *)
+let send_frame st peer kind tag payload =
+  let write b =
+    let len = Bytes.length b in
+    let off = ref 0 in
+    while (not peer.p_wdead) && !off < len do
+      match Unix.write peer.p_fd b !off (len - !off) with
+      | n -> off := !off + n
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+          step ~writing:peer st ~timeout:(-1.0)
+      | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> peer.p_wdead <- true
+      | exception Unix.Unix_error (EINTR, _, _) -> ()
+    done
+  in
+  write (frame_head kind tag payload);
+  if Bytes.length payload > chunk then write payload
 
 let send_obj st ~dest ~tag v =
   Engine.check_dest "Procs.send" ~size:st.c_procs ~self:st.c_rank dest;
@@ -312,14 +364,14 @@ let send_obj st ~dest ~tag v =
               st.c_rank dest tag msg))
   in
   match st.peers.(dest) with
-  | Some p -> send_frame st p (make_frame k_marshal tag payload)
+  | Some p -> send_frame st p k_marshal tag payload
   | None -> assert false
 
 let send_slice_to st ~dest ~tag s =
   Engine.check_dest "Procs.send_slice" ~size:st.c_procs ~self:st.c_rank dest;
   st.c_sent <- st.c_sent + 1;
   match st.peers.(dest) with
-  | Some p -> send_frame st p (make_frame k_slice tag (encode_slice s))
+  | Some p -> send_frame st p k_slice tag (encode_slice s)
   | None -> assert false
 
 (* ----------------------------------------------------------------- shutdown *)
@@ -330,7 +382,7 @@ let send_slice_to st ~dest ~tag s =
    model allows to go unconsumed. *)
 let finish_clean st =
   Array.iter
-    (function Some p -> send_frame st p (make_frame k_goodbye 0 Bytes.empty) | None -> ())
+    (function Some p -> send_frame st p k_goodbye 0 Bytes.empty | None -> ())
     st.peers;
   let crashed_src pkt =
     match st.peers.(pkt.k_src) with Some p -> p.p_eof && not p.p_fin | None -> false
@@ -411,8 +463,10 @@ type child_error =
   | E_failure of string
   | E_other of string
 
+(* A child's report.  Its result, if any, travels after it as raw
+   marshalled bytes (see [write_verdict]), not inside it. *)
 type verdict = {
-  v_out : (bytes option, child_error) result;  (* Ok: marshalled result, if any *)
+  v_error : child_error option;
   v_crashed : bool;  (* chaos-style self fail-stop: silent, not an error *)
   v_sent : int;
   v_recvd : int;
@@ -450,21 +504,30 @@ let rec read_all fd b off len =
     | n -> read_all fd b (off + n) (len - n)
     | exception Unix.Unix_error (EINTR, _, _) -> read_all fd b off len
 
-let write_verdict fd (v : verdict) =
+(* Verdict socket layout: two little-endian int64 lengths — the verdict
+   record's [Marshal] image, then the result's marshalled bytes (-1 when
+   the rank produced none) — followed by the record and the result. *)
+let write_verdict fd (v : verdict) (res : bytes option) =
   let b = Marshal.to_bytes v [] in
-  let hdr = Bytes.create 8 in
+  let hdr = Bytes.create 16 in
   Bytes.set_int64_le hdr 0 (Int64.of_int (Bytes.length b));
-  write_all fd hdr 0 8;
-  write_all fd b 0 (Bytes.length b)
+  Bytes.set_int64_le hdr 8 (Int64.of_int (match res with Some r -> Bytes.length r | None -> -1));
+  write_all fd hdr 0 16;
+  write_all fd b 0 (Bytes.length b);
+  Option.iter (fun r -> write_all fd r 0 (Bytes.length r)) res
 
 (* [None] = the child died before reporting (exit, signal): a real crash. *)
-let read_verdict fd : verdict option =
-  let hdr = Bytes.create 8 in
-  if not (read_all fd hdr 0 8) then None
+let read_verdict fd : (verdict * bytes option) option =
+  let hdr = Bytes.create 16 in
+  if not (read_all fd hdr 0 16) then None
   else begin
     let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
+    let res_len = Int64.to_int (Bytes.get_int64_le hdr 8) in
     let b = Bytes.create len in
-    if read_all fd b 0 len then Some (Marshal.from_bytes b 0 : verdict) else None
+    let r = Bytes.create (max res_len 0) in
+    if read_all fd b 0 len && read_all fd r 0 (Bytes.length r) then
+      Some ((Marshal.from_bytes b 0 : verdict), if res_len < 0 then None else Some r)
+    else None
   end
 
 (* --------------------------------------------------------------------- runs *)
@@ -515,6 +578,8 @@ let child_main ~rank ~procs ~cost ~topology ~t0 ~mesh ~vfd
               p_wdead = false;
               p_rbuf = Bytes.create 4096;
               p_rlen = 0;
+              p_body = None;
+              p_got = 0;
             }
         end)
   in
@@ -527,25 +592,28 @@ let child_main ~rank ~procs ~cost ~topology ~t0 ~mesh ~vfd
       pending = Queue.create ();
       c_sent = 0;
       c_recvd = 0;
-      scratch = Bytes.create 65536;
+      scratch = Bytes.create chunk;
     }
   in
   let eng = engine st cost topology in
-  let v =
+  let verdict error crashed =
+    { v_error = error; v_crashed = crashed; v_sent = st.c_sent; v_recvd = st.c_recvd }
+  in
+  let v, res =
     match
       let res = program rank eng in
       finish_clean st;
       res
     with
-    | res -> { v_out = Ok res; v_crashed = false; v_sent = st.c_sent; v_recvd = st.c_recvd }
+    | res -> (verdict None false, res)
     | exception Fault.Crashed r when r = rank ->
         abrupt_close st;
-        { v_out = Ok None; v_crashed = true; v_sent = st.c_sent; v_recvd = st.c_recvd }
+        (verdict None true, None)
     | exception e ->
         abrupt_close st;
-        { v_out = Error (err_repr e); v_crashed = false; v_sent = st.c_sent; v_recvd = st.c_recvd }
+        (verdict (Some (err_repr e)) false, None)
   in
-  (try write_verdict my_vfd v with _ -> ());
+  (try write_verdict my_vfd v res with _ -> ());
   Unix._exit 0
 
 let rec reap pid =
@@ -610,11 +678,10 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
   close_mesh ();
   Array.iter (fun (_, child_end) -> close_noerr child_end) vfd;
   let verdicts =
-    Array.mapi
-      (fun r (parent_end, _) ->
+    Array.map
+      (fun (parent_end, _) ->
         let v = read_verdict parent_end in
         close_noerr parent_end;
-        ignore r;
         v)
       vfd
   in
@@ -628,14 +695,13 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
     (fun r v ->
       match v with
       | None -> crashed := r :: !crashed
-      | Some v ->
+      | Some (v, res) ->
           sent := !sent + v.v_sent;
           recvd := !recvd + v.v_recvd;
           if v.v_crashed then crashed := r :: !crashed
           else begin
-            match v.v_out with
-            | Ok res -> results.(r) <- res
-            | Error e -> errors.(r) <- Some e
+            results.(r) <- res;
+            errors.(r) <- v.v_error
           end)
     verdicts;
   (* The lowest rank's error is raised, except that a rank which saw a peer

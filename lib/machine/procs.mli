@@ -5,7 +5,10 @@
     one socketpair carrying length-prefixed frames — [Marshal] payloads
     for ordinary sends, raw little-endian float64 bytes for the bulk
     slice tier (one [send_slice] stays exactly one frame, preserving the
-    coalescing contract). Ranks share no heap: this is the step from
+    coalescing contract). A bulk frame is copied once per hop: a payload
+    over 64 KiB is written after its header rather than copied behind
+    it, and is read straight into a buffer of its final size. Ranks
+    share no heap: this is the step from
     "parallel library" to "distributed system", where {!Fault.Crashed}
     means a process really died.
 
@@ -97,7 +100,7 @@ val run_collect :
   (Engine.t -> 'a option) ->
   'a * stats
 (** Like {!run_each} for programs that produce a value at (at least) one
-    rank. The value crosses back from the
-    child by [Marshal] — a non-marshalable result raises
-    {!Fault.Unserializable}. When several ranks produce one, the lowest
-    rank's value is returned. *)
+    rank. The value crosses back from the child by [Marshal], as raw
+    bytes after the child's verdict record — a non-marshalable result
+    raises {!Fault.Unserializable}. When several ranks produce one, the
+    lowest rank's value is returned. *)

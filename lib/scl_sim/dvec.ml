@@ -27,9 +27,7 @@ let offset t = t.offset
 let block_pattern p = Scl.Partition.Block p
 
 (* Block geometry: element range owned by each rank. *)
-let block_bounds ~total ~parts =
-  let q = total / parts and r = total mod parts in
-  Array.init (parts + 1) (fun k -> (k * q) + min k r)
+let block_bounds ~total ~parts = Scl.Partition.block_bounds ~n:total ~p:parts
 
 let owner_of ~total ~parts g =
   Scl.Partition.assign (block_pattern parts) ~n:total g

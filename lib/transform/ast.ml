@@ -67,9 +67,7 @@ let rec size = function
 
 (* --- interpreter ----------------------------------------------------------- *)
 
-let block_bounds ~total ~parts =
-  let q = total / parts and r = total mod parts in
-  Array.init (parts + 1) (fun k -> (k * q) + min k r)
+let block_bounds ~total ~parts = Scl.Partition.block_bounds ~n:total ~p:parts
 
 let rec eval (e : expr) (v : Value.t) : Value.t =
   match e with

@@ -180,6 +180,57 @@ let fifo_under_interleaving ?(seed = 42) backend =
   in
   Alcotest.(check bool) "per-(src,tag) FIFO and multiset intact" true v
 
+(* Empty, small and bulk payloads of every tier on one (source, tag)
+   channel: each arrives in send order with its value intact.  On procs
+   the bulk frames span many socket reads and the small ones share a
+   read with the next frame's header. *)
+let frame_boundaries backend =
+  let empty () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0 in
+  let boxed_n = 1 lsl 19 (* 4 MB *) and flat_n = 1 lsl 18 (* 2 MB *) in
+  let slice_n = 1 lsl 20 in
+  let entry i = (i * 2_654_435_761) lxor (i lsr 3) in
+  let value i = float_of_int i /. 3.0 in
+  let v, _ =
+    run backend ~procs:2 (fun eng ->
+        let open Engine in
+        if eng.rank = 0 then begin
+          let flat_base =
+            Scl.Flat.Int.of_int_array (Array.init (flat_n + 2) (fun i -> entry (i - 1)))
+          in
+          eng.send_slice ~dest:1 ~tag:3 (empty ());
+          eng.send ~dest:1 ~tag:3 42;
+          eng.send ~dest:1 ~tag:3 (Array.init boxed_n entry);
+          eng.send ~dest:1 ~tag:3 (Scl.Flat.sub_view flat_base ~pos:1 ~len:flat_n);
+          eng.send_slice ~dest:1 ~tag:3
+            (Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout slice_n value);
+          eng.send_slice ~dest:1 ~tag:3 (empty ());
+          None
+        end
+        else begin
+          let e1 = eng.recv_slice ~src:0 ~tag:3 () in
+          let (small : int) = eng.recv ~src:0 ~tag:3 () in
+          let (boxed : int array) = eng.recv ~src:0 ~tag:3 () in
+          let (flat : Scl.Flat.int1) = eng.recv ~src:0 ~tag:3 () in
+          let slice = eng.recv_slice ~src:0 ~tag:3 () in
+          let e2 = eng.recv_slice ~src:0 ~tag:3 () in
+          let all n f = Seq.for_all f (Seq.init n Fun.id) in
+          Some
+            [
+              ("empty slice", Bigarray.Array1.dim e1 = 0);
+              ("small int", small = 42);
+              ( "4 MB int array",
+                Array.length boxed = boxed_n && all boxed_n (fun i -> boxed.(i) = entry i) );
+              ( "2 MB flat view",
+                Scl.Flat.length flat = flat_n
+                && all flat_n (fun i -> Scl.Flat.get flat i = entry i) );
+              ( "1 M-element slice",
+                Bigarray.Array1.dim slice = slice_n && all slice_n (fun i -> slice.{i} = value i) );
+              ("second empty slice", Bigarray.Array1.dim e2 = 0);
+            ]
+        end)
+  in
+  List.iter (fun (what, ok) -> Alcotest.(check bool) what true ok) v
+
 (* --- deadlines ------------------------------------------------------------ *)
 
 (* Nobody sends: the receiver gets Fault.Timeout, not a hang or a
@@ -417,17 +468,25 @@ let rooted_collectives_equal_sim ?chaos backend =
         per_rank)
     [ 1; 2; 4 ]
 
+(* Both tiers, boxed and flat-int, equal the boxed program on the
+   simulator; the flat tier's blocks cross the engine as [Scl.Flat.Int]
+   arrays, and its root must leave the caller's array as it was. *)
 let hyperquicksort_equal_sim backend =
   let rng = Runtime.Xoshiro.of_seed 1995 in
   let data = Array.init 800 (fun _ -> Runtime.Xoshiro.int rng 10_000) in
+  let original = Array.copy data in
   let reference = Array.copy data in
   Array.sort compare reference;
   List.iter
     (fun procs ->
       let sim, _ = Algorithms.Hyperquicksort.sort (Backend.sim ()) ~procs data in
       let v, _ = Algorithms.Hyperquicksort.sort backend ~procs data in
+      let flat, _ = Algorithms.Hyperquicksort.sort_flatint backend ~procs data in
       Alcotest.(check bool) (Printf.sprintf "sim output sorted at p=%d" procs) true (sim = reference);
-      Alcotest.(check bool) (Printf.sprintf "output equal to sim at p=%d" procs) true (v = sim))
+      Alcotest.(check bool) (Printf.sprintf "output equal to sim at p=%d" procs) true (v = sim);
+      Alcotest.(check bool) (Printf.sprintf "flat-int output equal to sim at p=%d" procs) true
+        (flat = sim);
+      Alcotest.(check bool) (Printf.sprintf "input untouched at p=%d" procs) true (data = original))
     [ 1; 2; 4 ]
 
 let cannon_summa_equal_sim backend =
@@ -580,6 +639,8 @@ let contract_group backend =
       Alcotest.test_case "error chain raises root cause" `Quick (fun () ->
           rank_error_chain backend);
       Alcotest.test_case "scalar pipeline input" `Quick (fun () -> spmd_exec_scalar_input backend);
+      Alcotest.test_case "frame boundaries on one channel" `Quick (fun () ->
+          frame_boundaries backend);
     ] )
 
 (* --- every value-level case under a chaos schedule ------------------------ *)

@@ -95,6 +95,30 @@ let test_unserializable_result_rejected () =
   | exception Fault.Unserializable msg ->
       Alcotest.(check bool) "collect site named" true (contains msg "run_collect")
 
+(* A result far larger than the verdict socket's buffer comes home exactly:
+   the parent reads each rank's record and then its raw result bytes. *)
+let test_bulk_result_round_trips () =
+  let n = 1 lsl 21 (* 16 MB *) in
+  let entry i = (i * 40_503) lxor (i lsl 17) in
+  let v, _ =
+    Procs.run_collect ~procs:2 (fun eng ->
+        if eng.Engine.rank = 0 then Some (Array.init n entry) else None)
+  in
+  Alcotest.(check int) "length" n (Array.length v);
+  Alcotest.(check bool) "every element" true (v = Array.init n entry)
+
+(* A result that cannot be marshalled is refused in the child, beside a
+   rank whose result crosses fine. *)
+let test_unserializable_result_beside_bulk () =
+  match
+    Procs.run_collect ~procs:2 (fun eng ->
+        if eng.Engine.rank = 0 then Some (Either.Left (fun x -> x + 1))
+        else Some (Either.Right (Array.make (1 lsl 20) 7)))
+  with
+  | _ -> Alcotest.fail "expected Fault.Unserializable"
+  | exception Fault.Unserializable msg ->
+      Alcotest.(check bool) "collect site named" true (contains msg "run_collect")
+
 (* A pipeline error raised inside a rank has no cross-process form, so it
    arrives as [Child_failure] carrying its printed form.  Only the last
    rank's fetch is out of range; the other ranks, blocked on it, see it
@@ -315,6 +339,9 @@ let suite =
         Alcotest.test_case "closure result rejected" `Quick test_unserializable_result_rejected;
         Alcotest.test_case "in-rank Type_error is Child_failure" `Quick
           test_pipeline_type_error_is_child_failure;
+        Alcotest.test_case "16 MB result round-trips" `Quick test_bulk_result_round_trips;
+        Alcotest.test_case "closure result beside a bulk one" `Quick
+          test_unserializable_result_beside_bulk;
       ] );
     ( "crashes",
       [
