@@ -3,8 +3,12 @@
    paper these are Fortran or C; here they are ordinary OCaml functions —
    SCL only requires them to be sequential black boxes. *)
 
-(* SEQ_QUICKSORT: in-place three-way quicksort with insertion sort below a
-   cutoff; returns a fresh sorted array. *)
+(* SEQ_QUICKSORT: quicksort with insertion sort below a cutoff; returns a
+   fresh sorted array.  The partition is Hoare's: both scans stop on keys
+   equal to the median-of-three pivot and swap across the middle, so
+   presorted and reversed runs split evenly and stay ordered (a three-way
+   partition's swaps of each larger key to the back reverse an ordered
+   tail), and runs of equal keys still split in half. *)
 let quicksort (a : int array) : int array =
   let a = Array.copy a in
   let swap i j =
@@ -26,28 +30,29 @@ let quicksort (a : int array) : int array =
   let rec qs lo hi =
     if hi - lo < 16 then insertion lo hi
     else begin
-      (* median-of-three pivot *)
+      (* median-of-three pivot; a.(lo) <= pivot <= a.(hi) then bound both
+         scans *)
       let mid = lo + ((hi - lo) / 2) in
       if a.(mid) < a.(lo) then swap mid lo;
       if a.(hi) < a.(lo) then swap hi lo;
       if a.(hi) < a.(mid) then swap hi mid;
       let pivot = a.(mid) in
-      (* three-way partition (Dutch national flag) *)
-      let lt = ref lo and gt = ref hi and i = ref lo in
-      while !i <= !gt do
-        if a.(!i) < pivot then begin
-          swap !lt !i;
-          incr lt;
+      (* afterwards a.(lo..j) <= pivot <= a.(j+1..hi), with lo <= j < hi *)
+      let i = ref lo and j = ref hi in
+      let crossed = ref false in
+      while not !crossed do
+        incr i;
+        while a.(!i) < pivot do
           incr i
-        end
-        else if a.(!i) > pivot then begin
-          swap !i !gt;
-          decr gt
-        end
-        else incr i
+        done;
+        decr j;
+        while a.(!j) > pivot do
+          decr j
+        done;
+        if !i < !j then swap !i !j else crossed := true
       done;
-      qs lo (!lt - 1);
-      qs (!gt + 1) hi
+      qs lo !j;
+      qs (!j + 1) hi
     end
   in
   if Array.length a > 1 then qs 0 (Array.length a - 1);

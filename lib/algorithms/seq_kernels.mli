@@ -4,8 +4,9 @@
     are ordinary OCaml functions here. *)
 
 val quicksort : int array -> int array
-(** Three-way quicksort (median-of-three, insertion-sort cutoff); returns a
-    fresh sorted array, input untouched. *)
+(** Quicksort (median-of-three, Hoare partition, insertion-sort cutoff);
+    returns a fresh sorted array, input untouched. Presorted, reversed and
+    all-equal inputs split evenly. *)
 
 val midvalue : int array -> int option
 (** Middle element of an already-sorted array; [None] when empty (the

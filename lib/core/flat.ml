@@ -240,23 +240,29 @@ let unapply pat (pieces : ('a, 'b) t array) ~(kind : ('a, 'b) Bigarray.kind) : (
 (* The sort-family local kernels over unboxed native-int storage: the
    [Seq_kernels] procedures (SEQ_QUICKSORT / MIDVALUE / SPLIT / MERGE)
    re-expressed on [int1] so the hyperquicksort local phases stop boxing
-   keys.  Same algorithms, same tie-breaking, so outputs are
-   value-identical to the boxed kernels (pinned by property tests) —
-   and [split_at] improves on the boxed rendering: the two halves are
-   O(1) sub-views of the input, not [Array.sub] copies. *)
+   keys.  Outputs are value-identical to the boxed kernels (pinned by
+   property tests), though two of them improve on the boxed rendering:
+   the local sort is a radix sort, not a quicksort (SCL only calls it,
+   so any sequential sort will do), and [split_at]'s two halves are O(1)
+   sub-views of the input, not [Array.sub] copies. *)
 module Int = struct
   type t = int1
 
-  let insertion_cutoff = 16
+  let insertion_cutoff = 32
 
-  (* In-place three-way quicksort with insertion sort below the cutoff —
-     the [Seq_kernels.quicksort] algorithm on unboxed storage. *)
+  (* In-place MSD radix sort (American flag sort).  Keys are ranked by
+     [x - min] read as an unsigned 63-bit value, which orders every int
+     (negatives, [min_int] and [max_int] included) without a special
+     case.  Each level counts the sizes of the 256 buckets of one 8-bit
+     digit, moves every key into its bucket by following permutation
+     cycles, then sorts each bucket on the next digit down.  The top digit
+     sits just under the range's highest set bit, so a level never wastes
+     a pass on constant high bits; the digit below a shift under 8 is
+     taken at shift 0, overlapping bits already equal in the bucket.  A
+     bucket (or a whole input) no longer than [insertion_cutoff] is
+     finished by insertion sort.  Extra memory is one 512-slot pointer
+     table per level (at most 8), never an n-sized buffer. *)
   let sort (a : t) : unit =
-    let swap i j =
-      let t = Bigarray.Array1.unsafe_get a i in
-      Bigarray.Array1.unsafe_set a i (Bigarray.Array1.unsafe_get a j);
-      Bigarray.Array1.unsafe_set a j t
-    in
     let insertion lo hi =
       for i = lo + 1 to hi do
         let x = Bigarray.Array1.unsafe_get a i in
@@ -268,40 +274,75 @@ module Int = struct
         Bigarray.Array1.unsafe_set a (!j + 1) x
       done
     in
-    let rec qs lo hi =
-      if hi - lo < insertion_cutoff then insertion lo hi
-      else begin
-        (* median-of-three pivot *)
-        let mid = lo + ((hi - lo) / 2) in
-        if Bigarray.Array1.unsafe_get a mid < Bigarray.Array1.unsafe_get a lo then swap mid lo;
-        if Bigarray.Array1.unsafe_get a hi < Bigarray.Array1.unsafe_get a lo then swap hi lo;
-        if Bigarray.Array1.unsafe_get a hi < Bigarray.Array1.unsafe_get a mid then swap hi mid;
-        let pivot = Bigarray.Array1.unsafe_get a mid in
-        (* three-way partition (Dutch national flag) *)
-        let lt = ref lo and gt = ref hi and i = ref lo in
-        while !i <= !gt do
-          let x = Bigarray.Array1.unsafe_get a !i in
-          if x < pivot then begin
-            swap !lt !i;
-            incr lt;
-            incr i
-          end
-          else if x > pivot then begin
-            swap !i !gt;
-            decr gt
-          end
-          else incr i
+    let n = length a in
+    if n <= insertion_cutoff then insertion 0 (n - 1)
+    else begin
+      let lo_key = ref (Bigarray.Array1.unsafe_get a 0) and hi_key = ref (Bigarray.Array1.unsafe_get a 0) in
+      for i = 1 to n - 1 do
+        let x = Bigarray.Array1.unsafe_get a i in
+        if x < !lo_key then lo_key := x else if x > !hi_key then hi_key := x
+      done;
+      let base = !lo_key in
+      let range = !hi_key - base in
+      (* lowest shift leaving at most 8 significant bits of [range] *)
+      let rec top s = if (range lsr s) lsr 8 = 0 then s else top (s + 1) in
+      let top_shift = top 0 in
+      let below shift = if shift > 8 then shift - 8 else 0 in
+      (* level k's slots [512k, 512k + 256) are the next free position of
+         each bucket, [512k + 256, 512k + 512) each bucket's end *)
+      let ptr = Array.make (((top_shift + 7) / 8 + 1) * 512) 0 in
+      let rec level lo hi shift off =
+        let digit x = ((x - base) lsr shift) land 255 in
+        Array.fill ptr off 256 0;
+        for i = lo to hi - 1 do
+          let d = off + digit (Bigarray.Array1.unsafe_get a i) in
+          Array.unsafe_set ptr d (Array.unsafe_get ptr d + 1)
         done;
-        qs lo (!lt - 1);
-        qs (!gt + 1) hi
-      end
-    in
-    if length a > 1 then qs 0 (length a - 1)
-
-  let sorted_copy (a : t) : t =
-    let c = copy a in
-    sort c;
-    c
+        if Array.unsafe_get ptr (off + digit (Bigarray.Array1.unsafe_get a lo)) = hi - lo then begin
+          (* one bucket holds every key: nothing to move at this digit *)
+          if shift > 0 then level lo hi (below shift) off
+        end
+        else begin
+          let pos = ref lo in
+          for b = off to off + 255 do
+            let c = Array.unsafe_get ptr b in
+            Array.unsafe_set ptr b !pos;
+            pos := !pos + c;
+            Array.unsafe_set ptr (b + 256) !pos
+          done;
+          for b = 0 to 255 do
+            let stop = Array.unsafe_get ptr (off + 256 + b) in
+            while Array.unsafe_get ptr (off + b) < stop do
+              (* carry the key at bucket b's next slot round its cycle
+                 until a key that belongs in bucket b turns up *)
+              let h = Array.unsafe_get ptr (off + b) in
+              let v = ref (Bigarray.Array1.unsafe_get a h) in
+              let d = ref (digit !v) in
+              while !d <> b do
+                let slot = Array.unsafe_get ptr (off + !d) in
+                let w = Bigarray.Array1.unsafe_get a slot in
+                Bigarray.Array1.unsafe_set a slot !v;
+                Array.unsafe_set ptr (off + !d) (slot + 1);
+                v := w;
+                d := digit w
+              done;
+              Bigarray.Array1.unsafe_set a h !v;
+              Array.unsafe_set ptr (off + b) (h + 1)
+            done
+          done;
+          if shift > 0 then begin
+            let start = ref lo in
+            for b = off + 256 to off + 511 do
+              let stop = Array.unsafe_get ptr b in
+              if stop - !start > insertion_cutoff then level !start stop (below shift) (off + 512)
+              else insertion !start (stop - 1);
+              start := stop
+            done
+          end
+        end
+      in
+      if range <> 0 then level 0 n top_shift 0
+    end
 
   (* MIDVALUE: the middle element of an already-sorted chunk. *)
   let midvalue (a : t) : int option = if length a = 0 then None else Some (get a (length a / 2))

@@ -89,17 +89,19 @@ val unapply_generic :
 (** {1 Int tier}
 
     The sort-family local kernels ([Seq_kernels]'s SEQ_QUICKSORT /
-    MIDVALUE / SPLIT / MERGE) over unboxed native-int storage. Same
-    algorithms and tie-breaking as the boxed kernels, so outputs are
-    value-identical (property-tested); [split_at] additionally returns
-    O(1) zero-copy sub-views where the boxed kernel copies. *)
+    MIDVALUE / SPLIT / MERGE) over unboxed native-int storage. Outputs
+    are value-identical to the boxed kernels (property-tested), but the
+    local sort is a radix sort, with [Seq_kernels.quicksort] as its
+    oracle, and [split_at] returns O(1) zero-copy sub-views where the
+    boxed kernel copies. *)
 module Int : sig
   type t = int1
 
   val sort : t -> unit
-  (** In-place three-way quicksort, insertion sort below 16 elements. *)
+  (** In-place MSD radix sort (8-bit digits of [x - min], so any int
+      keys), insertion sort for buckets and inputs of at most 32
+      elements. Needs no n-sized buffer. *)
 
-  val sorted_copy : t -> t
   val midvalue : t -> int option
   (** Middle element of an already-sorted chunk; [None] when empty. *)
 

@@ -1099,6 +1099,81 @@ let test_flat_int_split_merge () =
   Alcotest.(check int) "split halves alias parent" (saved + 1) (Flat.get fa 0);
   Flat.set lo 0 saved
 
+(* Key sets that drive the radix sort's corner paths: the full unsigned
+   digit range, negatives only, single-bucket levels (few distinct, all
+   equal, one far outlier) and ordered runs. *)
+let radix_key_sets : (string * (Random.State.t -> int -> int array)) list =
+  let full rng = Int64.to_int (Random.State.bits64 rng) in
+  let plant rng v a =
+    if Array.length a > 0 then a.(Random.State.int rng (Array.length a)) <- v;
+    a
+  in
+  let sorted rng len =
+    let a = Array.init len (fun _ -> full rng) in
+    Array.sort compare a;
+    a
+  in
+  [
+    ("uniform 30-bit", fun rng len -> Array.init len (fun _ -> Random.State.bits rng));
+    ("full 63-bit", fun rng len -> plant rng max_int (plant rng min_int (Array.init len (fun _ -> full rng))));
+    ("negative", fun rng len -> Array.init len (fun _ -> full rng lor min_int));
+    ( "few distinct",
+      fun rng len ->
+        let pool = Array.init (1 + Random.State.int rng 7) (fun _ -> full rng) in
+        Array.init len (fun _ -> pool.(Random.State.int rng (Array.length pool))) );
+    ("all equal", fun rng len -> Array.make len (full rng));
+    ("presorted", sorted);
+    ( "reversed",
+      fun rng len ->
+        let a = sorted rng len in
+        Array.init len (fun i -> a.(len - 1 - i)) );
+    ( "far outlier",
+      fun rng len ->
+        plant rng
+          (if Random.State.bool rng then max_int else min_int)
+          (Array.init len (fun _ -> Random.State.int rng (1 lsl 20))) );
+  ]
+
+let prop_flat_int_sort_adversarial =
+  (* three length bands: whole inputs at the insertion cutoff, top-level
+     buckets at it, and several radix levels *)
+  let len = QCheck.Gen.(frequency [ (1, int_bound 80); (1, int_bound 10_000); (2, int_bound 100_000) ]) in
+  let gen = QCheck.Gen.(pair len (int_bound 1_000_000)) in
+  let print (len, seed) = Printf.sprintf "%d keys, seed %d" len seed in
+  qtest ~count:20 "Flat.Int.sort = SEQ_QUICKSORT = Array.sort on adversarial keys"
+    (QCheck.make ~print gen)
+    (fun (len, seed) ->
+      List.for_all
+        (fun (name, keys) ->
+          let a = keys (Random.State.make [| seed |]) len in
+          let fa = Flat.Int.of_int_array a in
+          Flat.Int.sort fa;
+          let expect = Array.copy a in
+          Array.sort compare expect;
+          if Flat.Int.to_int_array fa <> expect then
+            QCheck.Test.fail_reportf "Flat.Int.sort wrong on %s keys" name;
+          if Algorithms.Seq_kernels.quicksort a <> expect then
+            QCheck.Test.fail_reportf "Seq_kernels.quicksort wrong on %s keys" name;
+          true)
+        radix_key_sets)
+
+let test_flat_int_sort_sub_view () =
+  let n = 20_000 in
+  let a = List.assoc "full 63-bit" radix_key_sets (Random.State.make [| 11 |]) n in
+  let fa = Flat.Int.of_int_array a in
+  (* ~23 keys per top-level bucket: the cutoff decides most buckets *)
+  let pos = 37 and len = 6_000 in
+  Flat.Int.sort (Flat.sub_view fa ~pos ~len);
+  let window = Array.sub a pos len in
+  Array.sort compare window;
+  let got = Flat.Int.to_int_array fa in
+  Alcotest.(check (array int)) "window sorted" window (Array.sub got pos len);
+  Alcotest.(check (array int)) "storage before the window untouched" (Array.sub a 0 pos)
+    (Array.sub got 0 pos);
+  Alcotest.(check (array int)) "storage after the window untouched"
+    (Array.sub a (pos + len) (n - pos - len))
+    (Array.sub got (pos + len) (n - pos - len))
+
 (* --- Exec internals --------------------------------------------------------------- *)
 
 let test_chunk_bounds () =
@@ -1264,6 +1339,8 @@ let () =
             test_flat_scan_minor_words;
           prop_flat_int_sort;
           Alcotest.test_case "Flat.Int sort-family kernels" `Quick test_flat_int_split_merge;
+          prop_flat_int_sort_adversarial;
+          Alcotest.test_case "Flat.Int.sort on a sub_view window" `Quick test_flat_int_sort_sub_view;
         ] );
       ( "exec",
         [
