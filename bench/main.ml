@@ -641,7 +641,8 @@ let bench_pool_sort ~smoke () =
 (* The forked-process fabric: the same ping-pong and allreduce shapes as
    the multicore group, but every message crosses a Unix-domain socket
    (Marshal framing + select), so the pair prices the process boundary
-   against shared memory; a third entry prices one 4 MB exchange.  MUST
+   against shared memory; a third entry prices one 4 MB exchange, and a
+   fourth the same 4 MB as int slices through the shared arena.  MUST
    run before any pool or multicore bench: OCaml permanently refuses
    Unix.fork once another domain has ever been created in the process
    (see Machine.Procs). *)
@@ -698,7 +699,29 @@ let bench_procs ~smoke () =
           (run_stats Machine.Backend.procs ~procs:2 (fun comm ->
                let me = Machine.Comm.rank comm in
                let got = Machine.Comm.exchange comm ~partner:(1 - me) (block me) in
-               assert (got = block (1 - me)))))
+               assert (got = block (1 - me)))));
+  (* the same 4 MB each way as one int slice: blitted through the shared
+     arena instead of marshalled onto the socket *)
+  let last_slice : Machine.Procs.stats option ref = ref None in
+  host_bench ~name:"fabric/bulk-slice-procs" ~n:bulk_n ~procs:2 ~backend:"procs" ~runs:3
+    ~counters:(fun () ->
+      match !last_slice with
+      | None -> []
+      | Some s -> procs_counters s @ [ ("procs.arena_msgs", float_of_int s.Machine.Procs.arena_msgs) ])
+    (fun () ->
+      last_slice :=
+        Some
+          (run_stats Machine.Backend.procs ~procs:2 (fun comm ->
+               let me = Machine.Comm.rank comm in
+               let mine = Scl.Flat.create Scl.Flat.int bulk_n in
+               for i = 0 to bulk_n - 1 do
+                 Scl.Flat.set mine i ((me * bulk_n) + i)
+               done;
+               Machine.Comm.send_slice comm ~dest:(1 - me) mine;
+               let (got : Scl.Flat.int1) = Machine.Comm.recv_slice comm ~src:(1 - me) () in
+               for i = 0 to bulk_n - 1 do
+                 assert (Scl.Flat.get got i = ((1 - me) * bulk_n) + i)
+               done)))
 
 let mc_counters (s : Machine.Multicore.stats) =
   [
@@ -812,12 +835,12 @@ let bench_slice ~smoke () =
                    Bigarray.Array1.fill s 1.0;
                    for _ = 1 to rounds do
                      eng.send_slice ~dest:1 ~tag:0 s;
-                     ignore (eng.recv_slice ~src:1 ~tag:1 () : slice)
+                     ignore (eng.recv_slice ~src:1 ~tag:1 () : (float, Bigarray.float64_elt) slice)
                    done
                  end
                  else
                    for _ = 1 to rounds do
-                     let s = eng.recv_slice ~src:0 ~tag:0 () in
+                     let s : (float, Bigarray.float64_elt) slice = eng.recv_slice ~src:0 ~tag:0 () in
                      eng.send_slice ~dest:0 ~tag:1 s
                    done));
           let dt = Unix.gettimeofday () -. t0 in

@@ -200,8 +200,8 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
       if has_left then Comm.send_slice comm ~dest:(me - 1) (Scl.Flat.sub_view p ~pos:0 ~len:1);
       if has_right then
         Comm.send_slice comm ~dest:(me + 1) (Scl.Flat.sub_view p ~pos:(ln - 1) ~len:1);
-      if has_left then hl := Scl.Flat.get (Comm.recv_slice comm ~src:(me - 1) ()) 0;
-      if has_right then hr := Scl.Flat.get (Comm.recv_slice comm ~src:(me + 1) ()) 0
+      if has_left then hl := Scl.Flat.get (Comm.recv_slice comm ~src:(me - 1) () : Scl.Flat.float1) 0;
+      if has_right then hr := Scl.Flat.get (Comm.recv_slice comm ~src:(me + 1) () : Scl.Flat.float1) 0
     end;
     Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
     for i = 0 to ln - 1 do

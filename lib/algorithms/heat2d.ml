@@ -215,7 +215,7 @@ let heat_flat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array 
       done;
       Scl.Flat.copy (Scl.Flat.sub_view whole ~pos:0 ~len:(b.(1) * n))
     end
-    else Scl.Flat.copy (Comm.recv_slice comm ~src:0 ())
+    else Scl.Flat.copy (Comm.recv_slice comm ~src:0 () : Scl.Flat.float1)
   in
   let hh = h2 n in
   let has_up = r0 > 0 and has_down = r1 < n in

@@ -163,22 +163,23 @@ let hqs_program (data : int array option) (comm : Comm.t) : int array option =
 (* The same SPMD program with the keys in unboxed int flat storage
    ([Scl.Flat.Int]) from scatter to gather: in-place local sort, O(log n)
    zero-copy [split_at] (the boxed kernel copies both halves), and merge
-   into fresh flat storage.  Messages carry the flat blocks themselves —
-   by reference on [multicore], by [Marshal] (which writes a Bigarray's
-   raw elements) on [sim] and [procs].  The root copies the input once,
-   because ranks sort their blocks in place and the caller's array must
-   not change.  Flops charges and the message sequence are identical to
-   [hqs_program], keeping sim timings comparable between the tiers (only
-   the priced byte counts differ). *)
+   into fresh flat storage.  The keys move as bulk slices — scatter,
+   exchange and gather — never marshalled: by reference on [multicore],
+   as private copies priced at 8 bytes a key on [sim], and through the
+   shared arena on [procs].  The root copies the input once, because
+   ranks sort their blocks in place and the caller's array must not
+   change; the gathered parts are laid out straight into the result.
+   Flops charges and the message count are identical to [hqs_program],
+   keeping sim timings comparable between the tiers (only the priced
+   byte counts differ). *)
 let hqs_program_flatint (data : int array option) (comm : Comm.t) : int array option =
   let module FI = Scl.Flat.Int in
   let p = Comm.size comm in
   let d = log2_exact p in
-  let blocks = Option.map (fun a -> Scl.Flat.apply (Partition.Block p) (FI.of_int_array a)) data in
-  (* the length broadcast of [Dvec.scatter], so both tiers send the same
+  (* the length broadcast of [Dvec.scatter], so both tiers send as many
      messages; the root sizes the gathered result with it *)
   let total = Comm.bcast comm ~root:0 (Option.map Array.length data) in
-  let local = ref (Comm.scatter comm ~root:0 blocks : FI.t) in
+  let local : FI.t ref = ref (Comm.scatter_slice comm ~root:0 (Option.map FI.of_int_array data)) in
   FI.sort !local;
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Scl.Flat.length !local));
   let c = ref comm in
@@ -196,13 +197,14 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : int array op
         let lo, hi = FI.split_at pivot !local in
         let keep, give = if me < half then (lo, hi) else (hi, lo) in
         let partner = me lxor half in
-        let (recvd : FI.t) = Comm.exchange !c ~partner give in
+        Comm.send_slice !c ~dest:partner give;
+        let (recvd : FI.t) = Comm.recv_slice !c ~src:partner () in
         Comm.work_flops comm
           (Scl_sim.Kernels.merge_flops (Scl.Flat.length keep + Scl.Flat.length recvd));
         local := FI.merge keep recvd);
     c := Comm.split !c ~color:(if me < half then 0 else 1) ~key:me
   done;
-  (* Collect to processor 0 and lay the chunks out in rank order. *)
+  (* Collect to processor 0 and lay the parts out in rank order. *)
   Option.map
     (fun (chunks : FI.t array) ->
       let out = Array.make total 0 in
@@ -216,12 +218,13 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : int array op
           pos := !pos + len)
         chunks;
       out)
-    (Comm.gather comm ~root:0 !local)
+    (Comm.gather_slices comm ~root:0 !local)
 
 (* Both tiers run on any backend: [Comm.work_flops] charges simulated
    time on [sim] and is a no-op on the real engines, where the local
    kernels are the actual work and the portions move zero-copy between
-   domains ([multicore]) or by [Marshal] over sockets ([procs]; the input
+   domains ([multicore]) or across processes ([procs]: boxed portions by
+   [Marshal] over sockets, flat ones through the shared arena; the input
    reaches every child by fork, and the result returns in rank 0's
    verdict). Same values on every engine. *)
 let run_hqs program backend ?topology ~procs (data : int array) =

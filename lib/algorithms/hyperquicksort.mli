@@ -38,8 +38,10 @@ val sort_flatint :
   's Backend.t -> ?topology:Topology.t -> procs:int -> int array -> int array * 's
 (** {!sort} with the keys in the unboxed int flat tier ([Scl.Flat.Int])
     from scatter to gather: in-place local sort, zero-copy split views,
-    and the flat blocks themselves as the scatter, exchange and gather
-    messages (by reference on [multicore], marshalled elsewhere). The
+    and the flat blocks themselves as bulk slices for the scatter,
+    exchange and gather ([Comm.scatter_slice], [send_slice]/[recv_slice],
+    [Comm.gather_slices]): by reference on [multicore], copied and priced
+    at 8 bytes a key on [sim], through the shared arena on [procs]. The
     root copies the input once; the caller's array is never modified.
     Output, message count and flops charges are identical to {!sort}; on
     [sim] only the priced byte counts differ. *)

@@ -181,8 +181,8 @@ let jacobi_flat_program ?(tol = 1e-8) ?(max_iter = 100_000) (f : float array opt
       if has_left then Comm.send_slice comm ~dest:(me - 1) (Flat.sub_view u ~pos:0 ~len:1);
       if has_right then
         Comm.send_slice comm ~dest:(me + 1) (Flat.sub_view u ~pos:(ln - 1) ~len:1);
-      if has_left then hl := Flat.get (Comm.recv_slice comm ~src:(me - 1) ()) 0;
-      if has_right then hr := Flat.get (Comm.recv_slice comm ~src:(me + 1) ()) 0
+      if has_left then hl := Flat.get (Comm.recv_slice comm ~src:(me - 1) () : Flat.float1) 0;
+      if has_right then hr := Flat.get (Comm.recv_slice comm ~src:(me + 1) () : Flat.float1) 0
     end;
     Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
     (* a fresh buffer per sweep: [next] becomes the [u] whose windows the

@@ -347,14 +347,15 @@ let exchange t ~partner ?tag v =
   recv t ~src:partner ?tag ()
 
 (* --- bulk slice tier ----------------------------------------------------
-   Typed unboxed-float counterparts of the point-to-point operations and
-   the data-movement collectives, built on [Engine.send_slice]: every call
-   below moves each hop's worth of data as exactly ONE message, however
-   long the slice — this is the coalescing contract the halo-exchange and
-   rotate optimisations build on.  Slice traffic shares the ordinary tag
-   spaces, so slice and boxed messages on the same (src, tag) channel keep
-   their relative order; a channel must still carry one payload type at a
-   time (the usual recv typing discipline). *)
+   Typed unboxed counterparts (float64 or int elements) of the
+   point-to-point operations and the data-movement collectives, built on
+   [Engine.send_slice]: every call below moves each hop's worth of data as
+   exactly ONE message, however long the slice — this is the coalescing
+   contract the halo-exchange and rotate optimisations build on.  Slice
+   traffic shares the ordinary tag spaces, so slice and boxed messages on
+   the same (src, tag) channel keep their relative order; a channel must
+   still carry one payload type at a time (the usual recv typing
+   discipline). *)
 
 let send_slice t ~dest ?tag s =
   if dest < 0 || dest >= size t then invalid_arg "Comm.send_slice: bad destination";
@@ -378,7 +379,7 @@ let block_bounds ~total ~parts =
 let sub1 s pos len = Bigarray.Array1.sub s pos len
 let dim1 s = Bigarray.Array1.dim s
 
-let bcast_slice t ~root (v : Engine.slice option) : Engine.slice =
+let bcast_slice t ~root (v : ('k, 'e) Engine.slice option) : ('k, 'e) Engine.slice =
   (* binomial tree, same shape as [bcast]; each hop forwards the whole
      slice as one bulk message *)
   let m = size t in
@@ -398,7 +399,7 @@ let bcast_slice t ~root (v : Engine.slice option) : Engine.slice =
   done;
   match !value with Some v -> v | None -> assert false
 
-let scatter_slice t ~root (s : Engine.slice option) : Engine.slice =
+let scatter_slice t ~root (s : ('k, 'e) Engine.slice option) : ('k, 'e) Engine.slice =
   (* Flat tree: the root sends each member its block as one direct message
      (m-1 messages total, zero-copy sub-views of the root's storage on the
      multicore engine).  A binomial tree would route segments through
@@ -418,35 +419,43 @@ let scatter_slice t ~root (s : Engine.slice option) : Engine.slice =
   end
   else recv_slice_i t ~tag root
 
-let gather_slice t ~root (local : Engine.slice) : Engine.slice option =
-  (* Mirror of [scatter_slice]: one direct message per non-root member;
-     the root concatenates in rank order (members may hold blocks of any
-     length — the root derives offsets from the received lengths). *)
+let gather_slices t ~root (local : ('k, 'e) Engine.slice) : ('k, 'e) Engine.slice array option =
+  (* Mirror of [scatter_slice]: one direct message per non-root member,
+     the parts handed back in rank order as they arrived (members may hold
+     blocks of any length). *)
   let m = size t in
-  if root < 0 || root >= m then invalid_arg "Comm.gather_slice: bad root";
+  if root < 0 || root >= m then invalid_arg "Comm.gather_slices: bad root";
   let tag = fresh_tag t opcode_slice in
   if t.my_index = root then begin
     let parts = Array.make m local in
     for i = 0 to m - 1 do
       if i <> root then parts.(i) <- recv_slice_i t ~tag i
     done;
-    let total = Array.fold_left (fun acc s -> acc + dim1 s) 0 parts in
-    let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout total in
-    let off = ref 0 in
-    Array.iter
-      (fun s ->
-        let n = dim1 s in
-        Bigarray.Array1.blit s (sub1 out !off n);
-        off := !off + n)
-      parts;
-    Some out
+    Some parts
   end
   else begin
     send_slice_i t ~tag root local;
     None
   end
 
-let allgather_slice t (local : Engine.slice) : Engine.slice =
+let gather_slice t ~root (local : ('k, 'e) Engine.slice) : ('k, 'e) Engine.slice option =
+  (* [gather_slices], concatenated in rank order at the root (offsets are
+     derived from the received lengths) *)
+  Option.map
+    (fun parts ->
+      let total = Array.fold_left (fun acc s -> acc + dim1 s) 0 parts in
+      let out = Bigarray.Array1.create (Bigarray.Array1.kind local) Bigarray.c_layout total in
+      let off = ref 0 in
+      Array.iter
+        (fun s ->
+          let n = dim1 s in
+          Bigarray.Array1.blit s (sub1 out !off n);
+          off := !off + n)
+        parts;
+      out)
+    (gather_slices t ~root local)
+
+let allgather_slice t (local : ('k, 'e) Engine.slice) : ('k, 'e) Engine.slice =
   match gather_slice t ~root:0 local with
   | Some all -> bcast_slice t ~root:0 (Some all)
   | None -> bcast_slice t ~root:0 None

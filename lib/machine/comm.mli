@@ -115,39 +115,55 @@ val exchange : t -> partner:int -> ?tag:int -> 'a -> 'a
 
 (** {1 Bulk slice tier}
 
-    Typed unboxed-float ({!Engine.slice}) counterparts of the
-    point-to-point operations and the data-movement collectives. Each hop
-    moves its whole payload as exactly one message, however long the slice
-    — the coalescing contract halo exchange and rotate build on. On the
-    multicore engine payloads travel zero-copy (received slices alias the
-    sender's storage: treat them as read-only, and do not mutate a sent
-    window until a synchronising exchange); the simulator prices each hop
-    as one message of [8 * length] payload bytes. Slice and boxed traffic
-    on the same (source, tag) channel keep their relative order, but one
-    channel must carry one payload type at a time. *)
+    Typed unboxed ({!Engine.slice}: [float64] or [int] elements)
+    counterparts of the point-to-point operations and the data-movement
+    collectives. Each hop moves its whole payload as exactly one message,
+    however long the slice — the coalescing contract halo exchange and
+    rotate build on. What a receiver holds depends on the engine:
+    - multicore: payloads travel zero-copy, so received slices alias the
+      sender's storage (treat them as read-only, and do not mutate a sent
+      window until a synchronising exchange);
+    - sim: each hop is priced as one message of
+      [Bigarray.Array1.size_in_bytes] payload bytes (8 an element, either
+      kind) and delivers a copy taken at the send;
+    - procs: each hop delivers a fresh copy, through the shared-memory
+      arena for windows of 64 KiB and more when the channel's ring has
+      room, as raw bytes on the socket otherwise.
 
-val send_slice : t -> dest:int -> ?tag:int -> Engine.slice -> unit
+    The receiver's type fixes the kind and must match the sender's:
+    annotate it where a received slice feeds a flat loop. Slice and boxed
+    traffic on the same (source, tag) channel keep their relative order,
+    but one channel must carry one payload type at a time. *)
 
-val recv_slice : t -> src:int -> ?tag:int -> ?timeout:float -> unit -> Engine.slice
+val send_slice : t -> dest:int -> ?tag:int -> ('k, 'e) Engine.slice -> unit
+
+val recv_slice : t -> src:int -> ?tag:int -> ?timeout:float -> unit -> ('k, 'e) Engine.slice
 (** FIFO per (source, tag); [?timeout] as in {!recv}. *)
 
-val bcast_slice : t -> root:int -> Engine.slice option -> Engine.slice
+val bcast_slice : t -> root:int -> ('k, 'e) Engine.slice option -> ('k, 'e) Engine.slice
 (** Binomial broadcast of a slice; each hop forwards the whole slice as one
     bulk message. *)
 
-val scatter_slice : t -> root:int -> Engine.slice option -> Engine.slice
+val scatter_slice : t -> root:int -> ('k, 'e) Engine.slice option -> ('k, 'e) Engine.slice
 (** Block-decompose the root's slice over the group: member [k] of [m]
     receives elements [[k*q + min k r, …)] where [q = n/m], [r = n mod m]
     (the same geometry as the distributed vectors). Flat tree: exactly one
     direct message per non-root member; on the multicore engine each block
     is a zero-copy sub-view of the root's storage. *)
 
-val gather_slice : t -> root:int -> Engine.slice -> Engine.slice option
-(** Inverse of {!scatter_slice}: concatenates members' slices in rank
-    order at the root (lengths may vary; offsets are derived from the
-    received lengths). One direct message per non-root member. *)
+val gather_slices :
+  t -> root:int -> ('k, 'e) Engine.slice -> ('k, 'e) Engine.slice array option
+(** Inverse of {!scatter_slice} without the concatenation: the root gets
+    every member's slice, indexed by communicator rank (its own is
+    [local] itself; lengths may vary). One direct message per non-root
+    member; on the multicore engine the parts alias the senders'
+    storage. *)
 
-val allgather_slice : t -> Engine.slice -> Engine.slice
+val gather_slice : t -> root:int -> ('k, 'e) Engine.slice -> ('k, 'e) Engine.slice option
+(** {!gather_slices}, concatenated in rank order at the root into fresh
+    storage. *)
+
+val allgather_slice : t -> ('k, 'e) Engine.slice -> ('k, 'e) Engine.slice
 (** {!gather_slice} to member 0 followed by {!bcast_slice}. *)
 
 (** {1 Internals exposed for tests} *)

@@ -41,16 +41,19 @@
      [real_time] says which: fault injectors (Chaos) use it to decide
      whether a straggler stall must burn wall time or simulated time. *)
 
-(* The typed bulk tier: an unboxed float slice (C-layout Bigarray window).
+(* The typed bulk tier: an unboxed slice (C-layout Bigarray window) of
+   float64 or int elements, the two kinds the flat tier moves.
    [send_slice]/[recv_slice] carry exactly one message per call whatever
    the slice length — the engine-level contract message coalescing builds
    on.  The multicore engine passes the window zero-copy through shared
    memory (no serialisation); the simulator prices it as a single message
-   of [8 * length] bytes (payload bytes, no marshalling framing) while
-   keeping its value-semantics deep copy.  Senders on a real engine must
-   not mutate the window until a synchronising exchange with the receiver
-   (the usual MPI buffer-reuse discipline; a collective suffices). *)
-type slice = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+   of [size_in_bytes] (payload bytes, no marshalling framing) while
+   keeping its value-semantics deep copy; the procs engine delivers a
+   fresh copy.  Senders on a real engine must not mutate the window until
+   a synchronising exchange with the receiver (the usual MPI buffer-reuse
+   discipline; a collective suffices).  The receiver fixes the kind by
+   its type, as with [recv]: both ends must agree. *)
+type ('k, 'e) slice = ('k, 'e, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
   rank : int;
@@ -61,8 +64,8 @@ type t = {
   send : 'a. dest:int -> tag:int -> 'a -> unit;
   recv : 'a. ?timeout:float -> src:int -> tag:int -> unit -> 'a;
   recv_any : 'a. ?timeout:float -> ?tag:int -> unit -> int * 'a;
-  send_slice : dest:int -> tag:int -> slice -> unit;
-  recv_slice : ?timeout:float -> src:int -> tag:int -> unit -> slice;
+  send_slice : 'k 'e. dest:int -> tag:int -> ('k, 'e) slice -> unit;
+  recv_slice : 'k 'e. ?timeout:float -> src:int -> tag:int -> unit -> ('k, 'e) slice;
   work : float -> unit;
   sleep : float -> unit;
   time : unit -> float;
@@ -85,6 +88,12 @@ let[@inline] check_src op ~size src = if src < 0 || src >= size then out_of_rang
 let[@inline] check_dest op ~size ~self dest =
   if dest < 0 || dest >= size then out_of_range op dest size
   else if dest = self then rejected op "self-send is not supported (use a local value)"
+
+let check_slice (type k e) op (s : (k, e) slice) =
+  match Bigarray.Array1.kind s with
+  | Bigarray.Float64 -> ()
+  | Bigarray.Int -> ()
+  | _ -> rejected op "slice kind must be float64 or int"
 
 let check_procs op procs = if procs <= 0 then rejected op "procs must be positive"
 

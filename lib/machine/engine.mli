@@ -8,10 +8,11 @@
     and [run_collect]; programs written against [Comm.t] run unchanged on
     all three. *)
 
-type slice = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The typed bulk-payload tier: an unboxed float window (C-layout
-    [Bigarray.Array1]). One {!t.send_slice} is always exactly one message,
-    whatever the length — the contract message coalescing builds on. *)
+type ('k, 'e) slice = ('k, 'e, Bigarray.c_layout) Bigarray.Array1.t
+(** The typed bulk-payload tier: an unboxed window (C-layout
+    [Bigarray.Array1]) of [float64] or [int] elements. One
+    {!t.send_slice} is always exactly one message, whatever the length —
+    the contract message coalescing builds on. *)
 
 type t = {
   rank : int;  (** this virtual processor's machine-global rank *)
@@ -37,18 +38,28 @@ type t = {
   recv_any : 'a. ?timeout:float -> ?tag:int -> unit -> int * 'a;
       (** Blocking receive from any source; returns (source rank, value).
           Deterministic only on the simulator. [?timeout] as in [recv]. *)
-  send_slice : dest:int -> tag:int -> slice -> unit;
-      (** Typed bulk send: one message carrying an unboxed float window.
-          The multicore engine passes the window zero-copy through shared
-          memory (no serialisation) — the sender must not mutate it until a
-          synchronising exchange with the receiver (a collective suffices).
-          The simulator prices it as a single message of [8 * length]
-          payload bytes (no marshalling framing) and keeps its deep-copy
-          value semantics. *)
-  recv_slice : ?timeout:float -> src:int -> tag:int -> unit -> slice;
+  send_slice : 'k 'e. dest:int -> tag:int -> ('k, 'e) slice -> unit;
+      (** Typed bulk send: one message carrying an unboxed [float64] or
+          [int] window (any other kind raises [Invalid_argument] on every
+          engine). The multicore engine passes the window zero-copy
+          through shared memory (no serialisation) — the sender must not
+          mutate it until a synchronising exchange with the receiver (a
+          collective suffices). The simulator prices it as a single
+          message of [Bigarray.Array1.size_in_bytes] payload bytes (no
+          marshalling framing) and delivers a deep copy taken at the send.
+          The procs engine delivers a fresh copy too: a window of at least
+          64 KiB goes through a shared-memory arena when its channel's
+          ring has room (one copy in at the send, one copy out when the
+          receiver reads the frame), anything else as raw bytes on the
+          socket. *)
+  recv_slice : 'k 'e. ?timeout:float -> src:int -> tag:int -> unit -> ('k, 'e) slice;
       (** Receive a bulk slice; FIFO per (source, tag) with ordinary sends
-          on the same channel. On the multicore engine the result aliases
-          the sender's storage — treat it as read-only. *)
+          on the same channel. The kind is fixed by the caller's type and
+          must be the sender's; annotate it where the result feeds
+          [Scl.Flat.get], or the access compiles generic. On the multicore
+          engine the result aliases the sender's storage — treat it as
+          read-only; on the simulator and procs it is the receiver's own
+          copy. *)
   work : float -> unit;  (** Charge compute seconds (no-op on real engines). *)
   sleep : float -> unit;
       (** Idle for [d] engine-clock seconds: the clock advances but no
@@ -76,6 +87,9 @@ val check_src : string -> size:int -> int -> unit
 val check_dest : string -> size:int -> self:int -> int -> unit
 (** {!check_src}, and
     @raise Invalid_argument ["<op>: self-send is not supported (use a local value)"]. *)
+
+val check_slice : string -> ('k, 'e) slice -> unit
+(** @raise Invalid_argument ["<op>: slice kind must be float64 or int"]. *)
 
 val check_procs : string -> int -> unit
 (** A runner's processor count.

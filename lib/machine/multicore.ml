@@ -362,6 +362,7 @@ let engine fab st : Engine.t =
       (fun ~dest ~tag s ->
         (* the window travels by reference through shared memory — zero
            copy, no serialisation; one message whatever the length *)
+        Engine.check_slice "Multicore.send_slice" s;
         send "Multicore.send_slice" fab st ~dest ~tag s);
     recv_slice =
       (fun ?timeout ~src ~tag () ->

@@ -3,12 +3,25 @@
 
     Each rank is a process [fork]ed at [run] time; every rank pair shares
     one socketpair carrying length-prefixed frames — [Marshal] payloads
-    for ordinary sends, raw little-endian float64 bytes for the bulk
-    slice tier (one [send_slice] stays exactly one frame, preserving the
-    coalescing contract). A bulk frame is copied once per hop: a payload
-    over 64 KiB is written after its header rather than copied behind
-    it, and is read straight into a buffer of its final size. Ranks
-    share no heap: this is the step from
+    for ordinary sends, raw little-endian bytes for the bulk slice tier
+    (one [send_slice] stays exactly one frame, preserving the coalescing
+    contract). A socket frame is copied once per hop: a payload over
+    64 KiB is written after its header rather than copied behind it, and
+    is read straight into a buffer of its final size.
+
+    A slice of 64 KiB or more (float64 or int) skips the socket when it
+    can: the process maps one shared-memory arena before its first fork
+    (unlinked at once, kept for the process's lifetime, never touched by
+    the process itself unless it is a rank), each run gives every
+    directed channel a ring in it, and the slice is blitted into the
+    sender's ring while a small frame on the socket says where. The
+    receiver copies it out into a fresh Bigarray when it parses that
+    frame and returns the space with a credit frame. A slice that finds
+    its ring full takes the socket instead: no send ever waits on arena
+    space, and [stats.arena_msgs] counts the slices that went through
+    it. [Marshal] payloads always take the socket.
+
+    Ranks share no heap: this is the step from
     "parallel library" to "distributed system", where {!Fault.Crashed}
     means a process really died.
 
@@ -29,7 +42,7 @@
       without serializers) raises {!Fault.Unserializable} at the send
       site;
     - a slice received here is a fresh copy, not an alias of the
-      sender's storage;
+      sender's storage, whichever path it took;
     - crash detection is local, not global: a receive with no timeout
       raises {!Fault.Crashed} as soon as the awaited peer's socket hits
       EOF without a goodbye frame (child exit, kill, [EPIPE]), and
@@ -45,7 +58,11 @@
     multi-domain multicore run (as tools/diffcheck and bench/main do), or
     fork a dedicated process for it. A [Multicore] run with [~domains:1]
     runs on the calling domain and spawns none, so [Procs] runs may
-    follow it. A run that breaks this rule raises {!Fork_after_domain}. *)
+    follow it. A run that breaks this rule raises {!Fork_after_domain}.
+
+    A rank may itself start a [Procs] run: its process maps an arena of
+    its own for it, since its siblings are still using the one it
+    inherited. *)
 
 exception Child_failure of int * string
 (** [Child_failure (rank, msg)]: a rank's program died with an exception
@@ -59,9 +76,13 @@ exception Fork_after_domain
     killed and reaped. *)
 
 type stats = {
-  wall : float;  (** wall-clock seconds for the whole run *)
+  wall : float;
+      (** wall-clock seconds from just before the first fork until every
+          child is reaped — which includes [run_collect] decoding the
+          result, done while the children exit *)
   total_msgs : int;  (** sends across all ranks (frames, not bytes) *)
   total_recvs : int;
+  arena_msgs : int;  (** of [total_msgs], the slices sent through the shared arena *)
   procs_used : int;  (** OS processes forked (= [procs]) *)
   crashed : int list;
       (** ranks that fail-stopped — {!Fault.Crashed} self-raises
@@ -103,4 +124,6 @@ val run_collect :
     rank. The value crosses back from the child by [Marshal], as raw
     bytes after the child's verdict record — a non-marshalable result
     raises {!Fault.Unserializable}. When several ranks produce one, the
-    lowest rank's value is returned. *)
+    lowest rank's value is returned. It is decoded once every verdict
+    has arrived, while the children are still exiting; every child is
+    reaped before this returns or raises. *)

@@ -19,7 +19,8 @@
    A [send] marshals its payload, which (a) gives the cost model the true
    byte size and (b) deep-copies the value, so processors cannot
    accidentally share mutable state.  A [send_slice] is copied instead and
-   priced at its unboxed [8 * length] bytes.
+   priced at its unboxed [size_in_bytes] (8 bytes an element for both
+   kinds, float64 and int).
 
    The scheduler is deterministic: among runnable processors it always picks
    the one with the smallest (clock, rank), and receive matching is FIFO per
@@ -211,10 +212,10 @@ let engine sim me : Engine.t =
       (fun ~dest ~tag s ->
         (* The copy keeps the simulator's value semantics: a sim sender
            may reuse its buffer at once, unlike on the real engines. *)
-        let n = Bigarray.Array1.dim s in
-        let c = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+        Engine.check_slice op_send_slice s;
+        let c = Bigarray.Array1.create (Bigarray.Array1.kind s) Bigarray.c_layout (Bigarray.Array1.dim s) in
         Bigarray.Array1.blit s c;
-        send_as op_send_slice sim me ~dest ~tag ~bytes:(8 * n) c);
+        send_as op_send_slice sim me ~dest ~tag ~bytes:(Bigarray.Array1.size_in_bytes s) c);
     recv_slice =
       (fun ?timeout ~src ~tag () -> decode (recv_as op_recv_slice sim me ~src ~tag timeout));
     work = work sim me;

@@ -23,8 +23,9 @@ type stats = {
       [work_times] (and {!imbalance}) ignore slept time.
     - [send] marshals the value: the cost model sees its true byte size
       and the receiver gets a deep copy. A [send_slice] is one message
-      priced at its unboxed [8 * length] bytes, and the receiver gets a
-      copy.
+      priced at its unboxed [Bigarray.Array1.size_in_bytes] (8 bytes an
+      element, float64 or int), and the receiver gets a copy taken at
+      the send.
     - A receive [~timeout] is in simulated seconds; the expiry at
       [clock + timeout] is itself a deterministic simulation event, chosen
       only once no in-time delivery is possible. Per-source FIFO is never

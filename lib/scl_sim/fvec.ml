@@ -136,7 +136,7 @@ let rotate k t =
           match mine with
           | [] -> ()
           | runs ->
-              let slice = Comm.recv_slice t.comm ~src () in
+              let slice : Scl.Flat.float1 = Comm.recv_slice t.comm ~src () in
               let off = ref 0 in
               List.iter
                 (fun (_, g0, len) ->
@@ -226,7 +226,7 @@ let fetch f t =
       let o = owner_of ~total ~parts:p (check g) in
       counts.(o) <- counts.(o) + 1
     done;
-    let slices = Array.make p None in
+    let slices : Scl.Flat.float1 option array = Array.make p None in
     for src = 0 to p - 1 do
       if src <> me && counts.(src) > 0 then slices.(src) <- Some (Comm.recv_slice t.comm ~src ())
     done;

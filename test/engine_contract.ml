@@ -114,6 +114,10 @@ let argument_checks backend =
         fun eng -> ignore (eng.Engine.recv_any ~timeout:(-1.0) () : int * int) );
       ( negative "recv_slice" "timeout",
         fun eng -> ignore (eng.Engine.recv_slice ~timeout:(-1.0) ~src:1 ~tag:0 ()) );
+      ( Printf.sprintf "%s.send_slice: slice kind must be float64 or int" e,
+        fun eng ->
+          eng.Engine.send_slice ~dest:1 ~tag:0
+            (Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 1) );
       (negative "work" "duration", fun eng -> eng.Engine.work (-1.0));
       (negative "sleep" "duration", fun eng -> eng.Engine.sleep (-1.0));
     ];
@@ -413,10 +417,10 @@ let reduce_root_sweep ?chaos backend =
         per_rank)
     [ 2; 3; 5; 8 ]
 
-let slice_of_list xs : Engine.slice =
+let slice_of_list xs : Scl.Flat.float1 =
   Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout (Array.of_list xs)
 
-let slice_to_list (s : Engine.slice) = List.init (Bigarray.Array1.dim s) (Bigarray.Array1.get s)
+let slice_to_list (s : Scl.Flat.float1) = List.init (Bigarray.Array1.dim s) (Bigarray.Array1.get s)
 
 (* The slice payloads.  Most values (1/3, 0.2, ...) have no exact
    float32 or short decimal form, so an encoding that drops precision
@@ -467,6 +471,143 @@ let rooted_collectives_equal_sim ?chaos backend =
           Alcotest.(check (list (float 0.0))) (name "allgather_slice") all_of agl)
         per_rank)
     [ 1; 2; 4 ]
+
+(* Int-kind slices through [send_slice]/[recv_slice] and every slice
+   collective, small and bulk: a bulk one (128 KiB) crosses procs through
+   the shared arena.  Keys span the whole int range, negative ones
+   included, so an encoding that narrows or drops the sign shows.  Each
+   rank reports one check per operation. *)
+let int_slice_n = 1 lsl 14
+
+let int_slices c =
+  let p = Comm.size c and me = Comm.rank c in
+  let key r i = ((i * 2_654_435_761) lxor (r lsl 45)) - (i lsl 40) in
+  let ints n r : Scl.Flat.int1 = Scl.Flat.init Scl.Flat.int n (key r) in
+  let holds ?(from = 0) n r (s : Scl.Flat.int1) =
+    Scl.Flat.length s = n
+    &&
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      if Scl.Flat.get s i <> key r (from + i) then ok := false
+    done;
+    !ok
+  in
+  let root_only v = if me = 0 then Some v else None in
+  let p2p =
+    p = 1
+    || begin
+         let next = (me + 1) mod p and prev = (me + p - 1) mod p in
+         Comm.send_slice c ~dest:next (ints 3 me);
+         Comm.send_slice c ~dest:next (ints int_slice_n me);
+         let small = Comm.recv_slice c ~src:prev () in
+         let bulk = Comm.recv_slice c ~src:prev () in
+         holds 3 prev small && holds int_slice_n prev bulk
+       end
+  in
+  (* uneven blocks: the first [total mod p] members hold one more *)
+  let total = (p * int_slice_n) + 3 in
+  let lo k = (k * (total / p)) + min k (total mod p) in
+  let block k (s : Scl.Flat.int1) = holds ~from:(lo k) (lo (k + 1) - lo k) 77 s in
+  let bsl = Comm.bcast_slice c ~root:0 (root_only (ints int_slice_n 99)) in
+  let mine = Comm.scatter_slice c ~root:0 (root_only (ints total 77)) in
+  let parts = Comm.gather_slices c ~root:0 mine in
+  let back = Comm.gather_slice c ~root:0 mine in
+  let agl = Comm.allgather_slice c (ints (me + 1) me) in
+  let agl_ok =
+    let pos = ref 0 and ok = ref true in
+    for r = 0 to p - 1 do
+      if not (holds (r + 1) r (Scl.Flat.sub_view agl ~pos:!pos ~len:(r + 1))) then ok := false;
+      pos := !pos + r + 1
+    done;
+    !ok && !pos = Scl.Flat.length agl
+  in
+  Option.map Array.to_list
+    (Comm.gather c ~root:0
+       [
+         ("send_slice/recv_slice", p2p);
+         ("bcast_slice", holds int_slice_n 99 bsl);
+         ("scatter_slice", block me mine);
+         ( "gather_slices",
+           match parts with
+           | None -> me <> 0
+           | Some parts -> Array.length parts = p && Array.for_all Fun.id (Array.mapi block parts) );
+         ("gather_slice", match back with None -> me <> 0 | Some all -> holds total 77 all);
+         ("allgather_slice", agl_ok);
+       ])
+
+let int_slices_equal_sim ?chaos backend =
+  List.iter
+    (fun procs ->
+      let sim, _ = Spmd.run (Backend.sim ()) ~procs int_slices in
+      let got, _ = Spmd.run backend ?chaos ~procs int_slices in
+      List.iteri
+        (fun r checks ->
+          List.iter
+            (fun (what, ok) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s p=%d rank %d %s" (Backend.name backend) procs r what)
+                true ok)
+            checks)
+        got;
+      Alcotest.(check bool) (Printf.sprintf "p=%d equal to sim" procs) true (got = sim))
+    [ 1; 2; 4 ]
+
+(* Slice copy-vs-alias semantics, one expectation per engine: multicore
+   hands the receiver the sender's storage, the simulator and procs a
+   copy taken at the send.  After a barrier, rank 0 writes into the
+   window it sent and rank 1 into the slice it received; after a second
+   barrier each rank reports whether it sees the other's write — both do
+   exactly when the engine aliases.  Checked for a small float slice and
+   a bulk int one.  Then a received bulk copy must outlive 20 MB of later
+   bulk traffic on its channel (procs reuses arena space once it is
+   credited back). *)
+let slice_copy_semantics ?chaos backend =
+  let aliases = Backend.name backend = "multicore" in
+  let bulk = 1 lsl 17 in
+  let probe : type k e. Comm.t -> (k, e) Engine.slice -> mark0:k -> mark1:k -> bool =
+   fun c s ~mark0 ~mark1 ->
+    let me = Comm.rank c in
+    if me = 0 then Comm.send_slice c ~dest:1 s;
+    let r : (k, e) Engine.slice = if me = 1 then Comm.recv_slice c ~src:0 () else s in
+    Comm.barrier c;
+    if me = 0 then Bigarray.Array1.set s 0 mark0 else Bigarray.Array1.set r 1 mark1;
+    Comm.barrier c;
+    if me = 0 then Bigarray.Array1.get s 1 = mark1 else Bigarray.Array1.get r 0 = mark0
+  in
+  let v, _ =
+    Spmd.run backend ?chaos ~procs:2 (fun c ->
+        let me = Comm.rank c in
+        let floats = probe c (Scl.Flat.make Scl.Flat.float64 4 0.5) ~mark0:(-1.0) ~mark1:(-2.0) in
+        let ints = probe c (Scl.Flat.init Scl.Flat.int bulk Fun.id) ~mark0:(-1) ~mark1:(-2) in
+        let outlives =
+          if me = 0 then begin
+            for k = 0 to 20 do
+              Comm.send_slice c ~dest:1 (Scl.Flat.make Scl.Flat.int bulk k)
+            done;
+            true
+          end
+          else begin
+            let first : Scl.Flat.int1 = Comm.recv_slice c ~src:0 () in
+            for k = 1 to 20 do
+              let s : Scl.Flat.int1 = Comm.recv_slice c ~src:0 () in
+              if Scl.Flat.get s (bulk - 1) <> k then failwith "bulk slice out of order"
+            done;
+            let ok = ref true in
+            for i = 0 to bulk - 1 do
+              if Scl.Flat.get first i <> 0 then ok := false
+            done;
+            !ok
+          end
+        in
+        Comm.gather c ~root:0 (floats, ints, outlives))
+  in
+  let name = Backend.name backend in
+  Array.iteri
+    (fun r (floats, ints, outlives) ->
+      Alcotest.(check bool) (Printf.sprintf "%s rank %d float slice aliased" name r) aliases floats;
+      Alcotest.(check bool) (Printf.sprintf "%s rank %d int slice aliased" name r) aliases ints;
+      Alcotest.(check bool) (Printf.sprintf "%s rank %d copy outlives traffic" name r) true outlives)
+    v
 
 (* Both tiers, boxed and flat-int, equal the boxed program on the
    simulator; the flat tier's blocks cross the engine as [Scl.Flat.Int]
@@ -641,6 +782,8 @@ let contract_group backend =
       Alcotest.test_case "scalar pipeline input" `Quick (fun () -> spmd_exec_scalar_input backend);
       Alcotest.test_case "frame boundaries on one channel" `Quick (fun () ->
           frame_boundaries backend);
+      Alcotest.test_case "int slices + collectives" `Quick (fun () -> int_slices_equal_sim backend);
+      Alcotest.test_case "slice copy vs alias" `Quick (fun () -> slice_copy_semantics backend);
     ] )
 
 (* --- every value-level case under a chaos schedule ------------------------ *)
@@ -658,6 +801,8 @@ let value_cases ~chaos backend =
     ("rooted collectives + slices equal sim", fun () -> rooted_collectives_equal_sim ~chaos backend);
     ("reduce root sweep", fun () -> reduce_root_sweep ~chaos backend);
     ("dynamic farm", fun () -> ignore (dynamic_farm ~chaos backend));
+    ("int slices + collectives", fun () -> int_slices_equal_sim ~chaos backend);
+    ("slice copy vs alias", fun () -> slice_copy_semantics ~chaos backend);
   ]
 
 (* The value-level cases under the zero-fault wrap ("chaos-none") and

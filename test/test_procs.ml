@@ -1,5 +1,7 @@
 (* Tests for the multi-process execution engine: the socket fabric (frame
-   protocol, per-(source, tag) FIFO, marshal + raw-slice tiers), real
+   protocol, per-(source, tag) FIFO, marshal + raw-slice tiers), the
+   shared-memory arena for bulk slices (ring exhaustion and fallback,
+   both-way pushes, a rank's own nested run), real
    crash detection (EOF without goodbye -> Fault.Crashed), the
    marshalable-payload discipline, engine equivalence of the Comm
    collectives and hyperquicksort against the simulator, and the
@@ -242,6 +244,144 @@ let test_bulk_frames_both_directions () =
       Alcotest.(check bool) (Printf.sprintf "procs agrees with sim at p=%d" procs) true (pr = sim))
     [ 2; 4 ]
 
+(* --- the shared-memory arena ---------------------------------------------- *)
+
+let int_block n k : Scl.Flat.int1 = Scl.Flat.make Scl.Flat.int n k
+
+let all_equal (s : Scl.Flat.int1) n k =
+  Scl.Flat.length s = n
+  &&
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    if Scl.Flat.get s i <> k then ok := false
+  done;
+  !ok
+
+(* Rank 1 stays out of the engine, blocked on a pipe, while rank 0 fills
+   its 16 MB ring toward rank 1 with eight 2 MB slices on two alternating
+   tags.  Rank 0 then releases rank 1 and sends four more: the first of
+   them finds the ring full and takes the socket, and once rank 1's
+   credits come back the arena takes slices again.  Rank 1 drains tag 1
+   before tag 0, so the stash holds arena and socket messages side by
+   side; each tag must still come out in send order, every element
+   intact. *)
+let test_ring_exhaustion_falls_back () =
+  let n = 1 lsl 18 and count = 12 in
+  let rd, wr = Unix.pipe () in
+  let v, stats =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close rd;
+        Unix.close wr)
+      (fun () ->
+        Procs.run_collect ~procs:2 (fun eng ->
+            if eng.Engine.rank = 0 then begin
+              for k = 0 to count - 1 do
+                if k = 8 then ignore (Unix.write_substring wr "!" 0 1);
+                eng.Engine.send_slice ~dest:1 ~tag:(k mod 2) (int_block n k)
+              done;
+              None
+            end
+            else begin
+              ignore (Unix.read rd (Bytes.create 1) 0 1);
+              let drain tag =
+                List.init (count / 2) (fun _ ->
+                    let (s : Scl.Flat.int1) = eng.Engine.recv_slice ~src:0 ~tag () in
+                    let k = Scl.Flat.get s 0 in
+                    if all_equal s n k then k else -1)
+              in
+              let odd = drain 1 in
+              Some (drain 0, odd)
+            end))
+  in
+  Alcotest.(check (pair (list int) (list int)))
+    "per-tag send order, contents intact"
+    (List.init (count / 2) (fun i -> 2 * i), List.init (count / 2) (fun i -> (2 * i) + 1))
+    v;
+  Alcotest.(check bool)
+    (Printf.sprintf "the ring filled, then took slices again (%d of %d through it)"
+       stats.Procs.arena_msgs count)
+    true
+    (stats.Procs.arena_msgs > 8 && stats.Procs.arena_msgs < count)
+
+(* Both ranks push 24 MB of bulk slices at each other before either
+   receives one: both rings fill and both ranks end up in socket writes,
+   each draining the other (copying arena slices out and crediting them)
+   while it waits. *)
+let test_bulk_slices_both_ways () =
+  let n = 1 lsl 18 and count = 12 in
+  let v, stats =
+    Procs.run_collect ~procs:2 (fun eng ->
+        let me = eng.Engine.rank in
+        let other = 1 - me in
+        for k = 0 to count - 1 do
+          eng.Engine.send_slice ~dest:other ~tag:0 (int_block n ((me * 100) + k))
+        done;
+        let ok = ref true in
+        for k = 0 to count - 1 do
+          let (s : Scl.Flat.int1) = eng.Engine.recv_slice ~src:other ~tag:0 () in
+          if not (all_equal s n ((other * 100) + k)) then ok := false
+        done;
+        Comm.gather (Comm.world eng) ~root:0 !ok)
+  in
+  Alcotest.(check (array bool)) "every slice intact, in order" [| true; true |] v;
+  Alcotest.(check bool) "the arena carried some" true (stats.Procs.arena_msgs > 0)
+
+(* The arena files this process maps (each shows up twice, once per
+   view, as a deleted file). *)
+let mapped_arenas () =
+  let ic = open_in "/proc/self/maps" in
+  let rec go acc =
+    match input_line ic with
+    | line -> (
+        match String.index_opt line '/' with
+        | Some i when contains line "scl-arena-" ->
+            let path = String.sub line i (String.length line - i) in
+            go (if List.mem path acc then acc else path :: acc)
+        | _ -> go acc)
+    | exception End_of_file -> acc
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> List.length (go []))
+
+(* A rank that starts a Procs run of its own maps a second arena for it
+   (its siblings still use the inherited one), and both runs move bulk
+   slices through their own arena at the same time. *)
+let test_nested_run_maps_own_arena () =
+  let n = 1 lsl 16 in
+  let swap eng =
+    let me = eng.Engine.rank in
+    eng.Engine.send_slice ~dest:(1 - me) ~tag:0 (int_block n me);
+    let (s : Scl.Flat.int1) = eng.Engine.recv_slice ~src:(1 - me) ~tag:0 () in
+    all_equal s n (1 - me)
+  in
+  let v, stats =
+    Procs.run_collect ~procs:2 (fun eng ->
+        let outer = swap eng in
+        let before = mapped_arenas () in
+        let r =
+          if eng.Engine.rank = 0 then begin
+            let (inner, inner_maps), inner_stats =
+              Procs.run_collect ~procs:2 (fun e ->
+                  let ok = swap e in
+                  if e.Engine.rank = 0 then Some (ok, mapped_arenas ()) else None)
+            in
+            Some (outer && inner, before, mapped_arenas (), inner_maps, inner_stats.Procs.arena_msgs)
+          end
+          else None
+        in
+        (* a second outer swap while the inner run's arena exists *)
+        let again = swap eng in
+        Option.map (fun (ok, b, a, i, m) -> (ok && again, b, a, i, m)) r)
+  in
+  let ok, before, after, inner_maps, inner_arena_msgs = v in
+  Alcotest.(check bool) "every swap intact" true ok;
+  Alcotest.(check int) "a rank inherits one arena" 1 before;
+  Alcotest.(check int) "its own run maps a second" 2 after;
+  Alcotest.(check int) "the inner ranks see both" 2 inner_maps;
+  Alcotest.(check int) "inner slices took the inner arena" 2 inner_arena_msgs;
+  Alcotest.(check int) "outer slices took the outer arena" 4 stats.Procs.arena_msgs;
+  Alcotest.(check int) "this process still maps one" 1 (mapped_arenas ())
+
 (* --- chaos on real processes --------------------------------------------- *)
 
 let test_chaos_zero_fault_value_identical () = ignore (C.chaos_none_identity Backend.procs)
@@ -294,6 +434,16 @@ let test_farm_all_workers_lost () =
 
 let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
 
+let maps_lines () =
+  let ic = open_in "/proc/self/maps" in
+  let rec go n = match input_line ic with _ -> go (n + 1) | exception End_of_file -> n in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 0)
+
+let shm_leftovers () =
+  List.filter
+    (fun f -> String.length f >= 9 && String.sub f 0 9 = "scl-arena")
+    (Array.to_list (try Sys.readdir "/dev/shm" with Sys_error _ -> [||]))
+
 let test_repeated_runs_leave_nothing () =
   (* clean runs, a rank that raises, and a chaos crash, 300 runs in all:
      every socket closed and every child reaped each time *)
@@ -303,8 +453,10 @@ let test_repeated_runs_leave_nothing () =
     if Comm.rank c = 0 then Some s else None
   in
   let chaos = { Chaos.none with Chaos.crashes = [ (2, 1) ] } in
-  for _ = 1 to 100 do
+  let maps_after_first = ref 0 in
+  for i = 1 to 100 do
     Alcotest.(check int) "clean allreduce" 6 (fst (Spmd.run Backend.procs ~procs:4 sum));
+    if i = 1 then maps_after_first := maps_lines ();
     (match Procs.run_each ~procs:4 (fun _ eng -> if eng.Engine.rank = 3 then failwith "boom") with
     | _ -> Alcotest.fail "expected Failure"
     | exception Failure _ -> ());
@@ -313,6 +465,12 @@ let test_repeated_runs_leave_nothing () =
     | exception Fault.Crashed _ -> ()
   done;
   Alcotest.(check int) "no fd leaked" before (fd_count ());
+  Alcotest.(check (list string)) "no arena file left in /dev/shm" [] (shm_leftovers ());
+  Alcotest.(check bool)
+    (Printf.sprintf "no mapping added after the first run (%d, then %d)" !maps_after_first
+       (maps_lines ()))
+    true
+    (maps_lines () <= !maps_after_first);
   match Unix.waitpid [ WNOHANG ] (-1) with
   | pid, _ -> Alcotest.failf "child %d left behind" pid
   | exception Unix.Unix_error (ECHILD, _, _) -> ()
@@ -390,6 +548,14 @@ let suite =
         [
           Alcotest.test_case "frames both directions p=2/4" `Quick
             test_bulk_frames_both_directions;
+        ] );
+      ( "arena",
+        [
+          Alcotest.test_case "full ring falls back mid-stream" `Quick
+            test_ring_exhaustion_falls_back;
+          Alcotest.test_case "bulk slices both ways" `Quick test_bulk_slices_both_ways;
+          Alcotest.test_case "nested run maps its own arena" `Quick
+            test_nested_run_maps_own_arena;
         ] );
     ]
 
