@@ -168,17 +168,18 @@ let hqs_program (data : int array option) (comm : Comm.t) : int array option =
    as private copies priced at 8 bytes a key on [sim], and through the
    shared arena on [procs].  The root copies the input once, because
    ranks sort their blocks in place and the caller's array must not
-   change; the gathered parts are laid out straight into the result.
-   Flops charges and the message count are identical to [hqs_program],
-   keeping sim timings comparable between the tiers (only the priced
-   byte counts differ). *)
-let hqs_program_flatint (data : int array option) (comm : Comm.t) : int array option =
+   change.  Rank 0 returns the gathered parts as they are, and the runner
+   ([Spmd.run_flat]) brings them home as one array.  Flops
+   charges and the message count are identical to [hqs_program], keeping
+   sim timings comparable between the tiers (only the priced byte counts
+   differ). *)
+let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int1 array option =
   let module FI = Scl.Flat.Int in
   let p = Comm.size comm in
   let d = log2_exact p in
   (* the length broadcast of [Dvec.scatter], so both tiers send as many
-     messages; the root sizes the gathered result with it *)
-  let total = Comm.bcast comm ~root:0 (Option.map Array.length data) in
+     messages *)
+  ignore (Comm.bcast comm ~root:0 (Option.map Array.length data) : int);
   let local : FI.t ref = ref (Comm.scatter_slice comm ~root:0 (Option.map FI.of_int_array data)) in
   FI.sort !local;
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Scl.Flat.length !local));
@@ -204,37 +205,31 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : int array op
         local := FI.merge keep recvd);
     c := Comm.split !c ~color:(if me < half then 0 else 1) ~key:me
   done;
-  (* Collect to processor 0 and lay the parts out in rank order. *)
-  Option.map
-    (fun (chunks : FI.t array) ->
-      let out = Array.make total 0 in
-      let pos = ref 0 in
-      Array.iter
-        (fun (chunk : FI.t) ->
-          let len = Scl.Flat.length chunk in
-          for i = 0 to len - 1 do
-            out.(!pos + i) <- Scl.Flat.get chunk i
-          done;
-          pos := !pos + len)
-        chunks;
-      out)
-    (Comm.gather_slices comm ~root:0 !local)
+  (* Collect to processor 0, the parts in rank order. *)
+  Comm.gather_slices comm ~root:0 !local
 
 (* Both tiers run on any backend: [Comm.work_flops] charges simulated
    time on [sim] and is a no-op on the real engines, where the local
    kernels are the actual work and the portions move zero-copy between
    domains ([multicore]) or across processes ([procs]: boxed portions by
    [Marshal] over sockets, flat ones through the shared arena; the input
-   reaches every child by fork, and the result returns in rank 0's
-   verdict). Same values on every engine. *)
-let run_hqs program backend ?topology ~procs (data : int array) =
+   reaches every child by fork, and rank 0's result comes home on its
+   verdict socket — marshalled for the boxed tier, streamed as raw words
+   for the flat one). Same values on every engine. *)
+let check_procs procs =
   if not (Topology.is_power_of_two procs) then
-    invalid_arg "Hyperquicksort: processor count must be a power of two";
-  Scl_sim.Spmd.run backend ?topology ~procs (fun comm ->
-      program (if Comm.rank comm = 0 then Some data else None) comm)
+    invalid_arg "Hyperquicksort: processor count must be a power of two"
 
-let sort backend = run_hqs hqs_program backend
-let sort_flatint backend = run_hqs hqs_program_flatint backend
+let input data comm = if Comm.rank comm = 0 then Some data else None
+
+let sort backend ?topology ~procs (data : int array) =
+  check_procs procs;
+  Scl_sim.Spmd.run backend ?topology ~procs (fun comm -> hqs_program (input data comm) comm)
+
+let sort_flatint backend ?topology ~procs (data : int array) =
+  check_procs procs;
+  Scl_sim.Spmd.run_flat backend ?topology ~procs ~kind:Scl.Flat.int (fun comm ->
+      hqs_program_flatint (input data comm) comm)
 
 (* Pinned by the steady benchmark, which calls these exact names. *)
 let sort_procs ~procs data = sort_flatint Backend.procs ~procs data

@@ -43,8 +43,11 @@ val sort_flatint :
     [Comm.gather_slices]): by reference on [multicore], copied and priced
     at 8 bytes a key on [sim], through the shared arena on [procs]. The
     root copies the input once; the caller's array is never modified.
-    Output, message count and flops charges are identical to {!sort}; on
-    [sim] only the priced byte counts differ. *)
+    Rank 0's gathered parts are the run's flat result
+    ([Scl_sim.Spmd.run_flat]): on [procs] they stream home as raw words,
+    elsewhere rank 0 lays them out. Output, message count and flops
+    charges are identical to {!sort}; on [sim] only the priced byte
+    counts differ. *)
 
 (** {2 Benchmark-pinned names}
 

@@ -105,6 +105,35 @@ let to_array (type a b) (a : (a, b) t) : a array =
     out
   end
 
+(* Parts laid out in order in one fresh array: one match on the kind, so
+   the copy loops run unboxed for [float64] and [int].  A part's kind is
+   checked, not trusted: a slice received at the wrong annotation carries
+   another one, and the unboxed loops would misread it. *)
+let concat (type a b) (kind : (a, b) Bigarray.kind) (parts : (a, b) t array) : a array =
+  Array.iter
+    (fun p ->
+      if Bigarray.Array1.kind p <> kind then
+        invalid_arg "Flat.concat: a part is not of the requested kind")
+    parts;
+  let total = Array.fold_left (fun n p -> n + length p) 0 parts in
+  (* [copy out p pos] stores part [p] at [out.(pos)] onwards *)
+  let lay_out (out : a array) copy =
+    ignore (Array.fold_left (fun pos p -> copy out p pos; pos + length p) 0 parts);
+    out
+  in
+  match kind with
+  | Bigarray.Float64 ->
+      lay_out (Array.create_float total) (fun out (p : float1) pos ->
+          for i = 0 to length p - 1 do
+            Array.unsafe_set out (pos + i) (Bigarray.Array1.unsafe_get p i)
+          done)
+  | Bigarray.Int ->
+      lay_out (Array.make total 0) (fun out (p : int1) pos ->
+          for i = 0 to length p - 1 do
+            Array.unsafe_set out (pos + i) (Bigarray.Array1.unsafe_get p i)
+          done)
+  | _ -> Array.concat (Array.to_list (Array.map to_array parts))
+
 let of_float_array (src : float array) : float1 = of_array float64 src
 let to_float_array (a : float1) : float array = to_array a
 

@@ -59,6 +59,12 @@ val copy : ('a, 'b) t -> ('a, 'b) t
 
 val of_array : ('a, 'b) Bigarray.kind -> 'a array -> ('a, 'b) t
 val to_array : ('a, 'b) t -> 'a array
+val concat : ('a, 'b) Bigarray.kind -> ('a, 'b) t array -> 'a array
+(** [concat kind parts]: the parts' elements in order, in one fresh
+    array ([Array.concat] of their {!to_array}s, without the copies). It
+    matches on [kind] once and runs unboxed for [float64] and [int].
+    @raise Invalid_argument if a part's run-time kind is not [kind]. *)
+
 val of_float_array : float array -> float1
 val to_float_array : float1 -> float array
 val equal : ('a, 'b) t -> ('a, 'b) t -> bool

@@ -89,11 +89,13 @@ let[@inline] check_dest op ~size ~self dest =
   if dest < 0 || dest >= size then out_of_range op dest size
   else if dest = self then rejected op "self-send is not supported (use a local value)"
 
-let check_slice (type k e) op (s : (k, e) slice) =
-  match Bigarray.Array1.kind s with
-  | Bigarray.Float64 -> ()
-  | Bigarray.Int -> ()
-  | _ -> rejected op "slice kind must be float64 or int"
+let flat_kind (type k e) (kind : (k, e) Bigarray.kind) =
+  match kind with Bigarray.Float64 -> true | Bigarray.Int -> true | _ -> false
+
+let check_slice op s =
+  if not (flat_kind (Bigarray.Array1.kind s)) then rejected op "slice kind must be float64 or int"
+
+let check_kind op kind = if not (flat_kind kind) then rejected op "kind must be float64 or int"
 
 let check_procs op procs = if procs <= 0 then rejected op "procs must be positive"
 

@@ -5,8 +5,8 @@
     charges simulated time), [Multicore]'s (OCaml domains, zero-copy
     shared memory) and [Procs]' (forked OS processes over sockets). Each
     engine exports the same two runners over these programs, [run_each]
-    and [run_collect]; programs written against [Comm.t] run unchanged on
-    all three. *)
+    and [run_collect] ([Procs] adds [run_flat]); programs written against
+    [Comm.t] run unchanged on all three. *)
 
 type ('k, 'e) slice = ('k, 'e, Bigarray.c_layout) Bigarray.Array1.t
 (** The typed bulk-payload tier: an unboxed window (C-layout
@@ -90,6 +90,10 @@ val check_dest : string -> size:int -> self:int -> int -> unit
 
 val check_slice : string -> ('k, 'e) slice -> unit
 (** @raise Invalid_argument ["<op>: slice kind must be float64 or int"]. *)
+
+val check_kind : string -> ('k, 'e) Bigarray.kind -> unit
+(** A flat result's element kind.
+    @raise Invalid_argument ["<op>: kind must be float64 or int"]. *)
 
 val check_procs : string -> int -> unit
 (** A runner's processor count.

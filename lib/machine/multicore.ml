@@ -575,14 +575,16 @@ let domain_main fab d (my : rstate array) =
 
 let default_domains procs = max 1 (min procs (Domain.recommended_domain_count ()))
 
-let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
+(* [runner] names the public runner in argument errors. *)
+let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
     (program : int -> Engine.t -> unit) : stats =
-  Engine.check_procs "Multicore.run_each" procs;
+  let op = "Multicore." ^ runner in
+  Engine.check_procs op procs;
   let ndomains =
     match domains with
     | None -> default_domains procs
     | Some d ->
-        if d <= 0 then invalid_arg "Multicore.run_each: domains must be positive";
+        if d <= 0 then invalid_arg (op ^ ": domains must be positive");
         min d procs
   in
   let topology = match topology with Some t -> t | None -> Topology.default procs in
@@ -674,12 +676,16 @@ let run_each ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
       end;
       stats)
 
+let run_each ?domains ?cost ?topology ~procs program =
+  run_as "run_each" ?domains ?cost ?topology ~procs program
+
 let run_collect (type a) ?domains ?cost ?topology ~procs (program : Engine.t -> a option) :
     a * stats =
   (* One slot per rank, read after every domain has joined: the lowest
      rank's value wins, as on the other engines. *)
   let results : a option array = Array.make (max 0 procs) None in
   let stats =
-    run_each ?domains ?cost ?topology ~procs (fun rank eng -> results.(rank) <- program eng)
+    run_as "run_collect" ?domains ?cost ?topology ~procs (fun rank eng ->
+        results.(rank) <- program eng)
   in
   (Engine.lowest_rank "Multicore.run_collect" results, stats)

@@ -53,10 +53,13 @@
    always take the socket.  A process that cannot create the file runs
    on sockets alone.
 
-   A child reports to the parent over its own socket: two int64 lengths,
-   then its verdict record (counters, fail-stop flag, error) as a
-   [Marshal] image, then its result's marshalled bytes raw, not wrapped
-   in a second [Marshal].
+   A child reports to the parent over its own socket: its verdict record
+   (counters, fail-stop flag, error, whether a result follows) as a
+   [Marshal] image behind an int64 length, then its result in the form of
+   the runner that started the run — [run_collect]'s [Marshal] image, or
+   [run_flat]'s raw words streamed a chunk at a time.  The parent reads
+   only the lowest producing rank's result; a child that dies before its
+   result has arrived whole is a crash.
 
    A send returns once its whole frame is in the kernel; no frame is
    ever owed after that.  No send waits for a matching receive: a frame
@@ -142,21 +145,27 @@ let frame_head kind tag len payload =
   Bytes.blit payload 0 b header_len inline;
   b
 
-(* A slice's raw little-endian image, and back.  The kind is matched
-   once, so each loop runs unboxed. *)
-let encode_slice (type k e) (s : (k, e) Engine.slice) =
-  let len = Bigarray.Array1.dim s in
-  let b = Bytes.create (8 * len) in
-  (match Bigarray.Array1.kind s with
+(* Elements [i, i + m) of a slice as raw little-endian words, written into
+   [b] from byte [off].  The kind is matched once, so each loop runs
+   unboxed. *)
+let encode_run (type k e) (s : (k, e) Engine.slice) ~i ~m b off =
+  match Bigarray.Array1.kind s with
   | Bigarray.Float64 ->
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le b (8 * i) (Int64.bits_of_float (Bigarray.Array1.unsafe_get s i))
+      for j = 0 to m - 1 do
+        Bytes.set_int64_le b (off + (8 * j))
+          (Int64.bits_of_float (Bigarray.Array1.unsafe_get s (i + j)))
       done
   | Bigarray.Int ->
-      for i = 0 to len - 1 do
-        Bytes.set_int64_le b (8 * i) (Int64.of_int (Bigarray.Array1.unsafe_get s i))
+      for j = 0 to m - 1 do
+        Bytes.set_int64_le b (off + (8 * j)) (Int64.of_int (Bigarray.Array1.unsafe_get s (i + j)))
       done
-  | _ -> assert false (* [Engine.check_slice] *));
+  | _ -> assert false (* [Engine.check_slice]; [run_flat] checks its parts *)
+
+(* A slice's raw little-endian image, and back. *)
+let encode_slice s =
+  let len = Bigarray.Array1.dim s in
+  let b = Bytes.create (8 * len) in
+  encode_run s ~i:0 ~m:len b 0;
   b
 
 let decode_floats payload =
@@ -711,11 +720,12 @@ type child_error =
   | E_failure of string
   | E_other of string
 
-(* A child's report.  Its result, if any, travels after it as raw
-   marshalled bytes (see [write_verdict]), not inside it. *)
+(* A child's report.  Its result, if any, follows it on the socket (see
+   [result_form]), not inside it. *)
 type verdict = {
   v_error : child_error option;
   v_crashed : bool;  (* chaos-style self fail-stop: silent, not an error *)
+  v_result : bool;  (* a result follows the record *)
   v_sent : int;
   v_recvd : int;
   v_arena : int;
@@ -753,36 +763,109 @@ let rec read_all fd b off len =
     | n -> read_all fd b (off + n) (len - n)
     | exception Unix.Unix_error (EINTR, _, _) -> read_all fd b off len
 
-(* Verdict socket layout: two little-endian int64 lengths — the verdict
-   record's [Marshal] image, then the result's marshalled bytes (-1 when
-   the rank produced none) — followed by the record and the result. *)
-let write_verdict fd (v : verdict) (res : bytes option) =
-  let b = Marshal.to_bytes v [] in
-  let hdr = Bytes.create 16 in
+(* A little-endian int64 length, then that many bytes. *)
+let write_sized fd b =
+  let hdr = Bytes.create 8 in
   Bytes.set_int64_le hdr 0 (Int64.of_int (Bytes.length b));
-  Bytes.set_int64_le hdr 8 (Int64.of_int (match res with Some r -> Bytes.length r | None -> -1));
-  write_all fd hdr 0 16;
-  write_all fd b 0 (Bytes.length b);
-  Option.iter (fun r -> write_all fd r 0 (Bytes.length r)) res
+  write_all fd hdr 0 8;
+  write_all fd b 0 (Bytes.length b)
+
+(* [None] when the stream ends first. *)
+let read_sized fd =
+  let hdr = Bytes.create 8 in
+  if not (read_all fd hdr 0 8) then None
+  else
+    let b = Bytes.create (Int64.to_int (Bytes.get_int64_le hdr 0)) in
+    if read_all fd b 0 (Bytes.length b) then Some b else None
 
 (* [None] = the child died before reporting (exit, signal): a real crash. *)
-let read_verdict fd : (verdict * bytes option) option =
-  let hdr = Bytes.create 16 in
-  if not (read_all fd hdr 0 16) then None
+let read_verdict fd : verdict option =
+  Option.map (fun b : verdict -> Marshal.from_bytes b 0) (read_sized fd)
+
+(* How a producing child's result ['p] crosses its verdict socket after the
+   record: the child [write]s it, the parent [read]s it back as ['r] —
+   [None] when the stream ends early, the child having died mid-result. *)
+type ('p, 'r) result_form = {
+  write : Unix.file_descr -> 'p -> unit;
+  read : Unix.file_descr -> 'r option;
+}
+
+let no_result : (unit, unit) result_form = { write = (fun _ () -> ()); read = (fun _ -> Some ()) }
+
+(* [run_collect]'s form: the value's [Marshal] image, taken inside the
+   rank so that a value which cannot cross is that rank's error. *)
+let marshalled : (bytes, 'a) result_form =
+  { write = write_sized; read = (fun fd -> Option.map (fun b -> Marshal.from_bytes b 0) (read_sized fd)) }
+
+(* [run_flat]'s form: the element count as an int64, then every part's
+   elements as raw little-endian words, streamed through one chunk-sized
+   buffer on each side.  The parent decodes each chunk straight into the
+   result array: neither side builds a second copy of the whole result. *)
+let write_flat fd (parts : ('k, 'e) Engine.slice array) =
+  let buf = Bytes.create chunk in
+  Bytes.set_int64_le buf 0
+    (Int64.of_int (Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 parts));
+  let fill = ref 8 in
+  Array.iter
+    (fun s ->
+      let n = Bigarray.Array1.dim s in
+      let i = ref 0 in
+      while !i < n do
+        if !fill = chunk then begin
+          write_all fd buf 0 chunk;
+          fill := 0
+        end;
+        let m = min (n - !i) ((chunk - !fill) / 8) in
+        encode_run s ~i:!i ~m buf !fill;
+        i := !i + m;
+        fill := !fill + (8 * m)
+      done)
+    parts;
+  write_all fd buf 0 !fill
+
+let read_flat (type k e) (kind : (k, e) Bigarray.kind) fd : k array option =
+  let buf = Bytes.create chunk in
+  if not (read_all fd buf 0 8) then None
   else begin
-    let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
-    let res_len = Int64.to_int (Bytes.get_int64_le hdr 8) in
-    let b = Bytes.create len in
-    let r = Bytes.create (max res_len 0) in
-    if read_all fd b 0 len && read_all fd r 0 (Bytes.length r) then
-      Some ((Marshal.from_bytes b 0 : verdict), if res_len < 0 then None else Some r)
-    else None
+    let total = Int64.to_int (Bytes.get_int64_le buf 0) in
+    (* read the words chunk by chunk; [decode n pos] stores the [n] just
+       read from index [pos] on *)
+    let stream (out : k array) decode =
+      let rec go pos =
+        if pos = total then Some out
+        else begin
+          let n = min (chunk / 8) (total - pos) in
+          if read_all fd buf 0 (8 * n) then begin
+            decode n pos;
+            go (pos + n)
+          end
+          else None
+        end
+      in
+      go 0
+    in
+    match kind with
+    | Bigarray.Float64 ->
+        let out = Array.create_float total in
+        stream out (fun n pos ->
+            for j = 0 to n - 1 do
+              Array.unsafe_set out (pos + j) (Int64.float_of_bits (Bytes.get_int64_le buf (8 * j)))
+            done)
+    | Bigarray.Int ->
+        let out = Array.make total 0 in
+        stream out (fun n pos ->
+            for j = 0 to n - 1 do
+              Array.unsafe_set out (pos + j) (Int64.to_int (Bytes.get_int64_le buf (8 * j)))
+            done)
+    | _ -> assert false (* [Engine.check_kind] *)
   end
+
+let flat kind = { write = write_flat; read = read_flat kind }
 
 (* --------------------------------------------------------------------- runs *)
 
 let child_main ~rank ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd
-    (program : int -> Engine.t -> bytes option) : unit =
+    (program : int -> Engine.t -> 'p option) (form : ('p, _) result_form) : unit =
   (* a peer may die mid-write; we want EPIPE (handled), not a signal *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Close every inherited fd that is not ours: EOF-based crash detection
@@ -852,10 +935,11 @@ let child_main ~rank ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd
     }
   in
   let eng = engine st cost topology in
-  let verdict error crashed =
+  let verdict ?(result = false) error crashed =
     {
       v_error = error;
       v_crashed = crashed;
+      v_result = result;
       v_sent = st.c_sent;
       v_recvd = st.c_recvd;
       v_arena = st.c_arena_sent;
@@ -867,7 +951,7 @@ let child_main ~rank ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd
       finish_clean st;
       res
     with
-    | res -> (verdict None false, res)
+    | res -> (verdict ~result:(Option.is_some res) None false, res)
     | exception Fault.Crashed r when r = rank ->
         abrupt_close st;
         (verdict None true, None)
@@ -875,7 +959,11 @@ let child_main ~rank ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd
         abrupt_close st;
         (verdict (Some (err_repr e)) false, None)
   in
-  (try write_verdict my_vfd v res with _ -> ());
+  (* a parent that does not want the result closes its end: EPIPE *)
+  (try
+     write_sized my_vfd (Marshal.to_bytes v []);
+     Option.iter (form.write my_vfd) res
+   with _ -> ());
   Unix._exit 0
 
 let rec reap pid =
@@ -884,12 +972,15 @@ let rec reap pid =
   | exception Unix.Unix_error (EINTR, _, _) -> reap pid
   | exception Unix.Unix_error (ECHILD, _, _) -> ()
 
-(* Fork the ranks, read every verdict, and apply [finish] to the ranks'
-   result bytes while the children are still exiting; every child is
-   reaped before this returns or raises. *)
-let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
-    (program : int -> Engine.t -> bytes option) ~(finish : bytes option array -> 'a) : 'a * stats =
-  Engine.check_procs "Procs.run_each" procs;
+(* Fork the ranks and read every verdict, and the lowest producing rank's
+   result in [form] as it arrives, while the other children are still
+   exiting; every child is reaped before this returns or raises.  Only
+   that rank's slot of the returned array is filled.  [runner] names the
+   public runner in argument errors. *)
+let run_core ~runner ?(cost = Cost_model.ap1000) ?topology ~procs
+    (program : int -> Engine.t -> 'p option) (form : ('p, 'r) result_form) : 'r option array * stats
+    =
+  Engine.check_procs ("Procs." ^ runner) procs;
   let topology = match topology with Some t -> t | None -> Topology.default procs in
   Topology.validate topology ~procs;
   (* children inherit the stdio buffers; flush now so nothing replays *)
@@ -917,7 +1008,7 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
      for r = 0 to procs - 1 do
        match Unix.fork () with
        | 0 ->
-           (try child_main ~rank:r ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd program
+           (try child_main ~rank:r ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd program form
             with _ -> ());
            (* only reached if child_main itself blew up before its verdict *)
            Unix._exit 127
@@ -945,38 +1036,54 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
   (* every socket end now lives in exactly one child *)
   close_mesh ();
   Array.iter (fun (_, child_end) -> close_noerr child_end) vfd;
-  let verdicts =
-    Array.map
-      (fun (parent_end, _) ->
-        let v = read_verdict parent_end in
-        close_noerr parent_end;
-        v)
-      vfd
+  let is_open = Array.make procs true in
+  let close_vfd r =
+    if is_open.(r) then begin
+      is_open.(r) <- false;
+      close_noerr (fst vfd.(r))
+    end
   in
-  let value, (sent, recvd, via_arena, crashed) =
+  let results, (sent, recvd, via_arena, crashed) =
     Fun.protect
       ~finally:(fun () ->
+        (* closed before reaping: a child still writing an unread result
+           gets EPIPE and exits *)
+        for r = 0 to procs - 1 do
+          close_vfd r
+        done;
         Array.iter reap pids;
         release_arena arena)
       (fun () ->
         let crashed = ref [] in
         let errors = Array.make procs None in
         let results = Array.make procs None in
+        (* once a rank has failed or announced a result, later results
+           are not read; [cut] is a rank whose result stream ended early *)
+        let settled = ref false and cut = ref None in
         let sent = ref 0 and recvd = ref 0 and via_arena = ref 0 in
-        Array.iteri
-          (fun r v ->
-            match v with
-            | None -> crashed := r :: !crashed
-            | Some (v, res) ->
-                sent := !sent + v.v_sent;
-                recvd := !recvd + v.v_recvd;
-                via_arena := !via_arena + v.v_arena;
-                if v.v_crashed then crashed := r :: !crashed
-                else begin
-                  results.(r) <- res;
-                  errors.(r) <- v.v_error
-                end)
-          verdicts;
+        for r = 0 to procs - 1 do
+          let fd = fst vfd.(r) in
+          (match read_verdict fd with
+          | None -> crashed := r :: !crashed
+          | Some v ->
+              sent := !sent + v.v_sent;
+              recvd := !recvd + v.v_recvd;
+              via_arena := !via_arena + v.v_arena;
+              if v.v_crashed then crashed := r :: !crashed
+              else if Option.is_some v.v_error then begin
+                errors.(r) <- v.v_error;
+                settled := true
+              end
+              else if v.v_result && not !settled then begin
+                settled := true;
+                match form.read fd with
+                | Some x -> results.(r) <- Some x
+                | None ->
+                    cut := Some r;
+                    crashed := r :: !crashed
+              end);
+          close_vfd r
+        done;
         (* The lowest rank's error is raised, except that a rank which saw
            a peer die without a goodbye reports [E_crashed peer]: when that
            peer left an error verdict of its own, its death was that error,
@@ -993,9 +1100,11 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
             let r, e = root_cause 0 first in
             reraise_child r e
         | None -> ());
-        (finish results, (!sent, !recvd, !via_arena, List.rev !crashed)))
+        (* a result is whole or the run fails: never a truncated value *)
+        Option.iter (fun r -> raise (Fault.Crashed r)) !cut;
+        (results, (!sent, !recvd, !via_arena, List.rev !crashed)))
   in
-  ( value,
+  ( results,
     {
       wall = Unix.gettimeofday () -. t0;
       total_msgs = sent;
@@ -1007,24 +1116,46 @@ let run_core ?(cost = Cost_model.ap1000) ?topology ~procs
 
 let run_each ?cost ?topology ~procs (program : int -> Engine.t -> unit) : stats =
   snd
-    (run_core ?cost ?topology ~procs
+    (run_core ~runner:"run_each" ?cost ?topology ~procs
        (fun r eng ->
          program r eng;
          None)
-       ~finish:ignore)
+       no_result)
 
-let run_collect (type a) ?cost ?topology ~procs (program : Engine.t -> a option) : a * stats =
-  run_core ?cost ?topology ~procs
-    (fun _rank eng ->
-      match program eng with
-      | None -> None
-      | Some v -> (
-          try Some (Marshal.to_bytes v [])
-          with Invalid_argument msg | Failure msg ->
-            raise
-              (Fault.Unserializable
-                 (Printf.sprintf "Procs.run_collect: result cannot cross a process boundary (%s)"
-                    msg))))
-    ~finish:(fun results ->
-      (* decoded before the children are reaped, overlapping their exit *)
-      (Marshal.from_bytes (Engine.lowest_rank "Procs.run_collect" results) 0 : a))
+let run_collect ?cost ?topology ~procs (program : Engine.t -> 'a option) : 'a * stats =
+  let results, stats =
+    run_core ~runner:"run_collect" ?cost ?topology ~procs
+      (fun _rank eng ->
+        Option.map
+          (fun v ->
+            try Marshal.to_bytes v []
+            with Invalid_argument msg | Failure msg ->
+              raise
+                (Fault.Unserializable
+                   (Printf.sprintf "Procs.run_collect: result cannot cross a process boundary (%s)"
+                      msg)))
+          (program eng))
+      marshalled
+  in
+  (Engine.lowest_rank "Procs.run_collect" results, stats)
+
+let run_flat ?cost ?topology ~procs ~kind (program : Engine.t -> ('k, 'e) Engine.slice array option)
+    : 'k array * stats =
+  Engine.check_kind "Procs.run_flat" kind;
+  let results, stats =
+    run_core ~runner:"run_flat" ?cost ?topology ~procs
+      (fun _rank eng ->
+        Option.map
+          (fun parts ->
+            (* a slice's static kind is the receiver's annotation, not a
+               check; the stream's loops trust the run-time one *)
+            Array.iter
+              (fun s ->
+                if Bigarray.Array1.kind s <> kind then
+                  invalid_arg "Procs.run_flat: a part is not of the requested kind")
+              parts;
+            parts)
+          (program eng))
+      (flat kind)
+  in
+  (Engine.lowest_rank "Procs.run_flat" results, stats)

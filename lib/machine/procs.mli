@@ -21,6 +21,12 @@
     space, and [stats.arena_msgs] counts the slices that went through
     it. [Marshal] payloads always take the socket.
 
+    A run's result comes home on the producing child's own verdict
+    socket, after its verdict record: {!run_collect}'s as a [Marshal]
+    image, {!run_flat}'s as raw little-endian words streamed a 64 KiB
+    chunk at a time and decoded straight into the caller's array. Only
+    the lowest producing rank's result is read.
+
     Ranks share no heap: this is the step from
     "parallel library" to "distributed system", where {!Fault.Crashed}
     means a process really died.
@@ -78,8 +84,8 @@ exception Fork_after_domain
 type stats = {
   wall : float;
       (** wall-clock seconds from just before the first fork until every
-          child is reaped — which includes [run_collect] decoding the
-          result, done while the children exit *)
+          child is reaped — which includes reading and decoding the
+          result, done while the other children exit *)
   total_msgs : int;  (** sends across all ranks (frames, not bytes) *)
   total_recvs : int;
   arena_msgs : int;  (** of [total_msgs], the slices sent through the shared arena *)
@@ -121,9 +127,32 @@ val run_collect :
   (Engine.t -> 'a option) ->
   'a * stats
 (** Like {!run_each} for programs that produce a value at (at least) one
-    rank. The value crosses back from the child by [Marshal], as raw
-    bytes after the child's verdict record — a non-marshalable result
-    raises {!Fault.Unserializable}. When several ranks produce one, the
-    lowest rank's value is returned. It is decoded once every verdict
-    has arrived, while the children are still exiting; every child is
-    reaped before this returns or raises. *)
+    rank. When several ranks produce one, the lowest rank's value is
+    returned. It crosses back from that child by [Marshal]: the child
+    marshals it inside the rank (a non-marshalable result raises
+    {!Fault.Unserializable}) and writes the bytes after its verdict
+    record; the parent decodes them as they arrive, while the other
+    children are still exiting, and does not read any other rank's
+    value. A child that dies before its value has arrived whole raises
+    {!Fault.Crashed}. Every child is reaped before this returns or
+    raises.
+    @raise Invalid_argument if no rank produced a result. *)
+
+val run_flat :
+  ?cost:Cost_model.t ->
+  ?topology:Topology.t ->
+  procs:int ->
+  kind:('k, 'e) Bigarray.kind ->
+  (Engine.t -> ('k, 'e) Engine.slice array option) ->
+  'k array * stats
+(** Like {!run_collect} for a result made of flat parts: the lowest
+    producing rank's parts, concatenated in order into one array. The
+    child writes the element count and then every part's elements as raw
+    little-endian words, through one reused 64 KiB buffer; the parent
+    decodes each chunk straight into the result array. Nothing is
+    marshalled and neither side builds a second copy of the whole result.
+    A child that dies mid-stream raises {!Fault.Crashed}, never a
+    truncated array.
+    @raise Invalid_argument if [kind] is neither [float64] nor [int], if
+    a part's run-time kind is not [kind] (raised by that rank, so the
+    usual precedence applies), or if no rank produced a result. *)

@@ -383,9 +383,10 @@ let publish_obs stats =
     Obs.Histogram.record obs_makespan (int_of_float (stats.makespan *. 1e6))
   end
 
-let run_each ?trace ?(cost = Cost_model.ap1000) ?topology ~procs program =
+(* [runner] names the public runner in argument errors. *)
+let run_as runner ?trace ?(cost = Cost_model.ap1000) ?topology ~procs program =
   Obs.Span.timed obs_run_span (fun () ->
-      Engine.check_procs (op "run_each") procs;
+      Engine.check_procs (op runner) procs;
       let topology = match topology with Some t -> t | None -> Topology.default procs in
       Topology.validate topology ~procs;
       let trace = match trace with Some t -> t | None -> Trace.disabled () in
@@ -408,9 +409,15 @@ let run_each ?trace ?(cost = Cost_model.ap1000) ?topology ~procs program =
       publish_obs stats;
       stats)
 
+let run_each ?trace ?cost ?topology ~procs program =
+  run_as "run_each" ?trace ?cost ?topology ~procs program
+
 let run_collect ?trace ?cost ?topology ~procs program =
   let results = Array.make (max 0 procs) None in
-  let stats = run_each ?trace ?cost ?topology ~procs (fun rank eng -> results.(rank) <- program eng) in
+  let stats =
+    run_as "run_collect" ?trace ?cost ?topology ~procs (fun rank eng ->
+        results.(rank) <- program eng)
+  in
   (Engine.lowest_rank (op "run_collect") results, stats)
 
 (* Load-balance diagnostics over a run's statistics. *)

@@ -31,8 +31,32 @@ val run :
     communicator is built — the program body is untouched; on [procs]
     the wrapper runs inside each child.
 
-    On [Backend.procs], payloads and the result must be marshalable, and
+    On [Backend.procs], payloads and the result must be marshalable (a
+    flat result through {!run_flat} is not marshalled), and
     the call is only valid in a process that has never created another
     domain — [Unix.fork] refuses permanently after the first
     [Domain.spawn], so run procs work before any pool or multi-domain
     multicore run (see {!Machine.Procs}). *)
+
+val run_flat :
+  's Backend.t ->
+  ?topology:Topology.t ->
+  ?chaos:Chaos.spec ->
+  procs:int ->
+  kind:('k, 'e) Bigarray.kind ->
+  (Comm.t -> ('k, 'e) Engine.slice array option) ->
+  'k array * 's
+(** {!run} for a result made of flat parts (a gathered distributed
+    array, say): the lowest producing rank's parts, concatenated in
+    order into one array of [kind] ([float64] or [int]).
+
+    On [Backend.procs] the producing child streams its parts home as raw
+    words ({!Machine.Procs.run_flat}): nothing is marshalled and the
+    child never builds the whole array. On [sim] and [multicore] each
+    producing rank lays its parts out with {!Scl.Flat.concat} and the
+    array comes back by {!run}. Results, the lowest-rank rule and error
+    precedence are the same on every engine.
+    @raise Invalid_argument if [kind] is neither [float64] nor [int], if
+    a part's run-time kind is not [kind] (a [recv_slice] annotated with
+    another kind than the sender's; raised by that rank), or if no rank
+    produced a result. *)

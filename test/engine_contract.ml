@@ -88,7 +88,7 @@ let self_send_rejected backend =
 
 (* Every argument check, with its exact text: the engines share the code
    that raises it. *)
-let argument_checks backend =
+let argument_checks (type s) (backend : s Backend.t) =
   let e = prefix backend in
   let s = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
   let self op = Printf.sprintf "%s.%s: self-send is not supported (use a local value)" e op in
@@ -121,12 +121,33 @@ let argument_checks backend =
       (negative "work" "duration", fun eng -> eng.Engine.work (-1.0));
       (negative "sleep" "duration", fun eng -> eng.Engine.sleep (-1.0));
     ];
+  (* every runner names itself; [Spmd.run] is the engine's run_collect *)
+  let runners : (string * (int -> unit)) list =
+    let collect procs = ignore (run backend ~procs (fun _ -> Some ())) in
+    match backend with
+    | Backend.Sim _ ->
+        [ ("run_each", fun procs -> ignore (Sim.run_each ~procs (fun _ _ -> ()))); ("run_collect", collect) ]
+    | Backend.Multicore _ ->
+        [
+          ("run_each", fun procs -> ignore (Multicore.run_each ~procs (fun _ _ -> ())));
+          ("run_collect", collect);
+        ]
+    | Backend.Procs ->
+        [
+          ("run_each", fun procs -> ignore (Procs.run_each ~procs (fun _ _ -> ())));
+          ("run_collect", collect);
+          ("run_flat", fun procs -> ignore (Procs.run_flat ~procs ~kind:Scl.Flat.int (fun _ -> None)));
+        ]
+  in
   List.iter
-    (fun procs ->
-      let expected = e ^ ".run_each: procs must be positive" in
-      Alcotest.check_raises (Printf.sprintf "procs:%d" procs) (Invalid_argument expected) (fun () ->
-          ignore (run backend ~procs (fun _ -> Some ()))))
-    [ 0; -1 ]
+    (fun (runner, start) ->
+      List.iter
+        (fun procs ->
+          let expected = Printf.sprintf "%s.%s: procs must be positive" e runner in
+          Alcotest.check_raises (Printf.sprintf "%s procs:%d" runner procs) (Invalid_argument expected)
+            (fun () -> start procs))
+        [ 0; -1 ])
+    runners
 
 (* Three senders push [msgs] tagged messages each to rank 0, which drains
    them grouped by (source, tag) in an order unrelated to arrival.  Checks:
@@ -609,6 +630,97 @@ let slice_copy_semantics ?chaos backend =
       Alcotest.(check bool) (Printf.sprintf "%s rank %d copy outlives traffic" name r) true outlives)
     v
 
+(* --- flat results ------------------------------------------------------------ *)
+
+(* Rank [r]'s flat parts.  Int keys wrap around the whole int range,
+   negative ones included, and float values have no short exact form, so
+   an encoding that narrows, drops the sign or rounds shows. *)
+let int_part ~len r : Scl.Flat.int1 =
+  Scl.Flat.init Scl.Flat.int len (fun i -> (r + 1) * (i + 1) * 0x2545F4914F6CDD1D)
+
+let float_part ~len r : Scl.Flat.float1 =
+  Scl.Flat.init Scl.Flat.float64 len (fun i -> float_of_int ((r * 1000) + i) /. 3.0)
+
+let float_bits a = Array.map Int64.bits_of_float a
+
+(* [Spmd.run_flat]: int and float64 parts gathered to rank 0, one of them
+   empty; a total of zero, from empty parts and from no part; a 16 MB
+   result, larger than a socket buffer, whose two parts straddle the
+   procs stream's 64 KiB chunks; and the lowest producing rank's parts
+   when rank 0 produces none. *)
+let flat_results ?chaos backend =
+  let name what = Printf.sprintf "%s %s" (Backend.name backend) what in
+  let gathered ~procs ~kind part =
+    Spmd.run_flat backend ?chaos ~procs ~kind (fun c -> Comm.gather_slices c ~root:0 (part (Comm.rank c)))
+  in
+  let len r = if r = 2 then 0 else 5 + (3 * r) in
+  let expected part = Array.concat (List.init 4 (fun r -> Scl.Flat.to_array (part ~len:(len r) r))) in
+  let ints, _ = gathered ~procs:4 ~kind:Scl.Flat.int (fun r -> int_part ~len:(len r) r) in
+  Alcotest.(check (array int)) (name "int parts in rank order") (expected int_part) ints;
+  let floats, _ = gathered ~procs:4 ~kind:Scl.Flat.float64 (fun r -> float_part ~len:(len r) r) in
+  Alcotest.(check (array int64)) (name "float64 parts bit for bit")
+    (float_bits (expected float_part)) (float_bits floats);
+  let empty, _ = gathered ~procs:3 ~kind:Scl.Flat.float64 (fun r -> float_part ~len:0 r) in
+  Alcotest.(check int) (name "empty parts") 0 (Array.length empty);
+  let none, _ =
+    Spmd.run_flat backend ?chaos ~procs:2 ~kind:Scl.Flat.int (fun c ->
+        if Comm.rank c = 0 then Some [||] else None)
+  in
+  Alcotest.(check int) (name "no parts") 0 (Array.length none);
+  let big = 1 lsl 20 in
+  let v, _ =
+    Spmd.run_flat backend ?chaos ~procs:2 ~kind:Scl.Flat.int (fun c ->
+        if Comm.rank c = 0 then Some [| int_part ~len:(big + 3) 0; int_part ~len:(big - 3) 1 |]
+        else None)
+  in
+  let whole i = if i < big + 3 then (i + 1) * 0x2545F4914F6CDD1D else 2 * (i - big - 2) * 0x2545F4914F6CDD1D in
+  Alcotest.(check int) (name "16 MB length") (2 * big) (Array.length v);
+  Alcotest.(check bool) (name "16 MB contents") true
+    (Seq.for_all (fun i -> v.(i) = whole i) (Seq.init (2 * big) Fun.id));
+  let lowest, _ =
+    Spmd.run_flat backend ?chaos ~procs:4 ~kind:Scl.Flat.int (fun c ->
+        let r = Comm.rank c in
+        if r = 0 then None else Some [| int_part ~len:r r |])
+  in
+  Alcotest.(check (array int)) (name "lowest producing rank") (Scl.Flat.to_array (int_part ~len:1 1))
+    lowest
+
+(* A kind mismatch is [Invalid_argument] on every engine, and a rank's
+   exception keeps its precedence over a flat result: the root cause of
+   a chain of waits, and an error beside a rank that produced. *)
+let flat_result_errors ?chaos backend =
+  let invalid what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  (* an int slice received at a float64 annotation is still an int slice *)
+  invalid "part of another kind" (fun () ->
+      Spmd.run_flat backend ?chaos ~procs:2 ~kind:Scl.Flat.float64 (fun c ->
+          if Comm.rank c = 1 then begin
+            Comm.send_slice c ~dest:0 (int_part ~len:4 1);
+            None
+          end
+          else Some [| (Comm.recv_slice c ~src:1 () : Scl.Flat.float1) |]));
+  invalid "kind neither float64 nor int" (fun () ->
+      Spmd.run_flat backend ?chaos ~procs:1 ~kind:Bigarray.float32 (fun _ ->
+          Some [| Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 2 |]));
+  let boom what program =
+    match Spmd.run_flat backend ?chaos ~procs:3 ~kind:Scl.Flat.int program with
+    | _ -> Alcotest.failf "%s: expected Failure" what
+    | exception Failure msg -> Alcotest.(check string) what "boom" msg
+  in
+  boom "root cause of a chain" (fun c ->
+      let r = Comm.rank c in
+      if r = 2 then failwith "boom";
+      ignore ((Comm.engine c).Engine.recv ~src:(r + 1) ~tag:0 () : int);
+      Some [| int_part ~len:3 r |]);
+  boom "error beside a result" (fun c ->
+      match Comm.rank c with
+      | 0 -> Some [| int_part ~len:(1 lsl 16) 0 |]
+      | 1 -> failwith "boom"
+      | r -> Some [| int_part ~len:3 r |])
+
 (* Both tiers, boxed and flat-int, equal the boxed program on the
    simulator; the flat tier's blocks cross the engine as [Scl.Flat.Int]
    arrays, and its root must leave the caller's array as it was. *)
@@ -784,6 +896,8 @@ let contract_group backend =
           frame_boundaries backend);
       Alcotest.test_case "int slices + collectives" `Quick (fun () -> int_slices_equal_sim backend);
       Alcotest.test_case "slice copy vs alias" `Quick (fun () -> slice_copy_semantics backend);
+      Alcotest.test_case "flat results" `Quick (fun () -> flat_results backend);
+      Alcotest.test_case "flat result errors" `Quick (fun () -> flat_result_errors backend);
     ] )
 
 (* --- every value-level case under a chaos schedule ------------------------ *)
@@ -803,6 +917,8 @@ let value_cases ~chaos backend =
     ("dynamic farm", fun () -> ignore (dynamic_farm ~chaos backend));
     ("int slices + collectives", fun () -> int_slices_equal_sim ~chaos backend);
     ("slice copy vs alias", fun () -> slice_copy_semantics ~chaos backend);
+    ("flat results", fun () -> flat_results ~chaos backend);
+    ("flat result errors", fun () -> flat_result_errors ~chaos backend);
   ]
 
 (* The value-level cases under the zero-fault wrap ("chaos-none") and

@@ -172,6 +172,46 @@ let test_real_kill_timed_recv_still_times_out () =
   Alcotest.(check string) "Timeout, not Crashed" "timeout" v;
   Alcotest.(check (list int)) "the kill is recorded" [ 1 ] stats.Procs.crashed
 
+(* The producing child is SIGKILLed while it streams a 16 MB flat result.
+   A watcher it forks stops this process (the reader), waits until the
+   child has written the first chunks and so sits mid-stream on a full
+   socket, kills it, and wakes this process: the run must raise
+   [Fault.Crashed 0], never hang and never return a truncated array. *)
+let wchar pid =
+  let ic = open_in (Printf.sprintf "/proc/%d/io" pid) in
+  let rec go () =
+    match input_line ic with
+    | l when String.starts_with ~prefix:"wchar:" l -> Scanf.sscanf l "wchar: %d" Fun.id
+    | _ -> go ()
+    | exception End_of_file -> 0
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) go
+
+let test_kill_mid_result_stream () =
+  let reader = Unix.getpid () in
+  match
+    Procs.run_flat ~procs:1 ~kind:Scl.Flat.int (fun _ ->
+        let part = Scl.Flat.init Scl.Flat.int (1 lsl 21) Fun.id in
+        let child = Unix.getpid () in
+        let base = wchar child in
+        (match Unix.fork () with
+        | 0 ->
+            Fun.protect
+              ~finally:(fun () -> Unix.kill reader Sys.sigcont)
+              (fun () ->
+                Unix.kill reader Sys.sigstop;
+                let deadline = Unix.gettimeofday () +. 5.0 in
+                while wchar child < base + (2 * 65536) && Unix.gettimeofday () < deadline do
+                  Unix.sleepf 0.005
+                done;
+                Unix.kill child Sys.sigkill);
+            Unix._exit 0
+        | _ -> ());
+        Some [| part |])
+  with
+  | v, _ -> Alcotest.failf "expected Fault.Crashed, got %d elements" (Array.length v)
+  | exception Fault.Crashed r -> Alcotest.(check int) "the streaming rank" 0 r
+
 let test_chaos_crash_is_fail_stop () =
   (* Chaos's Fault.Crashed self-raise fail-stops the real process: no
      goodbye, sockets slammed shut, run completes without it *)
@@ -444,6 +484,55 @@ let shm_leftovers () =
     (fun f -> String.length f >= 9 && String.sub f 0 9 = "scl-arena")
     (Array.to_list (try Sys.readdir "/dev/shm" with Sys_error _ -> [||]))
 
+let shm_entries () = Array.to_list (try Sys.readdir "/dev/shm" with Sys_error _ -> [||])
+
+(* 50 flat runs in which both ranks produce a result larger than the
+   socket buffer: rank 1's is never read, so its child finds its verdict
+   socket closed mid-stream.  Every socket closed, every child reaped, and
+   nothing left in /dev/shm. *)
+let test_repeated_flat_runs_leave_nothing () =
+  let before = fd_count () and shm_before = List.sort compare (shm_entries ()) in
+  let n = 1 lsl 16 in
+  for _ = 1 to 50 do
+    let v, _ =
+      Procs.run_flat ~procs:2 ~kind:Scl.Flat.int (fun eng ->
+          Some [| Scl.Flat.make Scl.Flat.int n eng.Engine.rank |])
+    in
+    Alcotest.(check bool) "rank 0's parts" true (v = Array.make n 0)
+  done;
+  Alcotest.(check int) "no fd leaked" before (fd_count ());
+  Alcotest.(check (list string)) "no /dev/shm entry added" shm_before
+    (List.sort compare (shm_entries ()));
+  match Unix.waitpid [ WNOHANG ] (-1) with
+  | pid, _ -> Alcotest.failf "child %d left behind" pid
+  | exception Unix.Unix_error (ECHILD, _, _) -> ()
+
+(* [Scl.Flat.concat] against [Array.concat] of [to_array], and the procs
+   stream against both: 0..7 parts whose lengths sit on and around the
+   stream's 64 KiB (8192-element) chunk boundaries. *)
+let test_concat_matches_array_concat =
+  let len = QCheck.Gen.(oneof [ int_range 0 20; map (fun d -> 8192 + d) (int_range (-3) 3); int_range 0 20_000 ]) in
+  let parts = QCheck.Gen.(list_size (int_range 0 7) len) in
+  let print = QCheck.Print.(list int) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"Flat.concat = Array.concat, procs stream too"
+       (QCheck.make ~print parts)
+       (fun lens ->
+         let ints = Array.of_list (List.mapi (fun r len -> C.int_part ~len r) lens) in
+         let floats = Array.of_list (List.mapi (fun r len -> C.float_part ~len r) lens) in
+         let spec parts = Array.concat (List.map Scl.Flat.to_array (Array.to_list parts)) in
+         let streamed kind parts = fst (Procs.run_flat ~procs:1 ~kind (fun _ -> Some parts)) in
+         let int_ok =
+           let want = spec ints in
+           Scl.Flat.concat Scl.Flat.int ints = want && streamed Scl.Flat.int ints = want
+         in
+         let float_ok =
+           let want = C.float_bits (spec floats) in
+           C.float_bits (Scl.Flat.concat Scl.Flat.float64 floats) = want
+           && C.float_bits (streamed Scl.Flat.float64 floats) = want
+         in
+         int_ok && float_ok))
+
 let test_repeated_runs_leave_nothing () =
   (* clean runs, a rank that raises, and a chaos crash, 300 runs in all:
      every socket closed and every child reaped each time *)
@@ -508,6 +597,7 @@ let suite =
         Alcotest.test_case "timed recv from dead peer times out" `Quick
           test_real_kill_timed_recv_still_times_out;
         Alcotest.test_case "chaos crash is fail-stop" `Quick test_chaos_crash_is_fail_stop;
+        Alcotest.test_case "SIGKILL mid-result is Crashed" `Quick test_kill_mid_result_stream;
       ] );
     ( "engine-equivalence",
       [
@@ -537,6 +627,8 @@ let suite =
       [
         Alcotest.test_case "300 runs leak no fd and no child" `Quick
           test_repeated_runs_leave_nothing;
+        Alcotest.test_case "50 flat runs leak nothing" `Quick test_repeated_flat_runs_leave_nothing;
+        test_concat_matches_array_concat;
       ] );
     C.contract_group Backend.procs;
   ]
