@@ -849,7 +849,11 @@ let bench_chaos ~smoke () =
    spmd/jacobi-{boxed,flat} — the same Jacobi solve on real domains over
    boxed float arrays vs the flat Bigarray tier, with the bitwise-equality
    assertion inline so the speed comparison can never drift from the
-   correctness claim. *)
+   correctness claim.
+
+   spmd/cg-{boxed,flat} — the same pair for CG at the steady benchmark's
+   shape (2 ranks on one domain, n = 1000, tol 1e-8): the boxed five-pass
+   oracle vs the flat body's three fused passes, bitwise-asserted alike. *)
 let bench_slice ~smoke () =
   let rounds = if smoke then 200 else 2_000 in
   List.iter
@@ -926,6 +930,22 @@ let bench_slice ~smoke () =
           assert (
             Array.for_all2 Float.equal r.Algorithms.Jacobi.solution
               rb.Algorithms.Jacobi.solution)
+      | None -> ());
+  (* flat vs boxed CG, 2 ranks on one domain *)
+  let cn = if smoke then 250 else 1000 in
+  let rng = Random.State.make [| cn |] in
+  let b = Array.init cn (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+  let mc1 = Machine.Backend.multicore ~domains:1 () in
+  let boxed_cg = ref None in
+  host_bench ~name:"spmd/cg-boxed" ~n:cn ~procs:2 ~backend:"multicore" ~runs:5 (fun () ->
+      let r, _ = Algorithms.Cg.solve mc1 ~procs:2 ~tol:1e-8 b in
+      boxed_cg := Some r);
+  host_bench ~name:"spmd/cg-flat" ~n:cn ~procs:2 ~backend:"multicore" ~runs:5 (fun () ->
+      let r, _ = Algorithms.Cg.solve_flat mc1 ~procs:2 ~tol:1e-8 b in
+      match !boxed_cg with
+      | Some rb ->
+          assert (r.Algorithms.Cg.iterations = rb.Algorithms.Cg.iterations);
+          assert (Array.for_all2 Float.equal r.Algorithms.Cg.solution rb.Algorithms.Cg.solution)
       | None -> ())
 
 (* Fused Exec primitives vs their composed two-pass forms.  The fused

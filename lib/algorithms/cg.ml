@@ -168,10 +168,32 @@ let solve backend = run_cg cg_program backend
    [cg_program], so every dot product — and hence every iterate — is
    bitwise-identical to the boxed oracle at the same [procs].
 
-   Zero-copy discipline: [matvec] sends windows of [p], which IS mutated
-   later in the iteration — but only after the [ddot p ap] allreduce,
-   which the receiver can only complete after reading its halo, so the
-   mutation is causally after the read on both engines. *)
+   Fused passes: the paper's fold/map fusion (fold f ∘ map g = one
+   traversal) applied to each dot product and the loop that writes its
+   vector. An iteration walks the local block three times, not five:
+     1. stencil + p·ap — writes [ap = A p] and accumulates p·ap from the
+        stored [ap] element; the first and last elements (the only ones
+        that read a halo value) are peeled, so the interior loop tests no
+        boundary;
+     2. x/r update + r·r — accumulates each new [r] element as it is stored;
+     3. p update, [p = r + β p].
+   Each accumulator starts at [0.0] and adds in index order, exactly as the
+   boxed [ddot] does (seeding it with the first product would differ for
+   −0.0), so fusion changes no bit. The messages (halo, allreduce,
+   allreduce) and the [Comm.work_flops] charges are the five-pass ones in
+   the five-pass order: the simulator still charges a dot product per pass,
+   and makespans do not move. The boxed [cg_program] keeps the textbook
+   five-pass form as the independent specification this body is checked
+   against.
+
+   Every accumulator is a float [ref] local to this function body and
+   captured by no closure, so the compiler keeps it unboxed; a helper
+   closure that captured one would box every add.
+
+   Zero-copy discipline: the halo sends windows of [p], which IS mutated
+   later in the iteration — but only after the p·ap allreduce, which the
+   receiver can only complete after reading its halo, so the mutation is
+   causally after the read on both engines. *)
 
 let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option) (comm : Comm.t)
     : result option =
@@ -182,19 +204,20 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
   let ln = Scl.Flat.length bl in
   let off = Scl_sim.Fvec.offset bv in
   let has_left = off > 0 and has_right = off + ln < n in
-  (* The annotation is what makes the loads unboxed: left to inference,
-     [ddot] is generalised over the element kind and compiled generic. *)
-  let ddot (a : Scl.Flat.float1) (b : Scl.Flat.float1) =
-    Comm.work_flops comm (2 * max 1 ln);
-    let s = ref 0.0 in
-    for i = 0 to ln - 1 do
-      s := !s +. (Scl.Flat.get a i *. Scl.Flat.get b i)
-    done;
-    Comm.allreduce comm ( +. ) !s
-  in
-  (* [ap] is rewritten in place by every [matvec]; it never leaves the rank. *)
+  let x = Scl.Flat.make Scl.Flat.float64 ln 0.0 in
+  let r = Scl.Flat.copy bl in
+  let p = Scl.Flat.copy bl in
+  (* [ap] is rewritten in place every iteration; it never leaves the rank. *)
   let ap = Scl.Flat.create Scl.Flat.float64 ln in
-  let matvec (p : Scl.Flat.float1) =
+  Comm.work_flops comm (2 * max 1 ln);
+  let s = ref 0.0 in
+  for i = 0 to ln - 1 do
+    s := !s +. (Scl.Flat.get r i *. Scl.Flat.get r i)
+  done;
+  let rr = ref (Comm.allreduce comm ( +. ) !s) in
+  let it = ref 0 in
+  while sqrt !rr >= tol && !it < max_iter do
+    (* halo exchange; a missing neighbour reads as 0.0 (Dirichlet) *)
     let hl = ref 0.0 and hr = ref 0.0 in
     if ln > 0 then begin
       if has_left then Comm.send_slice comm ~dest:(me - 1) (Scl.Flat.sub_view p ~pos:0 ~len:1);
@@ -203,28 +226,40 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
       if has_left then hl := Scl.Flat.get (Comm.recv_slice comm ~src:(me - 1) () : Scl.Flat.float1) 0;
       if has_right then hr := Scl.Flat.get (Comm.recv_slice comm ~src:(me + 1) () : Scl.Flat.float1) 0
     end;
+    (* pass 1: ap = A p and p·ap *)
     Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
-    for i = 0 to ln - 1 do
-      let left = if i > 0 then Scl.Flat.get p (i - 1) else if has_left then !hl else 0.0 in
-      let right = if i < ln - 1 then Scl.Flat.get p (i + 1) else if has_right then !hr else 0.0 in
-      Scl.Flat.set ap i ((2.0 *. Scl.Flat.get p i) -. left -. right)
-    done
-  in
-  let x = Scl.Flat.make Scl.Flat.float64 ln 0.0 in
-  let r = Scl.Flat.copy bl in
-  let p = Scl.Flat.copy bl in
-  let rr = ref (ddot r r) in
-  let it = ref 0 in
-  while sqrt !rr >= tol && !it < max_iter do
-    matvec p;
-    let alpha = !rr /. ddot p ap in
+    Comm.work_flops comm (2 * max 1 ln);
+    let pap = ref 0.0 in
+    if ln > 0 then begin
+      let right = if ln > 1 then Scl.Flat.get p 1 else !hr in
+      Scl.Flat.set ap 0 ((2.0 *. Scl.Flat.get p 0) -. !hl -. right);
+      pap := !pap +. (Scl.Flat.get p 0 *. Scl.Flat.get ap 0);
+      for i = 1 to ln - 2 do
+        let pi = Scl.Flat.get p i in
+        let api = (2.0 *. pi) -. Scl.Flat.get p (i - 1) -. Scl.Flat.get p (i + 1) in
+        Scl.Flat.set ap i api;
+        pap := !pap +. (pi *. api)
+      done;
+      if ln > 1 then begin
+        let l = ln - 1 in
+        Scl.Flat.set ap l ((2.0 *. Scl.Flat.get p l) -. Scl.Flat.get p (l - 1) -. !hr);
+        pap := !pap +. (Scl.Flat.get p l *. Scl.Flat.get ap l)
+      end
+    end;
+    let alpha = !rr /. Comm.allreduce comm ( +. ) !pap in
+    (* pass 2: x += α p, r -= α ap, and r·r *)
     Comm.work_flops comm (4 * max 1 ln);
+    Comm.work_flops comm (2 * max 1 ln);
+    let rr_acc = ref 0.0 in
     for i = 0 to ln - 1 do
       Scl.Flat.set x i (Scl.Flat.get x i +. (alpha *. Scl.Flat.get p i));
-      Scl.Flat.set r i (Scl.Flat.get r i -. (alpha *. Scl.Flat.get ap i))
+      let ri = Scl.Flat.get r i -. (alpha *. Scl.Flat.get ap i) in
+      Scl.Flat.set r i ri;
+      rr_acc := !rr_acc +. (ri *. ri)
     done;
-    let rr' = ddot r r in
+    let rr' = Comm.allreduce comm ( +. ) !rr_acc in
     let beta = rr' /. !rr in
+    (* pass 3: p = r + β p *)
     Comm.work_flops comm (2 * max 1 ln);
     for i = 0 to ln - 1 do
       Scl.Flat.set p i (Scl.Flat.get r i +. (beta *. Scl.Flat.get p i))

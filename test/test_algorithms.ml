@@ -940,6 +940,41 @@ let test_heat2d_flat_multicore_bitwise () =
   Alcotest.(check bool) "bitwise solution" true
     (Array.for_all2 vec_bitwise r0.Heat2d.solution r1.Heat2d.solution)
 
+(* The flat CG peels the first and last element of its block out of the
+   stencil loop; blocks of 0, 1 and 2 elements are where a peeled edge
+   could read the wrong neighbour or accumulate twice. *)
+let test_cg_flat_degenerate_blocks () =
+  let mc1 = Machine.Backend.multicore ~domains:1 () in
+  List.iter
+    (fun n ->
+      let rng = Runtime.Xoshiro.of_seed (97 + n) in
+      let b = Array.init n (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
+      List.iter
+        (fun procs ->
+          let r0, _ = Cg.solve sim ~procs ~tol:1e-10 b in
+          let check engine (r1 : Cg.result) =
+            let what = Printf.sprintf "%s n=%d p=%d" engine n procs in
+            Alcotest.(check int) ("iterations " ^ what) r0.Cg.iterations r1.Cg.iterations;
+            Alcotest.(check bool) ("bitwise solution " ^ what) true
+              (vec_bitwise r0.Cg.solution r1.Cg.solution)
+          in
+          check "sim" (fst (Cg.solve_flat sim ~procs ~tol:1e-10 b));
+          check "multicore" (fst (Cg.solve_flat mc1 ~procs ~tol:1e-10 b)))
+        [ 1; 2; 3; 4; 8 ])
+    [ 0; 1; 2; 3; 5; 9 ]
+
+(* The steady benchmark's shape: n = 1000 on 2 ranks of one domain, tol
+   1e-8. Its check compares against [solve_sim_flat], which runs this same
+   flat body, so the boxed oracle is what pins it. *)
+let test_cg_flat_benchmark_shape () =
+  let rng = Runtime.Xoshiro.of_seed 1000 in
+  let b = Array.init 1000 (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
+  let r0, _ = Cg.solve sim ~procs:2 ~tol:1e-8 b in
+  let r1, _ = Cg.solve_flat (Machine.Backend.multicore ~domains:1 ()) ~procs:2 ~tol:1e-8 b in
+  Alcotest.(check bool) "iterates" true (r0.Cg.iterations > 0);
+  Alcotest.(check int) "iterations" r0.Cg.iterations r1.Cg.iterations;
+  Alcotest.(check bool) "bitwise solution" true (vec_bitwise r0.Cg.solution r1.Cg.solution)
+
 let () =
   Alcotest.run "algorithms"
     [
@@ -1092,5 +1127,9 @@ let () =
           Alcotest.test_case "cg flat multicore = sim" `Quick test_cg_flat_multicore_bitwise;
           Alcotest.test_case "heat2d flat multicore = sim" `Quick
             test_heat2d_flat_multicore_bitwise;
+          Alcotest.test_case "cg flat = boxed on degenerate blocks" `Quick
+            test_cg_flat_degenerate_blocks;
+          Alcotest.test_case "cg flat at the benchmark's shape" `Quick
+            test_cg_flat_benchmark_shape;
         ] );
     ]
