@@ -161,18 +161,25 @@ let hqs_program (data : int array option) (comm : Comm.t) : int array option =
   Option.map (fun chunks -> Array.concat (Array.to_list chunks)) result
 
 (* The same SPMD program with the keys in unboxed int flat storage
-   ([Scl.Flat.Int]) from scatter to gather: in-place local sort, O(log n)
-   zero-copy [split_at] (the boxed kernel copies both halves), and merge
-   into fresh flat storage.  The keys move as bulk slices — scatter,
-   exchange and gather — never marshalled: by reference on [multicore],
-   as private copies priced at 8 bytes a key on [sim], and through the
-   shared arena on [procs].  The root copies the input once, because
-   ranks sort their blocks in place and the caller's array must not
-   change.  Rank 0 returns the gathered parts as they are, and the runner
-   ([Spmd.run_flat]) brings them home as one array.  Flops
-   charges and the message count are identical to [hqs_program], keeping
-   sim timings comparable between the tiers (only the priced byte counts
-   differ). *)
+   ([Scl.Flat.Int]) from scatter to gather: a radix local sort that ends
+   in the rank's own block, O(log n) zero-copy [split_at] (the boxed
+   kernel copies both halves), and merges into flat storage.  The keys
+   move as bulk slices — scatter, exchange and gather — never
+   marshalled: by reference on [multicore], as private copies priced at
+   8 bytes a key on [sim], and through the shared arena on [procs].  The
+   root copies the input once, because ranks sort their blocks in place
+   and the caller's array must not change.  Rank 0 returns the gathered
+   parts as they are, and the runner ([Spmd.run_flat]) brings them home
+   as one array.  Flops charges and the message count are identical to
+   [hqs_program], keeping sim timings comparable between the tiers (only
+   the priced byte counts differ).
+
+   Each rank allocates one buffer: the sort's scratch, which then takes
+   the first round's merge, so the merge output costs no allocation of
+   its own.  Only the first: from round 2 on, the kept half may lie in
+   that buffer, and on [multicore] the half sent from it is read by
+   reference, possibly after this rank has moved on; so later merges,
+   and a first merge too large for the buffer, take fresh storage. *)
 let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int1 array option =
   let module FI = Scl.Flat.Int in
   let p = Comm.size comm in
@@ -181,10 +188,13 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int
      messages *)
   ignore (Comm.bcast comm ~root:0 (Option.map Array.length data) : int);
   let local : FI.t ref = ref (Comm.scatter_slice comm ~root:0 (Option.map FI.of_int_array data)) in
-  FI.sort !local;
-  Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Scl.Flat.length !local));
+  let n = Scl.Flat.length !local in
+  (* headroom, so that a first merge a little larger than the block fits *)
+  let scratch = Scl.Flat.create Scl.Flat.int (n + (n / 16)) in
+  FI.sort ~scratch !local;
+  Comm.work_flops comm (Scl_sim.Kernels.sort_flops n);
   let c = ref comm in
-  for _it = 0 to d - 1 do
+  for it = 0 to d - 1 do
     let gsz = Comm.size !c in
     let half = gsz / 2 in
     let me = Comm.rank !c in
@@ -202,7 +212,7 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int
         let (recvd : FI.t) = Comm.recv_slice !c ~src:partner () in
         Comm.work_flops comm
           (Scl_sim.Kernels.merge_flops (Scl.Flat.length keep + Scl.Flat.length recvd));
-        local := FI.merge keep recvd);
+        local := FI.merge ?into:(if it = 0 then Some scratch else None) keep recvd);
     c := Comm.split !c ~color:(if me < half then 0 else 1) ~key:me
   done;
   (* Collect to processor 0, the parts in rank order. *)
@@ -226,9 +236,9 @@ let sort backend ?topology ~procs (data : int array) =
   check_procs procs;
   Scl_sim.Spmd.run backend ?topology ~procs (fun comm -> hqs_program (input data comm) comm)
 
-let sort_flatint backend ?topology ~procs (data : int array) =
+let sort_flatint backend ?topology ?chaos ~procs (data : int array) =
   check_procs procs;
-  Scl_sim.Spmd.run_flat backend ?topology ~procs ~kind:Scl.Flat.int (fun comm ->
+  Scl_sim.Spmd.run_flat backend ?topology ?chaos ~procs ~kind:Scl.Flat.int (fun comm ->
       hqs_program_flatint (input data comm) comm)
 
 (* Pinned by the steady benchmark, which calls these exact names. *)

@@ -35,9 +35,15 @@ val sort :
     @raise Invalid_argument unless [procs] is a power of two. *)
 
 val sort_flatint :
-  's Backend.t -> ?topology:Topology.t -> procs:int -> int array -> int array * 's
+  's Backend.t ->
+  ?topology:Topology.t ->
+  ?chaos:Chaos.spec ->
+  procs:int ->
+  int array ->
+  int array * 's
 (** {!sort} with the keys in the unboxed int flat tier ([Scl.Flat.Int])
-    from scatter to gather: in-place local sort, zero-copy split views,
+    from scatter to gather: a radix local sort whose scratch buffer
+    becomes the first round's merge output, zero-copy split views,
     and the flat blocks themselves as bulk slices for the scatter,
     exchange and gather ([Comm.scatter_slice], [send_slice]/[recv_slice],
     [Comm.gather_slices]): by reference on [multicore], copied and priced
@@ -47,7 +53,8 @@ val sort_flatint :
     ([Scl_sim.Spmd.run_flat]): on [procs] they stream home as raw words,
     elsewhere rank 0 lays them out. Output, message count and flops
     charges are identical to {!sort}; on [sim] only the priced byte
-    counts differ. *)
+    counts differ. [?chaos] wraps every rank's engine in the fault
+    injector ({!Scl_sim.Spmd.run}). *)
 
 (** {2 Benchmark-pinned names}
 

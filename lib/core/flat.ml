@@ -279,22 +279,32 @@ module Int = struct
 
   let insertion_cutoff = 32
 
-  (* In-place MSD radix sort (American flag sort).  Keys are ranked by
-     [x - min] read as an unsigned 63-bit value, which orders every int
-     (negatives, [min_int] and [max_int] included) without a special
-     case.  Each level counts the sizes of the 256 buckets of one 8-bit
-     digit, moves every key into its bucket by following permutation
-     cycles, then sorts each bucket on the next digit down.  The top digit
-     sits just under the range's highest set bit, so a level never wastes
-     a pass on constant high bits; the digit below a shift under 8 is
-     taken at shift 0, overlapping bits already equal in the bucket.  A
-     bucket (or a whole input) no longer than [insertion_cutoff] is
-     finished by insertion sort.  Extra memory is one 512-slot pointer
-     table per level (at most 8), never an n-sized buffer. *)
-  let sort (a : t) : unit =
-    let insertion lo hi =
-      for i = lo + 1 to hi do
-        let x = Bigarray.Array1.unsafe_get a i in
+  (* Out-of-place MSD radix sort.  Keys are ranked by [x - min] read as an
+     unsigned 63-bit value, which orders every int (negatives, [min_int]
+     and [max_int] included) without a special case.  Each level counts
+     the sizes of the 256 buckets of one 8-bit digit, deals the keys into
+     their buckets in the other buffer (input to scratch, scratch back to
+     input at the level below), then sorts each bucket on the next digit
+     down.  The top digit sits just under the range's highest set bit, so
+     a level never wastes a pass on constant high bits; the digit below a
+     shift under 8 is taken at shift 0, overlapping bits already equal in
+     the bucket, and a level whose keys all share one digit moves nothing.
+     A bucket no longer than [insertion_cutoff] is finished by an
+     insertion sort that reads it from whichever buffer holds it and
+     writes the input; so is a bucket at shift 0, whose keys are all
+     equal (the sort is then a copy, or a scan in place).  So the keys
+     always end in the input's own storage.  Extra memory: the n-slot
+     scratch (the caller's, or a fresh one) and one 256-slot count table
+     per level (at most 8). *)
+  let sort ?scratch (a : t) : unit =
+    let n = length a in
+    (match scratch with
+    | Some (s : t) when length s < n -> invalid_arg "Flat.Int.sort: scratch shorter than the input"
+    | _ -> ());
+    (* sorts [src.{lo..hi-1}] into [a.{lo..hi-1}]; [src] may be [a] *)
+    let insert_from (src : t) lo hi =
+      for i = lo to hi - 1 do
+        let x = Bigarray.Array1.unsafe_get src i in
         let j = ref (i - 1) in
         while !j >= lo && Bigarray.Array1.unsafe_get a !j > x do
           Bigarray.Array1.unsafe_set a (!j + 1) (Bigarray.Array1.unsafe_get a !j);
@@ -303,8 +313,7 @@ module Int = struct
         Bigarray.Array1.unsafe_set a (!j + 1) x
       done
     in
-    let n = length a in
-    if n <= insertion_cutoff then insertion 0 (n - 1)
+    if n <= insertion_cutoff then insert_from a 0 n
     else begin
       let lo_key = ref (Bigarray.Array1.unsafe_get a 0) and hi_key = ref (Bigarray.Array1.unsafe_get a 0) in
       for i = 1 to n - 1 do
@@ -317,60 +326,48 @@ module Int = struct
       let rec top s = if (range lsr s) lsr 8 = 0 then s else top (s + 1) in
       let top_shift = top 0 in
       let below shift = if shift > 8 then shift - 8 else 0 in
-      (* level k's slots [512k, 512k + 256) are the next free position of
-         each bucket, [512k + 256, 512k + 512) each bucket's end *)
-      let ptr = Array.make (((top_shift + 7) / 8 + 1) * 512) 0 in
-      let rec level lo hi shift off =
-        let digit x = ((x - base) lsr shift) land 255 in
+      (* level k's slots [256k, 256k + 256): each bucket's size, then its
+         next free slot, which ends as the bucket's end *)
+      let ptr = Array.make (((top_shift + 7) / 8 + 1) * 256) 0 in
+      (* sorts the keys held in [src.{lo..hi-1}] into [a], dealing
+         through [dst], the other buffer *)
+      let rec level (src : t) (dst : t) lo hi shift off =
         Array.fill ptr off 256 0;
         for i = lo to hi - 1 do
-          let d = off + digit (Bigarray.Array1.unsafe_get a i) in
+          let d = off + (((Bigarray.Array1.unsafe_get src i - base) lsr shift) land 255) in
           Array.unsafe_set ptr d (Array.unsafe_get ptr d + 1)
         done;
-        if Array.unsafe_get ptr (off + digit (Bigarray.Array1.unsafe_get a lo)) = hi - lo then begin
+        let first = off + (((Bigarray.Array1.unsafe_get src lo - base) lsr shift) land 255) in
+        if Array.unsafe_get ptr first = hi - lo then begin
           (* one bucket holds every key: nothing to move at this digit *)
-          if shift > 0 then level lo hi (below shift) off
+          if shift > 0 then level src dst lo hi (below shift) off else insert_from src lo hi
         end
         else begin
           let pos = ref lo in
           for b = off to off + 255 do
             let c = Array.unsafe_get ptr b in
             Array.unsafe_set ptr b !pos;
-            pos := !pos + c;
-            Array.unsafe_set ptr (b + 256) !pos
+            pos := !pos + c
           done;
-          for b = 0 to 255 do
-            let stop = Array.unsafe_get ptr (off + 256 + b) in
-            while Array.unsafe_get ptr (off + b) < stop do
-              (* carry the key at bucket b's next slot round its cycle
-                 until a key that belongs in bucket b turns up *)
-              let h = Array.unsafe_get ptr (off + b) in
-              let v = ref (Bigarray.Array1.unsafe_get a h) in
-              let d = ref (digit !v) in
-              while !d <> b do
-                let slot = Array.unsafe_get ptr (off + !d) in
-                let w = Bigarray.Array1.unsafe_get a slot in
-                Bigarray.Array1.unsafe_set a slot !v;
-                Array.unsafe_set ptr (off + !d) (slot + 1);
-                v := w;
-                d := digit w
-              done;
-              Bigarray.Array1.unsafe_set a h !v;
-              Array.unsafe_set ptr (off + b) (h + 1)
-            done
+          for i = lo to hi - 1 do
+            let x = Bigarray.Array1.unsafe_get src i in
+            let d = off + (((x - base) lsr shift) land 255) in
+            let slot = Array.unsafe_get ptr d in
+            Bigarray.Array1.unsafe_set dst slot x;
+            Array.unsafe_set ptr d (slot + 1)
           done;
-          if shift > 0 then begin
-            let start = ref lo in
-            for b = off + 256 to off + 511 do
-              let stop = Array.unsafe_get ptr b in
-              if stop - !start > insertion_cutoff then level !start stop (below shift) (off + 512)
-              else insertion !start (stop - 1);
-              start := stop
-            done
-          end
+          let start = ref lo in
+          for b = off to off + 255 do
+            let stop = Array.unsafe_get ptr b in
+            if shift > 0 && stop - !start > insertion_cutoff then
+              level dst src !start stop (below shift) (off + 256)
+            else insert_from dst !start stop;
+            start := stop
+          done
         end
       in
-      if range <> 0 then level 0 n top_shift 0
+      if range <> 0 then
+        level a (match scratch with Some s -> s | None -> create int n) 0 n top_shift 0
     end
 
   (* MIDVALUE: the middle element of an already-sorted chunk. *)
@@ -391,11 +388,16 @@ module Int = struct
     let cut = bs 0 n in
     (sub_view a ~pos:0 ~len:cut, sub_view a ~pos:cut ~len:(n - cut))
 
-  (* MERGE two sorted chunks into a fresh one (left-biased on ties, like
-     the boxed kernel — irrelevant for int keys, kept for symmetry). *)
-  let merge (a : t) (b : t) : t =
+  (* MERGE two sorted chunks (left-biased on ties, like the boxed kernel
+     — irrelevant for int keys, kept for symmetry) into a prefix view of
+     [into] when the result fits there, else into fresh storage. *)
+  let merge ?into (a : t) (b : t) : t =
     let na = length a and nb = length b in
-    let out = create int (na + nb) in
+    let (out : t) =
+      match into with
+      | Some dst when length dst >= na + nb -> sub_view dst ~pos:0 ~len:(na + nb)
+      | _ -> create int (na + nb)
+    in
     let i = ref 0 and j = ref 0 in
     for k = 0 to na + nb - 1 do
       if

@@ -103,10 +103,17 @@ val unapply_generic :
 module Int : sig
   type t = int1
 
-  val sort : t -> unit
-  (** In-place MSD radix sort (8-bit digits of [x - min], so any int
-      keys), insertion sort for buckets and inputs of at most 32
-      elements. Needs no n-sized buffer. *)
+  val sort : ?scratch:t -> t -> unit
+  (** MSD radix sort (8-bit digits of [x - min], so any int keys) with
+      insertion sort for buckets and inputs of at most 32 elements. Each
+      digit level deals its keys out of place into the other of two
+      buffers, the input and an n-slot scratch; the sorted keys end in
+      the input's own storage. [?scratch] (length at least the input's,
+      sharing no storage with it; its contents are clobbered) saves the
+      allocation, and lets a caller put the buffer to another use later
+      ({!merge}'s [?into]). Without it, an input over 32 keys allocates
+      one.
+      @raise Invalid_argument if [scratch] is shorter than the input. *)
 
   val midvalue : t -> int option
   (** Middle element of an already-sorted chunk; [None] when empty. *)
@@ -115,8 +122,11 @@ module Int : sig
   (** [split_at pivot a] on sorted [a]: ([<= pivot], [> pivot]) as
       zero-copy sub-views (binary search, O(log n), no copying). *)
 
-  val merge : t -> t -> t
-  (** Merge two sorted chunks into a fresh one. *)
+  val merge : ?into:t -> t -> t -> t
+  (** Merge two sorted chunks. With [?into] long enough to hold both, the
+      result is the prefix view of [into] of their total length (no
+      allocation); otherwise, and without [?into], it is fresh storage.
+      [into] must share no storage with either input. *)
 
   val is_sorted : t -> bool
   val of_int_array : int array -> t

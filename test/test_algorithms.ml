@@ -223,6 +223,51 @@ let test_hqs_flatint_multicore () =
        false
      with Invalid_argument _ -> true)
 
+(* The flat-int program's first merge writes into the buffer the local
+   sort used as scratch; on multicore the halves later rounds send from
+   it are read by reference, so a second merge into it would overwrite
+   keys a partner may not have read yet.  Both engine placements (ranks
+   interleaved on one domain, spread over several), with and without
+   held and reordered sends, must give the simulator's output.
+   Presorted and reversed blocks skew the first split far past the
+   buffer's 1/16 headroom, so their fuller ranks take the fresh-storage
+   fallback. *)
+let test_hqs_flatint_multicore_merge_reuse () =
+  let rng = Runtime.Xoshiro.of_seed 24 in
+  let uniform = Runtime.Xoshiro.int_array rng ~len:6_000 ~bound:1_000_000 in
+  let presorted = sorted_copy uniform in
+  let inputs =
+    [
+      ("uniform", uniform);
+      ("presorted", presorted);
+      ("reversed", Array.init 6_000 (fun i -> presorted.(5_999 - i)));
+      ("few distinct", Array.map (fun x -> x mod 5) uniform);
+    ]
+  in
+  List.iter
+    (fun procs ->
+      List.iter
+        (fun (name, a) ->
+          let expect, _ = Hyperquicksort.sort_flatint sim ~procs a in
+          Alcotest.(check (array int)) "sim sorts" (sorted_copy a) expect;
+          List.iter
+            (fun (engine, backend) ->
+              let check what (got, _) =
+                Alcotest.(check (array int))
+                  (Printf.sprintf "%s %s, %s keys, p=%d" engine what name procs)
+                  expect got
+              in
+              check "bare" (Hyperquicksort.sort_flatint backend ~procs a);
+              List.iter
+                (fun seed ->
+                  let chaos = Machine.Chaos.delays ~seed ~prob:0.5 () in
+                  check (Printf.sprintf "chaos seed %d" seed)
+                    (Hyperquicksort.sort_flatint backend ~chaos ~procs a))
+                [ 1; 7; 42 ])
+            [ ("multicore", mc); ("1-domain", Machine.Backend.multicore ~domains:1 ()) ])
+        inputs)
+    [ 4; 8 ]
+
 let test_hqs_traced_figure2 () =
   (* The Figure 2 regeneration: 32 values on a 2-cube, with stage notes. *)
   let rng = Runtime.Xoshiro.of_seed 2 in
@@ -1007,6 +1052,8 @@ let () =
           prop_hqs_flatint_equals_boxed_sim;
           Alcotest.test_case "flat-int adversarial inputs" `Quick test_hqs_flatint_adversarial;
           Alcotest.test_case "flat-int multicore" `Slow test_hqs_flatint_multicore;
+          Alcotest.test_case "flat-int merge reuse = sim on multicore" `Slow
+            test_hqs_flatint_multicore_merge_reuse;
         ] );
       ( "gauss",
         [

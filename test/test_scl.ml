@@ -1100,8 +1100,9 @@ let test_flat_int_split_merge () =
   Flat.set lo 0 saved
 
 (* Key sets that drive the radix sort's corner paths: the full unsigned
-   digit range, negatives only, single-bucket levels (few distinct, all
-   equal, one far outlier) and ordered runs. *)
+   digit range, negatives only, single-bucket levels (few or two
+   distinct, all equal, one far outlier), the extreme keys together and
+   ordered runs. *)
 let radix_key_sets : (string * (Random.State.t -> int -> int array)) list =
   let full rng = Int64.to_int (Random.State.bits64 rng) in
   let plant rng v a =
@@ -1122,6 +1123,14 @@ let radix_key_sets : (string * (Random.State.t -> int -> int array)) list =
         let pool = Array.init (1 + Random.State.int rng 7) (fun _ -> full rng) in
         Array.init len (fun _ -> pool.(Random.State.int rng (Array.length pool))) );
     ("all equal", fun rng len -> Array.make len (full rng));
+    ( "two distinct",
+      fun rng len ->
+        let x = full rng and y = full rng in
+        Array.init len (fun _ -> if Random.State.bool rng then x else y) );
+    ( "min_int and max_int",
+      fun rng len ->
+        Array.init len (fun _ ->
+            match Random.State.int rng 3 with 0 -> min_int | 1 -> max_int | _ -> full rng) );
     ("presorted", sorted);
     ( "reversed",
       fun rng len ->
@@ -1133,6 +1142,49 @@ let radix_key_sets : (string * (Random.State.t -> int -> int array)) list =
           (if Random.State.bool rng then max_int else min_int)
           (Array.init len (fun _ -> Random.State.int rng (1 lsl 20))) );
   ]
+
+(* The two ways to call the sort: scratch allocated by the sort, or the
+   caller's, longer than the input and holding stale keys *)
+let sort_own_scratch a =
+  let fa = Flat.Int.of_int_array a in
+  Flat.Int.sort fa;
+  Flat.Int.to_int_array fa
+
+let sort_caller_scratch a =
+  let fa = Flat.Int.of_int_array a in
+  let scratch = Flat.make Flat.int (Array.length a + 5) (-1) in
+  Flat.Int.sort ~scratch fa;
+  Flat.Int.to_int_array fa
+
+let test_flat_int_sort_lengths () =
+  (* whole inputs at and around the insertion cutoff, and one just past
+     256 top-level buckets at the cutoff *)
+  List.iter
+    (fun len ->
+      List.iter
+        (fun (name, keys) ->
+          let a = keys (Random.State.make [| len |]) len in
+          let expect = Array.copy a in
+          Array.sort compare expect;
+          let what = Printf.sprintf "%d %s keys" len name in
+          Alcotest.(check (array int)) what expect (sort_own_scratch a);
+          Alcotest.(check (array int)) (what ^ ", caller's scratch") expect (sort_caller_scratch a))
+        radix_key_sets)
+    [ 0; 1; 31; 32; 33; (256 * 32) + 1 ]
+
+let test_flat_int_sort_short_scratch () =
+  List.iter
+    (fun len ->
+      let fa = Flat.Int.of_int_array (Array.init len (fun i -> len - i)) in
+      let scratch = Flat.create Flat.int (len - 1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d keys, %d-slot scratch rejected" len (len - 1))
+        true
+        (try
+           Flat.Int.sort ~scratch fa;
+           false
+         with Invalid_argument _ -> true))
+    [ 1; 32; 1_000 ]
 
 let prop_flat_int_sort_adversarial =
   (* three length bands: whole inputs at the insertion cutoff, top-level
@@ -1146,12 +1198,12 @@ let prop_flat_int_sort_adversarial =
       List.for_all
         (fun (name, keys) ->
           let a = keys (Random.State.make [| seed |]) len in
-          let fa = Flat.Int.of_int_array a in
-          Flat.Int.sort fa;
           let expect = Array.copy a in
           Array.sort compare expect;
-          if Flat.Int.to_int_array fa <> expect then
+          if sort_own_scratch a <> expect then
             QCheck.Test.fail_reportf "Flat.Int.sort wrong on %s keys" name;
+          if sort_caller_scratch a <> expect then
+            QCheck.Test.fail_reportf "Flat.Int.sort ~scratch wrong on %s keys" name;
           if Algorithms.Seq_kernels.quicksort a <> expect then
             QCheck.Test.fail_reportf "Seq_kernels.quicksort wrong on %s keys" name;
           true)
@@ -1160,19 +1212,78 @@ let prop_flat_int_sort_adversarial =
 let test_flat_int_sort_sub_view () =
   let n = 20_000 in
   let a = List.assoc "full 63-bit" radix_key_sets (Random.State.make [| 11 |]) n in
-  let fa = Flat.Int.of_int_array a in
   (* ~23 keys per top-level bucket: the cutoff decides most buckets *)
   let pos = 37 and len = 6_000 in
-  Flat.Int.sort (Flat.sub_view fa ~pos ~len);
   let window = Array.sub a pos len in
   Array.sort compare window;
-  let got = Flat.Int.to_int_array fa in
-  Alcotest.(check (array int)) "window sorted" window (Array.sub got pos len);
-  Alcotest.(check (array int)) "storage before the window untouched" (Array.sub a 0 pos)
-    (Array.sub got 0 pos);
-  Alcotest.(check (array int)) "storage after the window untouched"
-    (Array.sub a (pos + len) (n - pos - len))
-    (Array.sub got (pos + len) (n - pos - len))
+  let outside_untouched what got =
+    Alcotest.(check (array int)) (what ^ ": window sorted") window (Array.sub got pos len);
+    Alcotest.(check (array int)) (what ^ ": storage before the window untouched") (Array.sub a 0 pos)
+      (Array.sub got 0 pos);
+    Alcotest.(check (array int)) (what ^ ": storage after the window untouched")
+      (Array.sub a (pos + len) (n - pos - len))
+      (Array.sub got (pos + len) (n - pos - len))
+  in
+  let fa = Flat.Int.of_int_array a in
+  Flat.Int.sort (Flat.sub_view fa ~pos ~len);
+  outside_untouched "own scratch" (Flat.Int.to_int_array fa);
+  (* the scratch a window of a larger buffer: neither buffer changes
+     outside its window *)
+  let fa = Flat.Int.of_int_array a in
+  let spos = 5 and slen = len + 3 in
+  let buf = Flat.make Flat.int (spos + slen + 7) 42 in
+  Flat.Int.sort ~scratch:(Flat.sub_view buf ~pos:spos ~len:slen) (Flat.sub_view fa ~pos ~len);
+  outside_untouched "scratch window" (Flat.Int.to_int_array fa);
+  let b = Flat.Int.to_int_array buf in
+  Alcotest.(check (array int)) "scratch buffer untouched before its window" (Array.make spos 42)
+    (Array.sub b 0 spos);
+  Alcotest.(check (array int)) "scratch buffer untouched after its window" (Array.make 7 42)
+    (Array.sub b (spos + slen) 7)
+
+(* The sort's loops allocate nothing per key or per bucket: with the
+   caller's scratch, a 100 000-key sort allocates a few closures and, for
+   a narrow key range, one small count table.  A boxed key or a closure
+   per level would cost thousands of words. *)
+let test_flat_int_sort_minor_words () =
+  let n = 100_000 in
+  let scratch = Flat.create Flat.int n in
+  List.iter
+    (fun (name, keys) ->
+      let fa = Flat.Int.of_int_array (keys (Random.State.make [| 3 |]) n) in
+      let w0 = Gc.minor_words () in
+      Flat.Int.sort ~scratch fa;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool) (Printf.sprintf "%s keys: %.0f minor words" name words) true
+        (words < 400.0))
+    radix_key_sets
+
+let test_flat_int_merge_into () =
+  let a = Flat.Int.of_int_array [| 1; 4; 4; 9 |] and b = Flat.Int.of_int_array [| 0; 4; 10 |] in
+  let expect = Flat.Int.to_int_array (Flat.Int.merge a b) in
+  Alcotest.(check (array int)) "merge" [| 0; 1; 4; 4; 4; 9; 10 |] expect;
+  (* fits: a prefix view of [into] *)
+  let into = Flat.make Flat.int 9 (-1) in
+  let m = Flat.Int.merge ~into a b in
+  Alcotest.(check (array int)) "merge ~into (fits) = merge" expect (Flat.Int.to_int_array m);
+  Alcotest.(check (array int)) "written to into's prefix, the rest untouched"
+    (Array.append expect [| -1; -1 |])
+    (Flat.Int.to_int_array into);
+  Flat.set m 0 77;
+  Alcotest.(check int) "result aliases into" 77 (Flat.get into 0);
+  (* exactly fits *)
+  let into = Flat.create Flat.int 7 in
+  let m = Flat.Int.merge ~into a b in
+  Flat.set m 6 55;
+  Alcotest.(check int) "an exact fit aliases into" 55 (Flat.get into 6);
+  (* too short: fresh storage, into untouched *)
+  let into = Flat.make Flat.int 6 (-1) in
+  let m = Flat.Int.merge ~into a b in
+  Alcotest.(check (array int)) "merge ~into (too short) = merge" expect (Flat.Int.to_int_array m);
+  Flat.set m 0 77;
+  Alcotest.(check (array int)) "too-short into untouched" (Array.make 6 (-1))
+    (Flat.Int.to_int_array into);
+  Alcotest.(check (array int)) "empty inputs" [||]
+    (Flat.Int.to_int_array (Flat.Int.merge ~into (Flat.Int.of_int_array [||]) (Flat.Int.of_int_array [||])))
 
 (* --- Exec internals --------------------------------------------------------------- *)
 
@@ -1340,7 +1451,14 @@ let () =
           prop_flat_int_sort;
           Alcotest.test_case "Flat.Int sort-family kernels" `Quick test_flat_int_split_merge;
           prop_flat_int_sort_adversarial;
+          Alcotest.test_case "Flat.Int.sort lengths around the cutoff" `Quick
+            test_flat_int_sort_lengths;
+          Alcotest.test_case "Flat.Int.sort rejects a short scratch" `Quick
+            test_flat_int_sort_short_scratch;
           Alcotest.test_case "Flat.Int.sort on a sub_view window" `Quick test_flat_int_sort_sub_view;
+          Alcotest.test_case "Flat.Int.sort ~scratch allocates a few words" `Quick
+            test_flat_int_sort_minor_words;
+          Alcotest.test_case "Flat.Int.merge ~into" `Quick test_flat_int_merge_into;
         ] );
       ( "exec",
         [
