@@ -174,12 +174,15 @@ let hqs_program (data : int array option) (comm : Comm.t) : int array option =
    [hqs_program], keeping sim timings comparable between the tiers (only
    the priced byte counts differ).
 
-   Each rank allocates one buffer: the sort's scratch, which then takes
-   the first round's merge, so the merge output costs no allocation of
-   its own.  Only the first: from round 2 on, the kept half may lie in
-   that buffer, and on [multicore] the half sent from it is read by
-   reference, possibly after this rank has moved on; so later merges,
-   and a first merge too large for the buffer, take fresh storage. *)
+   Every buffer comes from [Comm.workspace]: the root's input copy, each
+   rank's sort scratch and every merge output.  Under [Spmd.run_flat]
+   on [sim] and [multicore] they are lent from the buffers earlier runs
+   used, so a steady stream of same-sized jobs maps no fresh pages.  The
+   first round's merge writes the sort's scratch (it has a little
+   headroom); later rounds, and a first merge too large for it, take a
+   buffer of their own: from round 2 on the kept half may lie in the
+   scratch, and on [multicore] the half sent from it is read by
+   reference, possibly after this rank has moved on. *)
 let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int1 array option =
   let module FI = Scl.Flat.Int in
   let p = Comm.size comm in
@@ -187,10 +190,12 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int
   (* the length broadcast of [Dvec.scatter], so both tiers send as many
      messages *)
   ignore (Comm.bcast comm ~root:0 (Option.map Array.length data) : int);
-  let local : FI.t ref = ref (Comm.scatter_slice comm ~root:0 (Option.map FI.of_int_array data)) in
+  let workspace n : FI.t = Comm.workspace comm Scl.Flat.int n in
+  let copy a = FI.of_int_array ~into:(workspace (Array.length a)) a in
+  let local : FI.t ref = ref (Comm.scatter_slice comm ~root:0 (Option.map copy data)) in
   let n = Scl.Flat.length !local in
   (* headroom, so that a first merge a little larger than the block fits *)
-  let scratch = Scl.Flat.create Scl.Flat.int (n + (n / 16)) in
+  let scratch = workspace (n + (n / 16)) in
   FI.sort ~scratch !local;
   Comm.work_flops comm (Scl_sim.Kernels.sort_flops n);
   let c = ref comm in
@@ -212,7 +217,9 @@ let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int
         let (recvd : FI.t) = Comm.recv_slice !c ~src:partner () in
         Comm.work_flops comm
           (Scl_sim.Kernels.merge_flops (Scl.Flat.length keep + Scl.Flat.length recvd));
-        local := FI.merge ?into:(if it = 0 then Some scratch else None) keep recvd);
+        let total = Scl.Flat.length keep + Scl.Flat.length recvd in
+        let into = if it = 0 && total <= Scl.Flat.length scratch then scratch else workspace total in
+        local := FI.merge ~into keep recvd);
     c := Comm.split !c ~color:(if me < half then 0 else 1) ~key:me
   done;
   (* Collect to processor 0, the parts in rank order. *)

@@ -49,6 +49,9 @@ val sort_flatint :
     [Comm.gather_slices]): by reference on [multicore], copied and priced
     at 8 bytes a key on [sim], through the shared arena on [procs]. The
     root copies the input once; the caller's array is never modified.
+    The input copy, the scratches and the merge outputs come from
+    [Comm.workspace], so under [run_flat] on [sim] and [multicore] a
+    run reuses the buffers the previous one used.
     Rank 0's gathered parts are the run's flat result
     ([Scl_sim.Spmd.run_flat]): on [procs] they stream home as raw words,
     elsewhere rank 0 lays them out. Output, message count and flops

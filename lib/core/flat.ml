@@ -419,6 +419,18 @@ module Int = struct
     let rec go i = i >= n || (Bigarray.Array1.unsafe_get a (i - 1) <= Bigarray.Array1.unsafe_get a i && go (i + 1)) in
     go 1
 
-  let of_int_array (src : int array) : t = of_array int src
+  let of_int_array ?into (src : int array) : t =
+    let n = Array.length src in
+    let (out : t) =
+      match into with
+      | None -> create int n
+      | Some dst ->
+          if length dst < n then invalid_arg "Flat.Int.of_int_array: into is shorter than the array";
+          sub_view dst ~pos:0 ~len:n
+    in
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set out i (Array.unsafe_get src i)
+    done;
+    out
   let to_int_array (a : t) : int array = to_array a
 end

@@ -129,6 +129,11 @@ module Int : sig
       [into] must share no storage with either input. *)
 
   val is_sorted : t -> bool
-  val of_int_array : int array -> t
+  val of_int_array : ?into:t -> int array -> t
+  (** The keys in flat storage. With [?into] (length at least the
+      array's), they are copied into its prefix view of the array's
+      length, which is the result; without it, into fresh storage.
+      @raise Invalid_argument if [into] is shorter than the array. *)
+
   val to_int_array : t -> int array
 end

@@ -84,6 +84,14 @@ let topology t = t.eng.Engine.topology
 let time t = t.eng.Engine.time ()
 let note t msg = t.eng.Engine.note msg
 
+let obs_lent = Obs.Counter.make "workspace.lent"
+
+let workspace t kind n =
+  Engine.check_kind "Comm.workspace" kind;
+  if n < 0 then invalid_arg "Comm.workspace: negative length";
+  if Obs.enabled () then Obs.Counter.incr obs_lent;
+  t.eng.Engine.workspace kind n
+
 (* 24 bits of sequence + 4 of opcode keeps every collective tag inside
    [tag_space, user_space).  Aliasing a live collective's tag would be a
    silent-corruption bug, so genuine exhaustion fails loudly instead of

@@ -59,6 +59,20 @@ val time : t -> float
 val note : t -> string -> unit
 (** Trace annotation (simulator only; no-op elsewhere). *)
 
+val workspace : t -> ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice
+(** [workspace t kind n]: a length-[n] buffer of [kind] for this rank's
+    scratch work or payloads, contents unspecified, valid until the run
+    returns — never kept, returned or stashed past it. Under
+    [Scl_sim.Spmd.run_flat] on [sim] and [multicore] it comes from a
+    free list of the buffers earlier runs borrowed ({!Workspace}), so a
+    steady stream of identical runs allocates no fresh pages; everywhere
+    else (other runners, the [procs] children) it is fresh storage. A
+    buffer is lent at most once per run, so sending it by reference is
+    as safe as sending any other slice. Counts [workspace.lent] (and
+    {!Workspace.lend} [workspace.reused]) when [Obs] is enabled.
+    @raise Invalid_argument if [kind] is neither [float64] nor [int], or
+    [n < 0]. *)
+
 (** {1 Collectives} *)
 
 val barrier : t -> unit

@@ -39,7 +39,10 @@
    - [time ()] is the engine's own clock: simulated seconds on the
      simulator, wall-clock seconds since the run started on real engines.
      [real_time] says which: fault injectors (Chaos) use it to decide
-     whether a straggler stall must burn wall time or simulated time. *)
+     whether a straggler stall must burn wall time or simulated time.
+   - [workspace kind n] returns a length-[n] flat buffer that stays
+     valid until the run returns; what happens to it then is the
+     runner's business (see [fresh] and [Workspace]). *)
 
 (* The typed bulk tier: an unboxed slice (C-layout Bigarray window) of
    float64 or int elements, the two kinds the flat tier moves.
@@ -70,7 +73,13 @@ type t = {
   sleep : float -> unit;
   time : unit -> float;
   note : string -> unit;
+  workspace : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) slice;
 }
+
+(* Every engine's default [workspace]: plain storage, collected when the
+   program drops it.  [Spmd.run_flat] swaps in a recycling one
+   ([Workspace.wrap]) on the in-process engines. *)
+let fresh kind n = Bigarray.Array1.create kind Bigarray.c_layout n
 
 let work_flops t n = t.work (Cost_model.flops t.cost n)
 

@@ -69,7 +69,20 @@ type t = {
           away-time in long-lived programs. *)
   time : unit -> float;  (** Engine clock: simulated or wall seconds. *)
   note : string -> unit;  (** Trace annotation (no-op on real engines). *)
+  workspace : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) slice;
+      (** [workspace kind n]: a length-[n] flat buffer (contents
+          unspecified) for this rank's use, valid until the run returns;
+          reach it through {!Comm.workspace}. Every engine builds its
+          ranks with {!fresh}, plain storage collected like any other
+          value; [Scl_sim.Spmd.run_flat] on [sim] and [multicore] swaps in
+          {!Workspace.wrap}, which lends buffers recycled from earlier
+          runs and takes them back when the run returns. A wrapper built
+          with [{ e with … }] passes it through untouched. *)
 }
+
+val fresh : ('k, 'e) Bigarray.kind -> int -> ('k, 'e) slice
+(** Uninitialised storage of [n] elements ([Bigarray.Array1.create]):
+    every engine's default {!t.workspace}. *)
 
 val work_flops : t -> int -> unit
 (** [work_flops t n] charges [n] floating-point operations via the engine's

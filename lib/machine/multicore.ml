@@ -384,6 +384,7 @@ let engine fab st : Engine.t =
           with Fault.Timeout _ -> ());
     time = clock;
     note = (fun _ -> ());
+    workspace = Engine.fresh;
   }
 
 (* -------------------------------------------------------- per-domain scheduler *)

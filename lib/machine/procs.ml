@@ -704,6 +704,7 @@ let engine st cost topology : Engine.t =
         park ());
     time = clock;
     note = (fun _ -> ());
+    workspace = Engine.fresh;
   }
 
 (* ----------------------------------------------------- child/parent protocol *)

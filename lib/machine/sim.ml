@@ -222,6 +222,7 @@ let engine sim me : Engine.t =
     sleep = sleep me;
     time = (fun () -> me.clock);
     note = (fun msg -> Trace.record sim.trace ~time:me.clock ~proc:me.rank (Trace.Note msg));
+    workspace = Engine.fresh;
   }
 
 (* --- scheduler --------------------------------------------------------- *)

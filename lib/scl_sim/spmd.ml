@@ -26,11 +26,11 @@ let with_chaos chaos program eng =
   | None -> program (Comm.world eng)
   | Some spec -> Chaos.run spec (fun e -> program (Comm.world e)) eng
 
-let run (type s a) (backend : s Backend.t) ?topology ?chaos ~procs
-    (program : Comm.t -> a option) : a * s =
+(* Every runner's engine dispatch, over a program on the bare engine. *)
+let run_engine (type s a) (backend : s Backend.t) ?topology ~procs
+    (program : Engine.t -> a option) : a * s =
   Obs.Span.timed obs_wall (fun () : (a * s) ->
       let topology = match topology with Some t -> t | None -> default_topology procs in
-      let program = with_chaos chaos program in
       match backend with
       | Backend.Sim { cost; trace } ->
           let ((_, stats) as r) = Sim.run_collect ?trace ~cost ~topology ~procs program in
@@ -46,12 +46,23 @@ let run (type s a) (backend : s Backend.t) ?topology ?chaos ~procs
           if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
           Procs.run_collect ~topology ~procs program)
 
+let run backend ?topology ?chaos ~procs program =
+  run_engine backend ?topology ~procs (with_chaos chaos program)
+
 (* Flat results: on [procs] the producing child streams its parts home
    raw ([Procs.run_flat]); on the in-process engines the producing rank
    lays them out itself, so the lay-out overlaps the other ranks'
    teardown (on a 2-vCPU VM, a 1M-key 2-domain sort took ~5 ms longer
    with the lay-out after the run).  [Scl.Flat.concat] checks the parts'
-   kinds, so a mismatch is that rank's error on every engine. *)
+   kinds, so a mismatch is that rank's error on every engine.
+
+   On the in-process engines each rank's engine is also wrapped, beneath
+   any Chaos wrapper, to lend [Comm.workspace] buffers from the
+   run-scoped free list ([Workspace]).  The result is already laid out
+   in fresh storage when the run returns, so the run's buffers go back
+   to the free list then; a run that raises drops them instead, since a
+   rank may have left a view of one anywhere.  Procs children keep the
+   default fresh storage: it dies with the child. *)
 let run_flat (type s k e) (backend : s Backend.t) ?topology ?chaos ~procs
     ~(kind : (k, e) Bigarray.kind) (program : Comm.t -> (k, e) Engine.slice array option) :
     k array * s =
@@ -62,5 +73,11 @@ let run_flat (type s k e) (backend : s Backend.t) ?topology ?chaos ~procs
           Procs.run_flat ?topology ~procs ~kind (with_chaos chaos program))
   | Backend.Sim _ | Backend.Multicore _ ->
       Engine.check_kind "Spmd.run_flat" kind;
-      run backend ?topology ?chaos ~procs (fun comm ->
-          Option.map (Scl.Flat.concat kind) (program comm))
+      let lease = Workspace.lease () in
+      let laid_out comm = Option.map (Scl.Flat.concat kind) (program comm) in
+      let r =
+        run_engine backend ?topology ~procs (fun eng ->
+            with_chaos chaos laid_out (Workspace.wrap lease eng))
+      in
+      Workspace.release lease;
+      r

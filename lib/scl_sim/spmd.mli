@@ -56,6 +56,15 @@ val run_flat :
     producing rank lays its parts out with {!Scl.Flat.concat} and the
     array comes back by {!run}. Results, the lowest-rank rule and error
     precedence are the same on every engine.
+
+    On [sim] and [multicore], {!Machine.Comm.workspace} lends from the
+    run-scoped free list ({!Machine.Workspace}): buffers earlier runs
+    used, the smallest that fits, each lent once per run. When the run
+    returns, its result is already laid out in a fresh array and its
+    buffers go back to the free list (replacing what was there, so the
+    list never holds more than one run lent); a run that raises drops
+    them. Every other runner, and the [procs] children, lend fresh
+    storage: {!run}'s result may be a workspace slice itself.
     @raise Invalid_argument if [kind] is neither [float64] nor [int], if
     a part's run-time kind is not [kind] (a [recv_slice] annotated with
     another kind than the sender's; raised by that rank), or if no rank

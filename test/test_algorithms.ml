@@ -268,6 +268,173 @@ let test_hqs_flatint_multicore_merge_reuse () =
         inputs)
     [ 4; 8 ]
 
+(* --- the run-scoped workspace ([Comm.workspace], [Spmd.run_flat]) ------- *)
+
+module Ws = Machine.Workspace
+
+type backend = B : string * 's Machine.Backend.t -> backend
+
+let ws_backends = [ B ("sim", sim); B ("multicore", mc) ]
+
+(* [f ()] with the [workspace.lent] and [workspace.reused] counts it took. *)
+let lent_reused f =
+  Obs.enable ();
+  let count name = Option.value ~default:0 (Obs.Metrics.counter_value name) in
+  let l0 = count "workspace.lent" and r0 = count "workspace.reused" in
+  let v = f () in
+  (v, count "workspace.lent" - l0, count "workspace.reused" - r0)
+
+let all_equal (s : Scl.Flat.int1) v =
+  let ok = ref true in
+  for i = 0 to Scl.Flat.length s - 1 do
+    if Scl.Flat.get s i <> v then ok := false
+  done;
+  !ok
+
+(* Every rank lends one buffer per size, fills it with [v rank], and
+   checks after a barrier that its buffers still hold those values: a
+   buffer lent twice in the run, to one rank or to two, fails it. Rank
+   0 returns its buffers. *)
+let lend_fill_check sizes v c =
+  let me = Machine.Comm.rank c in
+  let bufs =
+    List.mapi
+      (fun i n ->
+        let (s : Scl.Flat.int1) = Machine.Comm.workspace c Scl.Flat.int n in
+        Scl.Flat.fill s (v me + i);
+        s)
+      sizes
+  in
+  Machine.Comm.barrier c;
+  List.iteri (fun i s -> if not (all_equal s (v me + i)) then failwith "a buffer was lent twice") bufs;
+  bufs
+
+let lend_run backend ~procs sizes =
+  fst
+    (Scl_sim.Spmd.run_flat backend ~procs ~kind:Scl.Flat.int (fun c ->
+         let bufs = lend_fill_check sizes (fun me -> 10 * me) c in
+         if Machine.Comm.rank c = 0 then Some (Array.of_list bufs) else None))
+
+let test_ws_second_run_reuses () =
+  let a = Runtime.Xoshiro.int_array (Runtime.Xoshiro.of_seed 25) ~len:5_000 ~bound:1_000_000 in
+  let expect = sorted_copy a in
+  List.iter
+    (fun (B (engine, backend)) ->
+      List.iter
+        (fun procs ->
+          let what = Printf.sprintf "%s p=%d" engine procs in
+          let run () = fst (Hyperquicksort.sort_flatint backend ~procs a) in
+          Alcotest.(check (array int)) ("first run " ^ what) expect (run ());
+          let got, lent, reused = lent_reused run in
+          Alcotest.(check (array int)) ("second run " ^ what) expect got;
+          Alcotest.(check bool) ("input copy and scratches lent " ^ what) true (lent > procs);
+          Alcotest.(check int) ("every buffer reused " ^ what) lent reused;
+          Alcotest.(check int) ("the free list holds the run's buffers " ^ what) lent
+            (fst (Ws.retained ())))
+        [ 1; 2; 4; 8 ])
+    ws_backends
+
+exception Boom
+
+(* A run that raises gives nothing back: its buffers may still be
+   reachable from wherever a rank left them. *)
+let test_ws_raising_run_recycles_nothing () =
+  List.iter
+    (fun (B (engine, backend)) ->
+      let sizes = [ 300; 700 ] in
+      ignore (lend_run backend ~procs:2 sizes);
+      Alcotest.(check int) (engine ^ ": warm free list") 4 (fst (Ws.retained ()));
+      let stash = ref [] and m = Mutex.create () in
+      let raised =
+        match
+          Scl_sim.Spmd.run_flat backend ~procs:2 ~kind:Scl.Flat.int (fun c ->
+              let bufs = lend_fill_check sizes (fun _ -> 7) c in
+              Mutex.protect m (fun () -> stash := List.combine bufs [ 7; 8 ] @ !stash);
+              raise Boom)
+        with
+        | _ -> false
+        | exception Boom -> true
+      in
+      Alcotest.(check bool) (engine ^ ": the run raised") true raised;
+      Alcotest.(check (pair int int)) (engine ^ ": nothing recycled") (0, 0) (Ws.retained ());
+      for _ = 1 to 2 do
+        ignore (lend_run backend ~procs:2 sizes)
+      done;
+      List.iter
+        (fun (s, v) -> Alcotest.(check bool) (engine ^ ": dropped buffer untouched") true (all_equal s v))
+        !stash)
+    ws_backends
+
+(* [Spmd.run] never recycles: its result may be a workspace slice. *)
+let test_ws_run_result_survives () =
+  List.iter
+    (fun (B (engine, backend)) ->
+      let (kept : Scl.Flat.int1), _ =
+        Scl_sim.Spmd.run backend ~procs:2 (fun c ->
+            let (s : Scl.Flat.int1) = Machine.Comm.workspace c Scl.Flat.int 500 in
+            Scl.Flat.fill s (1 + Machine.Comm.rank c);
+            Some s)
+      in
+      for _ = 1 to 3 do
+        ignore (lend_run backend ~procs:2 [ 500; 500 ])
+      done;
+      Alcotest.(check bool) (engine ^ ": run's result intact") true (all_equal kept 1))
+    ws_backends
+
+(* Two domains sort at once, each on a one-domain multicore engine under
+   delays, borrowing from and returning to the one free list. *)
+let test_ws_concurrent_sorts () =
+  let mc1 = Machine.Backend.multicore ~domains:1 () in
+  let keys i = Runtime.Xoshiro.int_array (Runtime.Xoshiro.of_seed (40 + i)) ~len:6_000 ~bound:1_000_000 in
+  let sorts i () =
+    let a = keys i in
+    let expect = sorted_copy a in
+    List.for_all
+      (fun seed ->
+        let chaos = Machine.Chaos.delays ~seed ~prob:0.5 () in
+        fst (Hyperquicksort.sort_flatint mc1 ~chaos ~procs:4 a) = expect)
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  let other = Domain.spawn (sorts 1) in
+  let mine = sorts 0 () in
+  Alcotest.(check bool) "this domain's sorts" true mine;
+  Alcotest.(check bool) "the other domain's sorts" true (Domain.join other)
+
+(* The free list holds what the last run lent and no more: growing, then
+   shrinking runs never leave more buffers than one run lent, nor more
+   bytes than the largest run left. *)
+let test_ws_free_list_bounded () =
+  List.iter
+    (fun (B (engine, backend)) ->
+      let largest = ref 0 in
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "%s n=%d" engine n in
+          let _, lent, _ = lent_reused (fun () -> lend_run backend ~procs:2 [ n; n / 2 ]) in
+          let count, bytes = Ws.retained () in
+          Alcotest.(check int) ("one run's buffers " ^ what) lent count;
+          if n = 8000 then largest := bytes
+          else if !largest > 0 then
+            Alcotest.(check bool) ("no more bytes than the largest run " ^ what) true (bytes <= !largest))
+        [ 100; 8000; 4000; 2000; 1000; 100 ];
+      let a = Runtime.Xoshiro.int_array (Runtime.Xoshiro.of_seed 26) ~len:8_000 ~bound:1_000_000 in
+      List.iter
+        (fun n ->
+          let a = Array.sub a 0 n in
+          let got, lent, _ = lent_reused (fun () -> fst (Hyperquicksort.sort_flatint backend ~procs:4 a)) in
+          Alcotest.(check (array int)) (Printf.sprintf "%s sorts n=%d" engine n) (sorted_copy a) got;
+          Alcotest.(check int) (Printf.sprintf "%s one sort's buffers n=%d" engine n) lent
+            (fst (Ws.retained ())))
+        [ 8000; 4000; 2000; 1000; 500 ])
+    ws_backends
+
+let test_ws_rejects () =
+  let run f = Scl_sim.Spmd.run sim ~procs:1 (fun c -> Some (f c)) in
+  Alcotest.check_raises "float32" (Invalid_argument "Comm.workspace: kind must be float64 or int")
+    (fun () -> ignore (run (fun c -> ignore (Machine.Comm.workspace c Bigarray.float32 4))));
+  Alcotest.check_raises "negative" (Invalid_argument "Comm.workspace: negative length") (fun () ->
+      ignore (run (fun c -> ignore (Machine.Comm.workspace c Scl.Flat.int (-1)))))
+
 let test_hqs_traced_figure2 () =
   (* The Figure 2 regeneration: 32 values on a 2-cube, with stage notes. *)
   let rng = Runtime.Xoshiro.of_seed 2 in
@@ -1054,6 +1221,18 @@ let () =
           Alcotest.test_case "flat-int multicore" `Slow test_hqs_flatint_multicore;
           Alcotest.test_case "flat-int merge reuse = sim on multicore" `Slow
             test_hqs_flatint_multicore_merge_reuse;
+        ] );
+      ( "workspace",
+        [
+          Alcotest.test_case "second identical run reuses every buffer" `Quick
+            test_ws_second_run_reuses;
+          Alcotest.test_case "raising run recycles nothing" `Quick
+            test_ws_raising_run_recycles_nothing;
+          Alcotest.test_case "run's workspace result survives run_flat" `Quick
+            test_ws_run_result_survives;
+          Alcotest.test_case "two domains sort at once under delays" `Quick test_ws_concurrent_sorts;
+          Alcotest.test_case "free list bounded" `Quick test_ws_free_list_bounded;
+          Alcotest.test_case "rejects bad kind and length" `Quick test_ws_rejects;
         ] );
       ( "gauss",
         [

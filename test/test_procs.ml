@@ -564,6 +564,28 @@ let test_repeated_runs_leave_nothing () =
   | pid, _ -> Alcotest.failf "child %d left behind" pid
   | exception Unix.Unix_error (ECHILD, _, _) -> ()
 
+(* --- the run-scoped workspace ----------------------------------------------- *)
+
+(* Procs children lend fresh storage from [Comm.workspace]; it dies with
+   the child, and the parent's free list (warmed here by a simulated run)
+   is neither used nor changed. *)
+let test_procs_flat_sort_keeps_parent_free_list () =
+  let a = Runtime.Xoshiro.int_array (Runtime.Xoshiro.of_seed 27) ~len:20_000 ~bound:1_000_000 in
+  let expect = Array.copy a in
+  Array.sort compare expect;
+  let sim = Backend.sim () in
+  Alcotest.(check (array int)) "sim sorts" expect (fst (Algorithms.Hyperquicksort.sort_flatint sim ~procs:2 a));
+  let before = Workspace.retained () in
+  Alcotest.(check bool) "the parent's free list is warm" true (fst before > 0);
+  List.iter
+    (fun procs ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "procs sorts p=%d" procs)
+        expect
+        (fst (Algorithms.Hyperquicksort.sort_flatint Backend.procs ~procs a));
+      Alcotest.(check (pair int int)) "parent's free list untouched" before (Workspace.retained ()))
+    [ 2; 4 ]
+
 let suite =
   [
     ( "fabric",
@@ -648,6 +670,11 @@ let suite =
           Alcotest.test_case "bulk slices both ways" `Quick test_bulk_slices_both_ways;
           Alcotest.test_case "nested run maps its own arena" `Quick
             test_nested_run_maps_own_arena;
+        ] );
+      ( "workspace",
+        [
+          Alcotest.test_case "flat sort keeps the parent's free list" `Quick
+            test_procs_flat_sort_keeps_parent_free_list;
         ] );
     ]
 

@@ -1285,6 +1285,20 @@ let test_flat_int_merge_into () =
   Alcotest.(check (array int)) "empty inputs" [||]
     (Flat.Int.to_int_array (Flat.Int.merge ~into (Flat.Int.of_int_array [||]) (Flat.Int.of_int_array [||])))
 
+let test_flat_int_of_int_array_into () =
+  let keys = [| 5; -3; 8 |] in
+  let into = Flat.make Flat.int 5 (-1) in
+  let fa = Flat.Int.of_int_array ~into keys in
+  Alcotest.(check (array int)) "the keys" keys (Flat.Int.to_int_array fa);
+  Alcotest.(check (array int)) "written to into's prefix, the rest untouched" [| 5; -3; 8; -1; -1 |]
+    (Flat.Int.to_int_array into);
+  Flat.set fa 0 77;
+  Alcotest.(check int) "result aliases into" 77 (Flat.get into 0);
+  Alcotest.(check int) "empty keys" 0 (Flat.length (Flat.Int.of_int_array ~into [||]));
+  Alcotest.check_raises "too short"
+    (Invalid_argument "Flat.Int.of_int_array: into is shorter than the array") (fun () ->
+      ignore (Flat.Int.of_int_array ~into:(Flat.create Flat.int 2) keys))
+
 (* --- Exec internals --------------------------------------------------------------- *)
 
 let test_chunk_bounds () =
@@ -1459,6 +1473,7 @@ let () =
           Alcotest.test_case "Flat.Int.sort ~scratch allocates a few words" `Quick
             test_flat_int_sort_minor_words;
           Alcotest.test_case "Flat.Int.merge ~into" `Quick test_flat_int_merge_into;
+          Alcotest.test_case "Flat.Int.of_int_array ~into" `Quick test_flat_int_of_int_array_into;
         ] );
       ( "exec",
         [
