@@ -194,7 +194,7 @@ let heat_flat_program ?(tol = 1e-7) ?(max_iter = 50_000) (f : float array array 
     (comm : Comm.t) : result option =
   let p = Comm.size comm in
   let me = Comm.rank comm in
-  let b = Scl_sim.Fvec.block_bounds ~total:n ~parts:p in
+  let b = Scl_sim.Dvec.block_bounds ~total:n ~parts:p in
   let r0 = b.(me) and r1 = b.(me + 1) in
   let nr = r1 - r0 in
   (* Scatter by rows: one bulk band per member (row-aligned, so the element

@@ -9,6 +9,7 @@
    3. [sort]           — the skeleton implementation templates instantiated
       as an SPMD program on any engine; on the simulated distributed-memory
       machine it regenerates the paper's Table 1 / Figure 3 experiment.
+      [sort_flatint] instantiates the same program body over flat keys.
 
    Robustness extension beyond the paper: when a group leader holds no data
    (possible for skewed inputs), the pivot is taken from the first
@@ -54,23 +55,20 @@ let rec hsort ~exec d (da : int array Par_array.t) : int array Par_array.t =
         Partition.combine (Elementary.map ~exec (hsort ~exec (d - 1)) subcubes)
   end
 
+(* Block-distribute over [2^dims] virtual processors, SEQ_QUICKSORT each. *)
+let sorted_blocks ~exec ~caller ~dims a =
+  if dims < 0 then invalid_arg ("Hyperquicksort." ^ caller ^ ": negative dimension");
+  Elementary.map ~exec Seq_kernels.quicksort (Partition.apply (Partition.Block (1 lsl dims)) a)
+
 let sort_recursive ?(exec = Exec.sequential) ~dims (a : int array) : int array =
-  if dims < 0 then invalid_arg "Hyperquicksort.sort_recursive: negative dimension";
-  let p = 1 lsl dims in
-  let da =
-    Elementary.map ~exec Seq_kernels.quicksort (Partition.apply (Partition.Block p) a)
-  in
-  let sorted = hsort ~exec dims da in
+  let sorted = hsort ~exec dims (sorted_blocks ~exec ~caller:"sort_recursive" ~dims a) in
   Array.concat (Par_array.to_list sorted)
 
 (* --- 2. flattened iterative SPMD form (paper Section 5) ----------------- *)
 
 let sort_flat ?(exec = Exec.sequential) ~dims (a : int array) : int array =
-  if dims < 0 then invalid_arg "Hyperquicksort.sort_flat: negative dimension";
+  let da = sorted_blocks ~exec ~caller:"sort_flat" ~dims a in
   let p = 1 lsl dims in
-  let da =
-    Elementary.map ~exec Seq_kernels.quicksort (Partition.apply (Partition.Block p) a)
-  in
   let step it x =
     let gsz = 1 lsl (dims - it) in
     let half = gsz / 2 in
@@ -104,135 +102,148 @@ let sort_flat ?(exec = Exec.sequential) ~dims (a : int array) : int array =
   let final = Computational.iter_for dims step da in
   Array.concat (Par_array.to_list final)
 
-(* --- 3. simulated distributed-memory machine ----------------------------- *)
+(* --- 3. SPMD program on any engine, either tier ---------------------------- *)
 
 open Machine
 
-(* One processor's SPMD program.  Its trace notes regenerate the paper's
-   Figure 2 when the run records a trace; they cost no simulated time and
-   are no-ops on the real engines. *)
-let hqs_program (data : int array option) (comm : Comm.t) : int array option =
-  let p = Comm.size comm in
-  let d = log2_exact p in
+(* One tier of the SPMD program: how a rank holds its keys (['a]) and
+   what rank 0's gather returns (['r]).  A tier is built per rank per run
+   and every field works on a whole chunk, so the per-key loops stay in
+   each tier's own kernels. *)
+type ('a, 'r) tier = {
+  scatter : int array option -> 'a;  (* [Dvec.scatter]: length bcast, then blocks *)
+  sort : 'a -> 'a;
+  length : 'a -> int;
+  midvalue : 'a -> int option;
+  split_at : int -> 'a -> 'a * 'a;
+  exchange : Comm.t -> partner:int -> 'a -> 'a;
+  merge : round:int -> 'a -> 'a -> 'a;
+  show : 'a -> string;
+  gather : 'a -> 'r option;  (* rank order, [Some] at rank 0 only *)
+}
+
+(* One processor's SPMD program, written once for both tiers: the message
+   schedule and every flops charge are the same whichever tier holds the
+   keys.  Its trace notes regenerate the paper's Figure 2 when the run
+   records a trace; they cost no simulated time and are no-ops on the
+   real engines. *)
+let hqs_program (t : ('a, 'r) tier) (data : int array option) (comm : Comm.t) : 'r option =
+  let d = log2_exact (Comm.size comm) in
   let say fmt = Printf.ksprintf (Comm.note comm) fmt in
-  let show a =
-    if Array.length a <= 40 then
-      "[" ^ String.concat " " (Array.to_list (Array.map string_of_int a)) ^ "]"
-    else Printf.sprintf "[%d elements]" (Array.length a)
-  in
   (* Distribute, then SEQ_QUICKSORT locally. *)
-  let dv = Scl_sim.Dvec.scatter comm ~root:0 data in
-  let local = ref (Seq_kernels.quicksort (Scl_sim.Dvec.local dv)) in
-  Comm.work_flops comm (Scl_sim.Kernels.sort_flops (Array.length !local));
-  say "after local quicksort: %s" (show !local);
+  let local = ref (t.sort (t.scatter data)) in
+  Comm.work_flops comm (Scl_sim.Kernels.sort_flops (t.length !local));
+  say "after local quicksort: %s" (t.show !local);
   (* Iterate over cube dimensions, splitting the group communicator each
      round — the paper's mergeAndDiv / dynamic processor grouping. *)
   let c = ref comm in
-  for _it = 0 to d - 1 do
+  for round = 0 to d - 1 do
     let gsz = Comm.size !c in
     let half = gsz / 2 in
     let me = Comm.rank !c in
     (* pivot: first non-empty member's MIDVALUE, shared group-wide. *)
     Comm.work_flops comm Scl_sim.Kernels.median_flops;
     let first_some a b = if a = None then b else a in
-    let pivot = Comm.allreduce !c first_some (Seq_kernels.midvalue !local) in
+    let pivot = Comm.allreduce !c first_some (t.midvalue !local) in
     (match pivot with
     | None -> () (* the whole group is empty *)
     | Some pivot ->
         say "group pivot %d" pivot;
         (* SPLIT locally... *)
-        Comm.work_flops comm (Scl_sim.Kernels.binary_search_flops (Array.length !local));
-        let lo, hi = Seq_kernels.split_at pivot !local in
+        Comm.work_flops comm (Scl_sim.Kernels.binary_search_flops (t.length !local));
+        let lo, hi = t.split_at pivot !local in
         let keep, give = if me < half then (lo, hi) else (hi, lo) in
         (* ...exchange with the partner in the other half-cube... *)
         let partner = me lxor half in
-        let (recvd : int array) = Comm.exchange !c ~partner give in
+        let recvd = t.exchange !c ~partner give in
         (* ...and MERGE. *)
-        Comm.work_flops comm
-          (Scl_sim.Kernels.merge_flops (Array.length keep + Array.length recvd));
-        local := Seq_kernels.merge keep recvd;
-        say "after exchange with partner %d: %s" partner (show !local));
+        Comm.work_flops comm (Scl_sim.Kernels.merge_flops (t.length keep + t.length recvd));
+        local := t.merge ~round keep recvd;
+        say "after exchange with partner %d: %s" partner (t.show !local));
     (* divide the cube *)
     c := Comm.split !c ~color:(if me < half then 0 else 1) ~key:me
   done;
   (* Collect to processor 0; chunk sizes changed, so gather variable-length
      chunks in rank order. *)
-  let result = Comm.gather comm ~root:0 !local in
-  Option.map (fun chunks -> Array.concat (Array.to_list chunks)) result
+  t.gather !local
 
-(* The same SPMD program with the keys in unboxed int flat storage
-   ([Scl.Flat.Int]) from scatter to gather: a radix local sort that ends
-   in the rank's own block, O(log n) zero-copy [split_at] (the boxed
-   kernel copies both halves), and merges into flat storage.  The keys
-   move as bulk slices — scatter, exchange and gather — never
-   marshalled: by reference on [multicore], as private copies priced at
-   8 bytes a key on [sim], and through the shared arena on [procs].  The
-   root copies the input once, because ranks sort their blocks in place
-   and the caller's array must not change.  Rank 0 returns the gathered
-   parts as they are, and the runner ([Spmd.run_flat]) brings them home
-   as one array.  Flops charges and the message count are identical to
-   [hqs_program], keeping sim timings comparable between the tiers (only
-   the priced byte counts differ).
+let show_keys n (keys : unit -> int array) =
+  if n <= 40 then "[" ^ String.concat " " (Array.to_list (Array.map string_of_int (keys ()))) ^ "]"
+  else Printf.sprintf "[%d elements]" n
 
-   Every buffer comes from [Comm.workspace]: the root's input copy, each
-   rank's sort scratch and every merge output.  Under [Spmd.run_flat]
-   on [sim] and [multicore] they are lent from the buffers earlier runs
-   used, so a steady stream of same-sized jobs maps no fresh pages.  The
-   first round's merge writes the sort's scratch (it has a little
-   headroom); later rounds, and a first merge too large for it, take a
-   buffer of their own: from round 2 on the kept half may lie in the
-   scratch, and on [multicore] the half sent from it is read by
-   reference, possibly after this rank has moved on. *)
-let hqs_program_flatint (data : int array option) (comm : Comm.t) : Scl.Flat.int1 array option =
+(* The boxed tier: [int array] chunks, the [Seq_kernels] procedures and
+   marshalled messages. *)
+let boxed_tier comm : (int array, int array) tier =
+  {
+    scatter = (fun data -> Scl_sim.Dvec.local (Scl_sim.Dvec.scatter comm ~root:0 data));
+    sort = Seq_kernels.quicksort;
+    length = Array.length;
+    midvalue = Seq_kernels.midvalue;
+    split_at = Seq_kernels.split_at;
+    exchange = (fun c ~partner give -> Comm.exchange c ~partner give);
+    merge = (fun ~round:_ -> Seq_kernels.merge);
+    show = (fun a -> show_keys (Array.length a) (fun () -> a));
+    gather =
+      (fun a ->
+        Option.map (fun chunks -> Array.concat (Array.to_list chunks)) (Comm.gather comm ~root:0 a));
+  }
+
+(* The flat tier: the keys in unboxed int flat storage ([Scl.Flat.Int])
+   from scatter to gather, moving as bulk slices ([sort_flatint]'s
+   interface says how on each engine).  The root copies the input once:
+   ranks sort their blocks in place, and the caller's array must not
+   change.
+
+   Every buffer comes from [Comm.workspace] (lent from earlier runs'
+   buffers under [Spmd.run_flat] on [sim] and [multicore]).  The first
+   round's merge writes the sort's scratch, which has a little headroom;
+   later rounds, and a first merge too large for it, take a buffer of
+   their own: from round 2 on the kept half may lie in the scratch, and
+   on [multicore] the half sent from it is read by reference, possibly
+   after this rank has moved on. *)
+let flat_tier comm : (Scl.Flat.int1, Scl.Flat.int1 array) tier =
   let module FI = Scl.Flat.Int in
-  let p = Comm.size comm in
-  let d = log2_exact p in
-  (* the length broadcast of [Dvec.scatter], so both tiers send as many
-     messages *)
-  ignore (Comm.bcast comm ~root:0 (Option.map Array.length data) : int);
   let workspace n : FI.t = Comm.workspace comm Scl.Flat.int n in
-  let copy a = FI.of_int_array ~into:(workspace (Array.length a)) a in
-  let local : FI.t ref = ref (Comm.scatter_slice comm ~root:0 (Option.map copy data)) in
-  let n = Scl.Flat.length !local in
-  (* headroom, so that a first merge a little larger than the block fits *)
-  let scratch = workspace (n + (n / 16)) in
-  FI.sort ~scratch !local;
-  Comm.work_flops comm (Scl_sim.Kernels.sort_flops n);
-  let c = ref comm in
-  for it = 0 to d - 1 do
-    let gsz = Comm.size !c in
-    let half = gsz / 2 in
-    let me = Comm.rank !c in
-    Comm.work_flops comm Scl_sim.Kernels.median_flops;
-    let first_some a b = if a = None then b else a in
-    let pivot = Comm.allreduce !c first_some (FI.midvalue !local) in
-    (match pivot with
-    | None -> ()
-    | Some pivot ->
-        Comm.work_flops comm (Scl_sim.Kernels.binary_search_flops (Scl.Flat.length !local));
-        let lo, hi = FI.split_at pivot !local in
-        let keep, give = if me < half then (lo, hi) else (hi, lo) in
-        let partner = me lxor half in
-        Comm.send_slice !c ~dest:partner give;
-        let (recvd : FI.t) = Comm.recv_slice !c ~src:partner () in
-        Comm.work_flops comm
-          (Scl_sim.Kernels.merge_flops (Scl.Flat.length keep + Scl.Flat.length recvd));
+  let scratch = ref None in
+  {
+    scatter =
+      (fun data ->
+        (* the length broadcast of [Dvec.scatter], so both tiers send as
+           many messages *)
+        ignore (Comm.bcast comm ~root:0 (Option.map Array.length data) : int);
+        let copy a = FI.of_int_array ~into:(workspace (Array.length a)) a in
+        Comm.scatter_slice comm ~root:0 (Option.map copy data));
+    sort =
+      (fun a ->
+        let n = Scl.Flat.length a in
+        (* headroom, so that a first merge a little larger than the block fits *)
+        let s = workspace (n + (n / 16)) in
+        scratch := Some s;
+        FI.sort ~scratch:s a;
+        a);
+    length = Scl.Flat.length;
+    midvalue = FI.midvalue;
+    split_at = FI.split_at;
+    exchange =
+      (fun c ~partner give ->
+        Comm.send_slice c ~dest:partner give;
+        Comm.recv_slice c ~src:partner ());
+    merge =
+      (fun ~round keep recvd ->
         let total = Scl.Flat.length keep + Scl.Flat.length recvd in
-        let into = if it = 0 && total <= Scl.Flat.length scratch then scratch else workspace total in
-        local := FI.merge ~into keep recvd);
-    c := Comm.split !c ~color:(if me < half then 0 else 1) ~key:me
-  done;
-  (* Collect to processor 0, the parts in rank order. *)
-  Comm.gather_slices comm ~root:0 !local
+        let into =
+          match !scratch with
+          | Some s when round = 0 && total <= Scl.Flat.length s -> s
+          | _ -> workspace total
+        in
+        FI.merge ~into keep recvd);
+    show = (fun a -> show_keys (Scl.Flat.length a) (fun () -> FI.to_int_array a));
+    gather = (fun a -> Comm.gather_slices comm ~root:0 a);
+  }
 
 (* Both tiers run on any backend: [Comm.work_flops] charges simulated
    time on [sim] and is a no-op on the real engines, where the local
-   kernels are the actual work and the portions move zero-copy between
-   domains ([multicore]) or across processes ([procs]: boxed portions by
-   [Marshal] over sockets, flat ones through the shared arena; the input
-   reaches every child by fork, and rank 0's result comes home on its
-   verdict socket — marshalled for the boxed tier, streamed as raw words
-   for the flat one). Same values on every engine. *)
+   kernels are the actual work.  Same values on every engine. *)
 let check_procs procs =
   if not (Topology.is_power_of_two procs) then
     invalid_arg "Hyperquicksort: processor count must be a power of two"
@@ -241,12 +252,13 @@ let input data comm = if Comm.rank comm = 0 then Some data else None
 
 let sort backend ?topology ~procs (data : int array) =
   check_procs procs;
-  Scl_sim.Spmd.run backend ?topology ~procs (fun comm -> hqs_program (input data comm) comm)
+  Scl_sim.Spmd.run backend ?topology ~procs (fun comm ->
+      hqs_program (boxed_tier comm) (input data comm) comm)
 
 let sort_flatint backend ?topology ?chaos ~procs (data : int array) =
   check_procs procs;
   Scl_sim.Spmd.run_flat backend ?topology ?chaos ~procs ~kind:Scl.Flat.int (fun comm ->
-      hqs_program_flatint (input data comm) comm)
+      hqs_program (flat_tier comm) (input data comm) comm)
 
 (* Pinned by the steady benchmark, which calls these exact names. *)
 let sort_procs ~procs data = sort_flatint Backend.procs ~procs data

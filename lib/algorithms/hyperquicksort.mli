@@ -8,7 +8,8 @@
       output of the flattening transformation;
     - {!sort}: the SPMD rendering on any engine; on [Backend.sim] it
       regenerates Table 1 and Figure 3 on the AP1000 cost model, and with
-      a trace its per-stage notes regenerate Figure 2.
+      a trace its per-stage notes regenerate Figure 2. {!sort_flatint}
+      runs the same program body over flat int storage, notes included.
 
     Robustness beyond the paper: when a group leader is empty the pivot
     comes from the first non-empty member; an entirely empty group skips
@@ -41,23 +42,21 @@ val sort_flatint :
   procs:int ->
   int array ->
   int array * 's
-(** {!sort} with the keys in the unboxed int flat tier ([Scl.Flat.Int])
-    from scatter to gather: a radix local sort whose scratch buffer
-    becomes the first round's merge output, zero-copy split views,
-    and the flat blocks themselves as bulk slices for the scatter,
-    exchange and gather ([Comm.scatter_slice], [send_slice]/[recv_slice],
-    [Comm.gather_slices]): by reference on [multicore], copied and priced
-    at 8 bytes a key on [sim], through the shared arena on [procs]. The
-    root copies the input once; the caller's array is never modified.
-    The input copy, the scratches and the merge outputs come from
-    [Comm.workspace], so under [run_flat] on [sim] and [multicore] a
-    run reuses the buffers the previous one used.
-    Rank 0's gathered parts are the run's flat result
-    ([Scl_sim.Spmd.run_flat]): on [procs] they stream home as raw words,
-    elsewhere rank 0 lays them out. Output, message count and flops
-    charges are identical to {!sort}; on [sim] only the priced byte
-    counts differ. [?chaos] wraps every rank's engine in the fault
-    injector ({!Scl_sim.Spmd.run}). *)
+(** {!sort}'s program with the keys in the unboxed int flat tier
+    ([Scl.Flat.Int]) from scatter to gather: a radix local sort whose
+    scratch buffer becomes the first round's merge output, zero-copy
+    split views, and the blocks themselves as bulk slices for the
+    scatter, exchange and gather: by reference on [multicore], copied and
+    priced at 8 bytes a key on [sim], through the shared arena on
+    [procs]. The root copies the input once; the caller's array is never
+    modified. Every buffer comes from [Comm.workspace], so under
+    [run_flat] on [sim] and [multicore] a run reuses the buffers the
+    previous one used. Rank 0's gathered parts are the run's flat result
+    ([Scl_sim.Spmd.run_flat]): on [procs] they stream home as raw words.
+    Both tiers run one program body, so output, messages, flops charges
+    and Figure 2 notes are those of {!sort}; on [sim] only the priced
+    byte counts, and so the times, differ. [?chaos] wraps every rank's
+    engine in the fault injector ({!Scl_sim.Spmd.run}). *)
 
 (** {2 Benchmark-pinned names}
 

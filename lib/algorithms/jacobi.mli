@@ -39,10 +39,11 @@ val solve :
 
 (** {1 Flat tier}
 
-    The same SPMD program over unboxed [Scl.Flat] chunks: halos travel as
+    {!solve}'s program over unboxed [Scl.Flat] blocks: halos travel as
     bulk slices (zero-copy on the multicore engine, bytes-priced on the
-    simulator). Solutions and iteration counts are bitwise-identical to
-    the boxed variants — the boxed path is the differential oracle. *)
+    simulator). Both tiers run one program body, so messages and flops
+    charges are the same, and solutions and iteration counts are
+    bitwise-identical — the boxed tier is the differential oracle. *)
 
 val solve_flat :
   's Backend.t ->

@@ -132,8 +132,8 @@ val exchange : t -> partner:int -> ?tag:int -> 'a -> 'a
     Typed unboxed ({!Engine.slice}: [float64] or [int] elements)
     counterparts of the point-to-point operations and the data-movement
     collectives. Each hop moves its whole payload as exactly one message,
-    however long the slice — the coalescing contract halo exchange and
-    rotate build on. What a receiver holds depends on the engine:
+    however long the slice — the coalescing contract halo exchange
+    builds on. What a receiver holds depends on the engine:
     - multicore: payloads travel zero-copy, so received slices alias the
       sender's storage (treat them as read-only, and do not mutate a sent
       window until a synchronising exchange);

@@ -21,12 +21,6 @@ val offset : 'a t -> int
 val block_bounds : total:int -> parts:int -> int array
 val owner_of : total:int -> parts:int -> int -> int
 
-val runs_by : lo:int -> hi:int -> (int -> 'k) -> ('k * int * int) list
-(** Group consecutive global indices [[lo, hi)] into maximal runs of
-    constant [key]; returns [(key, g0, len)] ascending. Shared with the
-    flat tier ([Fvec]), whose coalesced rotate re-derives segment
-    geometry on both sides from it. *)
-
 val of_local : Comm.t -> 'a array -> 'a t
 (** Assemble from per-processor chunks (collective; computes offsets). *)
 

@@ -1,11 +1,12 @@
-(** Block-distributed unboxed float vectors — the flat numeric tier.
+(** Block-distributed unboxed float vectors — the flat numeric tier's
+    distribution.
 
-    The [Dvec] operations re-expressed over [Scl.Flat.float1] chunks so
-    data movement uses the engines' bulk slice tier: no marshalling, no
-    per-element boxing, zero-copy window handoff on the multicore engine,
-    and bytes-proportional pricing ([8 * length] per hop) on the
-    simulator. [Dvec] is the executable specification these are
-    differential-tested against.
+    A vector's chunks are [Scl.Flat.float1] and move through the engines'
+    bulk slice tier: no marshalling, no per-element boxing, zero-copy
+    window handoff on the multicore engine, and bytes-proportional
+    pricing ([8 * length] per hop) on the simulator. The block geometry
+    is [Dvec]'s, so a flat solver and its boxed oracle hold the same
+    elements on every rank.
 
     All operations are SPMD: every member of the communicator must call
     them in the same order. The local chunk is mutable storage owned by
@@ -17,19 +18,13 @@ open Machine
 
 type t
 
-val comm : t -> Comm.t
-
 val local : t -> Scl.Flat.float1
 (** This processor's chunk (owned, mutable in place). *)
 
-val local_length : t -> int
 val total : t -> int
 
 val offset : t -> int
 (** Global index of the first local element. *)
-
-val block_bounds : total:int -> parts:int -> int array
-val owner_of : total:int -> parts:int -> int -> int
 
 val of_local : Comm.t -> Scl.Flat.float1 -> t
 (** Assemble from per-processor chunks (collective; computes offsets).
@@ -43,24 +38,3 @@ val scatter : Comm.t -> root:int -> Scl.Flat.float1 option -> t
 val gather : root:int -> t -> Scl.Flat.float1 option
 (** Collect to the root (one bulk message per member); [Some] only
     there. *)
-
-val allgather : t -> Scl.Flat.float1
-
-val rotate : int -> t -> t
-(** Global rotation by [k] (result element [g] = input element
-    [(g+k) mod total]). Coalesced: everything owed to one destination
-    travels as ONE bulk message (at most [p-1] sends per member), with no
-    per-segment metadata — both sides re-derive segment geometry from the
-    closed-form block bounds. Bitwise-identical results to [Dvec.rotate]
-    on the same data. *)
-
-val fetch : (int -> int) -> t -> t
-(** Irregular gather: result element [g] = input element [f g]. [f] must
-    be pure — both sides evaluate it against the closed-form block
-    geometry to derive the same packing plan, so NO metadata travels
-    (versus [Dvec.fetch]'s two marshalled all-to-all phases): each member
-    sends at most one packed slice per destination (zero-copy sub-view
-    when the requested sources are one contiguous ascending run), and the
-    receiver reassembles by walking its slots in ascending order with a
-    per-source cursor. Bitwise-identical results to [Dvec.fetch].
-    @raise Invalid_argument if [f] produces an out-of-range index. *)

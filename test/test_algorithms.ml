@@ -447,6 +447,74 @@ let test_hqs_traced_figure2 () =
   Alcotest.(check bool) "mentions pivots" true
     (List.exists (fun (_, _, s) -> String.length s >= 5 && String.sub s 0 5 = "group") notes)
 
+let test_hqs_flatint_figure2_notes () =
+  (* one program body: the flat tier emits the boxed tier's Figure 2
+     notes, rank by rank (only the priced bytes, and so the times, differ) *)
+  let rng = Runtime.Xoshiro.of_seed 2 in
+  let a = Runtime.Xoshiro.int_array rng ~len:32 ~bound:100 in
+  let notes sort =
+    let trace = Machine.Trace.create () in
+    ignore (sort (Machine.Backend.sim ~trace ()));
+    let by_rank (r1, _) (r2, _) = compare r1 r2 in
+    List.stable_sort by_rank (List.map (fun (_, rank, s) -> (rank, s)) (Machine.Trace.notes trace))
+  in
+  let boxed = notes (fun b -> Hyperquicksort.sort b ~procs:4 a) in
+  let flat = notes (fun b -> Hyperquicksort.sort_flatint b ~procs:4 a) in
+  Alcotest.(check bool) "boxed notes present" true (List.length boxed >= 12);
+  Alcotest.(check (list (pair int string))) "flat notes = boxed notes" boxed flat
+
+let test_hqs_flatint_notes_skewed () =
+  (* inputs that leave members, groups or the whole cube empty: a group
+     with no pivot skips its exchange and its notes on both tiers alike *)
+  let notes sort =
+    let trace = Machine.Trace.create () in
+    ignore (sort (Machine.Backend.sim ~trace ()));
+    let by_rank (r1, _) (r2, _) = compare r1 r2 in
+    List.stable_sort by_rank (List.map (fun (_, rank, s) -> (rank, s)) (Machine.Trace.notes trace))
+  in
+  List.iter
+    (fun (procs, a) ->
+      let boxed = notes (fun b -> Hyperquicksort.sort b ~procs a) in
+      let flat = notes (fun b -> Hyperquicksort.sort_flatint b ~procs a) in
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "n=%d p=%d" (Array.length a) procs)
+        boxed flat)
+    [
+      (8, [||]);
+      (8, [| 5 |]);
+      (4, [| 3; 1 |]);
+      (8, Array.make 20 7);
+      (2, Array.append (Array.make 6 0) (Array.make 6 1000));
+      (1, [| 4; 2; 9 |]);
+    ]
+
+let test_hqs_flatint_work_times () =
+  (* one body, one set of flops charges: each rank's simulated compute
+     time is the boxed tier's to the bit *)
+  let rng = Runtime.Xoshiro.of_seed 17 in
+  List.iter
+    (fun (n, procs) ->
+      let a = Runtime.Xoshiro.int_array rng ~len:n ~bound:1000 in
+      let _, bs = Hyperquicksort.sort sim ~procs a in
+      let _, fs = Hyperquicksort.sort_flatint sim ~procs a in
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "work times n=%d p=%d" n procs)
+        bs.Machine.Sim.work_times fs.Machine.Sim.work_times)
+    [ (0, 4); (1, 2); (100, 1); (300, 4); (1000, 8) ]
+
+let test_hqs_flatint_input_untouched () =
+  (* the root copies the keys once; every rank sorts its own copy *)
+  let rng = Runtime.Xoshiro.of_seed 23 in
+  let a = Runtime.Xoshiro.int_array rng ~len:500 ~bound:10_000 in
+  let before = Array.copy a in
+  let check name sorted =
+    Alcotest.(check (array int)) (name ^ ": sorted") (sorted_copy before) sorted;
+    Alcotest.(check (array int)) (name ^ ": input unchanged") before a
+  in
+  check "sim" (fst (Hyperquicksort.sort_flatint sim ~procs:4 a));
+  check "multicore"
+    (fst (Hyperquicksort.sort_flatint (Machine.Backend.multicore ~domains:1 ()) ~procs:4 a))
+
 (* --- Gauss–Jordan ------------------------------------------------------------ *)
 
 let test_gauss_scl_matches_seq () =
@@ -1085,16 +1153,64 @@ let test_jacobi_flat_bitwise_sim () =
   let f = Array.init 37 (fun j -> float_of_int ((j * 5 mod 11) - 4)) in
   List.iter
     (fun procs ->
-      let r0, _ = Jacobi.solve sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
-      let r1, _ = Jacobi.solve_flat sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
+      let r0, s0 = Jacobi.solve sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
+      let r1, s1 = Jacobi.solve_flat sim ~procs ~tol:1e-8 f ~left:0.75 ~right:(-0.5) in
       Alcotest.(check int)
         (Printf.sprintf "iterations p=%d" procs)
         r0.Jacobi.iterations r1.Jacobi.iterations;
+      Alcotest.(check int)
+        (Printf.sprintf "messages p=%d" procs)
+        s0.Machine.Sim.total_msgs s1.Machine.Sim.total_msgs;
       Alcotest.(check bool)
         (Printf.sprintf "bitwise solution p=%d" procs)
         true
         (vec_bitwise r0.Jacobi.solution r1.Jacobi.solution))
     [ 1; 2; 4 ]
+
+let test_jacobi_flat_degenerate_blocks () =
+  (* fewer elements than ranks: ranks that own none send no halos and
+     are skipped as neighbours, on both tiers alike *)
+  List.iter
+    (fun (n, procs) ->
+      let f = Array.init n (fun j -> float_of_int (j + 1)) in
+      let r0, s0 = Jacobi.solve sim ~procs ~tol:1e-10 f ~left:1.0 ~right:(-2.0) in
+      let r1, s1 = Jacobi.solve_flat sim ~procs ~tol:1e-10 f ~left:1.0 ~right:(-2.0) in
+      let what = Printf.sprintf " n=%d p=%d" n procs in
+      Alcotest.(check int) ("iterations" ^ what) r0.Jacobi.iterations r1.Jacobi.iterations;
+      Alcotest.(check int) ("messages" ^ what) s0.Machine.Sim.total_msgs s1.Machine.Sim.total_msgs;
+      Alcotest.(check bool) ("bitwise solution" ^ what) true
+        (vec_bitwise r0.Jacobi.solution r1.Jacobi.solution);
+      Alcotest.(check bool) ("matches sequential" ^ what) true
+        (vec_bitwise (Jacobi.solve_seq ~tol:1e-10 f ~left:1.0 ~right:(-2.0)).Jacobi.solution
+           r1.Jacobi.solution))
+    [ (0, 4); (1, 4); (2, 4); (3, 4); (5, 8) ]
+
+let test_jacobi_flat_max_iter () =
+  let f = Array.make 50 1.0 in
+  List.iter
+    (fun procs ->
+      let r0, _ = Jacobi.solve sim ~procs ~tol:0.0 ~max_iter:17 f ~left:0.0 ~right:0.0 in
+      let r1, _ = Jacobi.solve_flat sim ~procs ~tol:0.0 ~max_iter:17 f ~left:0.0 ~right:0.0 in
+      Alcotest.(check int) (Printf.sprintf "boxed stops at cap p=%d" procs) 17 r0.Jacobi.iterations;
+      Alcotest.(check int) (Printf.sprintf "flat stops at cap p=%d" procs) 17 r1.Jacobi.iterations;
+      Alcotest.(check bool)
+        (Printf.sprintf "final diff p=%d" procs)
+        true
+        (Float.equal r0.Jacobi.final_diff r1.Jacobi.final_diff))
+    [ 1; 3 ]
+
+let test_jacobi_flat_work_times () =
+  (* one body, one set of flops charges: each rank's simulated compute
+     time is the boxed tier's to the bit *)
+  let f = Array.init 41 (fun j -> float_of_int ((j * 7 mod 13) - 6)) in
+  List.iter
+    (fun procs ->
+      let _, s0 = Jacobi.solve sim ~procs ~tol:1e-8 f ~left:0.5 ~right:0.0 in
+      let _, s1 = Jacobi.solve_flat sim ~procs ~tol:1e-8 f ~left:0.5 ~right:0.0 in
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "work times p=%d" procs)
+        s0.Machine.Sim.work_times s1.Machine.Sim.work_times)
+    [ 1; 2; 5 ]
 
 let test_heat2d_flat_bitwise_sim () =
   let n = 12 in
@@ -1221,6 +1337,12 @@ let () =
           Alcotest.test_case "flat-int multicore" `Slow test_hqs_flatint_multicore;
           Alcotest.test_case "flat-int merge reuse = sim on multicore" `Slow
             test_hqs_flatint_multicore_merge_reuse;
+          Alcotest.test_case "flat-int figure-2 notes = boxed" `Quick test_hqs_flatint_figure2_notes;
+          Alcotest.test_case "flat-int notes = boxed on skewed keys" `Quick
+            test_hqs_flatint_notes_skewed;
+          Alcotest.test_case "flat-int work times = boxed" `Quick test_hqs_flatint_work_times;
+          Alcotest.test_case "flat-int leaves the input unchanged" `Quick
+            test_hqs_flatint_input_untouched;
         ] );
       ( "workspace",
         [
@@ -1357,5 +1479,9 @@ let () =
             test_cg_flat_degenerate_blocks;
           Alcotest.test_case "cg flat at the benchmark's shape" `Quick
             test_cg_flat_benchmark_shape;
+          Alcotest.test_case "jacobi flat = boxed on degenerate blocks" `Quick
+            test_jacobi_flat_degenerate_blocks;
+          Alcotest.test_case "jacobi flat max_iter respected" `Quick test_jacobi_flat_max_iter;
+          Alcotest.test_case "jacobi flat work times = boxed" `Quick test_jacobi_flat_work_times;
         ] );
     ]

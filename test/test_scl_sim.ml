@@ -355,18 +355,17 @@ let test_control_iter_for () =
      with Invalid_argument _ -> true)
 
 (* --- Fvec (flat tier) -----------------------------------------------------------
-   [Dvec] is the executable specification: the unboxed slice-tier vector
-   must produce bitwise-identical contents, with coalesced bulk
-   messaging. *)
+   The unboxed slice-tier vector must round-trip its contents bitwise, and
+   a whole-row halo must travel as one bulk message. *)
 
-let via_fvec ~procs op (a : float array) : float array =
+let via_fvec ~procs (a : float array) : float array =
   let result, _ =
     run_collect ~procs (fun comm ->
         let fv =
           Scl_sim.Fvec.scatter comm ~root:0
             (if Comm.rank comm = 0 then Some (Scl.Flat.of_float_array a) else None)
         in
-        Option.map Scl.Flat.to_float_array (Scl_sim.Fvec.gather ~root:0 (op fv)))
+        Option.map Scl.Flat.to_float_array (Scl_sim.Fvec.gather ~root:0 fv))
   in
   result
 
@@ -379,58 +378,70 @@ let test_fvec_scatter_gather () =
           Alcotest.(check (array (float 0.0)))
             (Printf.sprintf "roundtrip n=%d p=%d" n procs)
             a
-            (via_fvec ~procs Fun.id a))
+            (via_fvec ~procs a))
         [ 1; 2; 4; 7 ])
     [ 0; 1; 5; 23 ]
 
-let test_fvec_allgather () =
-  let a = Array.init 13 (fun i -> float_of_int (i * i)) in
-  let got, _ =
+let test_fvec_of_local () =
+  (* uneven chunks, one of them empty: offsets are the prefix sums of the
+     chunk lengths, and the gather concatenates the chunks in rank order *)
+  let lens = [| 3; 0; 5; 1 |] in
+  let offsets = Array.make 4 (-1) and totals = Array.make 4 (-1) in
+  let gathered, _ =
     run_collect ~procs:4 (fun comm ->
-        let fv =
-          Scl_sim.Fvec.scatter comm ~root:0
-            (if Comm.rank comm = 0 then Some (Scl.Flat.of_float_array a) else None)
+        let me = Comm.rank comm in
+        let chunk =
+          Scl.Flat.of_float_array (Array.init lens.(me) (fun j -> float_of_int ((10 * me) + j)))
         in
-        let all = Scl_sim.Fvec.allgather fv in
-        if Comm.rank comm = 3 then Some (Scl.Flat.to_float_array all) else None)
+        let fv = Scl_sim.Fvec.of_local comm chunk in
+        offsets.(me) <- Scl_sim.Fvec.offset fv;
+        totals.(me) <- Scl_sim.Fvec.total fv;
+        Option.map Scl.Flat.to_float_array (Scl_sim.Fvec.gather ~root:0 fv))
   in
-  Alcotest.(check (array (float 0.0))) "allgather on a non-root member" a got
+  Alcotest.(check (array int)) "offsets" [| 0; 3; 3; 8 |] offsets;
+  Alcotest.(check (array int)) "totals" [| 9; 9; 9; 9 |] totals;
+  Alcotest.(check (array (float 0.0)))
+    "gathered" [| 0.; 1.; 2.; 20.; 21.; 22.; 23.; 24.; 30. |] gathered
 
-let prop_fvec_rotate_matches_dvec =
-  qtest ~count:60 "Fvec.rotate = Dvec.rotate (bitwise)"
-    QCheck.(
-      triple
-        (list_of_size (QCheck.Gen.int_range 0 40) (float_bound_exclusive 100.0))
-        (int_range (-15) 15) (int_range 1 8))
-    (fun (xs, k, procs) ->
-      let a = Array.of_list xs in
-      let boxed, _ =
-        run_collect ~procs (fun comm ->
-            let dv =
-              Scl_sim.Dvec.scatter comm ~root:0 (if Comm.rank comm = 0 then Some a else None)
-            in
-            Scl_sim.Dvec.gather ~root:0 (Scl_sim.Dvec.rotate k dv))
-      in
-      via_fvec ~procs (Scl_sim.Fvec.rotate k) a = boxed)
-
-let test_fvec_rotate_multicore () =
-  (* same data through the multicore engine: contents must equal the
-     simulator's bitwise (zero-copy slice path vs deep-copy sim path) *)
-  let a = Array.init 23 (fun i -> (float_of_int i *. 1.5) +. 0.25) in
+let test_fvec_geometry_is_dvec () =
+  (* a flat solver and its boxed oracle hold the same elements on every
+     rank, including ranks that own none *)
   List.iter
-    (fun k ->
-      let sim = via_fvec ~procs:4 (Scl_sim.Fvec.rotate k) a in
-      let mc, _ =
-        Scl_sim.Spmd.run (Backend.multicore ()) ~procs:4 (fun comm ->
-            let fv =
-              Scl_sim.Fvec.scatter comm ~root:0
-                (if Comm.rank comm = 0 then Some (Scl.Flat.of_float_array a) else None)
-            in
-            Option.map Scl.Flat.to_float_array
-              (Scl_sim.Fvec.gather ~root:0 (Scl_sim.Fvec.rotate k fv)))
+    (fun (n, procs) ->
+      let flat = Array.make procs (-1, -1) and boxed = Array.make procs (-1, -1) in
+      let _ =
+        run ~procs (fun comm ->
+            let me = Comm.rank comm in
+            let root x = if me = 0 then Some x else None in
+            let fv = Scl_sim.Fvec.scatter comm ~root:0 (root (Scl.Flat.make Scl.Flat.float64 n 1.0)) in
+            let dv = Scl_sim.Dvec.scatter comm ~root:0 (root (Array.make n 1.0)) in
+            flat.(me) <- (Scl_sim.Fvec.offset fv, Scl.Flat.length (Scl_sim.Fvec.local fv));
+            boxed.(me) <- (Scl_sim.Dvec.offset dv, Scl_sim.Dvec.local_length dv))
       in
-      Alcotest.(check (array (float 0.0))) (Printf.sprintf "k=%d" k) sim mc)
-    [ -7; -1; 0; 3; 23; 30 ]
+      Alcotest.(check (array (pair int int)))
+        (Printf.sprintf "offset and length n=%d p=%d" n procs)
+        boxed flat)
+    [ (0, 3); (2, 4); (5, 1); (10, 4); (23, 7) ]
+
+let test_fvec_scatter_copies () =
+  (* a scattered chunk is the member's own storage even where the engine
+     hands the root's window over by reference: writing it changes
+     neither the root's array nor another member's chunk *)
+  let a = Array.init 12 float_of_int in
+  let src = Scl.Flat.of_float_array a in
+  let gathered, _ =
+    Scl_sim.Spmd.run (Backend.multicore ~domains:1 ()) ~procs:3 (fun comm ->
+        let fv =
+          Scl_sim.Fvec.scatter comm ~root:0 (if Comm.rank comm = 0 then Some src else None)
+        in
+        let l = Scl_sim.Fvec.local fv in
+        for j = 0 to Scl.Flat.length l - 1 do
+          Scl.Flat.set l j (-.Scl.Flat.get l j)
+        done;
+        Option.map Scl.Flat.to_float_array (Scl_sim.Fvec.gather ~root:0 fv))
+  in
+  Alcotest.(check (array (float 0.0))) "root's array untouched" a (Scl.Flat.to_float_array src);
+  Alcotest.(check (array (float 0.0))) "writes gathered" (Array.map Float.neg a) gathered
 
 let test_halo_coalescing () =
   (* a whole-row halo is ONE bulk message per neighbour whatever the row
@@ -454,99 +465,6 @@ let test_halo_coalescing () =
   in
   Alcotest.(check int) "one message per neighbour" (2 * (p - 1)) stats.Sim.total_msgs;
   Alcotest.(check int) "bytes-proportional pricing" (2 * (p - 1) * 8 * n) stats.Sim.total_bytes
-
-let test_fvec_rotate_message_economy () =
-  (* rotate traffic itself: at most one coalesced message per (sender,
-     destination) pair, measured by differencing against the construction
-     traffic *)
-  let mk comm =
-    let me = Comm.rank comm in
-    Scl_sim.Fvec.of_local comm
-      (Scl.Flat.init Scl.Flat.float64 8 (fun i -> float_of_int ((me * 8) + i)))
-  in
-  let base = run ~procs:8 (fun comm -> ignore (mk comm)) in
-  let full = run ~procs:8 (fun comm -> ignore (Scl_sim.Fvec.rotate 3 (mk comm))) in
-  let rotate_msgs = full.Sim.total_msgs - base.Sim.total_msgs in
-  Alcotest.(check bool)
-    (Printf.sprintf "rotate msgs %d <= p" rotate_msgs)
-    true (rotate_msgs <= 8)
-
-let via_fvec_fetch_vs_dvec ~procs f (a : float array) : bool =
-  let boxed, _ =
-    run_collect ~procs (fun comm ->
-        let dv =
-          Scl_sim.Dvec.scatter comm ~root:0 (if Comm.rank comm = 0 then Some a else None)
-        in
-        Scl_sim.Dvec.gather ~root:0 (Scl_sim.Dvec.fetch f dv))
-  in
-  via_fvec ~procs (Scl_sim.Fvec.fetch f) a = boxed
-
-let prop_fvec_fetch_matches_dvec =
-  qtest ~count:40 "Fvec.fetch = Dvec.fetch (bitwise)"
-    QCheck.(triple (int_range 1 40) (int_range 0 50) (int_range 1 6))
-    (fun (n, k, procs) ->
-      let a = Array.init n (fun i -> float_of_int (((i * 13) mod 32) - 16) *. 0.25) in
-      via_fvec_fetch_vs_dvec ~procs (fun g -> (g + k) mod n) a)
-
-let test_fvec_fetch_patterns () =
-  (* deterministic shapes beyond the shift: reverse (descending source
-     order), a seeded random permutation (scattered singleton runs), and
-     a constant slot (everyone fetches from one owner); p=1,2,4 against
-     the boxed spec *)
-  let n = 37 in
-  let a = Array.init n (fun i -> float_of_int ((i * 7) mod 16) *. 0.5) in
-  let rng = Runtime.Xoshiro.of_seed 99 in
-  let perm = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = Runtime.Xoshiro.int rng (i + 1) in
-    let t = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- t
-  done;
-  List.iter
-    (fun (name, f) ->
-      List.iter
-        (fun procs ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s p=%d" name procs)
-            true
-            (via_fvec_fetch_vs_dvec ~procs f a))
-        [ 1; 2; 4 ])
-    [
-      ("reverse", fun g -> n - 1 - g);
-      ("random permutation", fun g -> perm.(g));
-      ("constant slot", fun _ -> 17);
-    ]
-
-let test_fvec_fetch_out_of_range () =
-  Alcotest.(check bool) "requester rejects out-of-range index" true
-    (try
-       ignore
-         (via_fvec ~procs:2
-            (Scl_sim.Fvec.fetch (fun g -> g + 1))
-            (Array.init 8 float_of_int));
-       false
-     with Invalid_argument _ -> true)
-
-let test_fvec_fetch_message_economy () =
-  (* per-(sender,dest) run coalescing: a shift crosses at most two source
-     blocks per member, so fetch traffic is at most 2 messages per member
-     whatever the payload width — not one message per element *)
-  let p = 8 in
-  let mk comm =
-    let me = Comm.rank comm in
-    Scl_sim.Fvec.of_local comm
-      (Scl.Flat.init Scl.Flat.float64 8 (fun i -> float_of_int ((me * 8) + i)))
-  in
-  let total = p * 8 in
-  let f g = (g + 3) mod total in
-  let base = run ~procs:p (fun comm -> ignore (mk comm)) in
-  let full = run ~procs:p (fun comm -> ignore (Scl_sim.Fvec.fetch f (mk comm))) in
-  let fetch_msgs = full.Sim.total_msgs - base.Sim.total_msgs in
-  Alcotest.(check bool)
-    (Printf.sprintf "fetch msgs %d <= 2p" fetch_msgs)
-    true
-    (fetch_msgs <= 2 * p)
 
 let () =
   Alcotest.run "scl_sim"
@@ -585,15 +503,10 @@ let () =
       ( "fvec",
         [
           Alcotest.test_case "scatter/gather roundtrip" `Quick test_fvec_scatter_gather;
-          Alcotest.test_case "allgather" `Quick test_fvec_allgather;
-          prop_fvec_rotate_matches_dvec;
-          Alcotest.test_case "rotate on multicore = sim" `Quick test_fvec_rotate_multicore;
+          Alcotest.test_case "of_local offsets and total" `Quick test_fvec_of_local;
+          Alcotest.test_case "scatter geometry = Dvec's" `Quick test_fvec_geometry_is_dvec;
+          Alcotest.test_case "scattered chunk is private" `Quick test_fvec_scatter_copies;
           Alcotest.test_case "halo coalescing msg/byte counts" `Quick test_halo_coalescing;
-          Alcotest.test_case "rotate message economy" `Quick test_fvec_rotate_message_economy;
-          prop_fvec_fetch_matches_dvec;
-          Alcotest.test_case "fetch patterns vs boxed spec" `Quick test_fvec_fetch_patterns;
-          Alcotest.test_case "fetch rejects out-of-range" `Quick test_fvec_fetch_out_of_range;
-          Alcotest.test_case "fetch message economy" `Quick test_fvec_fetch_message_economy;
         ] );
       ( "control",
         [
