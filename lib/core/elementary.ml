@@ -15,8 +15,6 @@ let fold ?(exec = Exec.sequential) op pa =
 let scan ?(exec = Exec.sequential) op pa =
   Par_array.unsafe_of_array (exec.Exec.pscan op (Par_array.unsafe_to_array pa))
 
-let iter ?(exec = Exec.sequential) f pa = exec.Exec.piter f (Par_array.unsafe_to_array pa)
-
 (* Fused compositions: one pass over the data, no intermediate ParArray.
    Semantically [map_fold op f = fold op . map f] etc.; the property suite
    checks the agreement on both backends. *)
@@ -29,7 +27,7 @@ let map_scan ?(exec = Exec.sequential) op f pa =
   Par_array.unsafe_of_array (exec.Exec.pmap_scan f op (Par_array.unsafe_to_array pa))
 
 let map_compose ?(exec = Exec.sequential) f g pa =
-  Par_array.unsafe_of_array (exec.Exec.pmap2 f g (Par_array.unsafe_to_array pa))
+  Par_array.unsafe_of_array (exec.Exec.pmap (fun x -> f (g x)) (Par_array.unsafe_to_array pa))
 
 let zip_with ?(exec = Exec.sequential) f a b =
   if Par_array.length a <> Par_array.length b then

@@ -18,8 +18,6 @@ val fold : ?exec:Exec.t -> ('a -> 'a -> 'a) -> 'a Par_array.t -> 'a
 val scan : ?exec:Exec.t -> ('a -> 'a -> 'a) -> 'a Par_array.t -> 'a Par_array.t
 (** Inclusive parallel prefix: [<x0, x0+x1, ..., x0+...+xn>]. *)
 
-val iter : ?exec:Exec.t -> ('a -> unit) -> 'a Par_array.t -> unit
-
 val map_fold : ?exec:Exec.t -> ('b -> 'b -> 'b) -> ('a -> 'b) -> 'a Par_array.t -> 'b
 (** [map_fold op f pa = fold op (map f pa)] in a single pass with no
     intermediate ParArray — the executable form of the map/fold fusion

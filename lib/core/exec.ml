@@ -10,11 +10,12 @@
    functor so that it can be chosen dynamically (e.g. per benchmark run)
    without duplicating the skeleton code per instantiation.
 
-   Fused primitives (pmap_reduce / pmap_scan / pmap2) realise the paper's
-   Section 4 algebra at the execution layer: [fold f . map g],
-   [scan f . map g] and [map f . map g] run as single passes with no
-   intermediate array, so a composition optimised by [Transform.Rewrite]
-   actually costs what the fusion rules promise. *)
+   Fused primitives (pmap_reduce / pmap_scan) realise the paper's
+   Section 4 algebra at the execution layer: [fold f . map g] and
+   [scan f . map g] run as single passes with no intermediate array, so a
+   composition optimised by [Transform.Rewrite] actually costs what the
+   fusion rules promise ([map f . map g] is one [pmap] of the composed
+   function). *)
 
 type t = {
   name : string;
@@ -25,13 +26,10 @@ type t = {
       (* associative combine over a non-empty array, in index order *)
   pscan : 'a. ('a -> 'a -> 'a) -> 'a array -> 'a array;
       (* inclusive prefix: [| x0; x0+x1; ... |] *)
-  piter : 'a. ('a -> unit) -> 'a array -> unit;
   pmap_reduce : 'a 'b. ('a -> 'b) -> ('b -> 'b -> 'b) -> 'a array -> 'b;
       (* preduce op (pmap f a), one pass, no intermediate *)
   pmap_scan : 'a 'b. ('a -> 'b) -> ('b -> 'b -> 'b) -> 'a array -> 'b array;
       (* pscan op (pmap f a), one pass, no intermediate *)
-  pmap2 : 'a 'b 'c. ('b -> 'c) -> ('a -> 'b) -> 'a array -> 'c array;
-      (* pmap (f . g), one traversal of the composed function *)
 }
 
 let seq_reduce op a =
@@ -87,10 +85,8 @@ let instrument e =
   and s_pinit = span "pinit"
   and s_preduce = span "preduce"
   and s_pscan = span "pscan"
-  and s_piter = span "piter"
   and s_pmap_reduce = span "pmap_reduce"
-  and s_pmap_scan = span "pmap_scan"
-  and s_pmap2 = span "pmap2" in
+  and s_pmap_scan = span "pmap_scan" in
   let calls = Obs.Counter.make (Printf.sprintf "exec.%s.calls" e.name) in
   let pmap : 'a 'b. ('a -> 'b) -> 'a array -> 'b array =
    fun f a ->
@@ -117,11 +113,6 @@ let instrument e =
     Obs.Counter.incr calls;
     Obs.Span.timed s_pscan (fun () -> e.pscan op a)
   in
-  let piter : 'a. ('a -> unit) -> 'a array -> unit =
-   fun f a ->
-    Obs.Counter.incr calls;
-    Obs.Span.timed s_piter (fun () -> e.piter f a)
-  in
   let pmap_reduce : 'a 'b. ('a -> 'b) -> ('b -> 'b -> 'b) -> 'a array -> 'b =
    fun f op a ->
     Obs.Counter.incr calls;
@@ -132,12 +123,7 @@ let instrument e =
     Obs.Counter.incr calls;
     Obs.Span.timed s_pmap_scan (fun () -> e.pmap_scan f op a)
   in
-  let pmap2 : 'a 'b 'c. ('b -> 'c) -> ('a -> 'b) -> 'a array -> 'c array =
-   fun f g a ->
-    Obs.Counter.incr calls;
-    Obs.Span.timed s_pmap2 (fun () -> e.pmap2 f g a)
-  in
-  { name = e.name; pmap; pmapi; pinit; preduce; pscan; piter; pmap_reduce; pmap_scan; pmap2 }
+  { name = e.name; pmap; pmapi; pinit; preduce; pscan; pmap_reduce; pmap_scan }
 
 let sequential =
   instrument
@@ -148,10 +134,8 @@ let sequential =
       pinit = Array.init;
       preduce = seq_reduce;
       pscan = seq_scan;
-      piter = Array.iter;
       pmap_reduce = seq_map_reduce;
       pmap_scan = seq_map_scan;
-      pmap2 = (fun f g a -> Array.map (fun x -> f (g x)) a);
     }
 
 (* Chunk boundaries for the two-phase parallel reduce/scan: [nchunks]
@@ -233,12 +217,4 @@ let on_pool pool =
     end
   in
   let pscan : 'a. ('a -> 'a -> 'a) -> 'a array -> 'a array = fun op a -> pmap_scan (fun x -> x) op a in
-  let piter : 'a. ('a -> unit) -> 'a array -> unit =
-   fun f a ->
-    let n = Array.length a in
-    Pool.parallel_for pool ~grain:(Pool.grain_for pool n) ~lo:0 ~hi:n (fun i -> f a.(i))
-  in
-  let pmap2 : 'a 'b 'c. ('b -> 'c) -> ('a -> 'b) -> 'a array -> 'c array =
-   fun f g a -> Pool.map_array pool (fun x -> f (g x)) a
-  in
-  instrument { name = "pool"; pmap; pmapi; pinit; preduce; pscan; piter; pmap_reduce; pmap_scan; pmap2 }
+  instrument { name = "pool"; pmap; pmapi; pinit; preduce; pscan; pmap_reduce; pmap_scan }

@@ -5,7 +5,7 @@
     semantics, {!on_pool} runs the same skeleton on the multicore
     work-stealing pool.
 
-    The fused primitives ([pmap_reduce], [pmap_scan], [pmap2]) are the
+    The fused primitives ([pmap_reduce], [pmap_scan]) are the
     execution-layer counterpart of the transformation rules: compositions
     like [fold op . map f] run as a single pass with no intermediate array,
     so a pipeline rewritten by [Transform.Rewrite] pays the cost the fusion
@@ -25,15 +25,12 @@ type t = {
       (** Inclusive prefix: [[| x0; op x0 x1; ... |]]. An empty array yields
           an empty array on every backend (locked cross-backend by the
           differential oracle in [tools/diffcheck]). *)
-  piter : 'a. ('a -> unit) -> 'a array -> unit;
   pmap_reduce : 'a 'b. ('a -> 'b) -> ('b -> 'b -> 'b) -> 'a array -> 'b;
       (** [pmap_reduce f op a = preduce op (pmap f a)] in one pass with no
           intermediate array. @raise Invalid_argument on an empty array. *)
   pmap_scan : 'a 'b. ('a -> 'b) -> ('b -> 'b -> 'b) -> 'a array -> 'b array;
       (** [pmap_scan f op a = pscan op (pmap f a)] in one pass with no
           intermediate array; each element is mapped exactly once. *)
-  pmap2 : 'a 'b 'c. ('b -> 'c) -> ('a -> 'b) -> 'a array -> 'c array;
-      (** [pmap2 f g a = pmap f (pmap g a)] in one traversal. *)
 }
 
 val sequential : t

@@ -9,76 +9,10 @@
 
      (fx, x) ⊕ (fy, y) = (fx || fy, if fy then y else op x y)
 
-   which is associative whenever [op] is — so the flat data-parallel scan
-   machinery (including the pool backend) runs nested scans unchanged.
-   This is the executable content of turning nested data parallelism into
-   flat data parallelism. *)
+   which is associative whenever [op] is — so a flat data-parallel scan
+   runs nested scans unchanged.  This is the executable content of turning
+   nested data parallelism into flat data parallelism; [Transform.Spmd_exec]
+   runs its segmented scan through it. *)
 
 (* The flag-reset lift of an associative operator. *)
 let segmented_op op (fx, x) (fy, y) = (fx || fy, if fy then y else op x y)
-
-let segment_lengths nested = Array.map Array.length (Par_array.unsafe_to_array nested)
-
-let flatten_with_flags (nested : 'a array Par_array.t) : (bool * 'a) array =
-  let segments = Par_array.unsafe_to_array nested in
-  let total = Array.fold_left (fun acc s -> acc + Array.length s) 0 segments in
-  if total = 0 then [||]
-  else begin
-    let seed =
-      let rec find k = if Array.length segments.(k) > 0 then segments.(k).(0) else find (k + 1) in
-      find 0
-    in
-    let out = Array.make total (false, seed) in
-    let pos = ref 0 in
-    Array.iter
-      (fun seg ->
-        Array.iteri
-          (fun j v ->
-            out.(!pos) <- (j = 0, v);
-            incr pos)
-          seg)
-      segments;
-    out
-  end
-
-let unflatten (lengths : int array) (flat : 'a array) : 'a array Par_array.t =
-  let pos = ref 0 in
-  Par_array.unsafe_of_array
-    (Array.map
-       (fun len ->
-         let seg = Array.sub flat !pos len in
-         pos := !pos + len;
-         seg)
-       lengths)
-
-(* Inclusive scan within every segment, computed as one flat scan. *)
-let segmented_scan ?(exec = Exec.sequential) op (nested : 'a array Par_array.t) :
-    'a array Par_array.t =
-  let lengths = segment_lengths nested in
-  let flagged = flatten_with_flags nested in
-  let scanned = exec.Exec.pscan (segmented_op op) flagged in
-  unflatten lengths (Array.map snd scanned)
-
-(* Reduction of every segment (empty segments take the unit), via the last
-   element of the segmented scan. *)
-let segmented_fold ?(exec = Exec.sequential) op unit_v (nested : 'a array Par_array.t) :
-    'a Par_array.t =
-  let scanned = segmented_scan ~exec op nested in
-  Elementary.map ~exec
-    (fun seg -> if Array.length seg = 0 then unit_v else seg.(Array.length seg - 1))
-    scanned
-
-(* Reference semantics: the nested skeleton applied segment by segment —
-   what the flattened implementations must agree with. *)
-let segmented_scan_reference op nested =
-  Elementary.map
-    (fun seg ->
-      if Array.length seg = 0 then [||]
-      else begin
-        let out = Array.make (Array.length seg) seg.(0) in
-        for i = 1 to Array.length seg - 1 do
-          out.(i) <- op out.(i - 1) seg.(i)
-        done;
-        out
-      end)
-    nested

@@ -1,26 +1,8 @@
 (** Segmented operations over nested ParArrays — the NESL-style "segmented
-    instructions" the paper's flattening rule appeals to: a nested scan or
-    reduction becomes ONE flat scan with the flag-reset operator, so the
-    flat data-parallel machinery (including the pool backend) runs nested
-    operations unchanged. *)
+    instructions" the paper's flattening rule appeals to: a nested scan
+    becomes ONE flat scan with the flag-reset operator, so flat
+    data-parallel machinery runs nested operations unchanged. The
+    segmented scan of [Transform.Spmd_exec] is that flat scan. *)
 
 val segmented_op : ('a -> 'a -> 'a) -> bool * 'a -> bool * 'a -> bool * 'a
 (** The flag-reset lift: associative whenever the base operator is. *)
-
-val segmented_scan :
-  ?exec:Exec.t -> ('a -> 'a -> 'a) -> 'a array Par_array.t -> 'a array Par_array.t
-(** Inclusive scan within every segment, computed as one flat scan over the
-    flattened representation. *)
-
-val segmented_fold :
-  ?exec:Exec.t -> ('a -> 'a -> 'a) -> 'a -> 'a array Par_array.t -> 'a Par_array.t
-(** Per-segment reduction (empty segments give the unit). *)
-
-val segmented_scan_reference :
-  ('a -> 'a -> 'a) -> 'a array Par_array.t -> 'a array Par_array.t
-(** Segment-by-segment semantics the flattened version must match
-    (exposed for tests). *)
-
-val flatten_with_flags : 'a array Par_array.t -> (bool * 'a) array
-val unflatten : int array -> 'a array -> 'a array Par_array.t
-val segment_lengths : 'a array Par_array.t -> int array

@@ -38,7 +38,6 @@ module Config = Config
 module Elementary = Elementary
 module Communication = Communication
 module Computational = Computational
-module Stream_skel = Stream_skel
 module Nested = Nested
 
 (* Flat aliases for the most common entry points, so quickstart code reads

@@ -278,11 +278,12 @@ let check_differential ?config ?pool_exec ?stats ~sim_procs () =
 
 (* --- fused-primitive oracle --------------------------------------------------
 
-   The fused Exec primitives (pmap_reduce / pmap_scan / pmap2, surfaced as
-   Elementary.map_fold / map_scan / map_compose) must agree with their
-   composed two-pass forms on every backend.  Cases are drawn from the same
-   element-typed pools as the pipeline generator, so the agreement is
-   checked over ints, dyadic floats and pairs, at lengths 0..40. *)
+   The fused skeletons Elementary.map_fold / map_scan / map_compose (over
+   the Exec primitives pmap_reduce / pmap_scan, and one pmap of the
+   composed function) must agree with their composed two-pass forms on
+   every backend.  Cases are drawn from the same element-typed pools as
+   the pipeline generator, so the agreement is checked over ints, dyadic
+   floats and pairs, at lengths 0..40. *)
 
 type fused_case = {
   felem : Pipe_gen.elem;

@@ -19,7 +19,6 @@ let grid_coords t =
   (me / t.q, me mod t.q)
 
 let block t = t.block
-let dim t = t.n
 let grid t = t.q
 
 let check_grid comm n =
@@ -80,15 +79,6 @@ let with_block t block =
   if Array.length block <> bs || Array.exists (fun r -> Array.length r <> bs) block then
     invalid_arg "Dmat.with_block: block shape mismatch";
   { t with block }
-
-let map ~flops f t =
-  Comm.work_flops t.comm flops;
-  { t with block = Array.map (Array.map f) t.block }
-
-let zip_with ~flops f a b =
-  if a.n <> b.n || a.q <> b.q then invalid_arg "Dmat.zip_with: shape mismatch";
-  Comm.work_flops a.comm flops;
-  { a with block = Array.mapi (fun i row -> Array.mapi (fun j v -> f v b.block.(i).(j)) row) a.block }
 
 (* Transpose: block (i,j) swaps with block (j,i), then each block is
    transposed locally. *)

@@ -23,14 +23,10 @@ val gather : root:int -> t -> float array array option
 
 val grid_coords : t -> int * int
 val block : t -> float array array
-val dim : t -> int
 val grid : t -> int
 
 val with_block : t -> float array array -> t
 (** Replace the local block (no communication); shape-checked. *)
-
-val map : flops:int -> (float -> float) -> t -> t
-val zip_with : flops:int -> (float -> float -> float) -> t -> t -> t
 
 val transpose : t -> t
 (** Swap block (i,j) with block (j,i) (one pairwise message), transpose

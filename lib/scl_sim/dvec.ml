@@ -86,12 +86,6 @@ let imap ?(flops_per_elem = 1) f t =
   charge_pass t (Array.length t.local);
   { t with local = Array.mapi (fun i x -> f (t.offset + i) x) t.local }
 
-(* Apply a whole-chunk kernel (the base-language procedure of the paper):
-   the caller supplies the real OCaml function and its operation count. *)
-let map_chunk ~flops f t =
-  charge t flops;
-  { t with local = f t.local }
-
 let fold ?(flops_per_elem = 1) op t =
   if t.total = 0 then invalid_arg "Dvec.fold: empty vector";
   charge t (flops_per_elem * max 1 (Array.length t.local));
@@ -227,10 +221,6 @@ let rotate k t =
       expected;
     { t with local = out }
   end
-
-(* Broadcast a (root-computed) value to every member, aligned with local
-   data — the paper's [brdcast] at the distributed level. *)
-let bcast_value t ~root v = Comm.bcast t.comm ~root v
 
 (* applybrdcast f i A: apply [f] on the processor owning global element [i]
    and broadcast the result. *)

@@ -38,10 +38,6 @@ val map : ?flops_per_elem:int -> ('a -> 'b) -> 'a t -> 'b t
 val imap : ?flops_per_elem:int -> (int -> 'a -> 'b) -> 'a t -> 'b t
 (** [imap] passes the {e global} element index. *)
 
-val map_chunk : flops:int -> ('a array -> 'b array) -> 'a t -> 'b t
-(** Apply a whole-chunk base-language kernel, charging an explicit
-    operation count. *)
-
 val fold : ?flops_per_elem:int -> ('a -> 'a -> 'a) -> 'a t -> 'a
 (** Local fold + binomial allreduce; every member receives the result.
     @raise Invalid_argument on an empty vector. *)
@@ -56,7 +52,6 @@ val rotate : int -> 'a t -> 'a t
 (** Global rotation by [k] (result element [g] = input element
     [(g+k) mod total]); sends only the segments neighbours need. *)
 
-val bcast_value : 'a t -> root:int -> 'b option -> 'b
 val applybrdcast : flops:int -> ('a -> 'b) -> int -> 'a t -> 'b
 (** Apply [f] on the owner of global element [i], broadcast the result. *)
 

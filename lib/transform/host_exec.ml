@@ -15,14 +15,10 @@
    same application order per element); the differential oracle locks this
    against the reference interpreter.
 
-   Nested pipelines execute on a segmented representation: between [Split]
-   and [Combine] the value is a flat payload plus a segment-size
-   descriptor, so [Split] never copies (the descriptor is just block
-   bounds over the existing array) and [Combine] is the payload itself —
-   the host-side mirror of the flattening rules. Shapes outside the
-   one-level discipline (doubly nested splits, group-level movements)
-   fall back to the materialised evaluator, which handles every case the
-   reference interpreter does. *)
+   Nested regions are evaluated materialised: [Split] builds the groups,
+   [Map_nested] runs its body on each, and [Combine] concatenates them,
+   exactly as the reference interpreter does. Segmented (flattened)
+   execution of nested regions is [Spmd_exec]'s. *)
 
 let wrap name f =
   try f () with Invalid_argument m -> Value.type_error "%s: %s" name m
@@ -91,35 +87,6 @@ let flat_dispatch ~(fx : Scl.Flat_exec.t) fns tl v :
           | tl' ->
               if ops = [] then None (* bare consumer was not eligible: no work here *)
               else Some (value_of_flat (fx.Scl.Flat_exec.fmap op1 fa), tl')))
-
-(* --- segmented values ------------------------------------------------------
-
-   The host-side segment descriptor: a flat payload with per-segment
-   sizes. [reify] materialises the nested array the reference interpreter
-   would have built; the segments are exactly the [Split] block groups, so
-   reify-then-eval and segmented-eval agree by construction. *)
-
-type hval = Plain of Value.t | Seg of Value.t array * int array
-
-let seg_starts sizes =
-  let s = Array.length sizes in
-  let starts = Array.make (s + 1) 0 in
-  for j = 0 to s - 1 do
-    starts.(j + 1) <- starts.(j) + sizes.(j)
-  done;
-  starts
-
-let reify = function
-  | Plain v -> v
-  | Seg (payload, sizes) ->
-      let starts = seg_starts sizes in
-      Value.Arr
-        (Array.init (Array.length sizes) (fun j ->
-             Value.Arr (Array.sub payload starts.(j) sizes.(j))))
-
-let is_nested_stage = function
-  | Ast.Split _ | Ast.Combine | Ast.Map_nested _ -> true
-  | _ -> false
 
 let rec eval_node ~exec ~fx (e : Ast.expr) (v : Value.t) : Value.t =
   match e with
@@ -242,62 +209,6 @@ and eval_chain ~exec ~fx (chain : Ast.expr list) (v : Value.t) : Value.t =
           | [] -> assert false))
   | stage :: rest -> eval_chain ~exec ~fx rest (eval_node ~exec ~fx stage v)
 
-(* Top-level driver over segmented values. Maximal flat runs batch through
-   the fusion-aware [eval_chain]; the three nesting stages operate on the
-   descriptor when the shape fits the one-level discipline, and fall back
-   to the materialised [eval_node] (exact reference semantics, including
-   its error taxonomy) when it does not. *)
-and eval_hchain ~exec ~fx (chain : Ast.expr list) (hv : hval) : hval =
-  let fallback stage rest hv = eval_hchain ~exec ~fx rest (Plain (eval_node ~exec ~fx stage (reify hv))) in
-  match chain with
-  | [] -> hv
-  | Ast.Split p :: rest -> (
-      match hv with
-      | Plain (Value.Arr a) when p > 0 ->
-          let b = Ast.block_bounds ~total:(Array.length a) ~parts:p in
-          let sizes = Array.init p (fun k -> b.(k + 1) - b.(k)) in
-          eval_hchain ~exec ~fx rest (Seg (a, sizes))
-      | _ -> fallback (Ast.Split p) rest hv)
-  | Ast.Combine :: rest -> (
-      match hv with
-      | Seg (payload, _) ->
-          (* groups are contiguous slices of the payload, so concatenating
-             them is the payload — combine costs nothing *)
-          eval_hchain ~exec ~fx rest (Plain (Value.Arr payload))
-      | Plain _ -> fallback Ast.Combine rest hv)
-  | Ast.Map_nested body :: rest -> (
-      match hv with
-      | Seg (payload, sizes) ->
-          let starts = seg_starts sizes in
-          let chain_b = Ast.to_chain body in
-          let results =
-            wrap "map_nested" (fun () ->
-                Scl.Par_array.unsafe_to_array
-                  (Scl.Elementary.map ~exec
-                     (fun g -> eval_chain ~exec ~fx chain_b g)
-                     (Scl.Par_array.unsafe_of_array
-                        (Array.init (Array.length sizes) (fun j ->
-                             Value.Arr (Array.sub payload starts.(j) sizes.(j)))))))
-          in
-          let hv' =
-            if Array.for_all (function Value.Arr _ -> true | _ -> false) results then
-              (* still grouped: re-segment so a following [Combine] stays free *)
-              let groups = Array.map Value.as_arr results in
-              Seg (Array.concat (Array.to_list groups), Array.map Array.length groups)
-            else
-              (* e.g. a fold body: one scalar per group, now a flat array *)
-              Plain (Value.Arr results)
-          in
-          eval_hchain ~exec ~fx rest hv'
-      | Plain _ -> fallback (Ast.Map_nested body) rest hv)
-  | _ ->
-      let rec span acc = function
-        | st :: tl when not (is_nested_stage st) -> span (st :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let flat, tl = span [] chain in
-      eval_hchain ~exec ~fx tl (Plain (eval_chain ~exec ~fx flat (reify hv)))
-
 let eval ?(exec = Scl.Exec.sequential) ?(fx = Scl.Flat_exec.sequential) ?(optimize = false)
     (e : Ast.expr) (v : Value.t) : Value.t =
   let e =
@@ -306,4 +217,4 @@ let eval ?(exec = Scl.Exec.sequential) ?(fx = Scl.Flat_exec.sequential) ?(optimi
       let n = match v with Value.Arr a -> Some (Array.length a) | _ -> None in
       (Optimizer.optimize ?n e).Optimizer.output
   in
-  reify (eval_hchain ~exec ~fx (Ast.to_chain e) (Plain v))
+  eval_chain ~exec ~fx (Ast.to_chain e) v

@@ -27,18 +27,13 @@ type state =
   | V of Value.t Scl_sim.Dvec.t  (* a distributed ParArray *)
   | S of Value.t  (* a replicated scalar (after fold / foldr) *)
   | Seg of Value.t Scl_sim.Dvec.t * int array
-      (* a split ParArray: flat payload + replicated segment sizes *)
+      (* a split ParArray: flat payload + replicated segment bounds *)
 
-(* --- segment descriptor helpers (replicated, so every rank agrees) -------- *)
+(* --- segment descriptor helpers (replicated, so every rank agrees) --------
 
-(* starts.(j) = global index of the first element of segment j; length s+1. *)
-let seg_starts sizes =
-  let s = Array.length sizes in
-  let starts = Array.make (s + 1) 0 in
-  for j = 0 to s - 1 do
-    starts.(j + 1) <- starts.(j) + sizes.(j)
-  done;
-  starts
+   The descriptor is [Split]'s block bounds: starts.(j) is the global index
+   of the first element of segment j, and starts.(s) the payload's total, so
+   segment j holds starts.(j+1) - starts.(j) elements. *)
 
 (* The segment containing global index g: the last j with starts.(j) <= g,
    which skips empty segments. Requires 0 <= g < total. *)
@@ -160,9 +155,7 @@ and exec_prim (comm : Comm.t) (e : Ast.expr) (st : state) : state =
       match st with
       | V dv ->
           if p <= 0 then Value.type_error "split: non-positive part count";
-          let b = Ast.block_bounds ~total:(Scl_sim.Dvec.total dv) ~parts:p in
-          let sizes = Array.init p (fun k -> b.(k + 1) - b.(k)) in
-          Seg (dv, sizes)
+          Seg (dv, Ast.block_bounds ~total:(Scl_sim.Dvec.total dv) ~parts:p)
       | S _ -> Value.type_error "pipeline applies an array skeleton to a scalar"
       | Seg _ -> raise (Unsupported "nesting deeper than one level is not executable; flatten first"))
   | Ast.Combine -> (
@@ -172,7 +165,7 @@ and exec_prim (comm : Comm.t) (e : Ast.expr) (st : state) : state =
       | S _ -> Value.type_error "pipeline applies an array skeleton to a scalar")
   | Ast.Map_nested body -> (
       match st with
-      | Seg (dv, sizes) -> seg_exec comm sizes (Ast.to_chain body) dv
+      | Seg (dv, starts) -> seg_exec comm starts (Ast.to_chain body) dv
       | V dv ->
           (* Flat elements are scalars: only identity bodies evaluate. *)
           if vacuous body then V dv
@@ -186,11 +179,10 @@ and exec_prim (comm : Comm.t) (e : Ast.expr) (st : state) : state =
    through the (replicated) segment descriptor, so communication stays
    exactly as distributed as the flat case — the executable content of the
    flattening rules. *)
-and seg_exec comm sizes chain dv : state =
-  let starts = seg_starts sizes in
+and seg_exec comm starts chain dv : state =
   let rec go chain dv =
     match chain with
-    | [] -> Seg (dv, sizes)
+    | [] -> Seg (dv, starts)
     | stage :: rest -> (
         match stage with
         | Ast.Id -> go rest dv
@@ -214,8 +206,7 @@ and seg_exec comm sizes chain dv : state =
             in
             let scanned =
               Scl_sim.Dvec.scan ~flops_per_elem:f.Fn.cost2
-                (fun (f1, a) (f2, b) ->
-                  if f2 then (f1 || f2, b) else (f1 || f2, f.Fn.apply2 a b))
+                (Scl.Nested.segmented_op f.Fn.apply2)
                 tagged
             in
             go rest (Scl_sim.Dvec.map ~flops_per_elem:0 snd scanned)
@@ -224,7 +215,7 @@ and seg_exec comm sizes chain dv : state =
               (Scl_sim.Dvec.fetch
                  (fun g ->
                    let j, i = seg_local starts g in
-                   let l = sizes.(j) in
+                   let l = starts.(j + 1) - starts.(j) in
                    starts.(j) + ((((i + k) mod l) + l) mod l))
                  dv)
         | Ast.Fetch f ->
@@ -232,7 +223,7 @@ and seg_exec comm sizes chain dv : state =
               (Scl_sim.Dvec.fetch
                  (fun g ->
                    let j, i = seg_local starts g in
-                   let l = sizes.(j) in
+                   let l = starts.(j + 1) - starts.(j) in
                    let s = f.Fn.iapply ~n:l i in
                    if s < 0 || s >= l then
                      Value.type_error "fetch %s: source out of range" f.Fn.iname;
@@ -243,7 +234,7 @@ and seg_exec comm sizes chain dv : state =
               Scl_sim.Dvec.send
                 (fun g ->
                   let j, i = seg_local starts g in
-                  let l = sizes.(j) in
+                  let l = starts.(j + 1) - starts.(j) in
                   let d = f.Fn.iapply ~n:l i in
                   if d < 0 || d >= l then
                     Value.type_error "send %s: destination out of range" f.Fn.iname;
@@ -258,7 +249,7 @@ and seg_exec comm sizes chain dv : state =
                    | _ -> Value.type_error "send %s: not a permutation" f.Fn.iname)
                  sent)
         | Ast.Fold f ->
-            let flat = seg_fold comm f sizes starts dv in
+            let flat = seg_fold comm f starts dv in
             (* per-segment scalars: any further array stage in the body is
                the reference interpreter's type error *)
             if List.concat_map Ast.to_chain rest <> [] then
@@ -283,9 +274,11 @@ and seg_exec comm sizes chain dv : state =
    segment, then an allgather of the (segment, partial) pairs — traffic is
    proportional to segments x processors, not to n — combined in global
    index order on every rank, and the s results re-distributed block-wise. *)
-and seg_fold comm (f : Fn.t2) sizes starts dv : Value.t Scl_sim.Dvec.t =
-  Array.iter (fun l -> if l = 0 then Value.type_error "fold: empty array") sizes;
-  let s = Array.length sizes in
+and seg_fold comm (f : Fn.t2) starts dv : Value.t Scl_sim.Dvec.t =
+  let s = Array.length starts - 1 in
+  for j = 0 to s - 1 do
+    if starts.(j + 1) = starts.(j) then Value.type_error "fold: empty array"
+  done;
   let loc = Scl_sim.Dvec.local dv and off = Scl_sim.Dvec.offset dv in
   let partials = ref [] in
   Array.iteri
@@ -324,11 +317,10 @@ let run backend ?topology ~procs (e : Ast.expr) (input : Value.t) =
       match final with
       | V dv -> Scl_sim.Dvec.gather ~root:0 dv |> Option.map (fun a -> Value.Arr a)
       | S v -> if Comm.rank comm = 0 then Some v else None
-      | Seg (dv, sizes) ->
+      | Seg (dv, starts) ->
           (* pipeline ends grouped: regroup the gathered payload *)
           Scl_sim.Dvec.gather ~root:0 dv
           |> Option.map (fun a ->
-                 let starts = seg_starts sizes in
                  Value.Arr
-                   (Array.init (Array.length sizes) (fun j ->
-                        Value.Arr (Array.sub a starts.(j) sizes.(j))))))
+                   (Array.init (Array.length starts - 1) (fun j ->
+                        Value.Arr (Array.sub a starts.(j) (starts.(j + 1) - starts.(j)))))))

@@ -205,6 +205,25 @@ let test_exec_instrumented () =
           if hs.Obs.Metrics.hs_count < 1 then Alcotest.fail "pmap span recorded no samples";
           Alcotest.(check string) "span unit" "ns" hs.Obs.Metrics.hs_unit)
 
+let test_map_compose_one_pass () =
+  (* map_compose is one pmap of the composed function: one span sample and
+     one exec call, where map . map would record two of each *)
+  with_obs_enabled (fun () ->
+      let pa = Scl.Par_array.init 100 (fun i -> i) in
+      ignore (Scl.map Fun.id pa);
+      let calls () = Option.value ~default:0 (Obs.Metrics.counter_value "exec.sequential.calls") in
+      let samples () =
+        match Obs.Metrics.histogram_snapshot "exec.sequential.pmap" with
+        | None -> Alcotest.fail "exec.sequential.pmap span not registered"
+        | Some hs -> hs.Obs.Metrics.hs_count
+      in
+      let c0 = calls () and s0 = samples () in
+      let got = Scl.map_compose (fun x -> x + 1) (fun x -> x * 2) pa in
+      Alcotest.(check (list int)) "value" (List.init 100 (fun i -> (2 * i) + 1))
+        (Scl.Par_array.to_list got);
+      Alcotest.(check int) "one exec call" 1 (calls () - c0);
+      Alcotest.(check int) "one pmap sample" 1 (samples () - s0))
+
 let test_sim_counters () =
   with_obs_enabled (fun () ->
       Obs.reset ();
@@ -506,6 +525,7 @@ let () =
       ( "wiring",
         [
           Alcotest.test_case "exec backends instrumented" `Quick test_exec_instrumented;
+          Alcotest.test_case "map_compose is one pmap pass" `Quick test_map_compose_one_pass;
           Alcotest.test_case "sim counters" `Quick test_sim_counters;
           Alcotest.test_case "pool stats" `Quick test_pool_stats;
           Alcotest.test_case "pool publishes on teardown" `Quick test_pool_publish_obs;

@@ -304,6 +304,9 @@ let test_error_taxonomy_agreement () =
       ("send oob", Ast.Send oob, arr);
       ("send non-perm", Ast.Send const0, arr);
       ("fetch oob", Ast.Fetch oob, arr);
+      ("split 0", Ast.Split 0, arr);
+      ("combine flat", Ast.Combine, arr);
+      ("mapn over flat", Ast.Map_nested (Ast.Map Fn.incr), arr);
     ]
   in
   List.iter

@@ -603,45 +603,66 @@ let prop_rotate_col_inverse =
 
 (* --- Nested (segmented) operations ------------------------------------------------- *)
 
+(* A nested array as the flat machinery sees it: one flagged element per
+   leaf, the flag set on each segment's first element. The segmented
+   scan of the SPMD executor is [Elementary.scan] of [Nested.segmented_op]
+   over exactly this shape. *)
 let gen_nested =
-  QCheck.Gen.(
-    map
-      (fun segs -> Par_array.of_list (List.map Array.of_list segs))
-      (list_size (int_range 0 8) (list_size (int_range 0 10) small_int)))
+  QCheck.Gen.(list_size (int_range 0 8) (list_size (int_range 0 10) small_int))
 
 let arb_nested =
   QCheck.make
-    ~print:(fun nested ->
-      Fmt.str "%a" (Par_array.pp (fun ppf a -> Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ";") int) a)) nested)
+    ~print:QCheck.Print.(list (list int))
     gen_nested
+
+let flagged segs =
+  Par_array.of_list (List.concat_map (List.mapi (fun i x -> (i = 0, x))) segs)
+
+let per_segment_scan op segs =
+  List.concat_map
+    (function
+      | [] -> []
+      | x :: rest ->
+          List.rev (List.fold_left (fun acc y -> op (List.hd acc) y :: acc) [ x ] rest))
+    segs
+
+let lifted_scan ?exec op segs =
+  List.map snd (Par_array.to_list (Elementary.scan ?exec (Nested.segmented_op op) (flagged segs)))
 
 let prop_segmented_scan_matches_reference =
   qtest "segmented scan (flat machinery) = per-segment scan"
     arb_nested
-    (fun nested ->
-      let got = Nested.segmented_scan ( + ) nested in
-      let expect = Nested.segmented_scan_reference ( + ) nested in
-      Par_array.equal ( = ) got expect)
+    (fun segs -> lifted_scan ( + ) segs = per_segment_scan ( + ) segs)
 
 let prop_segmented_scan_pool_backend =
+  (* string append is not commutative, so a pool scan that combined
+     chunks out of order would show *)
   qtest ~count:60 "segmented scan on the pool backend"
     arb_nested
-    (fun nested ->
-      let got = Nested.segmented_scan ~exec:(Lazy.force pexec) ( ^ )
-          (Elementary.map (Array.map string_of_int) nested)
-      in
-      let expect =
-        Nested.segmented_scan_reference ( ^ ) (Elementary.map (Array.map string_of_int) nested)
-      in
-      Par_array.equal ( = ) got expect)
+    (fun segs ->
+      let segs = List.map (List.map string_of_int) segs in
+      lifted_scan ~exec:(Lazy.force pexec) ( ^ ) segs = per_segment_scan ( ^ ) segs)
 
 let prop_segmented_fold =
+  (* a segmented fold is the flat lifted scan read at each segment's last
+     element; an empty segment has no element and so no reading *)
   qtest "segmented fold = per-segment sum"
     arb_nested
-    (fun nested ->
-      let got = Nested.segmented_fold ( + ) 0 nested in
-      let expect = Elementary.map (Array.fold_left ( + ) 0) nested in
-      Par_array.equal ( = ) got expect)
+    (fun segs ->
+      let scanned = Array.of_list (lifted_scan ( + ) segs) in
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (start, acc) seg ->
+                  let n = List.length seg in
+                  (start + n, if n = 0 then acc else scanned.(start + n - 1) :: acc))
+                (0, []) segs))
+      in
+      ends
+      = List.filter_map
+          (function [] -> None | seg -> Some (List.fold_left ( + ) 0 seg))
+          segs)
 
 let prop_segmented_op_associative =
   qtest "flag-reset lift preserves associativity"
@@ -650,89 +671,12 @@ let prop_segmented_op_associative =
       let op = Nested.segmented_op ( + ) in
       op (op a b) c = op a (op b c))
 
-let test_flatten_roundtrip () =
-  let nested = Par_array.of_list [ [| 1; 2 |]; [||]; [| 3 |] ] in
-  let lengths = Nested.segment_lengths nested in
-  let flat = Array.map snd (Nested.flatten_with_flags nested) in
-  Alcotest.(check bool) "unflatten inverts" true
-    (Par_array.equal ( = ) (Nested.unflatten lengths flat) nested)
-
-(* --- Stream skeletons --------------------------------------------------------------- *)
-
-let test_stream_single_stage () =
-  let pipe = Stream_skel.stage (fun x -> x * 3) in
-  Alcotest.(check (list int)) "map law" [ 3; 6; 9 ] (Stream_skel.run pipe [ 1; 2; 3 ])
-
-let test_stream_composition () =
-  let open Stream_skel in
-  let pipe = stage (fun x -> x + 1) >>> stage (fun x -> x * 2) >>> stage string_of_int in
-  Alcotest.(check (list string)) "pipeline" [ "4"; "6"; "8" ] (run pipe [ 1; 2; 3 ])
-
-let test_stream_farm_preserves_order () =
-  let open Stream_skel in
-  (* Jobs with inversely proportional cost: later jobs finish first inside
-     the farm; the collector must still restore input order. *)
-  let slow_for x =
-    let spin = (50 - x) * 2000 in
-    let acc = ref 0 in
-    for i = 1 to spin do
-      acc := !acc + i
-    done;
-    ignore !acc;
-    x * x
-  in
-  let pipe = farm ~workers:4 slow_for in
-  let inputs = List.init 50 Fun.id in
-  Alcotest.(check (list int)) "ordered" (List.map (fun x -> x * x) inputs) (run pipe inputs)
-
-let test_stream_law_matches_apply () =
-  let open Stream_skel in
-  let pipe = stage (fun x -> x - 7) >>> farm ~workers:3 (fun x -> x * x) >>> stage (fun x -> x mod 97) in
-  let inputs = List.init 200 (fun i -> i * 13) in
-  Alcotest.(check (list int)) "run = map apply" (List.map (apply pipe) inputs) (run pipe inputs)
-
-let test_stream_empty_input () =
-  let pipe = Stream_skel.stage (fun x -> x + 1) in
-  Alcotest.(check (list int)) "empty" [] (Stream_skel.run pipe [])
-
-let test_stream_failure_propagates () =
-  let open Stream_skel in
-  let pipe = stage (fun x -> if x = 5 then failwith "boom" else x) >>> stage (fun x -> x * 2) in
-  Alcotest.(check bool) "Stage_failure raised" true
-    (try
-       ignore (run pipe [ 1; 2; 3; 4; 5; 6 ]);
-       false
-     with Stage_failure (Failure msg, _) -> msg = "boom")
-
-let test_stream_invalid_workers () =
-  Alcotest.(check bool) "0 workers rejected" true
-    (try
-       ignore (Stream_skel.stage ~workers:0 Fun.id);
-       false
-     with Invalid_argument _ -> true)
-
-let test_stream_stage_count () =
-  let open Stream_skel in
-  Alcotest.(check int) "three stages" 3
-    (stages (stage Fun.id >>> stage Fun.id >>> stage Fun.id))
-
-let prop_stream_matches_list_map =
-  qtest ~count:25 "stream run = List.map (sequential meaning)"
-    QCheck.(pair (list small_int) (int_range 1 4))
-    (fun (xs, workers) ->
-      let open Stream_skel in
-      let pipe = farm ~workers (fun x -> (x * 31) mod 101) in
-      run pipe xs = List.map (apply pipe) xs)
-
-let test_stream_failed_spawn_releases_stages () =
-  (* more stage workers than the domain table holds: the run must refuse,
-     and end and join the stages it did spawn, or no later pipe can run *)
-  let open Stream_skel in
-  (match run (farm ~workers:64 succ >>> farm ~workers:64 succ) [ 1 ] with
-  | _ -> Alcotest.fail "expected a refused spawn"
-  | exception Failure _ -> ());
-  Alcotest.(check (list int)) "a later pipe still runs" [ 3; 4 ]
-    (run (farm ~workers:2 succ >>> farm ~workers:2 succ) [ 1; 2 ])
+let prop_segmented_op_resets =
+  qtest "flag-reset lift resets at a segment start"
+    QCheck.(triple (pair bool small_int) bool small_int)
+    (fun ((fa, a), fb, b) ->
+      let op = Nested.segmented_op ( - ) in
+      op (fa, a) (fb, b) = if fb then (true, b) else (fa, a - b))
 
 (* --- Fused primitives ------------------------------------------------------------- *)
 
@@ -1422,19 +1366,7 @@ let () =
           prop_segmented_scan_pool_backend;
           prop_segmented_fold;
           prop_segmented_op_associative;
-          Alcotest.test_case "flatten roundtrip" `Quick test_flatten_roundtrip;
-        ] );
-      ( "stream_skel",
-        [
-          Alcotest.test_case "single stage" `Quick test_stream_single_stage;
-          Alcotest.test_case "composition" `Quick test_stream_composition;
-          Alcotest.test_case "farm preserves order" `Slow test_stream_farm_preserves_order;
-          Alcotest.test_case "run = map apply" `Slow test_stream_law_matches_apply;
-          Alcotest.test_case "empty input" `Quick test_stream_empty_input;
-          Alcotest.test_case "failure propagates" `Quick test_stream_failure_propagates;
-          Alcotest.test_case "invalid workers" `Quick test_stream_invalid_workers;
-          Alcotest.test_case "stage count" `Quick test_stream_stage_count;
-          prop_stream_matches_list_map;
+          prop_segmented_op_resets;
         ] );
       ( "fused",
         [
@@ -1479,12 +1411,6 @@ let () =
         [
           Alcotest.test_case "chunk bounds" `Quick test_chunk_bounds;
           Alcotest.test_case "grain heuristic" `Quick test_grain_for;
-        ] );
-      (* last: it fills the runtime's domain table *)
-      ( "domains",
-        [
-          Alcotest.test_case "failed spawn releases spawned stages" `Quick
-            test_stream_failed_spawn_releases_stages;
         ] );
     ]
   in

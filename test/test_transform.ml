@@ -457,12 +457,22 @@ let test_sim_exec_rejects_deeper_nesting () =
 
 let test_nested_cross_backend () =
   (* Acceptance gate for the segmented representation: nested pipelines —
-     one that stays segmented (scan body) and one the beam search flattens
-     away entirely — compute the identical value on the reference
-     interpreter, the sequential host backend, a 3-domain pool, and the
-     simulator at p in {1,2,4}. *)
+     ones that stay segmented (scan and fold bodies, empty groups, a bare
+     split/combine) and one the beam search flattens away entirely —
+     compute the identical value on the reference interpreter, the
+     sequential host backend, a 3-domain pool, and the simulator at
+     p in {1,2,4}. *)
   let segmented =
     Parser.parse_exn "map double . combine . mapn [ scan add . map incr ] . split 3"
+  in
+  let nested_cases =
+    List.map Parser.parse_exn
+      [
+        (* 11 elements in 16 groups: 5 groups are empty *)
+        "combine . mapn [ scan add . map incr ] . split 16";
+        "mapn [ fold add ] . split 3";
+        "combine . split 4";
+      ]
   in
   let v = Value.of_int_array (Array.init 11 (fun i -> i * 7 mod 13)) in
   let pool = Runtime.Pool.create ~num_domains:3 () in
@@ -488,7 +498,162 @@ let test_nested_cross_backend () =
                     true (Value.equal expected got))
                 [ 1; 2; 4 ])
             [ nested; b.Optimizer.output ])
-        [ segmented; search_workload ])
+        (segmented :: search_workload :: nested_cases))
+
+let test_nested_sim_stats_pinned () =
+  (* the segment descriptor carries [Split]'s bounds; messages, bytes and
+     simulated time of segmented pipelines are those the earlier
+     descriptor (which recomputed the starts) produced, bit for bit *)
+  let v = Value.of_int_array (Array.init 11 (fun i -> i * 7 mod 13)) in
+  List.iter
+    (fun (src, msgs, bytes, makespan) ->
+      let _, s = Spmd_exec.run sim ~procs:4 (Parser.parse_exn src) v in
+      Alcotest.(check int) ("msgs: " ^ src) msgs s.Machine.Sim.total_msgs;
+      Alcotest.(check int) ("bytes: " ^ src) bytes s.Machine.Sim.total_bytes;
+      Alcotest.(check bool) ("makespan: " ^ src) true (Float.equal makespan s.Machine.Sim.makespan))
+    [
+      ("map double . combine . mapn [ scan add . map incr ] . split 3", 49, 1133, 0x1.cd1f2d16e4737p-12);
+      ("combine . mapn [ scan add . map incr ] . split 16", 41, 965, 0x1.7398282a6b8ecp-12);
+      ("mapn [ fold add ] . split 3", 37, 985, 0x1.e8ada8f023bf5p-12);
+      ("combine . split 4", 25, 597, 0x1.fb6d492e9d21bp-13);
+    ]
+
+(* Nested shapes at arbitrary group counts, empty groups included ([k > n]);
+   the random pipeline generators cap [split] at the input length. *)
+let arb_grouped =
+  QCheck.(
+    triple (list_of_size (QCheck.Gen.int_range 0 30) small_int) (int_range 1 12) (int_range 1 4))
+
+(* The groups [split k] makes, by [Ast.block_bounds] directly. *)
+let groups_of xs k =
+  let a = Array.of_list xs in
+  let b = Ast.block_bounds ~total:(Array.length a) ~parts:k in
+  List.init k (fun g -> Array.to_list (Array.sub a b.(g) (b.(g + 1) - b.(g))))
+
+let prop_sim_segmented_scan_per_group =
+  qtest ~count:100 "segmented scan = per-group scan at every p" arb_grouped
+    (fun (xs, k, procs) ->
+      let e = Parser.parse_exn (Printf.sprintf "combine . mapn [ scan add ] . split %d" k) in
+      let scan_group g =
+        List.rev
+          (List.fold_left
+             (fun acc x -> match acc with [] -> [ x ] | s :: _ -> (s + x) :: acc)
+             [] g)
+      in
+      let expected = List.concat_map scan_group (groups_of xs k) in
+      let got, _ = Spmd_exec.run sim ~procs e (value_of_list xs) in
+      Value.to_int_array got = Array.of_list expected)
+
+let prop_sim_segmented_fold_bounds =
+  qtest ~count:100 "segmented fold follows block_bounds" arb_grouped
+    (fun (xs, k, procs) ->
+      (* every group non-empty, so the per-group fold is defined *)
+      let xs = if List.length xs < k then xs @ List.init k Fun.id else xs in
+      let e = Parser.parse_exn (Printf.sprintf "mapn [ fold add ] . split %d" k) in
+      let got, _ = Spmd_exec.run sim ~procs e (value_of_list xs) in
+      Value.to_int_array got
+      = Array.of_list (List.map (List.fold_left ( + ) 0) (groups_of xs k)))
+
+let prop_sim_split_combine_roundtrip =
+  qtest ~count:100 "split/combine roundtrip at every p" arb_grouped
+    (fun (xs, k, procs) ->
+      let e = Parser.parse_exn (Printf.sprintf "combine . split %d" k) in
+      let got, _ = Spmd_exec.run sim ~procs e (value_of_list xs) in
+      Value.to_int_array got = Array.of_list xs)
+
+let test_nested_empty_group_fold_raises () =
+  (* 3 elements in 4 groups: the last group is empty, and a fold over it
+     is undefined on every backend alike *)
+  let e = Parser.parse_exn "mapn [ fold add ] . split 4" in
+  let v = value_of_list [ 1; 2; 3 ] in
+  let expect_type_error who f =
+    match f () with
+    | exception Value.Type_error _ -> ()
+    | exception ex -> Alcotest.fail (who ^ " raised " ^ Printexc.to_string ex)
+    | _ -> Alcotest.fail (who ^ " did not raise")
+  in
+  expect_type_error "reference" (fun () -> Ast.eval e v);
+  expect_type_error "host-seq" (fun () -> Host_exec.eval e v);
+  List.iter
+    (fun procs ->
+      expect_type_error (Printf.sprintf "sim p=%d" procs) (fun () -> Spmd_exec.run sim ~procs e v))
+    [ 1; 2; 4 ]
+
+(* Nested pipeline sources over [split k], for k in 1..16. *)
+let gen_nested_source =
+  QCheck.Gen.(
+    map2
+      (fun shape k -> shape k)
+      (oneofl
+         [
+           Printf.sprintf "combine . mapn [ scan add . map incr ] . split %d";
+           Printf.sprintf "mapn [ map double ] . split %d";
+           Printf.sprintf "combine . mapn [ rotate 1 ] . split %d";
+           Printf.sprintf "combine . mapn [ fetch shift:-1 . map square ] . split %d";
+           Printf.sprintf "map incr . combine . split %d . map double";
+         ])
+      (int_range 1 16))
+
+let host_agrees ?exec (xs, src) =
+  let e = Parser.parse_exn src in
+  let v = value_of_list xs in
+  match Ast.eval e v with
+  | expected -> Value.equal expected (Host_exec.eval ?exec e v)
+  | exception Value.Type_error _ -> (
+      match Host_exec.eval ?exec e v with
+      | exception Value.Type_error _ -> true
+      | _ -> false)
+
+let arb_host_nested =
+  QCheck.(
+    pair
+      (list_of_size (QCheck.Gen.int_range 0 30) small_int)
+      (make ~print:Fun.id gen_nested_source))
+
+let prop_host_nested_matches_reference =
+  qtest ~count:150 "host nested = reference with empty groups" arb_host_nested
+    (fun c -> host_agrees c)
+
+let host_pool = lazy (Runtime.Pool.create ~num_domains:2 ())
+
+let prop_host_nested_optimized_matches_reference =
+  qtest ~count:100 "host nested optimized = reference with empty groups" arb_host_nested
+    (fun (xs, src) ->
+      let e = Parser.parse_exn src in
+      let v = value_of_list xs in
+      match Ast.eval e v with
+      | expected -> Value.equal expected (Host_exec.eval ~optimize:true e v)
+      | exception Value.Type_error _ -> (
+          match Host_exec.eval ~optimize:true e v with
+          | exception Value.Type_error _ -> true
+          | _ -> false))
+
+let prop_host_nested_pool_matches_reference =
+  qtest ~count:60 "host nested on the pool = reference" arb_host_nested
+    (fun c -> host_agrees ~exec:(Scl.Exec.on_pool (Lazy.force host_pool)) c)
+
+let test_nested_multicore_matches_sim () =
+  (* the segment descriptor runs on real domains exactly as on the
+     simulator: same values, empty groups included *)
+  let mc = Machine.Backend.multicore ~domains:2 () in
+  let v = Value.of_int_array (Array.init 11 (fun i -> i * 7 mod 13)) in
+  List.iter
+    (fun src ->
+      let e = Parser.parse_exn src in
+      List.iter
+        (fun procs ->
+          let want, _ = Spmd_exec.run sim ~procs e v in
+          let got, _ = Spmd_exec.run mc ~procs e v in
+          Alcotest.(check bool)
+            (Printf.sprintf "multicore p=%d: %s" procs src)
+            true (Value.equal want got))
+        [ 1; 2; 3 ])
+    [
+      "map double . combine . mapn [ scan add . map incr ] . split 3";
+      "combine . mapn [ scan add . map incr ] . split 16";
+      "mapn [ fold add ] . split 3";
+      "combine . split 4";
+    ]
 
 (* --- commuting rules ---------------------------------------------------------- *)
 
@@ -1082,7 +1247,7 @@ let test_nested_map_chain_roundtrip () =
             (Printf.sprintf "expected singleton chain, got %d stages" (List.length c)))
 
 let () =
-  Alcotest.run "transform"
+  let suite =
     [
       ( "interpreter",
         [
@@ -1150,6 +1315,16 @@ let () =
           Alcotest.test_case "segmented fold" `Quick test_sim_exec_segmented_fold;
           Alcotest.test_case "deeper nesting rejected" `Quick test_sim_exec_rejects_deeper_nesting;
           Alcotest.test_case "nested cross-backend" `Quick test_nested_cross_backend;
+          prop_sim_segmented_scan_per_group;
+          prop_sim_segmented_fold_bounds;
+          prop_sim_split_combine_roundtrip;
+          Alcotest.test_case "empty-group fold raises everywhere" `Quick
+            test_nested_empty_group_fold_raises;
+          prop_host_nested_matches_reference;
+          prop_host_nested_pool_matches_reference;
+          Alcotest.test_case "nested on multicore = sim" `Quick test_nested_multicore_matches_sim;
+          Alcotest.test_case "segmented sim stats pinned" `Quick test_nested_sim_stats_pinned;
+          prop_host_nested_optimized_matches_reference;
         ] );
       ( "search",
         [
@@ -1219,3 +1394,6 @@ let () =
           Alcotest.test_case "parser float registry" `Quick test_parse_float_registry;
         ] );
     ]
+  in
+  let finally () = if Lazy.is_val host_pool then Runtime.Pool.teardown (Lazy.force host_pool) in
+  Fun.protect ~finally (fun () -> Alcotest.run "transform" suite)
