@@ -84,7 +84,6 @@ let static backend ~procs (spec : 'r job_spec) =
 
 let tag_request = 7001
 let tag_job = 7002
-let tag_result = 7003
 
 let obs_retries = Obs.Counter.make "farm.retries"
 let obs_reassignments = Obs.Counter.make "farm.reassignments"

@@ -6,14 +6,7 @@
    GC, [sub_view] is an O(1) header allocation sharing the same storage
    (the configuration-skeleton fast path, like [Par_array.sub_view]), and
    the machine layer can move a view between ranks as one bulk message
-   without marshalling ([Engine.send_slice]).
-
-   The partition fast paths mirror [Partition.apply]/[unapply] exactly:
-   Block parts are copy-free sub-views; Cyclic and Block_cyclic are
-   closed-form strided copies (no per-element assign dispatch); Custom
-   patterns fall back to the generic assign-driven pass.  The boxed
-   [Partition] implementation is the executable specification the flat
-   paths are property-tested against. *)
+   without marshalling ([Engine.send_slice]). *)
 
 type ('a, 'b) t = ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t
 type float1 = (float, Bigarray.float64_elt) t
@@ -143,126 +136,6 @@ let equal (a : ('a, 'b) t) (b : ('a, 'b) t) =
   let n = length a in
   let rec go i = i >= n || (Bigarray.Array1.unsafe_get a i = Bigarray.Array1.unsafe_get b i && go (i + 1)) in
   go 0
-
-(* --- partition fast paths ------------------------------------------------- *)
-
-(* The generic assign-driven pass: the executable specification, and the
-   Custom-pattern implementation.  One counting pass (via [part_sizes]),
-   one dealing pass. *)
-let apply_generic pat (a : ('a, 'b) t) : ('a, 'b) t array =
-  let n = length a in
-  let sizes = Partition.part_sizes pat ~n in
-  let pieces = Array.map (fun s -> create (kind a) s) sizes in
-  let cursors = Array.make (Array.length sizes) 0 in
-  for i = 0 to n - 1 do
-    let p = Partition.assign pat ~n i in
-    Bigarray.Array1.unsafe_set pieces.(p) cursors.(p) (Bigarray.Array1.unsafe_get a i);
-    cursors.(p) <- cursors.(p) + 1
-  done;
-  pieces
-
-let bad_sizes () = invalid_arg "Flat.unapply: part sizes inconsistent with pattern"
-
-let check_parts pat pieces =
-  if Array.length pieces <> Partition.parts pat then
-    invalid_arg
-      (Printf.sprintf "Flat.unapply: %s expects %d parts, got %d" (Partition.name pat)
-         (Partition.parts pat) (Array.length pieces))
-
-let total_length pieces = Array.fold_left (fun acc p -> acc + length p) 0 pieces
-
-let check_sizes pat pieces n =
-  let sizes = Partition.part_sizes pat ~n in
-  Array.iteri (fun k s -> if length pieces.(k) <> s then bad_sizes ()) sizes
-
-let unapply_generic pat (pieces : ('a, 'b) t array) ~(kind : ('a, 'b) Bigarray.kind) :
-    ('a, 'b) t =
-  check_parts pat pieces;
-  let n = total_length pieces in
-  check_sizes pat pieces n;
-  let out = create kind n in
-  let cursors = Array.make (Array.length pieces) 0 in
-  for i = 0 to n - 1 do
-    let p = Partition.assign pat ~n i in
-    Bigarray.Array1.unsafe_set out i (Bigarray.Array1.unsafe_get pieces.(p) cursors.(p));
-    cursors.(p) <- cursors.(p) + 1
-  done;
-  out
-
-(* [apply pat a]: split into parts.  Block parts are O(1) copy-free views of
-   [a] (shared storage — the flat counterpart of [Partition.split]'s
-   zero-copy Block path); the other regular patterns are single-pass
-   strided copies. *)
-let apply pat (a : ('a, 'b) t) : ('a, 'b) t array =
-  let n = length a in
-  match pat with
-  | Partition.Block p ->
-      if p <= 0 then invalid_arg "Flat.apply: block pattern has no parts";
-      let b = Partition.block_bounds ~n ~p in
-      Array.init p (fun k -> sub_view a ~pos:b.(k) ~len:(b.(k + 1) - b.(k)))
-  | Partition.Cyclic p ->
-      if p <= 0 then invalid_arg "Flat.apply: cyclic pattern has no parts";
-      Array.init p (fun k ->
-          let len = Partition.cyclic_size ~n ~p k in
-          init (kind a) len (fun j -> Bigarray.Array1.unsafe_get a (k + (j * p))))
-  | Partition.Block_cyclic { parts = p; block } ->
-      if p <= 0 || block <= 0 then invalid_arg "Flat.apply: bad block_cyclic pattern";
-      let sizes = Partition.part_sizes pat ~n in
-      let pieces = Array.map (fun s -> create (kind a) s) sizes in
-      let cursors = Array.make p 0 in
-      let nblocks = (n + block - 1) / block in
-      for b = 0 to nblocks - 1 do
-        let src = b * block in
-        let len = min block (n - src) in
-        let k = b mod p in
-        Bigarray.Array1.blit (sub_view a ~pos:src ~len) (sub_view pieces.(k) ~pos:cursors.(k) ~len);
-        cursors.(k) <- cursors.(k) + len
-      done;
-      pieces
-  | Partition.Custom _ -> apply_generic pat a
-
-(* [unapply pat pieces]: the exact inverse of [apply] for any pattern (the
-   flat gather).  Always materialises a fresh array — piece provenance is
-   not tracked, so contiguity of Block views cannot be assumed. *)
-let unapply pat (pieces : ('a, 'b) t array) ~(kind : ('a, 'b) Bigarray.kind) : ('a, 'b) t =
-  check_parts pat pieces;
-  let n = total_length pieces in
-  match pat with
-  | Partition.Block p ->
-      let b = Partition.block_bounds ~n ~p in
-      for k = 0 to p - 1 do
-        if length pieces.(k) <> b.(k + 1) - b.(k) then bad_sizes ()
-      done;
-      let out = create kind n in
-      for k = 0 to p - 1 do
-        let len = length pieces.(k) in
-        if len > 0 then Bigarray.Array1.blit pieces.(k) (sub_view out ~pos:b.(k) ~len)
-      done;
-      out
-  | Partition.Cyclic p ->
-      check_sizes pat pieces n;
-      let out = create kind n in
-      for k = 0 to p - 1 do
-        let piece = pieces.(k) in
-        for j = 0 to length piece - 1 do
-          Bigarray.Array1.unsafe_set out (k + (j * p)) (Bigarray.Array1.unsafe_get piece j)
-        done
-      done;
-      out
-  | Partition.Block_cyclic { parts = p; block } ->
-      check_sizes pat pieces n;
-      let out = create kind n in
-      let cursors = Array.make p 0 in
-      let nblocks = (n + block - 1) / block in
-      for b = 0 to nblocks - 1 do
-        let dst = b * block in
-        let len = min block (n - dst) in
-        let k = b mod p in
-        Bigarray.Array1.blit (sub_view pieces.(k) ~pos:cursors.(k) ~len) (sub_view out ~pos:dst ~len);
-        cursors.(k) <- cursors.(k) + len
-      done;
-      out
-  | Partition.Custom _ -> unapply_generic pat pieces ~kind
 
 (* --- int flat tier -------------------------------------------------------- *)
 

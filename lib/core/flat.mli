@@ -9,9 +9,9 @@
 
     Views alias: mutating a view mutates the base. The skeleton-level
     discipline is the same as [Par_array]'s [unsafe_*] contract — once a
-    view has been handed off (sent, partitioned copy-free), the holder of
-    the base must not mutate the overlapping window until a synchronising
-    exchange with the receiver.
+    view has been handed off (sent, or scattered as a sub-view), the
+    holder of the base must not mutate the overlapping window until a
+    synchronising exchange with the receiver.
 
     {!length}, {!get} and {!set} are primitives: each call site is
     compiled for the array type it sees, an unboxed load or store when
@@ -21,9 +21,9 @@
     type annotation, or let-generalisation compiles it generic. The
     conversions {!of_array} and {!to_array} dispatch once on the kind and
     run unboxed for [float64] and [int]; the other polymorphic helpers
-    ({!init}, {!equal}, the Cyclic and Custom {!apply}/{!unapply}
-    passes) run one generic loop. {!init}'s closure also returns each
-    float boxed: a hot loop fills a {!create}d array in place instead. *)
+    ({!init}, {!equal}) run one generic loop. {!init}'s closure also
+    returns each float boxed: a hot loop fills a {!create}d array in
+    place instead. *)
 
 type ('a, 'b) t = ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -68,29 +68,6 @@ val concat : ('a, 'b) Bigarray.kind -> ('a, 'b) t array -> 'a array
 val of_float_array : float array -> float1
 val to_float_array : float1 -> float array
 val equal : ('a, 'b) t -> ('a, 'b) t -> bool
-
-(** {1 Partitioning}
-
-    Closed-form counterparts of {!Partition.apply}/[unapply], sharing the
-    same fast-path discipline: Block parts are O(1) copy-free sub-views,
-    Cyclic/Block_cyclic are single-pass strided copies, Custom falls back
-    to the generic assign-driven pass. The boxed [Partition] paths are the
-    executable specification these are property-tested against. *)
-
-val apply : Partition.t -> ('a, 'b) t -> ('a, 'b) t array
-(** Split into parts. Block parts are views of the input (shared
-    storage). *)
-
-val unapply : Partition.t -> ('a, 'b) t array -> kind:('a, 'b) Bigarray.kind -> ('a, 'b) t
-(** Exact inverse of {!apply}; always a fresh array. [~kind] seeds the
-    output so empty inputs need no witness element.
-    @raise Invalid_argument if part sizes are inconsistent. *)
-
-val apply_generic : Partition.t -> ('a, 'b) t -> ('a, 'b) t array
-(** Assign-driven specification path (exposed for property tests). *)
-
-val unapply_generic :
-  Partition.t -> ('a, 'b) t array -> kind:('a, 'b) Bigarray.kind -> ('a, 'b) t
 
 (** {1 Int tier}
 

@@ -53,20 +53,6 @@ let apply2 op a b =
   | Min -> Float.min a b
   | Fun2 f -> f a b
 
-let fun1_name = function
-  | Id -> "id"
-  | Neg -> "neg"
-  | Scale _ -> "scale"
-  | Offset _ -> "offset"
-  | Fun1 _ -> "fun1"
-
-let fun2_name = function
-  | Add -> "add"
-  | Mul -> "mul"
-  | Max -> "max"
-  | Min -> "min"
-  | Fun2 _ -> "fun2"
-
 type t = {
   name : string;
   fmap : fun1 -> Flat.float1 -> Flat.float1;

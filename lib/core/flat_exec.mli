@@ -38,8 +38,6 @@ type fun2 =
 
 val apply1 : fun1 -> float -> float
 val apply2 : fun2 -> float -> float -> float
-val fun1_name : fun1 -> string
-val fun2_name : fun2 -> string
 
 type t = {
   name : string;

@@ -20,14 +20,7 @@
 
 module Exec = Exec
 
-module Par_array = struct
-  include Par_array
-
-  (* The unboxed numeric tier rides along here ([Par_array.Flat]); it is
-     grafted in at this aggregation point because [Flat] needs [Partition]
-     (which itself builds on the boxed [Par_array]). *)
-  module Flat = Flat
-end
+module Par_array = Par_array
 
 module Flat = Flat
 module Flat_exec = Flat_exec

@@ -28,8 +28,8 @@
    real-time interleaving is not.
 
    Deadlock-freedom: every held send is flushed before this rank blocks in
-   a receive and when the wrapper is finalized at program end, so a
-   zero-crash schedule can only reorder traffic, never lose it. *)
+   a receive and when the program ends, so a zero-crash schedule can only
+   reorder traffic, never lose it. *)
 
 type spec = {
   seed : int;
@@ -131,6 +131,22 @@ let tick st =
   List.iter (fun h -> h.h_left <- h.h_left - 1) st.outbox;
   flush_ready st
 
+(* One send, boxed or bulk: both are one message, so they are held and
+   released alike — the fault model is per-message, and the coalescing
+   invariant (one bulk send = one message) holds under perturbation too.
+   [fire] is the underlying engine send, value captured. *)
+let send_or_hold st ~dest ~tag fire =
+  tick st;
+  if st.spec.delay_prob > 0.0 && Runtime.Xoshiro.float st.rng 1.0 < st.spec.delay_prob then begin
+    Obs.Counter.incr obs_faults;
+    let hold = 1 + Runtime.Xoshiro.int st.rng st.spec.max_hold in
+    st.outbox <- st.outbox @ [ { h_dest = dest; h_tag = tag; h_fire = fire; h_left = hold } ]
+  end
+  else begin
+    flush_channel st dest tag;
+    fire ()
+  end
+
 let wrap spec (eng : Engine.t) : Engine.t * state =
   if spec.delay_prob < 0.0 || spec.delay_prob > 1.0 then
     invalid_arg "Chaos.wrap: delay_prob must be in [0,1]";
@@ -162,37 +178,10 @@ let wrap spec (eng : Engine.t) : Engine.t * state =
     {
       eng with
       Engine.send =
-        (fun ~dest ~tag v ->
-          tick st;
-          let fire () = eng.Engine.send ~dest ~tag v in
-          if st.spec.delay_prob > 0.0 && Runtime.Xoshiro.float st.rng 1.0 < st.spec.delay_prob
-          then begin
-            Obs.Counter.incr obs_faults;
-            let hold = 1 + Runtime.Xoshiro.int st.rng st.spec.max_hold in
-            st.outbox <- st.outbox @ [ { h_dest = dest; h_tag = tag; h_fire = fire; h_left = hold } ]
-          end
-          else begin
-            flush_channel st dest tag;
-            fire ()
-          end);
+        (fun ~dest ~tag v -> send_or_hold st ~dest ~tag (fun () -> eng.Engine.send ~dest ~tag v));
       send_slice =
         (fun ~dest ~tag s ->
-          (* bulk sends are one message, so they are held/released exactly
-             like ordinary sends — the fault model is per-message, and the
-             coalescing invariant (one bulk send = one message) holds under
-             perturbation too *)
-          tick st;
-          let fire () = eng.Engine.send_slice ~dest ~tag s in
-          if st.spec.delay_prob > 0.0 && Runtime.Xoshiro.float st.rng 1.0 < st.spec.delay_prob
-          then begin
-            Obs.Counter.incr obs_faults;
-            let hold = 1 + Runtime.Xoshiro.int st.rng st.spec.max_hold in
-            st.outbox <- st.outbox @ [ { h_dest = dest; h_tag = tag; h_fire = fire; h_left = hold } ]
-          end
-          else begin
-            flush_channel st dest tag;
-            fire ()
-          end);
+          send_or_hold st ~dest ~tag (fun () -> eng.Engine.send_slice ~dest ~tag s));
       recv_slice =
         (fun ?timeout ~src ~tag () ->
           tick st;
@@ -214,11 +203,10 @@ let wrap spec (eng : Engine.t) : Engine.t * state =
   in
   (wrapped, st)
 
-let finalize st = flush_all st
-
 let run spec (program : Engine.t -> 'a) (eng : Engine.t) : 'a =
   let wrapped, st = wrap spec eng in
   let r = program wrapped in
-  (* not reached when the program crashes: held sends are already gone *)
-  finalize st;
+  (* release trailing held sends; not reached when the program crashes,
+     whose held sends are already gone *)
+  flush_all st;
   r

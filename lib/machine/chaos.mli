@@ -47,19 +47,12 @@ val none : spec
 val delays : ?seed:int -> ?prob:float -> ?max_hold:int -> unit -> spec
 (** Delay/reorder-only schedule (defaults: seed 1, prob 0.25, max_hold 3). *)
 
-type state
-(** Per-rank wrapper state (operation counter, PRNG, held sends). *)
-
-val wrap : spec -> Engine.t -> Engine.t * state
-(** Wrap one rank's engine. The caller must {!finalize} after the program
-    body so trailing held sends are released (skipped if the rank crashed).
-    @raise Invalid_argument on malformed specs (probability outside [0,1],
-    non-positive hold/crash indices, negative stalls). *)
-
-val finalize : state -> unit
-(** Release any still-held sends (a no-op for most programs, which end in
-    receives/collectives that already flushed). *)
-
 val run : spec -> (Engine.t -> 'a) -> Engine.t -> 'a
-(** [run spec program eng]: wrap, run, finalize. Counters:
-    ["chaos.faults_injected"] counts every hold, stall and crash. *)
+(** [run spec program eng] runs [program] on [eng] wrapped by [spec],
+    then releases any still-held sends (skipped if the rank crashed; a
+    no-op for most programs, which end in receives/collectives that
+    already flushed). Counters: ["chaos.faults_injected"] counts every
+    hold, stall and crash.
+    @raise Invalid_argument on malformed specs (probability outside
+    [0,1], non-positive hold/crash indices, negative stalls, negative
+    crash times). *)

@@ -71,8 +71,6 @@ let of_ranks eng ranks =
 
 let rank t = t.my_index
 let size t = Array.length t.ranks
-let global_rank t i = t.ranks.(i)
-let global_ranks t = Array.copy t.ranks
 let engine t = t.eng
 
 (* Engine conveniences, so programs never need to name the engine. *)
@@ -80,7 +78,6 @@ let work t d = t.eng.Engine.work d
 let work_flops t n = Engine.work_flops t.eng n
 let sleep t d = t.eng.Engine.sleep d
 let cost t = t.eng.Engine.cost
-let topology t = t.eng.Engine.topology
 let time t = t.eng.Engine.time ()
 let note t msg = t.eng.Engine.note msg
 
@@ -387,26 +384,6 @@ let block_bounds ~total ~parts =
 let sub1 s pos len = Bigarray.Array1.sub s pos len
 let dim1 s = Bigarray.Array1.dim s
 
-let bcast_slice t ~root (v : ('k, 'e) Engine.slice option) : ('k, 'e) Engine.slice =
-  (* binomial tree, same shape as [bcast]; each hop forwards the whole
-     slice as one bulk message *)
-  let m = size t in
-  if root < 0 || root >= m then invalid_arg "Comm.bcast_slice: bad root";
-  let tag = fresh_tag t opcode_slice in
-  let vr = vrank t ~root in
-  let value = ref v in
-  if vr = 0 && !value = None then invalid_arg "Comm.bcast_slice: root must supply a value";
-  let mask = ref 1 in
-  while !mask < m do
-    let mk = !mask in
-    if vr >= mk && vr < 2 * mk && !value = None then
-      value := Some (recv_slice_i t ~tag (unvrank t ~root (vr - mk)));
-    if vr < mk && vr + mk < m then
-      send_slice_i t ~tag (unvrank t ~root (vr + mk)) (Option.get !value);
-    mask := mk lsl 1
-  done;
-  match !value with Some v -> v | None -> assert false
-
 let scatter_slice t ~root (s : ('k, 'e) Engine.slice option) : ('k, 'e) Engine.slice =
   (* Flat tree: the root sends each member its block as one direct message
      (m-1 messages total, zero-copy sub-views of the root's storage on the
@@ -462,8 +439,3 @@ let gather_slice t ~root (local : ('k, 'e) Engine.slice) : ('k, 'e) Engine.slice
         parts;
       out)
     (gather_slices t ~root local)
-
-let allgather_slice t (local : ('k, 'e) Engine.slice) : ('k, 'e) Engine.slice =
-  match gather_slice t ~root:0 local with
-  | Some all -> bcast_slice t ~root:0 (Some all)
-  | None -> bcast_slice t ~root:0 None

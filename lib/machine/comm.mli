@@ -27,11 +27,6 @@ val rank : t -> int
 
 val size : t -> int
 
-val global_rank : t -> int -> int
-(** Machine rank of communicator member [i]. *)
-
-val global_ranks : t -> int array
-
 val engine : t -> Engine.t
 (** The underlying execution engine. *)
 
@@ -51,7 +46,6 @@ val sleep : t -> float -> unit
     arrival processes and membership away-time. *)
 
 val cost : t -> Cost_model.t
-val topology : t -> Topology.t
 
 val time : t -> float
 (** The engine's clock: simulated seconds or wall seconds. *)
@@ -142,7 +136,7 @@ val exchange : t -> partner:int -> ?tag:int -> 'a -> 'a
       kind) and delivers a copy taken at the send;
     - procs: each hop delivers a fresh copy, through the shared-memory
       arena for windows of 64 KiB and more when the channel's ring has
-      room, as raw bytes on the socket otherwise.
+      room, as a [Marshal] frame on the socket otherwise.
 
     The receiver's type fixes the kind and must match the sender's:
     annotate it where a received slice feeds a flat loop. Slice and boxed
@@ -153,10 +147,6 @@ val send_slice : t -> dest:int -> ?tag:int -> ('k, 'e) Engine.slice -> unit
 
 val recv_slice : t -> src:int -> ?tag:int -> ?timeout:float -> unit -> ('k, 'e) Engine.slice
 (** FIFO per (source, tag); [?timeout] as in {!recv}. *)
-
-val bcast_slice : t -> root:int -> ('k, 'e) Engine.slice option -> ('k, 'e) Engine.slice
-(** Binomial broadcast of a slice; each hop forwards the whole slice as one
-    bulk message. *)
 
 val scatter_slice : t -> root:int -> ('k, 'e) Engine.slice option -> ('k, 'e) Engine.slice
 (** Block-decompose the root's slice over the group: member [k] of [m]
@@ -176,9 +166,6 @@ val gather_slices :
 val gather_slice : t -> root:int -> ('k, 'e) Engine.slice -> ('k, 'e) Engine.slice option
 (** {!gather_slices}, concatenated in rank order at the root into fresh
     storage. *)
-
-val allgather_slice : t -> ('k, 'e) Engine.slice -> ('k, 'e) Engine.slice
-(** {!gather_slice} to member 0 followed by {!bcast_slice}. *)
 
 (** {1 Internals exposed for tests} *)
 

@@ -38,8 +38,9 @@
      real engines and counts as compute on the simulator.
    - [time ()] is the engine's own clock: simulated seconds on the
      simulator, wall-clock seconds since the run started on real engines.
-     [real_time] says which: fault injectors (Chaos) use it to decide
-     whether a straggler stall must burn wall time or simulated time.
+     Nothing needs to know which: a fault injector (Chaos) stalls a
+     straggler through [sleep], which every engine prices in its own
+     clock.
    - [workspace kind n] returns a length-[n] flat buffer that stays
      valid until the run returns; what happens to it then is the
      runner's business (see [fresh] and [Workspace]). *)
@@ -63,7 +64,6 @@ type t = {
   size : int;
   cost : Cost_model.t;
   topology : Topology.t;
-  real_time : bool;
   send : 'a. dest:int -> tag:int -> 'a -> unit;
   recv : 'a. ?timeout:float -> src:int -> tag:int -> unit -> 'a;
   recv_any : 'a. ?timeout:float -> ?tag:int -> unit -> int * 'a;

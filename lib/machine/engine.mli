@@ -19,10 +19,6 @@ type t = {
   size : int;  (** total number of virtual processors *)
   cost : Cost_model.t;  (** machine calibration (meaningful on the simulator) *)
   topology : Topology.t;
-  real_time : bool;
-      (** [true] when [work]/[time] are wall-clock (multicore engine),
-          [false] when simulated. Chaos uses this to pick how a straggler
-          stall is charged. *)
   send : 'a. dest:int -> tag:int -> 'a -> unit;
       (** Tagged send; never waits for a matching receive. On the procs
           engine a frame larger than the socket buffer returns once the
@@ -50,8 +46,8 @@ type t = {
           The procs engine delivers a fresh copy too: a window of at least
           64 KiB goes through a shared-memory arena when its channel's
           ring has room (one copy in at the send, one copy out when the
-          receiver reads the frame), anything else as raw bytes on the
-          socket. *)
+          receiver reads the frame), anything else as a [Marshal] frame
+          on the socket. *)
   recv_slice : 'k 'e. ?timeout:float -> src:int -> tag:int -> unit -> ('k, 'e) slice;
       (** Receive a bulk slice; FIFO per (source, tag) with ordinary sends
           on the same channel. The kind is fixed by the caller's type and

@@ -346,7 +346,6 @@ let engine fab st : Engine.t =
     size = fab.procs;
     cost = fab.cost;
     topology = fab.topology;
-    real_time = true;
     send = (fun ~dest ~tag v -> send "Multicore.send" fab st ~dest ~tag v);
     recv =
       (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Multicore.recv" fab st clock timeout ~src ~tag));

@@ -10,21 +10,21 @@
      +------+----------------+----------------+----------------------+
 
      kind 0  marshal       len = payload bytes; payload = [Marshal] image
-     kind 1  floats        len = element count; payload = 8*len raw float64 bytes
-     kind 2  goodbye       len = 0; clean-finish marker, no payload
-     kind 3  ints          len = element count; payload = 8*len raw int64 bytes
-     kind 4  arena floats  len = element count; payload = two int64s: the
+     kind 1  goodbye       len = 0; clean-finish marker, no payload
+     kind 2  arena floats  len = element count; payload = two int64s: the
                            block's arena offset and its span (elements)
-     kind 5  arena ints    as kind 4, int elements
-     kind 6  credit        tag = 0; len = elements of the reader's own ring
+     kind 3  arena ints    as kind 2, int elements
+     kind 4  credit        tag = 0; len = elements of the reader's own ring
                            toward the writer that are free again; no payload
 
    The source rank is implicit (one socket per peer), so a frame is
    exactly one message and the per-(src,tag) FIFO contract falls out of
    TCP-like stream ordering: same-channel messages share a socket and a
    parse order — arena frames included, since only their payload lives
-   elsewhere.  [send_slice] never marshals, so one bulk send stays one
-   frame, the coalescing invariant the flat tier builds on.
+   elsewhere.  A slice that does not take the arena is a [Marshal] frame
+   like any boxed value ([Marshal] keeps a Bigarray's bits exactly), so
+   either way one bulk send stays one frame, the coalescing invariant
+   the flat tier builds on.
 
    Each socket frame is copied once per hop.  Writing: a payload of up to
    one chunk (64 KiB) goes out in a single write together with its
@@ -49,9 +49,9 @@
    that peer is part-written, and never blocking — what the socket does
    not take at once stays owed, and rides ahead of the next frame.  A
    slice that finds no room in its ring takes the socket like any small
-   one, so nothing ever waits on arena space, and [Marshal] payloads
-   always take the socket.  A process that cannot create the file runs
-   on sockets alone.
+   one, so nothing ever waits on arena space, and boxed payloads always
+   take the socket.  A process that cannot create the file runs on
+   sockets alone.
 
    A child reports to the parent over its own socket: its verdict record
    (counters, fail-stop flag, error, whether a result follows) as a
@@ -109,17 +109,14 @@ type stats = {
 
 let header_len = 17
 let k_marshal = 0
-let k_floats = 1
-let k_goodbye = 2
-let k_ints = 3
-let k_arena_floats = 4
-let k_arena_ints = 5
-let k_credit = 6
+let k_goodbye = 1
+let k_arena_floats = 2
+let k_arena_ints = 3
+let k_credit = 4
 
 (* Payload bytes that follow a header of [kind] announcing [len]. *)
 let body_bytes kind len =
   if kind = k_marshal then len
-  else if kind = k_floats || kind = k_ints then 8 * len
   else if kind = k_arena_floats || kind = k_arena_ints then 16
   else 0
 
@@ -144,45 +141,6 @@ let frame_head kind tag len payload =
   let b = header kind tag len inline in
   Bytes.blit payload 0 b header_len inline;
   b
-
-(* Elements [i, i + m) of a slice as raw little-endian words, written into
-   [b] from byte [off].  The kind is matched once, so each loop runs
-   unboxed. *)
-let encode_run (type k e) (s : (k, e) Engine.slice) ~i ~m b off =
-  match Bigarray.Array1.kind s with
-  | Bigarray.Float64 ->
-      for j = 0 to m - 1 do
-        Bytes.set_int64_le b (off + (8 * j))
-          (Int64.bits_of_float (Bigarray.Array1.unsafe_get s (i + j)))
-      done
-  | Bigarray.Int ->
-      for j = 0 to m - 1 do
-        Bytes.set_int64_le b (off + (8 * j)) (Int64.of_int (Bigarray.Array1.unsafe_get s (i + j)))
-      done
-  | _ -> assert false (* [Engine.check_slice]; [run_flat] checks its parts *)
-
-(* A slice's raw little-endian image, and back. *)
-let encode_slice s =
-  let len = Bigarray.Array1.dim s in
-  let b = Bytes.create (8 * len) in
-  encode_run s ~i:0 ~m:len b 0;
-  b
-
-let decode_floats payload =
-  let len = Bytes.length payload / 8 in
-  let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set a i (Int64.float_of_bits (Bytes.get_int64_le payload (8 * i)))
-  done;
-  a
-
-let decode_ints payload =
-  let len = Bytes.length payload / 8 in
-  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set a i (Int64.to_int (Bytes.get_int64_le payload (8 * i)))
-  done;
-  a
 
 (* ------------------------------------------------------------------- arena *)
 
@@ -281,7 +239,7 @@ let copy_out view off n =
    all peers: [recv_any] takes the globally oldest match, directed [recv]
    the oldest on its channel — FIFO per (src, tag) either way. *)
 type body =
-  | Wire of int * bytes  (* frame kind and payload, decoded on receipt *)
+  | Wire of bytes  (* a [Marshal] image, decoded on receipt *)
   | Copied of Obj.t  (* an arena slice, copied out when its frame was parsed *)
 
 type packet = { k_src : int; k_tag : int; k_body : body }
@@ -368,7 +326,7 @@ let deliver st peer ~kind ~tag ~len payload =
     peer.p_credit <- peer.p_credit + Int64.to_int (Bytes.get_int64_le payload 8);
     Queue.add { k_src = peer.p_rank; k_tag = tag; k_body = Copied v } st.pending
   end
-  else Queue.add { k_src = peer.p_rank; k_tag = tag; k_body = Wire (kind, payload) } st.pending
+  else Queue.add { k_src = peer.p_rank; k_tag = tag; k_body = Wire payload } st.pending
 
 (* Parse every complete frame out of the peer's stream tail.  A frame
    whose payload the tail does not hold in full becomes [p_body], taking
@@ -545,10 +503,7 @@ let recv_packet st ~src ~tag ~any_tag ~deadline : packet =
 let obj_of_packet pkt : Obj.t =
   match pkt.k_body with
   | Copied v -> v
-  | Wire (kind, payload) ->
-      if kind = k_floats then Obj.repr (decode_floats payload)
-      else if kind = k_ints then Obj.repr (decode_ints payload)
-      else (Marshal.from_bytes payload 0 : Obj.t)
+  | Wire payload -> (Marshal.from_bytes payload 0 : Obj.t)
 
 (* ------------------------------------------------------------------ sending *)
 
@@ -598,8 +553,8 @@ let send_obj st ~dest ~tag v =
   send_frame st (peer_of st dest) k_marshal tag (Bytes.length payload) payload
 
 (* A slice of at least one chunk goes through the arena when its ring
-   has room: one blit in, and a frame carrying where; anything else is
-   written raw on the socket. *)
+   has room: one blit in, and a frame carrying where; anything else is a
+   [Marshal] frame on the socket. *)
 let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
   Engine.check_slice "Procs.send_slice" s;
   Engine.check_dest "Procs.send_slice" ~size:st.c_procs ~self:st.c_rank dest;
@@ -625,13 +580,8 @@ let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
       st.c_arena_sent <- st.c_arena_sent + 1;
       send_frame st p kind tag n where
   | None ->
-      let kind =
-        match Bigarray.Array1.kind s with
-        | Bigarray.Float64 -> k_floats
-        | Bigarray.Int -> k_ints
-        | _ -> assert false
-      in
-      send_frame st p kind tag n (encode_slice s)
+      let payload = Marshal.to_bytes s [] in
+      send_frame st p k_marshal tag (Bytes.length payload) payload
 
 (* ----------------------------------------------------------------- shutdown *)
 
@@ -673,7 +623,6 @@ let engine st cost topology : Engine.t =
     size = st.c_procs;
     cost;
     topology;
-    real_time = true;
     send = (fun ~dest ~tag v -> send_obj st ~dest ~tag v);
     recv = (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Procs.recv" timeout ~src ~tag));
     recv_any =
@@ -797,6 +746,22 @@ let no_result : (unit, unit) result_form = { write = (fun _ () -> ()); read = (f
    rank so that a value which cannot cross is that rank's error. *)
 let marshalled : (bytes, 'a) result_form =
   { write = write_sized; read = (fun fd -> Option.map (fun b -> Marshal.from_bytes b 0) (read_sized fd)) }
+
+(* Elements [i, i + m) of a slice as raw little-endian words, written into
+   [b] from byte [off].  The kind is matched once, so each loop runs
+   unboxed. *)
+let encode_run (type k e) (s : (k, e) Engine.slice) ~i ~m b off =
+  match Bigarray.Array1.kind s with
+  | Bigarray.Float64 ->
+      for j = 0 to m - 1 do
+        Bytes.set_int64_le b (off + (8 * j))
+          (Int64.bits_of_float (Bigarray.Array1.unsafe_get s (i + j)))
+      done
+  | Bigarray.Int ->
+      for j = 0 to m - 1 do
+        Bytes.set_int64_le b (off + (8 * j)) (Int64.of_int (Bigarray.Array1.unsafe_get s (i + j)))
+      done
+  | _ -> assert false (* [run_flat] checks its parts' kind *)
 
 (* [run_flat]'s form: the element count as an int64, then every part's
    elements as raw little-endian words, streamed through one chunk-sized

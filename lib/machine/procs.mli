@@ -3,9 +3,10 @@
 
     Each rank is a process [fork]ed at [run] time; every rank pair shares
     one socketpair carrying length-prefixed frames — [Marshal] payloads
-    for ordinary sends, raw little-endian bytes for the bulk slice tier
-    (one [send_slice] stays exactly one frame, preserving the coalescing
-    contract). A socket frame is copied once per hop: a payload over
+    for ordinary sends and for slices that do not take the arena below
+    ([Marshal] keeps a Bigarray's bits exactly; one [send_slice] stays
+    exactly one frame, preserving the coalescing contract). A socket
+    frame is copied once per hop: a payload over
     64 KiB is written after its header rather than copied behind it, and
     is read straight into a buffer of its final size.
 
@@ -19,7 +20,7 @@
     frame and returns the space with a credit frame. A slice that finds
     its ring full takes the socket instead: no send ever waits on arena
     space, and [stats.arena_msgs] counts the slices that went through
-    it. [Marshal] payloads always take the socket.
+    it. Boxed payloads always take the socket.
 
     A run's result comes home on the producing child's own verdict
     socket, after its verdict record: {!run_collect}'s as a [Marshal]

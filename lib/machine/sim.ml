@@ -200,7 +200,6 @@ let engine sim me : Engine.t =
     size = sim.size;
     cost = sim.cost;
     topology = sim.topology;
-    real_time = false;
     send = (fun ~dest ~tag v -> send_as op_send sim me ~dest ~tag v);
     recv = (fun ?timeout ~src ~tag () -> decode (recv_as op_recv sim me ~src ~tag timeout));
     recv_any =

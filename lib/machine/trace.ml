@@ -36,8 +36,6 @@ let pp_event ppf e = Fmt.pf ppf "[%10.6f] p%-3d %a" e.time e.proc pp_kind e.kind
 
 let pp ppf t = Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_event) (events t)
 
-let filter_proc t proc = List.filter (fun e -> e.proc = proc) (events t)
-
 let notes t =
   List.filter_map (fun e -> match e.kind with Note s -> Some (e.time, e.proc, s) | _ -> None) (events t)
 

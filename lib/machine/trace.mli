@@ -24,7 +24,6 @@ val events : t -> event list
 
 val length : t -> int
 val clear : t -> unit
-val filter_proc : t -> int -> event list
 
 val notes : t -> (float * int * string) list
 (** Just the [Note] events — what examples print for Figure-2 style output. *)

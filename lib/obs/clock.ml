@@ -9,5 +9,3 @@ let now_ns () : int64 = Monotonic_clock.now ()
 let ns_since (t0 : int64) : int = Int64.to_int (Int64.sub (now_ns ()) t0)
 
 let ns_to_s ns = float_of_int ns *. 1e-9
-
-let s_to_ns s = int_of_float (s *. 1e9)

@@ -6,4 +6,3 @@ val ns_since : int64 -> int
 (** Nanoseconds elapsed since an earlier {!now_ns} reading. *)
 
 val ns_to_s : int -> float
-val s_to_ns : float -> int

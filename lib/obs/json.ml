@@ -327,7 +327,6 @@ let of_file path =
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
-let to_list_opt = function List l -> Some l | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None

@@ -30,7 +30,6 @@ val of_file : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on other constructors. *)
 
-val to_list_opt : t -> t list option
 val to_string_opt : t -> string option
 val to_bool_opt : t -> bool option
 val to_int_opt : t -> int option

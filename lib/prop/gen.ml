@@ -31,14 +31,11 @@ let triple ga gb gc =
   (a, b, c)
 
 let sized f : 'a t = fun ~size rng -> (f size) ~size rng
-let resize n (g : 'a t) : 'a t = fun ~size:_ rng -> g ~size:n rng
 let bool : bool t = fun ~size:_ rng -> Runtime.Xoshiro.bool rng
 
 let int_range lo hi : int t =
   if hi < lo then invalid_arg "Gen.int_range: hi < lo";
   fun ~size:_ rng -> lo + Runtime.Xoshiro.int rng (hi - lo + 1)
-
-let small_nat : int t = fun ~size rng -> Runtime.Xoshiro.int rng (max 1 size + 1)
 
 let oneof gens : 'a t =
   if gens = [] then invalid_arg "Gen.oneof: empty list";

@@ -23,9 +23,6 @@ val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val sized : (int -> 'a t) -> 'a t
 (** Read the current size budget. *)
 
-val resize : int -> 'a t -> 'a t
-(** Override the size budget for a sub-generator. *)
-
 (** {1 Primitives} *)
 
 val bool : bool t
@@ -33,9 +30,6 @@ val bool : bool t
 val int_range : int -> int -> int t
 (** [int_range lo hi] is uniform on the inclusive range.
     @raise Invalid_argument if [hi < lo]. *)
-
-val small_nat : int t
-(** Uniform on [\[0, size\]]. *)
 
 val oneof : 'a t list -> 'a t
 val oneof_val : 'a list -> 'a t

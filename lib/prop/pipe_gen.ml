@@ -17,14 +17,6 @@ type case = { chain : Ast.expr list; input : Value.t }
 let expr c = Ast.of_chain c.chain
 let print c = Printf.sprintf "%s $ %s" (Ast.to_string (expr c)) (Fmt.str "%a" Value.pp c.input)
 
-let rec expr_is_flat = function
-  | Ast.Split _ | Ast.Combine | Ast.Map_nested _ -> false
-  | Ast.Compose (f, g) -> expr_is_flat f && expr_is_flat g
-  | Ast.Iter_for (_, b) -> expr_is_flat b
-  | _ -> true
-
-let is_flat c = List.for_all expr_is_flat c.chain
-
 (* Static mirror of Spmd_exec's one-level flattening discipline: [true]
    guarantees Spmd_exec will not raise [Spmd_exec.Unsupported] on this
    case (it may still raise [Value.Type_error], exactly where the

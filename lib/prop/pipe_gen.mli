@@ -34,9 +34,6 @@ type case = { chain : Transform.Ast.expr list; input : Transform.Value.t }
 
 val expr : case -> Transform.Ast.expr
 val print : case -> string
-val is_flat : case -> bool
-(** No [Split]/[Combine]/[Map_nested] anywhere. *)
-
 val spmd_executable : case -> bool
 (** Static mirror of [Spmd_exec]'s one-level flattening discipline: [true]
     guarantees [Spmd_exec] will not raise [Spmd_exec.Unsupported] on

@@ -1,21 +1,13 @@
 (* Multi-producer multi-consumer FIFO used as the pool's injection queue.
 
    Contention here is rare (only external submissions and worker fallback
-   paths), so a mutex-protected [Queue] is the right trade-off: simple,
-   correct under the OCaml 5 memory model, and supporting blocking pops with
-   shutdown. *)
+   paths), so a mutex-protected [Queue] is the right trade-off: simple and
+   correct under the OCaml 5 memory model.  Nobody blocks on it: idle
+   workers poll [try_pop] and park on the pool's own condition. *)
 
-type 'a t = {
-  q : 'a Queue.t;
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  mutable closed : bool;
-}
+type 'a t = { q : 'a Queue.t; mutex : Mutex.t }
 
-exception Closed
-
-let create () =
-  { q = Queue.create (); mutex = Mutex.create (); nonempty = Condition.create (); closed = false }
+let create () = { q = Queue.create (); mutex = Mutex.create () }
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -27,32 +19,9 @@ let with_lock t f =
       Mutex.unlock t.mutex;
       raise e
 
-let push t x =
-  with_lock t (fun () ->
-      if t.closed then raise Closed;
-      Queue.push x t.q;
-      Condition.signal t.nonempty)
+let push t x = with_lock t (fun () -> Queue.push x t.q)
 
 let try_pop t =
   with_lock t (fun () -> if Queue.is_empty t.q then None else Some (Queue.pop t.q))
 
-let pop t =
-  with_lock t (fun () ->
-      let rec wait () =
-        if not (Queue.is_empty t.q) then Queue.pop t.q
-        else if t.closed then raise Closed
-        else begin
-          Condition.wait t.nonempty t.mutex;
-          wait ()
-        end
-      in
-      wait ())
-
-let close t =
-  with_lock t (fun () ->
-      t.closed <- true;
-      Condition.broadcast t.nonempty)
-
 let is_empty t = with_lock t (fun () -> Queue.is_empty t.q)
-
-let length t = with_lock t (fun () -> Queue.length t.q)

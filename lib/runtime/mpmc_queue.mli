@@ -1,23 +1,11 @@
-(** Blocking multi-producer multi-consumer FIFO with shutdown. *)
+(** Multi-producer multi-consumer FIFO (non-blocking). *)
 
 type 'a t
 
-exception Closed
-
 val create : unit -> 'a t
-
 val push : 'a t -> 'a -> unit
-(** @raise Closed after {!close}. *)
-
-val pop : 'a t -> 'a
-(** Blocks until an element is available. @raise Closed if the queue is
-    closed and drained. *)
 
 val try_pop : 'a t -> 'a option
-(** Non-blocking. *)
-
-val close : 'a t -> unit
-(** Wake all blocked consumers; further pushes raise {!Closed}. *)
+(** The oldest element, or [None] when the queue is empty. *)
 
 val is_empty : 'a t -> bool
-val length : 'a t -> int

@@ -18,7 +18,6 @@ type 'a t = {
   total : int;
 }
 
-let comm t = t.comm
 let local t = t.local
 let local_length t = Array.length t.local
 let total t = t.total

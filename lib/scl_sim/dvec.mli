@@ -9,7 +9,6 @@ open Machine
 
 type 'a t
 
-val comm : 'a t -> Comm.t
 val local : 'a t -> 'a array
 (** This processor's chunk (do not mutate). *)
 

@@ -726,103 +726,14 @@ let test_fused_empty =
       Alcotest.(check int) "map_scan empty = empty" 0
         (Par_array.length (Elementary.map_scan ~exec ( + ) Fun.id (Par_array.of_list []))))
 
-(* --- Flat (unboxed Bigarray tier) -------------------------------------------------
-   [Partition] on boxed arrays is the executable specification: for every
-   pattern, [Flat.apply]/[unapply] must produce the same decomposition
-   element-for-element, including the fast paths (Block views,
-   Cyclic/Block_cyclic strided copies) against the generic assign-driven
-   path. *)
-
-let flat_of_ints xs = Flat.of_array Flat.int (Array.of_list xs)
-
-let prop_flat_apply_matches_partition =
-  qtest "Flat.apply = Partition.apply elementwise (int)"
-    QCheck.(list small_int)
-    (fun xs ->
-      let a = Array.of_list xs in
-      let fa = flat_of_ints xs in
-      List.for_all
-        (fun pat ->
-          let boxed = Par_array.to_array (Partition.apply pat a) in
-          let flat = Flat.apply pat fa in
-          Array.length boxed = Array.length flat
-          && Array.for_all2 (fun b fl -> b = Flat.to_array fl) boxed flat)
-        (patterns_for (Array.length a)))
-
-let prop_flat_roundtrip =
-  qtest "Flat.unapply (Flat.apply pat a) = a for every pattern"
-    QCheck.(list small_int)
-    (fun xs ->
-      let fa = flat_of_ints xs in
-      List.for_all
-        (fun pat ->
-          Flat.to_array (Flat.unapply pat (Flat.apply pat fa) ~kind:Flat.int)
-          = Array.of_list xs)
-        (patterns_for (List.length xs)))
-
-let prop_flat_fastpath_matches_generic =
-  qtest "Flat fast paths = generic path"
-    QCheck.(list small_int)
-    (fun xs ->
-      let fa = flat_of_ints xs in
-      List.for_all
-        (fun pat ->
-          let fast = Flat.apply pat fa and spec = Flat.apply_generic pat fa in
-          Array.length fast = Array.length spec
-          && Array.for_all2 (fun a b -> Flat.equal a b) fast spec
-          && Flat.equal
-               (Flat.unapply pat fast ~kind:Flat.int)
-               (Flat.unapply_generic pat spec ~kind:Flat.int))
-        (patterns_for (List.length xs)))
-
-let prop_flat_float_roundtrip =
-  qtest "Flat float roundtrip across patterns"
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let a = Array.of_list xs in
-      let fa = Flat.of_float_array a in
-      List.for_all
-        (fun pat ->
-          Flat.to_float_array (Flat.unapply pat (Flat.apply pat fa) ~kind:Flat.float64) = a)
-        (patterns_for (Array.length a)))
-
-let test_flat_edge_sizes () =
-  (* empty, single-element, and non-divisible sizes across the three
-     regular patterns, checked against the boxed specification *)
-  let pats = [ Partition.Block 3; Partition.Cyclic 3; Partition.Block_cyclic { parts = 3; block = 2 } ] in
-  List.iter
-    (fun n ->
-      let a = Array.init n (fun i -> (i * 7) + 1) in
-      let fa = Flat.of_array Flat.int a in
-      List.iter
-        (fun pat ->
-          let boxed = Par_array.to_array (Partition.apply pat a) in
-          let flat = Flat.apply pat fa in
-          Alcotest.(check int)
-            (Printf.sprintf "parts at n=%d" n)
-            (Array.length boxed) (Array.length flat);
-          Array.iteri
-            (fun k b -> Alcotest.(check (array int)) "part contents" b (Flat.to_array flat.(k)))
-            boxed;
-          Alcotest.(check (array int)) "roundtrip" a
-            (Flat.to_array (Flat.unapply pat flat ~kind:Flat.int)))
-        pats)
-    [ 0; 1; 2; 3; 5; 7 ]
+(* --- Flat (unboxed Bigarray tier) ------------------------------------------------- *)
 
 let test_flat_views_alias () =
   let fa = Flat.of_float_array [| 0.0; 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   let v = Flat.sub_view fa ~pos:2 ~len:3 in
   Alcotest.(check int) "view length" 3 (Flat.length v);
   Flat.set v 0 99.0;
-  Alcotest.(check (float 0.0)) "view aliases base" 99.0 (Flat.get fa 2);
-  (* Block parts are views of the input *)
-  let parts = Flat.apply (Partition.Block 2) fa in
-  Flat.set parts.(0) 0 (-1.0);
-  Alcotest.(check (float 0.0)) "block part aliases input" (-1.0) (Flat.get fa 0);
-  (* unapply always yields fresh storage *)
-  let joined = Flat.unapply (Partition.Block 2) parts ~kind:Flat.float64 in
-  Flat.set joined 0 7.0;
-  Alcotest.(check (float 0.0)) "unapply is fresh" (-1.0) (Flat.get fa 0)
+  Alcotest.(check (float 0.0)) "view aliases base" 99.0 (Flat.get fa 2)
 
 let test_flat_accessors_checked () =
   (* [get]/[set] are primitives specialised per call site; both the
@@ -847,24 +758,15 @@ let test_flat_accessors_checked () =
 
 let test_flat_fallback_kind () =
   (* int32 is neither of the kinds [of_array]/[to_array] specialise, so
-     this exercises their generic branch, and the kind-generic helpers,
-     against the boxed specification *)
+     this exercises their generic branch, and the kind-generic helpers
+     [init] and [equal] *)
   let a = Array.init 11 (fun i -> Int32.of_int ((i * 37) - 100)) in
   let fa = Flat.of_array Bigarray.int32 a in
   Alcotest.(check (array int32)) "of_array/to_array" a (Flat.to_array fa);
   let fi = Flat.init Bigarray.int32 11 (fun i -> a.(i)) in
   Alcotest.(check bool) "init = of_array" true (Flat.equal fa fi);
   Flat.set fi 10 0l;
-  Alcotest.(check bool) "equal sees a difference" false (Flat.equal fa fi);
-  let pat = Partition.Cyclic 3 in
-  let parts = Flat.apply pat fa in
-  Array.iteri
-    (fun k b -> Alcotest.(check (array int32)) "cyclic part" b (Flat.to_array parts.(k)))
-    (Par_array.to_array (Partition.apply pat a));
-  Alcotest.(check (array int32)) "cyclic roundtrip" a
-    (Flat.to_array (Flat.unapply pat parts ~kind:Bigarray.int32));
-  Alcotest.(check (array int32)) "generic roundtrip" a
-    (Flat.to_array (Flat.unapply_generic pat (Flat.apply_generic pat fa) ~kind:Bigarray.int32))
+  Alcotest.(check bool) "equal sees a difference" false (Flat.equal fa fi)
 
 (* --- Flat_exec (unboxed host kernels) ---------------------------------------------
 
@@ -1378,11 +1280,6 @@ let () =
         ] );
       ( "flat",
         [
-          prop_flat_apply_matches_partition;
-          prop_flat_roundtrip;
-          prop_flat_fastpath_matches_generic;
-          prop_flat_float_roundtrip;
-          Alcotest.test_case "edge sizes vs boxed spec" `Quick test_flat_edge_sizes;
           Alcotest.test_case "view aliasing discipline" `Quick test_flat_views_alias;
           Alcotest.test_case "accessors bounds-checked" `Quick test_flat_accessors_checked;
           Alcotest.test_case "fallback kind (int32)" `Quick test_flat_fallback_kind;
