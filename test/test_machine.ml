@@ -814,6 +814,60 @@ let test_chaos_delays_are_deterministic () =
   Alcotest.(check bool) "makespan replays" true (s1.Sim.makespan = s2.Sim.makespan);
   Alcotest.(check int) "msgs replay" s1.Sim.total_msgs s2.Sim.total_msgs
 
+(* Even ranks send boxed values and slices, alternately on one channel,
+   to the odd rank above them, computing between sends; the odd ranks
+   receive each and compute.  A held send fires at a later operation,
+   so later in simulated time, and its receiver waits for it: the
+   makespan shows every hold. *)
+let chaos_mixed_sends c =
+  let me = Comm.rank c in
+  let got =
+    if me mod 2 = 0 then begin
+      for k = 0 to 7 do
+        if k mod 2 = 0 then Comm.send c ~dest:(me + 1) (me, k)
+        else
+          Comm.send_slice c ~dest:(me + 1) (Scl.Flat.make Scl.Flat.float64 (16 * k) (float_of_int me));
+        Comm.work c 1e-4
+      done;
+      []
+    end
+    else
+      List.init 8 (fun k ->
+          let v =
+            if k mod 2 = 0 then
+              let r, k' = Comm.recv c ~src:(me - 1) () in
+              float_of_int ((10 * r) + k')
+            else
+              let (s : Scl.Flat.float1) = Comm.recv_slice c ~src:(me - 1) () in
+              Scl.Flat.get s 0 +. float_of_int (Scl.Flat.length s)
+          in
+          Comm.work c 5e-5;
+          v)
+  in
+  Option.map Array.to_list (Comm.gather c ~root:0 got)
+
+(* Each seed's schedule gives the unwrapped run's values and pinned
+   simulated stats (the makespan's bits, messages, bytes), so a change to
+   which sends are held, or for how long, shows. *)
+let test_chaos_mixed_sends_pinned () =
+  let bare, _ = Spmd.run sim ~procs:4 chaos_mixed_sends in
+  List.iter
+    (fun (seed, makespan_bits) ->
+      let spec = Chaos.delays ~seed ~prob:0.5 ~max_hold:3 () in
+      let v, st = Spmd.run sim ~procs:4 ~chaos:spec chaos_mixed_sends in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check bool) (name "values") true (v = bare);
+      Alcotest.(check int64) (name "makespan bits") makespan_bits
+        (Int64.bits_of_float st.Sim.makespan);
+      Alcotest.(check int) (name "msgs") 19 st.Sim.total_msgs;
+      Alcotest.(check int) (name "bytes") 4599 st.Sim.total_bytes)
+    [
+      (1, 4562627133147658273L);
+      (3, 4562282732435802117L);
+      (7, 4562213188210644232L);
+      (42, 4562213188210644232L);
+    ]
+
 let test_chaos_straggler_slows_but_preserves () =
   (* a per-rank stall tax changes timing, never values *)
   let spec = { Chaos.none with Chaos.stalls = [ (1, 0.005) ] } in
@@ -1106,6 +1160,7 @@ let suite =
         Alcotest.test_case "time-scheduled crash" `Quick test_chaos_crashes_at_time;
         Alcotest.test_case "crash time validated" `Quick test_chaos_crashes_at_validation;
         Alcotest.test_case "property: chaos value identity" `Slow test_prop_chaos_value_identity;
+        Alcotest.test_case "mixed sends replay pinned stats" `Quick test_chaos_mixed_sends_pinned;
       ] );
   ]
 
