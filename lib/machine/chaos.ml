@@ -148,18 +148,19 @@ let send_or_hold st ~dest ~tag fire =
   end
 
 let wrap spec (eng : Engine.t) : Engine.t * state =
-  if spec.delay_prob < 0.0 || spec.delay_prob > 1.0 then
-    invalid_arg "Chaos.wrap: delay_prob must be in [0,1]";
+  (* each check is written so that NaN fails it *)
+  if not (spec.delay_prob >= 0.0 && spec.delay_prob <= 1.0) then
+    invalid_arg "Chaos.run: delay_prob must be in [0,1]";
   if spec.delay_prob > 0.0 && spec.max_hold < 1 then
-    invalid_arg "Chaos.wrap: max_hold must be >= 1 when delay_prob > 0";
+    invalid_arg "Chaos.run: max_hold must be >= 1 when delay_prob > 0";
   List.iter
-    (fun (_, s) -> if s < 0.0 then invalid_arg "Chaos.wrap: negative stall")
+    (fun (_, s) -> if not (s >= 0.0) then invalid_arg "Chaos.run: stall must be >= 0")
     spec.stalls;
   List.iter
-    (fun (_, n) -> if n < 1 then invalid_arg "Chaos.wrap: crash op index must be >= 1")
+    (fun (_, n) -> if n < 1 then invalid_arg "Chaos.run: crash op index must be >= 1")
     spec.crashes;
   List.iter
-    (fun (_, t) -> if t < 0.0 then invalid_arg "Chaos.wrap: crash time must be >= 0")
+    (fun (_, t) -> if not (t >= 0.0) then invalid_arg "Chaos.run: crash time must be >= 0")
     spec.crashes_at;
   let rank = eng.Engine.rank in
   let st =

@@ -55,4 +55,4 @@ val run : spec -> (Engine.t -> 'a) -> Engine.t -> 'a
     hold, stall and crash.
     @raise Invalid_argument on malformed specs (probability outside
     [0,1], non-positive hold/crash indices, negative stalls, negative
-    crash times). *)
+    crash times; a NaN probability, stall or time is refused too). *)

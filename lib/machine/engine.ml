@@ -108,11 +108,16 @@ let check_kind op kind = if not (flat_kind kind) then rejected op "kind must be 
 
 let check_procs op procs = if procs <= 0 then rejected op "procs must be positive"
 
-let[@inline] check_duration op d = if d < 0.0 then rejected op "negative duration"
+(* [not (x >= 0.0)] is one comparison that NaN fails too; which of the
+   two it was is told apart only on the way out. *)
+let[@inline never] bad_number op what x =
+  rejected op (if Float.is_nan x then what ^ " is NaN" else "negative " ^ what)
+
+let[@inline] check_duration op d = if not (d >= 0.0) then bad_number op "duration" d
 
 let[@inline] deadline op now = function
   | None -> Float.infinity
-  | Some t -> if t < 0.0 then rejected op "negative timeout" else now () +. t
+  | Some t -> if not (t >= 0.0) then bad_number op "timeout" t else now () +. t
 
 let timeout ~rank ~src ~tag ~deadline =
   Fault.Timeout

@@ -109,11 +109,13 @@ val check_procs : string -> int -> unit
     @raise Invalid_argument ["<op>: procs must be positive"] if it is [<= 0]. *)
 
 val check_duration : string -> float -> unit
-(** @raise Invalid_argument ["<op>: negative duration"]. *)
+(** @raise Invalid_argument ["<op>: negative duration"], or
+    ["<op>: duration is NaN"]. *)
 
 val deadline : string -> (unit -> float) -> float option -> float
 (** [deadline op now timeout]: [now () +. t] for [Some t], [infinity] for [None].
-    @raise Invalid_argument ["<op>: negative timeout"]. *)
+    @raise Invalid_argument ["<op>: negative timeout"], or
+    ["<op>: timeout is NaN"]. *)
 
 val timeout : rank:int -> src:int -> tag:int option -> deadline:float -> exn
 (** The {!Fault.Timeout} of [rank]'s receive from [src] ([-1]: any) on [tag]. *)
