@@ -651,6 +651,16 @@ let bench_pool_sort ~smoke () =
    onto one domain); on a multi-core runner p=4 should beat p=1.  The
    fabric microbenches price one message round trip and one 4-rank
    allreduce on the mailbox fabric. *)
+(* The 1M-int result [bench_procs] brings home, built in the rank that
+   returns it. *)
+let result_n = 1 lsl 20
+let result_boxed = lazy (Array.init result_n Fun.id)
+
+let result_parts =
+  lazy
+    (let half = result_n / 2 in
+     Array.init 2 (fun k -> Scl.Flat.Int.of_int_array (Array.sub (Lazy.force result_boxed) (k * half) half)))
+
 (* The forked-process fabric: the same ping-pong and allreduce shapes as
    the multicore group, but every message crosses a Unix-domain socket
    (Marshal framing + select), so the pair prices the process boundary
@@ -739,14 +749,8 @@ let bench_procs ~smoke () =
   (* 1M ints home from rank 0: as one int array through run_collect
      (marshalled after the verdict), and as two flat parts through
      run_flat (raw words, decoded straight into the caller's array).
-     The values are built before the fork, so only their return is
-     timed. *)
-  let result_n = 1 lsl 20 in
-  let half = result_n / 2 in
-  let boxed = Array.init result_n Fun.id in
-  let parts =
-    Array.init 2 (fun k -> Scl.Flat.Int.of_int_array (Array.sub boxed (k * half) half))
-  in
+     The values are toplevel lazies, built once in each pooled rank, so
+     only their return is timed. *)
   let check (v : int array) =
     assert (Array.length v = result_n);
     Array.iteri (fun i x -> assert (x = i)) v
@@ -757,7 +761,7 @@ let bench_procs ~smoke () =
     (fun () ->
       let v, s =
         Machine.Procs.run_collect ~procs:2 (fun eng ->
-            if eng.Machine.Engine.rank = 0 then Some boxed else None)
+            if eng.Machine.Engine.rank = 0 then Some (Lazy.force result_boxed) else None)
       in
       check v;
       last_marshal := Some s);
@@ -767,10 +771,12 @@ let bench_procs ~smoke () =
     (fun () ->
       let v, s =
         Machine.Procs.run_flat ~procs:2 ~kind:Scl.Flat.int (fun eng ->
-            if eng.Machine.Engine.rank = 0 then Some parts else None)
+            if eng.Machine.Engine.rank = 0 then Some (Lazy.force result_parts) else None)
       in
       check v;
-      last_flat := Some s)
+      last_flat := Some s);
+  (* the later groups spawn domains; the pool's ranks would only idle *)
+  Machine.Procs.shutdown ()
 
 let mc_counters (s : Machine.Multicore.stats) =
   [
@@ -1023,25 +1029,72 @@ let bench_steady_sort () =
       faults := !faults + (minor_faults () - f0));
   assert (!last = expect)
 
-(* [bench_steady_sort] in a fresh process (this executable, with
-   [--steady-sort-child FILE]), whose one result joins this run's. A
-   fresh process is the steady benchmark's setting, and the fault count
-   depends on it: glibc raises its mmap and trim thresholds each time it
-   frees a large mapping, and once a process has freed a few tens of
-   megabytes it keeps freed buffers mapped, recycled or not. *)
-let bench_steady_sort_in_child () =
+(* The same sort on two pooled procs ranks. The warm-up runs fork the
+   pool; after them a run forks nothing ([procs.forked_per_run] = 0),
+   and every buffer a rank asks its workspace for, or copies an arena
+   slice into, is one its previous run used: the ranks'
+   [workspace.fresh_per_run] is exactly 0. [minflt_per_run] counts this
+   process's minor faults inside the runs, [procs.rank_minflt_per_run]
+   the ranks' (each reads its own /proc/self/stat), and
+   [procs.rank_cpu_s_per_run] the ranks' CPU time, which
+   [Unix.times] does not see while they live. *)
+let bench_steady_sort_procs () =
+  let n = 1_000_000 and runs = 3 in
+  let keys = random_ints n in
+  let expect = Array.copy keys in
+  Array.sort compare expect;
+  let run () = Algorithms.Hyperquicksort.sort_procs ~procs:2 keys in
+  for _ = 1 to 2 do
+    Gc.full_major ();
+    assert (fst (run ()) = expect)
+  done;
+  let faults = ref 0 and stats = ref [] and last = ref [||] in
+  let per_run x = float_of_int x /. float_of_int runs in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 !stats in
+  host_bench ~name:"spmd/hyperquicksort-flatint-procs/steady" ~n ~procs:2 ~backend:"procs" ~runs
+    ~before:(fun () ->
+      last := [||];
+      Gc.full_major ())
+    ~counters:(fun () ->
+      Machine.Procs.
+        [
+          ("minflt_per_run", per_run !faults);
+          ("procs.rank_minflt_per_run", per_run (sum (fun s -> s.rank_minflt)));
+          ( "procs.rank_cpu_s_per_run",
+            List.fold_left (fun acc s -> acc +. s.rank_cpu) 0.0 !stats /. float_of_int runs );
+          ("procs.forked_per_run", per_run (sum (fun s -> s.forked)));
+          ("workspace.lent_per_run", per_run (sum (fun s -> s.rank_lent)));
+          ("workspace.fresh_per_run", per_run (sum (fun s -> s.rank_fresh)));
+        ])
+    (fun () ->
+      let f0 = minor_faults () in
+      let v, s = run () in
+      faults := !faults + (minor_faults () - f0);
+      stats := s :: !stats;
+      last := v);
+  assert (!last = expect);
+  Machine.Procs.shutdown ()
+
+(* A steady entry in a fresh process (this executable, with [flag FILE]),
+   whose one result joins this run's. A fresh process is the steady
+   benchmark's setting, and the fault count depends on it: glibc raises
+   its mmap and trim thresholds each time it frees a large mapping, and
+   once a process has freed a few tens of megabytes it keeps freed
+   buffers mapped, recycled or not. A procs entry also needs a process
+   that has never had a second domain. *)
+let bench_in_child ~name ~flag =
   let file = Filename.temp_file "scl-steady-sort" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       let exe = Sys.executable_name in
-      let pid = Unix.create_process exe [| exe; "--steady-sort-child"; file |] Unix.stdin Unix.stdout Unix.stderr in
+      let pid = Unix.create_process exe [| exe; flag; file |] Unix.stdin Unix.stdout Unix.stderr in
       (match Unix.waitpid [] pid with
       | _, Unix.WEXITED 0 -> ()
-      | _ -> failwith "spmd/hyperquicksort-flatint/steady: the child run failed");
+      | _ -> failwith (name ^ ": the child run failed"));
       match Obs.Artifact.load file with
       | Ok f -> List.iter push f.Obs.Artifact.results
-      | Error e -> failwith ("spmd/hyperquicksort-flatint/steady: " ^ e))
+      | Error e -> failwith (name ^ ": " ^ e))
 
 (* The flat host tier: unboxed map/fold/scan kernels on the pool
    (host/flat-{map,fold,scan}), with the boxed pool scan as the paired
@@ -1095,7 +1148,8 @@ let bench_flat_host ~smoke () =
     (fun () ->
       let r, _ = Algorithms.Hyperquicksort.sort_multicore_flatint ~procs:4 sdata in
       assert (r = expect));
-  bench_steady_sort_in_child ();
+  bench_in_child ~name:"spmd/hyperquicksort-flatint/steady" ~flag:"--steady-sort-child";
+  bench_in_child ~name:"spmd/hyperquicksort-flatint-procs/steady" ~flag:"--steady-sort-procs-child";
   (* The local sort kernels alone: the flat tier's radix sort on random,
      presorted, few-distinct (16 values) and full-range (min_int to
      max_int) keys, and the boxed SEQ_QUICKSORT on the first two. Each
@@ -1492,6 +1546,7 @@ let engine_flag = ref "sim"
 let seed_flag = ref 42
 let chaos_flag = ref false
 let steady_child = ref ""
+let steady_procs_child = ref ""
 
 let () =
   Arg.parse
@@ -1514,17 +1569,25 @@ let () =
         Arg.Set_string steady_child,
         "FILE run only spmd/hyperquicksort-flatint/steady and write its result to FILE (the \
          measured runs start this in a fresh process)" );
+      ( "--steady-sort-procs-child",
+        Arg.Set_string steady_procs_child,
+        "FILE run only spmd/hyperquicksort-flatint-procs/steady and write its result to FILE (the \
+         measured runs start this in a fresh process)" );
     ]
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     "bench/main.exe [--smoke] [--json FILE] [--service [--engine sim|multicore] [--seed N] [--chaos]]"
 
 let () =
-  if !steady_child <> "" then begin
-    Obs.enable ();
-    bench_steady_sort ();
-    Obs.Artifact.save !steady_child (Obs.Artifact.make ~smoke:true ~host:[] !results);
-    exit 0
-  end;
+  let child file bench =
+    if file <> "" then begin
+      Obs.enable ();
+      bench ();
+      Obs.Artifact.save file (Obs.Artifact.make ~smoke:true ~host:[] !results);
+      exit 0
+    end
+  in
+  child !steady_child bench_steady_sort;
+  child !steady_procs_child bench_steady_sort_procs;
   Printf.printf "SCL reproduction benchmark harness\n";
   Printf.printf "(paper: Darlington et al., Parallel Skeletons for Structured\n";
   Printf.printf " Composition, PPoPP 1995; simulated machine: Fujitsu AP1000)\n";

@@ -106,12 +106,12 @@ let sort_flat ?(exec = Exec.sequential) ~dims (a : int array) : int array =
 
 open Machine
 
-(* One tier of the SPMD program: how a rank holds its keys (['a]) and
-   what rank 0's gather returns (['r]).  A tier is built per rank per run
-   and every field works on a whole chunk, so the per-key loops stay in
-   each tier's own kernels. *)
-type ('a, 'r) tier = {
-  scatter : int array option -> 'a;  (* [Dvec.scatter]: length bcast, then blocks *)
+(* One tier of the SPMD program: how rank 0 holds the input (['i]), how
+   a rank holds its keys (['a]) and what rank 0's gather returns (['r]).
+   A tier is built per rank per run and every field works on a whole
+   chunk, so the per-key loops stay in each tier's own kernels. *)
+type ('i, 'a, 'r) tier = {
+  scatter : 'i option -> 'a;  (* [Dvec.scatter]: length bcast, then blocks *)
   sort : 'a -> 'a;
   length : 'a -> int;
   midvalue : 'a -> int option;
@@ -127,7 +127,7 @@ type ('a, 'r) tier = {
    keys.  Its trace notes regenerate the paper's Figure 2 when the run
    records a trace; they cost no simulated time and are no-ops on the
    real engines. *)
-let hqs_program (t : ('a, 'r) tier) (data : int array option) (comm : Comm.t) : 'r option =
+let hqs_program (t : ('i, 'a, 'r) tier) (data : 'i option) (comm : Comm.t) : 'r option =
   let d = log2_exact (Comm.size comm) in
   let say fmt = Printf.ksprintf (Comm.note comm) fmt in
   (* Distribute, then SEQ_QUICKSORT locally. *)
@@ -173,7 +173,7 @@ let show_keys n (keys : unit -> int array) =
 
 (* The boxed tier: [int array] chunks, the [Seq_kernels] procedures and
    marshalled messages. *)
-let boxed_tier comm : (int array, int array) tier =
+let boxed_tier comm : (int array, int array, int array) tier =
   {
     scatter = (fun data -> Scl_sim.Dvec.local (Scl_sim.Dvec.scatter comm ~root:0 data));
     sort = Seq_kernels.quicksort;
@@ -190,18 +190,18 @@ let boxed_tier comm : (int array, int array) tier =
 
 (* The flat tier: the keys in unboxed int flat storage ([Scl.Flat.Int])
    from scatter to gather, moving as bulk slices ([sort_flatint]'s
-   interface says how on each engine).  The root copies the input once:
-   ranks sort their blocks in place, and the caller's array must not
-   change.
+   interface says how on each engine).  The input reaches the root
+   already in a workspace buffer of its own ([Comm.input]): ranks sort
+   their blocks in place, and the caller's array must not change.
 
    Every buffer comes from [Comm.workspace] (lent from earlier runs'
-   buffers under [Spmd.run_flat] on [sim] and [multicore]).  The first
+   buffers under [Spmd.run_flat]).  The first
    round's merge writes the sort's scratch, which has a little headroom;
    later rounds, and a first merge too large for it, take a buffer of
    their own: from round 2 on the kept half may lie in the scratch, and
    on [multicore] the half sent from it is read by reference, possibly
    after this rank has moved on. *)
-let flat_tier comm : (Scl.Flat.int1, Scl.Flat.int1 array) tier =
+let flat_tier comm : (Scl.Flat.int1, Scl.Flat.int1, Scl.Flat.int1 array) tier =
   let module FI = Scl.Flat.Int in
   let workspace n : FI.t = Comm.workspace comm Scl.Flat.int n in
   let scratch = ref None in
@@ -210,9 +210,8 @@ let flat_tier comm : (Scl.Flat.int1, Scl.Flat.int1 array) tier =
       (fun data ->
         (* the length broadcast of [Dvec.scatter], so both tiers send as
            many messages *)
-        ignore (Comm.bcast comm ~root:0 (Option.map Array.length data) : int);
-        let copy a = FI.of_int_array ~into:(workspace (Array.length a)) a in
-        Comm.scatter_slice comm ~root:0 (Option.map copy data));
+        ignore (Comm.bcast comm ~root:0 (Option.map Scl.Flat.length data) : int);
+        Comm.scatter_slice comm ~root:0 data);
     sort =
       (fun a ->
         let n = Scl.Flat.length a in
@@ -257,8 +256,8 @@ let sort backend ?topology ~procs (data : int array) =
 
 let sort_flatint backend ?topology ?chaos ~procs (data : int array) =
   check_procs procs;
-  Scl_sim.Spmd.run_flat backend ?topology ?chaos ~procs ~kind:Scl.Flat.int (fun comm ->
-      hqs_program (flat_tier comm) (input data comm) comm)
+  Scl_sim.Spmd.run_flat backend ?topology ?chaos ~procs ~kind:Scl.Flat.int ~input:data (fun comm ->
+      hqs_program (flat_tier comm) (Comm.input comm Scl.Flat.int) comm)
 
 (* Pinned by the steady benchmark, which calls these exact names. *)
 let sort_procs ~procs data = sort_flatint Backend.procs ~procs data

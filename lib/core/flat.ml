@@ -59,9 +59,15 @@ let init kind n f =
    sort workloads convert every job through them); every other kind takes
    the generic loop.  The branches are textually identical on purpose — the
    type, not the code, differs. *)
-let of_array (type a b) (kind : (a, b) Bigarray.kind) (src : a array) : (a, b) t =
+let copy_in (type a b) op ?into (kind : (a, b) Bigarray.kind) (src : a array) : (a, b) t =
   let n = Array.length src in
-  let a = create kind n in
+  let a =
+    match into with
+    | None -> create kind n
+    | Some dst ->
+        if length dst < n then invalid_arg (op ^ ": into is shorter than the array");
+        sub_view dst ~pos:0 ~len:n
+  in
   (match kind with
   | Bigarray.Float64 ->
       for i = 0 to n - 1 do
@@ -76,6 +82,8 @@ let of_array (type a b) (kind : (a, b) Bigarray.kind) (src : a array) : (a, b) t
         Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
       done);
   a
+
+let of_array ?into kind src = copy_in "Flat.of_array" ?into kind src
 
 let to_array (type a b) (a : (a, b) t) : a array =
   let n = length a in
@@ -292,18 +300,6 @@ module Int = struct
     let rec go i = i >= n || (Bigarray.Array1.unsafe_get a (i - 1) <= Bigarray.Array1.unsafe_get a i && go (i + 1)) in
     go 1
 
-  let of_int_array ?into (src : int array) : t =
-    let n = Array.length src in
-    let (out : t) =
-      match into with
-      | None -> create int n
-      | Some dst ->
-          if length dst < n then invalid_arg "Flat.Int.of_int_array: into is shorter than the array";
-          sub_view dst ~pos:0 ~len:n
-    in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set out i (Array.unsafe_get src i)
-    done;
-    out
+  let of_int_array ?into (src : int array) : t = copy_in "Flat.Int.of_int_array" ?into int src
   let to_int_array (a : t) : int array = to_array a
 end

@@ -57,7 +57,12 @@ val sub_view : ('a, 'b) t -> pos:int -> len:int -> ('a, 'b) t
 val blit : src:('a, 'b) t -> dst:('a, 'b) t -> unit
 val copy : ('a, 'b) t -> ('a, 'b) t
 
-val of_array : ('a, 'b) Bigarray.kind -> 'a array -> ('a, 'b) t
+val of_array : ?into:('a, 'b) t -> ('a, 'b) Bigarray.kind -> 'a array -> ('a, 'b) t
+(** The elements in flat storage of [kind]. With [?into] (length at
+    least the array's), they are copied into its prefix view of the
+    array's length, which is the result; without it, into fresh storage.
+    @raise Invalid_argument if [into] is shorter than the array. *)
+
 val to_array : ('a, 'b) t -> 'a array
 val concat : ('a, 'b) Bigarray.kind -> ('a, 'b) t array -> 'a array
 (** [concat kind parts]: the parts' elements in order, in one fresh

@@ -89,6 +89,10 @@ let workspace t kind n =
   if Obs.enabled () then Obs.Counter.incr obs_lent;
   t.eng.Engine.workspace kind n
 
+let input t kind =
+  Engine.check_kind "Comm.input" kind;
+  t.eng.Engine.input kind
+
 (* 24 bits of sequence + 4 of opcode keeps every collective tag inside
    [tag_space, user_space).  Aliasing a live collective's tag would be a
    silent-corruption bug, so genuine exhaustion fails loudly instead of

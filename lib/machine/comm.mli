@@ -57,15 +57,24 @@ val workspace : t -> ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice
 (** [workspace t kind n]: a length-[n] buffer of [kind] for this rank's
     scratch work or payloads, contents unspecified, valid until the run
     returns — never kept, returned or stashed past it. Under
-    [Scl_sim.Spmd.run_flat] on [sim] and [multicore] it comes from a
-    free list of the buffers earlier runs borrowed ({!Workspace}), so a
-    steady stream of identical runs allocates no fresh pages; everywhere
-    else (other runners, the [procs] children) it is fresh storage. A
+    [Scl_sim.Spmd.run_flat] it comes from a free list of the buffers
+    earlier runs borrowed ({!Workspace}: the calling process's on [sim]
+    and [multicore], each pooled rank's own on [procs]), so a steady
+    stream of identical runs allocates no fresh pages; under every other
+    runner it is fresh storage. A
     buffer is lent at most once per run, so sending it by reference is
     as safe as sending any other slice. Counts [workspace.lent] (and
     {!Workspace.lend} [workspace.reused]) when [Obs] is enabled.
     @raise Invalid_argument if [kind] is neither [float64] nor [int], or
     [n < 0]. *)
+
+val input : t -> ('k, 'e) Bigarray.kind -> ('k, 'e) Engine.slice option
+(** [input t kind]: the input array given to [Scl_sim.Spmd.run_flat
+    ~input], at rank 0, already copied into one of that rank's workspace
+    buffers (so the caller's array is never touched by the program);
+    [None] on other ranks and in runs given no input.
+    @raise Invalid_argument if [kind] is neither [float64] nor [int], or
+    is not the input's kind. *)
 
 (** {1 Collectives} *)
 

@@ -43,7 +43,9 @@
      clock.
    - [workspace kind n] returns a length-[n] flat buffer that stays
      valid until the run returns; what happens to it then is the
-     runner's business (see [fresh] and [Workspace]). *)
+     runner's business (see [fresh] and [Workspace]).
+   - [input kind] is the run's input at rank 0 of a [run_flat] given
+     one, already laid out in a buffer of this rank's; [None] elsewhere. *)
 
 (* The typed bulk tier: an unboxed slice (C-layout Bigarray window) of
    float64 or int elements, the two kinds the flat tier moves.
@@ -74,12 +76,25 @@ type t = {
   time : unit -> float;
   note : string -> unit;
   workspace : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) slice;
+  input : 'k 'e. ('k, 'e) Bigarray.kind -> ('k, 'e) slice option;
 }
 
 (* Every engine's default [workspace]: plain storage, collected when the
    program drops it.  [Spmd.run_flat] swaps in a recycling one
    ([Workspace.wrap]) on the in-process engines. *)
 let fresh kind n = Bigarray.Array1.create kind Bigarray.c_layout n
+
+let no_input _ = None
+
+(* The kinds are matched together, so a slice of the asked-for kind is
+   returned as such, with no cast. *)
+let input_of (type k e a b) (s : (k, e) slice) (kind : (a, b) Bigarray.kind) : (a, b) slice option =
+  match (Bigarray.Array1.kind s, kind) with
+  | Bigarray.Float64, Bigarray.Float64 -> Some s
+  | Bigarray.Int, Bigarray.Int -> Some s
+  | _ -> invalid_arg "Comm.input: the run's input is of another kind"
+
+let with_input t s = { t with input = (fun kind -> input_of s kind) }
 
 let work_flops t n = t.work (Cost_model.flops t.cost n)
 

@@ -74,11 +74,25 @@ type t = {
           {!Workspace.wrap}, which lends buffers recycled from earlier
           runs and takes them back when the run returns. A wrapper built
           with [{ e with … }] passes it through untouched. *)
+  input : 'k 'e. ('k, 'e) Bigarray.kind -> ('k, 'e) slice option;
+      (** [input kind]: the input array handed to a [run_flat] runner
+          ([Scl_sim.Spmd.run_flat ~input], [Procs.run_flat ~input]), as a
+          buffer of this rank's own lent from its workspace: [Some] at
+          rank 0 of such a run, [None] on every other rank and in every
+          other run ({!no_input}). Reach it through {!Comm.input}.
+          @raise Invalid_argument if [kind] is not the input's kind. *)
 }
 
 val fresh : ('k, 'e) Bigarray.kind -> int -> ('k, 'e) slice
 (** Uninitialised storage of [n] elements ([Bigarray.Array1.create]):
     every engine's default {!t.workspace}. *)
+
+val no_input : ('k, 'e) Bigarray.kind -> ('k, 'e) slice option
+(** Always [None]: every engine's default {!t.input}. *)
+
+val with_input : t -> ('k, 'e) slice -> t
+(** The engine with its [input] field returning the slice (for its own
+    kind; any other kind raises [Invalid_argument]). *)
 
 val work_flops : t -> int -> unit
 (** [work_flops t n] charges [n] floating-point operations via the engine's

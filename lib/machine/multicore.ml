@@ -384,6 +384,7 @@ let engine fab st : Engine.t =
     time = clock;
     note = (fun _ -> ());
     workspace = Engine.fresh;
+    input = Engine.no_input;
   }
 
 (* -------------------------------------------------------- per-domain scheduler *)

@@ -1,6 +1,6 @@
-(* Multi-process execution engine: ranks are OS processes forked at run
-   time, wired pairwise by Unix-domain socketpairs, with a shared-memory
-   arena beside the sockets for bulk slices.
+(* Multi-process execution engine: ranks are long-lived OS processes of
+   a rank pool, wired pairwise by Unix-domain socketpairs, with a
+   shared-memory arena beside the sockets for bulk slices.
 
    Frame protocol (all integers little-endian):
 
@@ -14,8 +14,9 @@
      kind 2  arena floats  len = element count; payload = two int64s: the
                            block's arena offset and its span (elements)
      kind 3  arena ints    as kind 2, int elements
-     kind 4  credit        tag = 0; len = elements of the reader's own ring
-                           toward the writer that are free again; no payload
+     kind 4  credit        tag = the run's number; len = elements of the
+                           reader's own ring toward the writer that are
+                           free again; no payload
 
    The source rank is implicit (one socket per peer), so a frame is
    exactly one message and the per-(src,tag) FIFO contract falls out of
@@ -38,13 +39,15 @@
    header plus one chunk.
 
    The arena.  A process maps one shared file (under /dev/shm, unlinked
-   as soon as it is open, so no name outlives the mapping) before its
-   first fork and keeps it for its lifetime; every run it starts carves
-   it into one ring per directed channel, and its children inherit the
-   mapping.  A slice of at least one chunk is blitted into the sender's
-   ring toward its destination and announced by an arena frame on the
-   socket; the receiver copies it out into a fresh Bigarray as soon as
-   it parses that frame and owes the sender a credit for the span.
+   as soon as it is open, so no name outlives the mapping) before it
+   first forks a pool of two or more ranks and keeps it for its
+   lifetime; every run carves it into one ring per directed channel, and
+   the pool's ranks inherit the mapping.  A slice of at least one chunk
+   is blitted into the sender's ring toward its destination and
+   announced by an arena frame on the socket; the receiver copies it out
+   (into a buffer of its run's workspace lease under [run_flat], a fresh
+   Bigarray otherwise) as soon as it parses that frame and owes the
+   sender a credit for the span.
    Credits are written only between whole frames: never while a frame to
    that peer is part-written, and never blocking — what the socket does
    not take at once stays owed, and rides ahead of the next frame.  A
@@ -53,13 +56,35 @@
    take the socket.  A process that cannot create the file runs on
    sockets alone.
 
-   A child reports to the parent over its own socket: its verdict record
-   (counters, fail-stop flag, error, whether a result follows) as a
-   [Marshal] image behind an int64 length, then its result in the form of
-   the runner that started the run — [run_collect]'s [Marshal] image, or
-   [run_flat]'s raw words streamed a chunk at a time.  The parent reads
-   only the lowest producing rank's result; a child that dies before its
-   result has arrived whole is a crash.
+   The pool.  The first run (or [init]) forks the ranks once; each keeps
+   its sockets — one to every other rank, one control socket to the
+   parent — and the arena mapping, and serves runs until its control
+   socket reaches EOF.  Its sockets sit at the top of a 1024-entry
+   descriptor table, away from the low numbers the parent reuses once it
+   has closed its own ends of them.  A run is one [Marshal [Closures]]
+   image of its program and result form, written to the control socket
+   of each rank it uses, behind an int64 length, the run's epoch and its
+   number; [run_flat]'s input follows rank 0's as raw little-endian
+   words, decoded straight into a buffer of that rank's lease.  Frames
+   never cross from one run into the next: a rank that finishes cleanly
+   sends every peer a goodbye, behind all the credit it owes that peer
+   and with nothing after it, and then reads each peer's stream up to
+   that peer's goodbye (or EOF), dropping what it reads, before it
+   reports.  A run in which
+   any rank failed, fail-stopped or died retires the whole pool — its
+   sockets are in an unknown state, and a replacement rank could not be
+   wired to the live ones — and the next run forks a new one; so does a
+   run that needs more ranks than the pool has.
+
+   A rank reports to the parent over its control socket: its verdict
+   record (counters, fail-stop flag, error, whether a result follows) as
+   a [Marshal] image behind an int64 length, then its result in the form
+   of the runner that started the run — [run_collect]'s [Marshal] image,
+   or [run_flat]'s raw words streamed a chunk at a time.  The parent
+   reads only the lowest producing rank's result: rank 0 sends its own
+   at once, and any other producing rank waits for a one-byte answer
+   saying whether it is wanted.  A rank that dies before its result has
+   arrived whole is a crash.
 
    A send returns once its whole frame is in the kernel; no frame is
    ever owed after that.  No send waits for a matching receive: a frame
@@ -84,8 +109,9 @@
    cycle among live processes hangs — there is no shared view to prove
    it), zero-copy (everything crosses the boundary by value: an arena
    slice is copied in by the sender and out by the receiver), and
-   cross-process [Obs] aggregation (children count sends/receives and
-   ship the totals home in their verdict). *)
+   cross-process [Obs] aggregation (ranks count sends/receives, page
+   faults, CPU time and workspace leases and ship the totals home in
+   their verdict). *)
 
 exception Child_failure of int * string
 exception Fork_after_domain
@@ -102,7 +128,13 @@ type stats = {
   total_recvs : int;
   arena_msgs : int;
   procs_used : int;
+  forked : int;
   crashed : int list;
+  rank_minflt : int;
+  rank_cpu : float;
+  rank_lent : int;
+  rank_fresh : int;
+  job_bytes : int;
 }
 
 (* ------------------------------------------------------------------ frames *)
@@ -147,19 +179,18 @@ let frame_head kind tag len payload =
 (* One shared mapping, seen as float64 and as int (the file mapped
    twice), so a slice of either kind is one blit in and one blit out. *)
 type arena = {
-  a_pid : int;  (* the process that mapped it: a forked rank maps its own *)
+  a_pid : int;  (* the process that mapped it: a rank maps its own *)
   a_floats : (float, Bigarray.float64_elt) Engine.slice;
   a_ints : (int, Bigarray.int_elt) Engine.slice;
-  mutable a_busy : bool;  (* a run of this process is using it *)
 }
 
 let arena_elems = 1 lsl 22 (* 32 MiB *)
 let arena_dir = "/dev/shm"
 let arena_prefix = "scl-arena-"
 
-(* This process's arena, mapped at its first run of two or more ranks;
-   a process that cannot create the file runs on sockets and tries again
-   at its next run. *)
+(* This process's arena, mapped when it first forks a pool of two or
+   more ranks; a process that cannot create the file runs that pool on
+   sockets and tries again when it next forks one. *)
 let arena : arena option ref = ref None
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -179,27 +210,17 @@ let map_arena () =
         ~finally:(fun () -> close_noerr fd)
         (fun () ->
           try
-            Some { a_pid = pid; a_floats = view Bigarray.float64; a_ints = view Bigarray.int; a_busy = false }
+            Some { a_pid = pid; a_floats = view Bigarray.float64; a_ints = view Bigarray.int }
           with Unix.Unix_error _ | Failure _ -> None)
 
-(* The arena a run of [procs] ranks may use, marked busy; [None] when it
-   would not pay (one rank) or cannot be had (no file, or another run of
-   this process holds it).  A forked rank finds its parent's arena here
-   and maps its own: its siblings are using that one. *)
-let acquire_arena ~procs =
-  if procs < 2 then None
-  else begin
-    (match !arena with
-    | Some a when a.a_pid = Unix.getpid () -> ()
-    | _ -> arena := map_arena ());
-    match !arena with
-    | Some a when not a.a_busy ->
-        a.a_busy <- true;
-        Some a
-    | _ -> None
-  end
-
-let release_arena = Option.iter (fun a -> a.a_busy <- false)
+(* The arena of this process's pool; [None] when the file cannot be
+   had.  A rank finds its parent's arena here and maps its own for a pool
+   of its own: its siblings are using that one. *)
+let acquire_arena () =
+  (match !arena with
+  | Some a when a.a_pid = Unix.getpid () -> ()
+  | _ -> arena := map_arena ());
+  !arena
 
 (* The sender's ring toward one destination: [r_head] and [r_tail] count
    elements ever reserved and ever credited back, so [r_head - r_tail] is
@@ -227,11 +248,6 @@ let reserve r n =
     r.r_head <- r.r_head + skip + n;
     Some (r.r_base + (if skip > 0 then 0 else pos), skip + n)
   end
-
-let copy_out view off n =
-  let a = Bigarray.Array1.create (Bigarray.Array1.kind view) Bigarray.c_layout n in
-  Bigarray.Array1.blit (Bigarray.Array1.sub view off n) a;
-  a
 
 (* -------------------------------------------------------------- child state *)
 
@@ -268,10 +284,14 @@ type peer = {
 type cstate = {
   c_rank : int;
   c_procs : int;
-  c_t0 : float;  (* shared epoch, captured in the parent before forking *)
+  c_t0 : float;  (* the run's epoch, taken in the parent as it starts the run *)
+  c_run : int;  (* the run's number in its pool: credit frames carry it *)
   c_arena : arena option;
+  c_alloc : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice;
+      (* storage for an arena slice's copy *)
   peers : peer option array;  (* index = rank; [None] at [c_rank] *)
   pending : packet Queue.t;
+  mutable c_draining : bool;  (* finished: frames still arriving are dropped *)
   mutable c_sent : int;
   mutable c_recvd : int;
   mutable c_arena_sent : int;
@@ -280,22 +300,27 @@ type cstate = {
 
 let now st = Unix.gettimeofday () -. st.c_t0
 
+let copy_out st view off n =
+  let a = st.c_alloc (Bigarray.Array1.kind view) n in
+  Bigarray.Array1.blit (Bigarray.Array1.sub view off n) a;
+  a
+
 (* ------------------------------------------------------------------ credits *)
 
 (* Turn owed credit into a credit frame, unless one is still part-written:
    a credit frame, once started, is finished before any other byte goes
    to that peer. *)
-let take_credit peer =
+let take_credit st peer =
   if peer.p_ctl_off = Bytes.length peer.p_ctl && peer.p_credit > 0 then begin
-    peer.p_ctl <- header k_credit 0 peer.p_credit 0;
+    peer.p_ctl <- header k_credit st.c_run peer.p_credit 0;
     peer.p_ctl_off <- 0;
     peer.p_credit <- 0
   end
 
 (* Write owed credit without blocking, and only between whole frames. *)
-let flush_credit peer =
+let flush_credit st peer =
   if not (peer.p_writing || peer.p_wdead) then begin
-    take_credit peer;
+    take_credit st peer;
     let continue = ref true in
     while !continue && peer.p_ctl_off < Bytes.length peer.p_ctl do
       match
@@ -312,16 +337,26 @@ let flush_credit peer =
 
 (* ------------------------------------------------------- stream maintenance *)
 
-(* A whole frame from [peer]: queue its message, or apply a control frame. *)
+(* A whole frame from [peer]: queue its message, or apply a control
+   frame.  Once this rank has finished, only goodbyes matter.  A credit
+   from another run would free ring space this run has not used, and let
+   the next block overwrite one its reader has not copied out yet. *)
 let deliver st peer ~kind ~tag ~len payload =
   if kind = k_goodbye then peer.p_fin <- true
-  else if kind = k_credit then Option.iter (fun r -> r.r_tail <- r.r_tail + len) peer.p_ring
+  else if st.c_draining then ()
+  else if kind = k_credit then begin
+    if tag <> st.c_run then
+      failwith
+        (Printf.sprintf "Procs: p%d got a credit frame of run %d from p%d in run %d" st.c_rank tag
+           peer.p_rank st.c_run);
+    Option.iter (fun r -> r.r_tail <- r.r_tail + len) peer.p_ring
+  end
   else if kind = k_arena_floats || kind = k_arena_ints then begin
     let a = Option.get st.c_arena in
     let off = Int64.to_int (Bytes.get_int64_le payload 0) in
     let v =
-      if kind = k_arena_floats then Obj.repr (copy_out a.a_floats off len)
-      else Obj.repr (copy_out a.a_ints off len)
+      if kind = k_arena_floats then Obj.repr (copy_out st a.a_floats off len)
+      else Obj.repr (copy_out st a.a_ints off len)
     in
     peer.p_credit <- peer.p_credit + Int64.to_int (Bytes.get_int64_le payload 8);
     Queue.add { k_src = peer.p_rank; k_tag = tag; k_body = Copied v } st.pending
@@ -394,23 +429,30 @@ let read_peer st peer =
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> peer.p_eof <- true
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done;
-  flush_credit peer
+  flush_credit st peer
 
-(* One fabric pump: wait (up to [timeout] seconds; negative = forever)
-   for any peer to become readable — or, with [~writing], for that one
-   socket to take more bytes — then read every readable peer. *)
+(* A peer that may still send in this run: neither finished (goodbye
+   parsed) nor gone (EOF). *)
+let live p = not (p.p_eof || p.p_fin)
+
+(* The longest single wait handed to [select], which rejects a timeout
+   too large for its [timeval] with EINVAL; a longer wait loops. *)
+let max_wait = 3600.0
+
+(* One fabric pump: wait (up to [timeout] seconds, at most [max_wait];
+   negative = forever) for any live peer to become readable — or, with
+   [~writing], for that one socket to take more bytes — then read every
+   readable peer. *)
 let step ?writing st ~timeout =
   let rds =
-    Array.fold_left
-      (fun acc -> function Some p when not p.p_eof -> p.p_fd :: acc | _ -> acc)
-      [] st.peers
+    Array.fold_left (fun acc -> function Some p when live p -> p.p_fd :: acc | _ -> acc) [] st.peers
   in
   let wrs = match writing with Some p -> [ p.p_fd ] | None -> [] in
   if rds = [] && wrs = [] && timeout < 0.0 then
     (* only reachable from a wait the fail-fast checks proved satisfiable,
        so this is a bug guard, not a semantic path *)
     raise (Fault.Deadlock (Printf.sprintf "p%d: nothing left to wait on" st.c_rank));
-  match Unix.select rds wrs [] timeout with
+  match Unix.select rds wrs [] (Float.min timeout max_wait) with
   | r, _, _ ->
       Array.iter
         (function Some p when List.memq p.p_fd r -> read_peer st p | _ -> ())
@@ -446,22 +488,21 @@ let no_sender_exn st ~src ~tag ~any_tag =
           (Fault.Deadlock
              (Printf.sprintf "p%d: recv(src=%d, tag=%s) from self can never be satisfied"
                 st.c_rank src (chan ())))
-    | Some p when p.p_eof ->
-        if p.p_fin then
-          Some
-            (Fault.Deadlock
-               (Printf.sprintf
-                  "p%d: recv(src=%d, tag=%s) — rank %d finished cleanly without sending a \
-                   matching message"
-                  st.c_rank src (chan ()) src))
-        else Some (Fault.Crashed src)
+    | Some p when p.p_fin ->
+        Some
+          (Fault.Deadlock
+             (Printf.sprintf
+                "p%d: recv(src=%d, tag=%s) — rank %d finished cleanly without sending a \
+                 matching message"
+                st.c_rank src (chan ()) src))
+    | Some p when p.p_eof -> Some (Fault.Crashed src)
     | Some _ -> None
   else begin
     let all_gone = ref true and first_crashed = ref (-1) in
     Array.iter
       (function
         | Some p ->
-            if not p.p_eof then all_gone := false
+            if live p then all_gone := false
             else if (not p.p_fin) && !first_crashed < 0 then first_crashed := p.p_rank
         | None -> ())
       st.peers;
@@ -527,14 +568,21 @@ let send_frame st peer kind tag len payload =
     done
   in
   peer.p_writing <- true;
-  take_credit peer;
+  (* every credit owed so far: a part-written frame's rest, then the rest *)
+  write peer.p_ctl peer.p_ctl_off;
+  peer.p_ctl_off <- Bytes.length peer.p_ctl;
+  take_credit st peer;
   write peer.p_ctl peer.p_ctl_off;
   peer.p_ctl_off <- Bytes.length peer.p_ctl;
   write (frame_head kind tag len payload) 0;
   if Bytes.length payload > chunk then write payload 0;
   peer.p_writing <- false;
-  (* what the frame's own wait freed *)
-  flush_credit peer
+  if kind = k_goodbye then
+    (* nothing follows a goodbye: the peer stops reading this socket at
+       it, and the socket outlives the run *)
+    peer.p_wdead <- true
+  else (* what the frame's own wait freed *)
+    flush_credit st peer
 
 let peer_of st dest = match st.peers.(dest) with Some p -> p | None -> assert false
 
@@ -586,12 +634,14 @@ let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
 (* ----------------------------------------------------------------- shutdown *)
 
 (* Clean finish: say goodbye on each socket (every earlier frame is
-   already in the kernel), then apply the undelivered-message check —
-   not counting traffic from ranks that crashed, which the fail-stop
-   model allows to go unconsumed. *)
+   already in the kernel) and write nothing more to it in this run, then
+   apply the undelivered-message check — not counting traffic from ranks
+   that crashed, which the fail-stop model allows to go unconsumed. *)
 let finish_clean st =
   Array.iter
-    (function Some p -> send_frame st p k_goodbye 0 0 Bytes.empty | None -> ())
+    (function
+      | Some p -> send_frame st p k_goodbye 0 0 Bytes.empty
+      | None -> ())
     st.peers;
   let crashed_src pkt =
     match st.peers.(pkt.k_src) with Some p -> p.p_eof && not p.p_fin | None -> false
@@ -602,8 +652,18 @@ let finish_clean st =
       Engine.check_undelivered ~rank:st.c_rank ~count:(List.length left) ~src:pkt.k_src
         ~tag:pkt.k_tag
 
+(* After a clean finish, read every peer's stream up to its goodbye (or
+   EOF), dropping what arrives: the sockets outlive the run, and the next
+   run must find them empty. *)
+let drain st =
+  st.c_draining <- true;
+  while Array.exists (function Some p -> live p | None -> false) st.peers do
+    step st ~timeout:(-1.0)
+  done
+
 (* Fail-stop: slam the sockets shut so peers see EOF without a goodbye
-   — that is what [Fault.Crashed] looks like from the outside. *)
+   — that is what [Fault.Crashed] looks like from the outside.  A pooled
+   rank that does this serves no further run. *)
 let abrupt_close st =
   Array.iter (function Some p -> close_noerr p.p_fd | None -> ()) st.peers
 
@@ -654,12 +714,13 @@ let engine st cost topology : Engine.t =
     time = clock;
     note = (fun _ -> ());
     workspace = Engine.fresh;
+    input = Engine.no_input;
   }
 
-(* ----------------------------------------------------- child/parent protocol *)
+(* ------------------------------------------------------ rank/parent protocol *)
 
 (* Exceptions do not survive [Marshal] (constructor identity is
-   per-process), so a child ships this closed representation and the
+   per-process), so a rank ships this closed representation and the
    parent rebuilds the real exception. *)
 type child_error =
   | E_timeout of string
@@ -670,8 +731,9 @@ type child_error =
   | E_failure of string
   | E_other of string
 
-(* A child's report.  Its result, if any, follows it on the socket (see
-   [result_form]), not inside it. *)
+(* A rank's report on one run.  Its result, if any, follows it on the
+   control socket (see [result_form]), not inside it.  The last four
+   fields cover the run from its job's arrival to this record. *)
 type verdict = {
   v_error : child_error option;
   v_crashed : bool;  (* chaos-style self fail-stop: silent, not an error *)
@@ -679,6 +741,10 @@ type verdict = {
   v_sent : int;
   v_recvd : int;
   v_arena : int;
+  v_minflt : int;  (* minor page faults *)
+  v_cpu : float;  (* user + system seconds *)
+  v_lent : int;  (* workspace requests *)
+  v_fresh : int;  (* of them, served from fresh storage *)
 }
 
 let err_repr = function
@@ -728,24 +794,47 @@ let read_sized fd =
     let b = Bytes.create (Int64.to_int (Bytes.get_int64_le hdr 0)) in
     if read_all fd b 0 (Bytes.length b) then Some b else None
 
-(* [None] = the child died before reporting (exit, signal): a real crash. *)
+(* [None] = the rank died before reporting (exit, signal): a real crash. *)
 let read_verdict fd : verdict option =
   Option.map (fun b : verdict -> Marshal.from_bytes b 0) (read_sized fd)
 
-(* How a producing child's result ['p] crosses its verdict socket after the
-   record: the child [write]s it, the parent [read]s it back as ['r] —
-   [None] when the stream ends early, the child having died mid-result. *)
-type ('p, 'r) result_form = {
-  write : Unix.file_descr -> 'p -> unit;
-  read : Unix.file_descr -> 'r option;
-}
+(* Raw little-endian words out through one chunk-sized buffer. *)
+type words_out = { o_fd : Unix.file_descr; o_buf : Bytes.t; mutable o_fill : int }
 
-let no_result : (unit, unit) result_form = { write = (fun _ () -> ()); read = (fun _ -> Some ()) }
+(* [n] elements, [encode ~i ~m b off] writing elements [i, i + m) into
+   [b] from byte [off]: as many as the buffer has room for at a time. *)
+let put_words o n encode =
+  let i = ref 0 in
+  while !i < n do
+    if o.o_fill = chunk then begin
+      write_all o.o_fd o.o_buf 0 chunk;
+      o.o_fill <- 0
+    end;
+    let m = min (n - !i) ((chunk - o.o_fill) / 8) in
+    encode ~i:!i ~m o.o_buf o.o_fill;
+    i := !i + m;
+    o.o_fill <- o.o_fill + (8 * m)
+  done
 
-(* [run_collect]'s form: the value's [Marshal] image, taken inside the
-   rank so that a value which cannot cross is that rank's error. *)
-let marshalled : (bytes, 'a) result_form =
-  { write = write_sized; read = (fun fd -> Option.map (fun b -> Marshal.from_bytes b 0) (read_sized fd)) }
+let flush_words o =
+  write_all o.o_fd o.o_buf 0 o.o_fill;
+  o.o_fill <- 0
+
+(* [total] raw words in, a chunk at a time into [buf]: [decode n pos]
+   takes the [n] just read as elements [pos, pos + n).  [false] when the
+   stream ends first. *)
+let get_words fd buf total decode =
+  let rec go pos =
+    pos = total
+    ||
+    let n = min (chunk / 8) (total - pos) in
+    read_all fd buf 0 (8 * n)
+    && begin
+         decode n pos;
+         go (pos + n)
+       end
+  in
+  go 0
 
 (* Elements [i, i + m) of a slice as raw little-endian words, written into
    [b] from byte [off].  The kind is matched once, so each loop runs
@@ -763,63 +852,86 @@ let encode_run (type k e) (s : (k, e) Engine.slice) ~i ~m b off =
       done
   | _ -> assert false (* [run_flat] checks its parts' kind *)
 
+(* The same for an array of [kind]'s elements. *)
+let encode_array (type k e) (kind : (k, e) Bigarray.kind) (a : k array) ~i ~m b off =
+  match kind with
+  | Bigarray.Float64 ->
+      for j = 0 to m - 1 do
+        Bytes.set_int64_le b (off + (8 * j)) (Int64.bits_of_float (Array.unsafe_get a (i + j)))
+      done
+  | Bigarray.Int ->
+      for j = 0 to m - 1 do
+        Bytes.set_int64_le b (off + (8 * j)) (Int64.of_int (Array.unsafe_get a (i + j)))
+      done
+  | _ -> assert false (* [Engine.check_kind] *)
+
+(* Fill a slice from the stream: [run_flat]'s input at rank 0. *)
+let read_into (type k e) fd buf (s : (k, e) Engine.slice) =
+  let total = Bigarray.Array1.dim s in
+  match Bigarray.Array1.kind s with
+  | Bigarray.Float64 ->
+      get_words fd buf total (fun n pos ->
+          for j = 0 to n - 1 do
+            Bigarray.Array1.unsafe_set s (pos + j) (Int64.float_of_bits (Bytes.get_int64_le buf (8 * j)))
+          done)
+  | Bigarray.Int ->
+      get_words fd buf total (fun n pos ->
+          for j = 0 to n - 1 do
+            Bigarray.Array1.unsafe_set s (pos + j) (Int64.to_int (Bytes.get_int64_le buf (8 * j)))
+          done)
+  | _ -> assert false (* [Engine.check_kind] *)
+
+(* How a producing rank's result ['p] crosses its control socket after
+   the record: the rank [write]s it (through the chunk-sized buffer it
+   is given), the parent [read]s it back as ['r] — [None] when the
+   stream ends early, the rank having died mid-result. *)
+type ('p, 'r) result_form = {
+  write : Bytes.t -> Unix.file_descr -> 'p -> unit;
+  read : Unix.file_descr -> 'r option;
+}
+
+let no_result : (unit, unit) result_form = { write = (fun _ _ () -> ()); read = (fun _ -> Some ()) }
+
+(* [run_collect]'s form: the value's [Marshal] image, taken inside the
+   rank so that a value which cannot cross is that rank's error. *)
+let marshalled : (bytes, 'a) result_form =
+  {
+    write = (fun _ -> write_sized);
+    read = (fun fd -> Option.map (fun b -> Marshal.from_bytes b 0) (read_sized fd));
+  }
+
 (* [run_flat]'s form: the element count as an int64, then every part's
    elements as raw little-endian words, streamed through one chunk-sized
    buffer on each side.  The parent decodes each chunk straight into the
    result array: neither side builds a second copy of the whole result. *)
-let write_flat fd (parts : ('k, 'e) Engine.slice array) =
-  let buf = Bytes.create chunk in
-  Bytes.set_int64_le buf 0
-    (Int64.of_int (Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 parts));
-  let fill = ref 8 in
-  Array.iter
-    (fun s ->
-      let n = Bigarray.Array1.dim s in
-      let i = ref 0 in
-      while !i < n do
-        if !fill = chunk then begin
-          write_all fd buf 0 chunk;
-          fill := 0
-        end;
-        let m = min (n - !i) ((chunk - !fill) / 8) in
-        encode_run s ~i:!i ~m buf !fill;
-        i := !i + m;
-        fill := !fill + (8 * m)
-      done)
-    parts;
-  write_all fd buf 0 !fill
+let write_flat buf fd (parts : ('k, 'e) Engine.slice array) =
+  let o = { o_fd = fd; o_buf = buf; o_fill = 0 } in
+  let total = Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 parts in
+  put_words o 1 (fun ~i:_ ~m:_ b off -> Bytes.set_int64_le b off (Int64.of_int total));
+  Array.iter (fun s -> put_words o (Bigarray.Array1.dim s) (encode_run s)) parts;
+  flush_words o
+
+(* The parent's chunk buffer for rank 0's input and the result stream.
+   A run holds the pool's lock throughout, so one run at a time uses it;
+   a fresh buffer per run raised [sort-procs]' peak RSS by ~0.15 MB. *)
+let parent_buf = Bytes.create chunk
 
 let read_flat (type k e) (kind : (k, e) Bigarray.kind) fd : k array option =
-  let buf = Bytes.create chunk in
+  let buf = parent_buf in
   if not (read_all fd buf 0 8) then None
   else begin
     let total = Int64.to_int (Bytes.get_int64_le buf 0) in
-    (* read the words chunk by chunk; [decode n pos] stores the [n] just
-       read from index [pos] on *)
-    let stream (out : k array) decode =
-      let rec go pos =
-        if pos = total then Some out
-        else begin
-          let n = min (chunk / 8) (total - pos) in
-          if read_all fd buf 0 (8 * n) then begin
-            decode n pos;
-            go (pos + n)
-          end
-          else None
-        end
-      in
-      go 0
-    in
+    let filled (out : k array) decode = if get_words fd buf total decode then Some out else None in
     match kind with
     | Bigarray.Float64 ->
         let out = Array.create_float total in
-        stream out (fun n pos ->
+        filled out (fun n pos ->
             for j = 0 to n - 1 do
               Array.unsafe_set out (pos + j) (Int64.float_of_bits (Bytes.get_int64_le buf (8 * j)))
             done)
     | Bigarray.Int ->
         let out = Array.make total 0 in
-        stream out (fun n pos ->
+        filled out (fun n pos ->
             for j = 0 to n - 1 do
               Array.unsafe_set out (pos + j) (Int64.to_int (Bytes.get_int64_le buf (8 * j)))
             done)
@@ -828,109 +940,162 @@ let read_flat (type k e) (kind : (k, e) Bigarray.kind) fd : k array option =
 
 let flat kind = { write = write_flat; read = read_flat kind }
 
-(* --------------------------------------------------------------------- runs *)
+(* One run as the parent ships it to each rank it uses. *)
+type job =
+  | Job : {
+      j_procs : int;
+      j_cost : Cost_model.t;
+      j_topology : Topology.t;
+      j_lend : bool;  (* [run_flat]: workspace and arena copies from the rank's lease *)
+      j_input : (('k, 'e) Bigarray.kind * int) option;  (* rank 0's input words follow *)
+      j_program : int -> Engine.t -> 'p option;
+      j_write : Bytes.t -> Unix.file_descr -> 'p -> unit;
+    }
+      -> job
 
-let child_main ~rank ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd
-    (program : int -> Engine.t -> 'p option) (form : ('p, _) result_form) : unit =
-  (* a peer may die mid-write; we want EPIPE (handled), not a signal *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* Close every inherited fd that is not ours: EOF-based crash detection
-     only works if each socket end lives in exactly one process. *)
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j pair ->
-          match pair with
-          | Some (a, b) ->
-              (* (a, b) = (rank i's end, rank j's end), i < j *)
-              if i = rank then close_noerr b
-              else if j = rank then close_noerr a
-              else begin
-                close_noerr a;
-                close_noerr b
-              end
-          | None -> ())
-        row)
-    mesh;
-  Array.iteri
-    (fun q (parent_end, child_end) ->
-      close_noerr parent_end;
-      if q <> rank then close_noerr child_end)
-    vfd;
-  let my_vfd = snd vfd.(rank) in
+(* ------------------------------------------------------------------- a rank *)
+
+(* This process's minor page faults so far: field 10 of /proc/self/stat,
+   0 where there is no such file. *)
+let minor_faults () =
+  match Unix.openfile "/proc/self/stat" [ O_RDONLY; O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> 0
+  | fd -> (
+      let b = Bytes.create 512 in
+      let n = Fun.protect ~finally:(fun () -> close_noerr fd) (fun () -> Unix.read fd b 0 512) in
+      let line = Bytes.sub_string b 0 n in
+      (* the fields after the command name, which is in parentheses *)
+      match String.rindex_opt line ')' with
+      | None -> 0
+      | Some i -> (
+          let fields = String.split_on_char ' ' (String.sub line (i + 2) (n - i - 2)) in
+          match int_of_string_opt (List.nth fields 7) with Some f -> f | None -> 0))
+
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.tms_utime +. t.tms_stime
+
+let new_peer ~arena ~procs ~rank q fd =
+  {
+    p_rank = q;
+    p_fd = fd;
+    p_eof = false;
+    p_fin = false;
+    p_wdead = false;
+    p_rbuf = Bytes.create 4096;
+    p_rlen = 0;
+    p_body = None;
+    p_got = 0;
+    p_ring = (if Option.is_some arena then ring_of ~procs ~src:rank ~dst:q else None);
+    p_writing = false;
+    p_credit = 0;
+    p_ctl = Bytes.empty;
+    p_ctl_off = 0;
+  }
+
+(* Serve one run on this rank's pooled sockets [links] (index = peer
+   rank) and report it on [ctl].  [true] when the rank can serve another
+   run: it finished cleanly, drained every peer, and its report went
+   out. *)
+let serve ~rank ~arena ~ctl ~links ~scratch ~t0 ~run (Job j) =
+  let f0 = minor_faults () and c0 = cpu_seconds () in
+  let lease = Workspace.lease () in
+  let procs = j.j_procs in
   let peers =
     Array.init procs (fun q ->
-        if q = rank then None
-        else begin
-          let fd =
-            if rank < q then fst (Option.get mesh.(rank).(q))
-            else snd (Option.get mesh.(q).(rank))
-          in
-          Unix.set_nonblock fd;
-          Some
-            {
-              p_rank = q;
-              p_fd = fd;
-              p_eof = false;
-              p_fin = false;
-              p_wdead = false;
-              p_rbuf = Bytes.create 4096;
-              p_rlen = 0;
-              p_body = None;
-              p_got = 0;
-              p_ring = (if Option.is_some arena then ring_of ~procs ~src:rank ~dst:q else None);
-              p_writing = false;
-              p_credit = 0;
-              p_ctl = Bytes.empty;
-              p_ctl_off = 0;
-            }
-        end)
+        if q = rank then None else Some (new_peer ~arena ~procs ~rank q (Option.get links.(q))))
   in
   let st =
     {
       c_rank = rank;
       c_procs = procs;
       c_t0 = t0;
+      c_run = run;
       c_arena = arena;
+      c_alloc = (if j.j_lend then fun kind n -> Workspace.lend lease kind n else Engine.fresh);
       peers;
       pending = Queue.create ();
+      c_draining = false;
       c_sent = 0;
       c_recvd = 0;
       c_arena_sent = 0;
-      scratch = Bytes.create chunk;
+      scratch;
     }
   in
-  let eng = engine st cost topology in
-  let verdict ?(result = false) error crashed =
-    {
-      v_error = error;
-      v_crashed = crashed;
-      v_result = result;
-      v_sent = st.c_sent;
-      v_recvd = st.c_recvd;
-      v_arena = st.c_arena_sent;
-    }
+  let eng = engine st j.j_cost j.j_topology in
+  let eng = if j.j_lend then Workspace.wrap lease eng else eng in
+  let input =
+    match j.j_input with
+    | Some (kind, n) when rank = 0 ->
+        let s = Workspace.lend lease kind n in
+        if read_into ctl scratch s then Some (Engine.with_input eng s) else None
+    | _ -> Some eng
   in
-  let v, res =
-    match
-      let res = program rank eng in
-      finish_clean st;
-      res
-    with
-    | res -> (verdict ~result:(Option.is_some res) None false, res)
-    | exception Fault.Crashed r when r = rank ->
-        abrupt_close st;
-        (verdict None true, None)
-    | exception e ->
-        abrupt_close st;
-        (verdict (Some (err_repr e)) false, None)
-  in
-  (* a parent that does not want the result closes its end: EPIPE *)
-  (try
-     write_sized my_vfd (Marshal.to_bytes v []);
-     Option.iter (form.write my_vfd) res
-   with _ -> ());
-  Unix._exit 0
+  match input with
+  | None -> false (* the parent is gone *)
+  | Some eng -> (
+      let verdict ?(result = false) error crashed =
+        let lent, fresh = Workspace.counts lease in
+        {
+          v_error = error;
+          v_crashed = crashed;
+          v_result = result;
+          v_sent = st.c_sent;
+          v_recvd = st.c_recvd;
+          v_arena = st.c_arena_sent;
+          v_minflt = minor_faults () - f0;
+          v_cpu = cpu_seconds () -. c0;
+          v_lent = lent;
+          v_fresh = fresh;
+        }
+      in
+      let v, res =
+        match
+          let res = j.j_program rank eng in
+          finish_clean st;
+          drain st;
+          res
+        with
+        | res -> (verdict ~result:(Option.is_some res) None false, res)
+        | exception Fault.Crashed r when r = rank ->
+            abrupt_close st;
+            (verdict None true, None)
+        | exception e ->
+            abrupt_close st;
+            (verdict (Some (err_repr e)) false, None)
+      in
+      (* rank 0's result is always wanted; any other rank's only when no
+         lower rank settled the run, which the parent answers in one byte *)
+      let wanted () =
+        let b = Bytes.create 1 in
+        read_all ctl b 0 1 && Bytes.get b 0 = '\001'
+      in
+      match
+        write_sized ctl (Marshal.to_bytes v []);
+        Option.iter (fun r -> if rank = 0 || wanted () then j.j_write scratch ctl r) res
+      with
+      | () when v.v_error = None && not v.v_crashed ->
+          Workspace.release lease;
+          true
+      | () | (exception _) -> false)
+
+(* --------------------------------------------------------------- the pool *)
+
+type pool = {
+  owner : int;  (* the process that forked it: its ranks inherit this record *)
+  pids : int array;  (* 0 once reaped *)
+  ctls : Unix.file_descr array;  (* the parent's end of each rank's control socket *)
+  mutable runs : int;  (* started so far *)
+  mutable retired : bool;
+}
+
+let pool : pool option ref = ref None
+
+(* In a rank, its own sockets: a pool it forks must not inherit them. *)
+let rank_fds : Unix.file_descr list ref = ref []
+
+(* Held for a whole run: the pool serves one run at a time. *)
+let pool_lock = ref (Mutex.create ())
 
 let rec reap pid =
   match Unix.waitpid [] pid with
@@ -938,58 +1103,171 @@ let rec reap pid =
   | exception Unix.Unix_error (EINTR, _, _) -> reap pid
   | exception Unix.Unix_error (ECHILD, _, _) -> ()
 
-(* Fork the ranks and read every verdict, and the lowest producing rank's
-   result in [form] as it arrives, while the other children are still
-   exiting; every child is reaped before this returns or raises.  Only
-   that rank's slot of the returned array is filled.  [runner] names the
-   public runner in argument errors. *)
-let run_core ~runner ?(cost = Cost_model.ap1000) ?topology ~procs
-    (program : int -> Engine.t -> 'p option) (form : ('p, 'r) result_form) : 'r option array * stats
-    =
-  Engine.check_procs ("Procs." ^ runner) procs;
-  let topology = match topology with Some t -> t | None -> Topology.default procs in
-  Topology.validate topology ~procs;
-  (* children inherit the stdio buffers; flush now so nothing replays *)
+(* Every rank still running: a rank that died between runs is reaped
+   here, and its pool cannot serve. *)
+let alive p =
+  let all = ref true in
+  Array.iteri
+    (fun i pid ->
+      match if pid > 0 then Unix.waitpid [ WNOHANG ] pid else (pid, WEXITED 0) with
+      | 0, _ -> ()
+      | _ | (exception Unix.Unix_error _) ->
+          p.pids.(i) <- 0;
+          all := false)
+    p.pids;
+  !all
+
+(* Close the control sockets, so each idle rank reads EOF and exits
+   (with [~kill], SIGKILL them too: a rank may still be running), and
+   reap every rank.  Once only: a descriptor closed twice could be
+   another one by then. *)
+let retire ?(kill = false) p =
+  (match !pool with Some q when q == p -> pool := None | _ -> ());
+  if not p.retired then begin
+    p.retired <- true;
+    Array.iter close_noerr p.ctls;
+    Array.iteri
+      (fun i pid ->
+        if pid > 0 then begin
+          if kill then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          reap pid;
+          p.pids.(i) <- 0
+        end)
+      p.pids
+  end
+
+let shutdown () =
+  match !pool with Some p when p.owner = Unix.getpid () -> retire p | _ -> pool := None
+
+let () = at_exit shutdown
+
+let int_of_fd : Unix.file_descr -> int = Obj.magic
+let fd_of_int : int -> Unix.file_descr = Obj.magic
+
+(* Close every descriptor this process inherited except stdio and
+   [keep]: a rank holds its own sockets and nothing else, so EOF on one
+   of them means what it says, and no file, pipe or socket of the
+   parent's stays open in a process that outlives the run which opened
+   it. *)
+let close_inherited ~keep =
+  let keep = List.map int_of_fd keep in
+  match Sys.readdir "/proc/self/fd" with
+  | names ->
+      Array.iter
+        (fun name ->
+          match int_of_string_opt name with
+          | Some n when n > 2 && not (List.mem n keep) -> close_noerr (fd_of_int n)
+          | _ -> ())
+        names
+  | exception Sys_error _ -> ()
+
+(* The highest descriptor number a rank's sockets move to. *)
+let fd_top = 1023
+
+(* Move [fd] to number [n], where nothing is open: [fd] itself when that
+   cannot be done (a descriptor limit under [fd_top], say). *)
+let move_fd fd n =
+  match Unix.dup2 ~cloexec:true fd (fd_of_int n) with
+  | () ->
+      close_noerr fd;
+      fd_of_int n
+  | exception Unix.Unix_error _ -> fd
+
+(* A rank's sockets, control socket first, moved to [fd_top] and down:
+   once the parent has closed its ends, its next [pipe] or [openfile]
+   reuses their old numbers, and a program that captured such a
+   descriptor must find nothing open under it here ([EBADF]), not one of
+   the fabric's sockets.  Left where they are if one of them already
+   sits in that range. *)
+let lift_sockets ~ctl ~links =
+  let held = ctl :: List.filter_map Fun.id (Array.to_list links) in
+  if List.exists (fun fd -> int_of_fd fd > fd_top - List.length held) held then (ctl, links)
+  else begin
+    let next = ref fd_top in
+    let lift fd =
+      let fd = move_fd fd !next in
+      decr next;
+      fd
+    in
+    let ctl = lift ctl in
+    (ctl, Array.map (Option.map lift) links)
+  end
+
+(* A pool rank's life: read a job, serve it, until the control socket
+   reaches EOF (the pool is retired or the parent is gone) or a run
+   leaves its sockets unusable.  [drop] holds every descriptor of the
+   parent's that this rank must not keep, in case there is no
+   /proc/self/fd to find them by. *)
+let rank_main ~rank ~arena ~ctl ~links ~drop =
+  (* a peer may die mid-write; we want EPIPE (handled), not a signal *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  (* the parent's pool and its lock are not this process's: a run
+     started here forks a pool of its own *)
+  pool := None;
+  pool_lock := Mutex.create ();
+  List.iter close_noerr drop;
+  close_inherited ~keep:(ctl :: List.filter_map Fun.id (Array.to_list links));
+  let ctl, links = lift_sockets ~ctl ~links in
+  rank_fds := ctl :: List.filter_map Fun.id (Array.to_list links);
+  Array.iter (Option.iter Unix.set_nonblock) links;
+  let scratch = Bytes.create chunk in
+  let rec loop () =
+    match read_sized ctl with
+    | Some b when Bytes.length b >= 16 ->
+        let t0 = Int64.float_of_bits (Bytes.get_int64_le b 0) in
+        let run = Int64.to_int (Bytes.get_int64_le b 8) in
+        let job : job = Marshal.from_bytes b 16 in
+        if serve ~rank ~arena ~ctl ~links ~scratch ~t0 ~run job then loop ()
+    | _ -> ()
+  in
+  (try loop () with _ -> ());
+  shutdown ();
+  Unix._exit 0
+
+(* Fork [size] ranks wired by a full mesh of socketpairs, each with its
+   own control socket.  [inherited] are descriptors of an older pool the
+   new ranks must not keep (and so are this process's own, when it is a
+   rank).  Raises [Fork_after_domain] once this process has had a second
+   domain, leaving nothing behind. *)
+let fork_pool ~size ~inherited =
+  (* ranks inherit the stdio buffers; flush now so nothing replays *)
   flush stdout;
   flush stderr;
-  let arena = acquire_arena ~procs in
-  let mesh =
-    Array.init procs (fun i ->
-        Array.init procs (fun j ->
-            if i < j then Some (Unix.socketpair PF_UNIX SOCK_STREAM 0) else None))
+  let arena = if size >= 2 then acquire_arena () else None in
+  let pair () = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  let mesh = Array.init size (fun i -> Array.init size (fun j -> if i < j then Some (pair ()) else None)) in
+  let ctl = Array.init size (fun _ -> pair ()) in
+  (* (a, b) = (rank i's end, rank j's end), i < j *)
+  let links r =
+    Array.init size (fun q ->
+        if q = r then None
+        else if r < q then Option.map fst mesh.(r).(q)
+        else Option.map snd mesh.(q).(r))
   in
-  let vfd = Array.init procs (fun _ -> Unix.socketpair PF_UNIX SOCK_STREAM 0) in
-  let close_mesh () =
-    Array.iter
-      (Array.iter (function
-        | Some (a, b) ->
-            close_noerr a;
-            close_noerr b
-        | None -> ()))
-      mesh
+  let every_fd () =
+    List.concat_map
+      (fun row -> List.concat_map (function Some (a, b) -> [ a; b ] | None -> []) (Array.to_list row))
+      (Array.to_list mesh)
+    @ List.concat_map (fun (a, b) -> [ a; b ]) (Array.to_list ctl)
   in
-  let t0 = Unix.gettimeofday () in
-  let pids = Array.make procs 0 in
+  let pids = Array.make size 0 in
   (try
-     for r = 0 to procs - 1 do
+     for r = 0 to size - 1 do
        match Unix.fork () with
        | 0 ->
-           (try child_main ~rank:r ~procs ~cost ~topology ~t0 ~arena ~mesh ~vfd program form
+           let mine = snd ctl.(r) :: List.filter_map Fun.id (Array.to_list (links r)) in
+           (try
+              rank_main ~rank:r ~arena ~ctl:(snd ctl.(r)) ~links:(links r)
+                ~drop:(List.filter (fun fd -> not (List.memq fd mine)) (every_fd ()) @ inherited @ !rank_fds)
             with _ -> ());
-           (* only reached if child_main itself blew up before its verdict *)
            Unix._exit 127
        | pid -> pids.(r) <- pid
        (* OCaml 5 refuses to fork once a second domain has ever existed *)
        | exception Failure _ -> raise Fork_after_domain
      done
    with e ->
-     (* leave nothing behind: no fd, no half-wired child *)
-     close_mesh ();
-     Array.iter
-       (fun (a, b) ->
-         close_noerr a;
-         close_noerr b)
-       vfd;
+     (* leave nothing behind: no fd, no half-wired rank *)
+     List.iter close_noerr (every_fd ());
      Array.iter
        (fun pid ->
          if pid > 0 then begin
@@ -997,92 +1275,200 @@ let run_core ~runner ?(cost = Cost_model.ap1000) ?topology ~procs
            reap pid
          end)
        pids;
-     release_arena arena;
      raise e);
-  (* every socket end now lives in exactly one child *)
-  close_mesh ();
-  Array.iter (fun (_, child_end) -> close_noerr child_end) vfd;
-  let is_open = Array.make procs true in
-  let close_vfd r =
-    if is_open.(r) then begin
-      is_open.(r) <- false;
-      close_noerr (fst vfd.(r))
-    end
+  (* every socket end now lives in exactly one rank, bar the parent's
+     control ends *)
+  Array.iter
+    (Array.iter (function
+      | Some (a, b) ->
+          close_noerr a;
+          close_noerr b
+      | None -> ()))
+    mesh;
+  Array.iter (fun (_, rank_end) -> close_noerr rank_end) ctl;
+  { owner = Unix.getpid (); pids; ctls = Array.map fst ctl; runs = 0; retired = false }
+
+(* A live pool of at least [procs] ranks, and how many processes it took
+   to get one.  A larger one is forked before the old one is retired, so
+   a refused fork leaves the old pool serving. *)
+let ensure ~procs =
+  match !pool with
+  | Some p when p.owner = Unix.getpid () && Array.length p.pids >= procs && alive p -> (p, 0)
+  | old ->
+      let old = match old with Some p when p.owner = Unix.getpid () -> Some p | _ -> None in
+      let size = match old with Some p -> max procs (Array.length p.pids) | None -> procs in
+      let p = fork_pool ~size ~inherited:(match old with Some o -> Array.to_list o.ctls | None -> []) in
+      Option.iter (fun o -> retire o) old;
+      pool := Some p;
+      (p, size)
+
+let init ~procs =
+  Engine.check_procs "Procs.init" procs;
+  Mutex.protect !pool_lock (fun () -> ignore (ensure ~procs))
+
+(* --------------------------------------------------------------------- runs *)
+
+(* Writes to a rank that has died must come back as EPIPE, not kill the
+   caller: SIGPIPE is ignored for the length of a run. *)
+let without_sigpipe f =
+  let old = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old) f
+
+(* A write to a rank that may have died: its death shows when its
+   verdict is read. *)
+let send_to_rank fd f = try f fd with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()
+
+(* Run [program] on ranks [0, procs) of the pool: ship the job, rank 0's
+   input after it, then read every verdict, and the lowest producing
+   rank's result in [form] as it arrives, while the other ranks are
+   still reporting.  Only that rank's slot of the returned array is
+   filled.  A run in which a rank failed, fail-stopped or died retires
+   the pool before this returns or raises.  [runner] names the public
+   runner in errors. *)
+let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~lend
+    ?(input : ((k, e) Bigarray.kind * k array) option) (program : int -> Engine.t -> 'p option)
+    (form : ('p, 'r) result_form) : 'r option array * stats =
+  Engine.check_procs ("Procs." ^ runner) procs;
+  let topology = match topology with Some t -> t | None -> Topology.default procs in
+  Topology.validate topology ~procs;
+  let job =
+    Job
+      {
+        j_procs = procs;
+        j_cost = cost;
+        j_topology = topology;
+        j_lend = lend;
+        j_input = Option.map (fun (kind, a) -> (kind, Array.length a)) input;
+        j_program = program;
+        j_write = form.write;
+      }
   in
-  let results, (sent, recvd, via_arena, crashed) =
-    Fun.protect
-      ~finally:(fun () ->
-        (* closed before reaping: a child still writing an unread result
-           gets EPIPE and exits *)
-        for r = 0 to procs - 1 do
-          close_vfd r
-        done;
-        Array.iter reap pids;
-        release_arena arena)
-      (fun () ->
-        let crashed = ref [] in
-        let errors = Array.make procs None in
-        let results = Array.make procs None in
-        (* once a rank has failed or announced a result, later results
-           are not read; [cut] is a rank whose result stream ended early *)
-        let settled = ref false and cut = ref None in
-        let sent = ref 0 and recvd = ref 0 and via_arena = ref 0 in
-        for r = 0 to procs - 1 do
-          let fd = fst vfd.(r) in
-          (match read_verdict fd with
-          | None -> crashed := r :: !crashed
-          | Some v ->
-              sent := !sent + v.v_sent;
-              recvd := !recvd + v.v_recvd;
-              via_arena := !via_arena + v.v_arena;
-              if v.v_crashed then crashed := r :: !crashed
-              else if Option.is_some v.v_error then begin
-                errors.(r) <- v.v_error;
-                settled := true
-              end
-              else if v.v_result && not !settled then begin
-                settled := true;
-                match form.read fd with
-                | Some x -> results.(r) <- Some x
-                | None ->
-                    cut := Some r;
-                    crashed := r :: !crashed
-              end);
-          close_vfd r
-        done;
-        (* The lowest rank's error is raised, except that a rank which saw
-           a peer die without a goodbye reports [E_crashed peer]: when that
-           peer left an error verdict of its own, its death was that error,
-           so follow the chain to the root cause.  [procs] hops bound the
-           walk. *)
-        let rec root_cause hops (r, e) =
-          match e with
-          | E_crashed q when hops < procs && q >= 0 && q < procs -> (
-              match errors.(q) with Some e' -> root_cause (hops + 1) (q, e') | None -> (r, e))
-          | _ -> (r, e)
-        in
-        (match Array.find_mapi (fun r e -> Option.map (fun e -> (r, e)) e) errors with
-        | Some first ->
-            let r, e = root_cause 0 first in
-            reraise_child r e
-        | None -> ());
-        (* a result is whole or the run fails: never a truncated value *)
-        Option.iter (fun r -> raise (Fault.Crashed r)) !cut;
-        (results, (!sent, !recvd, !via_arena, List.rev !crashed)))
+  let image =
+    try Marshal.to_bytes job [ Marshal.Closures ]
+    with Invalid_argument msg | Failure msg ->
+      raise
+        (Fault.Unserializable
+           (Printf.sprintf "Procs.%s: the program cannot cross a process boundary (%s)" runner msg))
   in
-  ( results,
-    {
-      wall = Unix.gettimeofday () -. t0;
-      total_msgs = sent;
-      total_recvs = recvd;
-      arena_msgs = via_arena;
-      procs_used = procs;
-      crashed;
-    } )
+  Mutex.protect !pool_lock @@ fun () ->
+  let p, forked = ensure ~procs in
+  without_sigpipe @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  p.runs <- p.runs + 1;
+  (* the image behind its length, the run's epoch and its number; the
+     image itself is written as it stands, not copied behind them *)
+  let head = Bytes.create 24 in
+  Bytes.set_int64_le head 0 (Int64.of_int (16 + Bytes.length image));
+  Bytes.set_int64_le head 8 (Int64.bits_of_float t0);
+  Bytes.set_int64_le head 16 (Int64.of_int p.runs);
+  let collect () =
+    for r = 0 to procs - 1 do
+      send_to_rank p.ctls.(r) (fun fd ->
+          write_all fd head 0 24;
+          write_all fd image 0 (Bytes.length image))
+    done;
+    Option.iter
+      (fun (kind, a) ->
+        send_to_rank p.ctls.(0) (fun fd ->
+            let o = { o_fd = fd; o_buf = parent_buf; o_fill = 0 } in
+            put_words o (Array.length a) (encode_array kind a);
+            flush_words o))
+      input;
+    let crashed = ref [] in
+    let errors = Array.make procs None in
+    let results = Array.make procs None in
+    (* once a rank has failed or announced a result, later results are
+       not read; [cut] is a rank whose result stream ended early *)
+    let settled = ref false and cut = ref None and broken = ref false in
+    let sent = ref 0 and recvd = ref 0 and via_arena = ref 0 in
+    let minflt = ref 0 and cpu = ref 0.0 and lent = ref 0 and fresh = ref 0 in
+    for r = 0 to procs - 1 do
+      let fd = p.ctls.(r) in
+      match read_verdict fd with
+      | None ->
+          crashed := r :: !crashed;
+          broken := true
+      | Some v ->
+          sent := !sent + v.v_sent;
+          recvd := !recvd + v.v_recvd;
+          via_arena := !via_arena + v.v_arena;
+          minflt := !minflt + v.v_minflt;
+          cpu := !cpu +. v.v_cpu;
+          lent := !lent + v.v_lent;
+          fresh := !fresh + v.v_fresh;
+          if v.v_crashed then begin
+            crashed := r :: !crashed;
+            broken := true
+          end
+          else if Option.is_some v.v_error then begin
+            errors.(r) <- v.v_error;
+            settled := true;
+            broken := true
+          end
+          else if v.v_result then begin
+            let wanted = not !settled in
+            if r > 0 then
+              send_to_rank fd (fun fd -> write_all fd (Bytes.make 1 (if wanted then '\001' else '\000')) 0 1);
+            if wanted then begin
+              settled := true;
+              match form.read fd with
+              | Some x -> results.(r) <- Some x
+              | None ->
+                  cut := Some r;
+                  crashed := r :: !crashed;
+                  broken := true
+            end
+          end
+    done;
+    let wall = Unix.gettimeofday () -. t0 in
+    if !broken then retire p;
+    ( errors,
+      results,
+      !cut,
+      {
+        wall;
+        total_msgs = !sent;
+        total_recvs = !recvd;
+        arena_msgs = !via_arena;
+        procs_used = procs;
+        forked;
+        crashed = List.rev !crashed;
+        rank_minflt = !minflt;
+        rank_cpu = !cpu;
+        rank_lent = !lent;
+        rank_fresh = !fresh;
+        job_bytes = Bytes.length image;
+      } )
+  in
+  let errors, results, cut, stats =
+    (* a failure here (not a rank's) leaves the ranks mid-run *)
+    try collect ()
+    with e ->
+      retire ~kill:true p;
+      raise e
+  in
+  (* The lowest rank's error is raised, except that a rank which saw a
+     peer die without a goodbye reports [E_crashed peer]: when that peer
+     left an error verdict of its own, its death was that error, so
+     follow the chain to the root cause.  [procs] hops bound the walk. *)
+  let rec root_cause hops (r, e) =
+    match e with
+    | E_crashed q when hops < procs && q >= 0 && q < procs -> (
+        match errors.(q) with Some e' -> root_cause (hops + 1) (q, e') | None -> (r, e))
+    | _ -> (r, e)
+  in
+  (match Array.find_mapi (fun r e -> Option.map (fun e -> (r, e)) e) errors with
+  | Some first ->
+      let r, e = root_cause 0 first in
+      reraise_child r e
+  | None -> ());
+  (* a result is whole or the run fails: never a truncated value *)
+  Option.iter (fun r -> raise (Fault.Crashed r)) cut;
+  (results, stats)
 
 let run_each ?cost ?topology ~procs (program : int -> Engine.t -> unit) : stats =
   snd
-    (run_core ~runner:"run_each" ?cost ?topology ~procs
+    (run_core ~runner:"run_each" ?cost ?topology ~procs ~lend:false
        (fun r eng ->
          program r eng;
          None)
@@ -1090,7 +1476,7 @@ let run_each ?cost ?topology ~procs (program : int -> Engine.t -> unit) : stats 
 
 let run_collect ?cost ?topology ~procs (program : Engine.t -> 'a option) : 'a * stats =
   let results, stats =
-    run_core ~runner:"run_collect" ?cost ?topology ~procs
+    run_core ~runner:"run_collect" ?cost ?topology ~procs ~lend:false
       (fun _rank eng ->
         Option.map
           (fun v ->
@@ -1105,11 +1491,12 @@ let run_collect ?cost ?topology ~procs (program : Engine.t -> 'a option) : 'a * 
   in
   (Engine.lowest_rank "Procs.run_collect" results, stats)
 
-let run_flat ?cost ?topology ~procs ~kind (program : Engine.t -> ('k, 'e) Engine.slice array option)
-    : 'k array * stats =
+let run_flat ?cost ?topology ~procs ~kind ?input
+    (program : Engine.t -> ('k, 'e) Engine.slice array option) : 'k array * stats =
   Engine.check_kind "Procs.run_flat" kind;
   let results, stats =
-    run_core ~runner:"run_flat" ?cost ?topology ~procs
+    run_core ~runner:"run_flat" ?cost ?topology ~procs ~lend:true
+      ?input:(Option.map (fun a -> (kind, a)) input)
       (fun _rank eng ->
         Option.map
           (fun parts ->

@@ -17,9 +17,11 @@ type ('k, 'e) shelf = { mutable bufs : ('k, 'e) Engine.slice list }
 type lease = {
   floats : (float, Bigarray.float64_elt) shelf;
   ints : (int, Bigarray.int_elt) shelf;
+  mutable lent : int;  (* requests served *)
+  mutable fresh : int;  (* of them, served from fresh storage *)
 }
 
-let lease () = { floats = { bufs = [] }; ints = { bufs = [] } }
+let lease () = { floats = { bufs = [] }; ints = { bufs = [] }; lent = 0; fresh = 0 }
 let free = lease ()
 let lock = Mutex.create ()
 let obs_reused = Obs.Counter.make "workspace.reused"
@@ -35,16 +37,20 @@ let best_fit n bufs =
     None bufs
 
 (* A buffer of at least [n] elements off the [free] shelf, or a fresh
-   one; either way it stays on the [lent] shelf until the run ends. *)
-let take kind n ~free ~lent =
+   one; either way it stays on the [lent] shelf of [l] until the run
+   ends. *)
+let take l kind n ~free ~lent =
   let reused =
     Mutex.protect lock (fun () ->
+        l.lent <- l.lent + 1;
         match best_fit n free.bufs with
         | Some b ->
             free.bufs <- List.filter (fun c -> c != b) free.bufs;
             lent.bufs <- b :: lent.bufs;
             Some b
-        | None -> None)
+        | None ->
+            l.fresh <- l.fresh + 1;
+            None)
   in
   match reused with
   | Some b ->
@@ -57,9 +63,15 @@ let take kind n ~free ~lent =
 
 let lend (type k e) l (kind : (k, e) Bigarray.kind) n : (k, e) Engine.slice =
   match kind with
-  | Bigarray.Float64 -> take kind n ~free:free.floats ~lent:l.floats
-  | Bigarray.Int -> take kind n ~free:free.ints ~lent:l.ints
-  | _ -> Engine.fresh kind n
+  | Bigarray.Float64 -> take l kind n ~free:free.floats ~lent:l.floats
+  | Bigarray.Int -> take l kind n ~free:free.ints ~lent:l.ints
+  | _ ->
+      Mutex.protect lock (fun () ->
+          l.lent <- l.lent + 1;
+          l.fresh <- l.fresh + 1);
+      Engine.fresh kind n
+
+let counts l = Mutex.protect lock (fun () -> (l.lent, l.fresh))
 
 let wrap l (e : Engine.t) = { e with Engine.workspace = (fun kind n -> lend l kind n) }
 

@@ -15,9 +15,10 @@
     After a run that raised, the lease is simply dropped and its buffers
     go to the GC, since a rank may have left a view of one anywhere.
 
-    Only [Spmd.run_flat] on the in-process engines recycles: its result
-    is laid out in a fresh array before the run returns, so nothing the
-    caller holds aliases a lent buffer. *)
+    Only [run_flat] recycles — [Spmd.run_flat] on the in-process
+    engines, and each pooled rank of [Procs.run_flat] in its own process:
+    the result is laid out in a fresh array (or streamed home) before the
+    run returns, so nothing the caller holds aliases a lent buffer. *)
 
 type lease
 (** The buffers one run has borrowed. *)
@@ -31,6 +32,10 @@ val lend : lease -> ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice
     storage that is never recycled. Safe to call from several domains at
     once. Counts [workspace.reused] when the buffer comes off the free
     list. *)
+
+val counts : lease -> int * int
+(** [(lent, fresh)]: the requests [l] has served, and how many of them
+    came from fresh storage rather than the free list. *)
 
 val wrap : lease -> Engine.t -> Engine.t
 (** The engine with its [workspace] field lending from [l]. *)

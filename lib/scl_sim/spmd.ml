@@ -49,7 +49,7 @@ let run_engine (type s a) (backend : s Backend.t) ?topology ~procs
 let run backend ?topology ?chaos ~procs program =
   run_engine backend ?topology ~procs (with_chaos chaos program)
 
-(* Flat results: on [procs] the producing child streams its parts home
+(* Flat results: on [procs] the producing rank streams its parts home
    raw ([Procs.run_flat]); on the in-process engines the producing rank
    lays them out itself, so the lay-out overlaps the other ranks'
    teardown (on a 2-vCPU VM, a 1M-key 2-domain sort took ~5 ms longer
@@ -58,26 +58,37 @@ let run backend ?topology ?chaos ~procs program =
 
    On the in-process engines each rank's engine is also wrapped, beneath
    any Chaos wrapper, to lend [Comm.workspace] buffers from the
-   run-scoped free list ([Workspace]).  The result is already laid out
-   in fresh storage when the run returns, so the run's buffers go back
-   to the free list then; a run that raises drops them instead, since a
-   rank may have left a view of one anywhere.  Procs children keep the
-   default fresh storage: it dies with the child. *)
+   run-scoped free list ([Workspace]), and rank 0's to hold the input,
+   copied into one of them.  The result is already laid out in fresh
+   storage when the run returns, so the run's buffers go back to the
+   free list then; a run that raises drops them instead, since a rank
+   may have left a view of one anywhere.  Procs ranks do the same in
+   their own processes. *)
 let run_flat (type s k e) (backend : s Backend.t) ?topology ?chaos ~procs
-    ~(kind : (k, e) Bigarray.kind) (program : Comm.t -> (k, e) Engine.slice array option) :
-    k array * s =
+    ~(kind : (k, e) Bigarray.kind) ?(input : k array option)
+    (program : Comm.t -> (k, e) Engine.slice array option) : k array * s =
   match backend with
   | Backend.Procs ->
       Obs.Span.timed obs_wall (fun () ->
           if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-          Procs.run_flat ?topology ~procs ~kind (with_chaos chaos program))
+          Procs.run_flat ?topology ~procs ~kind ?input (with_chaos chaos program))
   | Backend.Sim _ | Backend.Multicore _ ->
       Engine.check_kind "Spmd.run_flat" kind;
       let lease = Workspace.lease () in
       let laid_out comm = Option.map (Scl.Flat.concat kind) (program comm) in
       let r =
         run_engine backend ?topology ~procs (fun eng ->
-            with_chaos chaos laid_out (Workspace.wrap lease eng))
+            let eng = Workspace.wrap lease eng in
+            let eng =
+              match input with
+              | Some a when eng.Engine.rank = 0 ->
+                  (* a copy: the program may sort it in place, and the
+                     caller's array must not change *)
+                  let into = Comm.workspace (Comm.world eng) kind (Array.length a) in
+                  Engine.with_input eng (Scl.Flat.of_array ~into kind a)
+              | _ -> eng
+            in
+            with_chaos chaos laid_out eng)
       in
       Workspace.release lease;
       r

@@ -44,6 +44,7 @@ val run_flat :
   ?chaos:Chaos.spec ->
   procs:int ->
   kind:('k, 'e) Bigarray.kind ->
+  ?input:'k array ->
   (Comm.t -> ('k, 'e) Engine.slice array option) ->
   'k array * 's
 (** {!run} for a result made of flat parts (a gathered distributed
@@ -57,14 +58,22 @@ val run_flat :
     array comes back by {!run}. Results, the lowest-rank rule and error
     precedence are the same on every engine.
 
-    On [sim] and [multicore], {!Machine.Comm.workspace} lends from the
-    run-scoped free list ({!Machine.Workspace}): buffers earlier runs
-    used, the smallest that fits, each lent once per run. When the run
+    [?input] is handed to rank 0 as {!Machine.Comm.input}, already in a
+    workspace buffer of that rank's own: on [sim] and [multicore] it is
+    copied in at the start of rank 0's program; on [procs] it travels as
+    raw words on rank 0's control socket and is decoded straight into
+    the buffer (it never rides inside the program's image). Either way
+    the caller's array is never modified.
+
+    {!Machine.Comm.workspace} lends from a run-scoped free list
+    ({!Machine.Workspace}): buffers earlier runs used, the smallest that
+    fits, each lent once per run — the calling process's list on [sim]
+    and [multicore], each pooled rank's own on [procs]. When the run
     returns, its result is already laid out in a fresh array and its
     buffers go back to the free list (replacing what was there, so the
     list never holds more than one run lent); a run that raises drops
-    them. Every other runner, and the [procs] children, lend fresh
-    storage: {!run}'s result may be a workspace slice itself.
+    them. Every other runner lends fresh storage: {!run}'s result may
+    be a workspace slice itself.
     @raise Invalid_argument if [kind] is neither [float64] nor [int], if
     a part's run-time kind is not [kind] (a [recv_slice] annotated with
     another kind than the sender's; raised by that rank), or if no rank

@@ -292,6 +292,20 @@ let in_time_delivery ?chaos backend =
   Alcotest.(check int) "delivered" 77 v;
   stats
 
+(* A deadline far beyond one [select] wait (its [timeval] overflows)
+   still waits for the message: rank 1 sends after 50 ms. *)
+let far_deadline_delivery backend =
+  let v, _ =
+    run backend ~procs:2 (fun eng ->
+        if eng.Engine.rank = 1 then begin
+          eng.Engine.sleep 0.05;
+          eng.Engine.send ~dest:0 ~tag:0 99;
+          None
+        end
+        else Some (eng.Engine.recv ~timeout:1e300 ~src:1 ~tag:0 () : int))
+  in
+  Alcotest.(check int) "delivered" 99 v
+
 (* A timed receive from a peer that fail-stopped is a Timeout: the
    failure-detector contract the farm's grace period relies on. *)
 let timed_recv_from_crashed_peer ?chaos backend =
@@ -774,6 +788,38 @@ let flat_result_errors ?chaos backend =
       | 1 -> failwith "boom"
       | r -> Some [| int_part ~len:3 r |])
 
+(* [Spmd.run_flat ~input]: rank 0 alone gets the input, in a buffer of
+   its own (on procs, more than one stream chunk of it), so negating it
+   in place leaves the caller's array as it was; asking for another kind
+   is [Invalid_argument]. *)
+let flat_input backend =
+  let n = 20_000 in
+  let a = Array.init n (fun i -> float_of_int i /. 7.0) in
+  let v, _ =
+    Spmd.run_flat backend ~procs:2 ~kind:Scl.Flat.float64 ~input:a (fun c ->
+        let mine = Comm.input c Scl.Flat.float64 in
+        match (mine, Comm.gather c ~root:0 (Comm.rank c = 0 || Option.is_none mine)) with
+        | Some (s : Scl.Flat.float1), Some alone when Array.for_all Fun.id alone ->
+            for i = 0 to Scl.Flat.length s - 1 do
+              Scl.Flat.set s i (-.Scl.Flat.get s i)
+            done;
+            Some [| s |]
+        | _ -> Some [||])
+  in
+  Alcotest.(check (array int64)) "rank 0 alone, its own copy"
+    (float_bits (Array.init n (fun i -> -.(float_of_int i /. 7.0))))
+    (float_bits v);
+  Alcotest.(check (array int64)) "the caller's array unchanged"
+    (float_bits (Array.init n (fun i -> float_of_int i /. 7.0)))
+    (float_bits a);
+  match
+    Spmd.run_flat backend ~procs:1 ~kind:Scl.Flat.float64 ~input:a (fun c ->
+        ignore (Comm.input c Scl.Flat.int);
+        Some [||])
+  with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 (* --- the cross-engine catalogue ------------------------------------------- *)
 
 (* Runs one family of [Prop.Engine_oracle] at each of [seeds] (42 when
@@ -834,6 +880,8 @@ let contract_group backend =
       Alcotest.test_case "slice copy vs alias" `Quick (fun () -> slice_copy_semantics backend);
       Alcotest.test_case "flat results" `Quick (fun () -> flat_results backend);
       Alcotest.test_case "flat result errors" `Quick (fun () -> flat_result_errors backend);
+      Alcotest.test_case "far deadline still delivers" `Quick (fun () -> far_deadline_delivery backend);
+      Alcotest.test_case "flat input reaches rank 0" `Quick (fun () -> flat_input backend);
     ] )
 
 (* --- every value-level case under a chaos schedule ------------------------ *)

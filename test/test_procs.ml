@@ -4,14 +4,16 @@
    both-way pushes, a rank's own nested run), real
    crash detection (EOF without goodbye -> Fault.Crashed), the
    marshalable-payload discipline, engine equivalence of the Comm
-   collectives and hyperquicksort against the simulator, and the
-   crash-tolerant farm driven by real process deaths.
+   collectives and hyperquicksort against the simulator, the
+   crash-tolerant farm driven by real process deaths, and the rank pool
+   (retired after a failed run, fd hygiene, the fork-time view).
 
    This suite lives in its own executable on purpose: [Procs] forks, and
    forking an OCaml 5 process is only safe while no other domain has
    ever existed — so nothing here spawns domains or pools, except the
-   run-contract and fork-after-domain cases, which run last for that
-   reason (the one-domain multicore case just before them spawns none). *)
+   pool-after-domain, run-contract and fork-after-domain cases, which
+   run last for that reason (the one-domain multicore case just before
+   them spawns none). *)
 
 open Machine
 module Spmd = Scl_sim.Spmd
@@ -47,31 +49,40 @@ let test_deadlock_sender_finished () =
 let test_undelivered_message () = C.undelivered_message ~sync:true Backend.procs
 let test_rank_exception_propagates () = C.rank_exception_propagates Backend.procs
 
+(* A named FIFO for ranks to block on: pooled ranks inherit no
+   descriptor opened after the pool was forked, so they open it by name
+   ([O_RDWR] opens a FIFO on Linux without waiting for another end). *)
+let with_fifo f =
+  let path = Filename.temp_file "scl-fifo" "" in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let with_open fifo f =
+  let fd = Unix.openfile fifo [ O_RDWR ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
 (* A frame far larger than the socket buffer must be wholly in the
    kernel when [send] returns: rank 0 then leaves the engine for good
-   (blocked on a pipe, 10 s guard), and rank 1 must still receive all of
+   (blocked on a FIFO, 10 s guard), and rank 1 must still receive all of
    it. *)
 let test_bulk_send_completes_outside_engine () =
-  let rd, wr = Unix.pipe () in
   let n = 1 lsl 19 (* 4 MB marshalled *) in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close rd;
-      Unix.close wr)
-    (fun () ->
+  with_fifo (fun fifo ->
       ignore
         (Procs.run_each ~procs:2 (fun _ eng ->
-             if eng.Engine.rank = 0 then begin
-               eng.Engine.send ~dest:1 ~tag:0 (Array.init n Fun.id);
-               match Unix.select [ rd ] [] [] 10.0 with
-               | [], _, _ -> failwith "bulk frame still undelivered 10 s after send returned"
-               | _ -> ()
-             end
-             else begin
-               let (a : int array) = eng.Engine.recv ~src:0 ~tag:0 () in
-               if a <> Array.init n Fun.id then failwith "bulk frame corrupted";
-               ignore (Unix.write_substring wr "!" 0 1)
-             end)))
+             with_open fifo (fun fd ->
+                 if eng.Engine.rank = 0 then begin
+                   eng.Engine.send ~dest:1 ~tag:0 (Array.init n Fun.id);
+                   match Unix.select [ fd ] [] [] 10.0 with
+                   | [], _, _ -> failwith "bulk frame still undelivered 10 s after send returned"
+                   | _ -> ()
+                 end
+                 else begin
+                   let (a : int array) = eng.Engine.recv ~src:0 ~tag:0 () in
+                   if a <> Array.init n Fun.id then failwith "bulk frame corrupted";
+                   ignore (Unix.write_substring fd "!" 0 1)
+                 end))))
 
 (* --- marshalable-payload discipline -------------------------------------- *)
 
@@ -324,7 +335,7 @@ let ring_block_ok ~bits s expected n =
   done;
   !ok
 
-(* Rank 1 stays out of the engine, blocked on a pipe, while rank 0 fills
+(* Rank 1 stays out of the engine, blocked on a FIFO, while rank 0 fills
    its 16 MB ring toward rank 1 with eight 2 MB slices on two alternating
    tags, floats on tag 0 and ints on tag 1.  Rank 0 then releases rank 1
    and sends four more: the first of them, a float slice, finds the ring
@@ -334,24 +345,20 @@ let ring_block_ok ~bits s expected n =
    still come out in send order, every element intact to the bit. *)
 let test_ring_exhaustion_falls_back () =
   let n = 1 lsl 18 and count = 12 in
-  let rd, wr = Unix.pipe () in
   let v, stats =
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.close rd;
-        Unix.close wr)
-      (fun () ->
+    with_fifo (fun fifo ->
         Procs.run_collect ~procs:2 (fun eng ->
+            with_open fifo @@ fun fd ->
             if eng.Engine.rank = 0 then begin
               for k = 0 to count - 1 do
-                if k = 8 then ignore (Unix.write_substring wr "!" 0 1);
+                if k = 8 then ignore (Unix.write_substring fd "!" 0 1);
                 if k mod 2 = 0 then eng.Engine.send_slice ~dest:1 ~tag:0 (ring_float_block n k)
                 else eng.Engine.send_slice ~dest:1 ~tag:1 (ring_int_block n k)
               done;
               None
             end
             else begin
-              ignore (Unix.read rd (Bytes.create 1) 0 1);
+              ignore (Unix.read fd (Bytes.create 1) 0 1);
               let odd =
                 List.init (count / 2) (fun j ->
                     let k = (2 * j) + 1 in
@@ -561,6 +568,7 @@ let shm_entries () = Array.to_list (try Sys.readdir "/dev/shm" with Sys_error _ 
    socket closed mid-stream.  Every socket closed, every child reaped, and
    nothing left in /dev/shm. *)
 let test_repeated_flat_runs_leave_nothing () =
+  Procs.shutdown ();
   let before = fd_count () and shm_before = List.sort compare (shm_entries ()) in
   let n = 1 lsl 16 in
   for _ = 1 to 50 do
@@ -570,6 +578,7 @@ let test_repeated_flat_runs_leave_nothing () =
     in
     Alcotest.(check bool) "rank 0's parts" true (v = Array.make n 0)
   done;
+  Procs.shutdown ();
   Alcotest.(check int) "no fd leaked" before (fd_count ());
   Alcotest.(check (list string)) "no /dev/shm entry added" shm_before
     (List.sort compare (shm_entries ()));
@@ -606,6 +615,7 @@ let test_concat_matches_array_concat =
 let test_repeated_runs_leave_nothing () =
   (* clean runs, a rank that raises, and a chaos crash, 300 runs in all:
      every socket closed and every child reaped each time *)
+  Procs.shutdown ();
   let before = fd_count () in
   let sum c =
     let s = Comm.allreduce c ( + ) (Comm.rank c) in
@@ -623,6 +633,7 @@ let test_repeated_runs_leave_nothing () =
     | _ -> Alcotest.fail "expected Fault.Crashed"
     | exception Fault.Crashed _ -> ()
   done;
+  Procs.shutdown ();
   Alcotest.(check int) "no fd leaked" before (fd_count ());
   Alcotest.(check (list string)) "no arena file left in /dev/shm" [] (shm_leftovers ());
   Alcotest.(check bool)
@@ -655,6 +666,192 @@ let test_procs_flat_sort_keeps_parent_free_list () =
         (fst (Algorithms.Hyperquicksort.sort_flatint Backend.procs ~procs a));
       Alcotest.(check (pair int int)) "parent's free list untouched" before (Workspace.retained ()))
     [ 2; 4 ]
+
+(* --- the rank pool ------------------------------------------------------- *)
+
+(* Collectives whose values the simulator fixes. *)
+let pool_program c =
+  let s = Comm.allreduce c ( + ) (Comm.rank c + 1) in
+  let all = Comm.allgather c ((Comm.rank c * 7) + s) in
+  if Comm.rank c = 0 then Some (s, Array.to_list all) else None
+
+let sim_value procs = fst (Spmd.run (Backend.sim ()) ~procs pool_program)
+
+(* [procs] ranks' values equal sim's; returns how many processes the
+   run forked. *)
+let pool_run what procs =
+  let v, stats = Spmd.run Backend.procs ~procs pool_program in
+  Alcotest.(check (pair int (list int))) (what ^ ": values equal sim's") (sim_value procs) v;
+  stats.Procs.forked
+
+(* Each kind of failed run retires the pool: the next run forks a fresh
+   one and computes what sim does, and the run after that forks
+   nothing. *)
+let test_pool_after_failed_runs () =
+  ignore (pool_run "warm-up" 4);
+  let next what =
+    Alcotest.(check int) (what ^ ": a new pool") 4 (pool_run what 4);
+    Alcotest.(check int) (what ^ ": then that pool serves") 0 (pool_run what 4)
+  in
+  (match Procs.run_each ~procs:4 (fun r _ -> if r = 2 then failwith "boom") with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure _ -> ());
+  next "after a raising run";
+  Alcotest.(check (list int)) "chaos crash recorded" [ 1 ]
+    (C.crash_is_fail_stop Backend.procs).Procs.crashed;
+  next "after a Chaos crash";
+  Alcotest.(check (list int)) "the kill is recorded" [ 3 ]
+    (Procs.run_each ~procs:4 (fun r _ -> if r = 3 then kill_self ())).Procs.crashed;
+  next "after a SIGKILL"
+
+(* A program that captures a mutex cannot be shipped: the runner says
+   so before any rank runs, and the pool serves the next run as it
+   was. *)
+let test_captured_mutex_is_unserializable () =
+  ignore (pool_run "warm-up" 2);
+  let m = Mutex.create () in
+  (match Procs.run_collect ~procs:2 (fun eng -> Mutex.protect m (fun () -> Some eng.Engine.rank)) with
+  | _ -> Alcotest.fail "expected Fault.Unserializable"
+  | exception Fault.Unserializable msg ->
+      Alcotest.(check bool) ("names its runner: " ^ msg) true (contains msg "Procs.run_collect"));
+  Alcotest.(check int) "the same pool serves on" 0 (pool_run "after the refusal" 2)
+
+(* Every descriptor a rank holds beyond stdio: a pipe open in this
+   process when the pool forks must not be among them. *)
+let test_rank_keeps_only_its_sockets () =
+  Procs.shutdown ();
+  let rd, wr = Unix.pipe () in
+  let v, _ =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close rd;
+        Unix.close wr)
+      (fun () ->
+        Procs.init ~procs:4;
+        Procs.run_collect ~procs:4 (fun eng ->
+            let held =
+              List.filter_map
+                (fun name ->
+                  match int_of_string_opt name with
+                  | Some n when n > 2 -> (
+                      (* the directory's own descriptor is gone by now *)
+                      try Some (Unix.readlink (Printf.sprintf "/proc/self/fd/%d" n))
+                      with Unix.Unix_error _ -> None)
+                  | _ -> None)
+                (Array.to_list (Sys.readdir "/proc/self/fd"))
+            in
+            Comm.gather (Comm.world eng) ~root:0 held))
+  in
+  Array.iteri
+    (fun r held ->
+      Alcotest.(check int) (Printf.sprintf "rank %d: one control socket, three links" r) 4 (List.length held);
+      List.iter
+        (fun l -> Alcotest.(check bool) (Printf.sprintf "rank %d holds %s" r l) true (String.starts_with ~prefix:"socket:" l))
+        held)
+    v
+
+(* A global of this process, read by the ranks. *)
+let stamp = ref 0
+
+let test_ranks_see_fork_time_state () =
+  Procs.shutdown ();
+  stamp := 1;
+  Procs.init ~procs:2;
+  stamp := 2;
+  let seen () =
+    let v, stats = Procs.run_collect ~procs:2 (fun eng -> Comm.gather (Comm.world eng) ~root:0 !stamp) in
+    (Array.to_list v, stats.Procs.forked)
+  in
+  Alcotest.(check (pair (list int) int)) "the pool's ranks see the value at its fork" ([ 1; 1 ], 0) (seen ());
+  Procs.shutdown ();
+  Alcotest.(check (pair (list int) int)) "a new pool sees the current one" ([ 2; 2 ], 2) (seen ())
+
+(* Rank 0 fills its socket toward rank 1 with a boxed frame just before
+   it finishes, while rank 1 pushes arena slices at it, part of them
+   while out of the engine: whatever credit rank 0 still owes for them
+   must not reach a later run. *)
+let credit_race eng =
+  let n = 16384 (* 128 KiB: an arena slice *) in
+  if eng.Engine.rank = 1 then begin
+    for k = 0 to 3 do
+      eng.Engine.send_slice ~dest:0 ~tag:1 (int_block n k)
+    done;
+    Unix.sleepf 0.002;
+    for k = 4 to 7 do
+      eng.Engine.send_slice ~dest:0 ~tag:1 (int_block n k)
+    done;
+    ignore (eng.Engine.recv ~src:0 ~tag:2 () : int array)
+  end
+  else begin
+    eng.Engine.send ~dest:1 ~tag:2 (Array.make (1 lsl 17) max_int);
+    for _ = 0 to 7 do
+      ignore (eng.Engine.recv_slice ~src:1 ~tag:1 () : Scl.Flat.int1)
+    done
+  end
+
+(* More slices than a ring holds, pushed at a reader that starts late:
+   a stale credit would let a block overwrite one not yet copied out. *)
+let ring_overrun c =
+  let n = 16384 and count = 140 in
+  if Comm.rank c = 1 then begin
+    for k = 0 to count - 1 do
+      Comm.send_slice c ~dest:0 (int_block n k)
+    done;
+    None
+  end
+  else begin
+    Unix.sleepf 0.02;
+    Some
+      (List.init count (fun _ ->
+           let (s : Scl.Flat.int1) = Comm.recv_slice c ~src:1 () in
+           (Scl.Flat.get s 0, Scl.Flat.get s (n - 1))))
+  end
+
+let test_no_credit_crosses_runs () =
+  ignore (pool_run "warm-up" 2);
+  let expect = fst (Spmd.run (Backend.sim ()) ~procs:2 ring_overrun) in
+  for i = 1 to 10 do
+    ignore (Procs.run_each ~procs:2 (fun _ eng -> credit_race eng));
+    let v, stats = Spmd.run Backend.procs ~procs:2 ring_overrun in
+    Alcotest.(check (list (pair int int))) (Printf.sprintf "round %d: values equal sim's" i) expect v;
+    Alcotest.(check int) (Printf.sprintf "round %d: the same pool" i) 0 stats.Procs.forked
+  done
+
+(* The flat sort's keys reach rank 0 as input words, not inside the
+   job image; a program that captures its keys ships them in it. *)
+let test_input_stays_out_of_the_image () =
+  let keys = Array.init 100_000 (fun i -> i * 7919 mod 100_003) in
+  let sorted, stats = Algorithms.Hyperquicksort.sort_procs ~procs:2 keys in
+  let expect = Array.copy keys in
+  Array.sort compare expect;
+  Alcotest.(check (array int)) "sorted" expect sorted;
+  Alcotest.(check bool)
+    (Printf.sprintf "a small image (%d bytes)" stats.Procs.job_bytes)
+    true (stats.Procs.job_bytes < 4096);
+  let captured = Procs.run_each ~procs:2 (fun r _ -> if r = 0 then ignore (Array.length keys)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "a captured array rides in it (%d bytes)" captured.Procs.job_bytes)
+    true
+    (captured.Procs.job_bytes > Array.length keys)
+
+(* A descriptor a program captures from this process names nothing in a
+   rank, even when its number was one of the pool's sockets here before
+   the fork's ends were closed: the run fails, it does not write into
+   the fabric. *)
+let test_captured_descriptor_is_not_a_socket () =
+  Procs.shutdown ();
+  Procs.init ~procs:2;
+  let rd, wr = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      match Procs.run_each ~procs:2 (fun _ _ -> ignore (Unix.write_substring wr "x" 0 1)) with
+      | _ -> Alcotest.fail "expected Child_failure"
+      | exception Procs.Child_failure (_, msg) ->
+          Alcotest.(check bool) ("EBADF in the rank: " ^ msg) true (contains msg "EBADF"));
+  Alcotest.(check int) "a new pool serves" 2 (pool_run "after the failure" 2)
 
 let suite =
   [
@@ -749,6 +946,19 @@ let suite =
           Alcotest.test_case "flat sort keeps the parent's free list" `Quick
             test_procs_flat_sort_keeps_parent_free_list;
         ] );
+      ( "pool",
+        [
+          Alcotest.test_case "failed runs retire it, values equal sim" `Quick
+            test_pool_after_failed_runs;
+          Alcotest.test_case "captured mutex is Unserializable" `Quick
+            test_captured_mutex_is_unserializable;
+          Alcotest.test_case "ranks keep only their sockets" `Quick test_rank_keeps_only_its_sockets;
+          Alcotest.test_case "ranks see the fork-time process" `Quick test_ranks_see_fork_time_state;
+          Alcotest.test_case "no credit crosses runs" `Quick test_no_credit_crosses_runs;
+          Alcotest.test_case "a captured descriptor is not a socket" `Quick
+            test_captured_descriptor_is_not_a_socket;
+          Alcotest.test_case "input stays out of the job image" `Quick test_input_stays_out_of_the_image;
+        ] );
     ]
 
 (* --- a one-domain multicore run ------------------------------------------ *)
@@ -772,6 +982,20 @@ let test_one_domain_multicore_spawns_none () =
   let w, _ = Procs.run_collect ~procs:2 (fun eng -> Some eng.Engine.size) in
   Alcotest.(check int) "procs still forks" 2 w
 
+(* --- a pool forked before the first domain ---------------------------------- *)
+
+let test_pool_outlives_domain_spawn () =
+  (* the first domain of this process: no fork is possible after it *)
+  Procs.shutdown ();
+  Procs.init ~procs:4;
+  Domain.join (Domain.spawn ignore);
+  Alcotest.(check int) "4 ranks, nothing forked" 0 (pool_run "4 ranks after the spawn" 4);
+  Alcotest.(check int) "2 ranks, nothing forked" 0 (pool_run "2 ranks after the spawn" 2);
+  (match Procs.run_each ~procs:8 (fun _ _ -> ()) with
+  | _ -> Alcotest.fail "expected Procs.Fork_after_domain"
+  | exception Procs.Fork_after_domain -> ());
+  Alcotest.(check int) "the pool still serves" 0 (pool_run "4 ranks after the refused growth" 4)
+
 (* --- the run contract, on all three engines ------------------------------- *)
 
 let test_lowest_rank_wins () =
@@ -790,18 +1014,22 @@ let test_fork_after_domain () =
   (* this process has now created a domain, so fork is refused for good:
      the run must name the reason and leave no socket behind *)
   Domain.join (Domain.spawn ignore);
+  Procs.shutdown ();
   let before = fd_count () in
   (match Procs.run_each ~procs:4 (fun _ _ -> ()) with
   | _ -> Alcotest.fail "expected Procs.Fork_after_domain"
   | exception Procs.Fork_after_domain -> ());
   Alcotest.(check int) "no fd leaked" before (fd_count ())
 
-(* Must stay the last groups: see the note at the top of the file. *)
+(* Must stay the last groups: see the note at the top of the file.  The
+   pool-after-domain case spawns this process's first domain. *)
 let suite =
   suite
   @ [
       ( "one-domain-multicore",
         [ Alcotest.test_case "spawns no domain" `Quick test_one_domain_multicore_spawns_none ] );
+      ( "pool-after-domain",
+        [ Alcotest.test_case "serves on, cannot grow" `Quick test_pool_outlives_domain_spawn ] );
       ( "run-contract",
         [ Alcotest.test_case "lowest rank wins on every engine" `Quick test_lowest_rank_wins ] );
       ( "fork-after-domain",
