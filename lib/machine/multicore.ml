@@ -43,7 +43,10 @@
    possible.  The counters are maintained so that the test is sound:
    [in_flight] is incremented before a packet is pushed and decremented
    after it is drained, so "in_flight = 0 and all domains asleep" proves
-   the mailboxes are empty and nobody will ring a doorbell.  The last
+   the mailboxes are empty and nobody will ring a doorbell.  A rank that
+   returns drains its mailbox one last time, and a packet sent to it
+   after that is never counted: it can never be received, so it must
+   not hold quiescence off (the end-of-run check still reports it).  The last
    domain to fall asleep performs the check, as does every domain on exit
    (covering the case where the only potential sender finishes). *)
 
@@ -130,6 +133,9 @@ type rstate = {
   mutable want_tag : int;
   mutable want_any : bool;
   mutable deadline : float;
+  mutable finished : bool;
+      (* returned cleanly: its mailbox is drained for good, and later
+         sends go straight to [pending]; written and read under [mbox_mu] *)
 }
 
 type doorbell = { mu : Mutex.t; cond : Condition.t; rings : int Atomic.t }
@@ -226,11 +232,9 @@ let take_pending st ~src ~tag ~any_tag =
     true
   end
 
-(* Move the whole mailbox into the pending ring under one lock acquisition
-   (batched: senders pay one lock per message, the consumer one per
-   drain). *)
-let drain fab st =
-  Mutex.lock st.mbox_mu;
+(* Move the whole mailbox into the pending ring; the caller holds
+   [mbox_mu].  Returns how many messages moved. *)
+let[@inline] move_mail st =
   let b = st.mbox in
   let n = b.Ring.count in
   if n > 0 then begin
@@ -243,6 +247,26 @@ let drain fab st =
     b.Ring.head <- 0;
     b.Ring.count <- 0
   end;
+  n
+
+(* Move the whole mailbox into the pending ring under one lock acquisition
+   (batched: senders pay one lock per message, the consumer one per
+   drain). *)
+let drain fab st =
+  Mutex.lock st.mbox_mu;
+  let n = move_mail st in
+  Mutex.unlock st.mbox_mu;
+  if n > 0 then ignore (Atomic.fetch_and_add fab.in_flight (-n))
+
+(* A clean finish: the rank's last drain, and the mark that sends
+   [pending] from now on, in one critical section.  A message it never
+   received then no longer counts in [in_flight], where it would keep
+   quiescence detection from firing for the rest of the run; the
+   end-of-run check still finds it in [pending]. *)
+let finish fab st =
+  Mutex.lock st.mbox_mu;
+  let n = move_mail st in
+  st.finished <- true;
   Mutex.unlock st.mbox_mu;
   if n > 0 then ignore (Atomic.fetch_and_add fab.in_flight (-n))
 
@@ -267,7 +291,7 @@ let describe fab =
     (fun st ->
       let state =
         match st.park with
-        | Finished -> None
+        | Finished -> if st.finished && st.pending.Ring.count > 0 then Some "finished" else None
         | Ready _ -> Some "not started"
         | Running -> Some "running"
         | Waiting _ ->
@@ -300,12 +324,19 @@ let send op fab st ~dest ~tag v =
        [in_flight] exact so quiescence detection stays sound) *)
     ()
   else begin
-    Atomic.incr fab.in_flight;
     let d = fab.ranks.(dest) in
     Mutex.lock d.mbox_mu;
-    Ring.push d.mbox st.rk tag (Obj.repr v);
+    let live = not d.finished in
+    if live then begin
+      Atomic.incr fab.in_flight;
+      Ring.push d.mbox st.rk tag (Obj.repr v)
+    end
+    else
+      (* it will never receive: the message waits for the end-of-run
+         check, outside [in_flight] *)
+      Ring.push d.pending st.rk tag (Obj.repr v);
     Mutex.unlock d.mbox_mu;
-    ring fab (dest mod fab.ndomains)
+    if live then ring fab (dest mod fab.ndomains)
   end
 
 (* Tag reserved for [sleep]: no sender ever uses it, so a wait on it can
@@ -391,7 +422,10 @@ let engine fab st : Engine.t =
 
 let handler fab st : (unit, unit) Effect.Deep.handler =
   {
-    Effect.Deep.retc = (fun () -> st.park <- Finished);
+    Effect.Deep.retc =
+      (fun () ->
+        finish fab st;
+        st.park <- Finished);
     exnc =
       (fun e ->
         match e with
@@ -614,6 +648,7 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
                   want_tag = 0;
                   want_any = true;
                   deadline = Float.infinity;
+                  finished = false;
                 })
           |> Fun.id;
           bells =

@@ -58,33 +58,51 @@
 
    The pool.  The first run (or [init]) forks the ranks once; each keeps
    its sockets — one to every other rank, one control socket to the
-   parent — and the arena mapping, and serves runs until its control
-   socket reaches EOF.  Its sockets sit at the top of a 1024-entry
-   descriptor table, away from the low numbers the parent reuses once it
-   has closed its own ends of them.  A run is one [Marshal [Closures]]
-   image of its program and result form, written to the control socket
-   of each rank it uses, behind an int64 length, the run's epoch and its
-   number; [run_flat]'s input follows rank 0's as raw little-endian
-   words, decoded straight into a buffer of that rank's lease.  Frames
-   never cross from one run into the next: a rank that finishes cleanly
-   sends every peer a goodbye, behind all the credit it owes that peer
-   and with nothing after it, and then reads each peer's stream up to
-   that peer's goodbye (or EOF), dropping what it reads, before it
-   reports.  A run in which
+   parent — the arena mapping and the pool's staging file, and serves
+   runs until its control socket reaches EOF.  Its descriptors sit at
+   the top of a 1024-entry descriptor table, away from the low numbers
+   the parent reuses once it has closed its own ends of them.  A run is
+   one [Marshal [Closures]] image of its program and result form, written
+   to the control socket of each rank it uses, behind an int64 length,
+   the run's epoch and its number; one [select] loop writes every rank's
+   copy, so a large image reaches them together.  Frames never cross from
+   one run into the next: a rank that finishes cleanly sends every peer a
+   goodbye, behind all the credit it owes that peer and with nothing
+   after it, and then reads each peer's stream up to that peer's goodbye
+   (or EOF), dropping what it reads, before it reports.  A run in which
    any rank failed, fail-stopped or died retires the whole pool — its
    sockets are in an unknown state, and a replacement rank could not be
    wired to the live ones — and the next run forks a new one; so does a
    run that needs more ranks than the pool has.
 
+   The staging file.  [run_flat]'s bulk data never crosses a socket.  The
+   pool has one file (beside the arena, unlinked at once) that its ranks
+   inherit.  The parent writes rank 0's input into it from offset 0 as
+   raw native-endian words, with [Unix.write] through one chunk-sized
+   buffer, before it ships the job; rank 0 takes the input as a view of
+   its own mapping of the file.  The producing rank blits its parts into
+   the result region, which starts where the input ends, so that a
+   result sorted in place from the input never overlaps it; the parent
+   reads the region back with [Unix.read], a chunk at a time, straight
+   into the caller's array.  The parent never maps the file.  A rank
+   maps it once per kind and keeps the mapping across runs, remapping
+   only when a transfer outgrows it (the producing rank grows the file
+   first), so a steady stream of identical jobs faults in no staging
+   page.
+
    A rank reports to the parent over its control socket: its verdict
-   record (counters, fail-stop flag, error, whether a result follows) as
-   a [Marshal] image behind an int64 length, then its result in the form
-   of the runner that started the run — [run_collect]'s [Marshal] image,
-   or [run_flat]'s raw words streamed a chunk at a time.  The parent
-   reads only the lowest producing rank's result: rank 0 sends its own
-   at once, and any other producing rank waits for a one-byte answer
-   saying whether it is wanted.  A rank that dies before its result has
-   arrived whole is a crash.
+   record (counters, fail-stop flag, error, the size of the result that
+   follows, if any) as a [Marshal] image behind an int64 length, then
+   its result in the form of the runner that started the run —
+   [run_collect]'s [Marshal] image on the socket, or [run_flat]'s parts
+   blitted into the staging file, followed on the socket by the faults
+   that took, which say the region is whole.  The verdict carries the
+   flat result's element count, so the parent allocates the result array
+   while the rank blits.  The parent reads only the lowest producing
+   rank's result: rank 0 writes its own at once, and any other producing
+   rank waits for a one-byte answer saying whether it is wanted, so that
+   only one rank writes the result region.  A rank that dies before its
+   result has arrived whole is a crash.
 
    A send returns once its whole frame is in the kernel; no frame is
    ever owed after that.  No send waits for a matching receive: a frame
@@ -111,7 +129,7 @@
    slice is copied in by the sender and out by the receiver), and
    cross-process [Obs] aggregation (ranks count sends/receives, page
    faults, CPU time and workspace leases and ship the totals home in
-   their verdict). *)
+   their verdict, and the faults of staging a result after it). *)
 
 exception Child_failure of int * string
 exception Fork_after_domain
@@ -248,6 +266,56 @@ let reserve r n =
     r.r_head <- r.r_head + skip + n;
     Some (r.r_base + (if skip > 0 then 0 else pos), skip + n)
   end
+
+(* ----------------------------------------------------------------- staging *)
+
+(* A new pool's staging file, open and already unlinked: under /dev/shm
+   beside the arena, else in the temp directory.  Its name carries the
+   arena's prefix, so a check for leftover arena files covers it too. *)
+let open_stage () =
+  let attempt dir =
+    let path = Printf.sprintf "%s/%s%d-stage" dir arena_prefix (Unix.getpid ()) in
+    match Unix.openfile path [ O_RDWR; O_CREAT; O_EXCL; O_CLOEXEC ] 0o600 with
+    | exception Unix.Unix_error _ -> None
+    | fd ->
+        (try Unix.unlink path with Unix.Unix_error _ -> ());
+        Some fd
+  in
+  match attempt arena_dir with
+  | Some fd -> fd
+  | None -> (
+      match attempt (Filename.get_temp_dir_name ()) with
+      | Some fd -> fd
+      | None -> failwith "Procs: cannot create the pool's staging file")
+
+(* A rank's mappings of the staging file, one per kind, each kept across
+   runs: a steady job touches only pages it has mapped before. *)
+type staged = {
+  s_fd : Unix.file_descr;
+  mutable s_floats : (float, Bigarray.float64_elt) Engine.slice;
+  mutable s_ints : (int, Bigarray.int_elt) Engine.slice;
+}
+
+let staged fd =
+  { s_fd = fd; s_floats = Engine.fresh Bigarray.float64 0; s_ints = Engine.fresh Bigarray.int 0 }
+
+(* Elements [at, at + n) of the staging file, seen as [kind].  A mapping
+   too short for them is replaced by one that reaches their end, and
+   [Unix.map_file] grows the file to that length first; the old mapping
+   lives on while a view of it does. *)
+let window (type k e) st (kind : (k, e) Bigarray.kind) ~at n : (k, e) Engine.slice =
+  let fit (m : (k, e) Engine.slice) =
+    if Bigarray.Array1.dim m >= at + n then m
+    else Bigarray.array1_of_genarray (Unix.map_file st.s_fd kind Bigarray.c_layout true [| at + n |])
+  in
+  match kind with
+  | Bigarray.Float64 ->
+      st.s_floats <- fit st.s_floats;
+      Bigarray.Array1.sub st.s_floats at n
+  | Bigarray.Int ->
+      st.s_ints <- fit st.s_ints;
+      Bigarray.Array1.sub st.s_ints at n
+  | _ -> assert false (* [Engine.check_kind] *)
 
 (* -------------------------------------------------------------- child state *)
 
@@ -628,7 +696,12 @@ let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
       st.c_arena_sent <- st.c_arena_sent + 1;
       send_frame st p kind tag n where
   | None ->
-      let payload = Marshal.to_bytes s [] in
+      (* [Marshal] writes a slice of a mapped file (rank 0's staged
+         input) under a custom-block name no process can read back, so
+         the frame carries a plain copy *)
+      let c = Engine.fresh (Bigarray.Array1.kind s) n in
+      Bigarray.Array1.blit s c;
+      let payload = Marshal.to_bytes c [] in
       send_frame st p k_marshal tag (Bytes.length payload) payload
 
 (* ----------------------------------------------------------------- shutdown *)
@@ -731,13 +804,13 @@ type child_error =
   | E_failure of string
   | E_other of string
 
-(* A rank's report on one run.  Its result, if any, follows it on the
-   control socket (see [result_form]), not inside it.  The last four
-   fields cover the run from its job's arrival to this record. *)
+(* A rank's report on one run.  Its result, if any, follows it (see
+   [result_form]), not inside it.  The last four fields cover the run
+   from its job's arrival to this record. *)
 type verdict = {
   v_error : child_error option;
   v_crashed : bool;  (* chaos-style self fail-stop: silent, not an error *)
-  v_result : bool;  (* a result follows the record *)
+  v_result : int option;  (* a result follows the record: its [size] *)
   v_sent : int;
   v_recvd : int;
   v_arena : int;
@@ -771,6 +844,8 @@ let rec write_all fd b off len =
     | n -> write_all fd b (off + n) (len - n)
     | exception Unix.Unix_error (EINTR, _, _) -> write_all fd b off len
 
+(* [false] when the stream ends first: EOF, or a reset by a peer that
+   died with our last write unread. *)
 let rec read_all fd b off len =
   if len = 0 then true
   else
@@ -778,6 +853,7 @@ let rec read_all fd b off len =
     | 0 -> false
     | n -> read_all fd b (off + n) (len - n)
     | exception Unix.Unix_error (EINTR, _, _) -> read_all fd b off len
+    | exception Unix.Unix_error (ECONNRESET, _, _) -> false
 
 (* A little-endian int64 length, then that many bytes. *)
 let write_sized fd b =
@@ -794,166 +870,46 @@ let read_sized fd =
     let b = Bytes.create (Int64.to_int (Bytes.get_int64_le hdr 0)) in
     if read_all fd b 0 (Bytes.length b) then Some b else None
 
-(* [None] = the rank died before reporting (exit, signal): a real crash. *)
-let read_verdict fd : verdict option =
-  Option.map (fun b : verdict -> Marshal.from_bytes b 0) (read_sized fd)
+(* Native-endian words of a buffer, unchecked: the staging loops below
+   stay inside one chunk by construction, and a bounds check per word
+   cost ~1.4 ms per 1M words each way. *)
+external get_word : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set_word : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Raw little-endian words out through one chunk-sized buffer. *)
-type words_out = { o_fd : Unix.file_descr; o_buf : Bytes.t; mutable o_fill : int }
-
-(* [n] elements, [encode ~i ~m b off] writing elements [i, i + m) into
-   [b] from byte [off]: as many as the buffer has room for at a time. *)
-let put_words o n encode =
-  let i = ref 0 in
-  while !i < n do
-    if o.o_fill = chunk then begin
-      write_all o.o_fd o.o_buf 0 chunk;
-      o.o_fill <- 0
-    end;
-    let m = min (n - !i) ((chunk - o.o_fill) / 8) in
-    encode ~i:!i ~m o.o_buf o.o_fill;
-    i := !i + m;
-    o.o_fill <- o.o_fill + (8 * m)
-  done
-
-let flush_words o =
-  write_all o.o_fd o.o_buf 0 o.o_fill;
-  o.o_fill <- 0
-
-(* [total] raw words in, a chunk at a time into [buf]: [decode n pos]
-   takes the [n] just read as elements [pos, pos + n).  [false] when the
-   stream ends first. *)
-let get_words fd buf total decode =
-  let rec go pos =
-    pos = total
-    ||
-    let n = min (chunk / 8) (total - pos) in
-    read_all fd buf 0 (8 * n)
-    && begin
-         decode n pos;
-         go (pos + n)
-       end
-  in
-  go 0
-
-(* Elements [i, i + m) of a slice as raw little-endian words, written into
-   [b] from byte [off].  The kind is matched once, so each loop runs
-   unboxed. *)
-let encode_run (type k e) (s : (k, e) Engine.slice) ~i ~m b off =
-  match Bigarray.Array1.kind s with
-  | Bigarray.Float64 ->
-      for j = 0 to m - 1 do
-        Bytes.set_int64_le b (off + (8 * j))
-          (Int64.bits_of_float (Bigarray.Array1.unsafe_get s (i + j)))
-      done
-  | Bigarray.Int ->
-      for j = 0 to m - 1 do
-        Bytes.set_int64_le b (off + (8 * j)) (Int64.of_int (Bigarray.Array1.unsafe_get s (i + j)))
-      done
-  | _ -> assert false (* [run_flat] checks its parts' kind *)
-
-(* The same for an array of [kind]'s elements. *)
-let encode_array (type k e) (kind : (k, e) Bigarray.kind) (a : k array) ~i ~m b off =
+(* Elements [i, i + m) of an array of [kind]'s elements as raw
+   native-endian words, written into the parent's chunk buffer: the
+   words a rank's mapping of the staging file reads as that kind.  The
+   kind is matched once, so each loop runs unboxed. *)
+let encode_array (type k e) (kind : (k, e) Bigarray.kind) (a : k array) ~i ~m b =
+  assert (8 * m <= Bytes.length b);
   match kind with
   | Bigarray.Float64 ->
       for j = 0 to m - 1 do
-        Bytes.set_int64_le b (off + (8 * j)) (Int64.bits_of_float (Array.unsafe_get a (i + j)))
+        set_word b (8 * j) (Int64.bits_of_float (Array.unsafe_get a (i + j)))
       done
   | Bigarray.Int ->
       for j = 0 to m - 1 do
-        Bytes.set_int64_le b (off + (8 * j)) (Int64.of_int (Array.unsafe_get a (i + j)))
+        set_word b (8 * j) (Int64.of_int (Array.unsafe_get a (i + j)))
       done
   | _ -> assert false (* [Engine.check_kind] *)
 
-(* Fill a slice from the stream: [run_flat]'s input at rank 0. *)
-let read_into (type k e) fd buf (s : (k, e) Engine.slice) =
-  let total = Bigarray.Array1.dim s in
-  match Bigarray.Array1.kind s with
-  | Bigarray.Float64 ->
-      get_words fd buf total (fun n pos ->
-          for j = 0 to n - 1 do
-            Bigarray.Array1.unsafe_set s (pos + j) (Int64.float_of_bits (Bytes.get_int64_le buf (8 * j)))
-          done)
-  | Bigarray.Int ->
-      get_words fd buf total (fun n pos ->
-          for j = 0 to n - 1 do
-            Bigarray.Array1.unsafe_set s (pos + j) (Int64.to_int (Bytes.get_int64_le buf (8 * j)))
-          done)
-  | _ -> assert false (* [Engine.check_kind] *)
-
-(* How a producing rank's result ['p] crosses its control socket after
-   the record: the rank [write]s it (through the chunk-sized buffer it
-   is given), the parent [read]s it back as ['r] — [None] when the
-   stream ends early, the rank having died mid-result. *)
-type ('p, 'r) result_form = {
-  write : Bytes.t -> Unix.file_descr -> 'p -> unit;
-  read : Unix.file_descr -> 'r option;
-}
-
-let no_result : (unit, unit) result_form = { write = (fun _ _ () -> ()); read = (fun _ -> Some ()) }
-
-(* [run_collect]'s form: the value's [Marshal] image, taken inside the
-   rank so that a value which cannot cross is that rank's error. *)
-let marshalled : (bytes, 'a) result_form =
-  {
-    write = (fun _ -> write_sized);
-    read = (fun fd -> Option.map (fun b -> Marshal.from_bytes b 0) (read_sized fd));
-  }
-
-(* [run_flat]'s form: the element count as an int64, then every part's
-   elements as raw little-endian words, streamed through one chunk-sized
-   buffer on each side.  The parent decodes each chunk straight into the
-   result array: neither side builds a second copy of the whole result. *)
-let write_flat buf fd (parts : ('k, 'e) Engine.slice array) =
-  let o = { o_fd = fd; o_buf = buf; o_fill = 0 } in
-  let total = Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 parts in
-  put_words o 1 (fun ~i:_ ~m:_ b off -> Bytes.set_int64_le b off (Int64.of_int total));
-  Array.iter (fun s -> put_words o (Bigarray.Array1.dim s) (encode_run s)) parts;
-  flush_words o
-
-(* The parent's chunk buffer for rank 0's input and the result stream.
-   A run holds the pool's lock throughout, so one run at a time uses it;
-   a fresh buffer per run raised [sort-procs]' peak RSS by ~0.15 MB. *)
+(* The parent's chunk buffer for the staging file, both ways.  A run
+   holds the pool's lock throughout, so one run at a time uses it; a
+   fresh buffer per run raised [sort-procs]' peak RSS by ~0.15 MB. *)
 let parent_buf = Bytes.create chunk
 
-let read_flat (type k e) (kind : (k, e) Bigarray.kind) fd : k array option =
-  let buf = parent_buf in
-  if not (read_all fd buf 0 8) then None
-  else begin
-    let total = Int64.to_int (Bytes.get_int64_le buf 0) in
-    let filled (out : k array) decode = if get_words fd buf total decode then Some out else None in
-    match kind with
-    | Bigarray.Float64 ->
-        let out = Array.create_float total in
-        filled out (fun n pos ->
-            for j = 0 to n - 1 do
-              Array.unsafe_set out (pos + j) (Int64.float_of_bits (Bytes.get_int64_le buf (8 * j)))
-            done)
-    | Bigarray.Int ->
-        let out = Array.make total 0 in
-        filled out (fun n pos ->
-            for j = 0 to n - 1 do
-              Array.unsafe_set out (pos + j) (Int64.to_int (Bytes.get_int64_le buf (8 * j)))
-            done)
-    | _ -> assert false (* [Engine.check_kind] *)
-  end
-
-let flat kind = { write = write_flat; read = read_flat kind }
-
-(* One run as the parent ships it to each rank it uses. *)
-type job =
-  | Job : {
-      j_procs : int;
-      j_cost : Cost_model.t;
-      j_topology : Topology.t;
-      j_lend : bool;  (* [run_flat]: workspace and arena copies from the rank's lease *)
-      j_input : (('k, 'e) Bigarray.kind * int) option;  (* rank 0's input words follow *)
-      j_program : int -> Engine.t -> 'p option;
-      j_write : Bytes.t -> Unix.file_descr -> 'p -> unit;
-    }
-      -> job
-
-(* ------------------------------------------------------------------- a rank *)
+(* [run_flat]'s input into the staging file from offset 0, a chunk at a
+   time: the parent writes the file and maps nothing. *)
+let stage_input fd kind a =
+  ignore (Unix.lseek fd 0 SEEK_SET);
+  let n = Array.length a in
+  let i = ref 0 in
+  while !i < n do
+    let m = min (n - !i) (chunk / 8) in
+    encode_array kind a ~i:!i ~m parent_buf;
+    write_all fd parent_buf 0 (8 * m);
+    i := !i + m
+  done
 
 (* This process's minor page faults so far: field 10 of /proc/self/stat,
    0 where there is no such file. *)
@@ -970,6 +926,122 @@ let minor_faults () =
       | Some i -> (
           let fields = String.split_on_char ' ' (String.sub line (i + 2) (n - i - 2)) in
           match int_of_string_opt (List.nth fields 7) with Some f -> f | None -> 0))
+
+(* How a producing rank's result ['p] reaches the parent as ['r]: its
+   [size] goes in the rank's verdict; the rank [write]s it once it is
+   wanted, through its mapping of the staging file (whose result region
+   starts at element [at]) or its control socket; the parent [read]s it
+   back, given that size, with the minor faults the rank took writing it
+   — [None] when the control socket ends first, the rank having died
+   mid-result. *)
+type ('p, 'r) result_form = {
+  size : 'p -> int;
+  write : staged -> at:int -> Unix.file_descr -> 'p -> unit;
+  read : ctl:Unix.file_descr -> stage:Unix.file_descr -> at:int -> int -> ('r * int) option;
+}
+
+let no_result : (unit, unit) result_form =
+  {
+    size = (fun () -> 0);
+    write = (fun _ ~at:_ _ () -> ());
+    read = (fun ~ctl:_ ~stage:_ ~at:_ _ -> Some ((), 0));
+  }
+
+(* [run_collect]'s form: the value's [Marshal] image, taken inside the
+   rank so that a value which cannot cross is that rank's error, on the
+   control socket. *)
+let marshalled : (bytes, 'a) result_form =
+  {
+    size = Bytes.length;
+    write = (fun _ ~at:_ -> write_sized);
+    read =
+      (fun ~ctl ~stage:_ ~at:_ _ ->
+        Option.map (fun b -> (Marshal.from_bytes b 0, 0)) (read_sized ctl));
+  }
+
+(* [run_flat]'s form: every part blitted, in order, into the result
+   region of the rank's mapping, and then the minor faults that took, as
+   an int64 on the control socket, which says the region is whole.  The
+   parent allocates the result array while the rank blits, then decodes
+   the region a chunk at a time straight into it: neither side builds a
+   second copy of the whole result. *)
+let flat_length parts = Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 parts
+
+let write_flat st ~at ctl (parts : ('k, 'e) Engine.slice array) =
+  let f0 = minor_faults () in
+  let total = flat_length parts in
+  if total > 0 then begin
+    let region = window st (Bigarray.Array1.kind parts.(0)) ~at total in
+    ignore
+      (Array.fold_left
+         (fun off s ->
+           let n = Bigarray.Array1.dim s in
+           Bigarray.Array1.blit s (Bigarray.Array1.sub region off n);
+           off + n)
+         0 parts)
+  end;
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int (minor_faults () - f0));
+  write_all ctl b 0 8
+
+let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~stage ~at total : (k array * int) option =
+  let buf = parent_buf in
+  (* [decode n pos]: the [n] words just read are elements [pos, pos + n) *)
+  let filled (out : k array) decode =
+    let rec go pos =
+      pos = total
+      ||
+      let n = min (Bytes.length buf / 8) (total - pos) in
+      read_all stage buf 0 (8 * n)
+      && begin
+           decode n pos;
+           go (pos + n)
+         end
+    in
+    if not (read_all ctl buf 0 8) then None
+    else begin
+      let faults = Int64.to_int (Bytes.get_int64_le buf 0) in
+      ignore (Unix.lseek stage (8 * at) SEEK_SET);
+      if go 0 then Some (out, faults) else None
+    end
+  in
+  match kind with
+  | Bigarray.Float64 ->
+      let out = Array.create_float total in
+      filled out (fun n pos ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set out (pos + j) (Int64.float_of_bits (get_word buf (8 * j)))
+          done)
+  | Bigarray.Int ->
+      let out = Array.make total 0 in
+      filled out (fun n pos ->
+          for j = 0 to n - 1 do
+            Array.unsafe_set out (pos + j) (Int64.to_int (get_word buf (8 * j)))
+          done)
+  | _ -> assert false (* [Engine.check_kind] *)
+
+let flat kind =
+  {
+    size = flat_length;
+    write = write_flat;
+    read = read_flat kind;
+  }
+
+(* One run as the parent ships it to each rank it uses. *)
+type job =
+  | Job : {
+      j_procs : int;
+      j_cost : Cost_model.t;
+      j_topology : Topology.t;
+      j_lend : bool;  (* [run_flat]: workspace and arena copies from the rank's lease *)
+      j_input : (('k, 'e) Bigarray.kind * int) option;  (* rank 0's input, staged at offset 0 *)
+      j_program : int -> Engine.t -> 'p option;
+      j_size : 'p -> int;
+      j_write : staged -> at:int -> Unix.file_descr -> 'p -> unit;
+    }
+      -> job
+
+(* ------------------------------------------------------------------- a rank *)
 
 let cpu_seconds () =
   let t = Unix.times () in
@@ -997,7 +1069,7 @@ let new_peer ~arena ~procs ~rank q fd =
    rank) and report it on [ctl].  [true] when the rank can serve another
    run: it finished cleanly, drained every peer, and its report went
    out. *)
-let serve ~rank ~arena ~ctl ~links ~scratch ~t0 ~run (Job j) =
+let serve ~rank ~arena ~stage ~ctl ~links ~scratch ~t0 ~run (Job j) =
   let f0 = minor_faults () and c0 = cpu_seconds () in
   let lease = Workspace.lease () in
   let procs = j.j_procs in
@@ -1024,60 +1096,57 @@ let serve ~rank ~arena ~ctl ~links ~scratch ~t0 ~run (Job j) =
   in
   let eng = engine st j.j_cost j.j_topology in
   let eng = if j.j_lend then Workspace.wrap lease eng else eng in
-  let input =
-    match j.j_input with
-    | Some (kind, n) when rank = 0 ->
-        let s = Workspace.lend lease kind n in
-        if read_into ctl scratch s then Some (Engine.with_input eng s) else None
-    | _ -> Some eng
+  (* the result region starts where the input ends *)
+  let at = match j.j_input with Some (_, n) -> n | None -> 0 in
+  let res, error, crashed =
+    match
+      let eng =
+        match j.j_input with
+        | Some (kind, n) when rank = 0 -> Engine.with_input eng (window stage kind ~at:0 n)
+        | _ -> eng
+      in
+      let res = j.j_program rank eng in
+      finish_clean st;
+      drain st;
+      res
+    with
+    | res -> (res, None, false)
+    | exception Fault.Crashed r when r = rank ->
+        abrupt_close st;
+        (None, None, true)
+    | exception e ->
+        abrupt_close st;
+        (None, Some (err_repr e), false)
   in
-  match input with
-  | None -> false (* the parent is gone *)
-  | Some eng -> (
-      let verdict ?(result = false) error crashed =
-        let lent, fresh = Workspace.counts lease in
-        {
-          v_error = error;
-          v_crashed = crashed;
-          v_result = result;
-          v_sent = st.c_sent;
-          v_recvd = st.c_recvd;
-          v_arena = st.c_arena_sent;
-          v_minflt = minor_faults () - f0;
-          v_cpu = cpu_seconds () -. c0;
-          v_lent = lent;
-          v_fresh = fresh;
-        }
-      in
-      let v, res =
-        match
-          let res = j.j_program rank eng in
-          finish_clean st;
-          drain st;
-          res
-        with
-        | res -> (verdict ~result:(Option.is_some res) None false, res)
-        | exception Fault.Crashed r when r = rank ->
-            abrupt_close st;
-            (verdict None true, None)
-        | exception e ->
-            abrupt_close st;
-            (verdict (Some (err_repr e)) false, None)
-      in
-      (* rank 0's result is always wanted; any other rank's only when no
-         lower rank settled the run, which the parent answers in one byte *)
-      let wanted () =
-        let b = Bytes.create 1 in
-        read_all ctl b 0 1 && Bytes.get b 0 = '\001'
-      in
-      match
-        write_sized ctl (Marshal.to_bytes v []);
-        Option.iter (fun r -> if rank = 0 || wanted () then j.j_write scratch ctl r) res
-      with
-      | () when v.v_error = None && not v.v_crashed ->
-          Workspace.release lease;
-          true
-      | () | (exception _) -> false)
+  let lent, fresh = Workspace.counts lease in
+  let v =
+    {
+      v_error = error;
+      v_crashed = crashed;
+      v_result = Option.map j.j_size res;
+      v_sent = st.c_sent;
+      v_recvd = st.c_recvd;
+      v_arena = st.c_arena_sent;
+      v_minflt = minor_faults () - f0;
+      v_cpu = cpu_seconds () -. c0;
+      v_lent = lent;
+      v_fresh = fresh;
+    }
+  in
+  (* rank 0's result is always wanted; any other rank's only when no
+     lower rank settled the run, which the parent answers in one byte *)
+  let wanted () =
+    let b = Bytes.create 1 in
+    read_all ctl b 0 1 && Bytes.get b 0 = '\001'
+  in
+  match
+    write_sized ctl (Marshal.to_bytes v []);
+    Option.iter (fun r -> if rank = 0 || wanted () then j.j_write stage ~at ctl r) res
+  with
+  | () when v.v_error = None && not v.v_crashed ->
+      Workspace.release lease;
+      true
+  | () | (exception _) -> false
 
 (* --------------------------------------------------------------- the pool *)
 
@@ -1085,13 +1154,15 @@ type pool = {
   owner : int;  (* the process that forked it: its ranks inherit this record *)
   pids : int array;  (* 0 once reaped *)
   ctls : Unix.file_descr array;  (* the parent's end of each rank's control socket *)
+  stage : Unix.file_descr;  (* the staging file, shared with every rank *)
   mutable runs : int;  (* started so far *)
   mutable retired : bool;
 }
 
 let pool : pool option ref = ref None
 
-(* In a rank, its own sockets: a pool it forks must not inherit them. *)
+(* In a rank, its own sockets and staging file: a pool it forks must not
+   inherit them. *)
 let rank_fds : Unix.file_descr list ref = ref []
 
 (* Held for a whole run: the pool serves one run at a time. *)
@@ -1118,14 +1189,15 @@ let alive p =
   !all
 
 (* Close the control sockets, so each idle rank reads EOF and exits
-   (with [~kill], SIGKILL them too: a rank may still be running), and
-   reap every rank.  Once only: a descriptor closed twice could be
-   another one by then. *)
+   (with [~kill], SIGKILL them too: a rank may still be running), close
+   the staging file, and reap every rank.  Once only: a descriptor closed
+   twice could be another one by then. *)
 let retire ?(kill = false) p =
   (match !pool with Some q when q == p -> pool := None | _ -> ());
   if not p.retired then begin
     p.retired <- true;
     Array.iter close_noerr p.ctls;
+    close_noerr p.stage;
     Array.iteri
       (fun i pid ->
         if pid > 0 then begin
@@ -1145,10 +1217,10 @@ let int_of_fd : Unix.file_descr -> int = Obj.magic
 let fd_of_int : int -> Unix.file_descr = Obj.magic
 
 (* Close every descriptor this process inherited except stdio and
-   [keep]: a rank holds its own sockets and nothing else, so EOF on one
-   of them means what it says, and no file, pipe or socket of the
-   parent's stays open in a process that outlives the run which opened
-   it. *)
+   [keep]: a rank holds its own sockets and staging file and nothing
+   else, so EOF on a socket means what it says, and no file, pipe or
+   socket of the parent's stays open in a process that outlives the run
+   which opened it. *)
 let close_inherited ~keep =
   let keep = List.map int_of_fd keep in
   match Sys.readdir "/proc/self/fd" with
@@ -1173,15 +1245,15 @@ let move_fd fd n =
       fd_of_int n
   | exception Unix.Unix_error _ -> fd
 
-(* A rank's sockets, control socket first, moved to [fd_top] and down:
-   once the parent has closed its ends, its next [pipe] or [openfile]
-   reuses their old numbers, and a program that captured such a
-   descriptor must find nothing open under it here ([EBADF]), not one of
-   the fabric's sockets.  Left where they are if one of them already
-   sits in that range. *)
-let lift_sockets ~ctl ~links =
-  let held = ctl :: List.filter_map Fun.id (Array.to_list links) in
-  if List.exists (fun fd -> int_of_fd fd > fd_top - List.length held) held then (ctl, links)
+(* A rank's descriptors, control socket first and staging file last,
+   moved to [fd_top] and down: once the parent has closed its ends, its
+   next [pipe] or [openfile] reuses their old numbers, and a program that
+   captured such a descriptor must find nothing open under it here
+   ([EBADF]), not one of the fabric's.  Left where they are if one of
+   them already sits in that range. *)
+let lift_sockets ~ctl ~links ~stage =
+  let held = (ctl :: List.filter_map Fun.id (Array.to_list links)) @ [ stage ] in
+  if List.exists (fun fd -> int_of_fd fd > fd_top - List.length held) held then (ctl, links, stage)
   else begin
     let next = ref fd_top in
     let lift fd =
@@ -1190,7 +1262,8 @@ let lift_sockets ~ctl ~links =
       fd
     in
     let ctl = lift ctl in
-    (ctl, Array.map (Option.map lift) links)
+    let links = Array.map (Option.map lift) links in
+    (ctl, links, lift stage)
   end
 
 (* A pool rank's life: read a job, serve it, until the control socket
@@ -1198,7 +1271,7 @@ let lift_sockets ~ctl ~links =
    leaves its sockets unusable.  [drop] holds every descriptor of the
    parent's that this rank must not keep, in case there is no
    /proc/self/fd to find them by. *)
-let rank_main ~rank ~arena ~ctl ~links ~drop =
+let rank_main ~rank ~arena ~stage ~ctl ~links ~drop =
   (* a peer may die mid-write; we want EPIPE (handled), not a signal *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* the parent's pool and its lock are not this process's: a run
@@ -1206,18 +1279,19 @@ let rank_main ~rank ~arena ~ctl ~links ~drop =
   pool := None;
   pool_lock := Mutex.create ();
   List.iter close_noerr drop;
-  close_inherited ~keep:(ctl :: List.filter_map Fun.id (Array.to_list links));
-  let ctl, links = lift_sockets ~ctl ~links in
-  rank_fds := ctl :: List.filter_map Fun.id (Array.to_list links);
+  close_inherited ~keep:(stage :: ctl :: List.filter_map Fun.id (Array.to_list links));
+  let ctl, links, stage = lift_sockets ~ctl ~links ~stage in
+  rank_fds := stage :: ctl :: List.filter_map Fun.id (Array.to_list links);
   Array.iter (Option.iter Unix.set_nonblock) links;
   let scratch = Bytes.create chunk in
+  let stage = staged stage in
   let rec loop () =
     match read_sized ctl with
     | Some b when Bytes.length b >= 16 ->
         let t0 = Int64.float_of_bits (Bytes.get_int64_le b 0) in
         let run = Int64.to_int (Bytes.get_int64_le b 8) in
         let job : job = Marshal.from_bytes b 16 in
-        if serve ~rank ~arena ~ctl ~links ~scratch ~t0 ~run job then loop ()
+        if serve ~rank ~arena ~stage ~ctl ~links ~scratch ~t0 ~run job then loop ()
     | _ -> ()
   in
   (try loop () with _ -> ());
@@ -1225,7 +1299,7 @@ let rank_main ~rank ~arena ~ctl ~links ~drop =
   Unix._exit 0
 
 (* Fork [size] ranks wired by a full mesh of socketpairs, each with its
-   own control socket.  [inherited] are descriptors of an older pool the
+   own control socket, all sharing one staging file.  [inherited] are descriptors of an older pool the
    new ranks must not keep (and so are this process's own, when it is a
    rank).  Raises [Fork_after_domain] once this process has had a second
    domain, leaving nothing behind. *)
@@ -1234,6 +1308,7 @@ let fork_pool ~size ~inherited =
   flush stdout;
   flush stderr;
   let arena = if size >= 2 then acquire_arena () else None in
+  let stage = open_stage () in
   let pair () = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   let mesh = Array.init size (fun i -> Array.init size (fun j -> if i < j then Some (pair ()) else None)) in
   let ctl = Array.init size (fun _ -> pair ()) in
@@ -1257,7 +1332,7 @@ let fork_pool ~size ~inherited =
        | 0 ->
            let mine = snd ctl.(r) :: List.filter_map Fun.id (Array.to_list (links r)) in
            (try
-              rank_main ~rank:r ~arena ~ctl:(snd ctl.(r)) ~links:(links r)
+              rank_main ~rank:r ~arena ~stage ~ctl:(snd ctl.(r)) ~links:(links r)
                 ~drop:(List.filter (fun fd -> not (List.memq fd mine)) (every_fd ()) @ inherited @ !rank_fds)
             with _ -> ());
            Unix._exit 127
@@ -1267,7 +1342,7 @@ let fork_pool ~size ~inherited =
      done
    with e ->
      (* leave nothing behind: no fd, no half-wired rank *)
-     List.iter close_noerr (every_fd ());
+     List.iter close_noerr (stage :: every_fd ());
      Array.iter
        (fun pid ->
          if pid > 0 then begin
@@ -1286,7 +1361,7 @@ let fork_pool ~size ~inherited =
       | None -> ()))
     mesh;
   Array.iter (fun (_, rank_end) -> close_noerr rank_end) ctl;
-  { owner = Unix.getpid (); pids; ctls = Array.map fst ctl; runs = 0; retired = false }
+  { owner = Unix.getpid (); pids; ctls = Array.map fst ctl; stage; runs = 0; retired = false }
 
 (* A live pool of at least [procs] ranks, and how many processes it took
    to get one.  A larger one is forked before the old one is retired, so
@@ -1297,7 +1372,9 @@ let ensure ~procs =
   | old ->
       let old = match old with Some p when p.owner = Unix.getpid () -> Some p | _ -> None in
       let size = match old with Some p -> max procs (Array.length p.pids) | None -> procs in
-      let p = fork_pool ~size ~inherited:(match old with Some o -> Array.to_list o.ctls | None -> []) in
+      let p =
+        fork_pool ~size ~inherited:(match old with Some o -> o.stage :: Array.to_list o.ctls | None -> [])
+      in
       Option.iter (fun o -> retire o) old;
       pool := Some p;
       (p, size)
@@ -1318,8 +1395,39 @@ let without_sigpipe f =
    verdict is read. *)
 let send_to_rank fd f = try f fd with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()
 
-(* Run [program] on ranks [0, procs) of the pool: ship the job, rank 0's
-   input after it, then read every verdict, and the lowest producing
+(* [head] and then [image] to every control socket in [fds], through one
+   [select] loop: each rank's copy advances as its socket takes it, so a
+   large image reaches every rank together instead of one after another.
+   A rank that has died takes no more. *)
+let ship fds head image =
+  let hl = Bytes.length head in
+  let total = hl + Bytes.length image in
+  let sent = Array.make (Array.length fds) 0 in
+  let write_some r =
+    let b, off = if sent.(r) < hl then (head, sent.(r)) else (image, sent.(r) - hl) in
+    match Unix.write fds.(r) b off (Bytes.length b - off) with
+    | n -> sent.(r) <- sent.(r) + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> sent.(r) <- total
+  in
+  Array.iter Unix.set_nonblock fds;
+  Fun.protect ~finally:(fun () -> Array.iter Unix.clear_nonblock fds) @@ fun () ->
+  let rec loop ready =
+    List.iter write_some ready;
+    match List.filter (fun r -> sent.(r) < total) (List.init (Array.length fds) Fun.id) with
+    | [] -> ()
+    | waiting ->
+        let ws =
+          match Unix.select [] (List.map (fun r -> fds.(r)) waiting) [] (-1.0) with
+          | _, ws, _ -> ws
+          | exception Unix.Unix_error (EINTR, _, _) -> []
+        in
+        loop (List.filter (fun r -> List.memq fds.(r) ws) waiting)
+  in
+  loop (List.init (Array.length fds) Fun.id)
+
+(* Run [program] on ranks [0, procs) of the pool: stage rank 0's input,
+   ship the job, then read every verdict, and the lowest producing
    rank's result in [form] as it arrives, while the other ranks are
    still reporting.  Only that rank's slot of the returned array is
    filled.  A run in which a rank failed, fail-stopped or died retires
@@ -1340,6 +1448,7 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
         j_lend = lend;
         j_input = Option.map (fun (kind, a) -> (kind, Array.length a)) input;
         j_program = program;
+        j_size = form.size;
         j_write = form.write;
       }
   in
@@ -1361,34 +1470,30 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
   Bytes.set_int64_le head 0 (Int64.of_int (16 + Bytes.length image));
   Bytes.set_int64_le head 8 (Int64.bits_of_float t0);
   Bytes.set_int64_le head 16 (Int64.of_int p.runs);
+  (* the result region starts where the input ends *)
+  let at = match input with Some (_, a) -> Array.length a | None -> 0 in
   let collect () =
-    for r = 0 to procs - 1 do
-      send_to_rank p.ctls.(r) (fun fd ->
-          write_all fd head 0 24;
-          write_all fd image 0 (Bytes.length image))
-    done;
-    Option.iter
-      (fun (kind, a) ->
-        send_to_rank p.ctls.(0) (fun fd ->
-            let o = { o_fd = fd; o_buf = parent_buf; o_fill = 0 } in
-            put_words o (Array.length a) (encode_array kind a);
-            flush_words o))
-      input;
+    Option.iter (fun (kind, a) -> stage_input p.stage kind a) input;
+    ship (Array.sub p.ctls 0 procs) head image;
     let crashed = ref [] in
     let errors = Array.make procs None in
     let results = Array.make procs None in
     (* once a rank has failed or announced a result, later results are
-       not read; [cut] is a rank whose result stream ended early *)
+       not read; [cut] is a rank that died before its result had arrived
+       whole *)
     let settled = ref false and cut = ref None and broken = ref false in
     let sent = ref 0 and recvd = ref 0 and via_arena = ref 0 in
     let minflt = ref 0 and cpu = ref 0.0 and lent = ref 0 and fresh = ref 0 in
+    let lost r =
+      crashed := r :: !crashed;
+      broken := true
+    in
     for r = 0 to procs - 1 do
       let fd = p.ctls.(r) in
-      match read_verdict fd with
-      | None ->
-          crashed := r :: !crashed;
-          broken := true
-      | Some v ->
+      match read_sized fd with
+      | None -> (* the rank died before reporting (exit, signal): a real crash *) lost r
+      | Some b -> (
+          let v : verdict = Marshal.from_bytes b 0 in
           sent := !sent + v.v_sent;
           recvd := !recvd + v.v_recvd;
           via_arena := !via_arena + v.v_arena;
@@ -1396,29 +1501,30 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
           cpu := !cpu +. v.v_cpu;
           lent := !lent + v.v_lent;
           fresh := !fresh + v.v_fresh;
-          if v.v_crashed then begin
-            crashed := r :: !crashed;
-            broken := true
-          end
+          if v.v_crashed then lost r
           else if Option.is_some v.v_error then begin
             errors.(r) <- v.v_error;
             settled := true;
             broken := true
           end
-          else if v.v_result then begin
-            let wanted = not !settled in
-            if r > 0 then
-              send_to_rank fd (fun fd -> write_all fd (Bytes.make 1 (if wanted then '\001' else '\000')) 0 1);
-            if wanted then begin
-              settled := true;
-              match form.read fd with
-              | Some x -> results.(r) <- Some x
-              | None ->
-                  cut := Some r;
-                  crashed := r :: !crashed;
-                  broken := true
-            end
-          end
+          else
+            match v.v_result with
+            | None -> ()
+            | Some size ->
+                let wanted = not !settled in
+                if r > 0 then
+                  send_to_rank fd (fun fd ->
+                      write_all fd (Bytes.make 1 (if wanted then '\001' else '\000')) 0 1);
+                if wanted then begin
+                  settled := true;
+                  match form.read ~ctl:fd ~stage:p.stage ~at size with
+                  | Some (x, faults) ->
+                      results.(r) <- Some x;
+                      minflt := !minflt + faults
+                  | None ->
+                      cut := Some r;
+                      lost r
+                end)
     done;
     let wall = Unix.gettimeofday () -. t0 in
     if !broken then retire p;

@@ -24,10 +24,12 @@
     this process as it was when the pool was forked: a global changed
     since is not seen by them, and a descriptor opened since is not
     theirs. A rank keeps no inherited descriptor beyond stdin, stdout
-    and stderr and its own sockets, and moves those sockets to numbers
-    1023 and down, so a descriptor a program captures here names
-    nothing open in a rank (an [EBADF], so {!Child_failure}) rather than
-    one of its sockets. Between runs nothing is left in the sockets: a
+    and stderr, its own sockets and the pool's staging file, and moves
+    those to numbers 1023 and down, so a descriptor a program captures
+    here names nothing open in a rank (an [EBADF], so {!Child_failure})
+    rather than one of its own. Every rank's copy of the job image is
+    written through one [select] loop, so a large image reaches the
+    ranks together rather than one after another. Between runs nothing is left in the sockets: a
     rank that finishes says goodbye to every peer, behind all it owes
     that peer and with nothing after it, and reads every peer's stream
     up to its goodbye before it reports.
@@ -45,9 +47,23 @@
 
     Under {!run_flat}, [Comm.workspace] on a rank lends from that rank's
     own free list ({!Workspace}), and so do the copies of arena slices it
-    receives; its input reaches rank 0 as raw words decoded straight into
-    such a buffer. A steady stream of identical jobs then forks nothing
+    receives. Its bulk data takes the pool's staging file, never a
+    socket (below). A steady stream of identical jobs then forks nothing
     and, once warm, has its ranks map no fresh pages.
+
+    {2 The staging file}
+
+    Each pool has one file, created beside the arena (under /dev/shm,
+    else in the temp directory) when the pool forks and unlinked at
+    once; its ranks inherit it. This process writes {!run_flat}'s input
+    into it with [Unix.write] and reads the result back with
+    [Unix.read], a 64 KiB chunk at a time, and never maps it, so the
+    transfer does not grow its resident set. Each rank maps the file
+    itself, once per element kind, and keeps the mapping across runs; it
+    maps it again only when a transfer outgrows it. Rank 0's input is a
+    view of that mapping, and the producing rank blits its result parts
+    into a region that starts where the input ends. The file keeps the
+    size of the pool's largest transfer until the pool is retired.
 
     {2 The arena}
 
@@ -63,11 +79,11 @@
     space, and [stats.arena_msgs] counts the slices that went through
     it. Boxed payloads always take the socket.
 
-    A run's result comes home on the producing rank's control socket,
-    after its verdict record: {!run_collect}'s as a [Marshal] image,
-    {!run_flat}'s as raw little-endian words streamed a 64 KiB chunk at a
-    time and decoded straight into the caller's array. Only the lowest
-    producing rank's result is read.
+    A run's result comes home from the producing rank after its verdict
+    record: {!run_collect}'s as a [Marshal] image on its control socket,
+    {!run_flat}'s through the staging file, decoded straight into the
+    caller's array. Only the lowest producing rank's result is read: a
+    producing rank other than 0 waits to be told it is wanted.
 
     Ranks share no heap: this is the step from
     "parallel library" to "distributed system", where {!Fault.Crashed}
@@ -149,8 +165,8 @@ type stats = {
           order *)
   rank_minflt : int;
       (** minor page faults the ranks took in the run (each rank's
-          /proc/self/stat, from its job's arrival to its verdict),
-          summed *)
+          /proc/self/stat, from its job's arrival to its verdict, and
+          while it staged a flat result), summed *)
   rank_cpu : float;  (** user + system CPU seconds of the ranks over the same span, summed *)
   rank_lent : int;  (** [Comm.workspace] requests and arena copies the ranks' leases served *)
   rank_fresh : int;
@@ -225,20 +241,27 @@ val run_flat :
   'k array * stats
 (** Like {!run_collect} for a result made of flat parts: the lowest
     producing rank's parts, concatenated in order into one array. The
-    rank writes the element count and then every part's elements as raw
-    little-endian words, through one reused 64 KiB buffer; the parent
-    decodes each chunk straight into the result array. Nothing is
-    marshalled and neither side builds a second copy of the whole result.
-    A rank that dies mid-stream raises {!Fault.Crashed}, never a
-    truncated array.
+    rank reports the element count in its verdict, blits every part into
+    the pool's staging file while this process allocates the result
+    array, and then says the parts are in place; this process reads the
+    words back a 64 KiB chunk at a time and decodes each chunk straight
+    into the result array. Nothing is marshalled and neither side builds
+    a second copy of the whole result. A rank that dies after its
+    verdict announced a result, before that result is whole, raises
+    {!Fault.Crashed}, never a truncated or stale array.
 
-    [?input] reaches rank 0 as its engine's [input] ([Comm.input]): the
-    parent writes it as raw little-endian words on rank 0's control
-    socket, and rank 0 decodes them straight into a buffer of its
-    workspace. The array is read, never captured in the program's image
-    nor modified. Every rank's [Comm.workspace], and the copies of the
-    arena slices it receives, come from its own free list, which each
-    clean run's buffers replace.
+    [?input] reaches rank 0 as its engine's [input] ([Comm.input]): this
+    process writes it into the staging file as raw native-endian words
+    before it ships the run, and rank 0 sees it as a view of its own
+    mapping of the file, so nothing is decoded. The view is rank 0's for
+    the run: the program may sort it in place, and hands it to other
+    ranks with slice sends ([Comm.scatter_slice], [send_slice]), which
+    copy it. It is a slice of a mapped file, so it must not travel inside
+    a boxed value: [Marshal] cannot read such a slice back. The array is
+    read, never captured in the program's image nor modified. Every
+    rank's [Comm.workspace], and the copies of the arena slices it
+    receives, come from its own free list, which each clean run's
+    buffers replace.
     @raise Invalid_argument if [kind] is neither [float64] nor [int], if
     a part's run-time kind is not [kind] (raised by that rank, so the
     usual precedence applies), or if no rank produced a result. *)

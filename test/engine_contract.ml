@@ -342,6 +342,34 @@ let sender_finished_deadlock backend =
           if eng.Engine.rank = 1 then ignore (eng.Engine.recv ~src:0 ~tag:0 () : int);
           Some ()))
 
+(* [f] must raise [Fault.Deadlock] within a second of wall time: a rank
+   that finished holding an unread message must not keep the run alive. *)
+let deadlock_within_a_second what f =
+  let t0 = Unix.gettimeofday () in
+  ignore (expect_deadlock what f);
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "%s: Deadlock after %.3f s" what dt) true (dt < 1.0)
+
+(* Rank 1 sends to rank 0, which returns at once; rank 1 then waits on
+   rank 0, which finished holding rank 1's message. *)
+let finished_peer_holds_message backend =
+  deadlock_within_a_second "a peer finished holding my message" (fun () ->
+      run backend ~procs:2 (fun eng ->
+          if eng.Engine.rank = 1 then begin
+            eng.Engine.send ~dest:0 ~tag:1 "unread";
+            ignore (eng.Engine.recv ~src:0 ~tag:2 () : int)
+          end;
+          Some ()))
+
+(* Rank 0 calls [bcast] where rank 1 calls [allreduce]: rank 0 returns
+   holding rank 1's contribution, and rank 1 waits on it. *)
+let bcast_against_allreduce backend =
+  deadlock_within_a_second "bcast against allreduce" (fun () ->
+      Spmd.run backend ~procs:2 (fun c ->
+          if Comm.rank c = 0 then ignore (Comm.bcast c ~root:0 (Some 7) : int)
+          else ignore (Comm.allreduce c ( + ) 1 : int);
+          Some ()))
+
 (* A clean finish with an unconsumed message.  Without [sync] the
    receiver never enters the engine, so only the end-of-run check can find
    the orphan.  On procs, where a rank checks its own inbox as it finishes,
@@ -882,6 +910,9 @@ let contract_group backend =
       Alcotest.test_case "flat result errors" `Quick (fun () -> flat_result_errors backend);
       Alcotest.test_case "far deadline still delivers" `Quick (fun () -> far_deadline_delivery backend);
       Alcotest.test_case "flat input reaches rank 0" `Quick (fun () -> flat_input backend);
+      Alcotest.test_case "finished peer holding my message" `Quick (fun () ->
+          finished_peer_holds_message backend);
+      Alcotest.test_case "bcast against allreduce" `Quick (fun () -> bcast_against_allreduce backend);
     ] )
 
 (* --- every value-level case under a chaos schedule ------------------------ *)

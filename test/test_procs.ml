@@ -183,11 +183,6 @@ let test_real_kill_timed_recv_still_times_out () =
   Alcotest.(check string) "Timeout, not Crashed" "timeout" v;
   Alcotest.(check (list int)) "the kill is recorded" [ 1 ] stats.Procs.crashed
 
-(* The producing child is SIGKILLed while it streams a 16 MB flat result.
-   A watcher it forks stops this process (the reader), waits until the
-   child has written the first chunks and so sits mid-stream on a full
-   socket, kills it, and wakes this process: the run must raise
-   [Fault.Crashed 0], never hang and never return a truncated array. *)
 let wchar pid =
   let ic = open_in (Printf.sprintf "/proc/%d/io" pid) in
   let rec go () =
@@ -198,30 +193,53 @@ let wchar pid =
   in
   Fun.protect ~finally:(fun () -> close_in ic) go
 
-let test_kill_mid_result_stream () =
+(* The producing rank is SIGKILLed in the middle of handing its flat
+   result over: after its verdict announced the result, before the
+   result is staged.  A watcher it forks stops this process (the
+   reader), and only then lets the rank return, through a pipe; it waits
+   until the rank has written its goodbye to rank 0 and its whole
+   verdict (17 bytes, an 8-byte length and at least a [Marshal]
+   header's 20) and so waits to be told its result is wanted, kills it,
+   and wakes this process.  A warm-up run left a whole result
+   of the same length in the staging file: the run must raise
+   [Fault.Crashed 1], never hang and never return that stale result, and
+   the next run forks a new pool. *)
+let test_kill_mid_result () =
   let reader = Unix.getpid () in
-  match
-    Procs.run_flat ~procs:1 ~kind:Scl.Flat.int (fun _ ->
-        let part = Scl.Flat.init Scl.Flat.int (1 lsl 21) Fun.id in
-        let child = Unix.getpid () in
-        let base = wchar child in
-        (match Unix.fork () with
-        | 0 ->
-            Fun.protect
-              ~finally:(fun () -> Unix.kill reader Sys.sigcont)
-              (fun () ->
-                Unix.kill reader Sys.sigstop;
-                let deadline = Unix.gettimeofday () +. 5.0 in
-                while wchar child < base + (2 * 65536) && Unix.gettimeofday () < deadline do
-                  Unix.sleepf 0.005
-                done;
-                Unix.kill child Sys.sigkill);
-            Unix._exit 0
-        | _ -> ());
-        Some [| part |])
-  with
+  let n = 1 lsl 16 in
+  let run ~kill =
+    Procs.run_flat ~procs:2 ~kind:Scl.Flat.int (fun eng ->
+        if eng.Engine.rank = 0 then None
+        else begin
+          (if kill then
+             let child = Unix.getpid () in
+             let base = wchar child in
+             let stopped, told = Unix.pipe () in
+             match Unix.fork () with
+             | 0 ->
+                 Fun.protect
+                   ~finally:(fun () -> Unix.kill reader Sys.sigcont)
+                   (fun () ->
+                     Unix.kill reader Sys.sigstop;
+                     ignore (Unix.write_substring told "!" 0 1);
+                     let deadline = Unix.gettimeofday () +. 5.0 in
+                     while wchar child < base + 45 && Unix.gettimeofday () < deadline do
+                       Unix.sleepf 0.005
+                     done;
+                     Unix.kill child Sys.sigkill);
+                 Unix._exit 0
+             | _ ->
+                 ignore (Unix.read stopped (Bytes.create 1) 0 1);
+                 Unix.close stopped;
+                 Unix.close told);
+          Some [| Scl.Flat.make Scl.Flat.int n 1 |]
+        end)
+  in
+  Alcotest.(check bool) "the warm-up stages rank 1's result" true (fst (run ~kill:false) = Array.make n 1);
+  (match run ~kill:true with
   | v, _ -> Alcotest.failf "expected Fault.Crashed, got %d elements" (Array.length v)
-  | exception Fault.Crashed r -> Alcotest.(check int) "the streaming rank" 0 r
+  | exception Fault.Crashed r -> Alcotest.(check int) "the producing rank" 1 r);
+  Alcotest.(check int) "a new pool" 2 (Procs.run_each ~procs:2 (fun _ _ -> ())).Procs.forked
 
 let test_chaos_crash_is_fail_stop () =
   (* Chaos's Fault.Crashed self-raise fail-stops the real process: no
@@ -716,8 +734,9 @@ let test_captured_mutex_is_unserializable () =
       Alcotest.(check bool) ("names its runner: " ^ msg) true (contains msg "Procs.run_collect"));
   Alcotest.(check int) "the same pool serves on" 0 (pool_run "after the refusal" 2)
 
-(* Every descriptor a rank holds beyond stdio: a pipe open in this
-   process when the pool forks must not be among them. *)
+(* Every descriptor a rank holds beyond stdio: its sockets and the
+   pool's staging file.  A pipe open in this process when the pool forks
+   must not be among them. *)
 let test_rank_keeps_only_its_sockets () =
   Procs.shutdown ();
   let rd, wr = Unix.pipe () in
@@ -744,10 +763,13 @@ let test_rank_keeps_only_its_sockets () =
   in
   Array.iteri
     (fun r held ->
-      Alcotest.(check int) (Printf.sprintf "rank %d: one control socket, three links" r) 4 (List.length held);
-      List.iter
-        (fun l -> Alcotest.(check bool) (Printf.sprintf "rank %d holds %s" r l) true (String.starts_with ~prefix:"socket:" l))
-        held)
+      let sockets, files = List.partition (String.starts_with ~prefix:"socket:") held in
+      Alcotest.(check int) (Printf.sprintf "rank %d: one control socket, three links" r) 4 (List.length sockets);
+      match files with
+      | [ f ] ->
+          Alcotest.(check bool) (Printf.sprintf "rank %d holds the staging file: %s" r f) true
+            (contains f "scl-arena" && contains f "-stage")
+      | _ -> Alcotest.failf "rank %d holds %s" r (String.concat ", " files))
     v
 
 (* A global of this process, read by the ranks. *)
@@ -853,6 +875,104 @@ let test_captured_descriptor_is_not_a_socket () =
           Alcotest.(check bool) ("EBADF in the rank: " ^ msg) true (contains msg "EBADF"));
   Alcotest.(check int) "a new pool serves" 2 (pool_run "after the failure" 2)
 
+(* A program that captures a 1 MB array ships it to all four ranks in
+   its job image, every copy through one [select] loop. *)
+let test_large_image_reaches_every_rank () =
+  let big = Array.init (1 lsl 17) (fun i -> (i * 40_503) lxor (i lsl 7)) in
+  let program c =
+    let s = Comm.allreduce c ( + ) (big.((Comm.rank c * 1000) + 1) + Array.length big) in
+    if Comm.rank c = 0 then Some s else None
+  in
+  let v, stats = Spmd.run Backend.procs ~procs:4 program in
+  Alcotest.(check int) "values equal sim's" (fst (Spmd.run (Backend.sim ()) ~procs:4 program)) v;
+  Alcotest.(check bool)
+    (Printf.sprintf "the array rides in the image (%d bytes)" stats.Procs.job_bytes)
+    true
+    (stats.Procs.job_bytes > 1 lsl 20)
+
+(* --- the staging file ------------------------------------------------------ *)
+
+let keys ~seed len = Runtime.Xoshiro.int_array (Runtime.Xoshiro.of_seed seed) ~len ~bound:1_000_000_000
+
+let sort_equals_sim what ~procs a =
+  let sort backend = fst (Algorithms.Hyperquicksort.sort_flatint backend ~procs a) in
+  let before = Array.copy a in
+  let v = sort Backend.procs in
+  Alcotest.(check (array int)) (what ^ ": equals sim") (sort (Backend.sim ())) v;
+  Alcotest.(check bool) (what ^ ": the caller's keys unchanged") true (a = before)
+
+(* A second input larger than the first outgrows the staging file and
+   every rank's mapping of it: the file grows, the ranks remap, and the
+   same pool serves both runs. *)
+let test_staging_grows () =
+  ignore (pool_run "warm-up" 2);
+  List.iteri
+    (fun i len ->
+      let a = keys ~seed:i len in
+      sort_equals_sim (Printf.sprintf "%d keys" len) ~procs:2 a)
+    [ 10_000; 200_000 ];
+  Alcotest.(check int) "the same pool" 0 (pool_run "after the growth" 2)
+
+(* Rank 0 returns its input, its negation and its input again: a result
+   three times its input's length, which outgrows the file on the
+   rank's side. *)
+let test_result_longer_than_input () =
+  let n = 30_000 in
+  let a = keys ~seed:3 n in
+  let program c =
+    match Comm.input c Scl.Flat.int with
+    | Some (s : Scl.Flat.int1) ->
+        let neg = Comm.workspace c Scl.Flat.int n in
+        for i = 0 to n - 1 do
+          Scl.Flat.set neg i (-Scl.Flat.get s i)
+        done;
+        Some [| s; neg; s |]
+    | None -> None
+  in
+  let run backend = fst (Spmd.run_flat backend ~procs:2 ~kind:Scl.Flat.int ~input:a program) in
+  let v = run Backend.procs in
+  Alcotest.(check int) "three times the input" (3 * n) (Array.length v);
+  Alcotest.(check (array int)) "equals sim" (run (Backend.sim ())) v
+
+(* At p = 1 the only block is the input itself, sorted in place in the
+   staging file and returned whole: the result region must not overlap
+   it. *)
+let test_one_rank_sorts_its_input_in_place () =
+  sort_equals_sim "p = 1" ~procs:1 (keys ~seed:5 100_000)
+
+(* Float64 input and result keep their bits: NaNs with payloads and
+   either sign, signed zeros, infinities and subnormals, through rank
+   0's staged input, a round trip to rank 1 and the result region. *)
+let test_float_bits_survive_staging () =
+  let specials =
+    [|
+      Float.nan;
+      Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL;
+      Int64.float_of_bits 0xFFF4_0000_0000_0001L;
+      -0.0;
+      0.0;
+      infinity;
+      neg_infinity;
+      5e-324;
+      -.Float.min_float;
+    |]
+  in
+  let a = Array.init 20_000 (fun i -> if i mod 3 = 0 then specials.(i / 3 mod Array.length specials) else float_of_int i /. 7.0) in
+  let program c =
+    match (Comm.rank c, Comm.input c Scl.Flat.float64) with
+    | 0, Some (s : Scl.Flat.float1) ->
+        Comm.send_slice c ~dest:1 s;
+        Some [| s; (Comm.recv_slice c ~src:1 () : Scl.Flat.float1) |]
+    | _ ->
+        let (s : Scl.Flat.float1) = Comm.recv_slice c ~src:0 () in
+        Comm.send_slice c ~dest:0 s;
+        None
+  in
+  let run backend = fst (Spmd.run_flat backend ~procs:2 ~kind:Scl.Flat.float64 ~input:a program) in
+  let v = run Backend.procs in
+  Alcotest.(check (array int64)) "the input twice, bit for bit" (C.float_bits (Array.append a a)) (C.float_bits v);
+  Alcotest.(check (array int64)) "equals sim bit for bit" (C.float_bits (run (Backend.sim ()))) (C.float_bits v)
+
 let suite =
   [
     ( "fabric",
@@ -886,7 +1006,7 @@ let suite =
         Alcotest.test_case "timed recv from dead peer times out" `Quick
           test_real_kill_timed_recv_still_times_out;
         Alcotest.test_case "chaos crash is fail-stop" `Quick test_chaos_crash_is_fail_stop;
-        Alcotest.test_case "SIGKILL mid-result is Crashed" `Quick test_kill_mid_result_stream;
+        Alcotest.test_case "SIGKILL mid-result is Crashed" `Quick test_kill_mid_result;
       ] );
     ( "engine-equivalence",
       [
@@ -958,6 +1078,13 @@ let suite =
           Alcotest.test_case "a captured descriptor is not a socket" `Quick
             test_captured_descriptor_is_not_a_socket;
           Alcotest.test_case "input stays out of the job image" `Quick test_input_stays_out_of_the_image;
+          Alcotest.test_case "a large image reaches every rank" `Quick
+            test_large_image_reaches_every_rank;
+          Alcotest.test_case "a larger input grows the staging file" `Quick test_staging_grows;
+          Alcotest.test_case "a result longer than its input" `Quick test_result_longer_than_input;
+          Alcotest.test_case "p = 1 returns its input sorted in place" `Quick
+            test_one_rank_sorts_its_input_in_place;
+          Alcotest.test_case "float64 bits survive staging" `Quick test_float_bits_survive_staging;
         ] );
     ]
 
