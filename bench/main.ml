@@ -1151,8 +1151,8 @@ let bench_flat_host ~smoke () =
   bench_in_child ~name:"spmd/hyperquicksort-flatint/steady" ~flag:"--steady-sort-child";
   bench_in_child ~name:"spmd/hyperquicksort-flatint-procs/steady" ~flag:"--steady-sort-procs-child";
   (* The local sort kernels alone: the flat tier's radix sort on random,
-     presorted, few-distinct (16 values) and full-range (min_int to
-     max_int) keys, and the boxed SEQ_QUICKSORT on the first two. Each
+     presorted, few-distinct (16 values), full-range (min_int to max_int)
+     and reversed keys, and the boxed SEQ_QUICKSORT on the first two. Each
      flat run first restores its input with one blit, as each boxed run
      copies its input; its scratch buffer is allocated once, outside the
      timed region. *)
@@ -1182,6 +1182,7 @@ let bench_flat_host ~smoke () =
       ("presorted", sorted_keys);
       ("few-distinct", few_distinct);
       ("full-range", full_range);
+      ("reversed", Array.init kn (fun i -> sorted_keys.(kn - 1 - i)));
     ];
   List.iter
     (fun (label, keys) ->

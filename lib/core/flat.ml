@@ -142,8 +142,10 @@ let equal (a : ('a, 'b) t) (b : ('a, 'b) t) =
   length a = length b
   &&
   let n = length a in
-  let rec go i = i >= n || (Bigarray.Array1.unsafe_get a i = Bigarray.Array1.unsafe_get b i && go (i + 1)) in
-  go 0
+  let rec equal_from i =
+    i >= n || (Bigarray.Array1.unsafe_get a i = Bigarray.Array1.unsafe_get b i && equal_from (i + 1))
+  in
+  equal_from 0
 
 (* --- int flat tier -------------------------------------------------------- *)
 
@@ -160,95 +162,164 @@ module Int = struct
 
   let insertion_cutoff = 32
 
-  (* Out-of-place MSD radix sort.  Keys are ranked by [x - min] read as an
-     unsigned 63-bit value, which orders every int (negatives, [min_int]
-     and [max_int] included) without a special case.  Each level counts
-     the sizes of the 256 buckets of one 8-bit digit, deals the keys into
-     their buckets in the other buffer (input to scratch, scratch back to
-     input at the level below), then sorts each bucket on the next digit
-     down.  The top digit sits just under the range's highest set bit, so
-     a level never wastes a pass on constant high bits; the digit below a
-     shift under 8 is taken at shift 0, overlapping bits already equal in
-     the bucket, and a level whose keys all share one digit moves nothing.
-     A bucket no longer than [insertion_cutoff] is finished by an
-     insertion sort that reads it from whichever buffer holds it and
-     writes the input; so is a bucket at shift 0, whose keys are all
-     equal (the sort is then a copy, or a scan in place).  So the keys
-     always end in the input's own storage.  Extra memory: the n-slot
-     scratch (the caller's, or a fresh one) and one 256-slot count table
-     per level (at most 8). *)
+  (* Digits are at most [digit_bits] wide: a count table of [radix]
+     slots (16 KB) stays in L1, and the benchmark's 30-bit keys take
+     three passes. *)
+  let digit_bits = 11
+  let radix = 1 lsl digit_bits
+
+  let insertion_sort (a : t) n =
+    for i = 1 to n - 1 do
+      let x = Bigarray.Array1.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Bigarray.Array1.unsafe_get a !j > x do
+        Bigarray.Array1.unsafe_set a (!j + 1) (Bigarray.Array1.unsafe_get a !j);
+        decr j
+      done;
+      Bigarray.Array1.unsafe_set a (!j + 1) x
+    done
+
+  let reverse (a : t) n =
+    for i = 0 to (n / 2) - 1 do
+      let x = Bigarray.Array1.unsafe_get a i in
+      Bigarray.Array1.unsafe_set a i (Bigarray.Array1.unsafe_get a (n - 1 - i));
+      Bigarray.Array1.unsafe_set a (n - 1 - i) x
+    done
+
+  (* The digit of a key [x] at a pass is [((x - base) lsr shift) land
+     mask].  The loops below make no call, so their operands stay in
+     registers. *)
+
+  (* [cnt] must hold zeros *)
+  let count (src : t) n base shift mask (cnt : int array) =
+    for i = 0 to n - 1 do
+      let d = ((Bigarray.Array1.unsafe_get src i - base) lsr shift) land mask in
+      Array.unsafe_set cnt d (Array.unsafe_get cnt d + 1)
+    done
+
+  (* Turns [cnt]'s counts into each bucket's first slot; false, with the
+     counts unchanged, when one bucket holds all [n] keys (the digit is
+     constant, so its pass would move nothing). *)
+  let bucket_starts (cnt : int array) mask n =
+    let constant = ref false in
+    for d = 0 to mask do
+      if Array.unsafe_get cnt d = n then constant := true
+    done;
+    (not !constant)
+    &&
+    let pos = ref 0 in
+    for d = 0 to mask do
+      let c = Array.unsafe_get cnt d in
+      Array.unsafe_set cnt d !pos;
+      pos := !pos + c
+    done;
+    true
+
+  (* Deals [src.{0..n-1}] into [dst] by the digit at [shift], its bucket
+     starts in [starts]. *)
+  let deal (src : t) (dst : t) n base shift mask (starts : int array) =
+    for i = 0 to n - 1 do
+      let x = Bigarray.Array1.unsafe_get src i in
+      let d = ((x - base) lsr shift) land mask in
+      let slot = Array.unsafe_get starts d in
+      Bigarray.Array1.unsafe_set dst slot x;
+      Array.unsafe_set starts d (slot + 1)
+    done
+
+  (* [deal], also counting the digit at [shift'] into [cnt] (which must
+     hold zeros) *)
+  let deal_count (src : t) (dst : t) n base shift mask (starts : int array) shift' (cnt : int array) =
+    for i = 0 to n - 1 do
+      let x = Bigarray.Array1.unsafe_get src i in
+      let v = x - base in
+      let d = (v lsr shift) land mask in
+      let slot = Array.unsafe_get starts d in
+      Bigarray.Array1.unsafe_set dst slot x;
+      Array.unsafe_set starts d (slot + 1);
+      let e = (v lsr shift') land mask in
+      Array.unsafe_set cnt e (Array.unsafe_get cnt e + 1)
+    done
+
+  (* LSD radix sort.  Keys are ranked by [x - min] read as an unsigned
+     63-bit value, which orders every int (negatives, [min_int] and
+     [max_int] included) without a special case.  The range's [bits]
+     significant bits are cut into [ceil (bits / 11)] digits of equal
+     width, least significant first, and each pass deals the keys stably
+     by one digit into the other of two buffers (the input and an n-slot
+     scratch).  Counting is fused: the first read finds min and max,
+     counts ascents and descents, and counts the low 11 bits of [x];
+     digit 0 of [x - min] is that table rotated by [min]'s low bits (and
+     folded to the digit width), and each pass counts the next digit as
+     it deals.  A pass whose digit is constant is skipped (the next digit
+     is then counted on its own).  An input with no descent is left as
+     it is and one with no ascent is reversed in place.  The keys always
+     end in the input's own storage: after an odd number of passes one
+     blit copies them back.  Extra memory: the n-slot scratch (the
+     caller's, or a fresh one) and two 2048-slot count tables. *)
   let sort ?scratch (a : t) : unit =
     let n = length a in
     (match scratch with
     | Some (s : t) when length s < n -> invalid_arg "Flat.Int.sort: scratch shorter than the input"
     | _ -> ());
-    (* sorts [src.{lo..hi-1}] into [a.{lo..hi-1}]; [src] may be [a] *)
-    let insert_from (src : t) lo hi =
-      for i = lo to hi - 1 do
-        let x = Bigarray.Array1.unsafe_get src i in
-        let j = ref (i - 1) in
-        while !j >= lo && Bigarray.Array1.unsafe_get a !j > x do
-          Bigarray.Array1.unsafe_set a (!j + 1) (Bigarray.Array1.unsafe_get a !j);
-          decr j
-        done;
-        Bigarray.Array1.unsafe_set a (!j + 1) x
-      done
-    in
-    if n <= insertion_cutoff then insert_from a 0 n
+    if n <= insertion_cutoff then insertion_sort a n
     else begin
-      let lo_key = ref (Bigarray.Array1.unsafe_get a 0) and hi_key = ref (Bigarray.Array1.unsafe_get a 0) in
-      for i = 1 to n - 1 do
+      let low = Array.make radix 0 in
+      let x0 = Bigarray.Array1.unsafe_get a 0 in
+      let lo = ref x0 and hi = ref x0 and prev = ref x0 in
+      let ascents = ref 0 and descents = ref 0 in
+      for i = 0 to n - 1 do
         let x = Bigarray.Array1.unsafe_get a i in
-        if x < !lo_key then lo_key := x else if x > !hi_key then hi_key := x
+        if x < !lo then lo := x else if x > !hi then hi := x;
+        ascents := !ascents + Bool.to_int (x > !prev);
+        descents := !descents + Bool.to_int (x < !prev);
+        prev := x;
+        let d = x land (radix - 1) in
+        Array.unsafe_set low d (Array.unsafe_get low d + 1)
       done;
-      let base = !lo_key in
-      let range = !hi_key - base in
-      (* lowest shift leaving at most 8 significant bits of [range] *)
-      let rec top s = if (range lsr s) lsr 8 = 0 then s else top (s + 1) in
-      let top_shift = top 0 in
-      let below shift = if shift > 8 then shift - 8 else 0 in
-      (* level k's slots [256k, 256k + 256): each bucket's size, then its
-         next free slot, which ends as the bucket's end *)
-      let ptr = Array.make (((top_shift + 7) / 8 + 1) * 256) 0 in
-      (* sorts the keys held in [src.{lo..hi-1}] into [a], dealing
-         through [dst], the other buffer *)
-      let rec level (src : t) (dst : t) lo hi shift off =
-        Array.fill ptr off 256 0;
-        for i = lo to hi - 1 do
-          let d = off + (((Bigarray.Array1.unsafe_get src i - base) lsr shift) land 255) in
-          Array.unsafe_set ptr d (Array.unsafe_get ptr d + 1)
+      if !descents = 0 then ()
+      else if !ascents = 0 then reverse a n
+      else begin
+        let base = !lo in
+        let rec width r = if r = 0 then 0 else 1 + width (r lsr 1) in
+        let bits = width (!hi - base) in
+        let passes = (bits + digit_bits - 1) / digit_bits in
+        let w = (bits + passes - 1) / passes in
+        let mask = (1 lsl w) - 1 in
+        (* digit 0 of [x - base] is [(x land 2047) - (base land 2047)]
+           modulo 2^w *)
+        let cur = ref (Array.make radix 0) and next = ref low in
+        let r = base land (radix - 1) in
+        for d = 0 to radix - 1 do
+          let e = (d - r) land mask in
+          Array.unsafe_set !cur e (Array.unsafe_get !cur e + Array.unsafe_get low d)
         done;
-        let first = off + (((Bigarray.Array1.unsafe_get src lo - base) lsr shift) land 255) in
-        if Array.unsafe_get ptr first = hi - lo then begin
-          (* one bucket holds every key: nothing to move at this digit *)
-          if shift > 0 then level src dst lo hi (below shift) off else insert_from src lo hi
-        end
-        else begin
-          let pos = ref lo in
-          for b = off to off + 255 do
-            let c = Array.unsafe_get ptr b in
-            Array.unsafe_set ptr b !pos;
-            pos := !pos + c
-          done;
-          for i = lo to hi - 1 do
-            let x = Bigarray.Array1.unsafe_get src i in
-            let d = off + (((x - base) lsr shift) land 255) in
-            let slot = Array.unsafe_get ptr d in
-            Bigarray.Array1.unsafe_set dst slot x;
-            Array.unsafe_set ptr d (slot + 1)
-          done;
-          let start = ref lo in
-          for b = off to off + 255 do
-            let stop = Array.unsafe_get ptr b in
-            if shift > 0 && stop - !start > insertion_cutoff then
-              level dst src !start stop (below shift) (off + 256)
-            else insert_from dst !start stop;
-            start := stop
-          done
-        end
-      in
-      if range <> 0 then
-        level a (match scratch with Some s -> s | None -> create int n) 0 n top_shift 0
+        let scratch = match scratch with Some s -> s | None -> create int n in
+        let src = ref a and dst = ref scratch in
+        let counted = ref true and moves = ref 0 in
+        for p = 0 to passes - 1 do
+          let shift = p * w in
+          if not !counted then begin
+            Array.fill !cur 0 (mask + 1) 0;
+            count !src n base shift mask !cur
+          end;
+          counted := false;
+          if bucket_starts !cur mask n then begin
+            if p < passes - 1 then begin
+              Array.fill !next 0 (mask + 1) 0;
+              deal_count !src !dst n base shift mask !cur (shift + w) !next;
+              counted := true
+            end
+            else deal !src !dst n base shift mask !cur;
+            let s = !src and c = !cur in
+            src := !dst;
+            dst := s;
+            cur := !next;
+            next := c;
+            incr moves
+          end
+        done;
+        if !moves land 1 = 1 then blit ~src:(sub_view scratch ~pos:0 ~len:n) ~dst:a
+      end
     end
 
   (* MIDVALUE: the middle element of an already-sorted chunk. *)

@@ -86,15 +86,24 @@ module Int : sig
   type t = int1
 
   val sort : ?scratch:t -> t -> unit
-  (** MSD radix sort (8-bit digits of [x - min], so any int keys) with
-      insertion sort for buckets and inputs of at most 32 elements. Each
-      digit level deals its keys out of place into the other of two
-      buffers, the input and an n-slot scratch; the sorted keys end in
-      the input's own storage. [?scratch] (length at least the input's,
-      sharing no storage with it; its contents are clobbered) saves the
-      allocation, and lets a caller put the buffer to another use later
-      ({!merge}'s [?into]). Without it, an input over 32 keys allocates
-      one.
+  (** LSD radix sort on [x - min] read as an unsigned 63-bit value, so
+      any int keys. The range [max - min]'s [b] significant bits are cut
+      into [ceil (b / 11)] digits of equal width (at most 11 bits: three
+      passes for 30-bit keys, six for the full int range), and each pass
+      deals the keys stably by one digit, out of place, into the other of
+      two buffers: the input and an n-slot scratch. One read of the input
+      finds min and max, counts its ascents and descents and counts its
+      low 11 bits, from which the first digit's counts follow; each pass
+      counts the next digit as it deals, and a pass whose digit is the
+      same for every key is skipped. An input with no descent is left as
+      it is, and one with no ascent is reversed in place, without a pass.
+      Inputs of at most 32 keys take an insertion sort. The sorted keys
+      end in the input's own storage (after an odd number of passes, one
+      blit copies them back from the scratch). [?scratch] (length at
+      least the input's, sharing no storage with it; its contents are
+      clobbered) saves the allocation, and lets a caller put the buffer
+      to another use later ({!merge}'s [?into]). Without it, an input
+      over 32 keys that is not ordered allocates one.
       @raise Invalid_argument if [scratch] is shorter than the input. *)
 
   val midvalue : t -> int option

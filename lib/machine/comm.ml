@@ -20,7 +20,8 @@
    group, so overlapping traffic from adjacent collectives can never be
    mis-matched, even when some members run ahead.  User point-to-point
    traffic lives in a second reserved space ([user_space]) so tagged
-   sends/receives cannot collide with collective internals either. *)
+   sends/receives cannot collide with collective internals either.  The
+   layout is [Engine]'s, whose fault reports name the tags they print. *)
 
 type t = {
   eng : Engine.t;
@@ -29,20 +30,6 @@ type t = {
   my_index : int;
   mutable seq : int;
 }
-
-let tag_space = 1 lsl 28
-let user_space = 1 lsl 29
-
-let opcode_barrier = 0
-and opcode_bcast = 1
-and opcode_reduce = 2
-and opcode_gather = 3
-and opcode_scatter = 4
-and opcode_alltoall = 5
-and opcode_scan = 6
-and opcode_split = 7
-and opcode_sendrecv = 8
-and opcode_slice = 9
 
 let world eng =
   let n = eng.Engine.size in
@@ -98,15 +85,13 @@ let input t kind =
    silent-corruption bug, so genuine exhaustion fails loudly instead of
    wrapping — 2^24 collectives is far beyond any single communicator's
    realistic lifetime, and [split] hands out fresh communicators anyway. *)
-let max_seq = 1 lsl 24
-
 let fresh_tag t opcode =
-  if t.seq >= max_seq then
+  if t.seq >= Engine.max_seq then
     invalid_arg
       (Printf.sprintf "Comm.fresh_tag: collective sequence exhausted (%d tags); split or rebuild \
                        the communicator"
-         max_seq);
-  let tag = tag_space lor (t.seq lsl 4) lor opcode in
+         Engine.max_seq);
+  let tag = Engine.tag_space lor (t.seq lsl 4) lor opcode in
   t.seq <- t.seq + 1;
   tag
 
@@ -127,7 +112,7 @@ let recvi : type a. t -> tag:int -> int -> a =
 let barrier t =
   let m = size t in
   if m > 1 then begin
-    let tag = fresh_tag t opcode_barrier in
+    let tag = fresh_tag t Engine.opcode_barrier in
     let i = t.my_index in
     let mask = ref 1 in
     while !mask < m do
@@ -145,7 +130,7 @@ let unvrank t ~root v = (v + root) mod size t
 let bcast (type a) t ~root (v : a option) : a =
   let m = size t in
   if root < 0 || root >= m then invalid_arg "Comm.bcast: bad root";
-  let tag = fresh_tag t opcode_bcast in
+  let tag = fresh_tag t Engine.opcode_bcast in
   let vr = vrank t ~root in
   let value : a option ref = ref v in
   if vr = 0 && !value = None then invalid_arg "Comm.bcast: root must supply a value";
@@ -174,7 +159,7 @@ let bcast (type a) t ~root (v : a option) : a =
 let reduce t ~root op v =
   let m = size t in
   if root < 0 || root >= m then invalid_arg "Comm.reduce: bad root";
-  let tag = fresh_tag t opcode_reduce in
+  let tag = fresh_tag t Engine.opcode_reduce in
   let i = t.my_index in
   let acc = ref v in
   let rec go mask =
@@ -208,7 +193,7 @@ let allreduce t op v =
 let gather (type a) t ~root (v : a) : a array option =
   let m = size t in
   if root < 0 || root >= m then invalid_arg "Comm.gather: bad root";
-  let tag = fresh_tag t opcode_gather in
+  let tag = fresh_tag t Engine.opcode_gather in
   let vr = vrank t ~root in
   let chunks : (int * a) list ref = ref [ (t.my_index, v) ] in
   let rec go mask =
@@ -244,7 +229,7 @@ let allgather t v =
 let scatter (type a) t ~root (arr : a array option) : a =
   let m = size t in
   if root < 0 || root >= m then invalid_arg "Comm.scatter: bad root";
-  let tag = fresh_tag t opcode_scatter in
+  let tag = fresh_tag t Engine.opcode_scatter in
   let vr = vrank t ~root in
   let segment : (int * a) list ref =
     if t.my_index = root then begin
@@ -279,7 +264,7 @@ let scatter (type a) t ~root (arr : a array option) : a =
 let alltoall (type a) t (a : a array) : a array =
   let m = size t in
   if Array.length a <> m then invalid_arg "Comm.alltoall: array length must equal communicator size";
-  let tag = fresh_tag t opcode_alltoall in
+  let tag = fresh_tag t Engine.opcode_alltoall in
   let i = t.my_index in
   let out = Array.make m a.(i) in
   for r = 1 to m - 1 do
@@ -293,7 +278,7 @@ let alltoall (type a) t (a : a array) : a array =
 
 let scan t op v =
   let m = size t in
-  let tag = fresh_tag t opcode_scan in
+  let tag = fresh_tag t Engine.opcode_scan in
   let i = t.my_index in
   let prefix = ref v in
   let d = ref 1 in
@@ -311,7 +296,7 @@ let scan t op v =
 (* --- split: colors and keys, like MPI_Comm_split ------------------------ *)
 
 let split t ~color ~key =
-  let tag = fresh_tag t opcode_split in
+  let tag = fresh_tag t Engine.opcode_split in
   ignore tag;
   let triples = allgather t (color, key, t.eng.Engine.rank) in
   let mine =
@@ -326,10 +311,10 @@ let split t ~color ~key =
 (* --- point-to-point within a communicator ------------------------------- *)
 
 let p2p_tag = function
-  | None -> tag_space lor opcode_sendrecv
+  | None -> Engine.tag_space lor Engine.opcode_sendrecv
   | Some u ->
-      if u < 0 || u >= user_space then invalid_arg "Comm: user tag out of range";
-      user_space lor u
+      if u < 0 || u >= Engine.user_space then invalid_arg "Comm: user tag out of range";
+      Engine.user_space lor u
 
 let send t ~dest ?tag v =
   if dest < 0 || dest >= size t then invalid_arg "Comm.send: bad destination";
@@ -395,7 +380,7 @@ let scatter_slice t ~root (s : ('k, 'e) Engine.slice option) : ('k, 'e) Engine.s
      intermediaries — more total bytes on the wire for bulk payloads. *)
   let m = size t in
   if root < 0 || root >= m then invalid_arg "Comm.scatter_slice: bad root";
-  let tag = fresh_tag t opcode_slice in
+  let tag = fresh_tag t Engine.opcode_slice in
   if t.my_index = root then begin
     let s =
       match s with Some s -> s | None -> invalid_arg "Comm.scatter_slice: root must supply a slice"
@@ -414,7 +399,7 @@ let gather_slices t ~root (local : ('k, 'e) Engine.slice) : ('k, 'e) Engine.slic
      blocks of any length). *)
   let m = size t in
   if root < 0 || root >= m then invalid_arg "Comm.gather_slices: bad root";
-  let tag = fresh_tag t opcode_slice in
+  let tag = fresh_tag t Engine.opcode_slice in
   if t.my_index = root then begin
     let parts = Array.make m local in
     for i = 0 to m - 1 do

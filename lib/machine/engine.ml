@@ -134,11 +134,44 @@ let[@inline] deadline op now = function
   | None -> Float.infinity
   | Some t -> if not (t >= 0.0) then bad_number op "timeout" t else now () +. t
 
+(* --- tag layout ------------------------------------------------------------ *)
+
+(* A collective's tag is [tag_space lor (seq lsl 4) lor opcode]: 24 bits
+   of the communicator's sequence number and 4 of opcode, inside
+   [tag_space, user_space).  A [Comm.send] without a tag uses the
+   [opcode_sendrecv] tag at sequence 0; one with tag [u] uses [user_space
+   lor u].  Anything else is an engine-level tag, used as it is. *)
+let tag_space = 1 lsl 28
+let user_space = 1 lsl 29
+let max_seq = 1 lsl 24
+
+let opcode_barrier = 0
+and opcode_bcast = 1
+and opcode_reduce = 2
+and opcode_gather = 3
+and opcode_scatter = 4
+and opcode_alltoall = 5
+and opcode_scan = 6
+and opcode_split = 7
+and opcode_sendrecv = 8
+and opcode_slice = 9
+
+let opcode_names =
+  [| "barrier"; "bcast"; "reduce"; "gather"; "scatter"; "alltoall"; "scan"; "split"; "p2p"; "slice" |]
+
+let tag_name tag =
+  if tag >= user_space && tag < 2 * user_space then Printf.sprintf "user:%d" (tag - user_space)
+  else if tag >= tag_space && tag < user_space && tag land 15 < Array.length opcode_names then
+    let op = tag land 15 in
+    if op = opcode_sendrecv then opcode_names.(op)
+    else Printf.sprintf "%s#%d" opcode_names.(op) ((tag - tag_space) lsr 4)
+  else string_of_int tag
+
 let timeout ~rank ~src ~tag ~deadline =
   Fault.Timeout
     (Printf.sprintf "p%d: recv(src=%s, tag=%s) deadline %.6f elapsed" rank
        (if src < 0 then "any" else string_of_int src)
-       (match tag with None -> "any" | Some t -> string_of_int t)
+       (match tag with None -> "any" | Some t -> tag_name t)
        deadline)
 
 (* Undelivered messages after a clean finish are a protocol bug; callers
@@ -147,8 +180,8 @@ let check_undelivered ~rank ~count ~src ~tag =
   if count > 0 then
     raise
       (Fault.Deadlock
-         (Printf.sprintf "processor %d finished with %d undelivered message(s); first from p%d tag %d"
-            rank count src tag))
+         (Printf.sprintf "processor %d finished with %d undelivered message(s); first from p%d tag %s"
+            rank count src (tag_name tag)))
 
 let lowest_rank op results =
   match Array.find_map Fun.id results with

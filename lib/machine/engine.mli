@@ -131,12 +131,42 @@ val deadline : string -> (unit -> float) -> float option -> float
     @raise Invalid_argument ["<op>: negative timeout"], or
     ["<op>: timeout is NaN"]. *)
 
+(** {1 Tag layout}
+
+    [Comm] derives every message tag from this layout. A collective's
+    tag is [tag_space lor (seq lsl 4) lor opcode], [seq] being the
+    communicator's sequence number (below [max_seq]); an untagged
+    [Comm.send] uses the [opcode_sendrecv] tag at sequence 0, and one with
+    tag [u] uses [user_space lor u]. Other tags are the engine level's. *)
+
+val tag_space : int
+val user_space : int
+val max_seq : int
+val opcode_barrier : int
+val opcode_bcast : int
+val opcode_reduce : int
+val opcode_gather : int
+val opcode_scatter : int
+val opcode_alltoall : int
+val opcode_scan : int
+val opcode_split : int
+val opcode_sendrecv : int
+val opcode_slice : int
+
+val tag_name : int -> string
+(** A tag as fault reports print it: ["<op>#<seq>"] for a collective's
+    (["bcast#1"]), ["p2p"] for an untagged [Comm.send]'s, ["user:<u>"] for
+    a [Comm.send ~tag:u]'s, the number for any other. Allocates: call it
+    only on the way to an error. *)
+
 val timeout : rank:int -> src:int -> tag:int option -> deadline:float -> exn
-(** The {!Fault.Timeout} of [rank]'s receive from [src] ([-1]: any) on [tag]. *)
+(** The {!Fault.Timeout} of [rank]'s receive from [src] ([-1]: any) on
+    [tag] (named by {!tag_name}). *)
 
 val check_undelivered : rank:int -> count:int -> src:int -> tag:int -> unit
 (** Finish check of a rank left with [count] unreceived messages, the
-    oldest from [src] on [tag]. @raise Fault.Deadlock if [count > 0]. *)
+    oldest from [src] on [tag] (named by {!tag_name}).
+    @raise Fault.Deadlock if [count > 0]. *)
 
 val lowest_rank : string -> 'a option array -> 'a
 (** The lowest rank's value: every engine's [run_collect] result.

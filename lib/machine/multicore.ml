@@ -298,7 +298,7 @@ let describe fab =
             Some
               (Printf.sprintf "recv(src=%s, tag=%s%s)"
                  (if st.want_src < 0 then "any" else string_of_int st.want_src)
-                 (if st.want_any then "any" else string_of_int st.want_tag)
+                 (if st.want_any then "any" else Engine.tag_name st.want_tag)
                  (if st.deadline < Float.infinity then
                     Printf.sprintf ", deadline=%.3f" st.deadline
                   else ""))

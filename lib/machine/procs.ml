@@ -79,16 +79,15 @@
    pool has one file (beside the arena, unlinked at once) that its ranks
    inherit.  The parent writes rank 0's input into it from offset 0 as
    raw native-endian words, with [Unix.write] through one chunk-sized
-   buffer, before it ships the job; rank 0 takes the input as a view of
-   its own mapping of the file.  The producing rank blits its parts into
-   the result region, which starts where the input ends, so that a
-   result sorted in place from the input never overlaps it; the parent
-   reads the region back with [Unix.read], a chunk at a time, straight
-   into the caller's array.  The parent never maps the file.  A rank
-   maps it once per kind and keeps the mapping across runs, remapping
-   only when a transfer outgrows it (the producing rank grows the file
-   first), so a steady stream of identical jobs faults in no staging
-   page.
+   buffer, before it ships the job; rank 0 copies the input out of its
+   own mapping of the file into a buffer of its workspace before its
+   program starts.  The producing rank blits its parts into the file
+   from offset 0 too (rank 0's copy is made by then); the parent reads
+   them back with [Unix.read], a chunk at a time, straight into the
+   caller's array.  The parent never maps the file.  A rank maps it
+   once per kind and keeps the mapping across runs, remapping only when
+   a transfer outgrows it (the producing rank grows the file first), so
+   a steady stream of identical jobs faults in no staging page.
 
    A rank reports to the parent over its control socket: its verdict
    record (counters, fail-stop flag, error, the size of the result that
@@ -101,7 +100,7 @@
    while the rank blits.  The parent reads only the lowest producing
    rank's result: rank 0 writes its own at once, and any other producing
    rank waits for a one-byte answer saying whether it is wanted, so that
-   only one rank writes the result region.  A rank that dies before its
+   only one rank writes the staging file.  A rank that dies before its
    result has arrived whole is a crash.
 
    A send returns once its whole frame is in the kernel; no frame is
@@ -299,22 +298,22 @@ type staged = {
 let staged fd =
   { s_fd = fd; s_floats = Engine.fresh Bigarray.float64 0; s_ints = Engine.fresh Bigarray.int 0 }
 
-(* Elements [at, at + n) of the staging file, seen as [kind].  A mapping
+(* The first [n] elements of the staging file, seen as [kind].  A mapping
    too short for them is replaced by one that reaches their end, and
    [Unix.map_file] grows the file to that length first; the old mapping
    lives on while a view of it does. *)
-let window (type k e) st (kind : (k, e) Bigarray.kind) ~at n : (k, e) Engine.slice =
+let window (type k e) st (kind : (k, e) Bigarray.kind) n : (k, e) Engine.slice =
   let fit (m : (k, e) Engine.slice) =
-    if Bigarray.Array1.dim m >= at + n then m
-    else Bigarray.array1_of_genarray (Unix.map_file st.s_fd kind Bigarray.c_layout true [| at + n |])
+    if Bigarray.Array1.dim m >= n then m
+    else Bigarray.array1_of_genarray (Unix.map_file st.s_fd kind Bigarray.c_layout true [| n |])
   in
   match kind with
   | Bigarray.Float64 ->
       st.s_floats <- fit st.s_floats;
-      Bigarray.Array1.sub st.s_floats at n
+      Bigarray.Array1.sub st.s_floats 0 n
   | Bigarray.Int ->
       st.s_ints <- fit st.s_ints;
-      Bigarray.Array1.sub st.s_ints at n
+      Bigarray.Array1.sub st.s_ints 0 n
   | _ -> assert false (* [Engine.check_kind] *)
 
 (* -------------------------------------------------------------- child state *)
@@ -548,7 +547,7 @@ let take_pending st ~src ~tag ~any_tag =
    their deadline and raise [Timeout] whatever happened to the peer —
    the failure-detector contract the farm depends on. *)
 let no_sender_exn st ~src ~tag ~any_tag =
-  let chan () = if any_tag then "any" else string_of_int tag in
+  let chan () = if any_tag then "any" else Engine.tag_name tag in
   if src >= 0 then
     match st.peers.(src) with
     | None ->
@@ -696,12 +695,7 @@ let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
       st.c_arena_sent <- st.c_arena_sent + 1;
       send_frame st p kind tag n where
   | None ->
-      (* [Marshal] writes a slice of a mapped file (rank 0's staged
-         input) under a custom-block name no process can read back, so
-         the frame carries a plain copy *)
-      let c = Engine.fresh (Bigarray.Array1.kind s) n in
-      Bigarray.Array1.blit s c;
-      let payload = Marshal.to_bytes c [] in
+      let payload = Marshal.to_bytes s [] in
       send_frame st p k_marshal tag (Bytes.length payload) payload
 
 (* ----------------------------------------------------------------- shutdown *)
@@ -929,22 +923,21 @@ let minor_faults () =
 
 (* How a producing rank's result ['p] reaches the parent as ['r]: its
    [size] goes in the rank's verdict; the rank [write]s it once it is
-   wanted, through its mapping of the staging file (whose result region
-   starts at element [at]) or its control socket; the parent [read]s it
-   back, given that size, with the minor faults the rank took writing it
-   — [None] when the control socket ends first, the rank having died
-   mid-result. *)
+   wanted, through its mapping of the staging file or its control
+   socket; the parent [read]s it back, given that size, with the minor
+   faults the rank took writing it — [None] when the control socket ends
+   first, the rank having died mid-result. *)
 type ('p, 'r) result_form = {
   size : 'p -> int;
-  write : staged -> at:int -> Unix.file_descr -> 'p -> unit;
-  read : ctl:Unix.file_descr -> stage:Unix.file_descr -> at:int -> int -> ('r * int) option;
+  write : staged -> Unix.file_descr -> 'p -> unit;
+  read : ctl:Unix.file_descr -> stage:Unix.file_descr -> int -> ('r * int) option;
 }
 
 let no_result : (unit, unit) result_form =
   {
     size = (fun () -> 0);
-    write = (fun _ ~at:_ _ () -> ());
-    read = (fun ~ctl:_ ~stage:_ ~at:_ _ -> Some ((), 0));
+    write = (fun _ _ () -> ());
+    read = (fun ~ctl:_ ~stage:_ _ -> Some ((), 0));
   }
 
 (* [run_collect]'s form: the value's [Marshal] image, taken inside the
@@ -953,25 +946,25 @@ let no_result : (unit, unit) result_form =
 let marshalled : (bytes, 'a) result_form =
   {
     size = Bytes.length;
-    write = (fun _ ~at:_ -> write_sized);
+    write = (fun _ -> write_sized);
     read =
-      (fun ~ctl ~stage:_ ~at:_ _ ->
+      (fun ~ctl ~stage:_ _ ->
         Option.map (fun b -> (Marshal.from_bytes b 0, 0)) (read_sized ctl));
   }
 
-(* [run_flat]'s form: every part blitted, in order, into the result
-   region of the rank's mapping, and then the minor faults that took, as
-   an int64 on the control socket, which says the region is whole.  The
-   parent allocates the result array while the rank blits, then decodes
-   the region a chunk at a time straight into it: neither side builds a
-   second copy of the whole result. *)
+(* [run_flat]'s form: every part blitted, in order, into the rank's
+   mapping of the staging file from offset 0, and then the minor faults
+   that took, as an int64 on the control socket, which says the region
+   is whole.  The parent allocates the result array while the rank
+   blits, then decodes the region a chunk at a time straight into it:
+   neither side builds a second copy of the whole result. *)
 let flat_length parts = Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 parts
 
-let write_flat st ~at ctl (parts : ('k, 'e) Engine.slice array) =
+let write_flat st ctl (parts : ('k, 'e) Engine.slice array) =
   let f0 = minor_faults () in
   let total = flat_length parts in
   if total > 0 then begin
-    let region = window st (Bigarray.Array1.kind parts.(0)) ~at total in
+    let region = window st (Bigarray.Array1.kind parts.(0)) total in
     ignore
       (Array.fold_left
          (fun off s ->
@@ -984,7 +977,7 @@ let write_flat st ~at ctl (parts : ('k, 'e) Engine.slice array) =
   Bytes.set_int64_le b 0 (Int64.of_int (minor_faults () - f0));
   write_all ctl b 0 8
 
-let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~stage ~at total : (k array * int) option =
+let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~stage total : (k array * int) option =
   let buf = parent_buf in
   (* [decode n pos]: the [n] words just read are elements [pos, pos + n) *)
   let filled (out : k array) decode =
@@ -1001,7 +994,7 @@ let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~stage ~at total : (
     if not (read_all ctl buf 0 8) then None
     else begin
       let faults = Int64.to_int (Bytes.get_int64_le buf 0) in
-      ignore (Unix.lseek stage (8 * at) SEEK_SET);
+      ignore (Unix.lseek stage 0 SEEK_SET);
       if go 0 then Some (out, faults) else None
     end
   in
@@ -1037,7 +1030,7 @@ type job =
       j_input : (('k, 'e) Bigarray.kind * int) option;  (* rank 0's input, staged at offset 0 *)
       j_program : int -> Engine.t -> 'p option;
       j_size : 'p -> int;
-      j_write : staged -> at:int -> Unix.file_descr -> 'p -> unit;
+      j_write : staged -> Unix.file_descr -> 'p -> unit;
     }
       -> job
 
@@ -1096,13 +1089,17 @@ let serve ~rank ~arena ~stage ~ctl ~links ~scratch ~t0 ~run (Job j) =
   in
   let eng = engine st j.j_cost j.j_topology in
   let eng = if j.j_lend then Workspace.wrap lease eng else eng in
-  (* the result region starts where the input ends *)
-  let at = match j.j_input with Some (_, n) -> n | None -> 0 in
   let res, error, crashed =
     match
       let eng =
         match j.j_input with
-        | Some (kind, n) when rank = 0 -> Engine.with_input eng (window stage kind ~at:0 n)
+        | Some (kind, n) when rank = 0 ->
+            (* a copy, not a view of the mapping: [Marshal] writes a slice
+               of a mapped file under a custom-block name no process can
+               read back, and the program may send its input boxed *)
+            let input = st.c_alloc kind n in
+            Bigarray.Array1.blit (window stage kind n) input;
+            Engine.with_input eng input
         | _ -> eng
       in
       let res = j.j_program rank eng in
@@ -1141,7 +1138,7 @@ let serve ~rank ~arena ~stage ~ctl ~links ~scratch ~t0 ~run (Job j) =
   in
   match
     write_sized ctl (Marshal.to_bytes v []);
-    Option.iter (fun r -> if rank = 0 || wanted () then j.j_write stage ~at ctl r) res
+    Option.iter (fun r -> if rank = 0 || wanted () then j.j_write stage ctl r) res
   with
   | () when v.v_error = None && not v.v_crashed ->
       Workspace.release lease;
@@ -1470,8 +1467,6 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
   Bytes.set_int64_le head 0 (Int64.of_int (16 + Bytes.length image));
   Bytes.set_int64_le head 8 (Int64.bits_of_float t0);
   Bytes.set_int64_le head 16 (Int64.of_int p.runs);
-  (* the result region starts where the input ends *)
-  let at = match input with Some (_, a) -> Array.length a | None -> 0 in
   let collect () =
     Option.iter (fun (kind, a) -> stage_input p.stage kind a) input;
     ship (Array.sub p.ctls 0 procs) head image;
@@ -1517,7 +1512,7 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
                       write_all fd (Bytes.make 1 (if wanted then '\001' else '\000')) 0 1);
                 if wanted then begin
                   settled := true;
-                  match form.read ~ctl:fd ~stage:p.stage ~at size with
+                  match form.read ~ctl:fd ~stage:p.stage size with
                   | Some (x, faults) ->
                       results.(r) <- Some x;
                       minflt := !minflt + faults

@@ -60,10 +60,11 @@
     [Unix.read], a 64 KiB chunk at a time, and never maps it, so the
     transfer does not grow its resident set. Each rank maps the file
     itself, once per element kind, and keeps the mapping across runs; it
-    maps it again only when a transfer outgrows it. Rank 0's input is a
-    view of that mapping, and the producing rank blits its result parts
-    into a region that starts where the input ends. The file keeps the
-    size of the pool's largest transfer until the pool is retired.
+    maps it again only when a transfer outgrows it. Rank 0 copies its
+    input out of that mapping before its program starts, and the
+    producing rank later blits its result parts into the same mapping
+    from offset 0. The file keeps the size of the pool's largest
+    transfer until the pool is retired.
 
     {2 The arena}
 
@@ -252,12 +253,11 @@ val run_flat :
 
     [?input] reaches rank 0 as its engine's [input] ([Comm.input]): this
     process writes it into the staging file as raw native-endian words
-    before it ships the run, and rank 0 sees it as a view of its own
-    mapping of the file, so nothing is decoded. The view is rank 0's for
-    the run: the program may sort it in place, and hands it to other
-    ranks with slice sends ([Comm.scatter_slice], [send_slice]), which
-    copy it. It is a slice of a mapped file, so it must not travel inside
-    a boxed value: [Marshal] cannot read such a slice back. The array is
+    before it ships the run, and rank 0 copies it out of its own mapping
+    of the file into a buffer of its workspace, so nothing is decoded.
+    The copy is rank 0's for the run: the program may sort it in place,
+    and hands it to other ranks with slice sends ([Comm.scatter_slice],
+    [send_slice]) or, like any slice, inside a boxed value. The array is
     read, never captured in the program's image nor modified. Every
     rank's [Comm.workspace], and the copies of the arena slices it
     receives, come from its own free list, which each clean run's

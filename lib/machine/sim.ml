@@ -301,7 +301,7 @@ let describe_blocked sim =
           | On_recv { want_src; want_tag; _ } ->
               Printf.sprintf "recv(src=%s, tag=%s)"
                 (match want_src with None -> "any" | Some s -> string_of_int s)
-                (match want_tag with None -> "any" | Some t -> string_of_int t)
+                (match want_tag with None -> "any" | Some t -> Engine.tag_name t)
           | Not_blocked -> ( match p.thunk with Some _ -> "not started" | None -> "running?")
         in
         Buffer.add_string buf (Printf.sprintf "p%d@%.6f: %s; " p.rank p.clock state))

@@ -344,31 +344,51 @@ let sender_finished_deadlock backend =
 
 (* [f] must raise [Fault.Deadlock] within a second of wall time: a rank
    that finished holding an unread message must not keep the run alive. *)
+(* the Deadlock's report *)
 let deadlock_within_a_second what f =
   let t0 = Unix.gettimeofday () in
-  ignore (expect_deadlock what f);
+  let msg = expect_deadlock what f in
   let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) (Printf.sprintf "%s: Deadlock after %.3f s" what dt) true (dt < 1.0)
+  Alcotest.(check bool) (Printf.sprintf "%s: Deadlock after %.3f s" what dt) true (dt < 1.0);
+  msg
 
 (* Rank 1 sends to rank 0, which returns at once; rank 1 then waits on
    rank 0, which finished holding rank 1's message. *)
 let finished_peer_holds_message backend =
-  deadlock_within_a_second "a peer finished holding my message" (fun () ->
-      run backend ~procs:2 (fun eng ->
-          if eng.Engine.rank = 1 then begin
-            eng.Engine.send ~dest:0 ~tag:1 "unread";
-            ignore (eng.Engine.recv ~src:0 ~tag:2 () : int)
-          end;
-          Some ()))
+  ignore
+    (deadlock_within_a_second "a peer finished holding my message" (fun () ->
+         run backend ~procs:2 (fun eng ->
+             if eng.Engine.rank = 1 then begin
+               eng.Engine.send ~dest:0 ~tag:1 "unread";
+               ignore (eng.Engine.recv ~src:0 ~tag:2 () : int)
+             end;
+             Some ())))
 
 (* Rank 0 calls [bcast] where rank 1 calls [allreduce]: rank 0 returns
    holding rank 1's contribution, and rank 1 waits on it. *)
 let bcast_against_allreduce backend =
-  deadlock_within_a_second "bcast against allreduce" (fun () ->
-      Spmd.run backend ~procs:2 (fun c ->
-          if Comm.rank c = 0 then ignore (Comm.bcast c ~root:0 (Some 7) : int)
-          else ignore (Comm.allreduce c ( + ) 1 : int);
-          Some ()))
+  let msg =
+    deadlock_within_a_second "bcast against allreduce" (fun () ->
+        Spmd.run backend ~procs:2 (fun c ->
+            if Comm.rank c = 0 then ignore (Comm.bcast c ~root:0 (Some 7) : int)
+            else ignore (Comm.allreduce c ( + ) 1 : int);
+            Some ()))
+  in
+  (* the report names the collective tag it is stuck on, not its number *)
+  let names_a_collective =
+    List.exists
+      (fun op -> contains msg (op ^ "#"))
+      [ "barrier"; "bcast"; "reduce"; "gather"; "scatter"; "alltoall"; "scan"; "split"; "slice" ]
+  in
+  Alcotest.(check bool) (Printf.sprintf "%S names an <op>#<seq>" msg) true names_a_collective;
+  let numbers =
+    String.split_on_char ' ' (String.map (fun ch -> if ch >= '0' && ch <= '9' then ch else ' ') msg)
+    |> List.filter_map int_of_string_opt
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S shows no raw Comm tag" msg)
+    false
+    (List.exists (fun n -> n >= Engine.tag_space) numbers)
 
 (* A clean finish with an unconsumed message.  Without [sync] the
    receiver never enters the engine, so only the end-of-run check can find

@@ -934,15 +934,14 @@ let test_result_longer_than_input () =
   Alcotest.(check int) "three times the input" (3 * n) (Array.length v);
   Alcotest.(check (array int)) "equals sim" (run (Backend.sim ())) v
 
-(* At p = 1 the only block is the input itself, sorted in place in the
-   staging file and returned whole: the result region must not overlap
-   it. *)
+(* At p = 1 the only block is the input itself, sorted in place in rank
+   0's copy and staged back over the words it was copied from. *)
 let test_one_rank_sorts_its_input_in_place () =
   sort_equals_sim "p = 1" ~procs:1 (keys ~seed:5 100_000)
 
 (* Float64 input and result keep their bits: NaNs with payloads and
    either sign, signed zeros, infinities and subnormals, through rank
-   0's staged input, a round trip to rank 1 and the result region. *)
+   0's staged input, a round trip to rank 1 and the staged result. *)
 let test_float_bits_survive_staging () =
   let specials =
     [|
@@ -972,6 +971,26 @@ let test_float_bits_survive_staging () =
   let v = run Backend.procs in
   Alcotest.(check (array int64)) "the input twice, bit for bit" (C.float_bits (Array.append a a)) (C.float_bits v);
   Alcotest.(check (array int64)) "equals sim bit for bit" (C.float_bits (run (Backend.sim ()))) (C.float_bits v)
+
+(* Rank 0 sends its input inside a boxed value: the option [Comm.input]
+   returns, with [send], so the slice crosses inside a [Marshal] image.
+   A view of the staging file's mapping would not decode at rank 1. *)
+let test_input_sent_boxed () =
+  let n = 20_000 in
+  let a = keys ~seed:9 n in
+  let program c =
+    match Comm.rank c with
+    | 0 ->
+        Comm.send c ~dest:1 (Comm.input c Scl.Flat.int);
+        None
+    | _ -> (
+        match (Comm.recv c ~src:0 () : Scl.Flat.int1 option) with
+        | Some s -> Some [| s |]
+        | None -> failwith "rank 0 had no input")
+  in
+  let run backend = fst (Spmd.run_flat backend ~procs:2 ~kind:Scl.Flat.int ~input:a program) in
+  Alcotest.(check (array int)) "rank 1 returns the input" a (run Backend.procs);
+  Alcotest.(check (array int)) "equals sim" (run (Backend.sim ())) (run Backend.procs)
 
 let suite =
   [
@@ -1085,6 +1104,7 @@ let suite =
           Alcotest.test_case "p = 1 returns its input sorted in place" `Quick
             test_one_rank_sorts_its_input_in_place;
           Alcotest.test_case "float64 bits survive staging" `Quick test_float_bits_survive_staging;
+          Alcotest.test_case "input sent boxed" `Quick test_input_sent_boxed;
         ] );
     ]
 

@@ -1055,13 +1055,15 @@ let prop_flat_int_sort_adversarial =
           true)
         radix_key_sets)
 
-let test_flat_int_sort_sub_view () =
-  let n = 20_000 in
-  let a = List.assoc "full 63-bit" radix_key_sets (Random.State.make [| 11 |]) n in
-  (* ~23 keys per top-level bucket: the cutoff decides most buckets *)
-  let pos = 37 and len = 6_000 in
+(* Sorts the window [pos, pos + len) of [a] in place, with the sort's own
+   scratch and with a scratch that is itself a window of a larger
+   buffer, and checks that neither buffer changes outside its window. *)
+let check_sorted_window a ~pos ~len =
+  let n = Array.length a in
   let window = Array.sub a pos len in
   Array.sort compare window;
+  Alcotest.(check (array int)) "SEQ_QUICKSORT on the window" window
+    (Algorithms.Seq_kernels.quicksort (Array.sub a pos len));
   let outside_untouched what got =
     Alcotest.(check (array int)) (what ^ ": window sorted") window (Array.sub got pos len);
     Alcotest.(check (array int)) (what ^ ": storage before the window untouched") (Array.sub a 0 pos)
@@ -1073,8 +1075,6 @@ let test_flat_int_sort_sub_view () =
   let fa = Flat.Int.of_int_array a in
   Flat.Int.sort (Flat.sub_view fa ~pos ~len);
   outside_untouched "own scratch" (Flat.Int.to_int_array fa);
-  (* the scratch a window of a larger buffer: neither buffer changes
-     outside its window *)
   let fa = Flat.Int.of_int_array a in
   let spos = 5 and slen = len + 3 in
   let buf = Flat.make Flat.int (spos + slen + 7) 42 in
@@ -1085,6 +1085,11 @@ let test_flat_int_sort_sub_view () =
     (Array.sub b 0 spos);
   Alcotest.(check (array int)) "scratch buffer untouched after its window" (Array.make 7 42)
     (Array.sub b (spos + slen) 7)
+
+let test_flat_int_sort_sub_view () =
+  let n = 20_000 in
+  let a = List.assoc "full 63-bit" radix_key_sets (Random.State.make [| 11 |]) n in
+  check_sorted_window a ~pos:37 ~len:6_000
 
 (* The sort's loops allocate nothing per key or per bucket: with the
    caller's scratch, a 100 000-key sort allocates a few closures and, for
@@ -1144,6 +1149,103 @@ let test_flat_int_of_int_array_into () =
   Alcotest.check_raises "too short"
     (Invalid_argument "Flat.Int.of_int_array: into is shorter than the array") (fun () ->
       ignore (Flat.Int.of_int_array ~into:(Flat.create Flat.int 2) keys))
+
+(* --- the LSD radix sort's passes -------------------------------------------------- *)
+
+(* Each case below sorts its keys with the sort's own scratch and with
+   the caller's, and checks both against [Array.sort] and SEQ_QUICKSORT. *)
+let check_radix_case what a =
+  let expect = Array.copy a in
+  Array.sort compare expect;
+  Alcotest.(check (array int)) (what ^ ": SEQ_QUICKSORT") expect (Algorithms.Seq_kernels.quicksort a);
+  Alcotest.(check (array int)) what expect (sort_own_scratch a);
+  Alcotest.(check (array int)) (what ^ ", caller's scratch") expect (sort_caller_scratch a)
+
+let radix_n = 5_000
+
+(* [n] keys whose range [max - min] has exactly [bits] significant bits:
+   [base] and [base + 2^bits - 1] are among them. *)
+let keys_spanning rng ~base ~bits n =
+  let a = Array.init n (fun _ -> base + (Int64.to_int (Random.State.bits64 rng) land ((1 lsl bits) - 1))) in
+  a.(Random.State.int rng n) <- base;
+  a.(Random.State.int rng n) <- base + ((1 lsl bits) - 1);
+  a
+
+(* A range of [bits] bits takes [ceil (bits / 11)] passes: 11k bits take
+   k and 11k + 1 bits take k + 1, so both odd pass counts (the keys end
+   in the scratch and are copied back) and even ones occur. *)
+let test_flat_int_sort_pass_counts () =
+  List.iter
+    (fun bits ->
+      let rng = Random.State.make [| bits |] in
+      check_radix_case (Printf.sprintf "%d-bit range" bits)
+        (keys_spanning rng ~base:(-1_000_003) ~bits radix_n))
+    [ 11; 12; 22; 23; 33; 34; 44; 45; 55; 56 ]
+
+(* 33-bit ranges, three 11-bit digits of [x - min]; a constant digit's
+   pass is skipped and the next digit is counted on its own. *)
+let test_flat_int_sort_constant_digit () =
+  let rng = Random.State.make [| 17 |] in
+  let base = -(1 lsl 45) + 999 in
+  let key d2 d1 d0 = base + ((d2 lsl 22) lor (d1 lsl 11) lor d0) in
+  let any () = Random.State.int rng 2048 in
+  let case what ~low ~high key_of =
+    let a = Array.init radix_n (fun _ -> key_of ()) in
+    a.(Random.State.int rng radix_n) <- low;
+    a.(Random.State.int rng radix_n) <- high;
+    check_radix_case what a
+  in
+  case "middle digit constant" ~low:(key 0 5 0) ~high:(key 2047 5 2047) (fun () -> key (any ()) 5 (any ()));
+  case "low digit constant" ~low:(key 0 0 7) ~high:(key 2047 2047 7) (fun () -> key (any ()) (any ()) 7);
+  case "low two digits constant" ~low:(key 0 5 7) ~high:(key 2047 5 7) (fun () -> key (any ()) 5 7);
+  (* one key off an otherwise constant digit: its pass must run.  The
+     outlier is the maximum, and its low digits are those of the minimum,
+     so the lower passes alone would put it first. *)
+  case "one key off a constant digit" ~low:0 ~high:(1 lsl 40) (fun () -> Random.State.int rng (1 lsl 22))
+
+(* Digit 0 of [x - min] is the count table of [x]'s low bits rotated by
+   [min]'s: minima with nonzero low bits, positive and negative, over
+   ranges whose digits are 11 bits wide and narrower (30 bits: three
+   10-bit digits). *)
+let test_flat_int_sort_rotated_low_digit () =
+  List.iter
+    (fun (base, bits) ->
+      let rng = Random.State.make [| base land 0xffff; bits |] in
+      check_radix_case (Printf.sprintf "min %d, %d-bit range" base bits) (keys_spanning rng ~base ~bits radix_n))
+    [ ((12_345 * 2048) + 1_777, 30); ((-999 * 2048) + 5, 30); (2047, 11); (-1, 33); (1_025, 24) ]
+
+let test_flat_int_sort_full_range () =
+  let rng = Random.State.make [| 23 |] in
+  let a = Array.init radix_n (fun _ -> Int64.to_int (Random.State.bits64 rng)) in
+  a.(0) <- max_int;
+  a.(radix_n - 1) <- min_int;
+  check_radix_case "min_int..max_int" a;
+  check_radix_case "min_int and max_int only" (Array.init radix_n (fun i -> if i land 1 = 0 then max_int else min_int))
+
+(* One inversion at either end of a presorted or reversed input: the
+   ordered-input check must not take it for ordered. *)
+let test_flat_int_sort_one_inversion () =
+  let rng = Random.State.make [| 29 |] in
+  let ascending = Array.init radix_n (fun i -> (i * 1_000) + Random.State.int rng 1_000 - 77_777) in
+  let descending = Array.init radix_n (fun i -> ascending.(radix_n - 1 - i)) in
+  List.iter
+    (fun (name, keys) ->
+      check_radix_case name keys;
+      List.iter
+        (fun (where, i) ->
+          let a = Array.copy keys in
+          let x = a.(i) in
+          a.(i) <- a.(i + 1);
+          a.(i + 1) <- x;
+          check_radix_case (Printf.sprintf "%s, one inversion at the %s" name where) a)
+        [ ("start", 0); ("end", radix_n - 2) ])
+    [ ("presorted", ascending); ("reversed", descending) ]
+
+(* A window sorted in an odd number of passes, so the final copy back
+   from the scratch must land in the window only. *)
+let test_flat_int_sort_window_copy_back () =
+  let rng = Random.State.make [| 31 |] in
+  check_sorted_window (keys_spanning rng ~base:(-5) ~bits:33 8_000) ~pos:101 ~len:5_000
 
 (* --- Exec internals --------------------------------------------------------------- *)
 
@@ -1303,6 +1405,16 @@ let () =
             test_flat_int_sort_minor_words;
           Alcotest.test_case "Flat.Int.merge ~into" `Quick test_flat_int_merge_into;
           Alcotest.test_case "Flat.Int.of_int_array ~into" `Quick test_flat_int_of_int_array_into;
+          Alcotest.test_case "Flat.Int.sort odd and even pass counts" `Quick
+            test_flat_int_sort_pass_counts;
+          Alcotest.test_case "Flat.Int.sort skips a constant digit" `Quick
+            test_flat_int_sort_constant_digit;
+          Alcotest.test_case "Flat.Int.sort rotates the low-digit counts" `Quick
+            test_flat_int_sort_rotated_low_digit;
+          Alcotest.test_case "Flat.Int.sort on min_int..max_int" `Quick test_flat_int_sort_full_range;
+          Alcotest.test_case "Flat.Int.sort with one inversion" `Quick test_flat_int_sort_one_inversion;
+          Alcotest.test_case "Flat.Int.sort copies back into a window" `Quick
+            test_flat_int_sort_window_copy_back;
         ] );
       ( "exec",
         [
