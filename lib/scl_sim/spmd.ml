@@ -49,11 +49,12 @@ let run_engine (type s a) (backend : s Backend.t) ?topology ~procs
 let run backend ?topology ?chaos ~procs program =
   run_engine backend ?topology ~procs (with_chaos chaos program)
 
-(* Flat results: on [procs] the producing rank streams its parts home
-   raw ([Procs.run_flat]); on the in-process engines the producing rank
-   lays them out itself, so the lay-out overlaps the other ranks'
-   teardown (on a 2-vCPU VM, a 1M-key 2-domain sort took ~5 ms longer
-   with the lay-out after the run).  [Scl.Flat.concat] checks the parts'
+(* Flat results: on [procs] the producing rank writes its parts, raw,
+   into the pool's staging file, which the parent reads
+   ([Procs.run_flat]); on the in-process engines the producing rank lays
+   them out itself, so the lay-out overlaps the other ranks' teardown
+   (on a 2-vCPU VM, a 1M-key 2-domain sort took ~5 ms longer with the
+   lay-out after the run).  [Scl.Flat.concat] checks the parts'
    kinds, so a mismatch is that rank's error on every engine.
 
    On the in-process engines each rank's engine is also wrapped, beneath

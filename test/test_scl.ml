@@ -1136,6 +1136,173 @@ let test_flat_int_merge_into () =
   Alcotest.(check (array int)) "empty inputs" [||]
     (Flat.Int.to_int_array (Flat.Int.merge ~into (Flat.Int.of_int_array [||]) (Flat.Int.of_int_array [||])))
 
+(* --- the branch-free merge ------------------------------------------------------- *)
+
+(* Each case merges its two inputs as windows of larger buffers (so a
+   read past an input's end finds [min_int], which would pass a skip
+   test), without [?into] and with an [into] that fits with slack, fits
+   exactly and is one slot short, and checks every result against
+   MERGE. *)
+let check_merge what a b =
+  let expect = Algorithms.Seq_kernels.merge a b in
+  let n = Array.length expect in
+  let window keys =
+    let len = Array.length keys in
+    let buf = Flat.make Flat.int (len + 6) min_int in
+    Flat.fill (Flat.sub_view buf ~pos:0 ~len:3) max_int;
+    let w = Flat.sub_view buf ~pos:3 ~len in
+    Flat.blit ~src:(Flat.Int.of_int_array keys) ~dst:w;
+    w
+  in
+  let fa = window a and fb = window b in
+  let merged ?into () = Flat.Int.merge ?into fa fb in
+  Alcotest.(check (array int)) what expect (Flat.Int.to_int_array (merged ()));
+  let into = Flat.make Flat.int (n + 3) 12_345 in
+  let m = merged ~into () in
+  Alcotest.(check (array int)) (what ^ ", into fits") expect (Flat.Int.to_int_array m);
+  Alcotest.(check (array int)) (what ^ ", into's slack untouched") [| 12_345; 12_345; 12_345 |]
+    (Array.sub (Flat.Int.to_int_array into) n 3);
+  let exact = Flat.create Flat.int n in
+  let m' = merged ~into:exact () in
+  Alcotest.(check (array int)) (what ^ ", into fits exactly") expect (Flat.Int.to_int_array m');
+  if n > 0 then begin
+    Flat.set m 0 (-7);
+    Alcotest.(check int) (what ^ ", the result aliases into") (-7) (Flat.get into 0);
+    Flat.set m' (n - 1) (-7);
+    Alcotest.(check int) (what ^ ", an exact fit aliases into") (-7) (Flat.get exact (n - 1));
+    let into = Flat.make Flat.int (n - 1) 12_345 in
+    let m = merged ~into () in
+    Alcotest.(check (array int)) (what ^ ", into too short") expect (Flat.Int.to_int_array m);
+    Alcotest.(check (array int)) (what ^ ", a short into untouched") (Array.make (n - 1) 12_345)
+      (Flat.Int.to_int_array into)
+  end
+
+let sorted_keys keys =
+  Array.sort compare keys;
+  keys
+
+(* [na] + [nb] keys of a sorted pool dealt to the two sides in runs of
+   [run], alternately; a side that is full passes its turn *)
+let deal_runs ~run pool na nb =
+  let a = Array.make na 0 and b = Array.make nb 0 in
+  let i = ref 0 and j = ref 0 in
+  Array.iteri
+    (fun k x ->
+      if (!i < na && (k / run) land 1 = 0) || !j >= nb then begin
+        a.(!i) <- x;
+        incr i
+      end
+      else begin
+        b.(!j) <- x;
+        incr j
+      end)
+    pool;
+  (a, b)
+
+(* Input pairs of the given lengths in the shapes the merge's paths tell
+   apart: random halves (every compare a coin flip), one side wholly
+   below the other, runs of 64, few distinct keys (ties across the
+   inputs), one side in a narrow band of the other's range, keys dealt
+   alternately, all keys equal, and the extreme keys on both sides. *)
+let merge_shapes : (string * (Random.State.t -> int -> int -> int array * int array)) list =
+  let keys rng n = Array.init n (fun _ -> Random.State.bits rng) in
+  let pool rng na nb = sorted_keys (keys rng (na + nb)) in
+  [
+    ("interleaved", fun rng na nb -> (sorted_keys (keys rng na), sorted_keys (keys rng nb)));
+    ("a below b", fun rng na nb -> let p = pool rng na nb in (Array.sub p 0 na, Array.sub p na nb));
+    ("b below a", fun rng na nb -> let p = pool rng na nb in (Array.sub p nb na, Array.sub p 0 nb));
+    ("runs of 64", fun rng na nb -> deal_runs ~run:64 (pool rng na nb) na nb);
+    ( "few distinct",
+      fun rng na nb ->
+        let k n = sorted_keys (Array.init n (fun _ -> Random.State.int rng 4 * 1_000)) in
+        (k na, k nb) );
+    ( "a in a narrow band of b",
+      fun rng na nb ->
+        (sorted_keys (Array.init na (fun _ -> (1 lsl 29) + Random.State.int rng 1_000)), sorted_keys (keys rng nb)) );
+    ("alternating", fun rng na nb -> deal_runs ~run:1 (pool rng na nb) na nb);
+    ("all equal", fun _ na nb -> (Array.make na 5, Array.make nb 5));
+    ( "min_int and max_int",
+      fun rng na nb ->
+        let k n =
+          sorted_keys
+            (Array.init n (fun _ ->
+                 match Random.State.int rng 3 with 0 -> min_int | 1 -> max_int | _ -> Random.State.bits rng - (1 lsl 29)))
+        in
+        (k na, k nb) );
+  ]
+
+(* Lengths at every boundary of the 8-key blocks (a skip test reads a
+   side's 8th key; the steps run 8 at a time while both sides hold 8),
+   and long sides whose ends reach the one-step loop and the tail blit *)
+let merge_lengths = [ 0; 1; 7; 8; 9; 15; 16; 17; 1_000; 1_031 ]
+
+let test_flat_int_merge_shapes () =
+  List.iter
+    (fun (shape, gen) ->
+      List.iter
+        (fun na ->
+          List.iter
+            (fun nb ->
+              let a, b = gen (Random.State.make [| na; nb |]) na nb in
+              check_merge (Printf.sprintf "%s, %d + %d keys" shape na nb) a b)
+            merge_lengths)
+        merge_lengths)
+    merge_shapes
+
+(* The shapes at 500 000 keys: 250 000 a side, and 1 000 + 499 000 *)
+let test_flat_int_merge_large () =
+  List.iter
+    (fun (shape, (na, nb)) ->
+      let a, b = (List.assoc shape merge_shapes) (Random.State.make [| na |]) na nb in
+      Alcotest.(check bool) (Printf.sprintf "%s, %d + %d keys" shape na nb) true
+        (Flat.Int.to_int_array (Flat.Int.merge (Flat.Int.of_int_array a) (Flat.Int.of_int_array b))
+        = Algorithms.Seq_kernels.merge a b))
+    [
+      ("interleaved", (250_000, 250_000));
+      ("b below a", (250_000, 250_000));
+      ("runs of 64", (250_000, 250_000));
+      ("few distinct", (250_000, 250_000));
+      ("interleaved", (1_000, 499_000));
+      ("alternating", (250_000, 250_000));
+    ]
+
+(* Random lengths and key ranges: keys of [bits] significant bits either
+   side of 0 ([bits] = 62 is the whole int range) *)
+let test_flat_int_merge_property () =
+  let gen = Prop.Gen.(pair (pair (int_range 0 3_000) (int_range 0 3_000)) (pair (int_range 0 62) (int_range 0 1_000_000))) in
+  let shrink = Prop.Shrink.(pair (pair int int) (pair int nothing)) in
+  let prop ((na, nb), (bits, seed)) =
+    let rng = Random.State.make [| seed |] in
+    let keys n = sorted_keys (Array.init n (fun _ -> Int64.to_int (Random.State.bits64 rng) asr (62 - bits))) in
+    let a = keys na and b = keys nb in
+    let got = Flat.Int.to_int_array (Flat.Int.merge (Flat.Int.of_int_array a) (Flat.Int.of_int_array b)) in
+    if got = Algorithms.Seq_kernels.merge a b then Prop.Runner.Pass_case else Prop.Runner.Fail_case "differs from MERGE"
+  in
+  let config = { Prop.Runner.default with Prop.Runner.count = 300; seed = 33 } in
+  match Prop.Runner.check ~config ~shrink ~gen ~prop () with
+  | Prop.Runner.Pass _ -> ()
+  | Prop.Runner.Fail f ->
+      let (na, nb), (bits, seed) = f.Prop.Runner.shrunk in
+      Alcotest.failf "%d + %d keys of %d bits, seed %d: %s" na nb bits seed f.Prop.Runner.message
+  | Prop.Runner.Gave_up _ -> Alcotest.fail "property gave up"
+
+(* A 500 000-key merge into a warm buffer allocates a few bigarray
+   headers (the result's view and the tail blit's two), never a word per
+   key or per block *)
+let test_flat_int_merge_minor_words () =
+  let rng = Random.State.make [| 5 |] in
+  let into = Flat.create Flat.int 500_000 in
+  List.iter
+    (fun (shape, gen) ->
+      let a, b = gen rng 250_000 250_000 in
+      let fa = Flat.Int.of_int_array a and fb = Flat.Int.of_int_array b in
+      ignore (Flat.Int.merge ~into fa fb : Flat.Int.t);
+      let w0 = Gc.minor_words () in
+      ignore (Flat.Int.merge ~into fa fb : Flat.Int.t);
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool) (Printf.sprintf "%s keys: %.0f minor words" shape words) true (words < 200.0))
+    (List.filter (fun (shape, _) -> List.mem shape [ "interleaved"; "b below a"; "runs of 64" ]) merge_shapes)
+
 let test_flat_int_of_int_array_into () =
   let keys = [| 5; -3; 8 |] in
   let into = Flat.make Flat.int 5 (-1) in
@@ -1404,6 +1571,13 @@ let () =
           Alcotest.test_case "Flat.Int.sort ~scratch allocates a few words" `Quick
             test_flat_int_sort_minor_words;
           Alcotest.test_case "Flat.Int.merge ~into" `Quick test_flat_int_merge_into;
+          Alcotest.test_case "Flat.Int.merge = MERGE on every shape and block boundary" `Quick
+            test_flat_int_merge_shapes;
+          Alcotest.test_case "Flat.Int.merge = MERGE at 500 000 keys" `Quick test_flat_int_merge_large;
+          Alcotest.test_case "Flat.Int.merge = MERGE on random lengths and key ranges" `Quick
+            test_flat_int_merge_property;
+          Alcotest.test_case "Flat.Int.merge ~into allocates a few words" `Quick
+            test_flat_int_merge_minor_words;
           Alcotest.test_case "Flat.Int.of_int_array ~into" `Quick test_flat_int_of_int_array_into;
           Alcotest.test_case "Flat.Int.sort odd and even pass counts" `Quick
             test_flat_int_sort_pass_counts;
