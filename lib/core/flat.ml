@@ -58,8 +58,31 @@ let init kind n f =
    the types are concrete and the copy loop compiles unboxed (the solve and
    sort workloads convert every job through them); every other kind takes
    the generic loop.  The branches are textually identical on purpose — the
-   type, not the code, differs. *)
-let copy_in (type a b) op ?into (kind : (a, b) Bigarray.kind) (src : a array) : (a, b) t =
+   type, not the code, differs.
+
+   The two bulk directions are ranged loops, [copy_in] into flat storage
+   and [lay_out] into an OCaml array, so that the domains of a multicore
+   run can each take a range of one copy ([Machine.Multicore.run_flat]);
+   [of_array] and [concat] are their whole-range case.  Bounds are
+   checked once per call, so the loops use unsafe accesses. *)
+let copy_in (type a b) (src : a array) ~(into : (a, b) t) ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length src || pos + len > length into then
+    invalid_arg "Flat.copy_in: range out of bounds";
+  match kind into with
+  | Bigarray.Float64 ->
+      for i = pos to pos + len - 1 do
+        Bigarray.Array1.unsafe_set into i (Array.unsafe_get src i)
+      done
+  | Bigarray.Int ->
+      for i = pos to pos + len - 1 do
+        Bigarray.Array1.unsafe_set into i (Array.unsafe_get src i)
+      done
+  | _ ->
+      for i = pos to pos + len - 1 do
+        Bigarray.Array1.unsafe_set into i (Array.unsafe_get src i)
+      done
+
+let to_flat op ?into kind (src : 'a array) : ('a, 'b) t =
   let n = Array.length src in
   let a =
     match into with
@@ -68,22 +91,10 @@ let copy_in (type a b) op ?into (kind : (a, b) Bigarray.kind) (src : a array) : 
         if length dst < n then invalid_arg (op ^ ": into is shorter than the array");
         sub_view dst ~pos:0 ~len:n
   in
-  (match kind with
-  | Bigarray.Float64 ->
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
-      done
-  | Bigarray.Int ->
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
-      done
-  | _ ->
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set a i (Array.unsafe_get src i)
-      done);
+  copy_in src ~into:a ~pos:0 ~len:n;
   a
 
-let of_array ?into kind src = copy_in "Flat.of_array" ?into kind src
+let of_array ?into kind src = to_flat "Flat.of_array" ?into kind src
 
 let to_array (type a b) (a : (a, b) t) : a array =
   let n = length a in
@@ -106,33 +117,66 @@ let to_array (type a b) (a : (a, b) t) : a array =
     out
   end
 
-(* Parts laid out in order in one fresh array: one match on the kind, so
-   the copy loops run unboxed for [float64] and [int].  A part's kind is
-   checked, not trusted: a slice received at the wrong annotation carries
-   another one, and the unboxed loops would misread it. *)
+let create_array (type a b) (kind : (a, b) Bigarray.kind) n : a array =
+  match kind with
+  | Bigarray.Float64 -> Array.create_float n
+  | Bigarray.Int -> Array.make n 0
+  | _ -> invalid_arg "Flat.create_array: kind must be float64 or int"
+
+let total parts = Array.fold_left (fun n p -> n + length p) 0 parts
+
+(* The parts' elements [pos, pos + len) in order, at the same positions
+   of [out]: find the part holding [pos], then copy part by part.  The
+   parts' run-time kinds are trusted: a part of another kind would be
+   misread. *)
+let lay_out (type a b) (kind : (a, b) Bigarray.kind) (parts : (a, b) t array) (out : a array) ~pos
+    ~len =
+  if pos < 0 || len < 0 || pos + len > total parts || pos + len > Array.length out then
+    invalid_arg "Flat.lay_out: range out of bounds";
+  (* [copy p off q m]: [m] elements of part [p] from [off], at [out.(q)] on *)
+  let each_piece copy =
+    let k = ref 0 and base = ref 0 in
+    while len > 0 && !base + length parts.(!k) <= pos do
+      base := !base + length parts.(!k);
+      incr k
+    done;
+    let q = ref pos and stop = pos + len in
+    while !q < stop do
+      let p = parts.(!k) in
+      let m = min (!base + length p) stop - !q in
+      copy p (!q - !base) !q m;
+      q := !q + m;
+      base := !base + length p;
+      incr k
+    done
+  in
+  match kind with
+  | Bigarray.Float64 ->
+      each_piece (fun (p : float1) off q m ->
+          for i = 0 to m - 1 do
+            Array.unsafe_set out (q + i) (Bigarray.Array1.unsafe_get p (off + i))
+          done)
+  | Bigarray.Int ->
+      each_piece (fun (p : int1) off q m ->
+          for i = 0 to m - 1 do
+            Array.unsafe_set out (q + i) (Bigarray.Array1.unsafe_get p (off + i))
+          done)
+  | _ -> invalid_arg "Flat.lay_out: kind must be float64 or int"
+
+(* A part's kind is checked, not trusted: a slice received at the wrong
+   annotation carries another one, and [lay_out] would misread it. *)
 let concat (type a b) (kind : (a, b) Bigarray.kind) (parts : (a, b) t array) : a array =
   Array.iter
     (fun p ->
       if Bigarray.Array1.kind p <> kind then
         invalid_arg "Flat.concat: a part is not of the requested kind")
     parts;
-  let total = Array.fold_left (fun n p -> n + length p) 0 parts in
-  (* [copy out p pos] stores part [p] at [out.(pos)] onwards *)
-  let lay_out (out : a array) copy =
-    ignore (Array.fold_left (fun pos p -> copy out p pos; pos + length p) 0 parts);
-    out
-  in
   match kind with
-  | Bigarray.Float64 ->
-      lay_out (Array.create_float total) (fun out (p : float1) pos ->
-          for i = 0 to length p - 1 do
-            Array.unsafe_set out (pos + i) (Bigarray.Array1.unsafe_get p i)
-          done)
-  | Bigarray.Int ->
-      lay_out (Array.make total 0) (fun out (p : int1) pos ->
-          for i = 0 to length p - 1 do
-            Array.unsafe_set out (pos + i) (Bigarray.Array1.unsafe_get p i)
-          done)
+  | Bigarray.Float64 | Bigarray.Int ->
+      let n = total parts in
+      let out = create_array kind n in
+      lay_out kind parts out ~pos:0 ~len:n;
+      out
   | _ -> Array.concat (Array.to_list (Array.map to_array parts))
 
 let of_float_array (src : float array) : float1 = of_array float64 src
@@ -396,6 +440,6 @@ module Int = struct
     let rec go i = i >= n || (Bigarray.Array1.unsafe_get a (i - 1) <= Bigarray.Array1.unsafe_get a i && go (i + 1)) in
     go 1
 
-  let of_int_array ?into (src : int array) : t = copy_in "Flat.Int.of_int_array" ?into int src
+  let of_int_array ?into (src : int array) : t = to_flat "Flat.Int.of_int_array" ?into int src
   let to_int_array (a : t) : int array = to_array a
 end

@@ -64,11 +64,38 @@ val of_array : ?into:('a, 'b) t -> ('a, 'b) Bigarray.kind -> 'a array -> ('a, 'b
     @raise Invalid_argument if [into] is shorter than the array. *)
 
 val to_array : ('a, 'b) t -> 'a array
+
 val concat : ('a, 'b) Bigarray.kind -> ('a, 'b) t array -> 'a array
 (** [concat kind parts]: the parts' elements in order, in one fresh
-    array ([Array.concat] of their {!to_array}s, without the copies). It
-    matches on [kind] once and runs unboxed for [float64] and [int].
+    array ([Array.concat] of their {!to_array}s, without the copies). For
+    [float64] and [int] it is {!lay_out} over the whole range, into
+    {!create_array}; other kinds take a generic loop.
     @raise Invalid_argument if a part's run-time kind is not [kind]. *)
+
+(** {2 Ranged copies}
+
+    The loops behind {!of_array} and {!concat}, over one range, so that
+    several domains can share one bulk copy by taking disjoint ranges
+    ([Machine.Multicore.run_flat] does). Each matches on the kind once
+    and runs unboxed for [float64] and [int]. *)
+
+val copy_in : 'a array -> into:('a, 'b) t -> pos:int -> len:int -> unit
+(** [copy_in src ~into ~pos ~len] stores [src.(pos)] ... [src.(pos + len - 1)]
+    at the same positions of [into].
+    @raise Invalid_argument if the range is not within both arrays. *)
+
+val create_array : ('a, 'b) Bigarray.kind -> int -> 'a array
+(** [create_array kind n]: a fresh [n]-element array for {!lay_out}:
+    unset floats for [float64], zeros for [int].
+    @raise Invalid_argument for any other kind. *)
+
+val lay_out : ('a, 'b) Bigarray.kind -> ('a, 'b) t array -> 'a array -> pos:int -> len:int -> unit
+(** [lay_out kind parts out ~pos ~len] stores the elements [pos] ...
+    [pos + len - 1] of the parts' concatenation at the same positions of
+    [out]. The parts' run-time kinds are trusted, not checked: each must
+    be [kind] ({!concat} checks them).
+    @raise Invalid_argument if [kind] is neither [float64] nor [int], or
+    if the range is not within both the parts' total and [out]. *)
 
 val of_float_array : float array -> float1
 val to_float_array : float1 -> float array

@@ -68,12 +68,10 @@ let cost t = t.eng.Engine.cost
 let time t = t.eng.Engine.time ()
 let note t msg = t.eng.Engine.note msg
 
-let obs_lent = Obs.Counter.make "workspace.lent"
-
 let workspace t kind n =
   Engine.check_kind "Comm.workspace" kind;
   if n < 0 then invalid_arg "Comm.workspace: negative length";
-  if Obs.enabled () then Obs.Counter.incr obs_lent;
+  Workspace.count_lent ();
   t.eng.Engine.workspace kind n
 
 let input t kind =

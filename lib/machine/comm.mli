@@ -64,7 +64,8 @@ val workspace : t -> ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice
     runner it is fresh storage. A
     buffer is lent at most once per run, so sending it by reference is
     as safe as sending any other slice. Counts [workspace.lent] (and
-    {!Workspace.lend} [workspace.reused]) when [Obs] is enabled.
+    {!Workspace.lend} [workspace.reused]) when [Obs] is enabled, as a
+    [run_flat] runner counts the buffer it copies the input into.
     @raise Invalid_argument if [kind] is neither [float64] nor [int], or
     [n < 0]. *)
 

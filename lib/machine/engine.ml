@@ -80,8 +80,8 @@ type t = {
 }
 
 (* Every engine's default [workspace]: plain storage, collected when the
-   program drops it.  [Spmd.run_flat] swaps in a recycling one
-   ([Workspace.wrap]) on the in-process engines. *)
+   program drops it.  The [run_flat] runners swap in a recycling one
+   ([Workspace.wrap]). *)
 let fresh kind n = Bigarray.Array1.create kind Bigarray.c_layout n
 
 let no_input _ = None
@@ -120,6 +120,14 @@ let check_slice op s =
   if not (flat_kind (Bigarray.Array1.kind s)) then rejected op "slice kind must be float64 or int"
 
 let check_kind op kind = if not (flat_kind kind) then rejected op "kind must be float64 or int"
+
+(* A slice's static kind is the receiver's annotation, not a check; the
+   loops that lay out or stream a flat result trust the run-time one. *)
+let check_parts op kind parts =
+  Array.iter
+    (fun s -> if Bigarray.Array1.kind s <> kind then rejected op "a part is not of the requested kind")
+    parts;
+  parts
 
 let check_procs op procs = if procs <= 0 then rejected op "procs must be positive"
 

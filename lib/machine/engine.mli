@@ -5,7 +5,7 @@
     charges simulated time), [Multicore]'s (OCaml domains, zero-copy
     shared memory) and [Procs]' (forked OS processes over sockets). Each
     engine exports the same two runners over these programs, [run_each]
-    and [run_collect] ([Procs] adds [run_flat]); programs written against
+    and [run_collect] ([Multicore] and [Procs] add [run_flat]); programs written against
     [Comm.t] run unchanged on all three. *)
 
 type ('k, 'e) slice = ('k, 'e, Bigarray.c_layout) Bigarray.Array1.t
@@ -70,16 +70,17 @@ type t = {
           unspecified) for this rank's use, valid until the run returns;
           reach it through {!Comm.workspace}. Every engine builds its
           ranks with {!fresh}, plain storage collected like any other
-          value; [Scl_sim.Spmd.run_flat] on [sim] and [multicore] swaps in
-          {!Workspace.wrap}, which lends buffers recycled from earlier
-          runs and takes them back when the run returns. A wrapper built
-          with [{ e with … }] passes it through untouched. *)
+          value; the [run_flat] runners swap in {!Workspace.wrap},
+          which lends buffers recycled from earlier runs and takes them
+          back when the run returns. A wrapper built with
+          [{ e with … }] passes it through untouched. *)
   input : 'k 'e. ('k, 'e) Bigarray.kind -> ('k, 'e) slice option;
       (** [input kind]: the input array handed to a [run_flat] runner
-          ([Scl_sim.Spmd.run_flat ~input], [Procs.run_flat ~input]), as a
-          buffer of this rank's own lent from its workspace: [Some] at
-          rank 0 of such a run, [None] on every other rank and in every
-          other run ({!no_input}). Reach it through {!Comm.input}.
+          ([Scl_sim.Spmd.run_flat ~input], [Multicore.run_flat ~input],
+          [Procs.run_flat ~input]), as a buffer lent from the run's
+          workspace: [Some] at rank 0 of such a run, [None] on every
+          other rank and in every other run ({!no_input}). Reach it
+          through {!Comm.input}.
           @raise Invalid_argument if [kind] is not the input's kind. *)
 }
 
@@ -117,6 +118,12 @@ val check_slice : string -> ('k, 'e) slice -> unit
 val check_kind : string -> ('k, 'e) Bigarray.kind -> unit
 (** A flat result's element kind.
     @raise Invalid_argument ["<op>: kind must be float64 or int"]. *)
+
+val check_parts : string -> ('k, 'e) Bigarray.kind -> ('k, 'e) slice array -> ('k, 'e) slice array
+(** A flat result's parts, returned as they are, in the rank that
+    produced them: a slice received at another annotation than its
+    sender's still has its own run-time kind.
+    @raise Invalid_argument ["<op>: a part is not of the requested kind"]. *)
 
 val check_procs : string -> int -> unit
 (** A runner's processor count.

@@ -153,7 +153,20 @@ type fabric = {
   sleep_count : int Atomic.t;
   failure : exn option Atomic.t;
   start : Runtime.Barrier.t;
+  ends : ends option;
   t0 : int64;
+}
+
+(* The bulk ends of a [run_flat], shared by every domain of the run:
+   [copy_in] before the start barrier; then, once every domain has left
+   its ranks ([ranks_done]) and unless the run failed, domain 0's
+   [settle] and, past [settled], everyone's [lay_out]. *)
+and ends = {
+  copy_in : unit -> unit;
+  settle : unit -> unit;
+  lay_out : unit -> unit;
+  ranks_done : Runtime.Barrier.t;
+  settled : Runtime.Barrier.t;
 }
 
 type stats = {
@@ -471,7 +484,11 @@ let run_rank fab st =
       else assert false
   | Running | Finished -> assert false
 
+(* An end's exception fails the run like a rank's. *)
+let guarded fab f = try f () with e -> declare fab e
+
 let domain_main fab d (my : rstate array) =
+  (match fab.ends with Some e when not (failed fab) -> guarded fab e.copy_in | _ -> ());
   Obs.Counter.incr obs_barrier_waits;
   Runtime.Barrier.await fab.start;
   let mw0 = Gc.minor_words () in
@@ -604,14 +621,23 @@ let domain_main fab d (my : rstate array) =
     && remaining > 0
     && Atomic.get fab.sleepers >= remaining
     && Atomic.get fab.in_flight = 0
-  then declare fab (Fault.Deadlock (describe fab))
+  then declare fab (Fault.Deadlock (describe fab));
+  (* a domain waiting here no longer counts as active, so the barrier
+     cannot keep quiescence from being seen *)
+  Option.iter
+    (fun e ->
+      Runtime.Barrier.await e.ranks_done;
+      if d = 0 && not (failed fab) then guarded fab e.settle;
+      Runtime.Barrier.await e.settled;
+      if not (failed fab) then guarded fab e.lay_out)
+    fab.ends
 
 (* ------------------------------------------------------------------- runners *)
 
 let default_domains procs = max 1 (min procs (Domain.recommended_domain_count ()))
 
 (* [runner] names the public runner in argument errors. *)
-let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
+let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ?ends ~procs
     (program : int -> Engine.t -> unit) : stats =
   let op = "Multicore." ^ runner in
   Engine.check_procs op procs;
@@ -660,6 +686,17 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
           sleep_count = Atomic.make 0;
           failure = Atomic.make None;
           start = Runtime.Barrier.create ndomains;
+          ends =
+            Option.map
+              (fun (copy_in, settle, lay_out) ->
+                {
+                  copy_in;
+                  settle;
+                  lay_out;
+                  ranks_done = Runtime.Barrier.create ndomains;
+                  settled = Runtime.Barrier.create ndomains;
+                })
+              ends;
           t0 = Obs.Clock.now_ns ();
         }
       in
@@ -673,9 +710,9 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
       (* Domain 0 is the caller, which would otherwise only block in
          [join]; D - 1 domains are spawned.  Every domain waits at the
          start barrier until all have arrived.  A failed spawn is declared
-         and the barrier released, so the domains already spawned (and the
-         caller) exit at once and are joined — none keeps a slot of the
-         runtime's fixed domain table — and its exception re-raised. *)
+         and the barriers released, so the domains already spawned (and
+         the caller) exit at once and are joined — none keeps a slot of
+         the runtime's fixed domain table — and its exception re-raised. *)
       let doms = ref [] in
       (try
          for d = 1 to ndomains - 1 do
@@ -684,7 +721,12 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ~procs
          done
        with e ->
          declare fab e;
-         Runtime.Barrier.release fab.start);
+         Runtime.Barrier.release fab.start;
+         Option.iter
+           (fun e ->
+             Runtime.Barrier.release e.ranks_done;
+             Runtime.Barrier.release e.settled)
+           fab.ends);
       domain_main fab 0 (my_ranks 0);
       List.iter Domain.join !doms;
       (match Atomic.get fab.failure with Some e -> raise e | None -> ());
@@ -725,3 +767,57 @@ let run_collect (type a) ?domains ?cost ?topology ~procs (program : Engine.t -> 
         results.(rank) <- program eng)
   in
   (Engine.lowest_rank "Multicore.run_collect" results, stats)
+
+(* [run_collect] for flat parts, with both bulk ends shared by the run's
+   domains in blocks of [block] elements off one atomic cursor, so a
+   domain that starts late (a fresh spawn) takes fewer.  The input is
+   copied into rank 0's buffer, lent from the run's lease, before the
+   start barrier; once every rank has finished, domain 0 allocates the
+   result and every domain lays out blocks of the lowest producing
+   rank's parts before the join.  A part's kind is checked in the rank
+   that returns it, so a mismatch is that rank's error. *)
+let block = 1 lsl 16
+
+let share cursor n f =
+  let rec go () =
+    let pos = Atomic.fetch_and_add cursor block in
+    if pos < n then begin
+      f ~pos ~len:(min block (n - pos));
+      go ()
+    end
+  in
+  go ()
+
+let run_flat (type k e) ?domains ?cost ?topology ~procs ~(kind : (k, e) Bigarray.kind)
+    ?(input : k array option) (program : Engine.t -> (k, e) Engine.slice array option) :
+    k array * stats =
+  Engine.check_kind "Multicore.run_flat" kind;
+  let lease = Workspace.lease () in
+  let into = Option.map (fun a -> Workspace.lend_input lease kind (Array.length a)) input in
+  let results = Array.make (max 0 procs) None in
+  let cursor = Atomic.make 0 in
+  let parts = ref [||] and out = ref [||] in
+  let copy_in () =
+    match (input, into) with
+    | Some a, Some into -> share cursor (Array.length a) (Scl.Flat.copy_in a ~into)
+    | _ -> ()
+  in
+  let settle () =
+    Option.iter
+      (fun p ->
+        parts := p;
+        out := Scl.Flat.create_array kind (Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 p);
+        Atomic.set cursor 0)
+      (Array.find_map Fun.id results)
+  in
+  let lay_out () = share cursor (Array.length !out) (Scl.Flat.lay_out kind !parts !out) in
+  let stats =
+    run_as "run_flat" ?domains ?cost ?topology ~ends:(copy_in, settle, lay_out) ~procs
+      (fun rank eng ->
+        let eng = Workspace.wrap lease eng in
+        let eng = match into with Some s when rank = 0 -> Engine.with_input eng s | _ -> eng in
+        results.(rank) <- Option.map (Engine.check_parts "Multicore.run_flat" kind) (program eng))
+  in
+  ignore (Engine.lowest_rank "Multicore.run_flat" results);
+  Workspace.release lease;
+  (!out, stats)

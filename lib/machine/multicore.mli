@@ -52,3 +52,28 @@ val run_collect :
 (** Like {!run_each} for programs that produce a value at (at least) one
     rank; when several do, the lowest rank's value wins, as on every
     engine. *)
+
+val run_flat :
+  ?domains:int ->
+  ?cost:Cost_model.t ->
+  ?topology:Topology.t ->
+  procs:int ->
+  kind:('k, 'e) Bigarray.kind ->
+  ?input:'k array ->
+  (Engine.t -> ('k, 'e) Engine.slice array option) ->
+  'k array * stats
+(** Like {!run_collect} for a result made of flat parts: the lowest
+    producing rank's parts, concatenated in order into one array. The
+    run's domains share both bulk ends in blocks taken off one counter.
+    [?input] is copied into a buffer of the run's workspace before the
+    start barrier and reaches rank 0 as its engine's [input]
+    ([Comm.input]); the caller's array is never modified. Once every
+    rank has finished, domain 0 allocates the result array and every
+    domain lays out blocks of the parts into it before the join.
+
+    Every rank's [Comm.workspace] lends from the calling process's free
+    list ({!Workspace}); the run's buffers replace it when the run
+    returns normally, and are dropped when it raises.
+    @raise Invalid_argument if [kind] is neither [float64] nor [int], if
+    a part's run-time kind is not [kind] (raised by that rank, so the
+    usual precedence applies), or if no rank produced a result. *)

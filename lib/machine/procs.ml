@@ -1598,18 +1598,7 @@ let run_flat ?cost ?topology ~procs ~kind ?input
   let results, stats =
     run_core ~runner:"run_flat" ?cost ?topology ~procs ~lend:true
       ?input:(Option.map (fun a -> (kind, a)) input)
-      (fun _rank eng ->
-        Option.map
-          (fun parts ->
-            (* a slice's static kind is the receiver's annotation, not a
-               check; the stream's loops trust the run-time one *)
-            Array.iter
-              (fun s ->
-                if Bigarray.Array1.kind s <> kind then
-                  invalid_arg "Procs.run_flat: a part is not of the requested kind")
-              parts;
-            parts)
-          (program eng))
+      (fun _rank eng -> Option.map (Engine.check_parts "Procs.run_flat" kind) (program eng))
       (flat kind)
   in
   (Engine.lowest_rank "Procs.run_flat" results, stats)

@@ -25,6 +25,7 @@ let lease () = { floats = { bufs = [] }; ints = { bufs = [] }; lent = 0; fresh =
 let free = lease ()
 let lock = Mutex.create ()
 let obs_reused = Obs.Counter.make "workspace.reused"
+let obs_lent = Obs.Counter.make "workspace.lent"
 
 let dim = Bigarray.Array1.dim
 
@@ -70,6 +71,12 @@ let lend (type k e) l (kind : (k, e) Bigarray.kind) n : (k, e) Engine.slice =
           l.lent <- l.lent + 1;
           l.fresh <- l.fresh + 1);
       Engine.fresh kind n
+
+let count_lent () = if Obs.enabled () then Obs.Counter.incr obs_lent
+
+let lend_input l kind n =
+  count_lent ();
+  lend l kind n
 
 let counts l = Mutex.protect lock (fun () -> (l.lent, l.fresh))
 

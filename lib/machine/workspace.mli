@@ -15,8 +15,9 @@
     After a run that raised, the lease is simply dropped and its buffers
     go to the GC, since a rank may have left a view of one anywhere.
 
-    Only [run_flat] recycles — [Spmd.run_flat] on the in-process
-    engines, and each pooled rank of [Procs.run_flat] in its own process:
+    Only [run_flat] recycles — [Spmd.run_flat] on [sim],
+    [Multicore.run_flat], and each pooled rank of [Procs.run_flat] in
+    its own process:
     the result is laid out in a fresh array (or streamed home) before the
     run returns, so nothing the caller holds aliases a lent buffer. *)
 
@@ -32,6 +33,15 @@ val lend : lease -> ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice
     storage that is never recycled. Safe to call from several domains at
     once. Counts [workspace.reused] when the buffer comes off the free
     list. *)
+
+val count_lent : unit -> unit
+(** Count one request in [workspace.lent]: {!Comm.workspace} counts each
+    one it serves, whatever the engine lends. *)
+
+val lend_input : lease -> ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice
+(** {!lend}, counted in [workspace.lent] as a {!Comm.workspace} request
+    is: the buffer a [run_flat] runner copies rank 0's input into before
+    the run starts. *)
 
 val counts : lease -> int * int
 (** [(lent, fresh)]: the requests [l] has served, and how many of them

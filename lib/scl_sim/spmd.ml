@@ -49,47 +49,50 @@ let run_engine (type s a) (backend : s Backend.t) ?topology ~procs
 let run backend ?topology ?chaos ~procs program =
   run_engine backend ?topology ~procs (with_chaos chaos program)
 
-(* Flat results: on [procs] the producing rank writes its parts, raw,
-   into the pool's staging file, which the parent reads
-   ([Procs.run_flat]); on the in-process engines the producing rank lays
-   them out itself, so the lay-out overlaps the other ranks' teardown
-   (on a 2-vCPU VM, a 1M-key 2-domain sort took ~5 ms longer with the
-   lay-out after the run).  [Scl.Flat.concat] checks the parts'
-   kinds, so a mismatch is that rank's error on every engine.
+(* Flat results.  [procs] and [multicore] have runners of their own:
+   on [procs] the producing rank writes its parts, raw, into the pool's
+   staging file ([Procs.run_flat]); on [multicore] the run's domains
+   share the input copy before the run starts and the result's lay-out
+   after every rank has finished ([Multicore.run_flat]).  On [sim] the
+   input is copied into a buffer of the run's lease before the run and
+   the result laid out after it, each over one range.  Every engine
+   checks a part's kind in the rank that returns it, so a mismatch is
+   that rank's error.
 
    On the in-process engines each rank's engine is also wrapped, beneath
    any Chaos wrapper, to lend [Comm.workspace] buffers from the
-   run-scoped free list ([Workspace]), and rank 0's to hold the input,
-   copied into one of them.  The result is already laid out in fresh
-   storage when the run returns, so the run's buffers go back to the
-   free list then; a run that raises drops them instead, since a rank
-   may have left a view of one anywhere.  Procs ranks do the same in
-   their own processes. *)
+   run-scoped free list ([Workspace]), and rank 0's to hold the input.
+   The result is laid out in fresh storage by the time the run returns,
+   so the run's buffers go back to the free list then; a run that
+   raises drops them instead, since a rank may have left a view of one
+   anywhere.  Procs ranks do the same in their own processes. *)
 let run_flat (type s k e) (backend : s Backend.t) ?topology ?chaos ~procs
     ~(kind : (k, e) Bigarray.kind) ?(input : k array option)
     (program : Comm.t -> (k, e) Engine.slice array option) : k array * s =
+  let program = with_chaos chaos program in
   match backend with
   | Backend.Procs ->
       Obs.Span.timed obs_wall (fun () ->
           if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-          Procs.run_flat ?topology ~procs ~kind ?input (with_chaos chaos program))
-  | Backend.Sim _ | Backend.Multicore _ ->
+          Procs.run_flat ?topology ~procs ~kind ?input program)
+  | Backend.Multicore { domains } ->
+      Obs.Span.timed obs_wall (fun () ->
+          if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
+          Multicore.run_flat ?domains ?topology ~procs ~kind ?input program)
+  | Backend.Sim _ ->
       Engine.check_kind "Spmd.run_flat" kind;
       let lease = Workspace.lease () in
-      let laid_out comm = Option.map (Scl.Flat.concat kind) (program comm) in
-      let r =
+      let input =
+        Option.map
+          (fun a -> Scl.Flat.of_array ~into:(Workspace.lend_input lease kind (Array.length a)) kind a)
+          input
+      in
+      let parts, stats =
         run_engine backend ?topology ~procs (fun eng ->
             let eng = Workspace.wrap lease eng in
-            let eng =
-              match input with
-              | Some a when eng.Engine.rank = 0 ->
-                  (* a copy: the program may sort it in place, and the
-                     caller's array must not change *)
-                  let into = Comm.workspace (Comm.world eng) kind (Array.length a) in
-                  Engine.with_input eng (Scl.Flat.of_array ~into kind a)
-              | _ -> eng
-            in
-            with_chaos chaos laid_out eng)
+            let eng = match input with Some s when eng.Engine.rank = 0 -> Engine.with_input eng s | _ -> eng in
+            Option.map (Engine.check_parts "Spmd.run_flat" kind) (program eng))
       in
+      let r = Scl.Flat.concat kind parts in
       Workspace.release lease;
-      r
+      (r, stats)

@@ -54,17 +54,20 @@ val run_flat :
     On [Backend.procs] the producing child blits its parts into the
     pool's staging file and this process reads them back as raw words
     ({!Machine.Procs.run_flat}): nothing is marshalled and the child
-    never builds the whole array. On [sim] and [multicore] each
-    producing rank lays its parts out with {!Scl.Flat.concat} and the
-    array comes back by {!run}. Results, the lowest-rank rule and error
-    precedence are the same on every engine.
+    never builds the whole array. On [multicore], once every rank has
+    finished, the run's domains lay the parts out together before they
+    are joined ({!Machine.Multicore.run_flat}); on [sim] they are laid
+    out with {!Scl.Flat.concat} after the run. Results, the lowest-rank
+    rule and error precedence are the same on every engine: a part's
+    kind is checked in the rank that returns it.
 
     [?input] is handed to rank 0 as {!Machine.Comm.input}, already in a
-    workspace buffer of that rank's own: on [sim] and [multicore] it is
-    copied in at the start of rank 0's program; on [procs] it is written
-    as raw words into the pool's staging file and rank 0 copies it from
-    its mapping of the file into the buffer (it never rides inside the
-    program's image). Either way the caller's array is never modified.
+    workspace buffer of the run's: on [multicore] the run's domains copy
+    it in together before any rank starts; on [sim] it is copied in
+    before the run; on [procs] it is written as raw words into the
+    pool's staging file and rank 0 copies it from its mapping of the
+    file into the buffer (it never rides inside the program's image).
+    Either way the caller's array is never modified.
 
     {!Machine.Comm.workspace} lends from a run-scoped free list
     ({!Machine.Workspace}): buffers earlier runs used, the smallest that

@@ -758,11 +758,97 @@ let float_part ~len r : Scl.Flat.float1 =
 
 let float_bits a = Array.map Int64.bits_of_float a
 
+(* The bulk ends of [Spmd.run_flat] ([Multicore.run_flat] shares them
+   among its domains in ranges): an input at lengths 0 to 3 and 2^20 + 3
+   copied in and laid out again, with rank 0 changing its copy in place;
+   parts empty, of length 1, and straddling the 2^16-element blocks and
+   the halves of their total; float64 bit patterns (NaN payloads, -0.0,
+   subnormals) both ways; and p = 8, scattered and gathered back and,
+   with rank 0 producing nothing, the lowest producing rank's block, on
+   2 domains and on 1 on multicore.  The caller's array never changes. *)
+let flat_ends (type s) ?chaos (backend : s Backend.t) =
+  let name what = Printf.sprintf "%s %s" (Backend.name backend) what in
+  let key i = (i + 1) * 0x2545F4914F6CDD1D in
+  List.iter
+    (fun n ->
+      let a = Array.init n key in
+      let v, _ =
+        Spmd.run_flat backend ?chaos ~procs:2 ~kind:Scl.Flat.int ~input:a (fun c ->
+            match Comm.input c Scl.Flat.int with
+            | Some (s : Scl.Flat.int1) ->
+                for i = 0 to Scl.Flat.length s - 1 do
+                  Scl.Flat.set s i (Scl.Flat.get s i lxor 1)
+                done;
+                Some [| s |]
+            | None -> None)
+      in
+      Alcotest.(check bool) (name (Printf.sprintf "input of %d, changed by rank 0" n)) true
+        (v = Array.init n (fun i -> key i lxor 1));
+      Alcotest.(check bool) (name (Printf.sprintf "caller's %d unchanged" n)) true (a = Array.init n key))
+    [ 0; 1; 2; 3; (1 lsl 20) + 3 ];
+  let lens = [ 0; 1; 65_535; 1; 0; 65_537; 3; 0; 1 ] in
+  let v, _ =
+    Spmd.run_flat backend ?chaos ~procs:2 ~kind:Scl.Flat.int (fun c ->
+        if Comm.rank c = 0 then Some (Array.of_list (List.mapi (fun r len -> int_part ~len r) lens))
+        else None)
+  in
+  Alcotest.(check bool) (name "empty, length-1 and straddling parts") true
+    (v = Array.concat (List.mapi (fun r len -> Scl.Flat.to_array (int_part ~len r)) lens));
+  let patterns =
+    [|
+      0x7FF8_0000_0000_0001L (* quiet NaN, payload 1 *);
+      0xFFF8_DEAD_BEEF_0001L (* negative NaN, long payload *);
+      0x7FF0_0000_0000_0001L (* signalling NaN *);
+      0x8000_0000_0000_0000L (* -0.0 *);
+      0x0000_0000_0000_0001L (* least subnormal *);
+      0xFFF0_0000_0000_0000L (* -infinity *);
+      0x3FF0_0000_0000_0001L;
+    |]
+  in
+  let bits = Array.init ((2 * 65_536) + 5) (fun i -> patterns.(i mod Array.length patterns)) in
+  let floats = Array.map Int64.float_of_bits bits in
+  let v, _ =
+    Spmd.run_flat backend ?chaos ~procs:2 ~kind:Scl.Flat.float64 ~input:floats (fun c ->
+        Option.map (fun (s : Scl.Flat.float1) -> [| s |]) (Comm.input c Scl.Flat.float64))
+  in
+  Alcotest.(check bool) (name "float64 bits in and out") true (float_bits v = bits);
+  Alcotest.(check bool) (name "caller's float64 bits unchanged") true (float_bits floats = bits);
+  let n = 100_003 in
+  let a = Array.init n key in
+  let backends : s Backend.t list =
+    match backend with
+    | Backend.Multicore _ -> [ Backend.multicore ~domains:2 (); Backend.multicore ~domains:1 () ]
+    | _ -> [ backend ]
+  in
+  List.iter
+    (fun (b : s Backend.t) ->
+      let on what =
+        match b with
+        | Backend.Multicore { domains = Some d } -> name (Printf.sprintf "p=8 %s, %d domains" what d)
+        | _ -> name ("p=8 " ^ what)
+      in
+      let block c = Comm.scatter_slice c ~root:0 (Comm.input c Scl.Flat.int) in
+      let v, _ =
+        Spmd.run_flat b ?chaos ~procs:8 ~kind:Scl.Flat.int ~input:a (fun c ->
+            let (mine : Scl.Flat.int1) = block c in
+            Comm.gather_slices c ~root:0 mine)
+      in
+      Alcotest.(check bool) (on "scattered and gathered") true (v = a);
+      let v, _ =
+        Spmd.run_flat b ?chaos ~procs:8 ~kind:Scl.Flat.int ~input:a (fun c ->
+            let (mine : Scl.Flat.int1) = block c in
+            if Comm.rank c = 0 then None else Some [| mine |])
+      in
+      (* rank 1's block: [n / 8 + 1] elements from [n / 8 + 1], as 8 does not divide n *)
+      Alcotest.(check bool) (on "lowest producing rank") true (v = Array.sub a ((n / 8) + 1) ((n / 8) + 1));
+      Alcotest.(check bool) (on "caller's array unchanged") true (a = Array.init n key))
+    backends
+
 (* [Spmd.run_flat]: int and float64 parts gathered to rank 0, one of them
    empty; a total of zero, from empty parts and from no part; a 16 MB
    result, larger than a socket buffer, whose two parts straddle the
-   procs stream's 64 KiB chunks; and the lowest producing rank's parts
-   when rank 0 produces none. *)
+   procs stream's 64 KiB chunks; the lowest producing rank's parts
+   when rank 0 produces none; and [flat_ends]'s inputs. *)
 let flat_results ?chaos backend =
   let name what = Printf.sprintf "%s %s" (Backend.name backend) what in
   let gathered ~procs ~kind part =
@@ -798,7 +884,8 @@ let flat_results ?chaos backend =
         if r = 0 then None else Some [| int_part ~len:r r |])
   in
   Alcotest.(check (array int)) (name "lowest producing rank") (Scl.Flat.to_array (int_part ~len:1 1))
-    lowest
+    lowest;
+  flat_ends ?chaos backend
 
 (* A kind mismatch is [Invalid_argument] on every engine, and a rank's
    exception keeps its precedence over a flat result: the root cause of
@@ -835,6 +922,16 @@ let flat_result_errors ?chaos backend =
       | 0 -> Some [| int_part ~len:(1 lsl 16) 0 |]
       | 1 -> failwith "boom"
       | r -> Some [| int_part ~len:3 r |])
+
+(* Rank 0 returns its parts while rank 1 waits on it forever: the run
+   must end in [Deadlock] within a second, not wait for rank 1 to finish
+   before it lays out the result. *)
+let flat_result_deadlock ?chaos backend =
+  ignore
+    (deadlock_within_a_second "rank 0 produced, rank 1 waits forever" (fun () ->
+         Spmd.run_flat backend ?chaos ~procs:2 ~kind:Scl.Flat.int ~input:[| 1; 2; 3 |] (fun c ->
+             if Comm.rank c = 1 then ignore ((Comm.engine c).Engine.recv ~src:0 ~tag:0 () : int);
+             Some [| int_part ~len:3 (Comm.rank c) |])))
 
 (* [Spmd.run_flat ~input]: rank 0 alone gets the input, in a buffer of
    its own (on procs, more than one stream chunk of it), so negating it
@@ -933,6 +1030,7 @@ let contract_group backend =
       Alcotest.test_case "finished peer holding my message" `Quick (fun () ->
           finished_peer_holds_message backend);
       Alcotest.test_case "bcast against allreduce" `Quick (fun () -> bcast_against_allreduce backend);
+      Alcotest.test_case "flat result deadlock" `Quick (fun () -> flat_result_deadlock backend);
     ] )
 
 (* --- every value-level case under a chaos schedule ------------------------ *)
@@ -955,6 +1053,7 @@ let value_cases ~chaos backend =
     ("flat results", fun () -> flat_results ~chaos backend);
     ("flat result errors", fun () -> flat_result_errors ~chaos backend);
     ("short slices equal sim", fun () -> short_slices_equal_sim ~chaos backend);
+    ("flat result deadlock", fun () -> flat_result_deadlock ~chaos backend);
   ]
 
 (* The value-level cases under the zero-fault wrap ("chaos-none") and

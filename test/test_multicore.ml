@@ -366,7 +366,21 @@ let test_failed_spawn_releases_domains () =
   | _ -> Alcotest.fail "expected a refused spawn"
   | exception Failure _ -> ());
   let v, _ = Multicore.run_collect ~domains:2 ~procs:2 (fun eng -> Some eng.Engine.size) in
-  Alcotest.(check int) "a later run still spawns" 2 v
+  Alcotest.(check int) "a later run still spawns" 2 v;
+  (* [run_flat]'s domains also wait at its lay-out barriers, which a
+     refused spawn must open too *)
+  let input = Array.init 1_000 Fun.id in
+  (match
+     Multicore.run_flat ~domains:129 ~procs:129 ~kind:Scl.Flat.int ~input (fun eng ->
+         Option.map (fun s -> [| s |]) (eng.Engine.input Scl.Flat.int))
+   with
+  | _ -> Alcotest.fail "expected a refused spawn (run_flat)"
+  | exception Failure _ -> ());
+  let v, _ =
+    Multicore.run_flat ~domains:2 ~procs:2 ~kind:Scl.Flat.int ~input (fun eng ->
+        Option.map (fun s -> [| s |]) (eng.Engine.input Scl.Flat.int))
+  in
+  Alcotest.(check bool) "a later run_flat still spawns" true (v = input)
 
 (* Last: it fills the domain table. *)
 let suite =

@@ -768,6 +768,52 @@ let test_flat_fallback_kind () =
   Flat.set fi 10 0l;
   Alcotest.(check bool) "equal sees a difference" false (Flat.equal fa fi)
 
+(* [copy_in] and [lay_out] over every range of a few small parts, empty
+   ones included: each stores exactly its window, equal there to the
+   whole-range [concat], and leaves the rest of its destination alone;
+   float64 bits (NaN payloads, -0.0) survive both; a window outside
+   either array, and a kind [lay_out] does not specialise, are
+   [Invalid_argument]. *)
+let test_flat_ranged_copies () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let parts =
+    Array.mapi (fun r len -> Flat.init Flat.int len (fun i -> (100 * r) + i)) [| 0; 1; 3; 0; 2; 5 |]
+  in
+  let whole = Flat.concat Flat.int parts in
+  let n = Array.length whole in
+  let window pos len = Array.init n (fun i -> if i >= pos && i < pos + len then whole.(i) else -1) in
+  for pos = 0 to n do
+    for len = 0 to n - pos do
+      let out = Array.make n (-1) in
+      Flat.lay_out Flat.int parts out ~pos ~len;
+      Alcotest.(check (array int)) (Printf.sprintf "lay_out %d+%d" pos len) (window pos len) out;
+      let into = Flat.make Flat.int n (-1) in
+      Flat.copy_in whole ~into ~pos ~len;
+      Alcotest.(check (array int)) (Printf.sprintf "copy_in %d+%d" pos len) (window pos len)
+        (Flat.to_array into)
+    done
+  done;
+  let bits = [| 0x7FF8_0000_0000_0001L; 0xFFF8_DEAD_BEEF_0001L; 0x8000_0000_0000_0000L; 1L; 7L |] in
+  let floats = Array.map Int64.float_of_bits bits in
+  let into = Flat.create Flat.float64 5 in
+  Flat.copy_in floats ~into ~pos:0 ~len:2;
+  Flat.copy_in floats ~into ~pos:2 ~len:3;
+  let out = Flat.create_array Flat.float64 5 in
+  let halves = [| Flat.sub_view into ~pos:0 ~len:3; Flat.sub_view into ~pos:3 ~len:2 |] in
+  Flat.lay_out Flat.float64 halves out ~pos:1 ~len:4;
+  Flat.lay_out Flat.float64 halves out ~pos:0 ~len:1;
+  Alcotest.(check (array int64)) "float64 bits both ways" bits (Array.map Int64.bits_of_float out);
+  raises "lay_out past the parts" (fun () -> Flat.lay_out Flat.int parts (Array.make (n + 1) 0) ~pos:1 ~len:n);
+  raises "lay_out past out" (fun () -> Flat.lay_out Flat.int parts (Array.make 2 0) ~pos:0 ~len:3);
+  raises "lay_out negative pos" (fun () -> Flat.lay_out Flat.int parts whole ~pos:(-1) ~len:1);
+  raises "lay_out float32" (fun () -> Flat.lay_out Bigarray.float32 [||] [||] ~pos:0 ~len:0);
+  raises "copy_in past into" (fun () -> Flat.copy_in whole ~into:(Flat.create Flat.int 2) ~pos:1 ~len:2);
+  raises "copy_in past src" (fun () -> Flat.copy_in [| 1 |] ~into:(Flat.create Flat.int 4) ~pos:0 ~len:2)
+
 (* --- Flat_exec (unboxed host kernels) ---------------------------------------------
 
    The boxed skeletons are the executable specification. Operands are
@@ -1552,6 +1598,7 @@ let () =
           Alcotest.test_case "view aliasing discipline" `Quick test_flat_views_alias;
           Alcotest.test_case "accessors bounds-checked" `Quick test_flat_accessors_checked;
           Alcotest.test_case "fallback kind (int32)" `Quick test_flat_fallback_kind;
+          Alcotest.test_case "ranged copies, every range" `Quick test_flat_ranged_copies;
         ] );
       ( "flat_exec",
         [
