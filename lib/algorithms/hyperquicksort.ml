@@ -125,8 +125,8 @@ type ('i, 'a, 'r) tier = {
 (* One processor's SPMD program, written once for both tiers: the message
    schedule and every flops charge are the same whichever tier holds the
    keys.  Its trace notes regenerate the paper's Figure 2 when the run
-   records a trace; they cost no simulated time and are no-ops on the
-   real engines. *)
+   records a trace; they cost no simulated time and are no-ops on an
+   untraced run. *)
 let hqs_program (t : ('i, 'a, 'r) tier) (data : 'i option) (comm : Comm.t) : 'r option =
   let d = log2_exact (Comm.size comm) in
   let say fmt = Printf.ksprintf (Comm.note comm) fmt in

@@ -16,8 +16,9 @@ type _ t =
       (** Real forked OS processes ({!Procs}); see its fork-safety note. *)
 
 val sim : ?cost:Cost_model.t -> ?trace:Trace.t -> unit -> Sim.stats t
-(** Cost model defaults to {!Cost_model.ap1000}; with [?trace], the run
-    records its events and notes there. *)
+(** Cost model defaults to {!Cost_model.ap1000}; with [?trace], every
+    rank's engine is wrapped in {!Trace.run}, beneath any [Chaos] or
+    workspace wrapper, so the run records its events and notes there. *)
 
 val multicore : ?domains:int -> unit -> Multicore.stats t
 (** [?domains] defaults to {!Multicore.default_domains}. *)

@@ -51,7 +51,8 @@ val time : t -> float
 (** The engine's clock: simulated seconds or wall seconds. *)
 
 val note : t -> string -> unit
-(** Trace annotation (simulator only; no-op elsewhere). *)
+(** Trace annotation: recorded when the rank's engine is wrapped in
+    {!Trace.run} (a [Backend.sim ~trace] run), a no-op otherwise. *)
 
 val workspace : t -> ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice
 (** [workspace t kind n]: a length-[n] buffer of [kind] for this rank's

@@ -64,7 +64,9 @@ type t = {
           multicore engine. For pacing arrival processes and membership
           away-time in long-lived programs. *)
   time : unit -> float;  (** Engine clock: simulated or wall seconds. *)
-  note : string -> unit;  (** Trace annotation (no-op on real engines). *)
+  note : string -> unit;
+      (** Trace annotation: a no-op on every engine; {!Trace.run} wraps
+          it to record a [Note]. *)
   workspace : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) slice;
       (** [workspace kind n]: a length-[n] flat buffer (contents
           unspecified) for this rank's use, valid until the run returns;

@@ -2,7 +2,7 @@
 
    Each virtual processor is a coroutine (an OCaml 5 fiber) running its
    rank's program against an [Engine.t].  Non-blocking actions (send,
-   work, sleep, time, note) mutate the simulator state directly; a
+   work, sleep, time) mutate the simulator state directly; a
    receive — always, even when a matching packet is already buffered — is
    performed as an effect so the scheduler can capture the continuation
    and arbitrate globally over who acts next.
@@ -32,7 +32,6 @@ type packet = {
   pkt_tag : int;
   payload : Obj.t;
   marshalled : bool;
-  bytes : int;
   arrival : float;
   pkt_seq : int;
 }
@@ -65,7 +64,6 @@ type t = {
   topology : Topology.t;
   cost : Cost_model.t;
   procs : proc array;
-  trace : Trace.t;
   mutable seq : int;
 }
 
@@ -98,11 +96,10 @@ let op_sleep = op "sleep"
 
 (* --- the rank's primitives --------------------------------------------- *)
 
-let work sim me d =
+let work me d =
   Engine.check_duration op_work d;
   me.clock <- me.clock +. d;
-  me.work_time <- me.work_time +. d;
-  Trace.record sim.trace ~time:me.clock ~proc:me.rank (Trace.Work d)
+  me.work_time <- me.work_time +. d
 
 (* Idle time: the clock moves but [work_time] does not, so imbalance
    diagnostics keep meaning "compute skew", not "who slept". *)
@@ -126,14 +123,13 @@ let send_as op sim me ~dest ~tag ?bytes v =
   let hops = Topology.hops sim.topology ~procs:sim.size ~src:me.rank ~dest in
   let arrival = me.clock +. Cost_model.transfer_time c ~hops ~bytes:nbytes in
   let pkt =
-    { pkt_src = me.rank; pkt_tag = tag; payload; marshalled; bytes = nbytes; arrival; pkt_seq = sim.seq }
+    { pkt_src = me.rank; pkt_tag = tag; payload; marshalled; arrival; pkt_seq = sim.seq }
   in
   sim.seq <- sim.seq + 1;
   let dst = sim.procs.(dest) in
   dst.inbox <- dst.inbox @ [ pkt ];
   me.msgs_sent <- me.msgs_sent + 1;
-  me.bytes_sent <- me.bytes_sent + nbytes;
-  Trace.record sim.trace ~time:me.clock ~proc:me.rank (Trace.Send { dest; tag; bytes = nbytes })
+  me.bytes_sent <- me.bytes_sent + nbytes
 
 let matches ~want_src ~want_tag pkt =
   (match want_src with None -> true | Some s -> pkt.pkt_src = s)
@@ -170,9 +166,7 @@ let remove_packet p pkt = p.inbox <- List.filter (fun q -> q.pkt_seq <> pkt.pkt_
 let deliver sim (p : proc) pkt =
   remove_packet p pkt;
   p.clock <- Float.max p.clock pkt.arrival +. sim.cost.Cost_model.recv_overhead;
-  p.msgs_recvd <- p.msgs_recvd + 1;
-  Trace.record sim.trace ~time:p.clock ~proc:p.rank
-    (Trace.Recv { src = pkt.pkt_src; tag = pkt.pkt_tag; bytes = pkt.bytes })
+  p.msgs_recvd <- p.msgs_recvd + 1
 
 let decode : type a. packet -> a =
  fun pkt ->
@@ -217,31 +211,26 @@ let engine sim me : Engine.t =
         send_as op_send_slice sim me ~dest ~tag ~bytes:(Bigarray.Array1.size_in_bytes s) c);
     recv_slice =
       (fun ?timeout ~src ~tag () -> decode (recv_as op_recv_slice sim me ~src ~tag timeout));
-    work = work sim me;
+    work = work me;
     sleep = sleep me;
     time = (fun () -> me.clock);
-    note = (fun msg -> Trace.record sim.trace ~time:me.clock ~proc:me.rank (Trace.Note msg));
+    note = ignore;
     workspace = Engine.fresh;
     input = Engine.no_input;
   }
 
 (* --- scheduler --------------------------------------------------------- *)
 
-let make_handler sim p : (unit, unit) Effect.Deep.handler =
+let make_handler p : (unit, unit) Effect.Deep.handler =
   {
-    Effect.Deep.retc =
-      (fun () ->
-        p.finished <- true;
-        Trace.record sim.trace ~time:p.clock ~proc:p.rank Trace.Finish);
+    Effect.Deep.retc = (fun () -> p.finished <- true);
     exnc =
       (fun e ->
         match e with
         | Fault.Crashed _ ->
             (* fail-stop: this rank ends here; the run continues *)
             p.finished <- true;
-            p.crashed <- true;
-            Trace.record sim.trace ~time:p.clock ~proc:p.rank (Trace.Note "crashed");
-            Trace.record sim.trace ~time:p.clock ~proc:p.rank Trace.Finish
+            p.crashed <- true
         | e -> raise e);
     effc =
       (fun (type a) (eff : a Effect.t) ->
@@ -330,7 +319,6 @@ let schedule sim =
         in
         p.blocked <- Not_blocked;
         p.clock <- t;
-        Trace.record sim.trace ~time:p.clock ~proc:p.rank (Trace.Note "recv timeout");
         Effect.Deep.discontinue k
           (Engine.timeout ~rank:p.rank
              ~src:(Option.value want_src ~default:(-1))
@@ -385,17 +373,16 @@ let publish_obs stats =
   end
 
 (* [runner] names the public runner in argument errors. *)
-let run_as runner ?trace ?(cost = Cost_model.ap1000) ?topology ~procs program =
+let run_as runner ?(cost = Cost_model.ap1000) ?topology ~procs program =
   Obs.Span.timed obs_run_span (fun () ->
       Engine.check_procs (op runner) procs;
       let topology = match topology with Some t -> t | None -> Topology.default procs in
       Topology.validate topology ~procs;
-      let trace = match trace with Some t -> t | None -> Trace.disabled () in
-      let sim = { size = procs; topology; cost; procs = Array.init procs fresh_proc; trace; seq = 0 } in
+      let sim = { size = procs; topology; cost; procs = Array.init procs fresh_proc; seq = 0 } in
       Array.iter
         (fun p ->
           p.thunk <-
-            Some (fun () -> Effect.Deep.match_with (program p.rank) (engine sim p) (make_handler sim p)))
+            Some (fun () -> Effect.Deep.match_with (program p.rank) (engine sim p) (make_handler p)))
         sim.procs;
       schedule sim;
       Array.iter
@@ -410,13 +397,12 @@ let run_as runner ?trace ?(cost = Cost_model.ap1000) ?topology ~procs program =
       publish_obs stats;
       stats)
 
-let run_each ?trace ?cost ?topology ~procs program =
-  run_as "run_each" ?trace ?cost ?topology ~procs program
+let run_each ?cost ?topology ~procs program = run_as "run_each" ?cost ?topology ~procs program
 
-let run_collect ?trace ?cost ?topology ~procs program =
+let run_collect ?cost ?topology ~procs program =
   let results = Array.make (max 0 procs) None in
   let stats =
-    run_as "run_collect" ?trace ?cost ?topology ~procs (fun rank eng ->
+    run_as "run_collect" ?cost ?topology ~procs (fun rank eng ->
         results.(rank) <- program eng)
   in
   (Engine.lowest_rank (op "run_collect") results, stats)

@@ -33,30 +33,26 @@ type stats = {
       an older one that would not.
     - [recv_any] takes the earliest arrival, ties to the lowest source
       rank (a deterministic resolution of MPI's nondeterminism).
-    - [time ()] is the processor's simulated clock and [note] records a
-      trace annotation (used for Figure-2 style output).
+    - [time ()] is the processor's simulated clock.
 
     A processor whose program raises {!Fault.Crashed} fail-stops: it is
     marked finished, its undelivered inbox is discarded, and the rest of
     the machine keeps running. Any other exception aborts the run. *)
 
 val run_each :
-  ?trace:Trace.t ->
   ?cost:Cost_model.t ->
   ?topology:Topology.t ->
   procs:int ->
   (int -> Engine.t -> unit) ->
   stats
 (** Run [program rank engine] on every rank. [?cost] defaults to
-    {!Cost_model.ap1000}, [?topology] to {!Topology.default}; with
-    [?trace], the run records its events there.
+    {!Cost_model.ap1000}, [?topology] to {!Topology.default}.
     @raise Invalid_argument if [procs <= 0] or [procs] does not fit the
     topology.
     @raise Fault.Deadlock when no processor can run, or one finished with
     undelivered messages. *)
 
 val run_collect :
-  ?trace:Trace.t ->
   ?cost:Cost_model.t ->
   ?topology:Topology.t ->
   procs:int ->

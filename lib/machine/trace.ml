@@ -1,5 +1,6 @@
-(* Event trace of a simulation run, for debugging and for regenerating the
-   paper's Figure-2-style step-by-step illustrations. *)
+(* Event trace of a run, recorded around each rank's engine ([run]), for
+   debugging and for regenerating the paper's Figure-2-style step-by-step
+   illustrations. *)
 
 type kind =
   | Send of { dest : int; tag : int; bytes : int }
@@ -10,34 +11,74 @@ type kind =
 
 type event = { time : float; proc : int; kind : kind }
 
-type t = { mutable events : event list; enabled : bool }
+type t = { mutable events : event list }
 
-let create () = { events = []; enabled = true }
-
-let disabled () = { events = []; enabled = false }
-
-let record t ~time ~proc kind = if t.enabled then t.events <- { time; proc; kind } :: t.events
+let create () = { events = [] }
 
 let events t =
   List.stable_sort (fun a b -> compare (a.time, a.proc) (b.time, b.proc)) (List.rev t.events)
 
-let length t = List.length t.events
-
-let clear t = t.events <- []
-
-let pp_kind ppf = function
-  | Send { dest; tag; bytes } -> Fmt.pf ppf "send -> p%d (tag %d, %d B)" dest tag bytes
-  | Recv { src; tag; bytes } -> Fmt.pf ppf "recv <- p%d (tag %d, %d B)" src tag bytes
-  | Work d -> Fmt.pf ppf "work %.3g s" d
-  | Note s -> Fmt.pf ppf "note: %s" s
-  | Finish -> Fmt.pf ppf "finish"
-
-let pp_event ppf e = Fmt.pf ppf "[%10.6f] p%-3d %a" e.time e.proc pp_kind e.kind
-
-let pp ppf t = Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_event) (events t)
-
 let notes t =
   List.filter_map (fun e -> match e.kind with Note s -> Some (e.time, e.proc, s) | _ -> None) (events t)
+
+(* A boxed message's bytes as the simulator prices them: its [Marshal]
+   image (a slice's are its [size_in_bytes]). *)
+let marshalled v = Bytes.length (Marshal.to_bytes v [])
+
+let run t program (e : Engine.t) =
+  let proc = e.Engine.rank in
+  let stamp kind = t.events <- { time = e.Engine.time (); proc; kind } :: t.events in
+  (* A receive that expires is recorded at its expiry. *)
+  let receive f =
+    try f () with Fault.Timeout _ as x ->
+      stamp (Note "recv timeout");
+      raise x
+  in
+  let traced =
+    {
+      e with
+      Engine.send =
+        (fun ~dest ~tag v ->
+          e.Engine.send ~dest ~tag v;
+          stamp (Send { dest; tag; bytes = marshalled v }));
+      send_slice =
+        (fun ~dest ~tag s ->
+          e.Engine.send_slice ~dest ~tag s;
+          stamp (Send { dest; tag; bytes = Bigarray.Array1.size_in_bytes s }));
+      recv =
+        (fun ?timeout ~src ~tag () ->
+          let v = receive (fun () -> e.Engine.recv ?timeout ~src ~tag ()) in
+          stamp (Recv { src; tag; bytes = marshalled v });
+          v);
+      recv_slice =
+        (fun ?timeout ~src ~tag () ->
+          let s = receive (fun () -> e.Engine.recv_slice ?timeout ~src ~tag ()) in
+          stamp (Recv { src; tag; bytes = Bigarray.Array1.size_in_bytes s });
+          s);
+      recv_any =
+        (fun ?timeout ?tag () ->
+          let ((src, v) as r) = receive (fun () -> e.Engine.recv_any ?timeout ?tag ()) in
+          stamp (Recv { src; tag = Option.value tag ~default:(-1); bytes = marshalled v });
+          r);
+      work =
+        (fun d ->
+          e.Engine.work d;
+          stamp (Work d));
+      note =
+        (fun msg ->
+          e.Engine.note msg;
+          stamp (Note msg));
+    }
+  in
+  match program traced with
+  | r ->
+      stamp Finish;
+      r
+  | exception (Fault.Crashed _ as x) ->
+      (* fail-stop: the rank ends here *)
+      stamp (Note "crashed");
+      stamp Finish;
+      raise x
 
 (* Chrome trace_event export: load the result into chrome://tracing or
    https://ui.perfetto.dev to see the simulated timeline.  We emit the

@@ -1,4 +1,16 @@
-(** Event traces of simulator runs. *)
+(** Event traces of SPMD runs: a recorder wrapped around each rank's
+    engine ({!run}), shaped like {!Chaos}. Each event is stamped with the
+    engine's clock ([Engine.t.time]) just after the operation returns;
+    sends and receives carry the bytes the simulator prices (the [Marshal]
+    size of a boxed value, [Bigarray.Array1.size_in_bytes] of a slice).
+    Wrapping adds no engine operation, so a traced simulator run keeps
+    the makespan, clocks, messages and bytes of a bare one.
+
+    A [Backend.sim ~trace] run applies {!run} to every rank. A [t] is a
+    plain mutable list and must not be shared across domains: the ranks
+    recording into one must run on one domain, as the simulator's do. A
+    raw [recv_any] without [?tag] is recorded with tag [-1] ([Comm]
+    always passes one). *)
 
 type kind =
   | Send of { dest : int; tag : int; bytes : int }
@@ -12,18 +24,19 @@ type event = { time : float; proc : int; kind : kind }
 type t
 
 val create : unit -> t
-(** A recording trace. *)
+(** An empty trace. *)
 
-val disabled : unit -> t
-(** A trace that drops everything (zero overhead in hot runs). *)
-
-val record : t -> time:float -> proc:int -> kind -> unit
+val run : t -> (Engine.t -> 'a) -> Engine.t -> 'a
+(** [run t program e] runs [program] on [e] wrapped to record into [t],
+    under [e]'s rank: [Send] after each [send]/[send_slice], [Recv] after
+    each [recv]/[recv_slice]/[recv_any], [Work d] after [work d], each
+    [note], and [Finish] when [program] returns. A receive that raises
+    {!Fault.Timeout} records [Note "recv timeout"]; a {!Fault.Crashed}
+    leaving [program] records [Note "crashed"] then [Finish]. Both
+    exceptions propagate. *)
 
 val events : t -> event list
 (** All events sorted by (time, proc). *)
-
-val length : t -> int
-val clear : t -> unit
 
 val notes : t -> (float * int * string) list
 (** Just the [Note] events — what examples print for Figure-2 style output. *)
@@ -37,9 +50,6 @@ val to_chrome : ?pid:int -> t -> Obs.Json.t
 
 val write_chrome : ?pid:int -> string -> t -> unit
 (** [write_chrome path t] writes {!to_chrome} to [path] (compact JSON). *)
-
-val pp : Format.formatter -> t -> unit
-val pp_event : Format.formatter -> event -> unit
 
 val pp_gantt : ?width:int -> Format.formatter -> t -> unit
 (** ASCII timeline, one row per processor ([=] work, [>] send, [<] recv,

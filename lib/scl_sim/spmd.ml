@@ -26,14 +26,18 @@ let with_chaos chaos program eng =
   | None -> program (Comm.world eng)
   | Some spec -> Chaos.run spec (fun e -> program (Comm.world e)) eng
 
-(* Every runner's engine dispatch, over a program on the bare engine. *)
+(* Every runner's engine dispatch, over a program on the bare engine.  A
+   sim backend's trace wraps each rank's bare engine, so it sits beneath
+   any Chaos or Workspace wrapper the program brings: a send Chaos holds
+   is recorded when it is released, as the simulator charges it. *)
 let run_engine (type s a) (backend : s Backend.t) ?topology ~procs
     (program : Engine.t -> a option) : a * s =
   Obs.Span.timed obs_wall (fun () : (a * s) ->
       let topology = match topology with Some t -> t | None -> default_topology procs in
       match backend with
       | Backend.Sim { cost; trace } ->
-          let ((_, stats) as r) = Sim.run_collect ?trace ~cost ~topology ~procs program in
+          let program = match trace with Some t -> Trace.run t program | None -> program in
+          let ((_, stats) as r) = Sim.run_collect ~cost ~topology ~procs program in
           if Obs.enabled () then begin
             Obs.Counter.incr obs_runs;
             Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))

@@ -104,10 +104,11 @@ let test_presets_sane () =
 (* --- Simulator ------------------------------------------------------------- *)
 
 (* One [Engine.t] program on every rank of the simulator, at unit costs on
-   a complete graph unless told otherwise. *)
+   a complete graph unless told otherwise; with [?trace], recorded there. *)
 let simulate ?(procs = 4) ?(topology = Topology.Complete) ?(cost = Cost_model.unit_costs) ?trace
     program =
-  Sim.run_each ?trace ~cost ~topology ~procs (fun _ eng -> program eng)
+  let program = match trace with Some t -> Trace.run t program | None -> program in
+  Sim.run_each ~cost ~topology ~procs (fun _ eng -> program eng)
 
 (* A slice of [n] floats: one message priced at [8 * n] bytes. *)
 let floats n = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout n float_of_int
@@ -802,6 +803,86 @@ let collectives = Prop.Engine_oracle.collectives
 let test_chaos_zero_fault_bit_identical () =
   C.oracle ~only:[ "zero-fault wrap" ] Prop.Engine_oracle.faults sim
 
+(* The trace wrapper adds no engine operation: a traced sim run must give
+   the bare run's values and statistics bit for bit (makespan, every
+   rank's finish and work time, messages, bytes), as the zero-fault Chaos
+   wrap does. *)
+let same_sim_stats name (a : Sim.stats) (b : Sim.stats) =
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check int64) (name ^ ": makespan bits") (Int64.bits_of_float a.Sim.makespan)
+    (Int64.bits_of_float b.Sim.makespan);
+  Alcotest.(check (array int64)) (name ^ ": finish times") (bits a.Sim.finish_times)
+    (bits b.Sim.finish_times);
+  Alcotest.(check (array int64)) (name ^ ": work times") (bits a.Sim.work_times)
+    (bits b.Sim.work_times);
+  Alcotest.(check int) (name ^ ": msgs") a.Sim.total_msgs b.Sim.total_msgs;
+  Alcotest.(check int) (name ^ ": bytes") a.Sim.total_bytes b.Sim.total_bytes
+
+let traced_equals_bare name run =
+  let trace = Trace.create () in
+  let v0, s0 = run sim in
+  let v1, s1 = run (Backend.sim ~trace ()) in
+  Alcotest.(check bool) (name ^ ": values") true (v0 = v1);
+  same_sim_stats name s0 s1;
+  Trace.events trace
+
+let test_trace_wrap_bit_identical () =
+  let evs = traced_equals_bare "collectives" (fun be -> Spmd.run be ~procs:4 collectives) in
+  Alcotest.(check bool) "collectives recorded" true (evs <> []);
+  let keys = Array.init 300 (fun i -> (i * 7919) mod 1000) in
+  let evs =
+    traced_equals_bare "sort_flatint" (fun be -> Algorithms.Hyperquicksort.sort_flatint be ~procs:4 keys)
+  in
+  Alcotest.(check bool) "sort_flatint recorded" true (evs <> []);
+  (* the dynamic farm under delays, with a worker crashing mid-run: its
+     master re-deals the lost job after a grace timeout *)
+  let chaos = { (Chaos.delays ~seed:5 ~prob:0.5 ()) with Chaos.crashes = [ (2, 4) ] } in
+  let spec = Algorithms.Farm_sim.skewed_spec ~njobs:24 ~skew:6 in
+  let evs =
+    traced_equals_bare "farm" (fun be -> Algorithms.Farm_sim.dynamic be ~procs:4 ~grace:0.5 ~chaos spec)
+  in
+  Alcotest.(check bool) "farm crash recorded" true
+    (List.exists (fun e -> e.Trace.proc = 2 && e.Trace.kind = Trace.Note "crashed") evs)
+
+(* Rank 1 computes, sends once, and crashes (Chaos) at its second send;
+   rank 0 takes the first message, then waits for a second that never
+   comes. *)
+let crash_then_timeout c =
+  if Comm.rank c = 1 then begin
+    Comm.work c 1.0;
+    Comm.send c ~dest:0 1;
+    Comm.work c 2.0;
+    Comm.send c ~dest:0 2;
+    None
+  end
+  else begin
+    let first : int = Comm.recv c ~src:1 () in
+    (try ignore (Comm.recv c ~src:1 ~timeout:50.0 () : int) with Fault.Timeout _ -> ());
+    Some first
+  end
+
+let test_trace_crash_and_timeout_notes () =
+  let trace = Trace.create () in
+  let chaos = { Chaos.none with Chaos.crashes = [ (1, 2) ] } in
+  let v, _ =
+    Spmd.run (Backend.sim ~cost:Cost_model.unit_costs ~trace ()) ~procs:2 ~chaos crash_then_timeout
+  in
+  Alcotest.(check int) "first message arrived" 1 v;
+  (* each rank's notes and finish, with the times a run with the
+     simulator's own recording gave *)
+  let marks p =
+    List.filter_map
+      (fun e ->
+        match e.Trace.kind with
+        | Trace.Note s when e.Trace.proc = p -> Some (e.Trace.time, s)
+        | Trace.Finish when e.Trace.proc = p -> Some (e.Trace.time, "finish")
+        | _ -> None)
+      (Trace.events trace)
+  in
+  let pinned = Alcotest.(list (pair (float 0.0) string)) in
+  Alcotest.check pinned "rank 1 crashes at its second send" [ (3.0, "crashed"); (3.0, "finish") ] (marks 1);
+  Alcotest.check pinned "rank 0's receive expires" [ (74.0, "recv timeout"); (74.0, "finish") ] (marks 0)
+
 let test_chaos_delays_value_identical () =
   C.oracle ~seeds:C.delay_seeds ~only:[ "chaos-delay" ] Prop.Engine_oracle.faults sim
 
@@ -1156,6 +1237,9 @@ let suite =
       [
         Alcotest.test_case "zero-fault wrap is bit-identical" `Quick
           test_chaos_zero_fault_bit_identical;
+        Alcotest.test_case "trace wrap is bit-identical" `Quick test_trace_wrap_bit_identical;
+        Alcotest.test_case "trace records crash and timeout" `Quick
+          test_trace_crash_and_timeout_notes;
         Alcotest.test_case "delays preserve collective values" `Quick
           test_chaos_delays_value_identical;
         Alcotest.test_case "same seed replays exactly" `Quick test_chaos_delays_are_deterministic;
