@@ -175,12 +175,14 @@ let tag_name tag =
     else Printf.sprintf "%s#%d" opcode_names.(op) ((tag - tag_space) lsr 4)
   else string_of_int tag
 
-let timeout ~rank ~src ~tag ~deadline =
+let describe_recv ~src ~tag ~any_tag =
+  Printf.sprintf "recv(src=%s, tag=%s)"
+    (if src < 0 then "any" else string_of_int src)
+    (if any_tag then "any" else tag_name tag)
+
+let timeout ~rank ~src ~tag ~any_tag ~deadline =
   Fault.Timeout
-    (Printf.sprintf "p%d: recv(src=%s, tag=%s) deadline %.6f elapsed" rank
-       (if src < 0 then "any" else string_of_int src)
-       (match tag with None -> "any" | Some t -> tag_name t)
-       deadline)
+    (Printf.sprintf "p%d: %s deadline %.6f elapsed" rank (describe_recv ~src ~tag ~any_tag) deadline)
 
 (* Undelivered messages after a clean finish are a protocol bug; callers
    skip crashed ranks, whose lost traffic is what fail-stop means. *)

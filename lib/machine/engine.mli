@@ -168,9 +168,14 @@ val tag_name : int -> string
     a [Comm.send ~tag:u]'s, the number for any other. Allocates: call it
     only on the way to an error. *)
 
-val timeout : rank:int -> src:int -> tag:int option -> deadline:float -> exn
-(** The {!Fault.Timeout} of [rank]'s receive from [src] ([-1]: any) on
-    [tag] (named by {!tag_name}). *)
+val describe_recv : src:int -> tag:int -> any_tag:bool -> string
+(** A receive as every engine's blocked-rank and timeout reports print
+    it: ["recv(src=<src>, tag=<tag>)"], the source ["any"] for [src = -1]
+    and the tag ["any"] for [any_tag], else named by {!tag_name}. *)
+
+val timeout : rank:int -> src:int -> tag:int -> any_tag:bool -> deadline:float -> exn
+(** The {!Fault.Timeout} of [rank]'s receive, ["p<rank>: "] and its
+    {!describe_recv} then ["deadline <deadline> elapsed"]. *)
 
 val check_undelivered : rank:int -> count:int -> src:int -> tag:int -> unit
 (** Finish check of a rank left with [count] unreceived messages, the

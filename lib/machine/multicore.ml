@@ -13,25 +13,24 @@
    the same loop on the calling domain by 0.3 MB).
 
    Message fabric:
-   - one tagged mailbox per rank: a mutex-protected ring of parallel
-     (src, tag, payload) arrays.  Per-sender push order is preserved, and
-     a consumer drains the whole ring under one lock acquisition;
-   - each rank drains its mailbox into a consumer-local pending ring and
-     matches (src, tag) against it in arrival order, which yields exactly
-     MPI's non-overtaking rule: FIFO per (source, tag);
+   - two [Mailbox]es per rank: [mbox], which senders push into under
+     [mbox_mu], and the consumer-local [pending], into which the rank
+     drains the whole of [mbox] under one lock acquisition.  Receives
+     match against [pending] ([Mailbox.find]), so FIFO per (source, tag)
+     is [Mailbox]'s rule;
    - payloads move zero-copy by reference ([Obj.repr]/[Obj.obj]): the
      sender must not mutate a value after sending it;
    - blocked receives park the fiber with an effect; when every rank on a
      domain is parked the domain spins with [Runtime.Backoff], then sleeps
      on its doorbell (a condvar rung by senders targeting its ranks).
 
-   The send/recv hot paths are allocation-free in steady state: the rings
-   are parallel scalar arrays (no per-message packet record, no list cell,
-   no [Some] boxing — [Mpmc_queue.try_pop]'s option per poll was measured
-   GC pressure), matches are returned through mutable scratch fields on
-   the rank state, receive patterns are plain ints with sentinels
-   (src = -1 for any; a bool for any-tag; [infinity] for no deadline)
-   rather than option values, and ring growth is amortised doubling.  The
+   The send/recv hot paths are allocation-free in steady state: the
+   mailboxes are parallel scalar arrays (no per-message packet record, no
+   list cell, no [Some] boxing — [Mpmc_queue.try_pop]'s option per poll
+   was measured GC pressure), a match is a position and its source is
+   returned through a mutable scratch field on the rank state, receive
+   patterns are plain ints with sentinels (src = -1 for any; a bool for
+   any-tag; [infinity] for no deadline) rather than option values.  The
    only steady-state allocation left is the effect-handler machinery when
    a fiber actually parks — a receive satisfied from pending or by a
    drain performs no effect and allocates nothing.  [Gc] minor-word
@@ -50,61 +49,6 @@
    domain to fall asleep performs the check, as does every domain on exit
    (covering the case where the only potential sender finishes). *)
 
-(* A FIFO ring of messages in parallel scalar arrays.  [pay] is created
-   from an immediate, so it is a pointer array (never a float array) and
-   generic stores are plain writes.  Capacity is a power of two; growth
-   doubles and compacts to head = 0. *)
-module Ring = struct
-  type t = {
-    mutable src : int array;
-    mutable tag : int array;
-    mutable pay : Obj.t array;
-    mutable head : int;  (* position of the oldest entry *)
-    mutable count : int;
-  }
-
-  let nil = Obj.repr 0
-
-  let create () =
-    { src = Array.make 16 0; tag = Array.make 16 0; pay = Array.make 16 nil; head = 0; count = 0 }
-
-  let cap r = Array.length r.src
-
-  let grow r =
-    let c = cap r in
-    let nsrc = Array.make (2 * c) 0
-    and ntag = Array.make (2 * c) 0
-    and npay = Array.make (2 * c) nil in
-    let m = c - 1 in
-    for j = 0 to r.count - 1 do
-      let p = (r.head + j) land m in
-      nsrc.(j) <- r.src.(p);
-      ntag.(j) <- r.tag.(p);
-      npay.(j) <- r.pay.(p)
-    done;
-    r.src <- nsrc;
-    r.tag <- ntag;
-    r.pay <- npay;
-    r.head <- 0
-
-  let push r src tag pay =
-    if r.count = cap r then grow r;
-    let i = (r.head + r.count) land (cap r - 1) in
-    Array.unsafe_set r.src i src;
-    Array.unsafe_set r.tag i tag;
-    Array.unsafe_set r.pay i pay;
-    r.count <- r.count + 1
-
-  (* Drop everything, releasing payload references. *)
-  let clear r =
-    let m = cap r - 1 in
-    for j = 0 to r.count - 1 do
-      r.pay.((r.head + j) land m) <- nil
-    done;
-    r.head <- 0;
-    r.count <- 0
-end
-
 type park =
   | Ready of (unit -> unit)
   | Running
@@ -115,17 +59,14 @@ type park =
 
 type rstate = {
   rk : int;
-  mbox : Ring.t;  (* producers push under [mbox_mu]; consumer drains *)
+  mbox : Obj.t Mailbox.t;  (* producers push under [mbox_mu]; consumer drains *)
   mbox_mu : Mutex.t;
-  pending : Ring.t;  (* drained, unmatched; arrival order; consumer-local *)
+  pending : Obj.t Mailbox.t;  (* drained, unmatched; consumer-local *)
   mutable park : park;
   mutable crashed : bool;  (* fail-stopped via Fault.Crashed *)
   mutable sent : int;  (* single-writer: only this rank's fiber *)
   mutable received : int;
-  (* match scratch: [take_pending] returns the matched packet here so the
-     hot path allocates no option or tuple *)
-  mutable last_src : int;
-  mutable last_pay : Obj.t;
+  mutable last_src : int;  (* [take]'s source: the hot path allocates no tuple *)
   (* parked-receive pattern, valid while [park = Waiting _]: want_src = -1
      means any source; want_any covers any tag; deadline = infinity means
      none (absolute wall-clock seconds since t0 otherwise) *)
@@ -179,6 +120,9 @@ type stats = {
 
 type _ Effect.t += E_wait : Obj.t Effect.t
 
+(* What fills a mailbox's empty slots. *)
+let nil = Obj.repr 0
+
 (* ------------------------------------------------------------ observability *)
 
 let obs_runs = Obs.Counter.make "mc.runs"
@@ -198,76 +142,17 @@ let obs_run_span = Obs.Span.make "mc.run_wall"
 
 (* ------------------------------------------------------------ message fabric *)
 
-(* Position (from the head) of the oldest pending packet matching (src,
-   tag, any_tag), or -1.  Because the pending ring is in mailbox (arrival)
-   order and each sender's pushes are ordered, the first match is the
-   oldest from its (source, tag). *)
-let[@inline] find_pending st ~src ~tag ~any_tag =
-  let r = st.pending in
-  let m = Ring.cap r - 1 in
-  let n = r.Ring.count in
-  let found = ref (-1) in
-  let j = ref 0 in
-  while !found < 0 && !j < n do
-    let p = (r.Ring.head + !j) land m in
-    if
-      (src = -1 || Array.unsafe_get r.Ring.src p = src)
-      && (any_tag || Array.unsafe_get r.Ring.tag p = tag)
-    then found := !j
-    else incr j
-  done;
-  !found
+(* Take pending message [i], its source into [st.last_src]. *)
+let take st i =
+  st.last_src <- Mailbox.src st.pending i;
+  Mailbox.take st.pending i
 
-(* Remove the oldest matching pending packet; the result is returned
-   through [st.last_src]/[st.last_pay].  The usual match is at the head,
-   so the gap-closing shift is almost always empty; either way it blits in
-   place and allocates nothing. *)
-let take_pending st ~src ~tag ~any_tag =
-  let found = find_pending st ~src ~tag ~any_tag in
-  if found < 0 then false
-  else begin
-    let r = st.pending in
-    let m = Ring.cap r - 1 in
-    let p = (r.Ring.head + found) land m in
-    st.last_src <- r.Ring.src.(p);
-    st.last_pay <- r.Ring.pay.(p);
-    let k = ref found in
-    while !k > 0 do
-      let dst = (r.Ring.head + !k) land m and sp = (r.Ring.head + !k - 1) land m in
-      r.Ring.src.(dst) <- r.Ring.src.(sp);
-      r.Ring.tag.(dst) <- r.Ring.tag.(sp);
-      r.Ring.pay.(dst) <- r.Ring.pay.(sp);
-      decr k
-    done;
-    r.Ring.pay.(r.Ring.head) <- Ring.nil;
-    r.Ring.head <- (r.Ring.head + 1) land m;
-    r.Ring.count <- r.Ring.count - 1;
-    true
-  end
-
-(* Move the whole mailbox into the pending ring; the caller holds
-   [mbox_mu].  Returns how many messages moved. *)
-let[@inline] move_mail st =
-  let b = st.mbox in
-  let n = b.Ring.count in
-  if n > 0 then begin
-    let m = Ring.cap b - 1 in
-    for j = 0 to n - 1 do
-      let p = (b.Ring.head + j) land m in
-      Ring.push st.pending b.Ring.src.(p) b.Ring.tag.(p) b.Ring.pay.(p);
-      b.Ring.pay.(p) <- Ring.nil
-    done;
-    b.Ring.head <- 0;
-    b.Ring.count <- 0
-  end;
-  n
-
-(* Move the whole mailbox into the pending ring under one lock acquisition
+(* Move the whole of [mbox] into [pending] under one lock acquisition
    (batched: senders pay one lock per message, the consumer one per
    drain). *)
 let drain fab st =
   Mutex.lock st.mbox_mu;
-  let n = move_mail st in
+  let n = Mailbox.transfer st.mbox ~into:st.pending in
   Mutex.unlock st.mbox_mu;
   if n > 0 then ignore (Atomic.fetch_and_add fab.in_flight (-n))
 
@@ -278,7 +163,7 @@ let drain fab st =
    end-of-run check still finds it in [pending]. *)
 let finish fab st =
   Mutex.lock st.mbox_mu;
-  let n = move_mail st in
+  let n = Mailbox.transfer st.mbox ~into:st.pending in
   st.finished <- true;
   Mutex.unlock st.mbox_mu;
   if n > 0 then ignore (Atomic.fetch_and_add fab.in_flight (-n))
@@ -304,23 +189,19 @@ let describe fab =
     (fun st ->
       let state =
         match st.park with
-        | Finished -> if st.finished && st.pending.Ring.count > 0 then Some "finished" else None
+        | Finished -> if st.finished && Mailbox.length st.pending > 0 then Some "finished" else None
         | Ready _ -> Some "not started"
         | Running -> Some "running"
         | Waiting _ ->
-            Some
-              (Printf.sprintf "recv(src=%s, tag=%s%s)"
-                 (if st.want_src < 0 then "any" else string_of_int st.want_src)
-                 (if st.want_any then "any" else Engine.tag_name st.want_tag)
-                 (if st.deadline < Float.infinity then
-                    Printf.sprintf ", deadline=%.3f" st.deadline
-                  else ""))
+            (* never a deadline: a rank waiting on one keeps its domain
+               polling, so quiescence cannot be declared *)
+            Some (Engine.describe_recv ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any)
       in
       match state with
       | None -> ()
       | Some s ->
           Buffer.add_string buf
-            (Printf.sprintf "p%d: %s, %d pending; " st.rk s st.pending.Ring.count))
+            (Printf.sprintf "p%d: %s, %d pending; " st.rk s (Mailbox.length st.pending)))
     fab.ranks;
   "no runnable processor: " ^ Buffer.contents buf
 
@@ -342,12 +223,12 @@ let send op fab st ~dest ~tag v =
     let live = not d.finished in
     if live then begin
       Atomic.incr fab.in_flight;
-      Ring.push d.mbox st.rk tag (Obj.repr v)
+      Mailbox.push d.mbox ~src:st.rk ~tag (Obj.repr v)
     end
     else
       (* it will never receive: the message waits for the end-of-run
          check, outside [in_flight] *)
-      Ring.push d.pending st.rk tag (Obj.repr v);
+      Mailbox.push d.pending ~src:st.rk ~tag (Obj.repr v);
     Mutex.unlock d.mbox_mu;
     if live then ring fab (dest mod fab.ndomains)
   end
@@ -357,12 +238,14 @@ let send op fab st ~dest ~tag v =
 let sleep_tag = min_int
 
 let recv_packet fab st ~src ~tag ~any_tag ~deadline : Obj.t =
-  if take_pending st ~src ~tag ~any_tag then st.last_pay
+  let i = Mailbox.find st.pending ~src ~tag ~any_tag in
+  if i >= 0 then take st i
   else begin
     drain fab st;
-    if take_pending st ~src ~tag ~any_tag then st.last_pay
+    let i = Mailbox.find st.pending ~src ~tag ~any_tag in
+    if i >= 0 then take st i
     else if deadline < Float.infinity && now fab >= deadline then
-      raise (Engine.timeout ~rank:st.rk ~src ~tag:(if any_tag then None else Some tag) ~deadline)
+      raise (Engine.timeout ~rank:st.rk ~src ~tag ~any_tag ~deadline)
     else begin
       Obs.Counter.incr obs_parks;
       st.want_src <- src;
@@ -447,9 +330,9 @@ let handler fab st : (unit, unit) Effect.Deep.handler =
                pending traffic is discarded and future senders drop *)
             st.crashed <- true;
             st.park <- Finished;
-            Ring.clear st.pending;
+            Mailbox.clear st.pending;
             drain fab st;
-            Ring.clear st.pending
+            Mailbox.clear st.pending
         | e ->
             st.park <- Finished;
             declare fab e);
@@ -466,19 +349,19 @@ let run_rank fab st =
       st.park <- Running;
       Effect.Deep.match_with thunk () (handler fab st)
   | Waiting k ->
-      if take_pending st ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any then begin
+      let i = Mailbox.find st.pending ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any in
+      if i >= 0 then begin
         st.park <- Running;
         (* receive counters are bumped by the engine-side [recv] wrapper
            when [recv_packet] returns into the resumed fiber *)
-        Effect.Deep.continue k st.last_pay
+        Effect.Deep.continue k (take st i)
       end
       else if st.deadline < Float.infinity && now fab >= st.deadline then begin
         (* runnable without a matching packet only because the deadline
            elapsed; delivery always wins when both are possible *)
         st.park <- Running;
         Effect.Deep.discontinue k
-          (Engine.timeout ~rank:st.rk ~src:st.want_src
-             ~tag:(if st.want_any then None else Some st.want_tag)
+          (Engine.timeout ~rank:st.rk ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any
              ~deadline:st.deadline)
       end
       else assert false
@@ -506,7 +389,7 @@ let domain_main fab d (my : rstate array) =
       | Ready _ -> found := !i
       | Waiting _ ->
           drain fab st;
-          if find_pending st ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any >= 0 then
+          if Mailbox.find st.pending ~src:st.want_src ~tag:st.want_tag ~any_tag:st.want_any >= 0 then
             found := !i
           else if st.deadline < Float.infinity && now fab >= st.deadline then found := !i
       | Finished ->
@@ -514,7 +397,7 @@ let domain_main fab d (my : rstate array) =
              in-flight count cannot wedge quiescence detection *)
           if st.crashed then begin
             drain fab st;
-            Ring.clear st.pending
+            Mailbox.clear st.pending
           end
       | Running -> assert false);
       incr i
@@ -612,7 +495,7 @@ let domain_main fab d (my : rstate array) =
     (fun st ->
       if st.crashed then begin
         drain fab st;
-        Ring.clear st.pending
+        Mailbox.clear st.pending
       end)
     my;
   let remaining = Atomic.fetch_and_add fab.active_domains (-1) - 1 in
@@ -661,15 +544,14 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ?ends ~procs
             Array.init procs (fun rk ->
                 {
                   rk;
-                  mbox = Ring.create ();
+                  mbox = Mailbox.create nil;
                   mbox_mu = Mutex.create ();
-                  pending = Ring.create ();
+                  pending = Mailbox.create nil;
                   park = Finished;
                   crashed = false;
                   sent = 0;
                   received = 0;
                   last_src = -1;
-                  last_pay = Ring.nil;
                   want_src = -1;
                   want_tag = 0;
                   want_any = true;
@@ -733,10 +615,7 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ?ends ~procs
       Array.iter
         (fun st ->
           drain fab st;
-          let r = st.pending in
-          if not st.crashed then
-            Engine.check_undelivered ~rank:st.rk ~count:r.Ring.count ~src:r.Ring.src.(r.Ring.head)
-              ~tag:r.Ring.tag.(r.Ring.head))
+          if not st.crashed then Mailbox.check_undelivered st.pending ~rank:st.rk)
         fab.ranks;
       let wall = Obs.Clock.ns_to_s (Obs.Clock.ns_since fab.t0) in
       let stats =

@@ -318,14 +318,12 @@ let window (type k e) st (kind : (k, e) Bigarray.kind) n : (k, e) Engine.slice =
 
 (* -------------------------------------------------------------- child state *)
 
-(* A parsed, not-yet-received message.  One queue in arrival order across
-   all peers: [recv_any] takes the globally oldest match, directed [recv]
-   the oldest on its channel — FIFO per (src, tag) either way. *)
+(* A parsed, not-yet-received message.  One [Mailbox] in arrival order
+   across all peers: [recv_any] takes the globally oldest match, directed
+   [recv] the oldest on its channel — FIFO per (src, tag) either way. *)
 type body =
   | Wire of bytes  (* a [Marshal] image, decoded on receipt *)
   | Copied of Obj.t  (* an arena slice, copied out when its frame was parsed *)
-
-type packet = { k_src : int; k_tag : int; k_body : body }
 
 (* A frame whose header is parsed but whose payload, allocated at its
    final size, is still arriving. *)
@@ -357,7 +355,7 @@ type cstate = {
   c_alloc : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice;
       (* storage for an arena slice's copy *)
   peers : peer option array;  (* index = rank; [None] at [c_rank] *)
-  pending : packet Queue.t;
+  pending : body Mailbox.t;
   mutable c_draining : bool;  (* finished: frames still arriving are dropped *)
   mutable c_sent : int;
   mutable c_recvd : int;
@@ -426,9 +424,9 @@ let deliver st peer ~kind ~tag ~len payload =
       else Obj.repr (copy_out st a.a_ints off len)
     in
     peer.p_credit <- peer.p_credit + Int64.to_int (Bytes.get_int64_le payload 8);
-    Queue.add { k_src = peer.p_rank; k_tag = tag; k_body = Copied v } st.pending
+    Mailbox.push st.pending ~src:peer.p_rank ~tag (Copied v)
   end
-  else Queue.add { k_src = peer.p_rank; k_tag = tag; k_body = Wire payload } st.pending
+  else Mailbox.push st.pending ~src:peer.p_rank ~tag (Wire payload)
 
 (* Parse every complete frame out of the peer's stream tail.  A frame
    whose payload the tail does not hold in full becomes [p_body], taking
@@ -528,40 +526,23 @@ let step ?writing st ~timeout =
 
 (* --------------------------------------------------------------- receiving *)
 
-let take_pending st ~src ~tag ~any_tag =
-  let n = Queue.length st.pending in
-  let found = ref None in
-  for _ = 1 to n do
-    let pkt = Queue.pop st.pending in
-    if
-      Option.is_none !found
-      && (src < 0 || pkt.k_src = src)
-      && (any_tag || pkt.k_tag = tag)
-    then found := Some pkt
-    else Queue.add pkt st.pending
-  done;
-  !found
-
 (* With no matching message pending, decide whether this wait is provably
    hopeless.  Only consulted by untimed receives: timed ones wait out
    their deadline and raise [Timeout] whatever happened to the peer —
    the failure-detector contract the farm depends on. *)
 let no_sender_exn st ~src ~tag ~any_tag =
-  let chan () = if any_tag then "any" else Engine.tag_name tag in
+  let recv () = Engine.describe_recv ~src ~tag ~any_tag in
   if src >= 0 then
     match st.peers.(src) with
     | None ->
         Some
           (Fault.Deadlock
-             (Printf.sprintf "p%d: recv(src=%d, tag=%s) from self can never be satisfied"
-                st.c_rank src (chan ())))
+             (Printf.sprintf "p%d: %s from self can never be satisfied" st.c_rank (recv ())))
     | Some p when p.p_fin ->
         Some
           (Fault.Deadlock
-             (Printf.sprintf
-                "p%d: recv(src=%d, tag=%s) — rank %d finished cleanly without sending a \
-                 matching message"
-                st.c_rank src (chan ()) src))
+             (Printf.sprintf "p%d: %s — rank %d finished cleanly without sending a matching message"
+                st.c_rank (recv ()) src))
     | Some p when p.p_eof -> Some (Fault.Crashed src)
     | Some _ -> None
   else begin
@@ -581,37 +562,37 @@ let no_sender_exn st ~src ~tag ~any_tag =
            (Printf.sprintf
               "p%d: recv_any(tag=%s) — every other rank finished cleanly without sending a \
                matching message"
-              st.c_rank (chan ())))
+              st.c_rank (if any_tag then "any" else Engine.tag_name tag)))
   end
 
-let recv_packet st ~src ~tag ~any_tag ~deadline : packet =
+(* The position of the pending message a receive takes, once one has
+   arrived. *)
+let await st ~src ~tag ~any_tag ~deadline =
   let rec loop () =
-    match take_pending st ~src ~tag ~any_tag with
-    | Some pkt -> pkt
-    | None ->
-        if deadline = Float.infinity then begin
-          (match no_sender_exn st ~src ~tag ~any_tag with Some e -> raise e | None -> ());
-          step st ~timeout:(-1.0);
-          loop ()
-        end
-        else begin
-          let remaining = deadline -. now st in
-          if remaining <= 0.0 then
-            raise
-              (Engine.timeout ~rank:st.c_rank ~src ~tag:(if any_tag then None else Some tag)
-                 ~deadline)
-          else begin
-            step st ~timeout:remaining;
-            loop ()
-          end
-        end
+    let i = Mailbox.find st.pending ~src ~tag ~any_tag in
+    if i >= 0 then i
+    else if deadline = Float.infinity then begin
+      (match no_sender_exn st ~src ~tag ~any_tag with Some e -> raise e | None -> ());
+      step st ~timeout:(-1.0);
+      loop ()
+    end
+    else begin
+      let remaining = deadline -. now st in
+      if remaining <= 0.0 then raise (Engine.timeout ~rank:st.c_rank ~src ~tag ~any_tag ~deadline)
+      else begin
+        step st ~timeout:remaining;
+        loop ()
+      end
+    end
   in
   loop ()
 
-let obj_of_packet pkt : Obj.t =
-  match pkt.k_body with
+(* Take pending message [i], decoded. *)
+let take st i : Obj.t =
+  st.c_recvd <- st.c_recvd + 1;
+  match Mailbox.take st.pending i with
   | Copied v -> v
-  | Wire payload -> (Marshal.from_bytes payload 0 : Obj.t)
+  | Wire payload -> Marshal.from_bytes payload 0
 
 (* ------------------------------------------------------------------ sending *)
 
@@ -710,14 +691,8 @@ let finish_clean st =
       | Some p -> send_frame st p k_goodbye 0 0 Bytes.empty
       | None -> ())
     st.peers;
-  let crashed_src pkt =
-    match st.peers.(pkt.k_src) with Some p -> p.p_eof && not p.p_fin | None -> false
-  in
-  match List.filter (fun pkt -> not (crashed_src pkt)) (List.of_seq (Queue.to_seq st.pending)) with
-  | [] -> ()
-  | pkt :: _ as left ->
-      Engine.check_undelivered ~rank:st.c_rank ~count:(List.length left) ~src:pkt.k_src
-        ~tag:pkt.k_tag
+  let crashed src = match st.peers.(src) with Some p -> p.p_eof && not p.p_fin | None -> false in
+  Mailbox.check_undelivered ~skip:crashed st.pending ~rank:st.c_rank
 
 (* After a clean finish, read every peer's stream up to its goodbye (or
    EOF), dropping what arrives: the sockets outlive the run, and the next
@@ -740,10 +715,7 @@ let engine st cost topology : Engine.t =
   let clock () = now st in
   let recv_from op timeout ~src ~tag =
     Engine.check_src op ~size:st.c_procs src;
-    let deadline = Engine.deadline op clock timeout in
-    let pkt = recv_packet st ~src ~tag ~any_tag:false ~deadline in
-    st.c_recvd <- st.c_recvd + 1;
-    obj_of_packet pkt
+    take st (await st ~src ~tag ~any_tag:false ~deadline:(Engine.deadline op clock timeout))
   in
   {
     Engine.rank = st.c_rank;
@@ -756,9 +728,9 @@ let engine st cost topology : Engine.t =
       (fun ?timeout ?tag () ->
         let deadline = Engine.deadline "Procs.recv_any" clock timeout in
         let tag', any_tag = match tag with None -> (0, true) | Some t -> (t, false) in
-        let pkt = recv_packet st ~src:(-1) ~tag:tag' ~any_tag ~deadline in
-        st.c_recvd <- st.c_recvd + 1;
-        (pkt.k_src, Obj.obj (obj_of_packet pkt)));
+        let i = await st ~src:(-1) ~tag:tag' ~any_tag ~deadline in
+        let src = Mailbox.src st.pending i in
+        (src, Obj.obj (take st i)));
     send_slice = (fun ~dest ~tag s -> send_slice_to st ~dest ~tag s);
     recv_slice =
       (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Procs.recv_slice" timeout ~src ~tag));
@@ -1079,7 +1051,7 @@ let serve ~rank ~arena ~stage ~ctl ~links ~scratch ~t0 ~run (Job j) =
       c_arena = arena;
       c_alloc = (if j.j_lend then fun kind n -> Workspace.lend lease kind n else Engine.fresh);
       peers;
-      pending = Queue.create ();
+      pending = Mailbox.create (Wire Bytes.empty);
       c_draining = false;
       c_sent = 0;
       c_recvd = 0;

@@ -24,23 +24,22 @@
 
    The scheduler is deterministic: among runnable processors it always picks
    the one with the smallest (clock, rank), and receive matching is FIFO per
-   (source, tag).  [recv_any] — inherently nondeterministic on a real
-   machine — is resolved as "earliest arrival, then lowest source rank". *)
+   (source, tag) ([Mailbox]).  [recv_any] — inherently nondeterministic on
+   a real machine — is resolved as "earliest arrival, then the older
+   send". *)
 
-type packet = {
-  pkt_src : int;
-  pkt_tag : int;
-  payload : Obj.t;
-  marshalled : bool;
-  arrival : float;
-  pkt_seq : int;
-}
+type packet = { src : int; payload : Obj.t; marshalled : bool; arrival : float }
 
+(* What fills a mailbox's empty slots. *)
+let no_packet = { src = -1; payload = Obj.repr 0; marshalled = false; arrival = 0.0 }
+
+(* A receive pattern is [Mailbox]'s: [want_src = -1] is any source. *)
 type blocked =
   | Not_blocked
   | On_recv of {
-      want_src : int option;
-      want_tag : int option;
+      want_src : int;
+      want_tag : int;
+      any_tag : bool;
       deadline : float;  (* absolute simulated time; infinity = wait forever *)
       k : (packet, unit) Effect.Deep.continuation;
     }
@@ -48,7 +47,7 @@ type blocked =
 type proc = {
   rank : int;
   mutable clock : float;
-  mutable inbox : packet list;  (* in global send order; newest last *)
+  inbox : packet Mailbox.t;  (* in send order *)
   mutable blocked : blocked;
   mutable thunk : (unit -> unit) option;
   mutable finished : bool;
@@ -64,7 +63,6 @@ type t = {
   topology : Topology.t;
   cost : Cost_model.t;
   procs : proc array;
-  mutable seq : int;
 }
 
 type stats = {
@@ -76,12 +74,7 @@ type stats = {
 }
 
 type _ Effect.t +=
-  | E_recv : {
-      want_src : int option;
-      want_tag : int option;
-      deadline : float;
-    }
-      -> packet Effect.t
+  | E_recv : { want_src : int; want_tag : int; any_tag : bool; deadline : float } -> packet Effect.t
 
 (* The operation names the contract's messages carry: "Sim.<op>". *)
 let op name = "Sim." ^ name
@@ -122,51 +115,33 @@ let send_as op sim me ~dest ~tag ?bytes v =
   me.clock <- me.clock +. c.Cost_model.send_overhead;
   let hops = Topology.hops sim.topology ~procs:sim.size ~src:me.rank ~dest in
   let arrival = me.clock +. Cost_model.transfer_time c ~hops ~bytes:nbytes in
-  let pkt =
-    { pkt_src = me.rank; pkt_tag = tag; payload; marshalled; arrival; pkt_seq = sim.seq }
-  in
-  sim.seq <- sim.seq + 1;
-  let dst = sim.procs.(dest) in
-  dst.inbox <- dst.inbox @ [ pkt ];
+  Mailbox.push sim.procs.(dest).inbox ~src:me.rank ~tag { src = me.rank; payload; marshalled; arrival };
   me.msgs_sent <- me.msgs_sent + 1;
   me.bytes_sent <- me.bytes_sent + nbytes
 
-let matches ~want_src ~want_tag pkt =
-  (match want_src with None -> true | Some s -> pkt.pkt_src = s)
-  && match want_tag with None -> true | Some t -> pkt.pkt_tag = t
+(* The packet a receive takes, as a position in [p]'s inbox, or -1.  MPI
+   non-overtaking: per source, only the oldest matching packet is
+   eligible ([Mailbox.iter_heads]).  Among those per-source heads, pick
+   the earliest arrival (ties: the older send) — a deterministic
+   resolution of any-source receives.  With a [deadline], a head arriving
+   later than the deadline is not eligible — and neither is any younger
+   packet from the same source, even one arriving in time, because
+   delivering it would violate non-overtaking. *)
+let pick p ~want_src ~want_tag ~any_tag ~deadline =
+  let best = ref (-1) and earliest = ref Float.infinity in
+  Mailbox.iter_heads p.inbox ~src:want_src ~tag:want_tag ~any_tag (fun i ->
+      let arrival = (Mailbox.payload p.inbox i).arrival in
+      if arrival <= deadline && arrival < !earliest then begin
+        best := i;
+        earliest := arrival
+      end);
+  !best
 
-(* MPI non-overtaking: per source, only the oldest (lowest send sequence)
-   matching packet is eligible.  Among those per-source heads, pick the
-   earliest arrival (ties by sequence) — a deterministic resolution of
-   any-source receives.  With a [deadline], a head arriving later than the
-   deadline is not eligible — and neither is any younger packet from the
-   same source, even one arriving in time, because delivering it would
-   violate non-overtaking. *)
-let find_match p ~want_src ~want_tag ~deadline =
-  let heads = Hashtbl.create 8 in
-  List.iter
-    (fun pkt ->
-      if matches ~want_src ~want_tag pkt then
-        match Hashtbl.find_opt heads pkt.pkt_src with
-        | Some h when h.pkt_seq <= pkt.pkt_seq -> ()
-        | Some _ | None -> Hashtbl.replace heads pkt.pkt_src pkt)
-    p.inbox;
-  let in_time pkt = pkt.arrival <= deadline in
-  Hashtbl.fold
-    (fun _ pkt acc ->
-      if not (in_time pkt) then acc
-      else
-        match acc with
-        | Some b when (b.arrival, b.pkt_seq) <= (pkt.arrival, pkt.pkt_seq) -> acc
-        | _ -> Some pkt)
-    heads None
-
-let remove_packet p pkt = p.inbox <- List.filter (fun q -> q.pkt_seq <> pkt.pkt_seq) p.inbox
-
-let deliver sim (p : proc) pkt =
-  remove_packet p pkt;
+let deliver sim (p : proc) i =
+  let pkt = Mailbox.take p.inbox i in
   p.clock <- Float.max p.clock pkt.arrival +. sim.cost.Cost_model.recv_overhead;
-  p.msgs_recvd <- p.msgs_recvd + 1
+  p.msgs_recvd <- p.msgs_recvd + 1;
+  pkt
 
 let decode : type a. packet -> a =
  fun pkt ->
@@ -180,12 +155,13 @@ let decode : type a. packet -> a =
    (see [choose]).  The classic symptom of the eager path was a receiver
    racing through a pre-filled inbox in one scheduling quantum while a
    lower-clock sender sat unstarted. *)
-let recv_packet ~want_src ~want_tag ~deadline = Effect.perform (E_recv { want_src; want_tag; deadline })
+let recv_packet ~want_src ~want_tag ~any_tag ~deadline =
+  Effect.perform (E_recv { want_src; want_tag; any_tag; deadline })
 
 let recv_as op sim me ~src ~tag timeout =
   Engine.check_src op ~size:sim.size src;
   let deadline = Engine.deadline op (fun () -> me.clock) timeout in
-  recv_packet ~want_src:(Some src) ~want_tag:(Some tag) ~deadline
+  recv_packet ~want_src:src ~want_tag:tag ~any_tag:false ~deadline
 
 (* Rank [me] as an [Engine.t], charging simulated time. *)
 let engine sim me : Engine.t =
@@ -199,8 +175,11 @@ let engine sim me : Engine.t =
     recv_any =
       (fun ?timeout ?tag () ->
         let deadline = Engine.deadline op_recv_any (fun () -> me.clock) timeout in
-        let pkt = recv_packet ~want_src:None ~want_tag:tag ~deadline in
-        (pkt.pkt_src, decode pkt));
+        let pkt =
+          recv_packet ~want_src:(-1) ~want_tag:(Option.value tag ~default:0)
+            ~any_tag:(Option.is_none tag) ~deadline
+        in
+        (pkt.src, decode pkt));
     send_slice =
       (fun ~dest ~tag s ->
         (* The copy keeps the simulator's value semantics: a sim sender
@@ -235,14 +214,14 @@ let make_handler p : (unit, unit) Effect.Deep.handler =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | E_recv { want_src; want_tag; deadline } ->
+        | E_recv { want_src; want_tag; any_tag; deadline } ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
-                p.blocked <- On_recv { want_src; want_tag; deadline; k })
+                p.blocked <- On_recv { want_src; want_tag; any_tag; deadline; k })
         | _ -> None)
   }
 
-type action = Start of proc | Deliver of proc * packet | Expire of proc * float
+type action = Start of proc | Deliver of proc * int | Expire of proc * float
 
 (* Candidates are ordered by (event time, rank): a Start happens at the
    processor's clock, a Deliver at the moment the receiver actually gets
@@ -251,7 +230,7 @@ type action = Start of proc | Deliver of proc * packet | Expire of proc * float
    the simulation conservative: by the time a Deliver or Expire fires,
    every processor that could still produce an earlier-arriving matching
    send has clock >= that event time (a send's arrival strictly exceeds
-   the sender's clock), so the packet picked by [find_match] really is the
+   the sender's clock), so the packet [pick] takes really is the
    earliest, and an expiry really means no message can arrive in time. *)
 let choose sim =
   let best = ref None in
@@ -267,17 +246,17 @@ let choose sim =
         | Some _ -> consider p p.clock `Start
         | None -> (
             match p.blocked with
-            | On_recv { want_src; want_tag; deadline; _ } -> (
-                match find_match p ~want_src ~want_tag ~deadline with
-                | Some pkt -> consider p (Float.max p.clock pkt.arrival) (`Deliver pkt)
-                | None ->
-                    if deadline < Float.infinity then consider p (Float.max p.clock deadline) `Expire)
+            | On_recv { want_src; want_tag; any_tag; deadline; _ } ->
+                let i = pick p ~want_src ~want_tag ~any_tag ~deadline in
+                if i >= 0 then
+                  consider p (Float.max p.clock (Mailbox.payload p.inbox i).arrival) (`Deliver i)
+                else if deadline < Float.infinity then consider p (Float.max p.clock deadline) `Expire
             | Not_blocked -> ()))
     sim.procs;
   match !best with
   | None -> None
   | Some (p, _, `Start) -> Some (Start p)
-  | Some (p, _, `Deliver pkt) -> Some (Deliver (p, pkt))
+  | Some (p, _, `Deliver i) -> Some (Deliver (p, i))
   | Some (p, t, `Expire) -> Some (Expire (p, t))
 
 let describe_blocked sim =
@@ -287,10 +266,8 @@ let describe_blocked sim =
       if not p.finished then
         let state =
           match p.blocked with
-          | On_recv { want_src; want_tag; _ } ->
-              Printf.sprintf "recv(src=%s, tag=%s)"
-                (match want_src with None -> "any" | Some s -> string_of_int s)
-                (match want_tag with None -> "any" | Some t -> Engine.tag_name t)
+          | On_recv { want_src; want_tag; any_tag; _ } ->
+              Engine.describe_recv ~src:want_src ~tag:want_tag ~any_tag
           | Not_blocked -> ( match p.thunk with Some _ -> "not started" | None -> "running?")
         in
         Buffer.add_string buf (Printf.sprintf "p%d@%.6f: %s; " p.rank p.clock state))
@@ -305,24 +282,20 @@ let schedule sim =
         p.thunk <- None;
         thunk ();
         loop ()
-    | Some (Deliver (p, pkt)) ->
+    | Some (Deliver (p, i)) ->
         let k = match p.blocked with On_recv { k; _ } -> k | Not_blocked -> assert false in
         p.blocked <- Not_blocked;
-        deliver sim p pkt;
-        Effect.Deep.continue k pkt;
+        Effect.Deep.continue k (deliver sim p i);
         loop ()
     | Some (Expire (p, t)) ->
-        let k, want_src, want_tag =
+        let k, src, tag, any_tag =
           match p.blocked with
-          | On_recv { k; want_src; want_tag; _ } -> (k, want_src, want_tag)
+          | On_recv { k; want_src; want_tag; any_tag; _ } -> (k, want_src, want_tag, any_tag)
           | Not_blocked -> assert false
         in
         p.blocked <- Not_blocked;
         p.clock <- t;
-        Effect.Deep.discontinue k
-          (Engine.timeout ~rank:p.rank
-             ~src:(Option.value want_src ~default:(-1))
-             ~tag:want_tag ~deadline:t);
+        Effect.Deep.discontinue k (Engine.timeout ~rank:p.rank ~src ~tag ~any_tag ~deadline:t);
         loop ()
     | None ->
         if not (Array.for_all (fun p -> p.finished) sim.procs) then
@@ -334,7 +307,7 @@ let fresh_proc rank =
   {
     rank;
     clock = 0.0;
-    inbox = [];
+    inbox = Mailbox.create no_packet;
     blocked = Not_blocked;
     thunk = None;
     finished = false;
@@ -378,21 +351,14 @@ let run_as runner ?(cost = Cost_model.ap1000) ?topology ~procs program =
       Engine.check_procs (op runner) procs;
       let topology = match topology with Some t -> t | None -> Topology.default procs in
       Topology.validate topology ~procs;
-      let sim = { size = procs; topology; cost; procs = Array.init procs fresh_proc; seq = 0 } in
+      let sim = { size = procs; topology; cost; procs = Array.init procs fresh_proc } in
       Array.iter
         (fun p ->
           p.thunk <-
             Some (fun () -> Effect.Deep.match_with (program p.rank) (engine sim p) (make_handler p)))
         sim.procs;
       schedule sim;
-      Array.iter
-        (fun p ->
-          match p.inbox with
-          | pkt :: _ when not p.crashed ->
-              Engine.check_undelivered ~rank:p.rank ~count:(List.length p.inbox) ~src:pkt.pkt_src
-                ~tag:pkt.pkt_tag
-          | _ -> ())
-        sim.procs;
+      Array.iter (fun p -> if not p.crashed then Mailbox.check_undelivered p.inbox ~rank:p.rank) sim.procs;
       let stats = collect_stats sim in
       publish_obs stats;
       stats)

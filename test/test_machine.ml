@@ -1128,6 +1128,170 @@ let test_prop_chaos_value_identity () =
         f.Prop.Runner.message
   | Prop.Runner.Gave_up _ -> Alcotest.fail "property gave up"
 
+(* --- Mailbox: the matching rule every engine keeps its messages under --- *)
+
+(* Take messages until [find] has none for the pattern, as (src, payload). *)
+let drain_matching ?(src = -1) ?(tag = 0) ?(any_tag = false) box =
+  let rec go acc =
+    let i = Mailbox.find box ~src ~tag ~any_tag in
+    if i < 0 then List.rev acc
+    else
+      let s = Mailbox.src box i in
+      go ((s, Mailbox.take box i) :: acc)
+  in
+  go []
+
+let test_mailbox_growth_wraps () =
+  (* the head moves to 10, then 30 more pushes grow the ring while its
+     live entries wrap around the end of the arrays *)
+  let box = Mailbox.create "" in
+  for k = 0 to 9 do
+    Mailbox.push box ~src:(k mod 3) ~tag:0 (string_of_int k)
+  done;
+  for _ = 0 to 9 do
+    ignore (Mailbox.take box 0)
+  done;
+  for k = 10 to 39 do
+    Mailbox.push box ~src:(k mod 3) ~tag:0 (string_of_int k)
+  done;
+  Alcotest.(check int) "length" 30 (Mailbox.length box);
+  Alcotest.(check (list (pair int string)))
+    "push order kept"
+    (List.init 30 (fun j -> ((j + 10) mod 3, string_of_int (j + 10))))
+    (drain_matching ~any_tag:true box);
+  Alcotest.(check int) "empty" 0 (Mailbox.length box)
+
+let test_mailbox_middle_take_keeps_fifo () =
+  let box = Mailbox.create "" in
+  List.iter
+    (fun (src, tag, v) -> Mailbox.push box ~src ~tag v)
+    [ (0, 1, "a"); (1, 1, "b"); (0, 2, "c"); (0, 1, "d"); (1, 1, "e"); (0, 2, "f") ];
+  let i = Mailbox.find box ~src:0 ~tag:2 ~any_tag:false in
+  Alcotest.(check int) "oldest (0, 2) is third" 2 i;
+  Alcotest.(check string) "taken from the middle" "c" (Mailbox.take box i);
+  Alcotest.(check (list (pair int string))) "(1, 1) in order" [ (1, "b"); (1, "e") ]
+    (drain_matching ~src:1 ~tag:1 box);
+  Alcotest.(check (list (pair int string))) "(0, 1) in order" [ (0, "a"); (0, "d") ]
+    (drain_matching ~src:0 ~tag:1 box);
+  Alcotest.(check (list (pair int string))) "(0, 2) rest" [ (0, "f") ] (drain_matching ~src:0 ~tag:2 box)
+
+let test_mailbox_any_takes () =
+  let box = Mailbox.create "" in
+  List.iter
+    (fun (src, tag, v) -> Mailbox.push box ~src ~tag v)
+    [ (2, 7, "a"); (1, 8, "b"); (1, 7, "c"); (2, 8, "d"); (0, 9, "e") ];
+  Alcotest.(check (list (pair int string))) "any source, tag 8" [ (1, "b"); (2, "d") ]
+    (drain_matching ~tag:8 box);
+  Alcotest.(check (list (pair int string))) "source 1, any tag" [ (1, "c") ]
+    (drain_matching ~src:1 ~any_tag:true box);
+  Alcotest.(check (list (pair int string))) "any source, any tag" [ (2, "a"); (0, "e") ]
+    (drain_matching ~any_tag:true box)
+
+let test_mailbox_heads () =
+  let box = Mailbox.create "" in
+  List.iter
+    (fun (src, tag, v) -> Mailbox.push box ~src ~tag v)
+    [ (3, 1, "a"); (5, 1, "b"); (3, 1, "c"); (5, 2, "d"); (7, 1, "e"); (5, 1, "f") ];
+  let heads ~src ~tag ~any_tag =
+    let got = ref [] in
+    Mailbox.iter_heads box ~src ~tag ~any_tag (fun i -> got := Mailbox.payload box i :: !got);
+    List.rev !got
+  in
+  Alcotest.(check (list string)) "per-source heads, oldest first" [ "a"; "b"; "e" ]
+    (heads ~src:(-1) ~tag:1 ~any_tag:false);
+  Alcotest.(check (list string)) "any tag" [ "a"; "b"; "e" ] (heads ~src:(-1) ~tag:0 ~any_tag:true);
+  Alcotest.(check (list string)) "one source" [ "d" ] (heads ~src:5 ~tag:2 ~any_tag:false);
+  Alcotest.(check int) "walking takes nothing" 6 (Mailbox.length box)
+
+let test_mailbox_transfer_and_check () =
+  let into = Mailbox.create "" and from = Mailbox.create "" in
+  Mailbox.push into ~src:1 ~tag:5 "a";
+  Mailbox.push from ~src:2 ~tag:6 "b";
+  Mailbox.push from ~src:1 ~tag:5 "c";
+  Alcotest.(check int) "moved" 2 (Mailbox.transfer from ~into);
+  Alcotest.(check int) "source emptied" 0 (Mailbox.length from);
+  Alcotest.(check (list (pair int string))) "appended in order" [ (1, "a"); (1, "c") ]
+    (drain_matching ~src:1 ~tag:5 into);
+  Mailbox.check_undelivered ~skip:(fun src -> src = 2) into ~rank:0;
+  Alcotest.check_raises "reported"
+    (Fault.Deadlock "processor 3 finished with 1 undelivered message(s); first from p2 tag 6")
+    (fun () -> Mailbox.check_undelivered into ~rank:3)
+
+(* The payload is made and pushed out of line, so no register or stack
+   slot of the test keeps it alive. *)
+let[@inline never] push_tracked box =
+  let v = Bytes.make 64 'x' in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some v);
+  Mailbox.push box ~src:0 ~tag:0 v;
+  w
+
+let test_mailbox_clear_releases () =
+  let box = Mailbox.create Bytes.empty in
+  let w = push_tracked box in
+  Gc.full_major ();
+  Alcotest.(check bool) "held while queued" true (Weak.check w 0);
+  Mailbox.clear box;
+  Gc.full_major ();
+  Alcotest.(check bool) "released by clear" false (Weak.check w 0);
+  Alcotest.(check int) "empty" 0 (Mailbox.length box)
+
+(* --- the simulator's any-source rule ------------------------------------- *)
+
+(* Arrival = send clock + payload bytes: no latency, no overheads. *)
+let bytes_only = { Cost_model.unit_costs with Cost_model.alpha = 0.0; per_hop = 0.0 }
+
+let test_sim_equal_arrivals_in_send_order () =
+  (* rank 2 sends first (16 bytes, arriving at 16) and wakes rank 1 (8
+     bytes, at 8), whose own 8-byte send then arrives at 16 too: the tie
+     goes to the older send, not the lower source rank *)
+  let order = ref [] in
+  let _ =
+    simulate ~procs:3 ~cost:bytes_only (fun eng ->
+        match eng.Engine.rank with
+        | 0 ->
+            for _ = 1 to 2 do
+              let src, (_ : Scl.Flat.float1) = eng.Engine.recv_any ~tag:0 () in
+              order := (src, eng.Engine.time ()) :: !order
+            done
+        | 1 ->
+            ignore (eng.Engine.recv_slice ~src:2 ~tag:1 () : Scl.Flat.float1);
+            eng.Engine.send_slice ~dest:0 ~tag:0 (floats 1)
+        | _ ->
+            eng.Engine.send_slice ~dest:0 ~tag:0 (floats 2);
+            eng.Engine.send_slice ~dest:1 ~tag:1 (floats 1))
+  in
+  Alcotest.(check (list (pair int (float 0.0)))) "older send first, both at 16"
+    [ (2, 16.0); (1, 16.0) ] (List.rev !order)
+
+let test_sim_late_head_blocks_its_source () =
+  (* rank 1's first message arrives at 800 and its second at 8; rank 2's
+     arrives at 8.  A timed recv_any takes rank 2's; rank 1's in-time
+     message stays behind its late head, so the next timed one expires *)
+  let got = ref [] in
+  let stats =
+    simulate ~procs:3 ~cost:bytes_only (fun eng ->
+        match eng.Engine.rank with
+        | 0 ->
+            let take ?timeout () =
+              match eng.Engine.recv_any ?timeout ~tag:0 () with
+              | src, (s : Scl.Flat.float1) -> got := Printf.sprintf "p%d:%d" src (Scl.Flat.length s) :: !got
+              | exception Fault.Timeout _ ->
+                  got := Printf.sprintf "timeout@%g" (eng.Engine.time ()) :: !got
+            in
+            take ~timeout:100.0 ();
+            take ~timeout:100.0 ();
+            take ();
+            take ()
+        | 1 ->
+            eng.Engine.send_slice ~dest:0 ~tag:0 (floats 100);
+            eng.Engine.send_slice ~dest:0 ~tag:0 (floats 1)
+        | _ -> eng.Engine.send_slice ~dest:0 ~tag:0 (floats 1))
+  in
+  Alcotest.(check (list string)) "rank 2's, then the deadline, then rank 1's in order"
+    [ "p2:1"; "timeout@108"; "p1:100"; "p1:1" ] (List.rev !got);
+  check_float "the late head arrives at 800" 800.0 stats.Sim.finish_times.(0)
+
 let suite =
   [
     ( "topology",
@@ -1188,6 +1352,19 @@ let suite =
         Alcotest.test_case "exchange" `Quick test_comm_exchange;
         Alcotest.test_case "pipelined collectives" `Quick test_comm_pipelined_collectives;
         prop_collectives_arbitrary_sizes;
+      ] );
+    ( "mailbox",
+      [
+        Alcotest.test_case "growth wraps around" `Quick test_mailbox_growth_wraps;
+        Alcotest.test_case "middle take keeps FIFO" `Quick test_mailbox_middle_take_keeps_fifo;
+        Alcotest.test_case "any-tag and any-source" `Quick test_mailbox_any_takes;
+        Alcotest.test_case "per-source heads" `Quick test_mailbox_heads;
+        Alcotest.test_case "transfer and check" `Quick test_mailbox_transfer_and_check;
+        Alcotest.test_case "clear releases payloads" `Quick test_mailbox_clear_releases;
+        Alcotest.test_case "sim: equal arrivals in send order" `Quick
+          test_sim_equal_arrivals_in_send_order;
+        Alcotest.test_case "sim: late head blocks its source" `Quick
+          test_sim_late_head_blocks_its_source;
       ] );
     ( "sim_extra",
       [
