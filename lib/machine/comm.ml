@@ -21,14 +21,37 @@
    mis-matched, even when some members run ahead.  User point-to-point
    traffic lives in a second reserved space ([user_space]) so tagged
    sends/receives cannot collide with collective internals either.  The
-   layout is [Engine]'s, whose fault reports name the tags they print. *)
+   layout is [Engine]'s, whose fault reports name the tags they print.
+
+   Sequence numbers only order one communicator's own calls: a child made
+   by [split] starts again at 0, so without more its collectives would
+   share tags with its parent's, and a member that runs the two in
+   another order would take one's message for the other's.  Every tag
+   therefore also carries the communicator's context id, above the other
+   bits, as MPI's communicators do — p2p tags included.  The world is
+   context 0.  A child's context is computed by every member from what
+   they all hold: the parent's context and how many splits the parent
+   has made before this one ([k]; SPMD discipline makes members agree on
+   it as on the seq), so [split] sends nothing extra.  It is the parent's
+   code extended by the Elias gamma code of [k + 1].  Gamma codes are
+   prefix-free, so the context spells out the chain of split indices
+   from the world, and that chain names one communicator per member:
+   two communicators with a member in common have the same context only
+   if they are the same communicator.  (Children of one split share
+   their context, but no member.)  A context is the chain's code behind
+   a leading 1, minus 1, so the world's empty chain is 0; it must stay
+   below [Engine.max_context], i.e. the code within 31 bits.  The split
+   index rather than the split's seq keeps codes short: each round of a
+   hyperquicksort splits its group once, at index 0, for one bit. *)
 
 type t = {
   eng : Engine.t;
   ranks : int array;  (* global ranks, ordered; my position defines my rank *)
   rank_index : int array;  (* global rank -> index in [ranks]; -1 = not a member *)
   my_index : int;
+  context : int;
   mutable seq : int;
+  mutable splits : int;  (* splits made so far *)
 }
 
 let world eng =
@@ -38,10 +61,13 @@ let world eng =
     ranks = Array.init n Fun.id;
     rank_index = Array.init n Fun.id;
     my_index = eng.Engine.rank;
+    context = 0;
     seq = 0;
+    splits = 0;
   }
 
-let of_ranks eng ranks =
+let of_ranks eng ~context ranks =
+  if context < 0 || context >= Engine.max_context then invalid_arg "Comm.of_ranks: context out of range";
   (* One pass builds the reverse map (global rank -> index), which also
      finds the caller's index and rejects duplicates — [recv_any] then maps
      sources in O(1) instead of rescanning [ranks] per message. *)
@@ -54,7 +80,7 @@ let of_ranks eng ranks =
       rank_index.(r) <- i)
     ranks;
   if rank_index.(me) < 0 then invalid_arg "Comm.of_ranks: calling processor not a member";
-  { eng; ranks = Array.copy ranks; rank_index; my_index = rank_index.(me); seq = 0 }
+  { eng; ranks = Array.copy ranks; rank_index; my_index = rank_index.(me); context; seq = 0; splits = 0 }
 
 let rank t = t.my_index
 let size t = Array.length t.ranks
@@ -83,13 +109,15 @@ let input t kind =
    silent-corruption bug, so genuine exhaustion fails loudly instead of
    wrapping — 2^24 collectives is far beyond any single communicator's
    realistic lifetime, and [split] hands out fresh communicators anyway. *)
+let[@inline] in_context t tag = tag lor (t.context lsl Engine.context_shift)
+
 let fresh_tag t opcode =
   if t.seq >= Engine.max_seq then
     invalid_arg
       (Printf.sprintf "Comm.fresh_tag: collective sequence exhausted (%d tags); split or rebuild \
                        the communicator"
          Engine.max_seq);
-  let tag = Engine.tag_space lor (t.seq lsl 4) lor opcode in
+  let tag = in_context t (Engine.tag_space lor (t.seq lsl 4) lor opcode) in
   t.seq <- t.seq + 1;
   tag
 
@@ -293,9 +321,25 @@ let scan t op v =
 
 (* --- split: colors and keys, like MPI_Comm_split ------------------------ *)
 
+(* The context of the children of [t]'s next split: [t]'s code, then the
+   gamma code of [n = t.splits + 1] (as bits, [n] itself behind as many
+   zeros as [n] has bits after its leading 1). *)
+let rec bit_length n = if n = 0 then 0 else 1 + bit_length (n lsr 1)
+
+let child_context t =
+  let n = t.splits + 1 and code = t.context + 1 in
+  let width = (2 * bit_length n) - 1 in
+  if bit_length code + width > 32 then
+    invalid_arg
+      (Printf.sprintf "Comm.split: context ids exhausted (split %d of context %d needs more than 31 \
+                       bits of split codes)"
+         t.splits t.context);
+  t.splits <- n;
+  ((code lsl width) lor n) - 1
+
 let split t ~color ~key =
-  let tag = fresh_tag t Engine.opcode_split in
-  ignore tag;
+  let context = child_context t in
+  ignore (fresh_tag t Engine.opcode_split);
   let triples = allgather t (color, key, t.eng.Engine.rank) in
   let mine =
     triples |> Array.to_list
@@ -304,28 +348,28 @@ let split t ~color ~key =
     |> List.map (fun (_, _, r) -> r)
     |> Array.of_list
   in
-  of_ranks t.eng mine
+  of_ranks t.eng ~context mine
 
 (* --- point-to-point within a communicator ------------------------------- *)
 
-let p2p_tag = function
-  | None -> Engine.tag_space lor Engine.opcode_sendrecv
+let p2p_tag t = function
+  | None -> in_context t (Engine.tag_space lor Engine.opcode_sendrecv)
   | Some u ->
       if u < 0 || u >= Engine.user_space then invalid_arg "Comm: user tag out of range";
-      Engine.user_space lor u
+      in_context t (Engine.user_space lor u)
 
 let send t ~dest ?tag v =
   if dest < 0 || dest >= size t then invalid_arg "Comm.send: bad destination";
-  t.eng.Engine.send ~dest:t.ranks.(dest) ~tag:(p2p_tag tag) v
+  t.eng.Engine.send ~dest:t.ranks.(dest) ~tag:(p2p_tag t tag) v
 
 let recv : type a. t -> src:int -> ?tag:int -> ?timeout:float -> unit -> a =
  fun t ~src ?tag ?timeout () ->
   if src < 0 || src >= size t then invalid_arg "Comm.recv: bad source";
-  t.eng.Engine.recv ?timeout ~src:t.ranks.(src) ~tag:(p2p_tag tag) ()
+  t.eng.Engine.recv ?timeout ~src:t.ranks.(src) ~tag:(p2p_tag t tag) ()
 
 let recv_any : type a. t -> ?tag:int -> ?timeout:float -> unit -> int * a =
  fun t ?tag ?timeout () ->
-  let src, v = t.eng.Engine.recv_any ?timeout ~tag:(p2p_tag tag) () in
+  let src, v = t.eng.Engine.recv_any ?timeout ~tag:(p2p_tag t tag) () in
   let idx = t.rank_index.(src) in
   if idx < 0 then invalid_arg "Comm.recv_any: message from outside the communicator";
   (idx, v)
@@ -351,11 +395,11 @@ let exchange t ~partner ?tag v =
 
 let send_slice t ~dest ?tag s =
   if dest < 0 || dest >= size t then invalid_arg "Comm.send_slice: bad destination";
-  t.eng.Engine.send_slice ~dest:t.ranks.(dest) ~tag:(p2p_tag tag) s
+  t.eng.Engine.send_slice ~dest:t.ranks.(dest) ~tag:(p2p_tag t tag) s
 
 let recv_slice t ~src ?tag ?timeout () =
   if src < 0 || src >= size t then invalid_arg "Comm.recv_slice: bad source";
-  t.eng.Engine.recv_slice ?timeout ~src:t.ranks.(src) ~tag:(p2p_tag tag) ()
+  t.eng.Engine.recv_slice ?timeout ~src:t.ranks.(src) ~tag:(p2p_tag t tag) ()
 
 let send_slice_i t ~tag dst_index s = t.eng.Engine.send_slice ~dest:t.ranks.(dst_index) ~tag s
 let recv_slice_i t ~tag src_index = t.eng.Engine.recv_slice ~src:t.ranks.(src_index) ~tag ()

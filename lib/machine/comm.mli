@@ -6,7 +6,15 @@
     cost model) and on the multicore engine (real domains).  Every member
     of a communicator must call each collective in the same order (SPMD
     discipline); internal tags make adjacent collectives immune to
-    overtaking. *)
+    overtaking.
+
+    Every communicator has a context id, carried in every tag it builds,
+    point-to-point tags included — MPI's rule: a message sent on one
+    communicator is only ever received on the same communicator, so
+    members may interleave a parent's and a child's calls in any order
+    each communicator allows. The world is context 0; {!split} derives a
+    child's from the parent's context and the number of splits the parent
+    made before, with no extra message. *)
 
 type t
 (** A communicator: an ordered group of processors. *)
@@ -14,13 +22,28 @@ type t
 val world : Engine.t -> t
 (** All processors, ranked by global rank. *)
 
-val of_ranks : Engine.t -> int array -> t
-(** Communicator over the given global ranks (in the given order). The
-    caller must be a member. Every member must construct it consistently. *)
+val of_ranks : Engine.t -> context:int -> int array -> t
+(** Communicator over the given global ranks (in the given order), in
+    context [context]. The caller must be a member. Every member must
+    construct it consistently, and no other communicator that shares a
+    member with it may use the same context while it is in use ({!world}
+    has 0), or the two take each other's messages.
+    @raise Invalid_argument if [context] is outside [\[0, Engine.max_context)]. *)
 
 val split : t -> color:int -> key:int -> t
 (** Collective: partition into sub-communicators by [color]; members are
-    ordered by [key] (ties by old rank), like [MPI_Comm_split]. *)
+    ordered by [key] (ties by old rank), like [MPI_Comm_split].
+
+    The children's context id is the parent's, extended by the Elias
+    gamma code of [k + 1], [k] being the number of splits the parent made
+    before this one: that costs [2 floor(log2 (k + 1)) + 1] bits, and the
+    splits along a chain from the world may spend 31 bits in all (31
+    nested first splits, as a hyperquicksort on 2^31 ranks makes; 10
+    nested splits that are each a communicator's first, second or
+    third). Within that bound two communicators that share a member
+    never share a context.
+    @raise Invalid_argument when a split would exceed it, before any
+    message is sent. *)
 
 val rank : t -> int
 (** This processor's rank within the communicator. *)
@@ -114,7 +137,8 @@ val scan : t -> ('a -> 'a -> 'a) -> 'a -> 'a
 
     [?tag] selects a user tag (in a reserved space disjoint from collective
     internals); omitted means the untagged p2p channel.  Receives match
-    FIFO per (source, tag). *)
+    FIFO per (source, tag), and only this communicator's messages: the
+    same user tag on another communicator is another channel. *)
 
 val send : t -> dest:int -> ?tag:int -> 'a -> unit
 

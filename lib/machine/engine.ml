@@ -148,10 +148,14 @@ let[@inline] deadline op now = function
    of the communicator's sequence number and 4 of opcode, inside
    [tag_space, user_space).  A [Comm.send] without a tag uses the
    [opcode_sendrecv] tag at sequence 0; one with tag [u] uses [user_space
-   lor u].  Anything else is an engine-level tag, used as it is. *)
+   lor u].  The communicator's context sits above all of them, from bit
+   [context_shift] up (32 bits, so every tag stays a positive int); the
+   world's is 0.  Anything else is an engine-level tag, used as it is. *)
 let tag_space = 1 lsl 28
 let user_space = 1 lsl 29
 let max_seq = 1 lsl 24
+let context_shift = 30
+let max_context = 1 lsl 32
 
 let opcode_barrier = 0
 and opcode_bcast = 1
@@ -168,11 +172,14 @@ let opcode_names =
   [| "barrier"; "bcast"; "reduce"; "gather"; "scatter"; "alltoall"; "scan"; "split"; "p2p"; "slice" |]
 
 let tag_name tag =
-  if tag >= user_space && tag < 2 * user_space then Printf.sprintf "user:%d" (tag - user_space)
-  else if tag >= tag_space && tag < user_space && tag land 15 < Array.length opcode_names then
-    let op = tag land 15 in
-    if op = opcode_sendrecv then opcode_names.(op)
-    else Printf.sprintf "%s#%d" opcode_names.(op) ((tag - tag_space) lsr 4)
+  let t = tag land ((1 lsl context_shift) - 1) in
+  let at = if tag lsr context_shift = 0 then "" else Printf.sprintf "@c%d" (tag lsr context_shift) in
+  if tag < 0 then string_of_int tag
+  else if t >= user_space then Printf.sprintf "user:%d%s" (t - user_space) at
+  else if t >= tag_space && t land 15 < Array.length opcode_names then
+    let op = t land 15 in
+    if op = opcode_sendrecv then opcode_names.(op) ^ at
+    else Printf.sprintf "%s#%d%s" opcode_names.(op) ((t - tag_space) lsr 4) at
   else string_of_int tag
 
 let describe_recv ~src ~tag ~any_tag =

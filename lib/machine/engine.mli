@@ -146,11 +146,18 @@ val deadline : string -> (unit -> float) -> float option -> float
     tag is [tag_space lor (seq lsl 4) lor opcode], [seq] being the
     communicator's sequence number (below [max_seq]); an untagged
     [Comm.send] uses the [opcode_sendrecv] tag at sequence 0, and one with
-    tag [u] uses [user_space lor u]. Other tags are the engine level's. *)
+    tag [u] uses [user_space lor u]. Every one of them also carries the
+    communicator's context id [c] (below [max_context]) as [c lsl
+    context_shift], above all the other bits, so messages of two
+    communicators never match each other's receives; the world's context
+    is 0, so its tags are the bare layout. Every tag [Comm] builds is a
+    positive int. Other tags are the engine level's. *)
 
 val tag_space : int
 val user_space : int
 val max_seq : int
+val context_shift : int
+val max_context : int
 val opcode_barrier : int
 val opcode_bcast : int
 val opcode_reduce : int
@@ -165,7 +172,8 @@ val opcode_slice : int
 val tag_name : int -> string
 (** A tag as fault reports print it: ["<op>#<seq>"] for a collective's
     (["bcast#1"]), ["p2p"] for an untagged [Comm.send]'s, ["user:<u>"] for
-    a [Comm.send ~tag:u]'s, the number for any other. Allocates: call it
+    a [Comm.send ~tag:u]'s, each followed by ["@c<context>"] outside the
+    world (["bcast#3@c5"]); the number for any other. Allocates: call it
     only on the way to an error. *)
 
 val describe_recv : src:int -> tag:int -> any_tag:bool -> string

@@ -473,6 +473,41 @@ let collectives_equal_sim ?chaos backend =
       Alcotest.(check bool) (Printf.sprintf "collectives agree at p=%d" procs) true (v = sim))
     [ 1; 2; 4 ]
 
+(* After a split, ranks 0 and 1 make one parent bcast and then four
+   child bcasts, ranks 2 and 3 the child calls first: a valid program,
+   since each communicator sees one order on all its members.  The
+   parent's bcast#3 and the child's fourth travel from rank 0 to rank 2
+   on tags that differ only in their context; without one, FIFO hands
+   the parent's value to the child's receive.  Every rank's values. *)
+let split_context_isolation ?chaos backend =
+  let per_rank, _ =
+    Spmd.run backend ?chaos ~procs:4 (fun c ->
+        let r = Comm.rank c in
+        let child = Comm.split c ~color:(r mod 2) ~key:r in
+        let parent () = Comm.bcast c ~root:0 (if r = 0 then Some 1 else None) in
+        let children () =
+          List.map
+            (fun v -> Comm.bcast child ~root:0 (if Comm.rank child = 0 then Some v else None))
+            [ 10; 20; 30; 40 ]
+        in
+        let got =
+          if r < 2 then
+            let p = parent () in
+            (p, children ())
+          else
+            let cs = children () in
+            (parent (), cs)
+        in
+        Comm.gather c ~root:0 got)
+  in
+  Array.iteri
+    (fun r got ->
+      Alcotest.(check (pair int (list int)))
+        (Printf.sprintf "%s rank %d" (Backend.name backend) r)
+        (1, [ 10; 20; 30; 40 ])
+        got)
+    per_rank
+
 (* Every root sees the members' values folded in true rank order, not
    rotated by the root; every other rank gets [None]. *)
 let reduce_root_sweep ?chaos backend =
@@ -1030,6 +1065,7 @@ let contract_group backend =
       Alcotest.test_case "finished peer holding my message" `Quick (fun () ->
           finished_peer_holds_message backend);
       Alcotest.test_case "bcast against allreduce" `Quick (fun () -> bcast_against_allreduce backend);
+      Alcotest.test_case "split context isolation" `Quick (fun () -> split_context_isolation backend);
       Alcotest.test_case "flat result deadlock" `Quick (fun () -> flat_result_deadlock backend);
     ] )
 
@@ -1047,6 +1083,7 @@ let value_cases ~chaos backend =
     ("collectives equal sim", fun () -> collectives_equal_sim ~chaos backend);
     ("rooted collectives + slices equal sim", fun () -> rooted_collectives_equal_sim ~chaos backend);
     ("reduce root sweep", fun () -> reduce_root_sweep ~chaos backend);
+    ("split context isolation", fun () -> split_context_isolation ~chaos backend);
     ("dynamic farm", fun () -> ignore (dynamic_farm ~chaos backend));
     ("int slices + collectives", fun () -> int_slices_equal_sim ~chaos backend);
     ("slice copy vs alias", fun () -> slice_copy_semantics ~chaos backend);

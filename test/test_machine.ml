@@ -566,7 +566,7 @@ let test_comm_of_ranks_requires_membership () =
     (try
        ignore
          (simulate ~procs:4 (fun eng ->
-              if eng.Engine.rank = 3 then ignore (Comm.of_ranks eng [| 0; 1 |])));
+              if eng.Engine.rank = 3 then ignore (Comm.of_ranks eng ~context:1 [| 0; 1 |])));
        false
      with Invalid_argument _ -> true)
 
@@ -576,7 +576,7 @@ let test_comm_singleton () =
   let _ =
     simulate ~procs:3 (fun eng ->
         if eng.Engine.rank = 0 then begin
-          let c = Comm.of_ranks eng [| 0 |] in
+          let c = Comm.of_ranks eng ~context:1 [| 0 |] in
           Comm.barrier c;
           let v = Comm.bcast c ~root:0 (Some 9) in
           let r = Comm.allreduce c ( + ) 5 in
@@ -719,6 +719,71 @@ let test_comm_fresh_tag_boundary () =
            Comm.barrier c));
        false
      with Invalid_argument _ -> true)
+
+(* --- communicator contexts ------------------------------------------------- *)
+
+let test_comm_context_tag_names () =
+  let collective ~ctx seq op = Engine.tag_space lor (seq lsl 4) lor op lor (ctx lsl Engine.context_shift) in
+  List.iter
+    (fun (expected, tag) -> Alcotest.(check string) expected expected (Engine.tag_name tag))
+    [
+      ("bcast#3", collective ~ctx:0 3 Engine.opcode_bcast);
+      ("bcast#3@c5", collective ~ctx:5 3 Engine.opcode_bcast);
+      ("p2p@c2", collective ~ctx:2 0 Engine.opcode_sendrecv);
+      ("user:4@c2", Engine.user_space lor 4 lor (2 lsl Engine.context_shift));
+      ("user:4", Engine.user_space lor 4);
+      ("17", 17);
+    ]
+
+let test_comm_p2p_isolated_per_communicator () =
+  (* the same user tag on the world and on a child is two channels: rank 0
+     sends on the child first, rank 2 receives on the world first *)
+  let got = ref None in
+  let _ =
+    run_world ~procs:4 (fun c ->
+        let child = Comm.split c ~color:(Comm.rank c mod 2) ~key:0 in
+        match Comm.rank c with
+        | 0 ->
+            Comm.send child ~dest:1 ~tag:3 "child";
+            Comm.send c ~dest:2 ~tag:3 "world"
+        | 2 ->
+            let (w : string) = Comm.recv c ~src:0 ~tag:3 () in
+            let (k : string) = Comm.recv child ~src:0 ~tag:3 () in
+            got := Some (w, k)
+        | _ -> ())
+  in
+  Alcotest.(check (option (pair string string))) "each on its own" (Some ("world", "child")) !got
+
+let test_comm_context_bound () =
+  (* 31 nested first splits fit in the context's 31 bits; the 32nd fails
+     loudly, before it sends anything *)
+  let nest depth =
+    run_world ~procs:1 (fun c ->
+        let c = ref c in
+        for _ = 1 to depth do
+          c := Comm.split !c ~color:0 ~key:0
+        done;
+        ignore (Comm.allreduce !c ( + ) 1 : int))
+  in
+  ignore (nest 31);
+  Alcotest.check_raises "split 32 deep"
+    (Invalid_argument
+       "Comm.split: context ids exhausted (split 0 of context 4294967294 needs more than 31 bits of \
+        split codes)")
+    (fun () -> ignore (nest 32));
+  (* a communicator's 2nd and 3rd splits cost 3 bits each: 10 nested ones
+     fit, 11 do not *)
+  let third depth =
+    run_world ~procs:1 (fun c ->
+        let c = ref c in
+        for _ = 1 to depth do
+          ignore (Comm.split !c ~color:0 ~key:0);
+          c := Comm.split !c ~color:0 ~key:0
+        done)
+  in
+  ignore (third 10);
+  Alcotest.(check bool) "11 second splits raise" true
+    (match third 11 with _ -> false | exception Invalid_argument _ -> true)
 
 (* --- recv deadlines (Fault.Timeout) ----------------------------------------- *)
 
@@ -1388,6 +1453,10 @@ let suite =
         Alcotest.test_case "reduce root sweep (non-commutative)" `Quick test_comm_reduce_root_sweep;
         Alcotest.test_case "allreduce/scan order sweep" `Quick test_comm_allreduce_scan_order_sweep;
         Alcotest.test_case "fresh_tag overflow boundary" `Quick test_comm_fresh_tag_boundary;
+        Alcotest.test_case "context in tag names" `Quick test_comm_context_tag_names;
+        Alcotest.test_case "p2p isolated per communicator" `Quick
+          test_comm_p2p_isolated_per_communicator;
+        Alcotest.test_case "context bound" `Quick test_comm_context_bound;
       ] );
     ( "faults",
       [
