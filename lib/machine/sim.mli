@@ -31,8 +31,9 @@ type stats = {
       only once no in-time delivery is possible. Per-source FIFO is never
       violated: a younger packet that would arrive in time cannot overtake
       an older one that would not.
-    - [recv_any] takes the earliest arrival, ties to the lowest source
-      rank (a deterministic resolution of MPI's nondeterminism).
+    - [recv_any] takes the earliest arrival among each source's oldest
+      match, ties to the older send (a deterministic resolution of MPI's
+      nondeterminism).
     - [time ()] is the processor's simulated clock.
 
     A processor whose program raises {!Fault.Crashed} fail-stops: it is
