@@ -2,58 +2,28 @@
    a rank pool, wired pairwise by Unix-domain socketpairs, with a
    shared-memory arena beside the sockets for bulk slices.
 
-   Frame protocol (all integers little-endian):
-
-     +------+----------------+----------------+----------------------+
-     | kind | tag  (int64)   | len  (int64)   | payload              |
-     | 1 B  | 8 B            | 8 B            | see below            |
-     +------+----------------+----------------+----------------------+
-
-     kind 0  marshal       len = payload bytes; payload = [Marshal] image
-     kind 1  goodbye       len = 0; clean-finish marker, no payload
-     kind 2  arena floats  len = element count; payload = two int64s: the
-                           block's arena offset and its span (elements)
-     kind 3  arena ints    as kind 2, int elements
-     kind 4  credit        tag = the run's number; len = elements of the
-                           reader's own ring toward the writer that are
-                           free again; no payload
-
-   The source rank is implicit (one socket per peer), so a frame is
-   exactly one message and the per-(src,tag) FIFO contract falls out of
-   TCP-like stream ordering: same-channel messages share a socket and a
-   parse order — arena frames included, since only their payload lives
-   elsewhere.  A slice that does not take the arena is a [Marshal] frame
-   like any boxed value ([Marshal] keeps a Bigarray's bits exactly), so
-   either way one bulk send stays one frame, the coalescing invariant
-   the flat tier builds on.
-
-   Each socket frame is copied once per hop.  Writing: a payload of up to
-   one chunk (64 KiB) goes out in a single write together with its
-   header; a larger one is written after its header as it stands, never
-   copied into an assembled frame.  Reading: one chunk-sized read drains
-   as many small frames as have arrived into the peer's stream tail, and
-   they are parsed out of it.  Once a header announces a payload the tail
-   does not hold in full, the payload is allocated at its final size,
-   takes the buffered prefix, and the rest is read straight into it; it
-   is queued as it stands.  The stream tail therefore never grows past a
-   header plus one chunk.
+   What goes on a rank-to-rank stream, and what its bytes mean, is
+   [Wire]'s: frames, the arena rings and their credits, goodbyes and run
+   numbers (see wire.mli).  This file moves the bytes: one non-blocking
+   [write_some] writes what [Wire.next] offers, and every read lands
+   where [Wire.read_into] says and is handed to [Wire.filled].  No send
+   waits for a matching receive: a frame that does not fit in the socket
+   buffer is written as the buffer drains, and while it waits the sender
+   keeps reading every peer's inbound stream through the same [select]
+   pump that receives use, so two ranks sending bulk frames to each
+   other both progress.  A send returns once its whole frame is in the
+   kernel, and can wait only until its destination next enters any
+   engine call, finishes, or dies.
 
    The arena.  A process maps one shared file (under /dev/shm, unlinked
    as soon as it is open, so no name outlives the mapping) before it
    first forks a pool of two or more ranks and keeps it for its
-   lifetime; every run carves it into one ring per directed channel, and
-   the pool's ranks inherit the mapping.  A slice of at least one chunk
-   is blitted into the sender's ring toward its destination and
-   announced by an arena frame on the socket; the receiver copies it out
-   (into a buffer of its run's workspace lease under [run_flat], a fresh
-   Bigarray otherwise) as soon as it parses that frame and owes the
-   sender a credit for the span.
-   Credits are written only between whole frames: never while a frame to
-   that peer is part-written, and never blocking — what the socket does
-   not take at once stays owed, and rides ahead of the next frame.  A
-   slice that finds no room in its ring takes the socket like any small
-   one, so nothing ever waits on arena space, and boxed payloads always
-   take the socket.  A process that cannot create the file runs on
+   lifetime; every run carves it into one [Wire.ring] per directed
+   channel, and the pool's ranks inherit the mapping.  The sender blits a
+   slice into the place [Wire.reserve_slice] gives it; the receiver
+   copies it out (into a buffer of its run's workspace lease under
+   [run_flat], a fresh Bigarray otherwise) as soon as [Wire.filled]
+   hands it the frame.  A process that cannot create the file runs on
    sockets alone.
 
    The pool.  The first run (or [init]) forks the ranks once; each keeps
@@ -65,15 +35,14 @@
    one [Marshal [Closures]] image of its program and result form, written
    to the control socket of each rank it uses, behind an int64 length,
    the run's epoch and its number; one [select] loop writes every rank's
-   copy, so a large image reaches them together.  Frames never cross from
-   one run into the next: a rank that finishes cleanly sends every peer a
-   goodbye, behind all the credit it owes that peer and with nothing
-   after it, and then reads each peer's stream up to that peer's goodbye
-   (or EOF), dropping what it reads, before it reports.  A run in which
-   any rank failed, fail-stopped or died retires the whole pool — its
-   sockets are in an unknown state, and a replacement rank could not be
-   wired to the live ones — and the next run forks a new one; so does a
-   run that needs more ranks than the pool has.
+   copy, so a large image reaches them together.  A rank that finishes
+   cleanly says [Wire.goodbye] to every peer and reads each peer's
+   stream up to that peer's goodbye (or EOF), dropping what it reads,
+   before it reports, so no frame crosses from one run into the next.
+   A run in which any rank failed, fail-stopped or died retires the
+   whole pool — its sockets are in an unknown state, and a replacement
+   rank could not be wired to the live ones — and the next run forks a
+   new one; so does a run that needs more ranks than the pool has.
 
    The staging file.  [run_flat]'s bulk data never crosses a socket.  The
    pool has one file (beside the arena, unlinked at once) that its ranks
@@ -102,15 +71,6 @@
    rank waits for a one-byte answer saying whether it is wanted, so that
    only one rank writes the staging file.  A rank that dies before its
    result has arrived whole is a crash.
-
-   A send returns once its whole frame is in the kernel; no frame is
-   ever owed after that.  No send waits for a matching receive: a frame
-   that does not fit in the socket buffer is written as the buffer
-   drains, and while it waits the sender keeps reading every peer's
-   inbound stream through the same [select] pump that receives use — so
-   two ranks sending bulk frames to each other both progress.  A send
-   can therefore wait only until its destination next enters any engine
-   call, finishes, or dies.
 
    Crash detection is the point of this engine: a peer that dies (exit,
    signal, [EPIPE]) leaves EOF on its socket *without* the goodbye
@@ -154,43 +114,6 @@ type stats = {
   job_bytes : int;
 }
 
-(* ------------------------------------------------------------------ frames *)
-
-let header_len = 17
-let k_marshal = 0
-let k_goodbye = 1
-let k_arena_floats = 2
-let k_arena_ints = 3
-let k_credit = 4
-
-(* Payload bytes that follow a header of [kind] announcing [len]. *)
-let body_bytes kind len =
-  if kind = k_marshal then len
-  else if kind = k_arena_floats || kind = k_arena_ints then 16
-  else 0
-
-(* One read or write of the byte stream moves at most this much; a frame
-   whose payload is larger skips the per-peer stream buffer both ways,
-   and a slice this large goes through the arena when its ring has room. *)
-let chunk = 65536
-
-let header kind tag len extra =
-  let b = Bytes.create (header_len + extra) in
-  Bytes.set b 0 (Char.chr kind);
-  Bytes.set_int64_le b 1 (Int64.of_int tag);
-  Bytes.set_int64_le b 9 (Int64.of_int len);
-  b
-
-(* The frame header announcing [len] for [payload], followed by
-   [payload] itself only when it fits in one chunk: a larger payload is
-   written after it as is. *)
-let frame_head kind tag len payload =
-  let n = Bytes.length payload in
-  let inline = if n <= chunk then n else 0 in
-  let b = header kind tag len inline in
-  Bytes.blit payload 0 b header_len inline;
-  b
-
 (* ------------------------------------------------------------------- arena *)
 
 (* One shared mapping, seen as float64 and as int (the file mapped
@@ -212,14 +135,20 @@ let arena : arena option ref = ref None
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let map_arena () =
-  let pid = Unix.getpid () in
-  let path = Printf.sprintf "%s/%s%d" arena_dir arena_prefix pid in
+(* A new file at [path], open and unlinked before anything else can
+   fail: no name outlives this call. *)
+let open_unlinked path =
   match Unix.openfile path [ O_RDWR; O_CREAT; O_EXCL; O_CLOEXEC ] 0o600 with
   | exception Unix.Unix_error _ -> None
   | fd ->
-      (* unlinked before anything else can fail: no name outlives this call *)
       (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Some fd
+
+let map_arena () =
+  let pid = Unix.getpid () in
+  match open_unlinked (Printf.sprintf "%s/%s%d" arena_dir arena_prefix pid) with
+  | None -> None
+  | Some fd ->
       let view kind =
         Bigarray.array1_of_genarray (Unix.map_file fd kind Bigarray.c_layout true [| arena_elems |])
       in
@@ -239,53 +168,16 @@ let acquire_arena () =
   | _ -> arena := map_arena ());
   !arena
 
-(* The sender's ring toward one destination: [r_head] and [r_tail] count
-   elements ever reserved and ever credited back, so [r_head - r_tail] is
-   in flight. *)
-type ring = { r_base : int; r_cap : int; mutable r_head : int; mutable r_tail : int }
-
-(* Rank [src]'s ring toward [dst] in a run of [procs]: the arena in
-   [procs * (procs - 1)] equal parts, none when a part would be smaller
-   than a chunk. *)
-let ring_of ~procs ~src ~dst =
-  let cap = arena_elems / (procs * (procs - 1)) in
-  if 8 * cap < chunk then None
-  else
-    let slot = (src * (procs - 1)) + if dst < src then dst else dst - 1 in
-    Some { r_base = slot * cap; r_cap = cap; r_head = 0; r_tail = 0 }
-
-(* Room for [n] contiguous elements: [Some (offset, span)], or [None].  A
-   block that would straddle the ring's end starts over at its front, and
-   the skipped tail is charged to it: its span, returned by its credit. *)
-let reserve r n =
-  let pos = r.r_head mod r.r_cap in
-  let skip = if pos + n > r.r_cap then r.r_cap - pos else 0 in
-  if r.r_head + skip + n - r.r_tail > r.r_cap then None
-  else begin
-    r.r_head <- r.r_head + skip + n;
-    Some (r.r_base + (if skip > 0 then 0 else pos), skip + n)
-  end
-
 (* ----------------------------------------------------------------- staging *)
 
 (* A new pool's staging file, open and already unlinked: under /dev/shm
    beside the arena, else in the temp directory.  Its name carries the
    arena's prefix, so a check for leftover arena files covers it too. *)
 let open_stage () =
-  let attempt dir =
-    let path = Printf.sprintf "%s/%s%d-stage" dir arena_prefix (Unix.getpid ()) in
-    match Unix.openfile path [ O_RDWR; O_CREAT; O_EXCL; O_CLOEXEC ] 0o600 with
-    | exception Unix.Unix_error _ -> None
-    | fd ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ());
-        Some fd
-  in
-  match attempt arena_dir with
+  let path dir = Printf.sprintf "%s/%s%d-stage" dir arena_prefix (Unix.getpid ()) in
+  match List.find_map (fun dir -> open_unlinked (path dir)) [ arena_dir; Filename.get_temp_dir_name () ] with
   | Some fd -> fd
-  | None -> (
-      match attempt (Filename.get_temp_dir_name ()) with
-      | Some fd -> fd
-      | None -> failwith "Procs: cannot create the pool's staging file")
+  | None -> failwith "Procs: cannot create the pool's staging file"
 
 (* A rank's mappings of the staging file, one per kind, each kept across
    runs: a steady job touches only pages it has mapped before. *)
@@ -318,49 +210,31 @@ let window (type k e) st (kind : (k, e) Bigarray.kind) n : (k, e) Engine.slice =
 
 (* -------------------------------------------------------------- child state *)
 
-(* A parsed, not-yet-received message.  One [Mailbox] in arrival order
+(* Messages arrived and not yet received, decoded: [Marshal] images as
+   they arrive, arena slices as copies.  One [Mailbox] in arrival order
    across all peers: [recv_any] takes the globally oldest match, directed
    [recv] the oldest on its channel — FIFO per (src, tag) either way. *)
-type body =
-  | Wire of bytes  (* a [Marshal] image, decoded on receipt *)
-  | Copied of Obj.t  (* an arena slice, copied out when its frame was parsed *)
-
-(* A frame whose header is parsed but whose payload, allocated at its
-   final size, is still arriving. *)
-type partial = { f_kind : int; f_tag : int; f_len : int; f_payload : bytes }
-
 type peer = {
   p_rank : int;
   p_fd : Unix.file_descr;
+  p_wire : Wire.t;  (* the stream pair's protocol state, kept across runs *)
   mutable p_eof : bool;  (* read side saw EOF (or a hard reset) *)
-  mutable p_fin : bool;  (* goodbye frame parsed: the peer finished cleanly *)
   mutable p_wdead : bool;  (* write side dead; outbound traffic is dropped *)
-  mutable p_rbuf : Bytes.t;  (* inbound stream tail not yet parsed *)
-  mutable p_rlen : int;
-  mutable p_body : partial option;
-  mutable p_got : int;  (* payload bytes of [p_body] read so far *)
-  p_ring : ring option;  (* our ring toward this peer *)
-  mutable p_writing : bool;  (* a frame to this peer is part-written *)
-  mutable p_credit : int;  (* elements of the peer's ring we have freed, not yet announced *)
-  mutable p_ctl : Bytes.t;  (* a credit frame being written *)
-  mutable p_ctl_off : int;  (* its bytes already written *)
 }
 
 type cstate = {
   c_rank : int;
   c_procs : int;
   c_t0 : float;  (* the run's epoch, taken in the parent as it starts the run *)
-  c_run : int;  (* the run's number in its pool: credit frames carry it *)
   c_arena : arena option;
   c_alloc : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice;
       (* storage for an arena slice's copy *)
   peers : peer option array;  (* index = rank; [None] at [c_rank] *)
-  pending : body Mailbox.t;
+  pending : Obj.t Mailbox.t;
   mutable c_draining : bool;  (* finished: frames still arriving are dropped *)
   mutable c_sent : int;
   mutable c_recvd : int;
   mutable c_arena_sent : int;
-  scratch : Bytes.t;  (* read chunk *)
 }
 
 let now st = Unix.gettimeofday () -. st.c_t0
@@ -370,135 +244,55 @@ let copy_out st view off n =
   Bigarray.Array1.blit (Bigarray.Array1.sub view off n) a;
   a
 
-(* ------------------------------------------------------------------ credits *)
-
-(* Turn owed credit into a credit frame, unless one is still part-written:
-   a credit frame, once started, is finished before any other byte goes
-   to that peer. *)
-let take_credit st peer =
-  if peer.p_ctl_off = Bytes.length peer.p_ctl && peer.p_credit > 0 then begin
-    peer.p_ctl <- header k_credit st.c_run peer.p_credit 0;
-    peer.p_ctl_off <- 0;
-    peer.p_credit <- 0
-  end
-
-(* Write owed credit without blocking, and only between whole frames. *)
-let flush_credit st peer =
-  if not (peer.p_writing || peer.p_wdead) then begin
-    take_credit st peer;
-    let continue = ref true in
-    while !continue && peer.p_ctl_off < Bytes.length peer.p_ctl do
-      match
-        Unix.write peer.p_fd peer.p_ctl peer.p_ctl_off (Bytes.length peer.p_ctl - peer.p_ctl_off)
-      with
-      | n -> peer.p_ctl_off <- peer.p_ctl_off + n
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-          peer.p_wdead <- true;
-          continue := false
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-    done
-  end
-
 (* ------------------------------------------------------- stream maintenance *)
 
-(* A whole frame from [peer]: queue its message, or apply a control
-   frame.  Once this rank has finished, only goodbyes matter.  A credit
-   from another run would free ring space this run has not used, and let
-   the next block overwrite one its reader has not copied out yet. *)
-let deliver st peer ~kind ~tag ~len payload =
-  if kind = k_goodbye then peer.p_fin <- true
-  else if st.c_draining then ()
-  else if kind = k_credit then begin
-    if tag <> st.c_run then
-      failwith
-        (Printf.sprintf "Procs: p%d got a credit frame of run %d from p%d in run %d" st.c_rank tag
-           peer.p_rank st.c_run);
-    Option.iter (fun r -> r.r_tail <- r.r_tail + len) peer.p_ring
-  end
-  else if kind = k_arena_floats || kind = k_arena_ints then begin
-    let a = Option.get st.c_arena in
-    let off = Int64.to_int (Bytes.get_int64_le payload 0) in
-    let v =
-      if kind = k_arena_floats then Obj.repr (copy_out st a.a_floats off len)
-      else Obj.repr (copy_out st a.a_ints off len)
-    in
-    peer.p_credit <- peer.p_credit + Int64.to_int (Bytes.get_int64_le payload 8);
-    Mailbox.push st.pending ~src:peer.p_rank ~tag (Copied v)
-  end
-  else Mailbox.push st.pending ~src:peer.p_rank ~tag (Wire payload)
+(* Write what the peer's stream has to say until the socket would block. *)
+let rec write_some p =
+  if not p.p_wdead then
+    match Wire.next p.p_wire with
+    | None -> ()
+    | Some (b, off, len) -> (
+        match Unix.write p.p_fd b off len with
+        | n ->
+            Wire.advance p.p_wire n;
+            write_some p
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> p.p_wdead <- true
+        | exception Unix.Unix_error (EINTR, _, _) -> write_some p)
 
-(* Parse every complete frame out of the peer's stream tail.  A frame
-   whose payload the tail does not hold in full becomes [p_body], taking
-   the whole rest of the tail, so what is left is shorter than a header. *)
-let parse_frames st peer =
-  let pos = ref 0 in
-  (try
-     while peer.p_rlen - !pos >= header_len do
-       let kind = Char.code (Bytes.get peer.p_rbuf !pos) in
-       let tag = Int64.to_int (Bytes.get_int64_le peer.p_rbuf (!pos + 1)) in
-       let len = Int64.to_int (Bytes.get_int64_le peer.p_rbuf (!pos + 9)) in
-       let body = body_bytes kind len in
-       let held = min body (peer.p_rlen - !pos - header_len) in
-       let payload = Bytes.create body in
-       Bytes.blit peer.p_rbuf (!pos + header_len) payload 0 held;
-       pos := !pos + header_len + held;
-       if held < body then begin
-         peer.p_body <- Some { f_kind = kind; f_tag = tag; f_len = len; f_payload = payload };
-         peer.p_got <- held;
-         raise Exit
-       end;
-       deliver st peer ~kind ~tag ~len payload
-     done
-   with Exit -> ());
-  if !pos > 0 then begin
-    Bytes.blit peer.p_rbuf !pos peer.p_rbuf 0 (peer.p_rlen - !pos);
-    peer.p_rlen <- peer.p_rlen - !pos
-  end
+(* A message from [peer]: queue it, an arena slice copied out first.
+   Once this rank has finished, nothing is kept. *)
+let deliver st peer = function
+  | _ when st.c_draining -> ()
+  | Wire.Message { tag; payload } ->
+      Mailbox.push st.pending ~src:peer.p_rank ~tag (Marshal.from_bytes payload 0)
+  | Wire.Slice { kind; tag; off; len; _ } ->
+      let a = Option.get st.c_arena in
+      let v =
+        match kind with
+        | Wire.Floats -> Obj.repr (copy_out st a.a_floats off len)
+        | Wire.Ints -> Obj.repr (copy_out st a.a_ints off len)
+      in
+      Mailbox.push st.pending ~src:peer.p_rank ~tag v
 
-(* Read until the socket would block: a chunk at a time into the stream
-   tail, or straight into the payload of a frame in progress; then pay
-   back what the parsed arena frames freed. *)
+(* Read until the socket would block, then pay back what the arena
+   frames read freed. *)
 let read_peer st peer =
   let continue = ref true in
   while !continue && not peer.p_eof do
-    let into, off, len =
-      match peer.p_body with
-      | Some f -> (f.f_payload, peer.p_got, Bytes.length f.f_payload - peer.p_got)
-      | None -> (st.scratch, 0, chunk)
-    in
-    match Unix.read peer.p_fd into off len with
+    let b, off, len = Wire.read_into peer.p_wire in
+    match Unix.read peer.p_fd b off len with
     | 0 -> peer.p_eof <- true
-    | n -> (
-        match peer.p_body with
-        | Some f ->
-            peer.p_got <- peer.p_got + n;
-            if peer.p_got = Bytes.length f.f_payload then begin
-              peer.p_body <- None;
-              deliver st peer ~kind:f.f_kind ~tag:f.f_tag ~len:f.f_len f.f_payload
-            end
-        | None ->
-            let need = peer.p_rlen + n in
-            if Bytes.length peer.p_rbuf < need then begin
-              (* the tail held less than a header before this read *)
-              let grown =
-                Bytes.create (min (header_len + chunk) (max need (2 * Bytes.length peer.p_rbuf)))
-              in
-              Bytes.blit peer.p_rbuf 0 grown 0 peer.p_rlen;
-              peer.p_rbuf <- grown
-            end;
-            Bytes.blit st.scratch 0 peer.p_rbuf peer.p_rlen n;
-            peer.p_rlen <- need;
-            parse_frames st peer)
+    | n -> List.iter (deliver st peer) (Wire.filled peer.p_wire n)
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> peer.p_eof <- true
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done;
-  flush_credit st peer
+  write_some peer
 
 (* A peer that may still send in this run: neither finished (goodbye
    parsed) nor gone (EOF). *)
-let live p = not (p.p_eof || p.p_fin)
+let live p = not (p.p_eof || Wire.finished p.p_wire)
 
 (* The longest single wait handed to [select], which rejects a timeout
    too large for its [timeval] with EINVAL; a longer wait loops. *)
@@ -538,32 +332,25 @@ let no_sender_exn st ~src ~tag ~any_tag =
         Some
           (Fault.Deadlock
              (Printf.sprintf "p%d: %s from self can never be satisfied" st.c_rank (recv ())))
-    | Some p when p.p_fin ->
+    | Some p when Wire.finished p.p_wire ->
         Some
           (Fault.Deadlock
              (Printf.sprintf "p%d: %s — rank %d finished cleanly without sending a matching message"
                 st.c_rank (recv ()) src))
     | Some p when p.p_eof -> Some (Fault.Crashed src)
     | Some _ -> None
-  else begin
-    let all_gone = ref true and first_crashed = ref (-1) in
-    Array.iter
-      (function
-        | Some p ->
-            if live p then all_gone := false
-            else if (not p.p_fin) && !first_crashed < 0 then first_crashed := p.p_rank
-        | None -> ())
-      st.peers;
-    if not !all_gone then None
-    else if !first_crashed >= 0 then Some (Fault.Crashed !first_crashed)
+  else
+    let others = List.filter_map Fun.id (Array.to_list st.peers) in
+    if List.exists live others then None
     else
-      Some
-        (Fault.Deadlock
-           (Printf.sprintf
-              "p%d: recv_any(tag=%s) — every other rank finished cleanly without sending a \
-               matching message"
-              st.c_rank (if any_tag then "any" else Engine.tag_name tag)))
-  end
+      match List.find_opt (fun p -> not (Wire.finished p.p_wire)) others with
+      | Some p -> Some (Fault.Crashed p.p_rank)
+      | None ->
+          Some
+            (Fault.Deadlock
+               (Printf.sprintf
+                  "p%d: %s — every other rank finished cleanly without sending a matching message"
+                  st.c_rank (recv ())))
 
 (* The position of the pending message a receive takes, once one has
    arrived. *)
@@ -587,50 +374,35 @@ let await st ~src ~tag ~any_tag ~deadline =
   in
   loop ()
 
-(* Take pending message [i], decoded. *)
 let take st i : Obj.t =
   st.c_recvd <- st.c_recvd + 1;
-  match Mailbox.take st.pending i with
-  | Copied v -> v
-  | Wire payload -> Marshal.from_bytes payload 0
+  Mailbox.take st.pending i
 
 (* ------------------------------------------------------------------ sending *)
 
-(* Hand the whole frame to the kernel before returning, owed credit
-   first.  While the socket is full, keep reading every inbound stream:
-   the destination may itself be blocked sending to us.  A dead peer
-   (EPIPE) absorbs the frame — traffic to a crashed rank is lost, the
-   fail-stop contract.  A payload larger than one chunk follows its
-   header in a second write instead of being copied behind it. *)
-let send_frame st peer kind tag len payload =
-  let write b off =
-    let len = Bytes.length b in
-    let off = ref off in
-    while (not peer.p_wdead) && !off < len do
-      match Unix.write peer.p_fd b !off (len - !off) with
-      | n -> off := !off + n
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          step ~writing:peer st ~timeout:(-1.0)
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> peer.p_wdead <- true
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
+(* Queue a frame with [queue] and hand it whole to the kernel before
+   returning.  While the socket is full, keep reading every inbound
+   stream: the destination may itself be blocked sending to us.  A dead
+   peer (EPIPE) absorbs the frame — traffic to a crashed rank is lost,
+   the fail-stop contract. *)
+let send_frame st peer queue =
+  if not peer.p_wdead then begin
+    queue peer.p_wire;
+    write_some peer;
+    while (not peer.p_wdead) && Wire.backlog peer.p_wire do
+      step ~writing:peer st ~timeout:(-1.0);
+      write_some peer
     done
-  in
-  peer.p_writing <- true;
-  (* every credit owed so far: a part-written frame's rest, then the rest *)
-  write peer.p_ctl peer.p_ctl_off;
-  peer.p_ctl_off <- Bytes.length peer.p_ctl;
-  take_credit st peer;
-  write peer.p_ctl peer.p_ctl_off;
-  peer.p_ctl_off <- Bytes.length peer.p_ctl;
-  write (frame_head kind tag len payload) 0;
-  if Bytes.length payload > chunk then write payload 0;
-  peer.p_writing <- false;
-  if kind = k_goodbye then
-    (* nothing follows a goodbye: the peer stops reading this socket at
-       it, and the socket outlives the run *)
-    peer.p_wdead <- true
-  else (* what the frame's own wait freed *)
-    flush_credit st peer
+  end
+
+(* [v]'s [Marshal] image, or [Fault.Unserializable] saying that [what ()]
+   cannot cross a process boundary. *)
+let marshal flags v what =
+  try Marshal.to_bytes v flags
+  with Invalid_argument msg | Failure msg ->
+    raise
+      (Fault.Unserializable
+         (Printf.sprintf "%s cannot cross a process boundary (%s)" (what ()) msg))
 
 let peer_of st dest = match st.peers.(dest) with Some p -> p | None -> assert false
 
@@ -638,46 +410,35 @@ let send_obj st ~dest ~tag v =
   Engine.check_dest "Procs.send" ~size:st.c_procs ~self:st.c_rank dest;
   st.c_sent <- st.c_sent + 1;
   let payload =
-    try Marshal.to_bytes v []
-    with Invalid_argument msg | Failure msg ->
-      raise
-        (Fault.Unserializable
-           (Printf.sprintf "Procs.send: p%d -> p%d tag %d: payload cannot cross a process \
-                            boundary (%s)"
-              st.c_rank dest tag msg))
+    marshal [] v (fun () -> Printf.sprintf "Procs.send: p%d -> p%d tag %d: payload" st.c_rank dest tag)
   in
-  send_frame st (peer_of st dest) k_marshal tag (Bytes.length payload) payload
+  send_frame st (peer_of st dest) (fun w -> Wire.send w ~tag payload)
 
-(* A slice of at least one chunk goes through the arena when its ring
-   has room: one blit in, and a frame carrying where; anything else is a
-   [Marshal] frame on the socket. *)
+(* A slice goes through the arena when [Wire] finds it room: one blit
+   in, and a frame carrying where; anything else is a [Marshal] frame on
+   the socket. *)
 let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
   Engine.check_slice "Procs.send_slice" s;
   Engine.check_dest "Procs.send_slice" ~size:st.c_procs ~self:st.c_rank dest;
   st.c_sent <- st.c_sent + 1;
   let p = peer_of st dest in
   let n = Bigarray.Array1.dim s in
-  match (match p.p_ring with Some r when 8 * n >= chunk -> reserve r n | _ -> None) with
+  match Wire.reserve_slice p.p_wire n with
   | Some (off, span) ->
       let a = Option.get st.c_arena in
       let kind =
         match Bigarray.Array1.kind s with
         | Bigarray.Float64 ->
             Bigarray.Array1.blit s (Bigarray.Array1.sub a.a_floats off n);
-            k_arena_floats
+            Wire.Floats
         | Bigarray.Int ->
             Bigarray.Array1.blit s (Bigarray.Array1.sub a.a_ints off n);
-            k_arena_ints
+            Wire.Ints
         | _ -> assert false
       in
-      let where = Bytes.create 16 in
-      Bytes.set_int64_le where 0 (Int64.of_int off);
-      Bytes.set_int64_le where 8 (Int64.of_int span);
       st.c_arena_sent <- st.c_arena_sent + 1;
-      send_frame st p kind tag n where
-  | None ->
-      let payload = Marshal.to_bytes s [] in
-      send_frame st p k_marshal tag (Bytes.length payload) payload
+      send_frame st p (fun w -> Wire.send_slice w ~kind ~tag ~len:n ~off ~span)
+  | None -> send_frame st p (fun w -> Wire.send w ~tag (Marshal.to_bytes s []))
 
 (* ----------------------------------------------------------------- shutdown *)
 
@@ -686,12 +447,10 @@ let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
    apply the undelivered-message check — not counting traffic from ranks
    that crashed, which the fail-stop model allows to go unconsumed. *)
 let finish_clean st =
-  Array.iter
-    (function
-      | Some p -> send_frame st p k_goodbye 0 0 Bytes.empty
-      | None -> ())
-    st.peers;
-  let crashed src = match st.peers.(src) with Some p -> p.p_eof && not p.p_fin | None -> false in
+  Array.iter (function Some p -> send_frame st p Wire.goodbye | None -> ()) st.peers;
+  let crashed src =
+    match st.peers.(src) with Some p -> p.p_eof && not (Wire.finished p.p_wire) | None -> false
+  in
   Mailbox.check_undelivered ~skip:crashed st.pending ~rank:st.c_rank
 
 (* After a clean finish, read every peer's stream up to its goodbye (or
@@ -862,7 +621,7 @@ let encode_array (type k e) (kind : (k, e) Bigarray.kind) (a : k array) ~i ~m b 
 (* The parent's chunk buffer for the staging file, both ways.  A run
    holds the pool's lock throughout, so one run at a time uses it; a
    fresh buffer per run raised [sort-procs]' peak RSS by ~0.15 MB. *)
-let parent_buf = Bytes.create chunk
+let parent_buf = Bytes.create Wire.chunk
 
 (* [run_flat]'s input into the staging file from offset 0, a chunk at a
    time: the parent writes the file and maps nothing. *)
@@ -871,7 +630,7 @@ let stage_input fd kind a =
   let n = Array.length a in
   let i = ref 0 in
   while !i < n do
-    let m = min (n - !i) (chunk / 8) in
+    let m = min (n - !i) (Wire.chunk / 8) in
     encode_array kind a ~i:!i ~m parent_buf;
     write_all fd parent_buf 0 (8 * m);
     i := !i + m
@@ -1012,51 +771,36 @@ let cpu_seconds () =
   let t = Unix.times () in
   t.tms_utime +. t.tms_stime
 
-let new_peer ~arena ~procs ~rank q fd =
-  {
-    p_rank = q;
-    p_fd = fd;
-    p_eof = false;
-    p_fin = false;
-    p_wdead = false;
-    p_rbuf = Bytes.create 4096;
-    p_rlen = 0;
-    p_body = None;
-    p_got = 0;
-    p_ring = (if Option.is_some arena then ring_of ~procs ~src:rank ~dst:q else None);
-    p_writing = false;
-    p_credit = 0;
-    p_ctl = Bytes.empty;
-    p_ctl_off = 0;
-  }
-
 (* Serve one run on this rank's pooled sockets [links] (index = peer
    rank) and report it on [ctl].  [true] when the rank can serve another
    run: it finished cleanly, drained every peer, and its report went
    out. *)
-let serve ~rank ~arena ~stage ~ctl ~links ~scratch ~t0 ~run (Job j) =
+let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
   let f0 = minor_faults () and c0 = cpu_seconds () in
   let lease = Workspace.lease () in
   let procs = j.j_procs in
   let peers =
     Array.init procs (fun q ->
-        if q = rank then None else Some (new_peer ~arena ~procs ~rank q (Option.get links.(q))))
+        Option.map
+          (fun (fd, w) ->
+            Wire.start w ~run
+              ~ring:(Option.bind arena (fun _ -> Wire.ring_of ~elems:arena_elems ~procs ~src:rank ~dst:q));
+            { p_rank = q; p_fd = fd; p_wire = w; p_eof = false; p_wdead = false })
+          links.(q))
   in
   let st =
     {
       c_rank = rank;
       c_procs = procs;
       c_t0 = t0;
-      c_run = run;
       c_arena = arena;
       c_alloc = (if j.j_lend then fun kind n -> Workspace.lend lease kind n else Engine.fresh);
       peers;
-      pending = Mailbox.create (Wire Bytes.empty);
+      pending = Mailbox.create (Obj.repr 0);
       c_draining = false;
       c_sent = 0;
       c_recvd = 0;
       c_arena_sent = 0;
-      scratch;
     }
   in
   let eng = engine st j.j_cost j.j_topology in
@@ -1252,7 +996,11 @@ let rank_main ~rank ~arena ~stage ~ctl ~links ~drop =
   let ctl, links, stage = lift_sockets ~ctl ~links ~stage in
   rank_fds := stage :: ctl :: List.filter_map Fun.id (Array.to_list links);
   Array.iter (Option.iter Unix.set_nonblock) links;
-  let scratch = Bytes.create chunk in
+  let links =
+    Array.mapi
+      (fun q -> Option.map (fun fd -> (fd, Wire.create ~chunk:Wire.chunk ~self:rank ~peer:q)))
+      links
+  in
   let stage = staged stage in
   let rec loop () =
     match read_sized ctl with
@@ -1260,7 +1008,7 @@ let rank_main ~rank ~arena ~stage ~ctl ~links ~drop =
         let t0 = Int64.float_of_bits (Bytes.get_int64_le b 0) in
         let run = Int64.to_int (Bytes.get_int64_le b 8) in
         let job : job = Marshal.from_bytes b 16 in
-        if serve ~rank ~arena ~stage ~ctl ~links ~scratch ~t0 ~run job then loop ()
+        if serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run job then loop ()
     | _ -> ()
   in
   (try loop () with _ -> ());
@@ -1421,13 +1169,7 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
         j_write = form.write;
       }
   in
-  let image =
-    try Marshal.to_bytes job [ Marshal.Closures ]
-    with Invalid_argument msg | Failure msg ->
-      raise
-        (Fault.Unserializable
-           (Printf.sprintf "Procs.%s: the program cannot cross a process boundary (%s)" runner msg))
-  in
+  let image = marshal [ Marshal.Closures ] job (fun () -> Printf.sprintf "Procs.%s: the program" runner) in
   Mutex.protect !pool_lock @@ fun () ->
   let p, forked = ensure ~procs in
   without_sigpipe @@ fun () ->
@@ -1449,8 +1191,7 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
        not read; [cut] is a rank that died before its result had arrived
        whole *)
     let settled = ref false and cut = ref None and broken = ref false in
-    let sent = ref 0 and recvd = ref 0 and via_arena = ref 0 in
-    let minflt = ref 0 and cpu = ref 0.0 and lent = ref 0 and fresh = ref 0 in
+    let verdicts = ref [] and result_faults = ref 0 in
     let lost r =
       crashed := r :: !crashed;
       broken := true
@@ -1461,13 +1202,7 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
       | None -> (* the rank died before reporting (exit, signal): a real crash *) lost r
       | Some b -> (
           let v : verdict = Marshal.from_bytes b 0 in
-          sent := !sent + v.v_sent;
-          recvd := !recvd + v.v_recvd;
-          via_arena := !via_arena + v.v_arena;
-          minflt := !minflt + v.v_minflt;
-          cpu := !cpu +. v.v_cpu;
-          lent := !lent + v.v_lent;
-          fresh := !fresh + v.v_fresh;
+          verdicts := v :: !verdicts;
           if v.v_crashed then lost r
           else if Option.is_some v.v_error then begin
             errors.(r) <- v.v_error;
@@ -1487,7 +1222,7 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
                   match form.read ~ctl:fd ~stage:p.stage size with
                   | Some (x, faults) ->
                       results.(r) <- Some x;
-                      minflt := !minflt + faults
+                      result_faults := faults
                   | None ->
                       cut := Some r;
                       lost r
@@ -1495,21 +1230,22 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
     done;
     let wall = Unix.gettimeofday () -. t0 in
     if !broken then retire p;
+    let sum f = List.fold_left (fun n v -> n + f v) 0 !verdicts in
     ( errors,
       results,
       !cut,
       {
         wall;
-        total_msgs = !sent;
-        total_recvs = !recvd;
-        arena_msgs = !via_arena;
+        total_msgs = sum (fun v -> v.v_sent);
+        total_recvs = sum (fun v -> v.v_recvd);
+        arena_msgs = sum (fun v -> v.v_arena);
         procs_used = procs;
         forked;
         crashed = List.rev !crashed;
-        rank_minflt = !minflt;
-        rank_cpu = !cpu;
-        rank_lent = !lent;
-        rank_fresh = !fresh;
+        rank_minflt = sum (fun v -> v.v_minflt) + !result_faults;
+        rank_cpu = List.fold_left (fun c v -> c +. v.v_cpu) 0.0 !verdicts;
+        rank_lent = sum (fun v -> v.v_lent);
+        rank_fresh = sum (fun v -> v.v_fresh);
         job_bytes = Bytes.length image;
       } )
   in
@@ -1551,15 +1287,7 @@ let run_collect ?cost ?topology ~procs (program : Engine.t -> 'a option) : 'a * 
   let results, stats =
     run_core ~runner:"run_collect" ?cost ?topology ~procs ~lend:false
       (fun _rank eng ->
-        Option.map
-          (fun v ->
-            try Marshal.to_bytes v []
-            with Invalid_argument msg | Failure msg ->
-              raise
-                (Fault.Unserializable
-                   (Printf.sprintf "Procs.run_collect: result cannot cross a process boundary (%s)"
-                      msg)))
-          (program eng))
+        Option.map (fun v -> marshal [] v (fun () -> "Procs.run_collect: result")) (program eng))
       marshalled
   in
   (Engine.lowest_rank "Procs.run_collect" results, stats)

@@ -2,14 +2,10 @@
     processes over Unix-domain sockets.
 
     Ranks are the long-lived processes of a rank pool. The first run (or
-    {!init}) forks them; every rank pair shares one socketpair carrying
-    length-prefixed frames — [Marshal] payloads for ordinary sends and
-    for slices that do not take the arena below ([Marshal] keeps a
-    Bigarray's bits exactly; one [send_slice] stays exactly one frame,
-    preserving the coalescing contract). A socket frame is copied once
-    per hop: a payload over 64 KiB is written after its header rather
-    than copied behind it, and is read straight into a buffer of its
-    final size.
+    {!init}) forks them; every rank pair shares one socketpair, and what
+    goes on it (frames, arena credits, goodbyes, run numbers) is
+    {!Wire}'s protocol: one send is one frame, so one [send_slice] stays
+    one message, preserving the coalescing contract.
 
     {2 The pool}
 
@@ -29,10 +25,10 @@
     here names nothing open in a rank (an [EBADF], so {!Child_failure})
     rather than one of its own. Every rank's copy of the job image is
     written through one [select] loop, so a large image reaches the
-    ranks together rather than one after another. Between runs nothing is left in the sockets: a
-    rank that finishes says goodbye to every peer, behind all it owes
-    that peer and with nothing after it, and reads every peer's stream
-    up to its goodbye before it reports.
+    ranks together rather than one after another. Between runs nothing
+    is left in the sockets: a rank that finishes says {!Wire.goodbye} to
+    every peer and reads every peer's stream up to its goodbye before it
+    reports.
 
     A run uses ranks [0, procs) of the pool. One that needs more ranks
     than the pool has forks a larger pool, and only then retires the old
@@ -74,11 +70,10 @@
     process's lifetime, never touched by the process itself unless it is
     a rank), each run gives every directed channel a ring in it, and the
     slice is blitted into the sender's ring while a small frame on the
-    socket says where. The receiver copies it out when it parses that
-    frame and returns the space with a credit frame. A slice that finds
-    its ring full takes the socket instead: no send ever waits on arena
-    space, and [stats.arena_msgs] counts the slices that went through
-    it. Boxed payloads always take the socket.
+    socket says where (rings and credits are {!Wire}'s). A slice that
+    finds its ring full takes the socket instead: no send ever waits on
+    arena space, and [stats.arena_msgs] counts the slices that went
+    through it. Boxed payloads always take the socket.
 
     A run's result comes home from the producing rank after its verdict
     record: {!run_collect}'s as a [Marshal] image on its control socket,

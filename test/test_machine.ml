@@ -1557,6 +1557,206 @@ let test_slice_chaos_coherent () =
       Alcotest.(check bool) (Printf.sprintf "seed=%d" seed) true (perturbed = bare))
     [ 1; 7; 42 ]
 
+(* --- the procs stream protocol ----------------------------------------------- *)
+
+let test_wire_explorer () =
+  List.iter
+    (fun cfg ->
+      let r = Wire_explorer.explore cfg in
+      Printf.printf "%s: %d states, %d transitions, %d failed runs, %.2f s\n%!" cfg.Wire_explorer.name
+        r.states r.transitions r.failed_runs r.seconds;
+      Option.iter (fun v -> Alcotest.failf "%s: %s" cfg.name v) r.violation)
+    Wire_explorer.bound
+
+(* Every byte [w] has to write, as the socket would take it whole. *)
+let wire_out w =
+  let b = Buffer.create 64 in
+  let rec go () =
+    match Wire.next w with
+    | None -> Buffer.contents b
+    | Some (bytes, off, len) ->
+        Buffer.add_subbytes b bytes off len;
+        Wire.advance w len;
+        go ()
+  in
+  go ()
+
+(* [s] arriving at [w] in the given pieces (their lengths), each read
+   where [Wire.read_into] says; the events, in order, and every buffer a
+   read went to. *)
+let wire_in w s pieces =
+  let events = ref [] and buffers = ref [] and pos = ref 0 in
+  List.iter
+    (fun piece ->
+      let stop = !pos + piece in
+      while !pos < stop do
+        let b, off, len = Wire.read_into w in
+        buffers := b :: !buffers;
+        let m = min len (stop - !pos) in
+        Bytes.blit_string s !pos b off m;
+        pos := !pos + m;
+        events := !events @ Wire.filled w m
+      done)
+    pieces;
+  (!events, List.rev !buffers)
+
+let wire_pair ?(run = 1) () =
+  let a = Wire.create ~chunk:Wire.chunk ~self:0 ~peer:1 and b = Wire.create ~chunk:Wire.chunk ~self:1 ~peer:0 in
+  let ring = { Wire.r_base = 0; r_cap = 100_000; r_head = 0; r_tail = 0 } in
+  Wire.start a ~run ~ring:(Some ring);
+  Wire.start b ~run ~ring:None;
+  (a, b, ring)
+
+(* Lengths that cut [s] at the given positions. *)
+let cut_at s cuts =
+  let cuts = List.sort_uniq compare (List.filter (fun c -> c > 0 && c < String.length s) cuts) in
+  let rec go last = function c :: rest -> (c - last) :: go c rest | [] -> [ String.length s - last ] in
+  go 0 cuts
+
+let test_wire_round_trip () =
+  let n = Wire.chunk / 8 in
+  List.iter
+    (fun how ->
+      (* [s] in pieces; [starts] are the offsets of its frames *)
+      let pieces starts s =
+        match how with
+        | "in one piece" -> [ String.length s ]
+        | "byte by byte" -> List.init (String.length s) (fun _ -> 1)
+        | _ -> cut_at s (List.concat_map (fun f -> [ f; f + Wire.header_len ]) starts)
+      in
+      let a, b, ring = wire_pair () in
+      let out = Buffer.create 64 and starts = ref [] in
+      let frame queue =
+        starts := Buffer.length out :: !starts;
+        let r = queue () in
+        Buffer.add_string out (wire_out a);
+        r
+      in
+      frame (fun () -> Wire.send a ~tag:3 (Bytes.of_string "hello"));
+      let slice kind tag () =
+        let off, span = Option.get (Wire.reserve_slice a n) in
+        Wire.send_slice a ~kind ~tag ~len:n ~off ~span;
+        (off, span)
+      in
+      let f = frame (slice Wire.Floats 4) in
+      let i = frame (slice Wire.Ints 5) in
+      frame (fun () -> Wire.goodbye a);
+      let s = Buffer.contents out in
+      (match fst (wire_in b s (pieces !starts s)) with
+      | [ Wire.Message { tag = 3; payload }; Wire.Slice s1; Wire.Slice s2 ] ->
+          Alcotest.(check string) (how ^ ": payload") "hello" (Bytes.to_string payload);
+          Alcotest.(check (list int)) (how ^ ": floats") [ 4; fst f; n; snd f ] [ s1.tag; s1.off; s1.len; s1.span ];
+          Alcotest.(check (list int)) (how ^ ": ints") [ 5; fst i; n; snd i ] [ s2.tag; s2.off; s2.len; s2.span ];
+          Alcotest.(check bool) (how ^ ": kinds") true (s1.kind = Wire.Floats && s2.kind = Wire.Ints)
+      | evs -> Alcotest.failf "%s: %d events" how (List.length evs));
+      Alcotest.(check bool) (how ^ ": goodbye") true (Wire.finished b);
+      (* the credit b owes for both slices comes back ahead of its goodbye *)
+      Wire.goodbye b;
+      let back = wire_out b in
+      ignore (wire_in a back (pieces [ 0; Wire.header_len ] back));
+      Alcotest.(check int) (how ^ ": credit returned") (snd f + snd i) ring.Wire.r_tail;
+      Alcotest.(check bool) (how ^ ": goodbye back") true (Wire.finished a))
+    [ "in one piece"; "byte by byte"; "cut at each header boundary" ]
+
+let test_wire_large_payload () =
+  let a, b, _ = wire_pair () in
+  let payload = Bytes.init (Wire.chunk + 100) (fun i -> Char.chr (i land 255)) in
+  Wire.send a ~tag:7 payload;
+  (match Wire.next a with
+  | Some (_, 0, len) ->
+      Alcotest.(check int) "the header goes alone" Wire.header_len len;
+      Wire.advance a len
+  | _ -> Alcotest.fail "no header");
+  (match Wire.next a with
+  | Some (p, 0, len) ->
+      Alcotest.(check bool) "the payload is written as it stands" true (p == payload && len = Bytes.length p);
+      Wire.advance a len
+  | _ -> Alcotest.fail "no payload");
+  Wire.send a ~tag:7 payload;
+  let s = wire_out a in
+  let events, buffers = wire_in b s [ Wire.header_len + 10; String.length s - Wire.header_len - 10 ] in
+  match events with
+  | [ Wire.Message { tag = 7; payload = got } ] ->
+      Alcotest.(check bool) "bytes" true (Bytes.equal got payload);
+      Alcotest.(check bool) "the rest was read straight into it" true (List.memq got buffers)
+  | _ -> Alcotest.fail "one message expected"
+
+let test_wire_tail_bound () =
+  let a, _, _ = wire_pair () in
+  let sizes = [ 0; 1; 100; Wire.chunk - 1; Wire.chunk; 7; Wire.chunk + 1; 3 ] in
+  List.iteri (fun i n -> Wire.send a ~tag:i (Bytes.make n 'x')) sizes;
+  let s = wire_out a in
+  List.iter
+    (fun piece ->
+      let _, b, _ = wire_pair () in
+      let count = (String.length s + piece - 1) / piece in
+      let events, buffers = wire_in b s (List.init count (fun k -> min piece (String.length s - (k * piece)))) in
+      Alcotest.(check (list int)) "every message" sizes
+        (List.map (function Wire.Message { payload; _ } -> Bytes.length payload | _ -> -1) events);
+      List.iter
+        (fun buf ->
+          let n = Bytes.length buf in
+          Alcotest.(check bool) "a read lands in the tail or a large payload" true
+            (n <= Wire.header_len + Wire.chunk || n = Wire.chunk + 1))
+        buffers)
+    [ 1; 4096; Wire.chunk; 1 lsl 20 ]
+
+let test_wire_goodbye_last () =
+  let a, b, _ = wire_pair () in
+  let off, span = Option.get (Wire.reserve_slice a (Wire.chunk / 8)) in
+  Wire.send_slice a ~kind:Wire.Ints ~tag:1 ~len:(Wire.chunk / 8) ~off ~span;
+  let s = wire_out a in
+  ignore (wire_in b s [ String.length s ]);
+  Wire.goodbye b;
+  let back = wire_out b in
+  Alcotest.(check int) "a credit, then the goodbye" (2 * Wire.header_len) (String.length back);
+  Alcotest.(check (list int)) "kinds" [ 4; 1 ] [ Char.code back.[0]; Char.code back.[Wire.header_len] ];
+  (* an arena frame read after the goodbye owes credit that never goes out *)
+  let off, span = Option.get (Wire.reserve_slice a (Wire.chunk / 8)) in
+  Wire.send_slice a ~kind:Wire.Ints ~tag:1 ~len:(Wire.chunk / 8) ~off ~span;
+  let s = wire_out a in
+  ignore (wire_in b s [ String.length s ]);
+  Alcotest.(check bool) "nothing follows the goodbye" true (Wire.next b = None);
+  Alcotest.check_raises "no frame is queued after it"
+    (Invalid_argument "Wire: p1 queued a frame to p0 after its goodbye") (fun () ->
+      Wire.send b ~tag:0 Bytes.empty)
+
+let test_wire_stale_credit () =
+  let a, b, _ = wire_pair ~run:1 () in
+  let off, span = Option.get (Wire.reserve_slice a (Wire.chunk / 8)) in
+  Wire.send_slice a ~kind:Wire.Floats ~tag:1 ~len:(Wire.chunk / 8) ~off ~span;
+  let s = wire_out a in
+  ignore (wire_in b s [ String.length s ]);
+  let credit = wire_out b in
+  Wire.start a ~run:2 ~ring:None;
+  Alcotest.check_raises "a credit of run 1 in run 2"
+    (Failure "Wire: p0 got a credit frame of run 1 from p1 in run 2") (fun () ->
+      ignore (wire_in a credit [ String.length credit ]))
+
+let test_wire_reserve_wrap () =
+  let r = { Wire.r_base = 100; r_cap = 10; r_head = 0; r_tail = 0 } in
+  let opt = Alcotest.(option (pair int int)) in
+  Alcotest.check opt "first block" (Some (100, 4)) (Wire.reserve r 4);
+  Alcotest.check opt "second block" (Some (104, 4)) (Wire.reserve r 4);
+  Alcotest.check opt "no room for a third before any credit" None (Wire.reserve r 4);
+  r.r_tail <- 4;
+  Alcotest.check opt "the third wraps, charged the 2 it skipped" (Some (100, 6)) (Wire.reserve r 4);
+  Alcotest.(check int) "in flight" 10 (r.r_head - r.r_tail);
+  Alcotest.check opt "full" None (Wire.reserve r 1);
+  r.r_tail <- r.r_tail + 4 + 6;
+  Alcotest.check opt "after both credits, from where it left off" (Some (104, 1)) (Wire.reserve r 1)
+
+let wire_tests =
+  [
+    Alcotest.test_case "every kind round-trips" `Quick test_wire_round_trip;
+    Alcotest.test_case "a payload over a chunk takes its own buffer" `Quick test_wire_large_payload;
+    Alcotest.test_case "the tail never exceeds a header and a chunk" `Quick test_wire_tail_bound;
+    Alcotest.test_case "credit goes ahead of the goodbye, nothing after" `Quick test_wire_goodbye_last;
+    Alcotest.test_case "a credit of another run raises" `Quick test_wire_stale_credit;
+    Alcotest.test_case "reserve charges a wrap to the block" `Quick test_wire_reserve_wrap;
+    Alcotest.test_case "explorer finds no violation" `Quick test_wire_explorer;
+  ]
+
 let suite =
   suite
   @ [
@@ -1569,6 +1769,7 @@ let suite =
           Alcotest.test_case "chaos coherence" `Quick test_slice_chaos_coherent;
         ] );
       C.contract_group sim;
+      ("wire", wire_tests);
     ]
   @ C.chaos_groups sim
 

@@ -46,6 +46,18 @@ let test_deadlock_sender_finished () =
   Alcotest.(check bool) "names the finished peer" true
     (contains (C.sender_finished_deadlock Backend.procs) "finished cleanly")
 
+(* the same for a receive from any source once every peer has finished:
+   the report names the wait as every engine's receive formatter does *)
+let test_recv_any_all_finished () =
+  match
+    Procs.run_each ~procs:3 (fun _ eng ->
+        if eng.Engine.rank = 0 then ignore (snd (eng.Engine.recv_any ~tag:5 ()) : int))
+  with
+  | _ -> Alcotest.fail "expected Fault.Deadlock"
+  | exception Fault.Deadlock msg ->
+      Alcotest.(check bool) ("names the receive: " ^ msg) true (contains msg "recv(src=any, tag=5)");
+      Alcotest.(check bool) "names the cause" true (contains msg "every other rank finished cleanly")
+
 let test_undelivered_message () = C.undelivered_message ~sync:true Backend.procs
 let test_rank_exception_propagates () = C.rank_exception_propagates Backend.procs
 
@@ -1003,6 +1015,7 @@ let suite =
         Alcotest.test_case "recv timeout fires" `Quick test_recv_timeout_fires;
         Alcotest.test_case "in-time delivery beats deadline" `Quick test_recv_timeout_in_time;
         Alcotest.test_case "sender finished is deadlock" `Quick test_deadlock_sender_finished;
+        Alcotest.test_case "recv_any after every peer finished" `Quick test_recv_any_all_finished;
         Alcotest.test_case "undelivered message" `Quick test_undelivered_message;
         Alcotest.test_case "rank exception propagates" `Quick test_rank_exception_propagates;
         Alcotest.test_case "bulk send completes outside the engine" `Quick
