@@ -685,20 +685,22 @@ let bench_procs ~smoke () =
     (fun () ->
       last :=
         Some
-          (Machine.Procs.run_each ~procs:2 (fun _ eng ->
-               let open Machine.Engine in
-               if eng.rank = 0 then
-                 for i = 0 to rounds - 1 do
-                   eng.send ~dest:1 ~tag:0 i;
-                   let (r : int) = eng.recv ~src:1 ~tag:1 () in
-                   assert (r = i)
-                 done
-               else
-                 for i = 0 to rounds - 1 do
-                   let (r : int) = eng.recv ~src:0 ~tag:0 () in
-                   eng.send ~dest:0 ~tag:1 r;
-                   ignore i
-                 done)));
+          (snd
+             (Machine.Procs.run_collect ~procs:2 (fun eng ->
+                  let open Machine.Engine in
+                  if eng.rank = 0 then
+                    for i = 0 to rounds - 1 do
+                      eng.send ~dest:1 ~tag:0 i;
+                      let (r : int) = eng.recv ~src:1 ~tag:1 () in
+                      assert (r = i)
+                    done
+                  else
+                    for i = 0 to rounds - 1 do
+                      let (r : int) = eng.recv ~src:0 ~tag:0 () in
+                      eng.send ~dest:0 ~tag:1 r;
+                      ignore i
+                    done;
+                  Some ()))));
   let ar_rounds = if smoke then 300 else 3_000 in
   let last_ar : Machine.Procs.stats option ref = ref None in
   host_bench ~name:"fabric/allreduce-procs" ~n:ar_rounds ~procs:4 ~backend:"procs" ~runs:3

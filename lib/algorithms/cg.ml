@@ -280,7 +280,7 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
 let solve_flat backend = run_cg cg_flat_program backend
 
 (* Pinned by the steady benchmark, which calls these exact names. *)
-let solve_sim_flat ?cost ?trace = solve_flat (Backend.sim ?cost ?trace ())
+let solve_sim_flat = solve_flat (Backend.sim ())
 let solve_multicore_flat ?domains = solve_flat (Backend.multicore ?domains ())
 
 (* The residual check used by tests. *)

@@ -46,15 +46,8 @@ val solve_flat :
     The steady benchmark calls these by name; each is {!solve_flat} on
     one backend. *)
 
-val solve_sim_flat :
-  ?cost:Cost_model.t ->
-  ?trace:Trace.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  procs:int ->
-  float array ->
-  result * Sim.stats
-(** [solve_flat (Backend.sim ?cost ?trace ())]. *)
+val solve_sim_flat : ?tol:float -> ?max_iter:int -> procs:int -> float array -> result * Sim.stats
+(** [solve_flat (Backend.sim ())]. *)
 
 val solve_multicore_flat :
   ?domains:int ->

@@ -180,7 +180,7 @@ let boxed_tier comm : (int array, int array, int array) tier =
     length = Array.length;
     midvalue = Seq_kernels.midvalue;
     split_at = Seq_kernels.split_at;
-    exchange = (fun c ~partner give -> Comm.exchange c ~partner give);
+    exchange = Comm.exchange;
     merge = (fun ~round:_ -> Seq_kernels.merge);
     show = (fun a -> show_keys (Array.length a) (fun () -> a));
     gather =
@@ -254,9 +254,9 @@ let sort backend ?topology ~procs (data : int array) =
   Scl_sim.Spmd.run backend ?topology ~procs (fun comm ->
       hqs_program (boxed_tier comm) (input data comm) comm)
 
-let sort_flatint backend ?topology ?chaos ~procs (data : int array) =
+let sort_flatint backend ?chaos ~procs (data : int array) =
   check_procs procs;
-  Scl_sim.Spmd.run_flat backend ?topology ?chaos ~procs ~kind:Scl.Flat.int ~input:data (fun comm ->
+  Scl_sim.Spmd.run_flat backend ?chaos ~procs ~kind:Scl.Flat.int ~input:data (fun comm ->
       hqs_program (flat_tier comm) (Comm.input comm Scl.Flat.int) comm)
 
 (* Pinned by the steady benchmark, which calls these exact names. *)

@@ -37,7 +37,6 @@ val sort :
 
 val sort_flatint :
   's Backend.t ->
-  ?topology:Topology.t ->
   ?chaos:Chaos.spec ->
   procs:int ->
   int array ->

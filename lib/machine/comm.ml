@@ -374,13 +374,13 @@ let recv_any : type a. t -> ?tag:int -> ?timeout:float -> unit -> int * a =
   if idx < 0 then invalid_arg "Comm.recv_any: message from outside the communicator";
   (idx, v)
 
-let exchange t ~partner ?tag v =
+let exchange t ~partner v =
   (* Symmetric pairwise exchange: both sides send then receive, which is
      deadlock-free because no engine's send waits for a matching receive
      (a procs send blocked on a full socket keeps reading its inbound
      streams, so both partners drain each other). *)
-  send t ~dest:partner ?tag v;
-  recv t ~src:partner ?tag ()
+  send t ~dest:partner v;
+  recv t ~src:partner ()
 
 (* --- bulk slice tier ----------------------------------------------------
    Typed unboxed counterparts (float64 or int elements) of the

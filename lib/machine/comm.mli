@@ -153,8 +153,8 @@ val recv_any : t -> ?tag:int -> ?timeout:float -> unit -> int * 'a
     never collective internals. Deterministic only on the simulator.
     [?timeout] as in {!recv}. *)
 
-val exchange : t -> partner:int -> ?tag:int -> 'a -> 'a
-(** Symmetric send-then-receive with [partner]; deadlock-free. *)
+val exchange : t -> partner:int -> 'a -> 'a
+(** Symmetric untagged send-then-receive with [partner]; deadlock-free. *)
 
 (** {1 Bulk slice tier}
 

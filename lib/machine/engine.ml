@@ -6,7 +6,8 @@
    writes its collectives once against this record of primitives, and each
    engine — the discrete-event simulator, the real-domain multicore fabric
    and the forked-process fabric — supplies its own implementation and
-   exports the same two runners, [run_each] and [run_collect].
+   exports the same boxed runner, [run_collect] (with [run_flat] for
+   flat results on the real engines).
 
    A record of explicitly-polymorphic closures is used instead of a functor
    so that programs keep the plain value type [Comm.t -> 'a option] and a
@@ -65,7 +66,6 @@ type t = {
   rank : int;
   size : int;
   cost : Cost_model.t;
-  topology : Topology.t;
   send : 'a. dest:int -> tag:int -> 'a -> unit;
   recv : 'a. ?timeout:float -> src:int -> tag:int -> unit -> 'a;
   recv_any : 'a. ?timeout:float -> ?tag:int -> unit -> int * 'a;

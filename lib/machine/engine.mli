@@ -4,9 +4,10 @@
     Three instances exist: [Sim]'s (discrete-event simulator, [work]
     charges simulated time), [Multicore]'s (OCaml domains, zero-copy
     shared memory) and [Procs]' (forked OS processes over sockets). Each
-    engine exports the same two runners over these programs, [run_each]
-    and [run_collect] ([Multicore] and [Procs] add [run_flat]); programs written against
-    [Comm.t] run unchanged on all three. *)
+    engine exports the same runner over these programs, [run_collect]
+    ([Multicore] and [Procs] add [run_flat], and [Multicore] keeps
+    [run_each]); programs written against [Comm.t] run unchanged on all
+    three. *)
 
 type ('k, 'e) slice = ('k, 'e, Bigarray.c_layout) Bigarray.Array1.t
 (** The typed bulk-payload tier: an unboxed window (C-layout
@@ -17,8 +18,9 @@ type ('k, 'e) slice = ('k, 'e, Bigarray.c_layout) Bigarray.Array1.t
 type t = {
   rank : int;  (** this virtual processor's machine-global rank *)
   size : int;  (** total number of virtual processors *)
-  cost : Cost_model.t;  (** machine calibration (meaningful on the simulator) *)
-  topology : Topology.t;
+  cost : Cost_model.t;
+      (** machine calibration: the run's cost model on the simulator,
+          {!Cost_model.ap1000} on the real engines, where [work] is a no-op *)
   send : 'a. dest:int -> tag:int -> 'a -> unit;
       (** Tagged send; never waits for a matching receive. On the procs
           engine a frame larger than the socket buffer returns once the

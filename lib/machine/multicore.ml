@@ -84,8 +84,6 @@ type doorbell = { mu : Mutex.t; cond : Condition.t; rings : int Atomic.t }
 type fabric = {
   procs : int;
   ndomains : int;
-  cost : Cost_model.t;
-  topology : Topology.t;
   ranks : rstate array;
   bells : doorbell array;
   in_flight : int Atomic.t;
@@ -271,8 +269,7 @@ let engine fab st : Engine.t =
   {
     Engine.rank = st.rk;
     size = fab.procs;
-    cost = fab.cost;
-    topology = fab.topology;
+    cost = Cost_model.ap1000;
     send = (fun ~dest ~tag v -> send "Multicore.send" fab st ~dest ~tag v);
     recv =
       (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Multicore.recv" fab st clock timeout ~src ~tag));
@@ -520,7 +517,7 @@ let domain_main fab d (my : rstate array) =
 let default_domains procs = max 1 (min procs (Domain.recommended_domain_count ()))
 
 (* [runner] names the public runner in argument errors. *)
-let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ?ends ~procs
+let run_as runner ?domains ?topology ?ends ~procs
     (program : int -> Engine.t -> unit) : stats =
   let op = "Multicore." ^ runner in
   Engine.check_procs op procs;
@@ -531,15 +528,12 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ?ends ~procs
         if d <= 0 then invalid_arg (op ^ ": domains must be positive");
         min d procs
   in
-  let topology = match topology with Some t -> t | None -> Topology.default procs in
-  Topology.validate topology ~procs;
+  Option.iter (fun t -> Topology.validate t ~procs) topology;
   Obs.Span.timed obs_run_span (fun () ->
       let fab =
         {
           procs;
           ndomains;
-          cost;
-          topology;
           ranks =
             Array.init procs (fun rk ->
                 {
@@ -633,16 +627,15 @@ let run_as runner ?domains ?(cost = Cost_model.ap1000) ?topology ?ends ~procs
       end;
       stats)
 
-let run_each ?domains ?cost ?topology ~procs program =
-  run_as "run_each" ?domains ?cost ?topology ~procs program
+let run_each ?domains ?topology ~procs program = run_as "run_each" ?domains ?topology ~procs program
 
-let run_collect (type a) ?domains ?cost ?topology ~procs (program : Engine.t -> a option) :
+let run_collect (type a) ?domains ?topology ~procs (program : Engine.t -> a option) :
     a * stats =
   (* One slot per rank, read after every domain has joined: the lowest
      rank's value wins, as on the other engines. *)
   let results : a option array = Array.make (max 0 procs) None in
   let stats =
-    run_as "run_collect" ?domains ?cost ?topology ~procs (fun rank eng ->
+    run_as "run_collect" ?domains ?topology ~procs (fun rank eng ->
         results.(rank) <- program eng)
   in
   (Engine.lowest_rank "Multicore.run_collect" results, stats)
@@ -667,7 +660,7 @@ let share cursor n f =
   in
   go ()
 
-let run_flat (type k e) ?domains ?cost ?topology ~procs ~(kind : (k, e) Bigarray.kind)
+let run_flat (type k e) ?domains ~procs ~(kind : (k, e) Bigarray.kind)
     ?(input : k array option) (program : Engine.t -> (k, e) Engine.slice array option) :
     k array * stats =
   Engine.check_kind "Multicore.run_flat" kind;
@@ -691,7 +684,7 @@ let run_flat (type k e) ?domains ?cost ?topology ~procs ~(kind : (k, e) Bigarray
   in
   let lay_out () = share cursor (Array.length !out) (Scl.Flat.lay_out kind !parts !out) in
   let stats =
-    run_as "run_flat" ?domains ?cost ?topology ~ends:(copy_in, settle, lay_out) ~procs
+    run_as "run_flat" ?domains ~ends:(copy_in, settle, lay_out) ~procs
       (fun rank eng ->
         let eng = Workspace.wrap lease eng in
         let eng = match into with Some s when rank = 0 -> Engine.with_input eng s | _ -> eng in

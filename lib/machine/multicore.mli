@@ -28,15 +28,13 @@ val default_domains : int -> int
 
 val run_each :
   ?domains:int ->
-  ?cost:Cost_model.t ->
   ?topology:Topology.t ->
   procs:int ->
   (int -> Engine.t -> unit) ->
   stats
 (** Run [program rank engine] on every rank.  [?domains] caps the real
     domains used, the caller's included (default {!default_domains});
-    [?cost] only populates the engine's cost model field ([work] is a
-    no-op on this engine).
+    [?topology] is only checked against [procs].
     Exceptions raised by rank programs are re-raised here (first one
     wins); {!Fault.Deadlock} is raised on quiescence.  If a domain cannot
     be spawned, the ones already spawned are joined before the spawn's
@@ -44,7 +42,6 @@ val run_each :
 
 val run_collect :
   ?domains:int ->
-  ?cost:Cost_model.t ->
   ?topology:Topology.t ->
   procs:int ->
   (Engine.t -> 'a option) ->
@@ -55,8 +52,6 @@ val run_collect :
 
 val run_flat :
   ?domains:int ->
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
   procs:int ->
   kind:('k, 'e) Bigarray.kind ->
   ?input:'k array ->

@@ -37,8 +37,10 @@
    the run's epoch and its number; one [select] loop writes every rank's
    copy, so a large image reaches them together.  A rank that finishes
    cleanly says [Wire.goodbye] to every peer and reads each peer's
-   stream up to that peer's goodbye (or EOF), dropping what it reads,
-   before it reports, so no frame crosses from one run into the next.
+   stream up to that peer's goodbye (or EOF), still delivering what it
+   reads, so no frame crosses from one run into the next; only then does
+   it check for messages it never received, as the other engines do at
+   the end of a run.
    A run in which any rank failed, fail-stopped or died retires the
    whole pool — its sockets are in an unknown state, and a replacement
    rank could not be wired to the live ones — and the next run forks a
@@ -231,7 +233,6 @@ type cstate = {
       (* storage for an arena slice's copy *)
   peers : peer option array;  (* index = rank; [None] at [c_rank] *)
   pending : Obj.t Mailbox.t;
-  mutable c_draining : bool;  (* finished: frames still arriving are dropped *)
   mutable c_sent : int;
   mutable c_recvd : int;
   mutable c_arena_sent : int;
@@ -260,10 +261,8 @@ let rec write_some p =
         | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> p.p_wdead <- true
         | exception Unix.Unix_error (EINTR, _, _) -> write_some p)
 
-(* A message from [peer]: queue it, an arena slice copied out first.
-   Once this rank has finished, nothing is kept. *)
+(* A message from [peer]: queue it, an arena slice copied out first. *)
 let deliver st peer = function
-  | _ when st.c_draining -> ()
   | Wire.Message { tag; payload } ->
       Mailbox.push st.pending ~src:peer.p_rank ~tag (Marshal.from_bytes payload 0)
   | Wire.Slice { kind; tag; off; len; _ } ->
@@ -443,24 +442,22 @@ let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
 (* ----------------------------------------------------------------- shutdown *)
 
 (* Clean finish: say goodbye on each socket (every earlier frame is
-   already in the kernel) and write nothing more to it in this run, then
-   apply the undelivered-message check — not counting traffic from ranks
-   that crashed, which the fail-stop model allows to go unconsumed. *)
+   already in the kernel) and write nothing more to it in this run; read
+   every peer's stream up to its goodbye (or EOF), still delivering what
+   arrives, since the sockets outlive the run and the next run must find
+   them empty; then apply the undelivered-message check, so a message
+   that arrives after this rank's program returned is found as on the
+   other engines — not counting traffic from ranks that crashed, which
+   the fail-stop model allows to go unconsumed. *)
 let finish_clean st =
   Array.iter (function Some p -> send_frame st p Wire.goodbye | None -> ()) st.peers;
+  while Array.exists (function Some p -> live p | None -> false) st.peers do
+    step st ~timeout:(-1.0)
+  done;
   let crashed src =
     match st.peers.(src) with Some p -> p.p_eof && not (Wire.finished p.p_wire) | None -> false
   in
   Mailbox.check_undelivered ~skip:crashed st.pending ~rank:st.c_rank
-
-(* After a clean finish, read every peer's stream up to its goodbye (or
-   EOF), dropping what arrives: the sockets outlive the run, and the next
-   run must find them empty. *)
-let drain st =
-  st.c_draining <- true;
-  while Array.exists (function Some p -> live p | None -> false) st.peers do
-    step st ~timeout:(-1.0)
-  done
 
 (* Fail-stop: slam the sockets shut so peers see EOF without a goodbye
    — that is what [Fault.Crashed] looks like from the outside.  A pooled
@@ -470,7 +467,7 @@ let abrupt_close st =
 
 (* ------------------------------------------------------------------- engine *)
 
-let engine st cost topology : Engine.t =
+let engine st : Engine.t =
   let clock () = now st in
   let recv_from op timeout ~src ~tag =
     Engine.check_src op ~size:st.c_procs src;
@@ -479,8 +476,7 @@ let engine st cost topology : Engine.t =
   {
     Engine.rank = st.c_rank;
     size = st.c_procs;
-    cost;
-    topology;
+    cost = Cost_model.ap1000;
     send = (fun ~dest ~tag v -> send_obj st ~dest ~tag v);
     recv = (fun ?timeout ~src ~tag () -> Obj.obj (recv_from "Procs.recv" timeout ~src ~tag));
     recv_any =
@@ -664,13 +660,6 @@ type ('p, 'r) result_form = {
   read : ctl:Unix.file_descr -> stage:Unix.file_descr -> int -> ('r * int) option;
 }
 
-let no_result : (unit, unit) result_form =
-  {
-    size = (fun () -> 0);
-    write = (fun _ _ () -> ());
-    read = (fun ~ctl:_ ~stage:_ _ -> Some ((), 0));
-  }
-
 (* [run_collect]'s form: the value's [Marshal] image, taken inside the
    rank so that a value which cannot cross is that rank's error, on the
    control socket. *)
@@ -755,11 +744,9 @@ let flat kind =
 type job =
   | Job : {
       j_procs : int;
-      j_cost : Cost_model.t;
-      j_topology : Topology.t;
       j_lend : bool;  (* [run_flat]: workspace and arena copies from the rank's lease *)
       j_input : (('k, 'e) Bigarray.kind * int) option;  (* rank 0's input, staged at offset 0 *)
-      j_program : int -> Engine.t -> 'p option;
+      j_program : Engine.t -> 'p option;
       j_size : 'p -> int;
       j_write : staged -> Unix.file_descr -> 'p -> unit;
     }
@@ -797,13 +784,12 @@ let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
       c_alloc = (if j.j_lend then fun kind n -> Workspace.lend lease kind n else Engine.fresh);
       peers;
       pending = Mailbox.create (Obj.repr 0);
-      c_draining = false;
       c_sent = 0;
       c_recvd = 0;
       c_arena_sent = 0;
     }
   in
-  let eng = engine st j.j_cost j.j_topology in
+  let eng = engine st in
   let eng = if j.j_lend then Workspace.wrap lease eng else eng in
   let res, error, crashed =
     match
@@ -818,9 +804,8 @@ let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
             Engine.with_input eng input
         | _ -> eng
       in
-      let res = j.j_program rank eng in
+      let res = j.j_program eng in
       finish_clean st;
-      drain st;
       res
     with
     | res -> (res, None, false)
@@ -1150,18 +1135,15 @@ let ship fds head image =
    filled.  A run in which a rank failed, fail-stopped or died retires
    the pool before this returns or raises.  [runner] names the public
    runner in errors. *)
-let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~lend
-    ?(input : ((k, e) Bigarray.kind * k array) option) (program : int -> Engine.t -> 'p option)
+let run_core (type k e) ~runner ?topology ~procs ~lend
+    ?(input : ((k, e) Bigarray.kind * k array) option) (program : Engine.t -> 'p option)
     (form : ('p, 'r) result_form) : 'r option array * stats =
   Engine.check_procs ("Procs." ^ runner) procs;
-  let topology = match topology with Some t -> t | None -> Topology.default procs in
-  Topology.validate topology ~procs;
+  Option.iter (fun t -> Topology.validate t ~procs) topology;
   let job =
     Job
       {
         j_procs = procs;
-        j_cost = cost;
-        j_topology = topology;
         j_lend = lend;
         j_input = Option.map (fun (kind, a) -> (kind, Array.length a)) input;
         j_program = program;
@@ -1275,30 +1257,22 @@ let run_core (type k e) ~runner ?(cost = Cost_model.ap1000) ?topology ~procs ~le
   Option.iter (fun r -> raise (Fault.Crashed r)) cut;
   (results, stats)
 
-let run_each ?cost ?topology ~procs (program : int -> Engine.t -> unit) : stats =
-  snd
-    (run_core ~runner:"run_each" ?cost ?topology ~procs ~lend:false
-       (fun r eng ->
-         program r eng;
-         None)
-       no_result)
-
-let run_collect ?cost ?topology ~procs (program : Engine.t -> 'a option) : 'a * stats =
+let run_collect ?topology ~procs (program : Engine.t -> 'a option) : 'a * stats =
   let results, stats =
-    run_core ~runner:"run_collect" ?cost ?topology ~procs ~lend:false
-      (fun _rank eng ->
+    run_core ~runner:"run_collect" ?topology ~procs ~lend:false
+      (fun eng ->
         Option.map (fun v -> marshal [] v (fun () -> "Procs.run_collect: result")) (program eng))
       marshalled
   in
   (Engine.lowest_rank "Procs.run_collect" results, stats)
 
-let run_flat ?cost ?topology ~procs ~kind ?input
+let run_flat ~procs ~kind ?input
     (program : Engine.t -> ('k, 'e) Engine.slice array option) : 'k array * stats =
   Engine.check_kind "Procs.run_flat" kind;
   let results, stats =
-    run_core ~runner:"run_flat" ?cost ?topology ~procs ~lend:true
+    run_core ~runner:"run_flat" ~procs ~lend:true
       ?input:(Option.map (fun a -> (kind, a)) input)
-      (fun _rank eng -> Option.map (Engine.check_parts "Procs.run_flat" kind) (program eng))
+      (fun eng -> Option.map (Engine.check_parts "Procs.run_flat" kind) (program eng))
       (flat kind)
   in
   (Engine.lowest_rank "Procs.run_flat" results, stats)

@@ -27,8 +27,11 @@
     written through one [select] loop, so a large image reaches the
     ranks together rather than one after another. Between runs nothing
     is left in the sockets: a rank that finishes says {!Wire.goodbye} to
-    every peer and reads every peer's stream up to its goodbye before it
-    reports.
+    every peer and reads every peer's stream up to its goodbye, still
+    delivering what arrives, before it reports. Only then does it check
+    for messages it never received ({!Fault.Deadlock}), so a message that
+    reaches a rank after its program returned fails the run, as on sim
+    and multicore.
 
     A run uses ranks [0, procs) of the pool. One that needs more ranks
     than the pool has forks a larger pool, and only then retires the old
@@ -185,20 +188,28 @@ val shutdown : unit -> unit
     socket and reap every rank. The next run forks a new pool.
     Registered with [at_exit]. *)
 
-val run_each :
-  ?cost:Cost_model.t ->
+val run_collect :
   ?topology:Topology.t ->
   procs:int ->
-  (int -> Engine.t -> unit) ->
-  stats
-(** Run [program rank engine] on ranks [0, procs) of the pool, each a
-    process of its own. [?cost] only populates the engine's cost-model
-    field ([work] is a no-op on this engine). A rank that raises
-    {!Fault.Crashed} on itself (the [Chaos] contract) or dies outright
-    fail-stops silently and is reported in [stats.crashed]; any other
-    exception from a rank program is re-raised here. Either way the pool
-    is retired, its ranks reaped, before this returns or raises.
-    @raise Fault.Unserializable if the program cannot be marshalled. 
+  (Engine.t -> 'a option) ->
+  'a * stats
+(** Run [program engine] on ranks [0, procs) of the pool, each a process
+    of its own, for programs that produce a value at (at least) one rank
+    (a program with no value of its own returns [Some ()]). [?topology]
+    is only checked against [procs]. When several ranks produce a value,
+    the lowest rank's is returned. It crosses back from that child by
+    [Marshal]: the child marshals it inside the rank (a non-marshalable
+    result raises {!Fault.Unserializable}) and writes the bytes after its
+    verdict record; the parent decodes them as they arrive, while the
+    other ranks are still reporting, and does not read any other rank's
+    value. A rank that dies before its value has arrived whole raises
+    {!Fault.Crashed}.
+
+    A rank that raises {!Fault.Crashed} on itself (the [Chaos] contract)
+    or dies outright fail-stops silently and is reported in
+    [stats.crashed]; any other exception from a rank program is
+    re-raised here. Either way the pool is retired, its ranks reaped,
+    before this returns or raises.
 
     Precedence when several ranks fail: the lowest failing rank's
     exception wins, except when it is [Fault.Crashed q] and rank [q]
@@ -208,28 +219,12 @@ val run_each :
     sees a crash; following the chain re-raises the root cause, as sim
     and multicore do. [Fault.Crashed q] stays the result only when [q]
     really died or fail-stopped. An exception without a cross-process
-    representation arrives as {!Child_failure} [(rank, printed form)]. *)
-
-val run_collect :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  (Engine.t -> 'a option) ->
-  'a * stats
-(** Like {!run_each} for programs that produce a value at (at least) one
-    rank. When several ranks produce one, the lowest rank's value is
-    returned. It crosses back from that child by [Marshal]: the child
-    marshals it inside the rank (a non-marshalable result raises
-    {!Fault.Unserializable}) and writes the bytes after its verdict
-    record; the parent decodes them as they arrive, while the other
-    ranks are still reporting, and does not read any other rank's
-    value. A rank that dies before its value has arrived whole raises
-    {!Fault.Crashed}.
-    @raise Invalid_argument if no rank produced a result. *)
+    representation arrives as {!Child_failure} [(rank, printed form)].
+    @raise Fault.Unserializable if the program cannot be marshalled.
+    @raise Invalid_argument if [procs <= 0], if [procs] does not fit
+    [topology], or if no rank produced a result. *)
 
 val run_flat :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
   procs:int ->
   kind:('k, 'e) Bigarray.kind ->
   ?input:'k array ->

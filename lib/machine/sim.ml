@@ -169,7 +169,6 @@ let engine sim me : Engine.t =
     rank = me.rank;
     size = sim.size;
     cost = sim.cost;
-    topology = sim.topology;
     send = (fun ~dest ~tag v -> send_as op_send sim me ~dest ~tag v);
     recv = (fun ?timeout ~src ~tag () -> decode (recv_as op_recv sim me ~src ~tag timeout));
     recv_any =
@@ -345,31 +344,27 @@ let publish_obs stats =
     Obs.Histogram.record obs_makespan (int_of_float (stats.makespan *. 1e6))
   end
 
-(* [runner] names the public runner in argument errors. *)
-let run_as runner ?(cost = Cost_model.ap1000) ?topology ~procs program =
-  Obs.Span.timed obs_run_span (fun () ->
-      Engine.check_procs (op runner) procs;
-      let topology = match topology with Some t -> t | None -> Topology.default procs in
-      Topology.validate topology ~procs;
-      let sim = { size = procs; topology; cost; procs = Array.init procs fresh_proc } in
-      Array.iter
-        (fun p ->
-          p.thunk <-
-            Some (fun () -> Effect.Deep.match_with (program p.rank) (engine sim p) (make_handler p)))
-        sim.procs;
-      schedule sim;
-      Array.iter (fun p -> if not p.crashed then Mailbox.check_undelivered p.inbox ~rank:p.rank) sim.procs;
-      let stats = collect_stats sim in
-      publish_obs stats;
-      stats)
-
-let run_each ?cost ?topology ~procs program = run_as "run_each" ?cost ?topology ~procs program
-
-let run_collect ?cost ?topology ~procs program =
+(* The lowest rank's value wins, as on every engine. *)
+let run_collect ?(cost = Cost_model.ap1000) ?topology ~procs program =
   let results = Array.make (max 0 procs) None in
   let stats =
-    run_as "run_collect" ?cost ?topology ~procs (fun rank eng ->
-        results.(rank) <- program eng)
+    Obs.Span.timed obs_run_span (fun () ->
+        Engine.check_procs (op "run_collect") procs;
+        let topology = match topology with Some t -> t | None -> Topology.default procs in
+        Topology.validate topology ~procs;
+        let sim = { size = procs; topology; cost; procs = Array.init procs fresh_proc } in
+        Array.iter
+          (fun p ->
+            let run eng = results.(p.rank) <- program eng in
+            p.thunk <- Some (fun () -> Effect.Deep.match_with run (engine sim p) (make_handler p)))
+          sim.procs;
+        schedule sim;
+        Array.iter
+          (fun p -> if not p.crashed then Mailbox.check_undelivered p.inbox ~rank:p.rank)
+          sim.procs;
+        let stats = collect_stats sim in
+        publish_obs stats;
+        stats)
   in
   (Engine.lowest_rank (op "run_collect") results, stats)
 

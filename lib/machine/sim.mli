@@ -40,28 +40,21 @@ type stats = {
     marked finished, its undelivered inbox is discarded, and the rest of
     the machine keeps running. Any other exception aborts the run. *)
 
-val run_each :
-  ?cost:Cost_model.t ->
-  ?topology:Topology.t ->
-  procs:int ->
-  (int -> Engine.t -> unit) ->
-  stats
-(** Run [program rank engine] on every rank. [?cost] defaults to
-    {!Cost_model.ap1000}, [?topology] to {!Topology.default}.
-    @raise Invalid_argument if [procs <= 0] or [procs] does not fit the
-    topology.
-    @raise Fault.Deadlock when no processor can run, or one finished with
-    undelivered messages. *)
-
 val run_collect :
   ?cost:Cost_model.t ->
   ?topology:Topology.t ->
   procs:int ->
   (Engine.t -> 'a option) ->
   'a * stats
-(** Like {!run_each}, for programs where (at least) one processor returns
-    the final value — conventionally the root after a gather. When several
-    do, the lowest rank's value is returned. *)
+(** Run [program engine] on every rank. At least one rank returns the
+    final value (conventionally the root after a gather; a program with
+    no value of its own returns [Some ()]); when several do, the lowest
+    rank's value is returned. [?cost] defaults to {!Cost_model.ap1000},
+    [?topology] to {!Topology.default}.
+    @raise Invalid_argument if [procs <= 0], if [procs] does not fit the
+    topology, or if no rank produced a result.
+    @raise Fault.Deadlock when no processor can run, or one finished with
+    undelivered messages. *)
 
 (** {1 Diagnostics} *)
 

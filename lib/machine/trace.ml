@@ -84,17 +84,17 @@ let run t program (e : Engine.t) =
    https://ui.perfetto.dev to see the simulated timeline.  We emit the
    JSON *array* format (valid input for both viewers).  Simulated seconds
    map to microsecond timestamps; each virtual processor becomes a thread
-   of one process.  Work intervals are complete events ("ph":"X", stamped
+   of process 0.  Work intervals are complete events ("ph":"X", stamped
    at interval start with a duration); sends/receives/notes are thread-
    scoped instants. *)
-let to_chrome ?(pid = 0) t : Obs.Json.t =
+let to_chrome t : Obs.Json.t =
   let open Obs.Json in
   let us x = x *. 1e6 in
   let ev ?(args = []) ?dur ~name ~ph ~ts ~tid () =
     Obj
       ([ ("name", String name); ("ph", String ph); ("ts", Float (us ts)) ]
       @ (match dur with Some d -> [ ("dur", Float (us d)) ] | None -> [])
-      @ [ ("pid", Int pid); ("tid", Int tid) ]
+      @ [ ("pid", Int 0); ("tid", Int tid) ]
       @ (match ph with "i" -> [ ("s", String "t") ] | _ -> [])
       @ match args with [] -> [] | args -> [ ("args", Obj args) ])
   in
@@ -106,7 +106,7 @@ let to_chrome ?(pid = 0) t : Obs.Json.t =
           [
             ("name", String "thread_name");
             ("ph", String "M");
-            ("pid", Int pid);
+            ("pid", Int 0);
             ("tid", Int p);
             ("args", Obj [ ("name", String (Printf.sprintf "p%d" p)) ]);
           ])
@@ -130,7 +130,7 @@ let to_chrome ?(pid = 0) t : Obs.Json.t =
   in
   List (thread_names @ body)
 
-let write_chrome ?pid path t = Obs.Json.to_file ~pretty:false path (to_chrome ?pid t)
+let write_chrome path t = Obs.Json.to_file ~pretty:false path (to_chrome t)
 
 (* ASCII Gantt chart: one row per processor, time left to right.  Work
    intervals are drawn as '=', sends as '>', receives as '<', finishes as

@@ -41,14 +41,14 @@ val events : t -> event list
 val notes : t -> (float * int * string) list
 (** Just the [Note] events — what examples print for Figure-2 style output. *)
 
-val to_chrome : ?pid:int -> t -> Obs.Json.t
+val to_chrome : t -> Obs.Json.t
 (** Chrome [trace_event] JSON-array export, loadable in [chrome://tracing]
-    and Perfetto. One thread per virtual processor; simulated seconds
+    and Perfetto. One thread per virtual processor, all of process 0; simulated seconds
     become microsecond timestamps. Work intervals are complete events
     (["ph":"X"] with a [dur]); sends, receives, notes and finishes are
     instants. *)
 
-val write_chrome : ?pid:int -> string -> t -> unit
+val write_chrome : string -> t -> unit
 (** [write_chrome path t] writes {!to_chrome} to [path] (compact JSON). *)
 
 val pp_gantt : ?width:int -> Format.formatter -> t -> unit

@@ -177,7 +177,7 @@ let block_sizes ~n ~p =
   let q = n / p and r = n mod p in
   Array.init p (fun k -> if k < r then q + 1 else q)
 
-let gen_flat_stage ~elem ~allow_nested n : (Ast.expr * shape) Gen.t =
+let gen_flat_stage ~elem n : (Ast.expr * shape) Gen.t =
   let lp g = map (fun e -> (e, Flat n)) g in
   let base =
     [
@@ -212,7 +212,7 @@ let gen_flat_stage ~elem ~allow_nested n : (Ast.expr * shape) Gen.t =
     else []
   in
   let nested =
-    if allow_nested && n >= 1 then
+    if n >= 1 then
       [
         ( 2,
           let+ p = int_range 1 (min n 4) in
@@ -242,30 +242,30 @@ let gen_group_stage ~elem sizes : (Ast.expr * shape) Gen.t =
       (1, map (fun f -> (Ast.Map_nested (Ast.Fold f), Flat p)) (gen_fn2_assoc_of elem));
     ]
 
-let rec gen_stages ~elem ~allow_nested shape budget : Ast.expr list Gen.t =
+let rec gen_stages ~elem shape budget : Ast.expr list Gen.t =
   if budget <= 0 then return []
   else
     match shape with
     | Scalar -> return []
     | Flat n ->
-        let* st, sh = gen_flat_stage ~elem ~allow_nested n in
-        let+ rest = gen_stages ~elem ~allow_nested sh (budget - 1) in
+        let* st, sh = gen_flat_stage ~elem n in
+        let+ rest = gen_stages ~elem sh (budget - 1) in
         st :: rest
     | Groups sizes ->
         let* st, sh = gen_group_stage ~elem sizes in
-        let+ rest = gen_stages ~elem ~allow_nested sh (budget - 1) in
+        let+ rest = gen_stages ~elem sh (budget - 1) in
         st :: rest
 
-let gen ?(allow_nested = true) ?elem () : case Gen.t =
+let gen () : case Gen.t =
   sized (fun size ->
-      let* elem = match elem with Some e -> return e | None -> gen_elem in
+      let* elem = gen_elem in
       let* n =
         frequency
           [ (1, return 0); (9, int_range 1 (max 2 (min 40 (3 * size)))) ]
       in
       let* input = gen_input_elem ~elem ~n in
       let* budget = int_range 0 (2 + size) in
-      let+ chain = gen_stages ~elem ~allow_nested (Flat n) budget in
+      let+ chain = gen_stages ~elem (Flat n) budget in
       { chain; input })
 
 (* --- shrinking ------------------------------------------------------------- *)

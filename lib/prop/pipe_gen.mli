@@ -46,9 +46,9 @@ type elem = EInt | EFloat | EPair
 
 val elem_name : elem -> string
 
-val gen : ?allow_nested:bool -> ?elem:elem -> unit -> case Gen.t
-(** [~allow_nested:false] restricts to flat pipelines; [?elem] pins the
-    element type (default: random, ints weighted highest). *)
+val gen : unit -> case Gen.t
+(** Flat pipelines and one-level nested regions, over a random element
+    type (ints weighted highest). *)
 
 val shrink : case Shrink.t
 (** Drops stages, shrinks rotation/iteration/split constants, and shrinks

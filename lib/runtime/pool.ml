@@ -358,10 +358,8 @@ let grain_for_bytes t ~elem_bytes n =
     max (min floor_elems n) balanced
   end
 
-let default_grain = grain_for
-
 let parallel_for ?grain t ~lo ~hi body =
-  let grain = match grain with Some g -> max 1 g | None -> default_grain t (hi - lo) in
+  let grain = match grain with Some g -> max 1 g | None -> grain_for t (hi - lo) in
   let rec go lo hi =
     if hi - lo <= grain then
       for i = lo to hi - 1 do
@@ -376,8 +374,8 @@ let parallel_for ?grain t ~lo ~hi body =
   in
   if hi > lo then go lo hi
 
-let parallel_for_reduce ?grain t ~lo ~hi ~body ~combine ~init =
-  let grain = match grain with Some g -> max 1 g | None -> default_grain t (hi - lo) in
+let parallel_for_reduce t ~lo ~hi ~body ~combine ~init =
+  let grain = grain_for t (hi - lo) in
   let rec go lo hi =
     if hi - lo <= grain then begin
       let acc = ref init in
@@ -395,23 +393,23 @@ let parallel_for_reduce ?grain t ~lo ~hi ~body ~combine ~init =
   in
   if hi <= lo then init else go lo hi
 
-let map_array ?grain t f a =
+let map_array t f a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
     let first = f a.(0) in
     let out = Array.make n first in
-    parallel_for ?grain t ~lo:1 ~hi:n (fun i -> out.(i) <- f a.(i));
+    parallel_for t ~lo:1 ~hi:n (fun i -> out.(i) <- f a.(i));
     out
   end
 
-let mapi_array ?grain t f a =
+let mapi_array t f a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
     let first = f 0 a.(0) in
     let out = Array.make n first in
-    parallel_for ?grain t ~lo:1 ~hi:n (fun i -> out.(i) <- f i a.(i));
+    parallel_for t ~lo:1 ~hi:n (fun i -> out.(i) <- f i a.(i));
     out
   end
 

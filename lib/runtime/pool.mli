@@ -90,7 +90,6 @@ val parallel_for : ?grain:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
     chunks of at most [grain] run sequentially. *)
 
 val parallel_for_reduce :
-  ?grain:int ->
   t ->
   lo:int ->
   hi:int ->
@@ -98,9 +97,10 @@ val parallel_for_reduce :
   combine:('a -> 'a -> 'a) ->
   init:'a ->
   'a
-(** Parallel map-reduce over an index range. [combine] must be associative
-    with identity [init] for a deterministic result. *)
+(** Parallel map-reduce over an index range, in chunks of {!grain_for}.
+    [combine] must be associative with identity [init] for a
+    deterministic result. *)
 
-val map_array : ?grain:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-val mapi_array : ?grain:int -> t -> (int -> 'a -> 'b) -> 'a array -> 'b array
+val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
+val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 val init_array : ?grain:int -> t -> int -> (int -> 'a) -> 'a array

@@ -26,29 +26,38 @@ let with_chaos chaos program eng =
   | None -> program (Comm.world eng)
   | Some spec -> Chaos.run spec (fun e -> program (Comm.world e)) eng
 
+(* Every SPMD run's wall span and its engine's run counters, around
+   [run]: the one place runs are counted. *)
+let counted (type s a) (backend : s Backend.t) (run : unit -> a * s) : a * s =
+  Obs.Span.timed obs_wall (fun () : (a * s) ->
+      match backend with
+      | Backend.Sim _ ->
+          let ((_, stats) as r) = run () in
+          if Obs.enabled () then begin
+            Obs.Counter.incr obs_runs;
+            Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))
+          end;
+          r
+      | Backend.Multicore _ ->
+          if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
+          run ()
+      | Backend.Procs ->
+          if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
+          run ())
+
 (* Every runner's engine dispatch, over a program on the bare engine.  A
    sim backend's trace wraps each rank's bare engine, so it sits beneath
    any Chaos or Workspace wrapper the program brings: a send Chaos holds
    is recorded when it is released, as the simulator charges it. *)
 let run_engine (type s a) (backend : s Backend.t) ?topology ~procs
     (program : Engine.t -> a option) : a * s =
-  Obs.Span.timed obs_wall (fun () : (a * s) ->
-      let topology = match topology with Some t -> t | None -> default_topology procs in
+  counted backend (fun () : (a * s) ->
       match backend with
       | Backend.Sim { cost; trace } ->
           let program = match trace with Some t -> Trace.run t program | None -> program in
-          let ((_, stats) as r) = Sim.run_collect ~cost ~topology ~procs program in
-          if Obs.enabled () then begin
-            Obs.Counter.incr obs_runs;
-            Obs.Histogram.record obs_sim_us (int_of_float (stats.Sim.makespan *. 1e6))
-          end;
-          r
-      | Backend.Multicore { domains } ->
-          if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
-          Multicore.run_collect ?domains ~topology ~procs program
-      | Backend.Procs ->
-          if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-          Procs.run_collect ~topology ~procs program)
+          Sim.run_collect ~cost ?topology ~procs program
+      | Backend.Multicore { domains } -> Multicore.run_collect ?domains ?topology ~procs program
+      | Backend.Procs -> Procs.run_collect ?topology ~procs program)
 
 let run backend ?topology ?chaos ~procs program =
   run_engine backend ?topology ~procs (with_chaos chaos program)
@@ -70,19 +79,14 @@ let run backend ?topology ?chaos ~procs program =
    so the run's buffers go back to the free list then; a run that
    raises drops them instead, since a rank may have left a view of one
    anywhere.  Procs ranks do the same in their own processes. *)
-let run_flat (type s k e) (backend : s Backend.t) ?topology ?chaos ~procs
+let run_flat (type s k e) (backend : s Backend.t) ?chaos ~procs
     ~(kind : (k, e) Bigarray.kind) ?(input : k array option)
     (program : Comm.t -> (k, e) Engine.slice array option) : k array * s =
   let program = with_chaos chaos program in
   match backend with
-  | Backend.Procs ->
-      Obs.Span.timed obs_wall (fun () ->
-          if Obs.enabled () then Obs.Counter.incr obs_procs_runs;
-          Procs.run_flat ?topology ~procs ~kind ?input program)
+  | Backend.Procs -> counted backend (fun () -> Procs.run_flat ~procs ~kind ?input program)
   | Backend.Multicore { domains } ->
-      Obs.Span.timed obs_wall (fun () ->
-          if Obs.enabled () then Obs.Counter.incr obs_mc_runs;
-          Multicore.run_flat ?domains ?topology ~procs ~kind ?input program)
+      counted backend (fun () -> Multicore.run_flat ?domains ~procs ~kind ?input program)
   | Backend.Sim _ ->
       Engine.check_kind "Spmd.run_flat" kind;
       let lease = Workspace.lease () in
@@ -92,7 +96,7 @@ let run_flat (type s k e) (backend : s Backend.t) ?topology ?chaos ~procs
           input
       in
       let parts, stats =
-        run_engine backend ?topology ~procs (fun eng ->
+        run_engine backend ~procs (fun eng ->
             let eng = Workspace.wrap lease eng in
             let eng = match input with Some s when eng.Engine.rank = 0 -> Engine.with_input eng s | _ -> eng in
             Option.map (Engine.check_parts "Spmd.run_flat" kind) (program eng))

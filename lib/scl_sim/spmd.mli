@@ -26,7 +26,7 @@ val run :
     @raise Invalid_argument if no rank produced a result.
 
     [?topology] defaults to {!default_topology}; on the real engines it
-    only fills the engine's [topology] field. With [?chaos], each rank's
+    is only checked against [procs]. With [?chaos], each rank's
     engine is wrapped in the fault injector ({!Machine.Chaos}) before the
     communicator is built — the program body is untouched; on [procs]
     the wrapper runs inside each child.
@@ -40,7 +40,6 @@ val run :
 
 val run_flat :
   's Backend.t ->
-  ?topology:Topology.t ->
   ?chaos:Chaos.spec ->
   procs:int ->
   kind:('k, 'e) Bigarray.kind ->

@@ -18,7 +18,9 @@ open Machine
 
 let word_bytes = 8
 
-type env = { cm : Cost_model.t; procs : int; flat : bool }
+type env = { procs : int; flat : bool }
+
+let cm = Cost_model.ap1000
 
 (* Per-element discount for stages the flat host tier can run: unboxed
    Bigarray loops with the operator matched outside the loop, versus the
@@ -35,12 +37,12 @@ let log2_ceil p =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) ((n + 1) / 2) in
   go 0 p
 
-let flop env k = Cost_model.flops env.cm k
-let barrier env = Cost_model.barrier_time env.cm ~procs:env.procs
+let flop env k = Cost_model.flops cm k
+let barrier env = Cost_model.barrier_time cm ~procs:env.procs
 
 let msg env words =
-  Cost_model.transfer_time env.cm ~hops:1 ~bytes:(words * word_bytes)
-  +. env.cm.Cost_model.send_overhead +. env.cm.Cost_model.recv_overhead
+  Cost_model.transfer_time cm ~hops:1 ~bytes:(words * word_bytes)
+  +. cm.Cost_model.send_overhead +. cm.Cost_model.recv_overhead
 
 let elementwise env ~n fn_cost = flop env (ceil_div n env.procs * fn_cost) +. barrier env
 
@@ -77,6 +79,6 @@ let rec estimate env ~n (e : Ast.expr) : float =
   | Ast.Map_nested body -> estimate env ~n body +. barrier env
   | Ast.Iter_for (k, body) -> float_of_int (max 0 k) *. estimate env ~n body
 
-let estimate_pipeline ?(cm = Cost_model.ap1000) ?(flat = false) ~procs ~n e =
+let estimate_pipeline ?(flat = false) ~procs ~n e =
   if procs <= 0 then invalid_arg "Cost.estimate_pipeline: procs must be positive";
-  estimate { cm; procs; flat } ~n e
+  estimate { procs; flat } ~n e

@@ -3,9 +3,9 @@
     processors, in the machine's cost parameters. Used to rank rewrites;
     {!Spmd_exec} on the simulator is the ground truth. *)
 
-val estimate_pipeline :
-  ?cm:Machine.Cost_model.t -> ?flat:bool -> procs:int -> n:int -> Ast.expr -> float
-(** @raise Invalid_argument if [procs <= 0]. Default cost model: AP1000.
+val estimate_pipeline : ?flat:bool -> procs:int -> n:int -> Ast.expr -> float
+(** Priced on the AP1000 cost model ({!Machine.Cost_model.ap1000}).
+    @raise Invalid_argument if [procs <= 0].
 
     With [~flat:true] (default [false]), map/fold/scan legs whose payload
     functions the flat host tier recognises ({!Flat_fns}) have their flop

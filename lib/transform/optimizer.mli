@@ -32,7 +32,6 @@ type report = {
 }
 
 val optimize :
-  ?cm:Machine.Cost_model.t ->
   ?flat:bool ->
   ?procs:int ->
   ?n:int ->
@@ -43,9 +42,11 @@ val optimize :
 (** When [rules] is omitted it defaults per strategy: {!Rules.default}
     for [Greedy] (unchanged behaviour), {!Rules.all} for [Beam] (the
     search covers the whole algebra, flattening and unrolling included).
-    [cost_after <= cost_before] always holds: the input program is itself
-    a candidate. [~flat:true] prices flat-eligible legs with the
-    discounted model ({!Cost.estimate_pipeline}'s [?flat]). *)
+    Plans are priced on the AP1000 cost model
+    ({!Cost.estimate_pipeline}). [cost_after <= cost_before] always
+    holds: the input program is itself a candidate. [~flat:true] prices
+    flat-eligible legs with the discounted model
+    ({!Cost.estimate_pipeline}'s [?flat]). *)
 
 val speedup : report -> float
 val strategy_name : strategy -> string

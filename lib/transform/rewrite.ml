@@ -78,7 +78,10 @@ let step_all rules e : (string * expr) list =
   and expr_steps e = List.map (fun (rn, c) -> (rn, of_chain c)) (chain_steps (to_chain e)) in
   expr_steps e
 
-let normalize ?(max_steps = 1000) ?(rules = Rules.default) e : expr * step list =
+(* The step cap of [normalize]. *)
+let max_steps = 1000
+
+let normalize ?(rules = Rules.default) e : expr * step list =
   let rec go steps n e =
     if n >= max_steps then (e, List.rev steps)
     else

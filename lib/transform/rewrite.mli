@@ -3,9 +3,9 @@
 
 type step = { rule : string; before : string; after : string }
 
-val normalize : ?max_steps:int -> ?rules:Rules.rule list -> Ast.expr -> Ast.expr * step list
+val normalize : ?rules:Rules.rule list -> Ast.expr -> Ast.expr * step list
 (** Leftmost-position, priority-ordered rule application to fixpoint
-    (default rules: {!Rules.default}; default step cap 1000). Semantics are
+    (default rules: {!Rules.default}), stopping after 1000 steps. Semantics are
     preserved whenever every rule in the set is sound. *)
 
 val step_once : Rules.rule list -> Ast.expr -> (string * Ast.expr) option

@@ -303,13 +303,13 @@ and seg_fold comm (f : Fn.t2) starts dv : Value.t Scl_sim.Dvec.t =
   let me = Comm.rank comm in
   Scl_sim.Dvec.of_local comm (Array.sub results b.(me) (b.(me + 1) - b.(me)))
 
-let run backend ?topology ~procs (e : Ast.expr) (input : Value.t) =
+let run backend ~procs (e : Ast.expr) (input : Value.t) =
   (* The input's shape is checked here, in the caller, before any rank
      runs: on procs an exception raised inside a rank comes home as
      [Procs.Child_failure], so this check is what keeps a scalar input a
      [Value.Type_error] on every engine. *)
   let elems = Value.as_arr input in
-  Scl_sim.Spmd.run backend ?topology ~procs (fun comm ->
+  Scl_sim.Spmd.run backend ~procs (fun comm ->
       let dv =
         Scl_sim.Dvec.scatter comm ~root:0 (if Comm.rank comm = 0 then Some elems else None)
       in

@@ -20,13 +20,7 @@ exception Unsupported of string
     [combine] / [mapn] applied to a segmented value, or [foldr] inside a
     [mapn] body (rewrite with map-distribution first). *)
 
-val run :
-  's Machine.Backend.t ->
-  ?topology:Machine.Topology.t ->
-  procs:int ->
-  Ast.expr ->
-  Value.t ->
-  Value.t * 's
+val run : 's Machine.Backend.t -> procs:int -> Ast.expr -> Value.t -> Value.t * 's
 (** Scatter the input array, run the pipeline SPMD, gather the result (or
     return the replicated scalar after a fold; a pipeline ending inside a
     split region gathers and regroups). Results equal [Ast.eval e input]

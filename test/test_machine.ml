@@ -108,7 +108,10 @@ let test_presets_sane () =
 let simulate ?(procs = 4) ?(topology = Topology.Complete) ?(cost = Cost_model.unit_costs) ?trace
     program =
   let program = match trace with Some t -> Trace.run t program | None -> program in
-  Sim.run_each ~cost ~topology ~procs (fun _ eng -> program eng)
+  snd
+    (Sim.run_collect ~cost ~topology ~procs (fun eng ->
+         program eng;
+         Some ()))
 
 (* A slice of [n] floats: one message priced at [8 * n] bytes. *)
 let floats n = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout n float_of_int
@@ -653,14 +656,15 @@ let prop_alltoall_transpose =
       in
       !ok)
 
-let test_run_each_per_rank_programs () =
-  (* run_each: distinct program per rank. *)
-  let stats =
-    Sim.run_each ~cost:Cost_model.unit_costs ~procs:3 (fun rank eng ->
-        match rank with
+let test_run_collect_per_rank_programs () =
+  (* run_collect: distinct program per rank. *)
+  let (), stats =
+    Sim.run_collect ~cost:Cost_model.unit_costs ~procs:3 (fun eng ->
+        (match eng.Engine.rank with
         | 0 -> eng.Engine.work 1.0
         | 1 -> eng.Engine.work 2.0
-        | _ -> eng.Engine.work 3.0)
+        | _ -> eng.Engine.work 3.0);
+        Some ())
   in
   check_float "per-rank work" 3.0 stats.Sim.makespan
 
@@ -1440,7 +1444,7 @@ let suite =
         Alcotest.test_case "compute/transfer overlap" `Quick test_sim_work_while_messages_fly;
         Alcotest.test_case "gantt renders" `Quick test_gantt_renders;
         Alcotest.test_case "token ring stress" `Quick test_sim_many_small_messages;
-        Alcotest.test_case "run_each" `Quick test_run_each_per_rank_programs;
+        Alcotest.test_case "run_collect per rank" `Quick test_run_collect_per_rank_programs;
         Alcotest.test_case "imbalance metric" `Quick test_imbalance_metric;
       ] );
     ( "comm_extra",

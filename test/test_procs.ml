@@ -50,15 +50,16 @@ let test_deadlock_sender_finished () =
    the report names the wait as every engine's receive formatter does *)
 let test_recv_any_all_finished () =
   match
-    Procs.run_each ~procs:3 (fun _ eng ->
-        if eng.Engine.rank = 0 then ignore (snd (eng.Engine.recv_any ~tag:5 ()) : int))
+    Procs.run_collect ~procs:3 (fun eng ->
+        if eng.Engine.rank = 0 then ignore (snd (eng.Engine.recv_any ~tag:5 ()) : int);
+        Some ())
   with
   | _ -> Alcotest.fail "expected Fault.Deadlock"
   | exception Fault.Deadlock msg ->
       Alcotest.(check bool) ("names the receive: " ^ msg) true (contains msg "recv(src=any, tag=5)");
       Alcotest.(check bool) "names the cause" true (contains msg "every other rank finished cleanly")
 
-let test_undelivered_message () = C.undelivered_message ~sync:true Backend.procs
+let test_undelivered_message () = C.undelivered_message Backend.procs
 let test_rank_exception_propagates () = C.rank_exception_propagates Backend.procs
 
 (* A named FIFO for ranks to block on: pooled ranks inherit no
@@ -82,7 +83,7 @@ let test_bulk_send_completes_outside_engine () =
   let n = 1 lsl 19 (* 4 MB marshalled *) in
   with_fifo (fun fifo ->
       ignore
-        (Procs.run_each ~procs:2 (fun _ eng ->
+        (Procs.run_collect ~procs:2 (fun eng ->
              with_open fifo (fun fd ->
                  if eng.Engine.rank = 0 then begin
                    eng.Engine.send ~dest:1 ~tag:0 (Array.init n Fun.id);
@@ -94,7 +95,8 @@ let test_bulk_send_completes_outside_engine () =
                    let (a : int array) = eng.Engine.recv ~src:0 ~tag:0 () in
                    if a <> Array.init n Fun.id then failwith "bulk frame corrupted";
                    ignore (Unix.write_substring fd "!" 0 1)
-                 end))))
+                 end);
+             Some ())))
 
 (* --- marshalable-payload discipline -------------------------------------- *)
 
@@ -103,9 +105,10 @@ let test_unserializable_closure_rejected () =
      must refuse with the Fault-taxonomy error, not a raw Marshal raise
      somewhere mid-protocol *)
   match
-    Procs.run_each ~procs:2 (fun _ eng ->
+    Procs.run_collect ~procs:2 (fun eng ->
         if eng.Engine.rank = 0 then eng.Engine.send ~dest:1 ~tag:0 (fun x -> x + 1)
-        else ignore (eng.Engine.recv ~timeout:2.0 ~src:0 ~tag:0 () : int -> int))
+        else ignore (eng.Engine.recv ~timeout:2.0 ~src:0 ~tag:0 () : int -> int);
+        Some ())
   with
   | _ -> Alcotest.fail "expected Fault.Unserializable"
   | exception Fault.Unserializable msg ->
@@ -251,7 +254,7 @@ let test_kill_mid_result () =
   (match run ~kill:true with
   | v, _ -> Alcotest.failf "expected Fault.Crashed, got %d elements" (Array.length v)
   | exception Fault.Crashed r -> Alcotest.(check int) "the producing rank" 1 r);
-  Alcotest.(check int) "a new pool" 2 (Procs.run_each ~procs:2 (fun _ _ -> ())).Procs.forked
+  Alcotest.(check int) "a new pool" 2 (snd (Procs.run_collect ~procs:2 (fun _ -> Some ()))).Procs.forked
 
 let test_chaos_crash_is_fail_stop () =
   (* Chaos's Fault.Crashed self-raise fail-stops the real process: no
@@ -656,7 +659,7 @@ let test_repeated_runs_leave_nothing () =
   for i = 1 to 100 do
     Alcotest.(check int) "clean allreduce" 6 (fst (Spmd.run Backend.procs ~procs:4 sum));
     if i = 1 then maps_after_first := maps_lines ();
-    (match Procs.run_each ~procs:4 (fun _ eng -> if eng.Engine.rank = 3 then failwith "boom") with
+    (match Procs.run_collect ~procs:4 (fun eng -> if eng.Engine.rank = 3 then failwith "boom" else Some ()) with
     | _ -> Alcotest.fail "expected Failure"
     | exception Failure _ -> ());
     match Spmd.run Backend.procs ~procs:4 ~chaos sum with
@@ -723,7 +726,7 @@ let test_pool_after_failed_runs () =
     Alcotest.(check int) (what ^ ": a new pool") 4 (pool_run what 4);
     Alcotest.(check int) (what ^ ": then that pool serves") 0 (pool_run what 4)
   in
-  (match Procs.run_each ~procs:4 (fun r _ -> if r = 2 then failwith "boom") with
+  (match Procs.run_collect ~procs:4 (fun eng -> if eng.Engine.rank = 2 then failwith "boom" else Some ()) with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ());
   next "after a raising run";
@@ -731,7 +734,11 @@ let test_pool_after_failed_runs () =
     (C.crash_is_fail_stop Backend.procs).Procs.crashed;
   next "after a Chaos crash";
   Alcotest.(check (list int)) "the kill is recorded" [ 3 ]
-    (Procs.run_each ~procs:4 (fun r _ -> if r = 3 then kill_self ())).Procs.crashed;
+    (snd
+       (Procs.run_collect ~procs:4 (fun eng ->
+            if eng.Engine.rank = 3 then kill_self ();
+            Some ())))
+      .Procs.crashed;
   next "after a SIGKILL"
 
 (* A program that captures a mutex cannot be shipped: the runner says
@@ -845,7 +852,10 @@ let test_no_credit_crosses_runs () =
   ignore (pool_run "warm-up" 2);
   let expect = fst (Spmd.run (Backend.sim ()) ~procs:2 ring_overrun) in
   for i = 1 to 10 do
-    ignore (Procs.run_each ~procs:2 (fun _ eng -> credit_race eng));
+    ignore
+      (Procs.run_collect ~procs:2 (fun eng ->
+           credit_race eng;
+           Some ()));
     let v, stats = Spmd.run Backend.procs ~procs:2 ring_overrun in
     Alcotest.(check (list (pair int int))) (Printf.sprintf "round %d: values equal sim's" i) expect v;
     Alcotest.(check int) (Printf.sprintf "round %d: the same pool" i) 0 stats.Procs.forked
@@ -862,7 +872,11 @@ let test_input_stays_out_of_the_image () =
   Alcotest.(check bool)
     (Printf.sprintf "a small image (%d bytes)" stats.Procs.job_bytes)
     true (stats.Procs.job_bytes < 4096);
-  let captured = Procs.run_each ~procs:2 (fun r _ -> if r = 0 then ignore (Array.length keys)) in
+  let (), captured =
+    Procs.run_collect ~procs:2 (fun eng ->
+        if eng.Engine.rank = 0 then ignore (Array.length keys);
+        Some ())
+  in
   Alcotest.(check bool)
     (Printf.sprintf "a captured array rides in it (%d bytes)" captured.Procs.job_bytes)
     true
@@ -881,7 +895,11 @@ let test_captured_descriptor_is_not_a_socket () =
       Unix.close rd;
       Unix.close wr)
     (fun () ->
-      match Procs.run_each ~procs:2 (fun _ _ -> ignore (Unix.write_substring wr "x" 0 1)) with
+      match
+        Procs.run_collect ~procs:2 (fun _ ->
+            ignore (Unix.write_substring wr "x" 0 1);
+            Some ())
+      with
       | _ -> Alcotest.fail "expected Child_failure"
       | exception Procs.Child_failure (_, msg) ->
           Alcotest.(check bool) ("EBADF in the rank: " ^ msg) true (contains msg "EBADF"));
@@ -1151,7 +1169,7 @@ let test_pool_outlives_domain_spawn () =
   Domain.join (Domain.spawn ignore);
   Alcotest.(check int) "4 ranks, nothing forked" 0 (pool_run "4 ranks after the spawn" 4);
   Alcotest.(check int) "2 ranks, nothing forked" 0 (pool_run "2 ranks after the spawn" 2);
-  (match Procs.run_each ~procs:8 (fun _ _ -> ()) with
+  (match Procs.run_collect ~procs:8 (fun _ -> Some ()) with
   | _ -> Alcotest.fail "expected Procs.Fork_after_domain"
   | exception Procs.Fork_after_domain -> ());
   Alcotest.(check int) "the pool still serves" 0 (pool_run "4 ranks after the refused growth" 4)
@@ -1176,7 +1194,7 @@ let test_fork_after_domain () =
   Domain.join (Domain.spawn ignore);
   Procs.shutdown ();
   let before = fd_count () in
-  (match Procs.run_each ~procs:4 (fun _ _ -> ()) with
+  (match Procs.run_collect ~procs:4 (fun _ -> Some ()) with
   | _ -> Alcotest.fail "expected Procs.Fork_after_domain"
   | exception Procs.Fork_after_domain -> ());
   Alcotest.(check int) "no fd leaked" before (fd_count ())

@@ -3,7 +3,8 @@
    model transport: every directed stream is a byte queue of a fixed
    capacity, the arena is an array of stamped elements, and each rank
    runs a short script of sends, arena sends and receives, then says
-   goodbye and drains, twice over (two runs on the same streams).
+   goodbye, drains (still delivering) and checks for messages it never
+   received, twice over (two runs on the same streams).
 
    A rank moves as a procs rank can: it queues a frame and writes it
    while the socket takes bytes, reading meanwhile (a blocked send's
@@ -178,18 +179,16 @@ let write cfg st r q cut =
   go 0
 
 (* A frame's events, handled as [Procs.deliver] does: a slice is copied
-   out at once (or dropped, once the rank drains). *)
+   out at once, in the drain too. *)
 let deliver st r q ev =
   let rk = st.ranks_.(r) in
-  let draining = rk.mode = Draining in
   match ev with
-  | Wire.Message { tag; payload } ->
-      if not draining then rk.box <- rk.box @ [ (q, tag, (Marshal.from_bytes payload 0 : value)) ]
+  | Wire.Message { tag; payload } -> rk.box <- rk.box @ [ (q, tag, (Marshal.from_bytes payload 0 : value)) ]
   | Wire.Slice { off; len; tag; _ } ->
       for e = off to off + len - 1 do
-        if (not draining) && not st.live.(e) then fail "p%d copies arena element %d, which holds no block" r e
+        if not st.live.(e) then fail "p%d copies arena element %d, which holds no block" r e
       done;
-      if not draining then rk.box <- rk.box @ [ (q, tag, Stamps (Array.sub st.arena off len)) ];
+      rk.box <- rk.box @ [ (q, tag, Stamps (Array.sub st.arena off len)) ];
       Array.fill st.live off len false;
       Array.fill st.arena off len 0
 
@@ -282,14 +281,13 @@ let rec settle cfg st =
             note "p%d says goodbye to p%d" r next;
             rk.mode <- Bye next
           end
-          else begin
-            (* [Procs.finish_clean]: a message not received by now is
-               reported, and the run fails; this schedule ends there *)
-            if rk.box <> [] then raise Run_fails;
-            rk.mode <- Draining
-          end;
+          else rk.mode <- Draining;
           step ()
       | Draining when List.for_all (fun q -> q = r || not (live_from st r q)) (List.init cfg.ranks Fun.id) ->
+          (* [Procs.finish_clean]: once every peer has said goodbye, a
+             message not received is reported, and the run fails; this
+             schedule ends there *)
+          if rk.box <> [] then raise Run_fails;
           rk.mode <- Done;
           note "p%d has drained" r;
           step ()
@@ -478,9 +476,9 @@ let explore cfg =
    of 24 bytes rides in the stream tail, one of 32 takes its own
    buffer), streams of a few bytes to a few frames, and two runs.  The
    last op of each second run is a slice its destination never
-   receives: the destination either finds it undelivered as it
-   finishes (the run fails) or drops it while it drains, owing its
-   credit after its goodbye. *)
+   receives: the destination reads it before or after its own goodbye
+   (owing its credit after the goodbye in the second case) and finds it
+   undelivered once it has drained, so every second run fails. *)
 let every_cut = [ 1; Wire.header_len - 1; Wire.header_len; max_int ]
 
 let config ?(cuts = every_cut) ~ranks ~ring ~capacity scripts =
