@@ -37,16 +37,16 @@ let log2_ceil p =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) ((n + 1) / 2) in
   go 0 p
 
-let flop env k = Cost_model.flops cm k
+let flop k = Cost_model.flops cm k
 let barrier env = Cost_model.barrier_time cm ~procs:env.procs
 
-let msg env words =
+let msg words =
   Cost_model.transfer_time cm ~hops:1 ~bytes:(words * word_bytes)
   +. cm.Cost_model.send_overhead +. cm.Cost_model.recv_overhead
 
-let elementwise env ~n fn_cost = flop env (ceil_div n env.procs * fn_cost) +. barrier env
+let elementwise env ~n fn_cost = flop (ceil_div n env.procs * fn_cost) +. barrier env
 
-let reduce_rounds env fn_cost = float_of_int (log2_ceil env.procs) *. (msg env 1 +. flop env fn_cost)
+let reduce_rounds env fn_cost = float_of_int (log2_ceil env.procs) *. (msg 1 +. flop fn_cost)
 
 let discount1 env f work = if env.flat && Flat_fns.fun1_of f <> None then work *. flat_factor else work
 let discount2 env f work = if env.flat && Flat_fns.fun2_of f <> None then work *. flat_factor else work
@@ -56,26 +56,26 @@ let rec estimate env ~n (e : Ast.expr) : float =
   | Ast.Id -> 0.0
   | Ast.Compose (f, g) -> estimate env ~n g +. estimate env ~n f
   | Ast.Map f ->
-      discount1 env f (flop env (ceil_div n env.procs * f.Fn.cost)) +. barrier env
+      discount1 env f (flop (ceil_div n env.procs * f.Fn.cost)) +. barrier env
   | Ast.Imap f -> elementwise env ~n f.Fn.cost2
   | Ast.Fold f ->
-      discount2 env f (flop env (ceil_div n env.procs * f.Fn.cost2))
+      discount2 env f (flop (ceil_div n env.procs * f.Fn.cost2))
       +. reduce_rounds env f.Fn.cost2
   | Ast.Scan f ->
-      discount2 env f (flop env (2 * ceil_div n env.procs * f.Fn.cost2))
+      discount2 env f (flop (2 * ceil_div n env.procs * f.Fn.cost2))
       +. reduce_rounds env f.Fn.cost2
   | Ast.Foldr_compose (f, g) ->
       (* inherently sequential: all n elements on one processor *)
-      flop env (n * (f.Fn.cost2 + g.Fn.cost)) +. barrier env
+      flop (n * (f.Fn.cost2 + g.Fn.cost)) +. barrier env
   | Ast.Rotate 0 -> 0.0
-  | Ast.Rotate _ -> (2.0 *. msg env (ceil_div n env.procs)) +. barrier env
+  | Ast.Rotate _ -> (2.0 *. msg (ceil_div n env.procs)) +. barrier env
   | Ast.Send f | Ast.Fetch f ->
       ignore f;
       (* irregular movement: every processor exchanges its chunk *)
-      (2.0 *. msg env (ceil_div n env.procs)) +. barrier env
+      (2.0 *. msg (ceil_div n env.procs)) +. barrier env
   | Ast.Split _ | Ast.Combine ->
       (* regrouping traffic plus group management *)
-      msg env (ceil_div n env.procs) +. barrier env
+      msg (ceil_div n env.procs) +. barrier env
   | Ast.Map_nested body -> estimate env ~n body +. barrier env
   | Ast.Iter_for (k, body) -> float_of_int (max 0 k) *. estimate env ~n body
 
