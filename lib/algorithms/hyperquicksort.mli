@@ -49,12 +49,12 @@ val sort_flatint :
     priced at 8 bytes a key on [sim], through the shared arena on
     [procs]. The input reaches the root once, copied into one of its
     workspace buffers ([Scl_sim.Spmd.run_flat ~input]; on [procs]
-    through the pool's staging file); the caller's array is never
+    through the pool's file); the caller's array is never
     modified. Every buffer comes from [Comm.workspace], so a run reuses
     the buffers the previous one used (on [procs], each pooled rank its
     own). Rank 0's gathered parts are the run's flat result
     ([Scl_sim.Spmd.run_flat]): on [procs] they come home as raw words
-    through the staging file.
+    through the pool's file.
     Both tiers run one program body, so output, messages, flops charges
     and Figure 2 notes are those of {!sort}; on [sim] only the priced
     byte counts, and so the times, differ. [?chaos] wraps every rank's

@@ -139,11 +139,8 @@ let sequential =
     }
 
 (* Chunk boundaries for the two-phase parallel reduce/scan: [nchunks]
-   balanced contiguous ranges. *)
-let chunk_bounds n nchunks =
-  let nchunks = max 1 (min n nchunks) in
-  let q = n / nchunks and r = n mod nchunks in
-  Array.init (nchunks + 1) (fun k -> (k * q) + min k r)
+   balanced contiguous ranges, at least one and no empty one. *)
+let chunk_bounds n nchunks = Partition.block_bounds ~n ~p:(max 1 (min n nchunks))
 
 let on_pool pool =
   let open Runtime in

@@ -404,14 +404,6 @@ let recv_slice t ~src ?tag ?timeout () =
 let send_slice_i t ~tag dst_index s = t.eng.Engine.send_slice ~dest:t.ranks.(dst_index) ~tag s
 let recv_slice_i t ~tag src_index = t.eng.Engine.recv_slice ~src:t.ranks.(src_index) ~tag ()
 
-(* Block decomposition geometry shared with the scl_sim distributed
-   vectors: member k of m holds [bounds.(k), bounds.(k+1)) of a length-n
-   vector, sizes n/m rounded up for the first n mod m members.  A copy of
-   [Scl.Partition.block_bounds], which this library sits below. *)
-let block_bounds ~total ~parts =
-  let q = total / parts and r = total mod parts in
-  Array.init (parts + 1) (fun k -> (k * q) + min k r)
-
 let sub1 s pos len = Bigarray.Array1.sub s pos len
 let dim1 s = Bigarray.Array1.dim s
 
@@ -427,7 +419,8 @@ let scatter_slice t ~root (s : ('k, 'e) Engine.slice option) : ('k, 'e) Engine.s
     let s =
       match s with Some s -> s | None -> invalid_arg "Comm.scatter_slice: root must supply a slice"
     in
-    let b = block_bounds ~total:(dim1 s) ~parts:m in
+    (* the block geometry of the scl_sim distributed vectors *)
+    let b = Scl.Partition.block_bounds ~n:(dim1 s) ~p:m in
     for i = 0 to m - 1 do
       if i <> root then send_slice_i t ~tag i (sub1 s b.(i) (b.(i + 1) - b.(i)))
     done;

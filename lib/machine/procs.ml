@@ -1,6 +1,6 @@
 (* Multi-process execution engine: ranks are long-lived OS processes of
    a rank pool, wired pairwise by Unix-domain socketpairs, with a
-   shared-memory arena beside the sockets for bulk slices.
+   shared file beside the sockets for bulk slices and [run_flat]'s data.
 
    What goes on a rank-to-rank stream, and what its bytes mean, is
    [Wire]'s: frames, the arena rings and their credits, goodbyes and run
@@ -15,23 +15,35 @@
    kernel, and can wait only until its destination next enters any
    engine call, finishes, or dies.
 
-   The arena.  A process maps one shared file (under /dev/shm, unlinked
-   as soon as it is open, so no name outlives the mapping) before it
-   first forks a pool of two or more ranks and keeps it for its
-   lifetime; every run carves it into one [Wire.ring] per directed
-   channel, and the pool's ranks inherit the mapping.  The sender blits a
-   slice into the place [Wire.reserve_slice] gives it; the receiver
-   copies it out (into a buffer of its run's workspace lease under
-   [run_flat], a fresh Bigarray otherwise) as soon as [Wire.filled]
-   hands it the frame.  A process that cannot create the file runs on
-   sockets alone.
+   The pool's file.  Each pool has one shared file, opened by the
+   process that forks the pool (under /dev/shm, else in the temp
+   directory) and unlinked at once, so no name outlives its opening.
+   Its front holds the arena, which every run carves into one
+   [Wire.ring] per directed channel; the staging region follows.  The
+   parent keeps only the descriptor and maps nothing; each rank maps the
+   rings once, from offset 0, and a staging window per kind from the end
+   of the rings.  A rank that forks a pool of its own gives it a file of
+   its own.  The sender blits a slice into the place [Wire.reserve_slice]
+   gives it; the receiver copies it out (into a buffer of its run's
+   workspace lease under [run_flat], a fresh Bigarray otherwise) as soon
+   as [Wire.filled] hands it the frame.  [run_flat]'s bulk data never
+   crosses a socket: the parent writes rank 0's input into the staging
+   region as raw native-endian words, with [Unix.write] through one
+   chunk-sized buffer, before it ships the job, and rank 0 copies it out
+   of its window into a buffer of its workspace before its program
+   starts.  The producing rank blits its parts into the staging region
+   too (rank 0's copy is made by then); the parent reads them back with
+   [Unix.read], a chunk at a time, straight into the caller's array.  A
+   rank keeps its windows across runs, remapping only when a transfer
+   outgrows them (the producing rank grows the file first), so a steady
+   stream of identical jobs faults in no staging page.
 
    The pool.  The first run (or [init]) forks the ranks once; each keeps
    its sockets — one to every other rank, one control socket to the
-   parent — the arena mapping and the pool's staging file, and serves
-   runs until its control socket reaches EOF.  Its descriptors sit at
-   the top of a 1024-entry descriptor table, away from the low numbers
-   the parent reuses once it has closed its own ends of them.  A run is
+   parent — and the pool's file, and serves runs until its control
+   socket reaches EOF.  Its descriptors sit at the top of a 1024-entry
+   descriptor table, away from the low numbers the parent reuses once it
+   has closed its own ends of them.  A run is
    one [Marshal [Closures]] image of its program and result form, written
    to the control socket of each rank it uses, behind an int64 length,
    the run's epoch and its number; one [select] loop writes every rank's
@@ -46,32 +58,18 @@
    rank could not be wired to the live ones — and the next run forks a
    new one; so does a run that needs more ranks than the pool has.
 
-   The staging file.  [run_flat]'s bulk data never crosses a socket.  The
-   pool has one file (beside the arena, unlinked at once) that its ranks
-   inherit.  The parent writes rank 0's input into it from offset 0 as
-   raw native-endian words, with [Unix.write] through one chunk-sized
-   buffer, before it ships the job; rank 0 copies the input out of its
-   own mapping of the file into a buffer of its workspace before its
-   program starts.  The producing rank blits its parts into the file
-   from offset 0 too (rank 0's copy is made by then); the parent reads
-   them back with [Unix.read], a chunk at a time, straight into the
-   caller's array.  The parent never maps the file.  A rank maps it
-   once per kind and keeps the mapping across runs, remapping only when
-   a transfer outgrows it (the producing rank grows the file first), so
-   a steady stream of identical jobs faults in no staging page.
-
    A rank reports to the parent over its control socket: its verdict
    record (counters, fail-stop flag, error, the size of the result that
    follows, if any) as a [Marshal] image behind an int64 length, then
    its result in the form of the runner that started the run —
    [run_collect]'s [Marshal] image on the socket, or [run_flat]'s parts
-   blitted into the staging file, followed on the socket by the faults
+   blitted into the staging region, followed on the socket by the faults
    that took, which say the region is whole.  The verdict carries the
    flat result's element count, so the parent allocates the result array
    while the rank blits.  The parent reads only the lowest producing
    rank's result: rank 0 writes its own at once, and any other producing
    rank waits for a one-byte answer saying whether it is wanted, so that
-   only one rank writes the staging file.  A rank that dies before its
+   only one rank writes the staging region.  A rank that dies before its
    result has arrived whole is a crash.
 
    Crash detection is the point of this engine: a peer that dies (exit,
@@ -116,24 +114,12 @@ type stats = {
   job_bytes : int;
 }
 
-(* ------------------------------------------------------------------- arena *)
+(* --------------------------------------------------------- the pool's file *)
 
-(* One shared mapping, seen as float64 and as int (the file mapped
-   twice), so a slice of either kind is one blit in and one blit out. *)
-type arena = {
-  a_pid : int;  (* the process that mapped it: a rank maps its own *)
-  a_floats : (float, Bigarray.float64_elt) Engine.slice;
-  a_ints : (int, Bigarray.int_elt) Engine.slice;
-}
+let ring_elems = 1 lsl 22 (* 32 MiB of rings *)
 
-let arena_elems = 1 lsl 22 (* 32 MiB *)
-let arena_dir = "/dev/shm"
-let arena_prefix = "scl-arena-"
-
-(* This process's arena, mapped when it first forks a pool of two or
-   more ranks; a process that cannot create the file runs that pool on
-   sockets and tries again when it next forks one. *)
-let arena : arena option ref = ref None
+(* Where the staging region starts, in bytes: right after the rings. *)
+let stage_pos = 8 * ring_elems
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -146,68 +132,60 @@ let open_unlinked path =
       (try Unix.unlink path with Unix.Unix_error _ -> ());
       Some fd
 
-let map_arena () =
-  let pid = Unix.getpid () in
-  match open_unlinked (Printf.sprintf "%s/%s%d" arena_dir arena_prefix pid) with
-  | None -> None
-  | Some fd ->
-      let view kind =
-        Bigarray.array1_of_genarray (Unix.map_file fd kind Bigarray.c_layout true [| arena_elems |])
-      in
-      Fun.protect
-        ~finally:(fun () -> close_noerr fd)
-        (fun () ->
-          try
-            Some { a_pid = pid; a_floats = view Bigarray.float64; a_ints = view Bigarray.int }
-          with Unix.Unix_error _ | Failure _ -> None)
+(* A new pool's file, open and already unlinked, under /dev/shm or else
+   in the temp directory, and as long as its rings: no rank that maps
+   them grows the file under another's blocks. *)
+let open_pool_file () =
+  let path dir = Printf.sprintf "%s/scl-arena-%d" dir (Unix.getpid ()) in
+  match List.find_map (fun dir -> open_unlinked (path dir)) [ "/dev/shm"; Filename.get_temp_dir_name () ] with
+  | Some fd -> (
+      match Unix.ftruncate fd stage_pos with
+      | () -> fd
+      | exception e ->
+          close_noerr fd;
+          raise e)
+  | None -> failwith "Procs: cannot create the pool's file"
 
-(* The arena of this process's pool; [None] when the file cannot be
-   had.  A rank finds its parent's arena here and maps its own for a pool
-   of its own: its siblings are using that one. *)
-let acquire_arena () =
-  (match !arena with
-  | Some a when a.a_pid = Unix.getpid () -> ()
-  | _ -> arena := map_arena ());
-  !arena
-
-(* ----------------------------------------------------------------- staging *)
-
-(* A new pool's staging file, open and already unlinked: under /dev/shm
-   beside the arena, else in the temp directory.  Its name carries the
-   arena's prefix, so a check for leftover arena files covers it too. *)
-let open_stage () =
-  let path dir = Printf.sprintf "%s/%s%d-stage" dir arena_prefix (Unix.getpid ()) in
-  match List.find_map (fun dir -> open_unlinked (path dir)) [ arena_dir; Filename.get_temp_dir_name () ] with
-  | Some fd -> fd
-  | None -> failwith "Procs: cannot create the pool's staging file"
-
-(* A rank's mappings of the staging file, one per kind, each kept across
-   runs: a steady job touches only pages it has mapped before. *)
-type staged = {
-  s_fd : Unix.file_descr;
+(* A rank's mappings of its pool's file: the rings, seen as float64 and
+   as int (mapped twice), so a slice of either kind is one blit in and
+   one blit out; and a staging window per kind, kept across runs, so a
+   steady job touches only pages it has mapped before. *)
+type mapped = {
+  m_fd : Unix.file_descr;
+  m_floats : (float, Bigarray.float64_elt) Engine.slice;
+  m_ints : (int, Bigarray.int_elt) Engine.slice;
   mutable s_floats : (float, Bigarray.float64_elt) Engine.slice;
   mutable s_ints : (int, Bigarray.int_elt) Engine.slice;
 }
 
-let staged fd =
-  { s_fd = fd; s_floats = Engine.fresh Bigarray.float64 0; s_ints = Engine.fresh Bigarray.int 0 }
+let map_pool_file fd =
+  let rings kind = Bigarray.array1_of_genarray (Unix.map_file fd kind Bigarray.c_layout true [| ring_elems |]) in
+  {
+    m_fd = fd;
+    m_floats = rings Bigarray.float64;
+    m_ints = rings Bigarray.int;
+    s_floats = Engine.fresh Bigarray.float64 0;
+    s_ints = Engine.fresh Bigarray.int 0;
+  }
 
-(* The first [n] elements of the staging file, seen as [kind].  A mapping
-   too short for them is replaced by one that reaches their end, and
-   [Unix.map_file] grows the file to that length first; the old mapping
-   lives on while a view of it does. *)
-let window (type k e) st (kind : (k, e) Bigarray.kind) n : (k, e) Engine.slice =
-  let fit (m : (k, e) Engine.slice) =
-    if Bigarray.Array1.dim m >= n then m
-    else Bigarray.array1_of_genarray (Unix.map_file st.s_fd kind Bigarray.c_layout true [| n |])
+(* The first [n] elements of the staging region, seen as [kind].  A
+   window too short for them is replaced by one that reaches their end,
+   and [Unix.map_file] grows the file to that length first; the old
+   window lives on while a view of it does. *)
+let window (type k e) m (kind : (k, e) Bigarray.kind) n : (k, e) Engine.slice =
+  let fit (w : (k, e) Engine.slice) =
+    if Bigarray.Array1.dim w >= n then w
+    else
+      Bigarray.array1_of_genarray
+        (Unix.map_file m.m_fd ~pos:(Int64.of_int stage_pos) kind Bigarray.c_layout true [| n |])
   in
   match kind with
   | Bigarray.Float64 ->
-      st.s_floats <- fit st.s_floats;
-      Bigarray.Array1.sub st.s_floats 0 n
+      m.s_floats <- fit m.s_floats;
+      Bigarray.Array1.sub m.s_floats 0 n
   | Bigarray.Int ->
-      st.s_ints <- fit st.s_ints;
-      Bigarray.Array1.sub st.s_ints 0 n
+      m.s_ints <- fit m.s_ints;
+      Bigarray.Array1.sub m.s_ints 0 n
   | _ -> assert false (* [Engine.check_kind] *)
 
 (* -------------------------------------------------------------- child state *)
@@ -228,7 +206,7 @@ type cstate = {
   c_rank : int;
   c_procs : int;
   c_t0 : float;  (* the run's epoch, taken in the parent as it starts the run *)
-  c_arena : arena option;
+  c_file : mapped;  (* the pool's file: the rings *)
   c_alloc : 'k 'e. ('k, 'e) Bigarray.kind -> int -> ('k, 'e) Engine.slice;
       (* storage for an arena slice's copy *)
   peers : peer option array;  (* index = rank; [None] at [c_rank] *)
@@ -266,11 +244,10 @@ let deliver st peer = function
   | Wire.Message { tag; payload } ->
       Mailbox.push st.pending ~src:peer.p_rank ~tag (Marshal.from_bytes payload 0)
   | Wire.Slice { kind; tag; off; len; _ } ->
-      let a = Option.get st.c_arena in
       let v =
         match kind with
-        | Wire.Floats -> Obj.repr (copy_out st a.a_floats off len)
-        | Wire.Ints -> Obj.repr (copy_out st a.a_ints off len)
+        | Wire.Floats -> Obj.repr (copy_out st st.c_file.m_floats off len)
+        | Wire.Ints -> Obj.repr (copy_out st st.c_file.m_ints off len)
       in
       Mailbox.push st.pending ~src:peer.p_rank ~tag v
 
@@ -424,14 +401,13 @@ let send_slice_to (type k e) st ~dest ~tag (s : (k, e) Engine.slice) =
   let n = Bigarray.Array1.dim s in
   match Wire.reserve_slice p.p_wire n with
   | Some (off, span) ->
-      let a = Option.get st.c_arena in
       let kind =
         match Bigarray.Array1.kind s with
         | Bigarray.Float64 ->
-            Bigarray.Array1.blit s (Bigarray.Array1.sub a.a_floats off n);
+            Bigarray.Array1.blit s (Bigarray.Array1.sub st.c_file.m_floats off n);
             Wire.Floats
         | Bigarray.Int ->
-            Bigarray.Array1.blit s (Bigarray.Array1.sub a.a_ints off n);
+            Bigarray.Array1.blit s (Bigarray.Array1.sub st.c_file.m_ints off n);
             Wire.Ints
         | _ -> assert false
       in
@@ -599,7 +575,7 @@ external set_word : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* Elements [i, i + m) of an array of [kind]'s elements as raw
    native-endian words, written into the parent's chunk buffer: the
-   words a rank's mapping of the staging file reads as that kind.  The
+   words a rank's staging window reads as that kind.  The
    kind is matched once, so each loop runs unboxed. *)
 let encode_array (type k e) (kind : (k, e) Bigarray.kind) (a : k array) ~i ~m b =
   assert (8 * m <= Bytes.length b);
@@ -614,15 +590,15 @@ let encode_array (type k e) (kind : (k, e) Bigarray.kind) (a : k array) ~i ~m b 
       done
   | _ -> assert false (* [Engine.check_kind] *)
 
-(* The parent's chunk buffer for the staging file, both ways.  A run
+(* The parent's chunk buffer for the staging region, both ways.  A run
    holds the pool's lock throughout, so one run at a time uses it; a
    fresh buffer per run raised [sort-procs]' peak RSS by ~0.15 MB. *)
 let parent_buf = Bytes.create Wire.chunk
 
-(* [run_flat]'s input into the staging file from offset 0, a chunk at a
-   time: the parent writes the file and maps nothing. *)
+(* [run_flat]'s input into the staging region, a chunk at a time: the
+   parent writes the file and maps nothing. *)
 let stage_input fd kind a =
-  ignore (Unix.lseek fd 0 SEEK_SET);
+  ignore (Unix.lseek fd stage_pos SEEK_SET);
   let n = Array.length a in
   let i = ref 0 in
   while !i < n do
@@ -650,14 +626,14 @@ let minor_faults () =
 
 (* How a producing rank's result ['p] reaches the parent as ['r]: its
    [size] goes in the rank's verdict; the rank [write]s it once it is
-   wanted, through its mapping of the staging file or its control
-   socket; the parent [read]s it back, given that size, with the minor
-   faults the rank took writing it — [None] when the control socket ends
-   first, the rank having died mid-result. *)
+   wanted, through its staging window or its control socket; the parent
+   [read]s it back, given that size, with the minor faults the rank took
+   writing it — [None] when the control socket ends first, the rank
+   having died mid-result. *)
 type ('p, 'r) result_form = {
   size : 'p -> int;
-  write : staged -> Unix.file_descr -> 'p -> unit;
-  read : ctl:Unix.file_descr -> stage:Unix.file_descr -> int -> ('r * int) option;
+  write : mapped -> Unix.file_descr -> 'p -> unit;
+  read : ctl:Unix.file_descr -> file:Unix.file_descr -> int -> ('r * int) option;
 }
 
 (* [run_collect]'s form: the value's [Marshal] image, taken inside the
@@ -668,23 +644,23 @@ let marshalled : (bytes, 'a) result_form =
     size = Bytes.length;
     write = (fun _ -> write_sized);
     read =
-      (fun ~ctl ~stage:_ _ ->
+      (fun ~ctl ~file:_ _ ->
         Option.map (fun b -> (Marshal.from_bytes b 0, 0)) (read_sized ctl));
   }
 
 (* [run_flat]'s form: every part blitted, in order, into the rank's
-   mapping of the staging file from offset 0, and then the minor faults
-   that took, as an int64 on the control socket, which says the region
-   is whole.  The parent allocates the result array while the rank
-   blits, then decodes the region a chunk at a time straight into it:
-   neither side builds a second copy of the whole result. *)
+   staging window from its start, and then the minor faults that took,
+   as an int64 on the control socket, which says the region is whole.
+   The parent allocates the result array while the rank blits, then
+   decodes the region a chunk at a time straight into it: neither side
+   builds a second copy of the whole result. *)
 let flat_length parts = Array.fold_left (fun n s -> n + Bigarray.Array1.dim s) 0 parts
 
-let write_flat st ctl (parts : ('k, 'e) Engine.slice array) =
+let write_flat m ctl (parts : ('k, 'e) Engine.slice array) =
   let f0 = minor_faults () in
   let total = flat_length parts in
   if total > 0 then begin
-    let region = window st (Bigarray.Array1.kind parts.(0)) total in
+    let region = window m (Bigarray.Array1.kind parts.(0)) total in
     ignore
       (Array.fold_left
          (fun off s ->
@@ -697,7 +673,7 @@ let write_flat st ctl (parts : ('k, 'e) Engine.slice array) =
   Bytes.set_int64_le b 0 (Int64.of_int (minor_faults () - f0));
   write_all ctl b 0 8
 
-let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~stage total : (k array * int) option =
+let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~file total : (k array * int) option =
   let buf = parent_buf in
   (* [decode n pos]: the [n] words just read are elements [pos, pos + n) *)
   let filled (out : k array) decode =
@@ -705,7 +681,7 @@ let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~stage total : (k ar
       pos = total
       ||
       let n = min (Bytes.length buf / 8) (total - pos) in
-      read_all stage buf 0 (8 * n)
+      read_all file buf 0 (8 * n)
       && begin
            decode n pos;
            go (pos + n)
@@ -714,7 +690,7 @@ let read_flat (type k e) (kind : (k, e) Bigarray.kind) ~ctl ~stage total : (k ar
     if not (read_all ctl buf 0 8) then None
     else begin
       let faults = Int64.to_int (Bytes.get_int64_le buf 0) in
-      ignore (Unix.lseek stage 0 SEEK_SET);
+      ignore (Unix.lseek file stage_pos SEEK_SET);
       if go 0 then Some (out, faults) else None
     end
   in
@@ -745,10 +721,10 @@ type job =
   | Job : {
       j_procs : int;
       j_lend : bool;  (* [run_flat]: workspace and arena copies from the rank's lease *)
-      j_input : (('k, 'e) Bigarray.kind * int) option;  (* rank 0's input, staged at offset 0 *)
+      j_input : (('k, 'e) Bigarray.kind * int) option;  (* rank 0's input, staged *)
       j_program : Engine.t -> 'p option;
       j_size : 'p -> int;
-      j_write : staged -> Unix.file_descr -> 'p -> unit;
+      j_write : mapped -> Unix.file_descr -> 'p -> unit;
     }
       -> job
 
@@ -762,7 +738,7 @@ let cpu_seconds () =
    rank) and report it on [ctl].  [true] when the rank can serve another
    run: it finished cleanly, drained every peer, and its report went
    out. *)
-let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
+let serve ~rank ~file ~ctl ~links ~t0 ~run (Job j) =
   let f0 = minor_faults () and c0 = cpu_seconds () in
   let lease = Workspace.lease () in
   let procs = j.j_procs in
@@ -770,8 +746,7 @@ let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
     Array.init procs (fun q ->
         Option.map
           (fun (fd, w) ->
-            Wire.start w ~run
-              ~ring:(Option.bind arena (fun _ -> Wire.ring_of ~elems:arena_elems ~procs ~src:rank ~dst:q));
+            Wire.start w ~run ~ring:(Wire.ring_of ~elems:ring_elems ~procs ~src:rank ~dst:q);
             { p_rank = q; p_fd = fd; p_wire = w; p_eof = false; p_wdead = false })
           links.(q))
   in
@@ -780,7 +755,7 @@ let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
       c_rank = rank;
       c_procs = procs;
       c_t0 = t0;
-      c_arena = arena;
+      c_file = file;
       c_alloc = (if j.j_lend then fun kind n -> Workspace.lend lease kind n else Engine.fresh);
       peers;
       pending = Mailbox.create (Obj.repr 0);
@@ -800,7 +775,7 @@ let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
                of a mapped file under a custom-block name no process can
                read back, and the program may send its input boxed *)
             let input = st.c_alloc kind n in
-            Bigarray.Array1.blit (window stage kind n) input;
+            Bigarray.Array1.blit (window file kind n) input;
             Engine.with_input eng input
         | _ -> eng
       in
@@ -839,7 +814,7 @@ let serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run (Job j) =
   in
   match
     write_sized ctl (Marshal.to_bytes v []);
-    Option.iter (fun r -> if rank = 0 || wanted () then j.j_write stage ctl r) res
+    Option.iter (fun r -> if rank = 0 || wanted () then j.j_write file ctl r) res
   with
   | () when v.v_error = None && not v.v_crashed ->
       Workspace.release lease;
@@ -852,14 +827,14 @@ type pool = {
   owner : int;  (* the process that forked it: its ranks inherit this record *)
   pids : int array;  (* 0 once reaped *)
   ctls : Unix.file_descr array;  (* the parent's end of each rank's control socket *)
-  stage : Unix.file_descr;  (* the staging file, shared with every rank *)
+  file : Unix.file_descr;  (* the pool's file, which only its ranks map *)
   mutable runs : int;  (* started so far *)
   mutable retired : bool;
 }
 
 let pool : pool option ref = ref None
 
-(* In a rank, its own sockets and staging file: a pool it forks must not
+(* In a rank, its own sockets and pool file: a pool it forks must not
    inherit them. *)
 let rank_fds : Unix.file_descr list ref = ref []
 
@@ -888,14 +863,14 @@ let alive p =
 
 (* Close the control sockets, so each idle rank reads EOF and exits
    (with [~kill], SIGKILL them too: a rank may still be running), close
-   the staging file, and reap every rank.  Once only: a descriptor closed
+   the pool's file, and reap every rank.  Once only: a descriptor closed
    twice could be another one by then. *)
 let retire ?(kill = false) p =
   (match !pool with Some q when q == p -> pool := None | _ -> ());
   if not p.retired then begin
     p.retired <- true;
     Array.iter close_noerr p.ctls;
-    close_noerr p.stage;
+    close_noerr p.file;
     Array.iteri
       (fun i pid ->
         if pid > 0 then begin
@@ -915,7 +890,7 @@ let int_of_fd : Unix.file_descr -> int = Obj.magic
 let fd_of_int : int -> Unix.file_descr = Obj.magic
 
 (* Close every descriptor this process inherited except stdio and
-   [keep]: a rank holds its own sockets and staging file and nothing
+   [keep]: a rank holds its own sockets and pool file and nothing
    else, so EOF on a socket means what it says, and no file, pipe or
    socket of the parent's stays open in a process that outlives the run
    which opened it. *)
@@ -943,15 +918,15 @@ let move_fd fd n =
       fd_of_int n
   | exception Unix.Unix_error _ -> fd
 
-(* A rank's descriptors, control socket first and staging file last,
+(* A rank's descriptors, control socket first and pool file last,
    moved to [fd_top] and down: once the parent has closed its ends, its
    next [pipe] or [openfile] reuses their old numbers, and a program that
    captured such a descriptor must find nothing open under it here
    ([EBADF]), not one of the fabric's.  Left where they are if one of
    them already sits in that range. *)
-let lift_sockets ~ctl ~links ~stage =
-  let held = (ctl :: List.filter_map Fun.id (Array.to_list links)) @ [ stage ] in
-  if List.exists (fun fd -> int_of_fd fd > fd_top - List.length held) held then (ctl, links, stage)
+let lift_sockets ~ctl ~links ~file =
+  let held = (ctl :: List.filter_map Fun.id (Array.to_list links)) @ [ file ] in
+  if List.exists (fun fd -> int_of_fd fd > fd_top - List.length held) held then (ctl, links, file)
   else begin
     let next = ref fd_top in
     let lift fd =
@@ -961,7 +936,7 @@ let lift_sockets ~ctl ~links ~stage =
     in
     let ctl = lift ctl in
     let links = Array.map (Option.map lift) links in
-    (ctl, links, lift stage)
+    (ctl, links, lift file)
   end
 
 (* A pool rank's life: read a job, serve it, until the control socket
@@ -969,7 +944,7 @@ let lift_sockets ~ctl ~links ~stage =
    leaves its sockets unusable.  [drop] holds every descriptor of the
    parent's that this rank must not keep, in case there is no
    /proc/self/fd to find them by. *)
-let rank_main ~rank ~arena ~stage ~ctl ~links ~drop =
+let rank_main ~rank ~file ~ctl ~links ~drop =
   (* a peer may die mid-write; we want EPIPE (handled), not a signal *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* the parent's pool and its lock are not this process's: a run
@@ -977,23 +952,23 @@ let rank_main ~rank ~arena ~stage ~ctl ~links ~drop =
   pool := None;
   pool_lock := Mutex.create ();
   List.iter close_noerr drop;
-  close_inherited ~keep:(stage :: ctl :: List.filter_map Fun.id (Array.to_list links));
-  let ctl, links, stage = lift_sockets ~ctl ~links ~stage in
-  rank_fds := stage :: ctl :: List.filter_map Fun.id (Array.to_list links);
+  close_inherited ~keep:(file :: ctl :: List.filter_map Fun.id (Array.to_list links));
+  let ctl, links, file = lift_sockets ~ctl ~links ~file in
+  rank_fds := file :: ctl :: List.filter_map Fun.id (Array.to_list links);
   Array.iter (Option.iter Unix.set_nonblock) links;
   let links =
     Array.mapi
       (fun q -> Option.map (fun fd -> (fd, Wire.create ~chunk:Wire.chunk ~self:rank ~peer:q)))
       links
   in
-  let stage = staged stage in
+  let file = map_pool_file file in
   let rec loop () =
     match read_sized ctl with
     | Some b when Bytes.length b >= 16 ->
         let t0 = Int64.float_of_bits (Bytes.get_int64_le b 0) in
         let run = Int64.to_int (Bytes.get_int64_le b 8) in
         let job : job = Marshal.from_bytes b 16 in
-        if serve ~rank ~arena ~stage ~ctl ~links ~t0 ~run job then loop ()
+        if serve ~rank ~file ~ctl ~links ~t0 ~run job then loop ()
     | _ -> ()
   in
   (try loop () with _ -> ());
@@ -1001,16 +976,15 @@ let rank_main ~rank ~arena ~stage ~ctl ~links ~drop =
   Unix._exit 0
 
 (* Fork [size] ranks wired by a full mesh of socketpairs, each with its
-   own control socket, all sharing one staging file.  [inherited] are descriptors of an older pool the
-   new ranks must not keep (and so are this process's own, when it is a
-   rank).  Raises [Fork_after_domain] once this process has had a second
-   domain, leaving nothing behind. *)
+   own control socket, all sharing one pool file.  [inherited] are
+   descriptors of an older pool the new ranks must not keep (and so are
+   this process's own, when it is a rank).  Raises [Fork_after_domain]
+   once this process has had a second domain, leaving nothing behind. *)
 let fork_pool ~size ~inherited =
   (* ranks inherit the stdio buffers; flush now so nothing replays *)
   flush stdout;
   flush stderr;
-  let arena = if size >= 2 then acquire_arena () else None in
-  let stage = open_stage () in
+  let file = open_pool_file () in
   let pair () = Unix.socketpair ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   let mesh = Array.init size (fun i -> Array.init size (fun j -> if i < j then Some (pair ()) else None)) in
   let ctl = Array.init size (fun _ -> pair ()) in
@@ -1034,7 +1008,7 @@ let fork_pool ~size ~inherited =
        | 0 ->
            let mine = snd ctl.(r) :: List.filter_map Fun.id (Array.to_list (links r)) in
            (try
-              rank_main ~rank:r ~arena ~stage ~ctl:(snd ctl.(r)) ~links:(links r)
+              rank_main ~rank:r ~file ~ctl:(snd ctl.(r)) ~links:(links r)
                 ~drop:(List.filter (fun fd -> not (List.memq fd mine)) (every_fd ()) @ inherited @ !rank_fds)
             with _ -> ());
            Unix._exit 127
@@ -1044,7 +1018,7 @@ let fork_pool ~size ~inherited =
      done
    with e ->
      (* leave nothing behind: no fd, no half-wired rank *)
-     List.iter close_noerr (stage :: every_fd ());
+     List.iter close_noerr (file :: every_fd ());
      Array.iter
        (fun pid ->
          if pid > 0 then begin
@@ -1063,7 +1037,7 @@ let fork_pool ~size ~inherited =
       | None -> ()))
     mesh;
   Array.iter (fun (_, rank_end) -> close_noerr rank_end) ctl;
-  { owner = Unix.getpid (); pids; ctls = Array.map fst ctl; stage; runs = 0; retired = false }
+  { owner = Unix.getpid (); pids; ctls = Array.map fst ctl; file; runs = 0; retired = false }
 
 (* A live pool of at least [procs] ranks, and how many processes it took
    to get one.  A larger one is forked before the old one is retired, so
@@ -1075,7 +1049,7 @@ let ensure ~procs =
       let old = match old with Some p when p.owner = Unix.getpid () -> Some p | _ -> None in
       let size = match old with Some p -> max procs (Array.length p.pids) | None -> procs in
       let p =
-        fork_pool ~size ~inherited:(match old with Some o -> o.stage :: Array.to_list o.ctls | None -> [])
+        fork_pool ~size ~inherited:(match old with Some o -> o.file :: Array.to_list o.ctls | None -> [])
       in
       Option.iter (fun o -> retire o) old;
       pool := Some p;
@@ -1164,7 +1138,7 @@ let run_core (type k e) ~runner ?topology ~procs ~lend
   Bytes.set_int64_le head 8 (Int64.bits_of_float t0);
   Bytes.set_int64_le head 16 (Int64.of_int p.runs);
   let collect () =
-    Option.iter (fun (kind, a) -> stage_input p.stage kind a) input;
+    Option.iter (fun (kind, a) -> stage_input p.file kind a) input;
     ship (Array.sub p.ctls 0 procs) head image;
     let crashed = ref [] in
     let errors = Array.make procs None in
@@ -1201,7 +1175,7 @@ let run_core (type k e) ~runner ?topology ~procs ~lend
                       write_all fd (Bytes.make 1 (if wanted then '\001' else '\000')) 0 1);
                 if wanted then begin
                   settled := true;
-                  match form.read ~ctl:fd ~stage:p.stage size with
+                  match form.read ~ctl:fd ~file:p.file size with
                   | Some (x, faults) ->
                       results.(r) <- Some x;
                       result_faults := faults

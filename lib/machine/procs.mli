@@ -10,8 +10,8 @@
     {2 The pool}
 
     Each rank keeps its sockets (one per other rank, plus a control
-    socket to the parent) and the arena mapping for its whole life, and
-    serves one run after another. A run ships its program and result
+    socket to the parent) and its mapping of the pool's file (below) for
+    its whole life, and serves one run after another. A run ships its program and result
     form to each rank it uses as one [Marshal [Closures]] image, so the
     program's captured values travel by value, marshalled once and
     copied to every rank it uses on every run (a program that captures
@@ -20,7 +20,7 @@
     this process as it was when the pool was forked: a global changed
     since is not seen by them, and a descriptor opened since is not
     theirs. A rank keeps no inherited descriptor beyond stdin, stdout
-    and stderr, its own sockets and the pool's staging file, and moves
+    and stderr, its own sockets and the pool's file, and moves
     those to numbers 1023 and down, so a descriptor a program captures
     here names nothing open in a rank (an [EBADF], so {!Child_failure})
     rather than one of its own. Every rank's copy of the job image is
@@ -46,41 +46,39 @@
 
     Under {!run_flat}, [Comm.workspace] on a rank lends from that rank's
     own free list ({!Workspace}), and so do the copies of arena slices it
-    receives. Its bulk data takes the pool's staging file, never a
-    socket (below). A steady stream of identical jobs then forks nothing
+    receives. Its bulk data takes the pool's file, never a socket
+    (below). A steady stream of identical jobs then forks nothing
     and, once warm, has its ranks map no fresh pages.
 
-    {2 The staging file}
+    {2 The pool's file}
 
-    Each pool has one file, created beside the arena (under /dev/shm,
-    else in the temp directory) when the pool forks and unlinked at
-    once; its ranks inherit it. This process writes {!run_flat}'s input
-    into it with [Unix.write] and reads the result back with
-    [Unix.read], a 64 KiB chunk at a time, and never maps it, so the
-    transfer does not grow its resident set. Each rank maps the file
-    itself, once per element kind, and keeps the mapping across runs; it
-    maps it again only when a transfer outgrows it. Rank 0 copies its
-    input out of that mapping before its program starts, and the
-    producing rank later blits its result parts into the same mapping
-    from offset 0. The file keeps the size of the pool's largest
-    transfer until the pool is retired.
-
-    {2 The arena}
+    Each pool has one shared file, created when the pool forks (under
+    /dev/shm, else in the temp directory) and unlinked at once; its ranks
+    inherit the descriptor, and it goes when the pool is retired. Its
+    front holds the arena: 32 MiB that each run splits into one ring per
+    directed channel. The staging region follows it. This process keeps
+    only the descriptor and maps nothing: it writes {!run_flat}'s input
+    into the staging region with [Unix.write] and reads the result back
+    with [Unix.read], a 64 KiB chunk at a time, so neither the transfer
+    nor the arena grows its resident set. Each rank maps the rings once,
+    and a staging window per element kind that it keeps across runs and
+    maps again only when a transfer outgrows it.
 
     A slice of 64 KiB or more (float64 or int) skips the socket when it
-    can: the process maps one shared-memory arena before it forks its
-    first pool of two or more ranks (unlinked at once, kept for the
-    process's lifetime, never touched by the process itself unless it is
-    a rank), each run gives every directed channel a ring in it, and the
-    slice is blitted into the sender's ring while a small frame on the
+    can: it is blitted into the sender's ring while a small frame on the
     socket says where (rings and credits are {!Wire}'s). A slice that
     finds its ring full takes the socket instead: no send ever waits on
     arena space, and [stats.arena_msgs] counts the slices that went
     through it. Boxed payloads always take the socket.
 
+    Rank 0 copies {!run_flat}'s input out of its staging window before
+    its program starts, and the producing rank later blits its result
+    parts into the same window from its start. The staging region keeps
+    the size of the pool's largest transfer until the pool is retired.
+
     A run's result comes home from the producing rank after its verdict
     record: {!run_collect}'s as a [Marshal] image on its control socket,
-    {!run_flat}'s through the staging file, decoded straight into the
+    {!run_flat}'s through the staging region, decoded straight into the
     caller's array. Only the lowest producing rank's result is read: a
     producing rank other than 0 waits to be told it is wanted.
 
@@ -130,8 +128,8 @@
     [Procs] runs may follow it.
 
     A rank may itself start a [Procs] run: its process forks a pool of
-    its own for it, and maps an arena of its own, since its siblings
-    are still using the one it inherited. *)
+    its own for it, with a file of its own, which that pool's ranks map
+    and the rank does not. *)
 
 exception Child_failure of int * string
 (** [Child_failure (rank, msg)]: a rank's program died with an exception
@@ -179,7 +177,7 @@ type stats = {
 
 val init : procs:int -> unit
 (** Make sure a pool of at least [procs] ranks is up, forking it now
-    (with the arena, for two or more) if it is not.
+    (with its file) if it is not.
     @raise Invalid_argument if [procs <= 0].
     @raise Fork_after_domain if it had to fork after a domain existed. *)
 
@@ -233,7 +231,7 @@ val run_flat :
 (** Like {!run_collect} for a result made of flat parts: the lowest
     producing rank's parts, concatenated in order into one array. The
     rank reports the element count in its verdict, blits every part into
-    the pool's staging file while this process allocates the result
+    the pool's staging region while this process allocates the result
     array, and then says the parts are in place; this process reads the
     words back a 64 KiB chunk at a time and decodes each chunk straight
     into the result array. Nothing is marshalled and neither side builds
@@ -242,9 +240,9 @@ val run_flat :
     {!Fault.Crashed}, never a truncated or stale array.
 
     [?input] reaches rank 0 as its engine's [input] ([Comm.input]): this
-    process writes it into the staging file as raw native-endian words
-    before it ships the run, and rank 0 copies it out of its own mapping
-    of the file into a buffer of its workspace, so nothing is decoded.
+    process writes it into the staging region as raw native-endian words
+    before it ships the run, and rank 0 copies it out of its own staging
+    window into a buffer of its workspace, so nothing is decoded.
     The copy is rank 0's for the run: the program may sort it in place,
     and hands it to other ranks with slice sends ([Comm.scatter_slice],
     [send_slice]) or, like any slice, inside a boxed value. The array is

@@ -1,5 +1,6 @@
 (* Computational-skeleton templates on the simulated machine: the
-   iterUntil / iterFor control-flow skeletons at the SPMD level.
+   iterUntil control-flow skeleton at the SPMD level (iterFor is local
+   control flow, [Scl.Computational.iter_for]).
 
    Convergence iteration is the common case (Jacobi, heat, any relaxation):
    every member steps its local state, the residuals are combined with a
@@ -30,13 +31,3 @@ let iter_until_conv (comm : Comm.t) ?(max_iter = max_int) ~tol ~(step : int -> '
     if !residual < tol || !iterations >= max_iter then continue_ := false
   done;
   { state = !state; iterations = !iterations; final_residual = !residual }
-
-(* Counted iteration (the paper's iterFor) — purely local control flow, but
-   kept here so SPMD programs read like their host-SCL counterparts. *)
-let iter_for n (step : int -> 'a -> 'a) (init : 'a) : 'a =
-  if n < 0 then invalid_arg "Control.iter_for: negative iteration count";
-  let state = ref init in
-  for i = 0 to n - 1 do
-    state := step i !state
-  done;
-  !state

@@ -1,5 +1,5 @@
 (** Computational-skeleton templates at the SPMD level: the distributed
-    readings of iterUntil / iterFor. *)
+    reading of iterUntil ([Scl.Computational.iter_for] is iterFor). *)
 
 open Machine
 
@@ -12,7 +12,3 @@ val iter_until_conv :
     max residual drops below [tol] (or at [max_iter]). Collective — every
     member must call it with the same control parameters; all members
     observe the same iteration count. *)
-
-val iter_for : int -> (int -> 'a -> 'a) -> 'a -> 'a
-(** Counted iteration (local control flow).
-    @raise Invalid_argument on a negative count. *)

@@ -18,18 +18,7 @@ open Machine
 
 let word_bytes = 8
 
-type env = { procs : int; flat : bool }
-
 let cm = Cost_model.ap1000
-
-(* Per-element discount for stages the flat host tier can run: unboxed
-   Bigarray loops with the operator matched outside the loop, versus the
-   boxed skeletons' closure call + Value boxing per element.  Applied
-   only to the flop term — barriers and combine-round messages are tier-
-   independent.  Calibrated against the host/{boxed,flat}-scan bench
-   pair; like the rest of the model it ranks plans, the simulator stays
-   the ground truth. *)
-let flat_factor = 0.25
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -38,47 +27,39 @@ let log2_ceil p =
   go 0 p
 
 let flop k = Cost_model.flops cm k
-let barrier env = Cost_model.barrier_time cm ~procs:env.procs
+let barrier procs = Cost_model.barrier_time cm ~procs
 
 let msg words =
   Cost_model.transfer_time cm ~hops:1 ~bytes:(words * word_bytes)
   +. cm.Cost_model.send_overhead +. cm.Cost_model.recv_overhead
 
-let elementwise env ~n fn_cost = flop (ceil_div n env.procs * fn_cost) +. barrier env
+let elementwise ~procs ~n fn_cost = flop (ceil_div n procs * fn_cost) +. barrier procs
 
-let reduce_rounds env fn_cost = float_of_int (log2_ceil env.procs) *. (msg 1 +. flop fn_cost)
+let reduce_rounds ~procs fn_cost = float_of_int (log2_ceil procs) *. (msg 1 +. flop fn_cost)
 
-let discount1 env f work = if env.flat && Flat_fns.fun1_of f <> None then work *. flat_factor else work
-let discount2 env f work = if env.flat && Flat_fns.fun2_of f <> None then work *. flat_factor else work
-
-let rec estimate env ~n (e : Ast.expr) : float =
+let rec estimate ~procs ~n (e : Ast.expr) : float =
   match e with
   | Ast.Id -> 0.0
-  | Ast.Compose (f, g) -> estimate env ~n g +. estimate env ~n f
-  | Ast.Map f ->
-      discount1 env f (flop (ceil_div n env.procs * f.Fn.cost)) +. barrier env
-  | Ast.Imap f -> elementwise env ~n f.Fn.cost2
-  | Ast.Fold f ->
-      discount2 env f (flop (ceil_div n env.procs * f.Fn.cost2))
-      +. reduce_rounds env f.Fn.cost2
-  | Ast.Scan f ->
-      discount2 env f (flop (2 * ceil_div n env.procs * f.Fn.cost2))
-      +. reduce_rounds env f.Fn.cost2
+  | Ast.Compose (f, g) -> estimate ~procs ~n g +. estimate ~procs ~n f
+  | Ast.Map f -> elementwise ~procs ~n f.Fn.cost
+  | Ast.Imap f -> elementwise ~procs ~n f.Fn.cost2
+  | Ast.Fold f -> flop (ceil_div n procs * f.Fn.cost2) +. reduce_rounds ~procs f.Fn.cost2
+  | Ast.Scan f -> flop (2 * ceil_div n procs * f.Fn.cost2) +. reduce_rounds ~procs f.Fn.cost2
   | Ast.Foldr_compose (f, g) ->
       (* inherently sequential: all n elements on one processor *)
-      flop (n * (f.Fn.cost2 + g.Fn.cost)) +. barrier env
+      flop (n * (f.Fn.cost2 + g.Fn.cost)) +. barrier procs
   | Ast.Rotate 0 -> 0.0
-  | Ast.Rotate _ -> (2.0 *. msg (ceil_div n env.procs)) +. barrier env
+  | Ast.Rotate _ -> (2.0 *. msg (ceil_div n procs)) +. barrier procs
   | Ast.Send f | Ast.Fetch f ->
       ignore f;
       (* irregular movement: every processor exchanges its chunk *)
-      (2.0 *. msg (ceil_div n env.procs)) +. barrier env
+      (2.0 *. msg (ceil_div n procs)) +. barrier procs
   | Ast.Split _ | Ast.Combine ->
       (* regrouping traffic plus group management *)
-      msg (ceil_div n env.procs) +. barrier env
-  | Ast.Map_nested body -> estimate env ~n body +. barrier env
-  | Ast.Iter_for (k, body) -> float_of_int (max 0 k) *. estimate env ~n body
+      msg (ceil_div n procs) +. barrier procs
+  | Ast.Map_nested body -> estimate ~procs ~n body +. barrier procs
+  | Ast.Iter_for (k, body) -> float_of_int (max 0 k) *. estimate ~procs ~n body
 
-let estimate_pipeline ?(flat = false) ~procs ~n e =
+let estimate_pipeline ~procs ~n e =
   if procs <= 0 then invalid_arg "Cost.estimate_pipeline: procs must be positive";
-  estimate { procs; flat } ~n e
+  estimate ~procs ~n e

@@ -89,9 +89,9 @@ let beam_from ~order ~width ~depth rules seed =
   let _, be, bpath = !best in
   (be, List.rev bpath, Hashtbl.length seen)
 
-let optimize ?(flat = false) ?(procs = 16) ?(n = 1 lsl 16) ?rules ?(strategy = Greedy)
+let optimize ?(procs = 16) ?(n = 1 lsl 16) ?rules ?(strategy = Greedy)
     (e : Ast.expr) : report =
-  let cost_of e' = Cost.estimate_pipeline ~flat ~procs ~n e' in
+  let cost_of e' = Cost.estimate_pipeline ~procs ~n e' in
   let cost_before = cost_of e in
   match strategy with
   | Greedy ->

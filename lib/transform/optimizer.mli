@@ -32,7 +32,6 @@ type report = {
 }
 
 val optimize :
-  ?flat:bool ->
   ?procs:int ->
   ?n:int ->
   ?rules:Rules.rule list ->
@@ -44,9 +43,7 @@ val optimize :
     search covers the whole algebra, flattening and unrolling included).
     Plans are priced on the AP1000 cost model
     ({!Cost.estimate_pipeline}). [cost_after <= cost_before] always
-    holds: the input program is itself a candidate. [~flat:true] prices
-    flat-eligible legs with the discounted model
-    ({!Cost.estimate_pipeline}'s [?flat]). *)
+    holds: the input program is itself a candidate. *)
 
 val speedup : report -> float
 val strategy_name : strategy -> string

@@ -473,8 +473,8 @@ let test_short_slices_take_the_socket () =
   Alcotest.(check (list bool)) "every slice intact to the bit" [ true; true; true; true ] v;
   Alcotest.(check int) "only the chunk-sized slices took the arena" 2 stats.Procs.arena_msgs
 
-(* The arena files this process maps (each shows up twice, once per
-   view, as a deleted file). *)
+(* The pool files this process maps (each shows up once per mapping, as
+   a deleted file). *)
 let mapped_arenas () =
   let ic = open_in "/proc/self/maps" in
   let rec go acc =
@@ -489,17 +489,18 @@ let mapped_arenas () =
   in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> List.length (go []))
 
-(* A rank that starts a Procs run of its own maps a second arena for it
-   (its siblings still use the inherited one), and both runs move bulk
-   slices through their own arena at the same time. *)
+(* Ranks 0 and 1 swap one arena-sized slice. *)
+let swap eng =
+  let n = 1 lsl 16 and me = eng.Engine.rank in
+  eng.Engine.send_slice ~dest:(1 - me) ~tag:0 (int_block n me);
+  let (s : Scl.Flat.int1) = eng.Engine.recv_slice ~src:(1 - me) ~tag:0 () in
+  all_equal s n (1 - me)
+
+(* A rank that starts a Procs run of its own gets a new pool with a file
+   of its own, which only the inner ranks map (they also inherit their
+   parent rank's mapping of the outer file); both runs move bulk slices
+   through their own pool's rings at the same time. *)
 let test_nested_run_maps_own_arena () =
-  let n = 1 lsl 16 in
-  let swap eng =
-    let me = eng.Engine.rank in
-    eng.Engine.send_slice ~dest:(1 - me) ~tag:0 (int_block n me);
-    let (s : Scl.Flat.int1) = eng.Engine.recv_slice ~src:(1 - me) ~tag:0 () in
-    all_equal s n (1 - me)
-  in
   let v, stats =
     Procs.run_collect ~procs:2 (fun eng ->
         let outer = swap eng in
@@ -521,12 +522,12 @@ let test_nested_run_maps_own_arena () =
   in
   let ok, before, after, inner_maps, inner_arena_msgs = v in
   Alcotest.(check bool) "every swap intact" true ok;
-  Alcotest.(check int) "a rank inherits one arena" 1 before;
-  Alcotest.(check int) "its own run maps a second" 2 after;
-  Alcotest.(check int) "the inner ranks see both" 2 inner_maps;
+  Alcotest.(check int) "a rank maps its pool's file" 1 before;
+  Alcotest.(check int) "its own run maps nothing more in it" 1 after;
+  Alcotest.(check int) "the inner ranks map both" 2 inner_maps;
   Alcotest.(check int) "inner slices took the inner arena" 2 inner_arena_msgs;
   Alcotest.(check int) "outer slices took the outer arena" 4 stats.Procs.arena_msgs;
-  Alcotest.(check int) "this process still maps one" 1 (mapped_arenas ())
+  Alcotest.(check int) "this process maps none" 0 (mapped_arenas ())
 
 (* --- chaos on real processes --------------------------------------------- *)
 
@@ -754,7 +755,7 @@ let test_captured_mutex_is_unserializable () =
   Alcotest.(check int) "the same pool serves on" 0 (pool_run "after the refusal" 2)
 
 (* Every descriptor a rank holds beyond stdio: its sockets and the
-   pool's staging file.  A pipe open in this process when the pool forks
+   pool's file.  A pipe open in this process when the pool forks
    must not be among them. *)
 let test_rank_keeps_only_its_sockets () =
   Procs.shutdown ();
@@ -786,8 +787,8 @@ let test_rank_keeps_only_its_sockets () =
       Alcotest.(check int) (Printf.sprintf "rank %d: one control socket, three links" r) 4 (List.length sockets);
       match files with
       | [ f ] ->
-          Alcotest.(check bool) (Printf.sprintf "rank %d holds the staging file: %s" r f) true
-            (contains f "scl-arena" && contains f "-stage")
+          Alcotest.(check bool) (Printf.sprintf "rank %d holds the pool's file: %s" r f) true
+            (contains f "scl-arena-" && not (contains f "-stage"))
       | _ -> Alcotest.failf "rank %d holds %s" r (String.concat ", " files))
     v
 
@@ -930,6 +931,25 @@ let sort_equals_sim what ~procs a =
   let v = sort Backend.procs in
   Alcotest.(check (array int)) (what ^ ": equals sim") (sort (Backend.sim ())) v;
   Alcotest.(check bool) (what ^ ": the caller's keys unchanged") true (a = before)
+
+(* A pool's file is its ranks' alone: after flat runs with an input,
+   bulk slices both ways and a nested run, the calling process maps no
+   pool file. *)
+let test_caller_maps_no_pool_file () =
+  sort_equals_sim "a flat run" ~procs:2 (keys ~seed:5 50_000);
+  sort_equals_sim "another" ~procs:2 (keys ~seed:6 50_000);
+  let swapped, stats = Procs.run_collect ~procs:2 (fun eng -> Comm.gather (Comm.world eng) ~root:0 (swap eng)) in
+  let nested, _ =
+    Procs.run_collect ~procs:2 (fun eng ->
+        let inner =
+          eng.Engine.rank <> 0 || fst (Procs.run_collect ~procs:2 (fun e -> Some (swap e)))
+        in
+        Comm.gather (Comm.world eng) ~root:0 (inner && swap eng))
+  in
+  Alcotest.(check (array bool)) "the bulk slices intact" [| true; true |] swapped;
+  Alcotest.(check bool) "they took the arena" true (stats.Procs.arena_msgs > 0);
+  Alcotest.(check (array bool)) "the nested swaps intact" [| true; true |] nested;
+  Alcotest.(check int) "pool files this process maps" 0 (mapped_arenas ())
 
 (* A second input larger than the first outgrows the staging file and
    every rank's mapping of it: the file grows, the ranks remap, and the
@@ -1108,6 +1128,8 @@ let suite =
           Alcotest.test_case "bulk slices both ways" `Quick test_bulk_slices_both_ways;
           Alcotest.test_case "nested run maps its own arena" `Quick
             test_nested_run_maps_own_arena;
+          Alcotest.test_case "the calling process maps no pool file" `Quick
+            test_caller_maps_no_pool_file;
           Alcotest.test_case "slices under a chunk take the socket" `Quick
             test_short_slices_take_the_socket;
         ] );

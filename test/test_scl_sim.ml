@@ -346,14 +346,6 @@ let test_control_max_iter_cap () =
   in
   ()
 
-let test_control_iter_for () =
-  Alcotest.(check int) "sum of indices" 10 (Scl_sim.Control.iter_for 5 (fun i acc -> acc + i) 0);
-  Alcotest.(check bool) "negative rejected" true
-    (try
-       ignore (Scl_sim.Control.iter_for (-1) (fun _ x -> x) 0);
-       false
-     with Invalid_argument _ -> true)
-
 (* --- Fvec (flat tier) -----------------------------------------------------------
    The unboxed slice-tier vector must round-trip its contents bitwise, and
    a whole-row halo must travel as one bulk message. *)
@@ -513,6 +505,5 @@ let () =
           Alcotest.test_case "iter_until_conv" `Quick test_control_iter_until_conv;
           Alcotest.test_case "global residual" `Quick test_control_residual_is_global_max;
           Alcotest.test_case "max_iter cap" `Quick test_control_max_iter_cap;
-          Alcotest.test_case "iter_for" `Quick test_control_iter_for;
         ] );
     ]

@@ -1101,19 +1101,6 @@ let test_host_flat_bitwise () =
         (Value.equal (Ast.eval scan_e v) (Host_exec.eval scan_e v)))
     [ 0; 1; 2; 3; 7 ]
 
-let test_cost_flat_discount () =
-  let float_e = Parser.parse_exn "fold fadd . scan fadd . map fdouble" in
-  let int_e = Parser.parse_exn "fold add . scan add . map double" in
-  let plain = Cost.estimate_pipeline ~procs:8 ~n:65536 float_e in
-  let flat = Cost.estimate_pipeline ~flat:true ~procs:8 ~n:65536 float_e in
-  Alcotest.(check bool) "flat pricing is strictly cheaper on float legs" true (flat < plain);
-  Alcotest.(check (float 0.0)) "int legs are never discounted"
-    (Cost.estimate_pipeline ~procs:8 ~n:65536 int_e)
-    (Cost.estimate_pipeline ~flat:true ~procs:8 ~n:65536 int_e);
-  (* the optimizer accepts and threads the flag *)
-  let r = Optimizer.optimize ~flat:true float_e in
-  Alcotest.(check bool) "optimize ~flat:true runs" true (r.Optimizer.cost_after <= r.Optimizer.cost_before)
-
 let test_parse_float_registry () =
   Alcotest.(check string) "float pipeline round-trips" flat_pipeline_src
     (Ast.to_string (Parser.parse_exn flat_pipeline_src))
@@ -1390,7 +1377,6 @@ let () =
           Alcotest.test_case "flat golden file" `Quick test_codegen_flat_golden;
           Alcotest.test_case "flat target vocabulary" `Quick test_codegen_flat_rejects;
           Alcotest.test_case "host flat fast path bitwise" `Quick test_host_flat_bitwise;
-          Alcotest.test_case "cost model flat discount" `Quick test_cost_flat_discount;
           Alcotest.test_case "parser float registry" `Quick test_parse_float_registry;
         ] );
     ]

@@ -4,7 +4,7 @@
    capacity, the arena is an array of stamped elements, and each rank
    runs a short script of sends, arena sends and receives, then says
    goodbye, drains (still delivering) and checks for messages it never
-   received, twice over (two runs on the same streams).
+   received, three times over (three runs on the same streams).
 
    A rank moves as a procs rank can: it queues a frame and writes it
    while the socket takes bytes, reading meanwhile (a blocked send's
@@ -24,7 +24,9 @@
    - nothing follows a goodbye (a frame after one makes [Wire.filled]
      fail, and every stream and stream tail is empty when a run ends);
    - no frame crosses runs (a stale credit makes [Wire.filled] fail, and
-     every value names the run that sent it);
+     every value names the run that sent it), also after a run that
+     failed with a message undelivered: the explorer goes on to the next
+     run where the engine would retire the pool;
    - every receive gets the value sent, in per-(src, tag) FIFO order;
    - no reachable state leaves an unfinished rank with nothing to do,
      so the drain terminates.
@@ -74,13 +76,15 @@ type state = {
 }
 
 exception Violation of string
-exception Run_fails
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
 
 (* What the local steps of the move being applied did, for the trace. *)
 let notes : string list ref = ref []
 let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt
+
+(* Moves after which a rank found a message undelivered. *)
+let failed_runs = ref 0
 let wire st r q = Option.get st.ranks_.(r).wires.(q)
 
 (* The value of a send op that is the [k]th from [src] on its (dst, tag)
@@ -285,9 +289,12 @@ let rec settle cfg st =
           step ()
       | Draining when List.for_all (fun q -> q = r || not (live_from st r q)) (List.init cfg.ranks Fun.id) ->
           (* [Procs.finish_clean]: once every peer has said goodbye, a
-             message not received is reported, and the run fails; this
-             schedule ends there *)
-          if rk.box <> [] then raise Run_fails;
+             message not received is reported, and the run fails *)
+          if rk.box <> [] then begin
+            incr failed_runs;
+            note "p%d finds %d message(s) undelivered" r (List.length rk.box);
+            rk.box <- []
+          end;
           rk.mode <- Done;
           note "p%d has drained" r;
           step ()
@@ -387,7 +394,7 @@ let decode s : state = Marshal.from_string s 0
 type result = {
   states : int;  (* distinct states reached *)
   transitions : int;
-  failed_runs : int;  (* schedules ending in a run that fails with undelivered messages *)
+  failed_runs : int;  (* moves after which a rank found a message undelivered *)
   violation : string option;
   seconds : float;
 }
@@ -408,7 +415,8 @@ let describe_mode = function
 
 let explore cfg =
   let t0 = Unix.gettimeofday () in
-  let seen = Hashtbl.create 65536 and transitions = ref 0 and failed_runs = ref 0 in
+  let seen = Hashtbl.create 65536 and transitions = ref 0 in
+  failed_runs := 0;
   let describe step = String.concat "; " (step :: List.rev !notes) in
   let rec dfs enc path =
     let st = decode enc in
@@ -439,7 +447,6 @@ let explore cfg =
               settle cfg st';
               check_rings st'
             with
-            | exception Run_fails -> incr failed_runs
             | exception (Violation msg | Failure msg | Invalid_argument msg) ->
                 raise (Violation (trace (describe !step :: path) msg))
             | () ->
@@ -474,11 +481,13 @@ let explore cfg =
 (* The fixed bound [dune runtest] explores: rings of a few elements, a
    chunk of 24 bytes (arena slices of 3 elements and up; a boxed value
    of 24 bytes rides in the stream tail, one of 32 takes its own
-   buffer), streams of a few bytes to a few frames, and two runs.  The
+   buffer), streams of a few bytes to a few frames, and three runs.  The
    last op of each second run is a slice its destination never
    receives: the destination reads it before or after its own goodbye
    (owing its credit after the goodbye in the second case) and finds it
-   undelivered once it has drained, so every second run fails. *)
+   undelivered once it has drained, so every second run fails.  Every
+   third run receives everything, so each schedule ends a run cleanly
+   on streams that carried late traffic. *)
 let every_cut = [ 1; Wire.header_len - 1; Wire.header_len; max_int ]
 
 let config ?(cuts = every_cut) ~ranks ~ring ~capacity scripts =
@@ -504,6 +513,7 @@ let both_ways =
       [ Slice (0, 1, 3); Recv (0, 1); Slice (0, 1, 3); Recv (0, 2) ];
     |];
     [| [ Recv (1, 3) ]; [ Send (0, 3, 0); Slice (0, 4, 3) ] |];
+    [| [ Slice (1, 5, 3); Recv (1, 6) ]; [ Send (0, 6, 8); Recv (0, 5) ] |];
   ]
 
 (* The same kinds of traffic, one message each way. *)
@@ -511,14 +521,16 @@ let one_each =
   [
     [| [ Slice (1, 1, 3); Recv (1, 2) ]; [ Recv (0, 1); Send (0, 2, 8) ] |];
     [| []; [ Slice (0, 4, 3) ] |];
+    [| [ Recv (1, 5) ]; [ Slice (0, 5, 3) ] |];
   ]
 
 (* A slice relayed through the middle rank as a boxed value, then a
-   slice to rank 0 it never receives. *)
+   slice to rank 0 it never receives, then the relay the other way. *)
 let relay =
   [
     [| [ Slice (1, 1, 3) ]; [ Recv (0, 1); Send (2, 1, 0) ]; [ Recv (1, 1) ] |];
     [| []; []; [ Slice (0, 4, 3) ] |];
+    [| [ Recv (1, 5) ]; [ Recv (2, 5); Send (0, 5, 0) ]; [ Slice (1, 5, 3) ] |];
   ]
 
 let bound =
