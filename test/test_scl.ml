@@ -148,6 +148,26 @@ let prop_partition_fastpath =
           && Partition.unapply_generic pat fast = a)
         (patterns_for (Array.length a)))
 
+(* [block_bounds] is the geometry [Comm.scatter_slice] and [Exec]'s
+   chunked reduce cut by; its ranges must be exactly the parts the
+   assign-driven [apply_generic (Block p)] makes, with [part_sizes] as
+   their lengths. *)
+let prop_block_bounds_delimit_block_parts =
+  qtest "block_bounds delimits apply (Block p)"
+    QCheck.(pair (list small_int) (int_range 1 9))
+    (fun (xs, p) ->
+      let a = Array.of_list xs in
+      let n = Array.length a in
+      let b = Partition.block_bounds ~n ~p in
+      let pieces = Partition.apply_generic (Partition.Block p) a in
+      Array.length b = p + 1
+      && b.(0) = 0
+      && b.(p) = n
+      && Partition.part_sizes (Partition.Block p) ~n = Array.init p (fun k -> b.(k + 1) - b.(k))
+      && List.for_all
+           (fun k -> Array.sub a b.(k) (b.(k + 1) - b.(k)) = Par_array.get pieces k)
+           (List.init p Fun.id))
+
 let test_partition_fastpath_small_sizes () =
   let pats =
     [
@@ -1466,6 +1486,23 @@ let test_chunk_bounds () =
   Alcotest.(check (array int)) "10 into 3" [| 0; 4; 7; 10 |] (Exec.chunk_bounds 10 3);
   Alcotest.(check (array int)) "fewer elements than chunks" [| 0; 1; 2 |] (Exec.chunk_bounds 2 5)
 
+(* At least one chunk, never more chunks than elements, none empty
+   when there are elements, and sizes differ by at most one with the
+   larger ones first. *)
+let prop_chunk_bounds_balanced =
+  qtest "chunk bounds are balanced and non-empty"
+    QCheck.(pair (int_range 0 500) (int_range 1 40))
+    (fun (n, k) ->
+      let b = Exec.chunk_bounds n k in
+      let c = Array.length b - 1 in
+      let sizes = Array.init c (fun i -> b.(i + 1) - b.(i)) in
+      c = max 1 (min n k)
+      && b.(0) = 0
+      && b.(c) = n
+      && (n = 0 || Array.for_all (fun s -> s >= 1) sizes)
+      && Array.for_all (fun s -> s = n / c || s = (n / c) + 1) sizes
+      && List.for_all (fun i -> sizes.(i) >= sizes.(i + 1)) (List.init (c - 1) Fun.id))
+
 let test_grain_for () =
   let p = Lazy.force pool in
   let w = max 1 (Runtime.Pool.num_workers p) in
@@ -1500,6 +1537,7 @@ let () =
           prop_partition_fastpath;
           Alcotest.test_case "fast paths at sizes 0..n<parts" `Quick
             test_partition_fastpath_small_sizes;
+          prop_block_bounds_delimit_block_parts;
           prop_split_combine;
         ] );
       ( "partition2",
@@ -1640,6 +1678,7 @@ let () =
       ( "exec",
         [
           Alcotest.test_case "chunk bounds" `Quick test_chunk_bounds;
+          prop_chunk_bounds_balanced;
           Alcotest.test_case "grain heuristic" `Quick test_grain_for;
         ] );
     ]
