@@ -3,7 +3,8 @@
    solver whose skeleton mix is the complement of Jacobi's: every iteration
    needs two global reductions (dot products = fold) plus a neighbour
    stencil (matvec), making it the classic latency-versus-reduction
-   workload. *)
+   workload. The flat tier at the end runs the same iteration in two fused
+   passes over each rank's block, where the boxed body makes five. *)
 
 open Scl
 
@@ -170,30 +171,48 @@ let solve backend = run_cg cg_program backend
 
    Fused passes: the paper's fold/map fusion (fold f ∘ map g = one
    traversal) applied to each dot product and the loop that writes its
-   vector. An iteration walks the local block three times, not five:
-     1. stencil + p·ap — writes [ap = A p] and accumulates p·ap from the
-        stored [ap] element; the first and last elements (the only ones
-        that read a halo value) are peeled, so the interior loop tests no
-        boundary;
-     2. x/r update + r·r — accumulates each new [r] element as it is stored;
-     3. p update, [p = r + β p].
+   vector, and the p update folded into the next stencil. An iteration
+   walks the local block twice, not five times:
+     1. p update + stencil + p·ap — first applies the previous
+        iteration's [p = r + β p]: p's first and last elements at the top
+        of the iteration, before the halo sends (so the halo carries the
+        updated values), and each interior [p (i+1)] just before the
+        stencil first reads it. Then it writes [ap = A p] and accumulates
+        p·ap from the stored [ap] element; the first and last elements
+        (the only ones that read a halo value) are peeled, so the
+        interior loop tests no boundary. The first iteration has no β to
+        apply, and the run's last β is never applied: p is not part of
+        the result.
+     2. x/r update + r·r — accumulates each new [r] element as it is stored.
    Each accumulator starts at [0.0] and adds in index order, exactly as the
    boxed [ddot] does (seeding it with the first product would differ for
-   −0.0), so fusion changes no bit. The messages (halo, allreduce,
-   allreduce) and the [Comm.work_flops] charges are the five-pass ones in
-   the five-pass order: the simulator still charges a dot product per pass,
+   −0.0), and each deferred p element gets the boxed update's expression
+   with the same r and β, so fusion changes no bit. The messages (halo,
+   allreduce, allreduce) and the [Comm.work_flops] charges are the
+   five-pass ones in the five-pass order, the p update's charged at the end
+   of the iteration: the simulator still charges a dot product per pass,
    and makespans do not move. The boxed [cg_program] keeps the textbook
    five-pass form as the independent specification this body is checked
    against.
+
+   Every element access is an unchecked [unsafe_get]/[unsafe_set] on a
+   vector of length [ln], which one check before the loop guards. The
+   halo reads stay checked: those slices come from another rank. The
+   primitive is named at each call site; bound to a local name it compiles
+   to the boxing [caml_ba_get_1].
 
    Every accumulator is a float [ref] local to this function body and
    captured by no closure, so the compiler keeps it unboxed; a helper
    closure that captured one would box every add.
 
-   Zero-copy discipline: the halo sends windows of [p], which IS mutated
-   later in the iteration — but only after the p·ap allreduce, which the
-   receiver can only complete after reading its halo, so the mutation is
-   causally after the read on both engines. *)
+   Zero-copy discipline: the halo sends windows of [p]'s edge elements,
+   which ARE mutated later — at the top of the next iteration, after both
+   of this iteration's allreduces. The sender can finish the first of them
+   only once the receiver has joined it, and the receiver joins only after
+   reading its halo, so the mutation is causally after the read on both
+   engines. *)
+
+module A = Bigarray.Array1
 
 let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option) (comm : Comm.t)
     : result option =
@@ -209,41 +228,62 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
   let p = Scl.Flat.copy bl in
   (* [ap] is rewritten in place every iteration; it never leaves the rank. *)
   let ap = Scl.Flat.create Scl.Flat.float64 ln in
+  (* guards every unchecked access below *)
+  if
+    Scl.Flat.length x <> ln
+    || Scl.Flat.length r <> ln
+    || Scl.Flat.length p <> ln
+    || Scl.Flat.length ap <> ln
+  then invalid_arg "Cg.cg_flat_program: vectors of unequal length";
   Comm.work_flops comm (2 * max 1 ln);
   let s = ref 0.0 in
   for i = 0 to ln - 1 do
-    s := !s +. (Scl.Flat.get r i *. Scl.Flat.get r i)
+    s := !s +. (A.unsafe_get r i *. A.unsafe_get r i)
   done;
   let rr = ref (Comm.allreduce comm ( +. ) !s) in
   let it = ref 0 in
+  (* the previous iteration's β, applied to p in this iteration's pass 1 *)
+  let beta = ref 0.0 in
   while sqrt !rr >= tol && !it < max_iter do
-    (* halo exchange; a missing neighbour reads as 0.0 (Dirichlet) *)
+    let pending = !it > 0 in
+    (* p's interior elements 1 .. hi wait for [p = r + β p] *)
+    let hi = if pending then ln - 2 else 0 in
+    (* halo exchange of p's updated edges; a missing neighbour reads as
+       0.0 (Dirichlet) *)
     let hl = ref 0.0 and hr = ref 0.0 in
     if ln > 0 then begin
+      if pending then begin
+        A.unsafe_set p 0 (A.unsafe_get r 0 +. (!beta *. A.unsafe_get p 0));
+        let l = ln - 1 in
+        if l > 0 then A.unsafe_set p l (A.unsafe_get r l +. (!beta *. A.unsafe_get p l))
+      end;
       if has_left then Comm.send_slice comm ~dest:(me - 1) (Scl.Flat.sub_view p ~pos:0 ~len:1);
       if has_right then
         Comm.send_slice comm ~dest:(me + 1) (Scl.Flat.sub_view p ~pos:(ln - 1) ~len:1);
       if has_left then hl := Scl.Flat.get (Comm.recv_slice comm ~src:(me - 1) () : Scl.Flat.float1) 0;
       if has_right then hr := Scl.Flat.get (Comm.recv_slice comm ~src:(me + 1) () : Scl.Flat.float1) 0
     end;
-    (* pass 1: ap = A p and p·ap *)
+    (* pass 1: the rest of p = r + β p, ap = A p and p·ap *)
     Comm.work_flops comm (Scl_sim.Kernels.stencil_flops ln);
     Comm.work_flops comm (2 * max 1 ln);
     let pap = ref 0.0 in
     if ln > 0 then begin
-      let right = if ln > 1 then Scl.Flat.get p 1 else !hr in
-      Scl.Flat.set ap 0 ((2.0 *. Scl.Flat.get p 0) -. !hl -. right);
-      pap := !pap +. (Scl.Flat.get p 0 *. Scl.Flat.get ap 0);
+      if hi >= 1 then A.unsafe_set p 1 (A.unsafe_get r 1 +. (!beta *. A.unsafe_get p 1));
+      let right = if ln > 1 then A.unsafe_get p 1 else !hr in
+      A.unsafe_set ap 0 ((2.0 *. A.unsafe_get p 0) -. !hl -. right);
+      pap := !pap +. (A.unsafe_get p 0 *. A.unsafe_get ap 0);
       for i = 1 to ln - 2 do
-        let pi = Scl.Flat.get p i in
-        let api = (2.0 *. pi) -. Scl.Flat.get p (i - 1) -. Scl.Flat.get p (i + 1) in
-        Scl.Flat.set ap i api;
+        let j = i + 1 in
+        if j <= hi then A.unsafe_set p j (A.unsafe_get r j +. (!beta *. A.unsafe_get p j));
+        let pi = A.unsafe_get p i in
+        let api = (2.0 *. pi) -. A.unsafe_get p (i - 1) -. A.unsafe_get p j in
+        A.unsafe_set ap i api;
         pap := !pap +. (pi *. api)
       done;
       if ln > 1 then begin
         let l = ln - 1 in
-        Scl.Flat.set ap l ((2.0 *. Scl.Flat.get p l) -. Scl.Flat.get p (l - 1) -. !hr);
-        pap := !pap +. (Scl.Flat.get p l *. Scl.Flat.get ap l)
+        A.unsafe_set ap l ((2.0 *. A.unsafe_get p l) -. A.unsafe_get p (l - 1) -. !hr);
+        pap := !pap +. (A.unsafe_get p l *. A.unsafe_get ap l)
       end
     end;
     let alpha = !rr /. Comm.allreduce comm ( +. ) !pap in
@@ -252,18 +292,16 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
     Comm.work_flops comm (2 * max 1 ln);
     let rr_acc = ref 0.0 in
     for i = 0 to ln - 1 do
-      Scl.Flat.set x i (Scl.Flat.get x i +. (alpha *. Scl.Flat.get p i));
-      let ri = Scl.Flat.get r i -. (alpha *. Scl.Flat.get ap i) in
-      Scl.Flat.set r i ri;
+      A.unsafe_set x i (A.unsafe_get x i +. (alpha *. A.unsafe_get p i));
+      let ri = A.unsafe_get r i -. (alpha *. A.unsafe_get ap i) in
+      A.unsafe_set r i ri;
       rr_acc := !rr_acc +. (ri *. ri)
     done;
     let rr' = Comm.allreduce comm ( +. ) !rr_acc in
-    let beta = rr' /. !rr in
-    (* pass 3: p = r + β p *)
+    beta := rr' /. !rr;
+    (* the p update's charge, in the five-pass order; the next iteration's
+       pass 1 applies it *)
     Comm.work_flops comm (2 * max 1 ln);
-    for i = 0 to ln - 1 do
-      Scl.Flat.set p i (Scl.Flat.get r i +. (beta *. Scl.Flat.get p i))
-    done;
     rr := rr';
     incr it
   done;

@@ -28,15 +28,20 @@ val residual_inf : float array -> float array -> float
     halos. Identical block geometry and reduction shape to the boxed
     variants, so iterates are bitwise-identical at the same [procs].
 
-    An iteration walks the local block in three passes, not the boxed
-    body's five: p·ap is accumulated in the stencil pass that writes [ap]
-    (whose first and last elements, the ones that read a halo value, are
-    peeled out of the loop), and r·r in the pass that updates [x] and [r].
-    Each accumulator still starts at [0.0] and adds in index order, so
-    every bit matches. The boxed {!solve} keeps the textbook five-pass
-    body as the independent specification. Messages and simulator charges
-    are unchanged: the simulator still charges each dot product as its own
-    pass, so makespans equal the five-pass ones. *)
+    An iteration walks the local block in two passes, not the boxed
+    body's five. The stencil pass that writes [ap] first applies the
+    previous iteration's [p = r + β p] (p's first and last elements
+    before the halo sends, each interior element just before the stencil
+    reads it) and accumulates p·ap; its first and last elements, the ones
+    that read a halo value, are peeled out of the loop. The pass that
+    updates [x] and [r] accumulates r·r. Each accumulator still starts at
+    [0.0] and adds in index order, so every bit matches. Element accesses
+    are unchecked, guarded by one length check per run. The boxed
+    {!solve} keeps the textbook five-pass body as the independent
+    specification. Messages and simulator charges are unchanged: the
+    simulator still charges each dot product and the p update as their
+    own passes, in the five-pass order, so makespans equal the five-pass
+    ones. *)
 
 val solve_flat :
   's Backend.t -> ?tol:float -> ?max_iter:int -> procs:int -> float array -> result * 's

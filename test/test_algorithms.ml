@@ -1248,6 +1248,53 @@ let test_cg_flat_benchmark_shape () =
   Alcotest.(check int) "iterations" r0.Cg.iterations r1.Cg.iterations;
   Alcotest.(check bool) "bitwise solution" true (vec_bitwise r0.Cg.solution r1.Cg.solution)
 
+(* CG's flat body applies each iteration's p update in the next
+   iteration's stencil pass but charges it where the boxed body does, at
+   the end of the iteration: each rank's simulated compute time is the
+   boxed tier's to the bit. *)
+let test_cg_flat_work_times () =
+  let rng = Runtime.Xoshiro.of_seed 41 in
+  let b = Array.init 41 (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
+  List.iter
+    (fun procs ->
+      let _, s0 = Cg.solve sim ~procs ~tol:1e-10 b in
+      let _, s1 = Cg.solve_flat sim ~procs ~tol:1e-10 b in
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "work times p=%d" procs)
+        s0.Machine.Sim.work_times s1.Machine.Sim.work_times)
+    [ 1; 2; 3; 5 ]
+
+(* Runs cut at 0..3 iterations: the first iteration has no pending p
+   update, and a run that stops right after computing a β never applies
+   it. Blocks of 0 to 3 elements put the deferred update on the peeled
+   edges alone, or on one interior element. *)
+let test_cg_flat_iteration_cap () =
+  let mc1 = Machine.Backend.multicore ~domains:1 () in
+  List.iter
+    (fun n ->
+      let rng = Runtime.Xoshiro.of_seed (53 + n) in
+      let b = Array.init n (fun _ -> Runtime.Xoshiro.float rng 2.0 -. 1.0) in
+      List.iter
+        (fun procs ->
+          List.iter
+            (fun max_iter ->
+              let r0, _ = Cg.solve sim ~procs ~tol:0.0 ~max_iter b in
+              let check engine (r1 : Cg.result) =
+                let what = Printf.sprintf "%s n=%d p=%d max_iter=%d" engine n procs max_iter in
+                Alcotest.(check int) ("iterations " ^ what) r0.Cg.iterations r1.Cg.iterations;
+                Alcotest.(check int64)
+                  ("residual norm bits " ^ what)
+                  (Int64.bits_of_float r0.Cg.residual_norm)
+                  (Int64.bits_of_float r1.Cg.residual_norm);
+                Alcotest.(check bool) ("bitwise solution " ^ what) true
+                  (vec_bitwise r0.Cg.solution r1.Cg.solution)
+              in
+              check "sim" (fst (Cg.solve_flat sim ~procs ~tol:0.0 ~max_iter b));
+              check "multicore" (fst (Cg.solve_flat mc1 ~procs ~tol:0.0 ~max_iter b)))
+            [ 0; 1; 2; 3 ])
+        [ 1; 2; 3; 4; 8 ])
+    [ 0; 1; 2; 3; 5; 9 ]
+
 let () =
   Alcotest.run "algorithms"
     [
@@ -1427,5 +1474,8 @@ let () =
             test_jacobi_flat_degenerate_blocks;
           Alcotest.test_case "jacobi flat max_iter respected" `Quick test_jacobi_flat_max_iter;
           Alcotest.test_case "jacobi flat work times = boxed" `Quick test_jacobi_flat_work_times;
+          Alcotest.test_case "cg flat work times = boxed" `Quick test_cg_flat_work_times;
+          Alcotest.test_case "cg flat = boxed at the iteration cap" `Quick
+            test_cg_flat_iteration_cap;
         ] );
     ]
