@@ -163,11 +163,16 @@ let run_cg program backend ?tol ?max_iter ~procs (b : float array) =
 let solve backend = run_cg cg_program backend
 
 (* --- flat-tier version ----------------------------------------------------------
-   The same distributed CG over unboxed [Scl.Flat] chunks, with the halo
-   endpoints of the direction vector travelling as 1-element bulk slices.
-   Identical block geometry, local summation order, and allreduce shape as
-   [cg_program], so every dot product — and hence every iterate — is
-   bitwise-identical to the boxed oracle at the same [procs].
+   The same distributed CG with [Scl.Flat] only where data crosses ranks:
+   [b] arrives as a scattered flat block, the halo endpoints of the
+   direction vector travel as 1-element bulk slices, and [x] leaves as one
+   flat block for the gather. The rank-private vectors x, r, p and ap are
+   plain [float array]s: an unchecked [Array.unsafe_get] is one load, where
+   a [Bigarray] access also reloads the array's data pointer, which made
+   each pass up to 1.7x slower (DESIGN.md, "Fused passes"). Identical block
+   geometry, local summation order, and allreduce shape as [cg_program], so
+   every dot product — and hence every iterate — is bitwise-identical to
+   the boxed oracle at the same [procs].
 
    Fused passes: the paper's fold/map fusion (fold f ∘ map g = one
    traversal) applied to each dot product and the loop that writes its
@@ -197,22 +202,19 @@ let solve backend = run_cg cg_program backend
 
    Every element access is an unchecked [unsafe_get]/[unsafe_set] on a
    vector of length [ln], which one check before the loop guards. The
-   halo reads stay checked: those slices come from another rank. The
-   primitive is named at each call site; bound to a local name it compiles
-   to the boxing [caml_ba_get_1].
+   halo reads stay checked: those slices come from another rank.
 
    Every accumulator is a float [ref] local to this function body and
    captured by no closure, so the compiler keeps it unboxed; a helper
    closure that captured one would box every add.
 
-   Zero-copy discipline: the halo sends windows of [p]'s edge elements,
-   which ARE mutated later — at the top of the next iteration, after both
-   of this iteration's allreduces. The sender can finish the first of them
-   only once the receiver has joined it, and the receiver joins only after
-   reading its halo, so the mutation is causally after the read on both
-   engines. *)
-
-module A = Bigarray.Array1
+   Zero-copy discipline: the halo sends [edge_l] and [edge_r], two
+   1-element slices allocated once per run, which ARE rewritten later —
+   with p's new edges at the top of the next iteration, after both of this
+   iteration's allreduces. The sender can finish the first of them only
+   once the receiver has joined it, and the receiver joins only after
+   reading its halo, so the write is causally after the read on every
+   engine. *)
 
 let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option) (comm : Comm.t)
     : result option =
@@ -223,22 +225,21 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
   let ln = Scl.Flat.length bl in
   let off = Scl_sim.Fvec.offset bv in
   let has_left = off > 0 and has_right = off + ln < n in
-  let x = Scl.Flat.make Scl.Flat.float64 ln 0.0 in
-  let r = Scl.Flat.copy bl in
-  let p = Scl.Flat.copy bl in
+  let x = Array.make ln 0.0 in
+  let r = Scl.Flat.to_float_array bl in
+  let p = Array.copy r in
   (* [ap] is rewritten in place every iteration; it never leaves the rank. *)
-  let ap = Scl.Flat.create Scl.Flat.float64 ln in
+  let ap = Array.make ln 0.0 in
+  (* the halo's send buffers: p's first and last element *)
+  let edge_l = Scl.Flat.create Scl.Flat.float64 1 in
+  let edge_r = Scl.Flat.create Scl.Flat.float64 1 in
   (* guards every unchecked access below *)
-  if
-    Scl.Flat.length x <> ln
-    || Scl.Flat.length r <> ln
-    || Scl.Flat.length p <> ln
-    || Scl.Flat.length ap <> ln
+  if Array.length x <> ln || Array.length r <> ln || Array.length p <> ln || Array.length ap <> ln
   then invalid_arg "Cg.cg_flat_program: vectors of unequal length";
   Comm.work_flops comm (2 * max 1 ln);
   let s = ref 0.0 in
   for i = 0 to ln - 1 do
-    s := !s +. (A.unsafe_get r i *. A.unsafe_get r i)
+    s := !s +. (Array.unsafe_get r i *. Array.unsafe_get r i)
   done;
   let rr = ref (Comm.allreduce comm ( +. ) !s) in
   let it = ref 0 in
@@ -252,14 +253,20 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
        0.0 (Dirichlet) *)
     let hl = ref 0.0 and hr = ref 0.0 in
     if ln > 0 then begin
+      let l = ln - 1 in
       if pending then begin
-        A.unsafe_set p 0 (A.unsafe_get r 0 +. (!beta *. A.unsafe_get p 0));
-        let l = ln - 1 in
-        if l > 0 then A.unsafe_set p l (A.unsafe_get r l +. (!beta *. A.unsafe_get p l))
+        Array.unsafe_set p 0 (Array.unsafe_get r 0 +. (!beta *. Array.unsafe_get p 0));
+        if l > 0 then
+          Array.unsafe_set p l (Array.unsafe_get r l +. (!beta *. Array.unsafe_get p l))
       end;
-      if has_left then Comm.send_slice comm ~dest:(me - 1) (Scl.Flat.sub_view p ~pos:0 ~len:1);
-      if has_right then
-        Comm.send_slice comm ~dest:(me + 1) (Scl.Flat.sub_view p ~pos:(ln - 1) ~len:1);
+      if has_left then begin
+        Scl.Flat.set edge_l 0 (Array.unsafe_get p 0);
+        Comm.send_slice comm ~dest:(me - 1) edge_l
+      end;
+      if has_right then begin
+        Scl.Flat.set edge_r 0 (Array.unsafe_get p l);
+        Comm.send_slice comm ~dest:(me + 1) edge_r
+      end;
       if has_left then hl := Scl.Flat.get (Comm.recv_slice comm ~src:(me - 1) () : Scl.Flat.float1) 0;
       if has_right then hr := Scl.Flat.get (Comm.recv_slice comm ~src:(me + 1) () : Scl.Flat.float1) 0
     end;
@@ -268,22 +275,24 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
     Comm.work_flops comm (2 * max 1 ln);
     let pap = ref 0.0 in
     if ln > 0 then begin
-      if hi >= 1 then A.unsafe_set p 1 (A.unsafe_get r 1 +. (!beta *. A.unsafe_get p 1));
-      let right = if ln > 1 then A.unsafe_get p 1 else !hr in
-      A.unsafe_set ap 0 ((2.0 *. A.unsafe_get p 0) -. !hl -. right);
-      pap := !pap +. (A.unsafe_get p 0 *. A.unsafe_get ap 0);
+      if hi >= 1 then
+        Array.unsafe_set p 1 (Array.unsafe_get r 1 +. (!beta *. Array.unsafe_get p 1));
+      let right = if ln > 1 then Array.unsafe_get p 1 else !hr in
+      Array.unsafe_set ap 0 ((2.0 *. Array.unsafe_get p 0) -. !hl -. right);
+      pap := !pap +. (Array.unsafe_get p 0 *. Array.unsafe_get ap 0);
       for i = 1 to ln - 2 do
         let j = i + 1 in
-        if j <= hi then A.unsafe_set p j (A.unsafe_get r j +. (!beta *. A.unsafe_get p j));
-        let pi = A.unsafe_get p i in
-        let api = (2.0 *. pi) -. A.unsafe_get p (i - 1) -. A.unsafe_get p j in
-        A.unsafe_set ap i api;
+        if j <= hi then
+          Array.unsafe_set p j (Array.unsafe_get r j +. (!beta *. Array.unsafe_get p j));
+        let pi = Array.unsafe_get p i in
+        let api = (2.0 *. pi) -. Array.unsafe_get p (i - 1) -. Array.unsafe_get p j in
+        Array.unsafe_set ap i api;
         pap := !pap +. (pi *. api)
       done;
       if ln > 1 then begin
         let l = ln - 1 in
-        A.unsafe_set ap l ((2.0 *. A.unsafe_get p l) -. A.unsafe_get p (l - 1) -. !hr);
-        pap := !pap +. (A.unsafe_get p l *. A.unsafe_get ap l)
+        Array.unsafe_set ap l ((2.0 *. Array.unsafe_get p l) -. Array.unsafe_get p (l - 1) -. !hr);
+        pap := !pap +. (Array.unsafe_get p l *. Array.unsafe_get ap l)
       end
     end;
     let alpha = !rr /. Comm.allreduce comm ( +. ) !pap in
@@ -292,9 +301,9 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
     Comm.work_flops comm (2 * max 1 ln);
     let rr_acc = ref 0.0 in
     for i = 0 to ln - 1 do
-      A.unsafe_set x i (A.unsafe_get x i +. (alpha *. A.unsafe_get p i));
-      let ri = A.unsafe_get r i -. (alpha *. A.unsafe_get ap i) in
-      A.unsafe_set r i ri;
+      Array.unsafe_set x i (Array.unsafe_get x i +. (alpha *. Array.unsafe_get p i));
+      let ri = Array.unsafe_get r i -. (alpha *. Array.unsafe_get ap i) in
+      Array.unsafe_set r i ri;
       rr_acc := !rr_acc +. (ri *. ri)
     done;
     let rr' = Comm.allreduce comm ( +. ) !rr_acc in
@@ -305,7 +314,9 @@ let cg_flat_program ?(tol = 1e-10) ?(max_iter = 10_000) (b : float array option)
     rr := rr';
     incr it
   done;
-  let gathered = Scl_sim.Fvec.gather ~root:0 (Scl_sim.Fvec.of_local comm x) in
+  let gathered =
+    Scl_sim.Fvec.gather ~root:0 (Scl_sim.Fvec.of_local comm (Scl.Flat.of_float_array x))
+  in
   Option.map
     (fun solution ->
       {

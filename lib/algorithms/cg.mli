@@ -24,9 +24,12 @@ val residual_inf : float array -> float array -> float
 
 (** {1 Flat tier}
 
-    The same distributed CG over unboxed [Scl.Flat] chunks with bulk-slice
-    halos. Identical block geometry and reduction shape to the boxed
-    variants, so iterates are bitwise-identical at the same [procs].
+    The same distributed CG with [Scl.Flat] only where data crosses
+    ranks: [b]'s scattered block, the halo's 1-element bulk slices and
+    the gathered solution. The rank-private vectors x, r, p and ap are
+    plain [float array]s, one load per element access. Identical block
+    geometry and reduction shape to the boxed variants, so iterates are
+    bitwise-identical at the same [procs].
 
     An iteration walks the local block in two passes, not the boxed
     body's five. The stencil pass that writes [ap] first applies the
