@@ -1185,10 +1185,11 @@ let bench_flat_host ~smoke () =
   bench_in_child ~name:"spmd/hyperquicksort-flatint-procs/steady" ~flag:"--steady-sort-procs-child";
   (* The local sort kernels alone: the flat tier's radix sort on random,
      presorted, few-distinct (16 values), full-range (min_int to max_int)
-     and reversed keys, and the boxed SEQ_QUICKSORT on the first two. Each
-     flat run first restores its input with one blit, as each boxed run
-     copies its input; its scratch buffer is allocated once, outside the
-     timed region. *)
+     and reversed keys, and the boxed SEQ_QUICKSORT (the same radix sort
+     on [int array]) on the first two and on the service workload's job
+     body. Each flat run first restores its input with one blit, as each
+     boxed run copies its input into a fresh result; its scratch buffer
+     is allocated once, outside the timed region. *)
   let kn = if smoke then 50_000 else 500_000 in
   let uniform = random_ints kn in
   let sorted_keys = Array.copy uniform in
@@ -1256,7 +1257,16 @@ let bench_flat_host ~smoke () =
       host_bench ~name:("kernel/boxed-quicksort/" ^ label) ~n:kn ~procs:1 ~backend:"sequential" ~runs:3
         (fun () -> out := Algorithms.Seq_kernels.quicksort keys);
       assert (!out = sorted_keys))
-    [ ("uniform", uniform); ("presorted", sorted_keys) ]
+    [ ("uniform", uniform); ("presorted", sorted_keys) ];
+  (* 1 000 30-bit keys, a service job body's size and key width (the
+     steady benchmark's [service] workload); a sort takes tens of
+     microseconds, so the entry reads the median of many runs *)
+  let rng = Random.State.make [| workload_seed |] in
+  let body = Array.init 1_000 (fun _ -> Random.State.bits rng) in
+  let out = ref [||] in
+  host_bench ~name:"kernel/boxed-quicksort/1000" ~n:1_000 ~procs:1 ~backend:"sequential" ~runs:2_001
+    (fun () -> out := Algorithms.Seq_kernels.quicksort body);
+  assert (!out = sorted body)
 
 (* Partition fast paths (Array.sub / strided copies, closed-form size
    validation) vs the generic assign-driven two-pass implementation they

@@ -3,60 +3,86 @@
    paper these are Fortran or C; here they are ordinary OCaml functions —
    SCL only requires them to be sequential black boxes. *)
 
-(* SEQ_QUICKSORT: quicksort with insertion sort below a cutoff; returns a
-   fresh sorted array.  The partition is Hoare's: both scans stop on keys
-   equal to the median-of-three pivot and swap across the middle, so
-   presorted and reversed runs split evenly and stay ordered (a three-way
-   partition's swaps of each larger key to the back reverse an ordered
-   tail), and runs of equal keys still split in half. *)
+(* SEQ_QUICKSORT.  The paper's is a quicksort, but SCL only calls it, so
+   any sequential sort will do: this is the flat tier's LSD radix sort
+   ([Flat.Int.sort], whose plan and pass loop it shares through
+   [Scl.Radix]) with the storage-typed loops written for [int array],
+   and 8-bit digits, which measured fastest at the service's 1 000 keys.
+   It never writes its input: the result is a fresh array. *)
+let digit_bits = 8
+let radix = 1 lsl digit_bits
+
+let insertion_sort (a : int array) n =
+  for i = 1 to n - 1 do
+    let x = Array.unsafe_get a i in
+    let j = ref (i - 1) in
+    while !j >= 0 && Array.unsafe_get a !j > x do
+      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+      decr j
+    done;
+    Array.unsafe_set a (!j + 1) x
+  done
+
+let loops : int array Scl.Radix.loops =
+  {
+    count =
+      (fun src n base shift mask cnt ->
+        for i = 0 to n - 1 do
+          let d = ((Array.unsafe_get src i - base) lsr shift) land mask in
+          Array.unsafe_set cnt d (Array.unsafe_get cnt d + 1)
+        done);
+    deal =
+      (fun src dst n base shift mask starts ->
+        for i = 0 to n - 1 do
+          let x = Array.unsafe_get src i in
+          let d = ((x - base) lsr shift) land mask in
+          let slot = Array.unsafe_get starts d in
+          Array.unsafe_set dst slot x;
+          Array.unsafe_set starts d (slot + 1)
+        done);
+    deal_count =
+      (fun src dst n base shift mask starts shift' cnt ->
+        for i = 0 to n - 1 do
+          let x = Array.unsafe_get src i in
+          let v = x - base in
+          let d = (v lsr shift) land mask in
+          let slot = Array.unsafe_get starts d in
+          Array.unsafe_set dst slot x;
+          Array.unsafe_set starts d (slot + 1);
+          let e = (v lsr shift') land mask in
+          Array.unsafe_set cnt e (Array.unsafe_get cnt e + 1)
+        done);
+  }
+
 let quicksort (a : int array) : int array =
-  let a = Array.copy a in
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let insertion lo hi =
-    for i = lo + 1 to hi do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  in
-  let rec qs lo hi =
-    if hi - lo < 16 then insertion lo hi
-    else begin
-      (* median-of-three pivot; a.(lo) <= pivot <= a.(hi) then bound both
-         scans *)
-      let mid = lo + ((hi - lo) / 2) in
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(hi) < a.(lo) then swap hi lo;
-      if a.(hi) < a.(mid) then swap hi mid;
-      let pivot = a.(mid) in
-      (* afterwards a.(lo..j) <= pivot <= a.(j+1..hi), with lo <= j < hi *)
-      let i = ref lo and j = ref hi in
-      let crossed = ref false in
-      while not !crossed do
-        incr i;
-        while a.(!i) < pivot do
-          incr i
-        done;
-        decr j;
-        while a.(!j) > pivot do
-          decr j
-        done;
-        if !i < !j then swap !i !j else crossed := true
-      done;
-      qs lo !j;
-      qs (!j + 1) hi
-    end
-  in
-  if Array.length a > 1 then qs 0 (Array.length a - 1);
-  a
+  let n = Array.length a in
+  if n <= Scl.Radix.insertion_cutoff then begin
+    let a = Array.copy a in
+    insertion_sort a n;
+    a
+  end
+  else begin
+    let low = Array.make radix 0 in
+    let x0 = Array.unsafe_get a 0 in
+    let lo = ref x0 and hi = ref x0 and prev = ref x0 in
+    let ascents = ref 0 and descents = ref 0 in
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get a i in
+      if x < !lo then lo := x else if x > !hi then hi := x;
+      ascents := !ascents + Bool.to_int (x > !prev);
+      descents := !descents + Bool.to_int (x < !prev);
+      prev := x;
+      let d = x land (radix - 1) in
+      Array.unsafe_set low d (Array.unsafe_get low d + 1)
+    done;
+    if !descents = 0 then Array.copy a
+    else if !ascents = 0 then Array.init n (fun i -> Array.unsafe_get a (n - 1 - i))
+    else
+      Scl.Radix.passes loops
+        (Scl.Radix.plan ~digit_bits (!hi - !lo))
+        ~n ~base:!lo ~low ~src:a ~dst:(Array.make n 0)
+        ~spare:(fun () -> Array.make n 0)
+  end
 
 (* MIDVALUE: the median (middle element) of an already-sorted array;
    [None] when empty. *)
@@ -98,12 +124,14 @@ let merge (a : int array) (b : int array) : int array =
     out
   end
 
+(* Stops at the first descent. *)
 let is_sorted (a : int array) : bool =
-  let ok = ref true in
-  for i = 1 to Array.length a - 1 do
-    if a.(i - 1) > a.(i) then ok := false
+  let n = Array.length a in
+  let i = ref 1 in
+  while !i < n && Array.unsafe_get a (!i - 1) <= Array.unsafe_get a !i do
+    incr i
   done;
-  !ok
+  !i >= n
 
 (* --- linear-algebra kernels for the Gauss–Jordan example ---------------- *)
 

@@ -3,10 +3,30 @@
     sequential baselines they feed. SCL treats these as black boxes; they
     are ordinary OCaml functions here. *)
 
+(** {2 Benchmark-pinned names}
+
+    The steady benchmark's [service] workload calls these by name: each
+    job sorts its keys with {!quicksort} and checks the output with
+    {!is_sorted}. *)
+
 val quicksort : int array -> int array
-(** Quicksort (median-of-three, Hoare partition, insertion-sort cutoff);
-    returns a fresh sorted array, input untouched. Presorted, reversed and
-    all-equal inputs split evenly. *)
+(** SEQ_QUICKSORT: the keys sorted into a fresh array; the input is never
+    written. The paper's is a quicksort, but SCL only calls it, so this is
+    the LSD radix sort of {!Scl.Flat.Int.sort} on [int array], sharing its
+    plan and pass loop ({!Scl.Radix}). Keys are ranked by [x - min] read
+    as unsigned, so any int keys sort. The range's bits are cut into
+    digits of equal width, at most 8 bits (four passes for 30-bit keys,
+    eight for the whole int range), and a pass whose digit is the same for
+    every key is skipped. An input with no descent costs one read and a
+    copy, one with no ascent one read and a reversed copy, and one of at
+    most 32 keys an insertion sort. Extra memory: an n-slot scratch array
+    beside the result (when two passes move keys) and two 256-slot count
+    tables. *)
+
+val is_sorted : int array -> bool
+(** No key is greater than the next; stops at the first descent. *)
+
+(** {2 The other kernels} *)
 
 val midvalue : int array -> int option
 (** Middle element of an already-sorted array; [None] when empty (the
@@ -18,8 +38,6 @@ val split_at : int -> int array -> int array * int array
 
 val merge : int array -> int array -> int array
 (** Merge two sorted arrays (MERGE). *)
-
-val is_sorted : int array -> bool
 
 val partial_pivot : row:int -> float array -> int
 (** Index (≥ [row]) of the largest absolute value in a pivot column

@@ -197,14 +197,11 @@ let equal (a : ('a, 'b) t) (b : ('a, 'b) t) =
    [Seq_kernels] procedures (SEQ_QUICKSORT / MIDVALUE / SPLIT / MERGE)
    re-expressed on [int1] so the hyperquicksort local phases stop boxing
    keys.  Outputs are value-identical to the boxed kernels (pinned by
-   property tests), though two of them improve on the boxed rendering:
-   the local sort is a radix sort, not a quicksort (SCL only calls it,
-   so any sequential sort will do), and [split_at]'s two halves are O(1)
-   sub-views of the input, not [Array.sub] copies. *)
+   property tests).  Both tiers' local sorts are [Radix]'s LSD radix
+   sort, each over its own storage, and here [split_at]'s two halves are
+   O(1) sub-views of the input, not [Array.sub] copies. *)
 module Int = struct
   type t = int1
-
-  let insertion_cutoff = 32
 
   (* Digits are at most [digit_bits] wide: a count table of [radix]
      slots (16 KB) stays in L1, and the benchmark's 30-bit keys take
@@ -230,82 +227,54 @@ module Int = struct
       Bigarray.Array1.unsafe_set a (n - 1 - i) x
     done
 
-  (* The digit of a key [x] at a pass is [((x - base) lsr shift) land
-     mask].  The loops below make no call, so their operands stay in
-     registers. *)
+  (* The storage's loops of [Radix.passes].  They make no call, so their
+     operands stay in registers. *)
+  let loops : t Radix.loops =
+    {
+      count =
+        (fun src n base shift mask cnt ->
+          for i = 0 to n - 1 do
+            let d = ((Bigarray.Array1.unsafe_get src i - base) lsr shift) land mask in
+            Array.unsafe_set cnt d (Array.unsafe_get cnt d + 1)
+          done);
+      deal =
+        (fun src dst n base shift mask starts ->
+          for i = 0 to n - 1 do
+            let x = Bigarray.Array1.unsafe_get src i in
+            let d = ((x - base) lsr shift) land mask in
+            let slot = Array.unsafe_get starts d in
+            Bigarray.Array1.unsafe_set dst slot x;
+            Array.unsafe_set starts d (slot + 1)
+          done);
+      deal_count =
+        (fun src dst n base shift mask starts shift' cnt ->
+          for i = 0 to n - 1 do
+            let x = Bigarray.Array1.unsafe_get src i in
+            let v = x - base in
+            let d = (v lsr shift) land mask in
+            let slot = Array.unsafe_get starts d in
+            Bigarray.Array1.unsafe_set dst slot x;
+            Array.unsafe_set starts d (slot + 1);
+            let e = (v lsr shift') land mask in
+            Array.unsafe_set cnt e (Array.unsafe_get cnt e + 1)
+          done);
+    }
 
-  (* [cnt] must hold zeros *)
-  let count (src : t) n base shift mask (cnt : int array) =
-    for i = 0 to n - 1 do
-      let d = ((Bigarray.Array1.unsafe_get src i - base) lsr shift) land mask in
-      Array.unsafe_set cnt d (Array.unsafe_get cnt d + 1)
-    done
-
-  (* Turns [cnt]'s counts into each bucket's first slot; false, with the
-     counts unchanged, when one bucket holds all [n] keys (the digit is
-     constant, so its pass would move nothing). *)
-  let bucket_starts (cnt : int array) mask n =
-    let constant = ref false in
-    for d = 0 to mask do
-      if Array.unsafe_get cnt d = n then constant := true
-    done;
-    (not !constant)
-    &&
-    let pos = ref 0 in
-    for d = 0 to mask do
-      let c = Array.unsafe_get cnt d in
-      Array.unsafe_set cnt d !pos;
-      pos := !pos + c
-    done;
-    true
-
-  (* Deals [src.{0..n-1}] into [dst] by the digit at [shift], its bucket
-     starts in [starts]. *)
-  let deal (src : t) (dst : t) n base shift mask (starts : int array) =
-    for i = 0 to n - 1 do
-      let x = Bigarray.Array1.unsafe_get src i in
-      let d = ((x - base) lsr shift) land mask in
-      let slot = Array.unsafe_get starts d in
-      Bigarray.Array1.unsafe_set dst slot x;
-      Array.unsafe_set starts d (slot + 1)
-    done
-
-  (* [deal], also counting the digit at [shift'] into [cnt] (which must
-     hold zeros) *)
-  let deal_count (src : t) (dst : t) n base shift mask (starts : int array) shift' (cnt : int array) =
-    for i = 0 to n - 1 do
-      let x = Bigarray.Array1.unsafe_get src i in
-      let v = x - base in
-      let d = (v lsr shift) land mask in
-      let slot = Array.unsafe_get starts d in
-      Bigarray.Array1.unsafe_set dst slot x;
-      Array.unsafe_set starts d (slot + 1);
-      let e = (v lsr shift') land mask in
-      Array.unsafe_set cnt e (Array.unsafe_get cnt e + 1)
-    done
-
-  (* LSD radix sort.  Keys are ranked by [x - min] read as an unsigned
-     63-bit value, which orders every int (negatives, [min_int] and
-     [max_int] included) without a special case.  The range's [bits]
-     significant bits are cut into [ceil (bits / 11)] digits of equal
-     width, least significant first, and each pass deals the keys stably
-     by one digit into the other of two buffers (the input and an n-slot
-     scratch).  Counting is fused: the first read finds min and max,
-     counts ascents and descents, and counts the low 11 bits of [x];
-     digit 0 of [x - min] is that table rotated by [min]'s low bits (and
-     folded to the digit width), and each pass counts the next digit as
-     it deals.  A pass whose digit is constant is skipped (the next digit
-     is then counted on its own).  An input with no descent is left as
-     it is and one with no ascent is reversed in place.  The keys always
-     end in the input's own storage: after an odd number of passes one
-     blit copies them back.  Extra memory: the n-slot scratch (the
-     caller's, or a fresh one) and two 2048-slot count tables. *)
+  (* LSD radix sort ([Radix] has the plan and the pass loop).  The
+     first read finds min and max, counts ascents and descents, and
+     counts the low 11 bits of [x], from which [Radix.passes] derives
+     the first digit's counts.  An input with no descent is left as it
+     is and one with no ascent is reversed in place.  The passes deal
+     between the input and an n-slot scratch (the caller's, or a fresh
+     one), and the keys always end in the input's own storage: when the
+     last pass leaves them in the scratch, one blit copies them back.
+     Extra memory: the scratch and two 2048-slot count tables. *)
   let sort ?scratch (a : t) : unit =
     let n = length a in
     (match scratch with
     | Some (s : t) when length s < n -> invalid_arg "Flat.Int.sort: scratch shorter than the input"
     | _ -> ());
-    if n <= insertion_cutoff then insertion_sort a n
+    if n <= Radix.insertion_cutoff then insertion_sort a n
     else begin
       let low = Array.make radix 0 in
       let x0 = Bigarray.Array1.unsafe_get a 0 in
@@ -323,46 +292,10 @@ module Int = struct
       if !descents = 0 then ()
       else if !ascents = 0 then reverse a n
       else begin
-        let base = !lo in
-        let rec width r = if r = 0 then 0 else 1 + width (r lsr 1) in
-        let bits = width (!hi - base) in
-        let passes = (bits + digit_bits - 1) / digit_bits in
-        let w = (bits + passes - 1) / passes in
-        let mask = (1 lsl w) - 1 in
-        (* digit 0 of [x - base] is [(x land 2047) - (base land 2047)]
-           modulo 2^w *)
-        let cur = ref (Array.make radix 0) and next = ref low in
-        let r = base land (radix - 1) in
-        for d = 0 to radix - 1 do
-          let e = (d - r) land mask in
-          Array.unsafe_set !cur e (Array.unsafe_get !cur e + Array.unsafe_get low d)
-        done;
+        let plan = Radix.plan ~digit_bits (!hi - !lo) in
         let scratch = match scratch with Some s -> s | None -> create int n in
-        let src = ref a and dst = ref scratch in
-        let counted = ref true and moves = ref 0 in
-        for p = 0 to passes - 1 do
-          let shift = p * w in
-          if not !counted then begin
-            Array.fill !cur 0 (mask + 1) 0;
-            count !src n base shift mask !cur
-          end;
-          counted := false;
-          if bucket_starts !cur mask n then begin
-            if p < passes - 1 then begin
-              Array.fill !next 0 (mask + 1) 0;
-              deal_count !src !dst n base shift mask !cur (shift + w) !next;
-              counted := true
-            end
-            else deal !src !dst n base shift mask !cur;
-            let s = !src and c = !cur in
-            src := !dst;
-            dst := s;
-            cur := !next;
-            next := c;
-            incr moves
-          end
-        done;
-        if !moves land 1 = 1 then blit ~src:(sub_view scratch ~pos:0 ~len:n) ~dst:a
+        let sorted = Radix.passes loops plan ~n ~base:!lo ~low ~src:a ~dst:scratch ~spare:(fun () -> a) in
+        if sorted != a then blit ~src:(sub_view scratch ~pos:0 ~len:n) ~dst:a
       end
     end
 

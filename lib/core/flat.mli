@@ -105,18 +105,18 @@ val equal : ('a, 'b) t -> ('a, 'b) t -> bool
 
     The sort-family local kernels ([Seq_kernels]'s SEQ_QUICKSORT /
     MIDVALUE / SPLIT / MERGE) over unboxed native-int storage. Outputs
-    are value-identical to the boxed kernels (property-tested), but the
-    local sort is a radix sort, with [Seq_kernels.quicksort] as its
-    oracle, and [split_at] returns O(1) zero-copy sub-views where the
-    boxed kernel copies. *)
+    are value-identical to the boxed kernels (property-tested). Both
+    local sorts are the LSD radix sort of {!Radix}, each with its own
+    storage's loops, and [split_at] returns O(1) zero-copy sub-views
+    where the boxed kernel copies. *)
 module Int : sig
   type t = int1
 
   val sort : ?scratch:t -> t -> unit
-  (** LSD radix sort on [x - min] read as an unsigned 63-bit value, so
-      any int keys. The range [max - min]'s [b] significant bits are cut
-      into [ceil (b / 11)] digits of equal width (at most 11 bits: three
-      passes for 30-bit keys, six for the full int range), and each pass
+  (** LSD radix sort ({!Radix}) on [x - min] read as an unsigned 63-bit
+      value, so any int keys. The range [max - min]'s [b] significant
+      bits are cut into [ceil (b / 11)] digits of equal width (at most 11
+      bits: three passes for 30-bit keys, six for the full int range), and each pass
       deals the keys stably by one digit, out of place, into the other of
       two buffers: the input and an n-slot scratch. One read of the input
       finds min and max, counts its ascents and descents and counts its

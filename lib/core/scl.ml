@@ -23,6 +23,7 @@ module Exec = Exec
 module Par_array = Par_array
 
 module Flat = Flat
+module Radix = Radix
 module Flat_exec = Flat_exec
 module Par_array2 = Par_array2
 module Partition = Partition

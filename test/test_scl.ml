@@ -1121,6 +1121,27 @@ let prop_flat_int_sort_adversarial =
           true)
         radix_key_sets)
 
+(* SEQ_QUICKSORT = Array.sort at every length from 0 to 40 (both sides of
+   the insertion cutoff) and at the service's 1 000 keys, on every key
+   class, on one repeated key (min_int and max_int among them) and on
+   min_int and max_int alone. *)
+let prop_quicksort_key_sets =
+  qtest ~count:10 "SEQ_QUICKSORT = Array.sort on every key class, 0..40 and 1 000 keys"
+    QCheck.(make ~print:(Printf.sprintf "seed %d") Gen.(int_bound 1_000_000))
+    (fun seed ->
+      List.for_all
+        (fun len ->
+          let check what a =
+            let expect = Array.copy a in
+            Array.sort compare expect;
+            Algorithms.Seq_kernels.quicksort a = expect
+            || QCheck.Test.fail_reportf "%d %s keys" len what
+          in
+          List.for_all (fun (name, keys) -> check name (keys (Random.State.make [| seed; len |]) len)) radix_key_sets
+          && List.for_all (fun x -> check (Printf.sprintf "all-%d" x) (Array.make len x)) [ min_int; -1; 0; max_int ]
+          && check "min_int/max_int" (Array.init len (fun i -> if (i * 7) land 4 = 0 then max_int else min_int)))
+        (List.init 41 Fun.id @ [ 1_000 ]))
+
 (* Sorts the window [pos, pos + len) of [a] in place, with the sort's own
    scratch and with a scratch that is itself a window of a larger
    buffer, and checks that neither buffer changes outside its window. *)
@@ -1474,6 +1495,38 @@ let test_flat_int_sort_one_inversion () =
         [ ("start", 0); ("end", radix_n - 2) ])
     [ ("presorted", ascending); ("reversed", descending) ]
 
+(* The shared pass plan: digits of equal width, at most [digit_bits]
+   wide.  All-equal keys have a zero range, which gets no pass. *)
+let test_radix_plan () =
+  let plan what expect ~digit_bits range =
+    let { Radix.passes; width; mask } = Radix.plan ~digit_bits range in
+    Alcotest.(check (triple int int int)) what expect (passes, width, mask)
+  in
+  plan "zero range" (0, 0, 0) ~digit_bits:11 0;
+  plan "zero range, 8-bit digits" (0, 0, 0) ~digit_bits:8 0;
+  plan "one bit" (1, 1, 1) ~digit_bits:8 1;
+  plan "30 bits, 11-bit digits" (3, 10, 1023) ~digit_bits:11 ((1 lsl 30) - 1);
+  plan "30 bits, 8-bit digits" (4, 8, 255) ~digit_bits:8 ((1 lsl 30) - 1);
+  plan "33 bits, 11-bit digits" (3, 11, 2047) ~digit_bits:11 (1 lsl 32);
+  plan "full range, 11-bit digits" (6, 11, 2047) ~digit_bits:11 (max_int - min_int);
+  plan "full range, 8-bit digits" (8, 8, 255) ~digit_bits:8 (max_int - min_int)
+
+(* SEQ_QUICKSORT's digits are 8 bits wide: ranges of 8k bits take k
+   passes and of 8k + 1 bits k + 1, and a digit constant over all keys
+   skips its pass. *)
+let test_quicksort_pass_counts () =
+  List.iter
+    (fun bits ->
+      let rng = Random.State.make [| bits; 8 |] in
+      check_radix_case (Printf.sprintf "%d-bit range" bits) (keys_spanning rng ~base:(-77) ~bits radix_n))
+    [ 8; 9; 16; 17; 24; 25; 32; 33; 40; 41; 48; 49; 56; 57 ];
+  let rng = Random.State.make [| 19 |] in
+  let key d2 d1 d0 = 1_000_000_007 + ((d2 lsl 16) lor (d1 lsl 8) lor d0) in
+  let a = Array.init radix_n (fun _ -> key (Random.State.int rng 256) 3 (Random.State.int rng 256)) in
+  a.(0) <- key 0 3 0;
+  a.(1) <- key 255 3 255;
+  check_radix_case "24-bit range, middle 8-bit digit constant" a
+
 (* A window sorted in an odd number of passes, so the final copy back
    from the scratch must land in the window only. *)
 let test_flat_int_sort_window_copy_back () =
@@ -1674,6 +1727,10 @@ let () =
           Alcotest.test_case "Flat.Int.sort with one inversion" `Quick test_flat_int_sort_one_inversion;
           Alcotest.test_case "Flat.Int.sort copies back into a window" `Quick
             test_flat_int_sort_window_copy_back;
+          Alcotest.test_case "Radix.plan" `Quick test_radix_plan;
+          Alcotest.test_case "SEQ_QUICKSORT odd and even pass counts, a constant digit" `Quick
+            test_quicksort_pass_counts;
+          prop_quicksort_key_sets;
         ] );
       ( "exec",
         [
