@@ -823,22 +823,34 @@ let bench_multicore ~smoke () =
       got := v);
   assert (!got = fdata);
   let rounds = if smoke then 1_000 else 10_000 in
+  let ping_pong ?domains () =
+    ignore
+      (Machine.Multicore.run_each ?domains ~procs:2 (fun _ eng ->
+           let open Machine.Engine in
+           if eng.rank = 0 then
+             for i = 0 to rounds - 1 do
+               eng.send ~dest:1 ~tag:0 i;
+               let (r : int) = eng.recv ~src:1 ~tag:1 () in
+               assert (r = i)
+             done
+           else
+             for i = 0 to rounds - 1 do
+               let (r : int) = eng.recv ~src:0 ~tag:0 () in
+               eng.send ~dest:0 ~tag:1 r;
+               ignore i
+             done))
+  in
   host_bench ~name:"fabric/ping-pong" ~n:rounds ~procs:2 ~backend:"multicore" ~runs:3 (fun () ->
-      ignore
-        (Machine.Multicore.run_each ~procs:2 (fun _ eng ->
-             let open Machine.Engine in
-             if eng.rank = 0 then
-               for i = 0 to rounds - 1 do
-                 eng.send ~dest:1 ~tag:0 i;
-                 let (r : int) = eng.recv ~src:1 ~tag:1 () in
-                 assert (r = i)
-               done
-             else
-               for i = 0 to rounds - 1 do
-                 let (r : int) = eng.recv ~src:0 ~tag:0 () in
-                 eng.send ~dest:0 ~tag:1 r;
-                 ignore i
-               done)));
+      ping_pong ());
+  (* The same on one domain, where every message goes straight into its
+     receiver's pending box: [mc.rings_per_run] counts the doorbells a
+     run rang, 0 unless a message took the cross-domain path. *)
+  let rings () = Option.value ~default:0 (Obs.Metrics.counter_value "mc.rings") in
+  let rings0 = rings () and runs = 3 in
+  host_bench ~name:"fabric/ping-pong/d1" ~n:rounds ~procs:2 ~backend:"multicore" ~runs
+    ~counters:(fun () ->
+      [ ("mc.rings_per_run", float_of_int (rings () - rings0) /. float_of_int runs) ])
+    (ping_pong ~domains:1);
   let ar_rounds = if smoke then 300 else 3_000 in
   host_bench ~name:"fabric/allreduce-p4" ~n:ar_rounds ~procs:4 ~backend:"multicore" ~runs:3
     (fun () ->
@@ -1251,10 +1263,12 @@ let bench_flat_host ~smoke () =
       ("skewed", halves uniform 1_000);
       ("alternating", deal 1);
     ];
+  (* One untimed warm-up run each, so no timed run pays for the first
+     fresh major-heap arrays, and the median of 21 timed runs. *)
   List.iter
     (fun (label, keys) ->
-      let out = ref [||] in
-      host_bench ~name:("kernel/boxed-quicksort/" ^ label) ~n:kn ~procs:1 ~backend:"sequential" ~runs:3
+      let out = ref (Algorithms.Seq_kernels.quicksort keys) in
+      host_bench ~name:("kernel/boxed-quicksort/" ^ label) ~n:kn ~procs:1 ~backend:"sequential" ~runs:21
         (fun () -> out := Algorithms.Seq_kernels.quicksort keys);
       assert (!out = sorted_keys))
     [ ("uniform", uniform); ("presorted", sorted_keys) ];

@@ -13,16 +13,23 @@
    the same loop on the calling domain by 0.3 MB).
 
    Message fabric:
-   - two [Mailbox]es per rank: [mbox], which senders push into under
-     [mbox_mu], and the consumer-local [pending], into which the rank
-     drains the whole of [mbox] under one lock acquisition.  Receives
-     match against [pending] ([Mailbox.find]), so FIFO per (source, tag)
-     is [Mailbox]'s rule;
+   - two [Mailbox]es per rank: [mbox], which senders on other domains
+     push into under [mbox_mu], and the consumer-local [pending], into
+     which the rank drains the whole of [mbox] under one lock
+     acquisition.  A sender on the receiver's own domain (dest mod D =
+     src mod D) pushes straight into [pending]: the receiver's fiber runs
+     on that domain between the sender's yields, so the push takes no
+     lock, no [in_flight] count and no doorbell, and a one-domain run
+     never touches [mbox] at all.  Receives match against [pending]
+     ([Mailbox.find]), so FIFO per (source, tag) is [Mailbox]'s rule: a
+     pair of ranks is always same-domain or always cross-domain, so one
+     pair's messages take one path;
    - payloads move zero-copy by reference ([Obj.repr]/[Obj.obj]): the
      sender must not mutate a value after sending it;
    - blocked receives park the fiber with an effect; when every rank on a
      domain is parked the domain spins with [Runtime.Backoff], then sleeps
-     on its doorbell (a condvar rung by senders targeting its ranks).
+     on its doorbell (a condvar rung by other domains' senders
+     targeting its ranks).
 
    The send/recv hot paths are allocation-free in steady state: the
    mailboxes are parallel scalar arrays (no per-message packet record, no
@@ -39,15 +46,19 @@
 
    Deadlock is detected by quiescence, as on the simulator: when every
    live domain is asleep and no message is in flight, no future progress is
-   possible.  The counters are maintained so that the test is sound:
-   [in_flight] is incremented before a packet is pushed and decremented
+   possible.  [in_flight] counts cross-domain messages only: it is
+   incremented before a packet is pushed into an [mbox] and decremented
    after it is drained, so "in_flight = 0 and all domains asleep" proves
-   the mailboxes are empty and nobody will ring a doorbell.  A rank that
-   returns drains its mailbox one last time, and a packet sent to it
-   after that is never counted: it can never be received, so it must
-   not hold quiescence off (the end-of-run check still reports it).  The last
-   domain to fall asleep performs the check, as does every domain on exit
-   (covering the case where the only potential sender finishes). *)
+   every [mbox] is empty and nobody will ring a doorbell.  A same-domain
+   message sits in the [pending] of a rank on its sender's domain, and
+   that domain sweeps its ranks' [pending] ([find_runnable]) before it
+   can sleep; only its own fibers can add to it, so a domain asleep has
+   no message it has not looked at.  A rank that returns drains its
+   mailbox one last time, and a packet sent to it after that is never
+   counted: it can never be received, so it must not hold quiescence off
+   (the end-of-run check still reports it).  The last domain to fall
+   asleep performs the check, as does every domain on exit (covering the
+   case where the only potential sender finishes). *)
 
 type park =
   | Ready of (unit -> unit)
@@ -76,7 +87,8 @@ type rstate = {
   mutable deadline : float;
   mutable finished : bool;
       (* returned cleanly: its mailbox is drained for good, and later
-         sends go straight to [pending]; written and read under [mbox_mu] *)
+         sends go straight to [pending] under [mbox_mu]; written under
+         [mbox_mu] by the rank's own domain, read under it by the others *)
 }
 
 type doorbell = { mu : Mutex.t; cond : Condition.t; rings : int Atomic.t }
@@ -128,6 +140,7 @@ let obs_sends = Obs.Counter.make "mc.sends"
 let obs_recvs = Obs.Counter.make "mc.recvs"
 let obs_parks = Obs.Counter.make "mc.parks"
 let obs_sleeps = Obs.Counter.make "mc.sleeps"
+let obs_rings = Obs.Counter.make "mc.rings"
 let obs_barrier_waits = Obs.Counter.make "mc.barrier_waits"
 
 let obs_minor_words = Obs.Counter.make "mc.minor_words"
@@ -147,12 +160,15 @@ let take st i =
 
 (* Move the whole of [mbox] into [pending] under one lock acquisition
    (batched: senders pay one lock per message, the consumer one per
-   drain). *)
+   drain).  In a one-domain run every message is same-domain, so no
+   [mbox] ever holds one. *)
 let drain fab st =
-  Mutex.lock st.mbox_mu;
-  let n = Mailbox.transfer st.mbox ~into:st.pending in
-  Mutex.unlock st.mbox_mu;
-  if n > 0 then ignore (Atomic.fetch_and_add fab.in_flight (-n))
+  if fab.ndomains > 1 then begin
+    Mutex.lock st.mbox_mu;
+    let n = Mailbox.transfer st.mbox ~into:st.pending in
+    Mutex.unlock st.mbox_mu;
+    if n > 0 then ignore (Atomic.fetch_and_add fab.in_flight (-n))
+  end
 
 (* A clean finish: the rank's last drain, and the mark that sends
    [pending] from now on, in one critical section.  A message it never
@@ -168,6 +184,7 @@ let finish fab st =
 
 let ring fab dom =
   let b = fab.bells.(dom) in
+  Obs.Counter.incr obs_rings;
   Mutex.lock b.mu;
   Atomic.incr b.rings;
   Condition.broadcast b.cond;
@@ -211,12 +228,18 @@ let send op fab st ~dest ~tag v =
   Engine.check_dest op ~size:fab.procs ~self:st.rk dest;
   st.sent <- st.sent + 1;
   Obs.Counter.incr obs_sends;
-  if fab.ranks.(dest).crashed then
+  let d = fab.ranks.(dest) in
+  if d.crashed then
     (* fail-stop: traffic to a dead rank is lost, not queued (keeping
        [in_flight] exact so quiescence detection stays sound) *)
     ()
+  else if dest mod fab.ndomains = st.rk mod fab.ndomains && not d.finished then
+    (* same domain: [d] runs only between this fiber's yields and
+       nothing else writes its [pending] while it is live *)
+    Mailbox.push d.pending ~src:st.rk ~tag (Obj.repr v)
   else begin
-    let d = fab.ranks.(dest) in
+    (* another domain's rank, or a finished one, whose [pending] other
+       domains' senders may reach too *)
     Mutex.lock d.mbox_mu;
     let live = not d.finished in
     if live then begin
@@ -239,8 +262,14 @@ let recv_packet fab st ~src ~tag ~any_tag ~deadline : Obj.t =
   let i = Mailbox.find st.pending ~src ~tag ~any_tag in
   if i >= 0 then take st i
   else begin
-    drain fab st;
-    let i = Mailbox.find st.pending ~src ~tag ~any_tag in
+    (* one domain: nothing to drain, so [pending] is as just searched *)
+    let i =
+      if fab.ndomains > 1 then begin
+        drain fab st;
+        Mailbox.find st.pending ~src ~tag ~any_tag
+      end
+      else -1
+    in
     if i >= 0 then take st i
     else if deadline < Float.infinity && now fab >= deadline then
       raise (Engine.timeout ~rank:st.rk ~src ~tag ~any_tag ~deadline)

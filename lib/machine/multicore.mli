@@ -6,8 +6,12 @@
     run with [~domains:1] spawns none and leaves the process free to
     [fork] (see {!Procs}).
     Messages move zero-copy through per-rank mailboxes — the sender must
-    not mutate a value after sending it.  Blocked domains spin briefly
-    ([Runtime.Backoff]) and then sleep on a per-domain doorbell.
+    not mutate a value after sending it.  A message to a rank on the
+    sender's own domain goes straight into the receiver's pending box,
+    with no lock and no doorbell; one to another domain goes through the
+    receiver's locked mailbox and rings its domain's doorbell.  Blocked
+    domains spin briefly ([Runtime.Backoff]) and then sleep on that
+    doorbell.
 
     Semantics match the simulator: sends never block, receives are FIFO
     per (source, tag), and a quiescent system (every rank blocked, no

@@ -25,9 +25,34 @@ let notes t =
    image (a slice's are its [size_in_bytes]). *)
 let marshalled v = Bytes.length (Marshal.to_bytes v [])
 
-let run t program (e : Engine.t) =
+(* One rank's recorder.  [sizes] holds the bytes of every boxed send of
+   the run not yet received, in send order, per (src, dest, tag): by
+   per-(source, tag) FIFO a receive on that channel gets the oldest of
+   them, the size of the image its payload was copied from, so it is
+   priced without marshalling the payload again.  [blind] holds the ranks
+   that have taken a message with an any-tag [recv_any], which cannot
+   name the channel it emptied: they price their receives by marshalling
+   from then on, as does a receive whose channel holds no size. *)
+let record t sizes blind program (e : Engine.t) =
   let proc = e.Engine.rank in
   let stamp kind = t.events <- { time = e.Engine.time (); proc; kind } :: t.events in
+  let sent ~dest ~tag bytes =
+    if not (Hashtbl.mem blind dest) then begin
+      let key = (proc, dest, tag) in
+      match Hashtbl.find_opt sizes key with
+      | Some q -> Queue.push bytes q
+      | None ->
+          let q = Queue.create () in
+          Queue.push bytes q;
+          Hashtbl.add sizes key q
+    end;
+    bytes
+  in
+  let received ~src ~tag v =
+    match Hashtbl.find_opt sizes (src, proc, tag) with
+    | Some q when not (Queue.is_empty q || Hashtbl.mem blind proc) -> Queue.pop q
+    | _ -> marshalled v
+  in
   (* A receive that expires is recorded at its expiry. *)
   let receive f =
     try f () with Fault.Timeout _ as x ->
@@ -40,7 +65,7 @@ let run t program (e : Engine.t) =
       Engine.send =
         (fun ~dest ~tag v ->
           e.Engine.send ~dest ~tag v;
-          stamp (Send { dest; tag; bytes = marshalled v }));
+          stamp (Send { dest; tag; bytes = sent ~dest ~tag (marshalled v) }));
       send_slice =
         (fun ~dest ~tag s ->
           e.Engine.send_slice ~dest ~tag s;
@@ -48,7 +73,7 @@ let run t program (e : Engine.t) =
       recv =
         (fun ?timeout ~src ~tag () ->
           let v = receive (fun () -> e.Engine.recv ?timeout ~src ~tag ()) in
-          stamp (Recv { src; tag; bytes = marshalled v });
+          stamp (Recv { src; tag; bytes = received ~src ~tag v });
           v);
       recv_slice =
         (fun ?timeout ~src ~tag () ->
@@ -58,7 +83,14 @@ let run t program (e : Engine.t) =
       recv_any =
         (fun ?timeout ?tag () ->
           let ((src, v) as r) = receive (fun () -> e.Engine.recv_any ?timeout ?tag ()) in
-          stamp (Recv { src; tag = Option.value tag ~default:(-1); bytes = marshalled v });
+          let bytes =
+            match tag with
+            | Some tag -> received ~src ~tag v
+            | None ->
+                Hashtbl.replace blind proc ();
+                marshalled v
+          in
+          stamp (Recv { src; tag = Option.value tag ~default:(-1); bytes });
           r);
       work =
         (fun d ->
@@ -79,6 +111,10 @@ let run t program (e : Engine.t) =
       stamp (Note "crashed");
       stamp Finish;
       raise x
+
+(* Applied once per run (as [Spmd] does), so the run's ranks share one
+   table of send sizes and a failed run's leftovers never reach the next. *)
+let run t program = record t (Hashtbl.create 64) (Hashtbl.create 1) program
 
 (* Chrome trace_event export: load the result into chrome://tracing or
    https://ui.perfetto.dev to see the simulated timeline.  We emit the

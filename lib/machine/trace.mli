@@ -33,7 +33,15 @@ val run : t -> (Engine.t -> 'a) -> Engine.t -> 'a
     [note], and [Finish] when [program] returns. A receive that raises
     {!Fault.Timeout} records [Note "recv timeout"]; a {!Fault.Crashed}
     leaving [program] records [Note "crashed"] then [Finish]. Both
-    exceptions propagate. *)
+    exceptions propagate.
+
+    Apply [run t program] once per run and hand the result every rank's
+    engine, as a [Backend.sim ~trace] run does: the ranks then share the
+    run's sizes of boxed sends not yet received, per (source, dest, tag),
+    and a receive records the size its matching send recorded instead of
+    marshalling its payload again. A rank that has taken a message with an
+    any-tag [recv_any], and any rank whose trace was applied on its own,
+    prices its receives by marshalling them; the bytes are the same. *)
 
 val events : t -> event list
 (** All events sorted by (time, proc). *)

@@ -913,6 +913,67 @@ let test_trace_wrap_bit_identical () =
   Alcotest.(check bool) "farm crash recorded" true
     (List.exists (fun e -> e.Trace.proc = 2 && e.Trace.kind = Trace.Note "crashed") evs)
 
+(* A traced receive is priced from its send: on a boxed hyperquicksort
+   every [Recv] records the bytes of the [Send] it matches by
+   per-(source, tag) FIFO, the size of the [Marshal] image the simulator
+   copied its payload from and so what marshalling the received copy
+   gives, and the receives add up to the simulator's own byte count. *)
+let test_trace_recv_bytes_match_sends () =
+  let keys = Array.init 5_000 (fun i -> (i * 7919) mod 10_007) in
+  let trace = Trace.create () in
+  let sorted, stats = Algorithms.Hyperquicksort.sort (Backend.sim ~trace ()) ~procs:8 keys in
+  let expect = Array.copy keys in
+  Array.sort compare expect;
+  Alcotest.(check bool) "sorted" true (sorted = expect);
+  let sends = Hashtbl.create 64 in
+  let channel key =
+    match Hashtbl.find_opt sends key with
+    | Some q -> q
+    | None ->
+        let q = Queue.create () in
+        Hashtbl.add sends key q;
+        q
+  in
+  let recvs = ref 0 and total = ref 0 in
+  List.iter
+    (fun e ->
+      match e.Trace.kind with
+      | Trace.Send { dest; tag; bytes } -> Queue.push bytes (channel (e.Trace.proc, dest, tag))
+      | Trace.Recv { src; tag; bytes } ->
+          let what = Printf.sprintf "receive %d (p%d from p%d)" !recvs e.Trace.proc src in
+          Alcotest.(check (option int)) what (Queue.take_opt (channel (src, e.Trace.proc, tag))) (Some bytes);
+          incr recvs;
+          total := !total + bytes
+      | _ -> ())
+    (Trace.events trace);
+  Alcotest.(check bool) "receives recorded" true (!recvs > 0);
+  Alcotest.(check int) "received bytes = simulated bytes" stats.Sim.total_bytes !total
+
+(* An any-tag [recv_any] cannot tell which channel it emptied, so that
+   rank's later receives are priced by marshalling: here the second
+   message on the channel is the one whose bytes [Recv] must carry. *)
+let test_trace_any_tag_recv_prices_itself () =
+  let trace = Trace.create () in
+  let long = String.make 100 'y' in
+  let _ =
+    simulate ~trace ~procs:2 (fun eng ->
+        if eng.Engine.rank = 0 then begin
+          eng.Engine.send ~dest:1 ~tag:1 "x";
+          eng.Engine.send ~dest:1 ~tag:1 long
+        end
+        else begin
+          ignore (eng.Engine.recv_any () : int * string);
+          ignore (eng.Engine.recv ~src:0 ~tag:1 () : string)
+        end)
+  in
+  let bytes =
+    List.filter_map
+      (fun e -> match e.Trace.kind with Trace.Recv { bytes; _ } -> Some bytes | _ -> None)
+      (Trace.events trace)
+  in
+  let size v = Bytes.length (Marshal.to_bytes v []) in
+  Alcotest.(check (list int)) "each receive's own image" [ size "x"; size long ] bytes
+
 (* Rank 1 computes, sends once, and crashes (Chaos) at its second send;
    rank 0 takes the first message, then waits for a second that never
    comes. *)
@@ -1490,6 +1551,10 @@ let suite =
         Alcotest.test_case "trace wrap is bit-identical" `Quick test_trace_wrap_bit_identical;
         Alcotest.test_case "trace records crash and timeout" `Quick
           test_trace_crash_and_timeout_notes;
+        Alcotest.test_case "traced receives priced from sends" `Quick
+          test_trace_recv_bytes_match_sends;
+        Alcotest.test_case "any-tag recv_any prices itself" `Quick
+          test_trace_any_tag_recv_prices_itself;
         Alcotest.test_case "delays preserve collective values" `Quick
           test_chaos_delays_value_identical;
         Alcotest.test_case "same seed replays exactly" `Quick test_chaos_delays_are_deterministic;

@@ -112,6 +112,82 @@ let test_multiplexed_ranks () =
   Alcotest.(check (pair int int)) "ring + allreduce over 2 domains" (28, 7) v;
   Alcotest.(check int) "two domains" 2 stats.Multicore.domains_used
 
+(* --- both delivery paths ---------------------------------------------------- *)
+
+(* A message to a rank on the sender's own domain goes straight into the
+   receiver's pending box; one to another domain goes through its locked
+   mailbox, the in-flight count and the doorbell.  Each case below runs on
+   1 domain (every message same-domain) and on 2 (rank r on domain r mod
+   2, so both paths), whatever the host's core count. *)
+
+(* Ranks 0 and 2 share domain 0 on 1 domain and on 2.  Rank 2 sends to
+   rank 0 and returns without yielding, so rank 0, resumed by that
+   message, sends to a finished same-domain peer: the message waits in
+   the peer's pending box for the end-of-run check. *)
+let same_domain_finished_peer backend =
+  let msg =
+    C.expect_deadlock "same-domain finished peer" (fun () ->
+        C.run backend ~procs:3 (fun eng ->
+            match eng.Engine.rank with
+            | 0 ->
+                ignore (eng.Engine.recv ~src:2 ~tag:1 () : string);
+                eng.Engine.send ~dest:2 ~tag:9 "late";
+                Some ()
+            | 2 ->
+                eng.Engine.send ~dest:0 ~tag:1 "bye";
+                None
+            | _ -> None))
+  in
+  Alcotest.(check string) "undelivered reported"
+    "processor 2 finished with 1 undelivered message(s); first from p0 tag 9" msg
+
+(* Doorbells ring only across domains: a 2-rank ping-pong rings none on
+   1 domain, and on 2 exactly one per message (each goes to a live rank
+   on the other domain). *)
+let doorbells_only_across_domains backend =
+  let (Backend.Multicore { domains }) = backend in
+  let rounds = 100 in
+  Obs.enable ();
+  Obs.reset ();
+  let _ =
+    Multicore.run_each ?domains ~procs:2 (fun _ eng ->
+        for i = 1 to rounds do
+          if eng.Engine.rank = 0 then begin
+            eng.Engine.send ~dest:1 ~tag:0 i;
+            ignore (eng.Engine.recv ~src:1 ~tag:1 () : int)
+          end
+          else begin
+            ignore (eng.Engine.recv ~src:0 ~tag:0 () : int);
+            eng.Engine.send ~dest:0 ~tag:1 i
+          end
+        done)
+  in
+  let rings = Option.value ~default:0 (Obs.Metrics.counter_value "mc.rings") in
+  Obs.disable ();
+  if domains = Some 1 then Alcotest.(check int) "no doorbell on one domain" 0 rings
+  else Alcotest.(check int) "one ring per message across domains" (2 * rounds) rings
+
+let on_both_paths (name, case) =
+  List.map
+    (fun domains ->
+      Alcotest.test_case
+        (Printf.sprintf "%s, %d domain%s" name domains (if domains = 1 then "" else "s"))
+        `Quick
+        (fun () -> case (Backend.multicore ~domains ())))
+    [ 1; 2 ]
+
+let delivery_paths =
+  List.concat_map on_both_paths
+    [
+      ("fifo, 4 ranks", fun b -> C.fifo_under_interleaving b);
+      ("mutual recv", C.mutual_recv_deadlock);
+      ("undelivered message", C.undelivered_message);
+      ("sender finished", fun b -> ignore (C.sender_finished_deadlock b));
+      ("crash is fail-stop", fun b -> ignore (C.crash_is_fail_stop b));
+      ("same-domain finished peer", same_domain_finished_peer);
+      ("doorbells", doorbells_only_across_domains);
+    ]
+
 (* --- engine equivalence: same program, identical values ------------------ *)
 
 let equivalence only = C.oracle ~only Prop.Engine_oracle.equivalence (Backend.multicore ())
@@ -216,6 +292,7 @@ let suite =
         Alcotest.test_case "chaos stall parks fiber not domain" `Quick
           test_mc_chaos_stall_parks_fiber_not_domain;
       ] );
+    ("delivery", delivery_paths);
     C.contract_group (Backend.multicore ());
   ]
   @ C.chaos_groups (Backend.multicore ~domains:2 ())
@@ -251,8 +328,9 @@ let test_send_recv_allocation_free () =
   (* The claim measured through [Gc.minor_words] inside the rank's own
      fiber: a seeded 10k-message ping-pong whose steady-state receives are
      satisfied from the pending ring (domains:1 interleaves the two fibers
-     on one domain, so a sent message is already drained by the time the
-     peer looks).  The payload is a preallocated immediate (int), so any
+     on one domain, so a sent message is already in the peer's pending
+     ring when the peer looks: a same-domain send pushes it there).  The
+     payload is a preallocated immediate (int), so any
      minor-heap growth would come from the fabric itself — packet boxing,
      closure capture, option wrapping.  The measurement brackets only the
      loop; a slack of a few hundred words absorbs the [Gc.minor_words]
